@@ -704,8 +704,10 @@ let fuzz_cmd =
              corrupt the event stream FastTrack observes; static-drop-sync \
              plants an unsoundness in the static race analyzer; \
              static-stale-cache keys its summary cache by class name instead \
-             of content digest) and check that the differential oracles \
-             catch it.")
+             of content digest; repair-overlock makes repair try candidates \
+             in reverse cost order; instance-alias hands out a synthesized \
+             test's template machine instead of a copy) and check that the \
+             differential oracles catch it.")
   in
   let guided =
     Arg.(

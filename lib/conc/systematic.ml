@@ -2,13 +2,15 @@
    preemption bounding (Musuvathi & Qadeer, PLDI'07 — [13] in the
    paper).
 
-   The machine cannot snapshot state, so exploration is by *replay*:
-   each execution follows a prescribed decision prefix and then a
-   deterministic non-preemptive default (keep running the current thread
-   while it can).  Every scheduling point past the prefix contributes
-   the untaken alternatives as new prefixes, pruned by the preemption
-   bound; the instantiator rebuilds an identical initial state for every
-   replay. *)
+   Exploration is stateless, by *replay*: each execution follows a
+   prescribed decision prefix and then a deterministic non-preemptive
+   default (keep running the current thread while it can).  Every
+   scheduling point past the prefix contributes the untaken alternatives
+   as new prefixes, pruned by the preemption bound.  Each replay starts
+   from a fresh instance; the synthesizer's instantiators hand out a
+   copy of one initial machine ([Runtime.Machine.copy]) per call, so a
+   replay costs no seed re-execution.  Mid-run states are not
+   snapshotted: every replay re-executes its prefix. *)
 
 type config = {
   sc_max_steps : int; (* per execution *)

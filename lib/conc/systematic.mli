@@ -4,8 +4,9 @@
     Exploration is by replay: every execution follows a decision prefix
     and then a non-preemptive default; untaken alternatives past the
     prefix become new prefixes, pruned by the preemption bound.  The
-    [restart] function must rebuild an identical initial state for each
-    replay (the synthesizer's instantiators qualify). *)
+    [restart] function must return an independent instance in an
+    identical initial state for each replay (the synthesizer's
+    instantiators qualify: they copy one template machine per call). *)
 
 type config = {
   sc_max_steps : int;

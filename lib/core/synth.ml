@@ -361,9 +361,34 @@ let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
       ri_roots = roots;
     }
 
+(* Instantiate once, copy many: the seed replays and context calls run
+   on the first call only, and every call gets its own copy of that
+   template machine; the template itself is never handed out, so it is
+   never stepped.  The mutex makes first calls racing on several domains
+   build it once.  An [Error] is memoized too; an exception is not, so
+   every call raises as a fresh build would. *)
 let instantiator ?seed ?apply_context ?backend cu ~client_classes (t : test) :
     Detect.Racefuzzer.instantiator =
- fun () -> instantiate ?seed ?apply_context ?backend cu ~client_classes t
+  let built = ref None in
+  let lock = Mutex.create () in
+  let template () =
+    Mutex.protect lock (fun () ->
+        match !built with
+        | Some r -> r
+        | None ->
+          let r = instantiate ?seed ?apply_context ?backend cu ~client_classes t in
+          built := Some r;
+          r)
+  in
+  fun () ->
+    Result.map
+      (fun (inst : Detect.Racefuzzer.instance) ->
+        {
+          inst with
+          Detect.Racefuzzer.ri_machine =
+            Runtime.Machine.copy inst.Detect.Racefuzzer.ri_machine;
+        })
+      (template ())
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

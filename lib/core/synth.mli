@@ -51,7 +51,12 @@ val instantiator :
   client_classes:Jir.Ast.id list ->
   test ->
   Detect.Racefuzzer.instantiator
-(** Deterministic: every call rebuilds an identical initial state. *)
+(** Builds the test's initial state ({!instantiate}) once, on the first
+    call, and returns an independent {!Runtime.Machine.copy} of it on
+    every call: each instance starts from an identical state and none
+    shares mutable state with another.  A build [Error] is returned by
+    every call.  Safe to call from several domains; the first calls
+    build the template exactly once. *)
 
 val to_source : test -> string
 (** Render the test as readable Jir-like pseudocode (the paper's

@@ -146,36 +146,37 @@ type confirmation = {
   co_schedule : string; (* which scheduler confirmed *)
 }
 
-(* Confirm by directed scheduling, falling back to random schedules. *)
+(* Confirm by directed scheduling, falling back to random schedules.
+   The test is instantiated once; every schedule runs on its own copy
+   of that initial state. *)
 let confirm ?(seed = Runtime.Machine.default_seed) ?(random_tries = 10) (cu : Jir.Code.unit_)
     ~client_classes (t : test) : (confirmation, string) result =
+  let* template = instantiate ~seed cu ~client_classes t in
   let try_sched name sched =
-    match instantiate ~seed cu ~client_classes t with
-    | Error e -> Error e
-    | Ok inst -> (
-      let r = Conc.Exec.run inst.Detect.Racefuzzer.ri_machine (sched inst) in
-      match r.Conc.Exec.outcome with
-      | Conc.Exec.Deadlock tids ->
-        Ok (Some { co_deadlocked = true; co_threads = tids; co_schedule = name })
-      | Conc.Exec.All_finished | Conc.Exec.Fuel_exhausted -> Ok None)
+    let m = Runtime.Machine.copy template.Detect.Racefuzzer.ri_machine in
+    let r = Conc.Exec.run m sched in
+    match r.Conc.Exec.outcome with
+    | Conc.Exec.Deadlock tids ->
+      Some { co_deadlocked = true; co_threads = tids; co_schedule = name }
+    | Conc.Exec.All_finished | Conc.Exec.Fuel_exhausted -> None
   in
-  let* directed =
-    try_sched "directed" (fun inst ->
-        directed_deadlock_scheduler inst.Detect.Racefuzzer.ri_threads)
-  in
-  match directed with
+  match
+    try_sched "directed"
+      (directed_deadlock_scheduler template.Detect.Racefuzzer.ri_threads)
+  with
   | Some c -> Ok c
   | None ->
     let rec randoms i =
       if i >= random_tries then
         Ok { co_deadlocked = false; co_threads = []; co_schedule = "none" }
       else
-        let* r =
+        match
           try_sched
             (Printf.sprintf "random-%d" i)
-            (fun _ -> Conc.Scheduler.random ~seed:(Int64.add seed (Int64.of_int (i * 37))))
-        in
-        match r with Some c -> Ok c | None -> randoms (i + 1)
+            (Conc.Scheduler.random ~seed:(Int64.add seed (Int64.of_int (i * 37))))
+        with
+        | Some c -> Ok c
+        | None -> randoms (i + 1)
     in
     randoms 0
 

@@ -15,8 +15,9 @@ type instance = {
 }
 
 type instantiator = unit -> (instance, string) result
-(** Rebuilds an identical initial state on every call (the synthesizer
-    provides these). *)
+(** Returns a fresh instance in an identical initial state on every
+    call, sharing no mutable state with earlier ones (the synthesizer's
+    instantiators copy one template machine per call). *)
 
 (** What to look for: a field name, optionally narrowed to two sites. *)
 type candidate = {

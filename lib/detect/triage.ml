@@ -127,7 +127,7 @@ let equal_outcome (a : outcome) (b : outcome) =
   && List.equal String.equal a.o_returns b.o_returns
 
 (* Triage a confirmed race.  [instantiate] must be deterministic: each
-   call rebuilds an identical initial state. *)
+   call returns an independent instance in an identical initial state. *)
 let triage ~(instantiate : Racefuzzer.instantiator)
     ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
     (verdict, string) result =

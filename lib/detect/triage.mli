@@ -4,7 +4,8 @@
     constants), harmful otherwise (lost updates, crashes,
     order-sensitive state).
 
-    Implementation: over identical instantiations, compare the fully
+    Implementation: over independent instances in one identical initial
+    state (one per replay, from [instantiate]), compare the fully
     serialized executions (both orders) with race-forced executions
     (racing accesses back to back, both orders); any difference in the
     canonical heap snapshot or crash set ⇒ harmful.

@@ -90,7 +90,7 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     { te_test = t; te_instantiated = false; te_races = [] }
   | Ok first ->
     (* Gather candidates over several schedules.  Every schedule is an
-       independent seeded execution of a fresh instantiation, so with
+       independent seeded execution of a fresh instance, so with
        [opt_jobs > 1] they run on a domain pool; merging the candidate
        lists in schedule order keeps the table identical to the
        sequential scan for every job count. *)

@@ -17,6 +17,7 @@ type mutation =
   | Static_drop_sync
   | Static_stale_cache
   | Repair_overlock
+  | Instance_alias
 
 let mutation_of_string = function
   | "drop-join" -> Ok Drop_join
@@ -24,11 +25,13 @@ let mutation_of_string = function
   | "static-drop-sync" -> Ok Static_drop_sync
   | "static-stale-cache" -> Ok Static_stale_cache
   | "repair-overlock" -> Ok Repair_overlock
+  | "instance-alias" -> Ok Instance_alias
   | s ->
     Error
       (Printf.sprintf
          "unknown mutation %S (have: drop-join, drop-release, \
-          static-drop-sync, static-stale-cache, repair-overlock)"
+          static-drop-sync, static-stale-cache, repair-overlock, \
+          instance-alias)"
          s)
 
 let mutation_to_string = function
@@ -37,6 +40,7 @@ let mutation_to_string = function
   | Static_drop_sync -> "static-drop-sync"
   | Static_stale_cache -> "static-stale-cache"
   | Repair_overlock -> "repair-overlock"
+  | Instance_alias -> "instance-alias"
 
 (* Seed roles, derived from the per-program base seed so every oracle is
    a pure function of (program, seed). *)
@@ -283,7 +287,9 @@ let static_superset ?mutate ~seed cu =
   let static_mutate =
     match mutate with
     | Some Static_drop_sync -> Some Static.Analyze.Drop_sync
-    | Some (Drop_join | Drop_release | Static_stale_cache | Repair_overlock)
+    | Some
+        ( Drop_join | Drop_release | Static_stale_cache | Repair_overlock
+        | Instance_alias )
     | None ->
       None
   in
@@ -342,7 +348,9 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
   let static_mutate =
     match mutate with
     | Some Static_stale_cache -> Some Static.Analyze.Stale_cache
-    | Some (Drop_join | Drop_release | Static_drop_sync | Repair_overlock)
+    | Some
+        ( Drop_join | Drop_release | Static_drop_sync | Repair_overlock
+        | Instance_alias )
     | None ->
       None
   in
@@ -377,7 +385,15 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
 
 let max_replayed_tests = 3
 
-let synthesis_replay ?(strict = true) ~seed cu =
+(* Every synthesized test instantiates, and the instances its
+   instantiator hands out are interchangeable with a fresh build: copy 1
+   and copy 2 — the latter taken after copy 1 ran to completion — must
+   each match a fresh [Synth.instantiate] in their initial state (heap
+   from the roots, labels used, output) and under one seeded schedule
+   (outcome, steps, output, race keys).  The [instance-alias] mutation
+   makes the oracle's instantiator hand out its template itself, so copy
+   2 is copy 1 after its run. *)
+let synthesis_replay ?mutate ?(strict = true) ~seed cu =
   match
     Narada_core.Pipeline.analyze ~seed:(vm_seed seed) cu ~client_classes
       ~seed_cls:Gen.seed_cls ~seed_meth:Gen.seed_meth
@@ -394,25 +410,47 @@ let synthesis_replay ?(strict = true) ~seed cu =
         an.Narada_core.Pipeline.an_tests
     in
     let replay (t : Narada_core.Synth.test) =
-      let instantiate = Narada_core.Pipeline.instantiator an t in
-      let shot () =
-        match instantiate () with
+      let fresh () =
+        Narada_core.Synth.instantiate an.Narada_core.Pipeline.an_cu
+          ~client_classes:an.Narada_core.Pipeline.an_client_classes
+          ~backend:an.Narada_core.Pipeline.an_backend t
+      in
+      let instantiate =
+        if mutate = Some Instance_alias then
+          let template = lazy (fresh ()) in
+          fun () -> Lazy.force template
+        else Narada_core.Pipeline.instantiator an t
+      in
+      let shot = function
         | Error e -> Error e
         | Ok inst ->
-          let ft = Fasttrack.attach inst.Detect.Racefuzzer.ri_machine in
-          let res =
-            Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
-              (Conc.Scheduler.random ~seed:(replay_seed seed))
+          let m = inst.Detect.Racefuzzer.ri_machine in
+          let initial =
+            ( Runtime.Snapshot.canonical (Runtime.Machine.heap m)
+                ~roots:inst.Detect.Racefuzzer.ri_roots,
+              Runtime.Machine.labels_used m,
+              Runtime.Machine.output m )
           in
+          let ft = Fasttrack.attach m in
+          let res = Conc.Exec.run m (Conc.Scheduler.random ~seed:(replay_seed seed)) in
           Ok
-            ( res.Conc.Exec.outcome,
+            ( initial,
+              res.Conc.Exec.outcome,
               res.Conc.Exec.steps,
-              Runtime.Machine.output inst.Detect.Racefuzzer.ri_machine,
-              List.sort Race.compare_key
-                (List.map Race.key_of (Fasttrack.reports ft)) )
+              Runtime.Machine.output m,
+              List.sort Race.compare_key (List.map Race.key_of (Fasttrack.reports ft)) )
       in
-      if shot () = shot () then None
-      else Some (Printf.sprintf "test #%d replay diverges" t.Narada_core.Synth.st_id)
+      let reference = shot (fresh ()) in
+      let first = shot (instantiate ()) in
+      let second = shot (instantiate ()) in
+      let diverges what =
+        Some
+          (Printf.sprintf "test #%d replay diverges: %s differs from a fresh instantiation"
+             t.Narada_core.Synth.st_id what)
+      in
+      if first <> reference then diverges "copy 1"
+      else if second <> reference then diverges "copy 2 (taken after copy 1 ran)"
+      else None
     in
     (match List.find_map replay tests with
     | Some detail -> Fail detail
@@ -630,7 +668,7 @@ let check ?mutate ~seed program =
         timed "static-superset" (fun () ->
             guarded (fun () -> static_superset ?mutate ~seed cu));
         timed "synthesis-replay" (fun () ->
-            guarded (fun () -> synthesis_replay ~seed cu));
+            guarded (fun () -> synthesis_replay ?mutate ~seed cu));
         timed "backend-diff" (fun () ->
             guarded (fun () -> backend_diff ~seed cu));
         timed "static-incremental" (fun () ->
@@ -661,7 +699,7 @@ let fails_oracle ?mutate ~seed ~oracle program =
         | "detectors-agree" -> detectors_agree ?mutate ~seed cu
         | "lockset-superset" -> lockset_superset ?mutate ~seed cu
         | "static-superset" -> static_superset ?mutate ~seed cu
-        | "synthesis-replay" -> synthesis_replay ~strict:false ~seed cu
+        | "synthesis-replay" -> synthesis_replay ?mutate ~strict:false ~seed cu
         | "backend-diff" -> backend_diff ~seed cu
         | "static-incremental" -> static_incremental ?mutate cu
         | "repair-closes" -> repair_closes ?mutate ~seed cu

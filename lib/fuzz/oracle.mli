@@ -14,7 +14,8 @@ type verdict = Pass | Fail of string
     other detectors and the naive oracle see the pristine trace);
     [Static_drop_sync] and [Static_stale_cache] plant an unsoundness
     inside the static race analyzer itself; [Repair_overlock] breaks
-    the repair engine's cost-order search discipline.  A campaign run
+    the repair engine's cost-order search discipline; [Instance_alias]
+    breaks the isolation of synthesized-test instances.  A campaign run
     with a mutation must report disagreement — proving the differential
     oracle would catch a real bug of that class. *)
 type mutation =
@@ -28,6 +29,10 @@ type mutation =
   | Repair_overlock
       (** make the repair engine try candidates in reverse cost order,
           so it accepts a needlessly coarse (non-minimal) repair *)
+  | Instance_alias
+      (** make the synthesis-replay oracle's instantiator hand out its
+          template machine itself instead of a copy, so a second
+          instance is the first one after its run *)
 
 val mutation_of_string : string -> (mutation, string) result
 val mutation_to_string : mutation -> string
@@ -56,9 +61,12 @@ val check :
       unordered method pair) granularity — a machine-checked soundness
       bound for the analyzer;
     - ["synthesis-replay"]: the Narada pipeline runs on the sequential
-      seed test, and every synthesized test instantiates and replays
-      deterministically (two instantiations behave identically under
-      the same directed-scheduler seed);
+      seed test, and every synthesized test instantiates; the first two
+      instances its instantiator hands out (the second taken after the
+      first ran to completion) each match a fresh
+      {!Narada_core.Synth.instantiate} — same initial heap from the
+      roots, labels used and output, and the same outcome, steps,
+      output and FastTrack race keys under one seeded random schedule;
     - ["backend-diff"]: the compiled closure backend is observationally
       identical to the interpreter — same outcome, steps, crashes,
       output and final event-label count on an observer-free run, and

@@ -267,3 +267,30 @@ let force_release t addr ~tid =
   | Some _ | None -> ()
 
 let size t = t.next - 1
+
+(* ---------------- copying ---------------- *)
+
+(* An independent heap with the same cells at the same addresses: field
+   and array contents and monitors are fresh, while layouts are shared
+   (they are immutable), so a compiled site's inline cache filled on one
+   copy keeps hitting on every other. *)
+let copy_cell c =
+  let kind =
+    match c.kind with
+    | Kobject r -> Kobject { r with fields = Array.copy r.fields }
+    | Karray r -> Karray { r with data = Array.copy r.data }
+    | Kclassobj r -> Kclassobj { r with fields = Array.copy r.fields }
+  in
+  { addr = c.addr; kind; monitor = { owner = c.monitor.owner; depth = c.monitor.depth } }
+
+let copy t =
+  let cells = Array.make (Array.length t.cells) dummy_cell in
+  for i = 0 to t.next - 2 do
+    Array.unsafe_set cells i (copy_cell (Array.unsafe_get t.cells i))
+  done;
+  {
+    next = t.next;
+    cells;
+    obj_layouts = Hashtbl.copy t.obj_layouts;
+    cls_layouts = Hashtbl.copy t.cls_layouts;
+  }

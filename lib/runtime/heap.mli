@@ -81,3 +81,10 @@ val monitor_owner : t -> Value.addr -> Value.tid option
 val monitor_free_or_mine : t -> Value.addr -> tid:Value.tid -> bool
 val force_release : t -> Value.addr -> tid:Value.tid -> unit
 val size : t -> int
+
+val copy : t -> t
+(** An independent heap holding the same cells at the same addresses:
+    field and array contents and monitors are copied, layouts are
+    shared with the original (so {!field_cache}s keep hitting across
+    copies).  Reads the original only, so several domains may copy one
+    heap at once. *)

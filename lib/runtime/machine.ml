@@ -1411,6 +1411,33 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
 
 let add_observer m f = m.observers <- m.observers @ [ f ]
 
+(* Fork a machine: everything a run can change is copied — the heap,
+   the thread records and their frames (registers, pc, entered
+   monitors), counters, RNG states, output and side tables — and what
+   no run changes is shared: the code unit, the heap's interned layouts
+   and the installed engine (so compiled frames keep their bodies).
+   Observers are not carried over; the copy starts unobserved, as a
+   freshly created machine does.  Only reads [m]. *)
+let copy m =
+  let copy_frame (f : frame) = { f with regs = Array.copy f.regs } in
+  let thread_list =
+    List.map (fun th -> { th with stack = List.map copy_frame th.stack }) m.thread_list
+  in
+  let threads = Hashtbl.copy m.threads in
+  List.iter (fun th -> Hashtbl.replace threads th.tid th) thread_list;
+  let out = Buffer.create (max 256 (Buffer.length m.out)) in
+  Buffer.add_buffer out m.out;
+  {
+    m with
+    heap = Heap.copy m.heap;
+    class_objs = Hashtbl.copy m.class_objs;
+    threads;
+    thread_list;
+    observers = [];
+    client_classes = Hashtbl.copy m.client_classes;
+    out;
+  }
+
 let new_thread m ?(client = true) ~(cm : Code.meth) ~recv ~args () =
   new_thread_internal m ~cm ~recv ~args ~spawned_client:client
 

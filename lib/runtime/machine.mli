@@ -74,6 +74,16 @@ end
 
 val add_observer : t -> (Event.t -> unit) -> unit
 
+val copy : t -> t
+(** An independent machine in the same state: stepping either one never
+    affects the other.  Heap contents, monitors, threads and frames,
+    counters (threads, frames, event labels), RNG states, output and
+    side tables are copied; the code unit, the heap's field layouts and
+    the installed compiled engine are shared, since no run changes them.
+    Observers are not carried over.  [copy] only reads its argument, so
+    several domains may copy one machine at once, provided nobody steps
+    it meanwhile. *)
+
 val new_thread :
   t ->
   ?client:bool ->
