@@ -33,13 +33,8 @@
 let cu_of = Corpus.Registry.compiled_unit
 
 let pipeline_once (e : Corpus.Corpus_def.entry) =
-  match
-    Narada_core.Pipeline.analyze (cu_of e)
-      ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-      ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-      ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-  with
-  | Ok an -> an
+  match Eval.Evaluate.analyze_entry e with
+  | Ok (_, an) -> an
   | Error err -> failwith (e.Corpus.Corpus_def.e_id ^ ": " ^ err)
 
 (* ------------------------------------------------------------------ *)
@@ -421,14 +416,9 @@ let scheduler_shootout () =
   match Corpus.Registry.find "C1" with
   | None -> ()
   | Some e -> (
-    match
-      Narada_core.Pipeline.analyze (cu_of e)
-        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-        ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-        ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-    with
+    match Eval.Evaluate.analyze_entry e with
     | Error _ -> ()
-    | Ok an -> (
+    | Ok (_, an) -> (
       let test =
         List.find_opt
           (fun (t : Narada_core.Synth.test) ->
@@ -647,16 +637,6 @@ let fuzz_bench ~jobs =
   Corpus.Registry.warm_all ();
   let blind_mode = Eval.Guided.Blind { runs = 6 } in
   let guided_mode = Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 } in
-  let entries =
-    match Sys.getenv_opt "NARADA_FUZZ_BENCH_ONLY" with
-    | None -> Corpus.Registry.all
-    | Some ids ->
-      let ids = String.split_on_char ',' ids in
-      List.filter
-        (fun (e : Corpus.Corpus_def.entry) ->
-          List.mem e.Corpus.Corpus_def.e_id ids)
-        Corpus.Registry.all
-  in
   let rows =
     List.filter_map
       (fun (e : Corpus.Corpus_def.entry) ->
@@ -666,29 +646,12 @@ let fuzz_bench ~jobs =
           Eval.Guided.confirm_class ~jobs ~corpus ~mode:guided_mode e
         in
         match (blind, guided) with
-        | Ok b, Ok g ->
-          if Sys.getenv_opt "NARADA_FUZZ_BENCH_DEBUG" <> None then begin
-            let missing =
-              List.filter
-                (fun k ->
-                  not
-                    (List.exists
-                       (fun k' -> Detect.Race.compare_key k k' = 0)
-                       g.Eval.Guided.gc_confirmed))
-                b.Eval.Guided.gc_confirmed
-            in
-            List.iter
-              (fun k ->
-                Printf.eprintf "debug %s: guided missing %s\n"
-                  e.Corpus.Corpus_def.e_id (Detect.Race.key_to_string k))
-              missing
-          end;
-          Some (e, b, g)
+        | Ok b, Ok g -> Some (e, b, g)
         | (Error msg, _ | _, Error msg) ->
           Printf.eprintf "fuzz-bench: %s failed: %s\n" e.Corpus.Corpus_def.e_id
             msg;
           None)
-      entries
+      Corpus.Registry.all
   in
   let same_set b g =
     List.length b.Eval.Guided.gc_confirmed
@@ -804,18 +767,8 @@ let bench_backend_file = "BENCH_backend.json"
 
 let backend_bench () =
   Corpus.Registry.warm_all ();
-  let entries =
-    match Sys.getenv_opt "NARADA_BACKEND_BENCH_ONLY" with
-    | None -> Corpus.Registry.all
-    | Some ids ->
-      let ids = String.split_on_char ',' ids in
-      List.filter
-        (fun (e : Corpus.Corpus_def.entry) ->
-          List.mem e.Corpus.Corpus_def.e_id ids)
-        Corpus.Registry.all
-  in
+  let entries = Corpus.Registry.all in
   let seed = 7L in
-  let schedule_seed i = Int64.add seed (Int64.of_int (i * 1299709)) in
   (* One backend's full sweep: per class, analyze (the compiled backend
      pays its one-time compilation here, not in the timed loops), then
      per test enumerate candidates over two seeded schedules and time
@@ -826,60 +779,31 @@ let backend_bench () =
     let confirmed = ref [] in
     List.iter
       (fun (e : Corpus.Corpus_def.entry) ->
-        match
-          Narada_core.Pipeline.analyze ~backend:kind (cu_of e)
-            ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-            ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-            ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-        with
+        match Eval.Evaluate.analyze_entry ~backend:kind e with
         | Error msg ->
           Printf.eprintf "backend-bench: %s failed: %s\n"
             e.Corpus.Corpus_def.e_id msg
-        | Ok an ->
+        | Ok (_, an) ->
           List.iter
             (fun (t : Narada_core.Synth.test) ->
               let instantiate = Narada_core.Pipeline.instantiator an t in
-              let tbl :
-                  (Detect.Race.key, Detect.Race.report) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              List.iter
-                (fun i ->
-                  match instantiate () with
-                  | Error _ -> ()
-                  | Ok inst ->
-                    let ls =
-                      Detect.Lockset.attach inst.Detect.Racefuzzer.ri_machine
-                    in
-                    ignore
-                      (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
-                         (Conc.Scheduler.random ~seed:(schedule_seed i)));
-                    List.iter
-                      (fun r ->
-                        let k = Detect.Race.key_of r in
-                        if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k r)
-                      (Detect.Lockset.candidates ls))
-                [ 0; 1 ];
               let cands =
-                List.sort
-                  (fun (k1, _) (k2, _) -> Detect.Race.compare_key k1 k2)
-                  (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl [])
+                Result.value ~default:[]
+                  (Detect.Campaign.candidates ~instantiate ~schedules:2 ~seed ())
               in
               List.iter
                 (fun (k, r) ->
-                  let cand = Detect.Racefuzzer.candidate_of_report r in
-                  let t0 = Obs.Clock.ticks () in
-                  let c =
-                    Detect.Racefuzzer.confirm ~instantiate ~cand ~runs:6 ~seed
-                      ()
+                  let o =
+                    Detect.Campaign.confirm_and_triage ~instantiate ~runs:6
+                      ~seed r
                   in
-                  confirm_s := !confirm_s +. Obs.Clock.elapsed_s ~since:t0;
+                  confirm_s := !confirm_s +. o.Detect.Campaign.o_confirm_s;
                   incr confirms;
-                  if c.Detect.Racefuzzer.confirmed <> None then begin
+                  if o.Detect.Campaign.o_confirm.Detect.Racefuzzer.confirmed
+                     <> None
+                  then begin
                     confirmed := k :: !confirmed;
-                    let t1 = Obs.Clock.ticks () in
-                    ignore (Detect.Triage.triage ~instantiate ~cand ~seed ());
-                    triage_s := !triage_s +. Obs.Clock.elapsed_s ~since:t1;
+                    triage_s := !triage_s +. o.Detect.Campaign.o_triage_s;
                     incr triages
                   end)
                 cands)

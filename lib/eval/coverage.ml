@@ -82,25 +82,17 @@ let test_coverage (an : Narada_core.Pipeline.analysis)
 
 let class_coverage ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)
     (e : Corpus.Corpus_def.entry) : (class_cov, string) result =
-  match Corpus.Registry.compiled_unit e with
-  | exception Jir.Diag.Error d -> Error (Jir.Diag.to_string d)
-  | cu -> (
-    match
-      Narada_core.Pipeline.analyze cu
-        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-        ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-        ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-    with
-    | Error err -> Error err
-    | Ok an ->
-      let tests = an.Narada_core.Pipeline.an_tests in
-      let sets =
-        Par.mapi ~jobs tests (fun _ t ->
-            Obs.Span.with_ ~root:true "cov/test" (fun () ->
-                test_coverage an t ~seed ~fuel))
-      in
-      let cov = List.fold_left Cov.Set.union Cov.Set.empty sets in
-      Ok { cc_entry = e; cc_tests = List.length tests; cc_cov = cov })
+  match Evaluate.analyze_entry e with
+  | Error err -> Error err
+  | Ok (_, an) ->
+    let tests = an.Narada_core.Pipeline.an_tests in
+    let sets =
+      Par.mapi ~jobs tests (fun _ t ->
+          Obs.Span.with_ ~root:true "cov/test" (fun () ->
+              test_coverage an t ~seed ~fuel))
+    in
+    let cov = List.fold_left Cov.Set.union Cov.Set.empty sets in
+    Ok { cc_entry = e; cc_tests = List.length tests; cc_cov = cov }
 
 (* Whole-corpus sweep; records the stable per-class counters
    [cov/<id>/<kind>] used by the cov.t determinism cram. *)

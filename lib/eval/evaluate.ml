@@ -12,8 +12,10 @@
    3. triage each reproduced race into harmful/benign by state diffing
       (serialized vs race-forced executions).
 
-   Race identities are static (site pair + field), deduplicated per
-   class exactly like the paper counts them. *)
+   Steps 1-3 are [Detect.Campaign]'s; this harness adds the budget, the
+   counters and the per-class fold.  Race identities are static (site
+   pair + field), deduplicated per class exactly like the paper counts
+   them. *)
 
 type race_outcome = {
   ro_key : Detect.Race.key;
@@ -65,15 +67,6 @@ let default_options =
     opt_backend = Backend.default_kind ();
   }
 
-(* Execute one synthesized test under a random schedule with the hybrid
-   detector attached; returns the candidate races. *)
-let detect_once (inst : Detect.Racefuzzer.instance) ~seed :
-    Detect.Race.report list =
-  let lockset = Detect.Lockset.attach inst.Detect.Racefuzzer.ri_machine in
-  let sched = Conc.Scheduler.random ~seed in
-  ignore (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine sched);
-  Detect.Lockset.candidates lockset
-
 let rec evaluate_test (opts : options) (an : Narada_core.Pipeline.analysis)
     (t : Narada_core.Synth.test) : test_eval =
   (* ~root: the (class, test) units run on Par worker domains; the span
@@ -84,73 +77,33 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     (t : Narada_core.Synth.test) : test_eval =
   let reg = Obs.Metrics.global () in
   let instantiate = Narada_core.Pipeline.instantiator an t in
-  match instantiate () with
+  match
+    Detect.Campaign.candidates ~jobs:opts.opt_jobs ~instantiate
+      ~schedules:opts.opt_schedules ~seed:opts.opt_seed ()
+  with
   | Error _ ->
     Obs.Metrics.incr reg "detect/uninstantiable_tests";
     { te_test = t; te_instantiated = false; te_races = [] }
-  | Ok first ->
-    (* Gather candidates over several schedules.  Every schedule is an
-       independent seeded execution of a fresh instance, so with
-       [opt_jobs > 1] they run on a domain pool; merging the candidate
-       lists in schedule order keeps the table identical to the
-       sequential scan for every job count. *)
-    let tbl : (Detect.Race.key, Detect.Race.report) Hashtbl.t = Hashtbl.create 8 in
-    let note r =
-      let k = Detect.Race.key_of r in
-      if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k r
-    in
-    let schedule_seed i = Int64.add opts.opt_seed (Int64.of_int (i * 1299709)) in
-    let per_schedule =
-      Par.mapi ~jobs:opts.opt_jobs
-        (List.init opts.opt_schedules Fun.id)
-        (fun _ i ->
-          if i = 0 then detect_once first ~seed:opts.opt_seed
-          else
-            match instantiate () with
-            | Ok inst -> detect_once inst ~seed:(schedule_seed i)
-            | Error _ -> [])
-    in
-    List.iter (List.iter note) per_schedule;
+  | Ok candidates ->
     Obs.Metrics.incr reg ~n:opts.opt_schedules "detect/schedules";
-    (* Confirm and triage each candidate; confirmation runs fan out
-       inside [Racefuzzer.confirm] with the same width. *)
-    let candidates =
-      List.sort
-        (fun (k1, _) (k2, _) -> Detect.Race.compare_key k1 k2)
-        (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl [])
-    in
     Obs.Metrics.incr reg ~n:(List.length candidates) "detect/candidates";
     let races =
       List.map
         (fun (k, r) ->
-          let cand = Detect.Racefuzzer.candidate_of_report r in
-          let confirm =
-            Detect.Racefuzzer.confirm ~instantiate ~cand
-              ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed ~jobs:opts.opt_jobs
-              ()
+          let { Detect.Campaign.o_confirm; o_verdict; _ } =
+            Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~instantiate
+              ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed r
           in
-          let reproduced = confirm.Detect.Racefuzzer.confirmed <> None in
+          let reproduced = o_confirm.Detect.Racefuzzer.confirmed <> None in
           if reproduced then Obs.Metrics.incr reg "detect/reproduced";
-          let verdict =
-            if reproduced then
-              match Detect.Triage.triage ~instantiate ~cand ~seed:opts.opt_seed () with
-              | Ok v -> Some v
-              | Error _ -> None
-            else None
-          in
-          (match verdict with
+          (match o_verdict with
           | Some Detect.Triage.Harmful -> Obs.Metrics.incr reg "triage/harmful"
           | Some Detect.Triage.Benign -> Obs.Metrics.incr reg "triage/benign"
           | None -> ());
-          { ro_key = k; ro_reproduced = reproduced; ro_verdict = verdict })
+          { ro_key = k; ro_reproduced = reproduced; ro_verdict = o_verdict })
         candidates
     in
-    {
-      te_test = t;
-      te_instantiated = true;
-      te_races =
-        List.sort (fun a b -> Detect.Race.compare_key a.ro_key b.ro_key) races;
-    }
+    { te_test = t; te_instantiated = true; te_races = races }
 
 (* Compile (through the shared registry cache) and analyze one entry. *)
 let analyze_entry ?(static_filter = false) ?static_cache ?backend
@@ -329,13 +282,16 @@ let ablation (e : Corpus.Corpus_def.entry) : (ablation_row, string) result =
         List.length
           (List.filter
              (fun t ->
-               match
+               let instantiate () =
                  Narada_core.Synth.instantiate ~apply_context cu
                    ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
                    t
+               in
+               match
+                 Detect.Campaign.candidates ~instantiate ~schedules:1 ~seed:7L ()
                with
-               | Error _ -> false
-               | Ok inst -> detect_once inst ~seed:7L <> [])
+               | Ok (_ :: _) -> true
+               | Ok [] | Error _ -> false)
              an.Narada_core.Pipeline.an_tests)
       in
       Ok

@@ -3,11 +3,17 @@
     detection columns (detected / reproduced / harmful / benign), plus
     the per-test race counts behind Figure 14.
 
-    The constructive counterpart of these counts is [narada repair]
-    ([Repair.Engine.repair_all]): every race this harness reports as
-    reproduced is closed by a minimal-cost synchronization patch on the
-    evaluation corpus, which is a stronger-than-triage confirmation
-    that the reproduced set contains no detector artifacts. *)
+    Detection runs through {!Detect.Campaign}, the one driver every
+    entry point shares; only the budget differs.  The constructive
+    counterpart of these counts is [narada repair]
+    ([Repair.Engine.repair_all]), which discovers races at its own
+    budget (2 schedules, 6 directed runs), not this harness's default 3
+    schedules.  Measured on C1–C9: this harness reproduces 660 keys at
+    its default budget and 659 at [opt_schedules = 2] (seed 7); repair's
+    targets are exactly those 659 keys folded to race ids (434 at seed
+    7, 437 at seed 42), and it closes each of them with a minimal-cost
+    synchronization patch.  [test/test_campaign.ml] pins these
+    figures. *)
 
 type race_outcome = {
   ro_key : Detect.Race.key;
@@ -66,6 +72,16 @@ val default_options : options
 
 val evaluate_test :
   options -> Narada_core.Pipeline.analysis -> Narada_core.Synth.test -> test_eval
+
+val analyze_entry :
+  ?static_filter:bool ->
+  ?static_cache:Static.Cache.t ->
+  ?backend:Backend.kind ->
+  Corpus.Corpus_def.entry ->
+  (Jir.Code.unit_ * Narada_core.Pipeline.analysis, string) result
+(** Compile the entry (through the registry's shared cache) and run
+    {!Narada_core.Pipeline.analyze} from its seed method; a compile
+    error comes back as [Error]. *)
 
 val evaluate_class :
   ?opts:options -> Corpus.Corpus_def.entry -> (class_eval, string) result

@@ -1,5 +1,5 @@
 (** Blind vs coverage-guided confirmation sweeps over a corpus class:
-    the same candidate enumeration, then either the fixed blind
+    the same candidate enumeration ({!Detect.Campaign.candidates}), then either the fixed blind
     [Racefuzzer.confirm] budget for every occurrence, or the guided
     policy sharing one coverage corpus across the class — full budget
     for the first occurrence of each race key, zero schedules for

@@ -102,37 +102,6 @@ let lock_pairs cu sub =
   | Ok (_edges, pairs) ->
     Ok (List.sort_uniq String.compare (List.map Deadlock.Lockorder.pair_to_string pairs))
 
-(* One seeded detection run: lockset candidates of a fresh instance. *)
-let detect_once (inst : Rf.instance) ~seed : Detect.Race.report list =
-  let lockset = Detect.Lockset.attach inst.Rf.ri_machine in
-  let sched = Conc.Scheduler.random ~seed in
-  ignore (Conc.Exec.run inst.Rf.ri_machine sched);
-  Detect.Lockset.candidates lockset
-
-let schedule_seed (opts : options) i =
-  Int64.add opts.eo_seed (Int64.of_int (i * 1299709))
-
-(* Drive one synthesized test for a few schedules; distinct candidate
-   reports by static key, in key order. *)
-let test_candidates (opts : options) (an : Pipeline.analysis) (t : Synth.test) :
-    (Detect.Race.key * Detect.Race.report) list * Rf.instantiator =
-  let instantiate = Pipeline.instantiator an t in
-  let tbl : (Detect.Race.key, Detect.Race.report) Hashtbl.t = Hashtbl.create 8 in
-  for i = 0 to opts.eo_schedules - 1 do
-    match instantiate () with
-    | Error _ -> ()
-    | Ok inst ->
-      List.iter
-        (fun r ->
-          let k = Detect.Race.key_of r in
-          if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k r)
-        (detect_once inst ~seed:(schedule_seed opts i))
-  done;
-  ( List.sort
-      (fun (k1, _) (k2, _) -> Detect.Race.compare_key k1 k2)
-      (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl []),
-    instantiate )
-
 (* ---- validation ---- *)
 
 let compile_patched prog =
@@ -207,7 +176,12 @@ let validate (opts : options) (sub : subject) (bl : baseline)
       let rec scan = function
         | [] -> Ok ()
         | t :: rest ->
-          let cands, instantiate = test_candidates opts an t in
+          let instantiate = Pipeline.instantiator an t in
+          let cands =
+            Result.value ~default:[]
+              (Detect.Campaign.candidates ~jobs:opts.eo_jobs ~instantiate
+                 ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
+          in
           let rec check = function
             | [] -> scan rest
             | (k, r) :: more ->
@@ -358,7 +332,12 @@ let repair_all ?(opts = default_options) (sub : subject) :
           let confirmed : (Detect.Race.key * discovered) list ref = ref [] in
           List.iter
             (fun t ->
-              let cands, instantiate = test_candidates opts an t in
+              let instantiate = Pipeline.instantiator an t in
+              let cands =
+                Result.value ~default:[]
+                  (Detect.Campaign.candidates ~jobs:opts.eo_jobs ~instantiate
+                     ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
+              in
               List.iter
                 (fun (k, r) ->
                   match rid_of_key_opt k with
@@ -367,25 +346,20 @@ let repair_all ?(opts = default_options) (sub : subject) :
                     detected :=
                       (rid, Synth.dedup_key t.Synth.st_pair) :: !detected;
                     if not (List.mem_assoc k !confirmed) then begin
-                      let cand = Rf.candidate_of_report r in
-                      let res =
-                        Rf.confirm ~instantiate ~cand ~runs:opts.eo_confirm_runs
-                          ~fuel:opts.eo_fuel ~seed:opts.eo_seed
-                          ~jobs:opts.eo_jobs ()
+                      let o =
+                        Detect.Campaign.confirm_and_triage ~jobs:opts.eo_jobs
+                          ~fuel:opts.eo_fuel ~instantiate
+                          ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed r
                       in
-                      if res.Rf.confirmed <> None then begin
-                        let verdict =
-                          match
-                            Detect.Triage.triage ~instantiate ~cand
-                              ~seed:opts.eo_seed ~fuel:opts.eo_fuel ()
-                          with
-                          | Ok v -> Some v
-                          | Error _ -> None
-                        in
+                      if o.Detect.Campaign.o_confirm.Rf.confirmed <> None then
                         confirmed :=
-                          (k, { d_rid = rid; d_key = k; d_verdict = verdict })
+                          ( k,
+                            {
+                              d_rid = rid;
+                              d_key = k;
+                              d_verdict = o.Detect.Campaign.o_verdict;
+                            } )
                           :: !confirmed
-                      end
                     end)
                 cands)
             an.Pipeline.an_tests;

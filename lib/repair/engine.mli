@@ -31,11 +31,14 @@ val subject_of_unit :
 (** Recovers the AST from the unit's class table. *)
 
 type options = {
-  eo_schedules : int;  (** random schedules per test during re-detection *)
+  eo_schedules : int;
+      (** random schedules per test during discovery and re-detection *)
   eo_confirm_runs : int;  (** directed runs per candidate race *)
   eo_fuel : int;
   eo_seed : int64;
-  eo_jobs : int;  (** fan-out inside confirmation runs *)
+  eo_jobs : int;
+      (** fan-out of each test's detection schedules and confirmation
+          runs; the report is identical for every width *)
   eo_backends : Backend.kind list;  (** every one must agree the race is gone *)
   eo_max_candidates : int;  (** cap on grammar candidates tried per race *)
   eo_overlock : bool;
@@ -97,8 +100,8 @@ type report = {
 }
 
 val repair_all : ?opts:options -> subject -> (report, string) result
-(** Discover every confirmed race of the subject (synthesis → lockset →
-    directed confirmation → triage, exactly the detection pipeline) and
+(** Discover every confirmed race of the subject (synthesis, then
+    {!Detect.Campaign}: lockset → directed confirmation → triage) and
     run the repair loop on each.  Deterministic for a given seed. *)
 
 val constructive : race_repair -> bool
