@@ -6,7 +6,6 @@
      dune exec bench/main.exe -- quick --jobs 4    # parallel campaign
      dune exec bench/main.exe -- sweep             # jobs=1/2/4/8 scaling curve
      dune exec bench/main.exe -- par-smoke         # CI inversion guard
-     dune exec bench/main.exe -- backend-bench     # interp vs compiled backend
      dune exec bench/main.exe -- static-bench      # summary-cache cold/warm/edit
      dune exec bench/main.exe -- static-bench --smoke   # CI-sized corpus
 
@@ -746,159 +745,6 @@ let fuzz_bench ~jobs =
   print_endline "fuzz-bench: OK"
 
 (* ------------------------------------------------------------------ *)
-(* backend-bench: interpreter vs compiled closure backend on the        *)
-(* replay-heavy detection stages.  Candidate enumeration (observer-     *)
-(* attached, so the compiled fast path is inert there) is shared and    *)
-(* untimed; what is timed, per backend, is exactly what dominates a     *)
-(* campaign: directed confirmation runs and triage replays, both        *)
-(* observer-free.  The bar: identical confirmed-race sets, and the      *)
-(* compiled backend at least NARADA_BACKEND_MIN_SPEEDUP x faster        *)
-(* (set to 0 to record without gating) on the better of the two         *)
-(* stages.  The default bar is 1.2x: on these stages the interpreter's  *)
-(* only per-step extra over the shared scheduler + semantic cost is     *)
-(* instruction decode and event-record allocation (~tens of ns), so     *)
-(* the backend-vs-backend ratio tops out around 1.4-1.5x no matter how  *)
-(* good the compiled code is; the rest of this change's win is          *)
-(* absolute (shared driver/heap work removed, speeding both backends).  *)
-(* Results land in BENCH_backend.json.                                  *)
-(* ------------------------------------------------------------------ *)
-
-let bench_backend_file = "BENCH_backend.json"
-
-let backend_bench () =
-  Corpus.Registry.warm_all ();
-  let entries = Corpus.Registry.all in
-  let seed = 7L in
-  (* One backend's full sweep: per class, analyze (the compiled backend
-     pays its one-time compilation here, not in the timed loops), then
-     per test enumerate candidates over two seeded schedules and time
-     only the confirm / triage replay work. *)
-  let run_kind (kind : Backend.kind) =
-    let confirm_s = ref 0.0 and triage_s = ref 0.0 in
-    let confirms = ref 0 and triages = ref 0 in
-    let confirmed = ref [] in
-    List.iter
-      (fun (e : Corpus.Corpus_def.entry) ->
-        match Eval.Evaluate.analyze_entry ~backend:kind e with
-        | Error msg ->
-          Printf.eprintf "backend-bench: %s failed: %s\n"
-            e.Corpus.Corpus_def.e_id msg
-        | Ok (_, an) ->
-          List.iter
-            (fun (t : Narada_core.Synth.test) ->
-              let instantiate = Narada_core.Pipeline.instantiator an t in
-              let cands =
-                Result.value ~default:[]
-                  (Detect.Campaign.candidates ~instantiate ~schedules:2 ~seed ())
-              in
-              List.iter
-                (fun (k, r) ->
-                  let o =
-                    Detect.Campaign.confirm_and_triage ~instantiate ~runs:6
-                      ~seed r
-                  in
-                  confirm_s := !confirm_s +. o.Detect.Campaign.o_confirm_s;
-                  incr confirms;
-                  if o.Detect.Campaign.o_confirm.Detect.Racefuzzer.confirmed
-                     <> None
-                  then begin
-                    confirmed := k :: !confirmed;
-                    triage_s := !triage_s +. o.Detect.Campaign.o_triage_s;
-                    incr triages
-                  end)
-                cands)
-            an.Narada_core.Pipeline.an_tests)
-      entries;
-    ( !confirm_s,
-      !triage_s,
-      !confirms,
-      !triages,
-      List.sort_uniq Detect.Race.compare_key !confirmed )
-  in
-  let ci, ti, nci, nti, ri = run_kind Backend.Interp in
-  let cc, tc, ncc, ntc, rc = run_kind Backend.Compiled in
-  let same_set =
-    List.length ri = List.length rc
-    && List.for_all2 (fun a b -> Detect.Race.compare_key a b = 0) ri rc
-  in
-  let sp num den = if den > 0.0 then num /. den else 1.0 in
-  let confirm_sp = sp ci cc and triage_sp = sp ti tc in
-  Printf.printf
-    "backend-bench: %d confirm calls, %d triage calls over %d classes\n"
-    nci nti (List.length entries);
-  Printf.printf "  %-8s %12s %12s\n" "stage" "interp_s" "compiled_s";
-  Printf.printf "  %-8s %12.3f %12.3f  (%.2fx)\n" "confirm" ci cc confirm_sp;
-  Printf.printf "  %-8s %12.3f %12.3f  (%.2fx)\n" "triage" ti tc triage_sp;
-  Printf.printf "  confirmed races: interp %d, compiled %d (%s)\n"
-    (List.length ri) (List.length rc)
-    (if same_set then "identical" else "DIFFER");
-  let oc = open_out bench_backend_file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let line l =
-        output_string oc l;
-        output_char oc '\n'
-      in
-      line
-        (Obs.Export.meta_line
-           ~fields:
-             [
-               ( "benchmark",
-                 Obs.Export.json_str
-                   "interpreter vs compiled backend, replay-heavy detection \
-                    stages" );
-             ]
-           ());
-      (* call counts and confirmed-set size are deterministic: stable
-         counters (identical for both backends by the check above) *)
-      line (Obs.Export.counter_line ~name:"backend/confirm/calls" ~value:nci);
-      line (Obs.Export.counter_line ~name:"backend/triage/calls" ~value:nti);
-      line
-        (Obs.Export.counter_line ~name:"backend/confirmed" ~value:(List.length ri));
-      let gauge stage backend w ~speedup =
-        line
-          (Obs.Export.gauge_line
-             ~name:(Printf.sprintf "backend/%s/wall_s" stage)
-             ~value:w
-             ~fields:
-               [
-                 ("backend", Obs.Export.json_str backend);
-                 ("speedup", Printf.sprintf "%.2f" speedup);
-               ]
-             ())
-      in
-      gauge "confirm" "interp" ci ~speedup:1.0;
-      gauge "confirm" "compiled" cc ~speedup:confirm_sp;
-      gauge "triage" "interp" ti ~speedup:1.0;
-      gauge "triage" "compiled" tc ~speedup:triage_sp);
-  Printf.printf "wrote %s (confirm %.2fx, triage %.2fx)\n" bench_backend_file
-    confirm_sp triage_sp;
-  if (not same_set) || nci <> ncc || nti <> ntc then begin
-    prerr_endline
-      "backend-bench: FAIL -- compiled run diverges from interp (confirmed \
-       set or call counts)";
-    exit 1
-  end;
-  let bar =
-    match
-      Option.bind
-        (Sys.getenv_opt "NARADA_BACKEND_MIN_SPEEDUP")
-        float_of_string_opt
-    with
-    | Some b -> b
-    | None -> 1.2
-  in
-  if Float.max confirm_sp triage_sp < bar then begin
-    Printf.eprintf
-      "backend-bench: FAIL -- best stage speedup %.2fx below the %.2fx bar\n"
-      (Float.max confirm_sp triage_sp)
-      bar;
-    exit 1
-  end;
-  print_endline "backend-bench: OK"
-
-(* ------------------------------------------------------------------ *)
 (* par-smoke: CI guard against the parallel-slower-than-sequential      *)
 (* inversion.  Times a three-class campaign at jobs=1 and jobs=2 and    *)
 (* fails when the speedup drops below a threshold:                      *)
@@ -964,7 +810,6 @@ let () =
   let has s = Array.exists (String.equal s) Sys.argv in
   if has "par-smoke" then par_smoke ()
   else if has "static-bench" then static_bench ~smoke:(has "--smoke") ()
-  else if has "backend-bench" then backend_bench ()
   else if has "fuzz-bench" then fuzz_bench ~jobs:(parse_jobs Sys.argv)
   else if has "sweep" then sweep ()
   else begin

@@ -56,21 +56,6 @@ let seed_arg =
     & opt int64 Runtime.Machine.default_seed
     & info [ "seed" ] ~docv:"N" ~doc:"Deterministic seed (VM and schedulers).")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("interp", Backend.Interp); ("compiled", Backend.Compiled) ])
-        (Backend.default_kind ())
-    & info [ "backend" ] ~docv:"B"
-        ~doc:
-          "Execution backend: $(b,interp) steps the instruction interpreter; \
-           $(b,compiled) (the default) pre-compiles each method body to \
-           OCaml closures once per program digest, specializing the \
-           replay-heavy detection stages.  Both produce identical traces, \
-           results and race sets (the fuzz $(b,backend-diff) oracle \
-           machine-checks this).  $(b,NARADA_BACKEND) sets the default.")
-
 let jobs_arg =
   Arg.(
     value
@@ -354,7 +339,7 @@ let synthesize_cmd =
 (* ---- detect ---- *)
 
 let detect_cmd =
-  let run corpus_id jobs static_filter backend metrics_out =
+  let run corpus_id jobs static_filter metrics_out =
     match Corpus.Registry.find corpus_id with
     | None ->
       prerr_endline ("narada: unknown corpus id " ^ corpus_id);
@@ -365,7 +350,6 @@ let detect_cmd =
           Eval.Evaluate.default_options with
           opt_jobs = max 1 jobs;
           opt_static_filter = static_filter;
-          opt_backend = backend;
         }
       in
       match Eval.Evaluate.evaluate_class ~opts e with
@@ -416,8 +400,7 @@ let detect_cmd =
          "Synthesize tests for a corpus class, run them under the detection \
           stack and report every race (detected / reproduced / triaged).")
     Term.(
-      const run $ id $ jobs_arg $ static_filter_arg $ backend_arg
-      $ metrics_out_arg)
+      const run $ id $ jobs_arg $ static_filter_arg $ metrics_out_arg)
 
 (* ---- eval ---- *)
 
@@ -426,7 +409,7 @@ let detect_cmd =
 let smoke_ids = [ "C1"; "C3"; "C9" ]
 
 let eval_cmd =
-  let run with_contege budget jobs static_filter backend smoke metrics_out =
+  let run with_contege budget jobs static_filter smoke metrics_out =
     let opts =
       if smoke then
         {
@@ -434,13 +417,11 @@ let eval_cmd =
           opt_schedules = 2;
           opt_confirm_runs = 3;
           opt_static_filter = static_filter;
-          opt_backend = backend;
         }
       else
         {
           Eval.Evaluate.default_options with
           opt_static_filter = static_filter;
-          opt_backend = backend;
         }
     in
     let entries =
@@ -500,8 +481,8 @@ let eval_cmd =
     (Cmd.info "eval"
        ~doc:"Reproduce Tables 3-5 and Figure 14 over the whole corpus.")
     Term.(
-      const run $ with_contege $ budget $ jobs_arg $ static_filter_arg
-      $ backend_arg $ smoke $ metrics_out_arg)
+      const run $ with_contege $ budget $ jobs_arg $ static_filter_arg $ smoke
+      $ metrics_out_arg)
 
 (* ---- contege ---- *)
 
@@ -538,7 +519,7 @@ let contege_cmd =
 (* ---- explore ---- *)
 
 let explore_cmd =
-  let run corpus_id test_id bound backend =
+  let run corpus_id test_id bound =
     match Corpus.Registry.find corpus_id with
     | None ->
       prerr_endline ("narada: unknown corpus id " ^ corpus_id);
@@ -546,7 +527,7 @@ let explore_cmd =
     | Some e -> (
       let cu = compile_or_die ~entry:e e.Corpus.Corpus_def.e_source in
       match
-        Narada_core.Pipeline.analyze cu ~backend
+        Narada_core.Pipeline.analyze cu
           ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
           ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
           ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
@@ -618,7 +599,7 @@ let explore_cmd =
        ~doc:
          "Systematically explore a synthesized test's schedules (CHESS-style \
           preemption-bounded search) and report every race observed.")
-    Term.(const run $ id $ test_id $ bound $ backend_arg)
+    Term.(const run $ id $ test_id $ bound)
 
 (* ---- fuzz ---- *)
 
@@ -706,8 +687,9 @@ let fuzz_cmd =
              static-stale-cache keys its summary cache by class name instead \
              of content digest; repair-overlock makes repair try candidates \
              in reverse cost order; instance-alias hands out a synthesized \
-             test's template machine instead of a copy) and check that the \
-             differential oracles catch it.")
+             test's template machine instead of a copy; late-attach loses \
+             the events of the step where a run becomes observed) and check \
+             that the differential oracles catch it.")
   in
   let guided =
     Arg.(
@@ -748,7 +730,7 @@ let fuzz_cmd =
           the whole stack with differential oracles (pretty/parse \
           round-trip, VM determinism, FastTrack vs Djit+ vs a naive \
           happens-before oracle, lockset coverage, static race-analyzer \
-          soundness, synthesis replay, interpreter vs compiled backend, \
+          soundness, synthesis replay, observed vs mid-run-observed runs, \
           incremental vs from-scratch static analysis, minimal repair \
           closure of every confirmed race).  \
           Deterministic: the report is \
@@ -1124,7 +1106,7 @@ let repair_cmd =
           widen an existing mutex) in added-sync cost order and keep the \
           first one that compiles, preserves the sequential seed behavior, \
           introduces no lock-order inversion, and eliminates the race under \
-          full re-detection on every backend.  Prints the applied patch as a \
+          full re-detection.  Prints the applied patch as a \
           unified diff with the race's harmful/benign triage verdict.")
     Term.(
       const run $ file_arg $ corpus_arg $ client_arg $ entry_arg $ seed_arg

@@ -1,92 +1,13 @@
-(* Execution backends over the Jir runtime.
+(* The execution backend: the closure-compiled machine, the only engine.
+   Kept as a module so callers written against a choice of engines still
+   compile; every name here is single-valued. *)
 
-   Backend #1 is the plain {!Runtime.Machine} interpreter.  Backend #2
-   is the closure-compiling engine ({!Runtime.Machine.Compiled}): each
-   method body of a unit is translated to OCaml closures once, and the
-   compiled code is cached process-wide keyed by the unit's content
-   digest, so replay-heavy stages (Racefuzzer confirmation, triage
-   re-runs, differential oracles) pay compilation once per distinct
-   program instead of dispatch-per-instruction on every replay.
+type kind = Compiled
 
-   A [t] is a *prepared* backend: the digest lookup and (at most one)
-   compilation happen in [prepare], so the per-machine cost of
-   [install] on the replay hot path is a hashtable-sized walk of the
-   unit's methods, not a digest of the whole program. *)
+let to_string Compiled = "compiled"
 
-type kind = Interp | Compiled
+type t = Runtime.Machine.Compiled.code
 
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "interp" | "interpreter" -> Ok Interp
-  | "compiled" | "compile" -> Ok Compiled
-  | _ -> Error (Printf.sprintf "unknown backend %S (expected interp|compiled)" s)
+let prepare Compiled cu = Runtime.Machine.Compiled.of_unit cu
 
-let to_string = function Interp -> "interp" | Compiled -> "compiled"
-
-(* Replay stages default to the compiled backend; NARADA_BACKEND=interp
-   flips the whole process without threading a flag everywhere (the
-   cram suite uses it to pin interpreter behavior). *)
-let default_kind () =
-  match Sys.getenv_opt "NARADA_BACKEND" with
-  | Some s -> ( match of_string s with Ok k -> k | Error _ -> Compiled)
-  | None -> Compiled
-
-type t = Interp_b | Compiled_b of Runtime.Machine.Compiled.code
-
-let kind_of = function Interp_b -> Interp | Compiled_b _ -> Compiled
-
-(* Digest-keyed compiled-code cache: lock-free steady-state reads,
-   compile at most once per distinct unit (see Corpus.Registry). *)
-module Code_cache = Corpus.Registry.Keyed_cache (struct
-  type t = Runtime.Machine.Compiled.code
-end)
-
-let codes = Code_cache.create ()
-
-let compiled_code (cu : Jir.Code.unit_) : Runtime.Machine.Compiled.code =
-  let dg = Runtime.Machine.Compiled.digest cu in
-  Code_cache.find_or_compute codes dg (fun () ->
-      (* Compile counts are stable: the set of distinct digests a
-         campaign compiles is a pure function of inputs and seeds, and
-         the cache runs this closure exactly once per digest. *)
-      Obs.Span.with_ ~root:true "backend/compile" (fun () ->
-          let code = Runtime.Machine.Compiled.compile cu in
-          let g = Obs.Metrics.global () in
-          Obs.Metrics.incr g "backend/compiled/units"
-            ~n:(Runtime.Machine.Compiled.units code);
-          Obs.Metrics.incr g "backend/compiled/instrs"
-            ~n:(Runtime.Machine.Compiled.instrs code);
-          code))
-
-let prepare (k : kind) (cu : Jir.Code.unit_) : t =
-  match k with Interp -> Interp_b | Compiled -> Compiled_b (compiled_code cu)
-
-let install (t : t) (m : Runtime.Machine.t) =
-  match t with
-  | Interp_b -> ()
-  | Compiled_b code ->
-    Runtime.Machine.Compiled.install m code;
-    (* Install counts depend on how far a confirmation loop ran before
-       early exit, which the parallel path does not replicate — a
-       volatile gauge, never a counter. *)
-    Obs.Metrics.gauge_add (Obs.Metrics.global ()) "backend/installs" 1.0
-
-let on_machine (t : t) : Runtime.Machine.t -> unit = install t
-
-let create ?client_classes ?seed (t : t) (cu : Jir.Code.unit_) :
-    Runtime.Machine.t =
-  let m = Runtime.Machine.create ?client_classes ?seed cu in
-  install t m;
-  m
-
-(* Stepping and suspension go through the machine unchanged: compiled
-   code plugs in underneath [Machine.step], so directed schedulers,
-   peeking and the suspension mechanism work identically on both
-   backends.  These delegations exist so a caller can be written
-   against [Backend] alone. *)
-let step (_ : t) m tid = Runtime.Machine.step m tid
-
-let run_thread_to_completion (_ : t) m tid ~fuel =
-  Runtime.Machine.run_thread_to_completion m tid ~fuel
-
-let suspend (_ : t) m tid = Runtime.Machine.suspend m tid
+let on_machine (_ : t) (_ : Runtime.Machine.t) = ()

@@ -15,9 +15,7 @@ type analysis = {
   an_static_filter : bool;
   an_tests : Synth.test list;
   an_seconds : float;
-  an_backend : Backend.t;
-      (* prepared once per analysis: the digest lookup / compilation is
-         paid here, not on every instantiate of the replay loop *)
+  an_backend : Backend.t; (* the compiled code of [an_cu] *)
 }
 
 (* Intersect dynamically generated pairs with the static candidate set
@@ -36,19 +34,14 @@ let static_prune ?cache (cu : Jir.Code.unit_) (pairs : Pairs.pair list) =
 let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
     ?static_cache ?backend (cu : Jir.Code.unit_) ~client_classes ~seed_cls
     ~seed_meth : (analysis, string) result =
-  let backend =
-    match backend with
-    | Some k -> Backend.prepare k cu
-    | None -> Backend.prepare (Backend.default_kind ()) cu
-  in
+  let backend = Backend.prepare (Option.value backend ~default:Backend.Compiled) cu in
   (* ~root: analyses may run on a Par worker domain; the span paths must
      not depend on where the work was scheduled. *)
   let sp = Obs.Span.enter ~root:true "pipeline" in
   let t0 = Obs.Clock.ticks () in
   let _m, trace, res =
     Obs.Span.with_ "trace" (fun () ->
-        Runtime.Interp.record ~seed ~on_machine:(Backend.on_machine backend) cu
-          ~client_classes ~cls:seed_cls ~meth:seed_meth)
+        Runtime.Interp.record ~seed cu ~client_classes ~cls:seed_cls ~meth:seed_meth)
   in
   match res with
   | Error e ->
@@ -91,17 +84,16 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
         an_backend = backend;
       }
 
-let analyze_source ?seed ?static_filter ?static_cache ?backend src
-    ~client_classes ~seed_cls ~seed_meth : (analysis, string) result =
+let analyze_source ?seed ?static_filter ?static_cache src ~client_classes
+    ~seed_cls ~seed_meth : (analysis, string) result =
   match Jir.Compile.compile_source src with
   | cu ->
-    analyze ?seed ?static_filter ?static_cache ?backend cu ~client_classes
+    analyze ?seed ?static_filter ?static_cache cu ~client_classes
       ~seed_cls ~seed_meth
   | exception Jir.Diag.Error e -> Error (Jir.Diag.to_string e)
 
 let instantiator (an : analysis) (t : Synth.test) : Detect.Racefuzzer.instantiator =
-  Synth.instantiator an.an_cu ~client_classes:an.an_client_classes
-    ~backend:an.an_backend t
+  Synth.instantiator an.an_cu ~client_classes:an.an_client_classes t
 
 let summary_to_string (an : analysis) =
   Printf.sprintf

@@ -15,9 +15,7 @@ type analysis = {
   an_static_filter : bool;
   an_tests : Synth.test list;
   an_seconds : float;
-  an_backend : Backend.t;
-      (** execution backend prepared for [an_cu]; installed on every
-          machine {!instantiator} creates *)
+  an_backend : Backend.t;  (** the compiled code of [an_cu] *)
 }
 
 val analyze :
@@ -35,15 +33,14 @@ val analyze :
     pruned counts are reported separately so unfiltered totals stay
     reconstructible.  [~static_cache] backs the filter's per-class
     summaries, so repeated analyses (the serve daemon) pay only the
-    static linking phase.  [backend] (default {!Backend.default_kind})
-    selects the execution backend; preparing it (digest lookup plus at
-    most one compilation) happens here, once per analysis. *)
+    static linking phase.  [backend] names the one engine
+    ({!Backend.Compiled}); its code is looked up (compiled on first
+    use) here, once per analysis. *)
 
 val analyze_source :
   ?seed:int64 ->
   ?static_filter:bool ->
   ?static_cache:Static.Cache.t ->
-  ?backend:Backend.kind ->
   string ->
   client_classes:Jir.Ast.id list ->
   seed_cls:Jir.Ast.id ->

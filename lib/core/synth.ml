@@ -281,10 +281,9 @@ let effective_recipe (p : Context.plan) ~(path : string list) :
   | None -> p.Context.plan_prefix
 
 let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
-    ?backend (cu : Jir.Code.unit_) ~client_classes (t : test) :
+    (cu : Jir.Code.unit_) ~client_classes (t : test) :
     (Detect.Racefuzzer.instance, string) result =
   let m = Runtime.Machine.create ~client_classes ~seed cu in
-  (match backend with Some b -> Backend.install b m | None -> ());
   let ea = t.st_pair.Pairs.p_a and eb = t.st_pair.Pairs.p_b in
   (* 1. collectObjects: one independent seed replay per endpoint. *)
   let* cap_a = capture m ~t ~e:ea in
@@ -367,7 +366,7 @@ let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
    never stepped.  The mutex makes first calls racing on several domains
    build it once.  An [Error] is memoized too; an exception is not, so
    every call raises as a fresh build would. *)
-let instantiator ?seed ?apply_context ?backend cu ~client_classes (t : test) :
+let instantiator ?seed ?apply_context cu ~client_classes (t : test) :
     Detect.Racefuzzer.instantiator =
   let built = ref None in
   let lock = Mutex.create () in
@@ -376,7 +375,10 @@ let instantiator ?seed ?apply_context ?backend cu ~client_classes (t : test) :
         match !built with
         | Some r -> r
         | None ->
-          let r = instantiate ?seed ?apply_context ?backend cu ~client_classes t in
+          let r = instantiate ?seed ?apply_context cu ~client_classes t in
+          (* A volatile gauge: how many templates a campaign builds
+             depends on how far its loops ran before an early exit. *)
+          Obs.Metrics.gauge_add (Obs.Metrics.global ()) "synth/templates" 1.0;
           built := Some r;
           r)
   in

@@ -33,20 +33,17 @@ val covers : test -> Pairs.pair -> bool
 val instantiate :
   ?seed:int64 ->
   ?apply_context:bool ->
-  ?backend:Backend.t ->
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->
   test ->
   (Detect.Racefuzzer.instance, string) result
 (** [apply_context:false] skips the shareObjects phase (used by the
     ablation bench to show that context derivation is what exposes the
-    races).  [backend] (a prepared backend for [cu]) is installed on
-    the instance machine right after creation. *)
+    races). *)
 
 val instantiator :
   ?seed:int64 ->
   ?apply_context:bool ->
-  ?backend:Backend.t ->
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->
   test ->
@@ -56,7 +53,8 @@ val instantiator :
     every call: each instance starts from an identical state and none
     shares mutable state with another.  A build [Error] is returned by
     every call.  Safe to call from several domains; the first calls
-    build the template exactly once. *)
+    build the template exactly once (each build adds 1 to the volatile
+    ["synth/templates"] gauge). *)
 
 val to_source : test -> string
 (** Render the test as readable Jir-like pseudocode (the paper's

@@ -26,87 +26,7 @@ let find id =
 
 let ids = List.map (fun (e : Corpus_def.entry) -> e.Corpus_def.e_id) all
 
-(* Shared, string-keyed publish-once caches.
-
-   The steady state is a lock-free read: values are published into an
-   immutable map held in an [Atomic], so worker domains on the campaign
-   hot path never touch a lock (an earlier version computed *inside* a
-   global mutex, and at jobs=4 every domain convoyed on it).  The slow
-   path keeps "compute at most once" semantics by claiming an
-   in-progress marker under [mu], computing *outside* the lock, and
-   publishing under the lock; racing domains wait on the condvar
-   instead of recomputing.
-
-   Instantiated here for the per-entry compiled [Jir.Code.unit_]; the
-   compiled-code backend instantiates it again for digest-keyed
-   machine code (see [Backend.Code_cache]). *)
-module SMap = Map.Make (String)
-
-module Keyed_cache (V : sig
-  type t
-end) =
-struct
-  type t = {
-    published : V.t SMap.t Atomic.t;
-    mu : Mutex.t;
-    done_ : Condition.t;
-    in_progress : (string, unit) Hashtbl.t;
-  }
-
-  let create () =
-    {
-      published = Atomic.make SMap.empty;
-      mu = Mutex.create ();
-      done_ = Condition.create ();
-      in_progress = Hashtbl.create 8;
-    }
-
-  let rec find_or_compute t key (compute : unit -> V.t) : V.t =
-    match SMap.find_opt key (Atomic.get t.published) with
-    | Some v -> v (* lock-free fast path *)
-    | None ->
-      Mutex.lock t.mu;
-      (* Double-check under the lock: a racing domain may have published
-         while we were acquiring it. *)
-      (match SMap.find_opt key (Atomic.get t.published) with
-      | Some v ->
-        Mutex.unlock t.mu;
-        v
-      | None ->
-        if Hashtbl.mem t.in_progress key then begin
-          (* Another domain is computing this key: wait for any publish
-             and retry rather than doing the work twice. *)
-          Condition.wait t.done_ t.mu;
-          Mutex.unlock t.mu;
-          find_or_compute t key compute
-        end
-        else begin
-          Hashtbl.replace t.in_progress key ();
-          Mutex.unlock t.mu;
-          let v =
-            try compute ()
-            with exn ->
-              Mutex.lock t.mu;
-              Hashtbl.remove t.in_progress key;
-              Condition.broadcast t.done_;
-              Mutex.unlock t.mu;
-              raise exn
-          in
-          Mutex.lock t.mu;
-          Hashtbl.remove t.in_progress key;
-          (* Writers are serialized by [mu], so a plain store of the
-             extended map is enough for readers' Atomic.get. *)
-          Atomic.set t.published (SMap.add key v (Atomic.get t.published));
-          Condition.broadcast t.done_;
-          Mutex.unlock t.mu;
-          v
-        end)
-end
-
-(* Shared compile cache: corpus sources are fixed, so every consumer
-   (CLI, tests, bench, evaluation) can reuse one compiled unit per
-   entry. *)
-module Unit_cache = Keyed_cache (struct
+module Unit_cache = Par.Keyed_cache (struct
   type t = Jir.Code.unit_
 end)
 

@@ -12,21 +12,6 @@ val find : string -> Corpus_def.entry option
 
 val ids : string list
 
-(** A string-keyed publish-once cache: lock-free reads of an immutable
-    snapshot in the steady state, "compute at most once" on the slow
-    path (racing domains wait instead of recomputing).  The registry's
-    compiled-unit cache is one instance; the compiled-code backend
-    keys another by unit content digest. *)
-module Keyed_cache (V : sig
-  type t
-end) : sig
-  type t
-
-  val create : unit -> t
-
-  val find_or_compute : t -> string -> (unit -> V.t) -> V.t
-end
-
 val compiled_unit : Corpus_def.entry -> Jir.Code.unit_
 (** Memoized compilation of an entry's source, shared by the CLI,
     tests, bench and the evaluation harness.  Domain-safe and

@@ -38,24 +38,13 @@ let candidates ?(jobs = 1) ~(instantiate : Racefuzzer.instantiator) ~schedules
 type outcome = {
   o_confirm : Racefuzzer.confirm_result;
   o_verdict : Triage.verdict option;
-  o_confirm_s : float;
-  o_triage_s : float;
 }
 
 let confirm_and_triage ?(jobs = 1) ?(fuel = 200_000) ~instantiate ~runs ~seed
     (r : Race.report) : outcome =
   let cand = Racefuzzer.candidate_of_report r in
-  let t0 = Obs.Clock.ticks () in
   let c = Racefuzzer.confirm ~instantiate ~cand ~runs ~fuel ~seed ~jobs () in
-  let o_confirm_s = Obs.Clock.elapsed_s ~since:t0 in
-  if c.Racefuzzer.confirmed = None then
-    { o_confirm = c; o_verdict = None; o_confirm_s; o_triage_s = 0.0 }
+  if c.Racefuzzer.confirmed = None then { o_confirm = c; o_verdict = None }
   else
-    let t1 = Obs.Clock.ticks () in
     let v = Triage.triage ~instantiate ~cand ~seed ~fuel () in
-    {
-      o_confirm = c;
-      o_verdict = Result.to_option v;
-      o_confirm_s;
-      o_triage_s = Obs.Clock.elapsed_s ~since:t1;
-    }
+    { o_confirm = c; o_verdict = Result.to_option v }

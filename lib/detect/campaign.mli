@@ -5,8 +5,8 @@
     triaged ({!confirm_and_triage}).
 
     This is the only copy of the loop.  Evaluation, guided
-    confirmation, repair discovery and re-detection, and the backend
-    benchmark all call it with their own budgets (schedules, directed
+    confirmation, and repair discovery and re-detection all call it
+    with their own budgets (schedules, directed
     runs, seed), so they agree on every race they share a budget for. *)
 
 val candidates :
@@ -28,8 +28,6 @@ type outcome = {
   o_confirm : Racefuzzer.confirm_result;
   o_verdict : Triage.verdict option;
       (** [None] when the race was not confirmed or triage failed *)
-  o_confirm_s : float;  (** wall time of the confirmation *)
-  o_triage_s : float;  (** wall time of the triage; 0 when not run *)
 }
 
 val confirm_and_triage :

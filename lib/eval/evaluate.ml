@@ -53,7 +53,7 @@ type options = {
   opt_jobs : int; (* fan-out width inside one test's detection *)
   opt_static_filter : bool; (* prune pairs through the static analyzer *)
   opt_static_cache : Static.Cache.t option; (* summary cache for the filter *)
-  opt_backend : Backend.kind; (* execution backend for every VM run *)
+  opt_backend : Backend.kind; (* the one engine *)
 }
 
 let default_options =
@@ -64,7 +64,7 @@ let default_options =
     opt_jobs = 1;
     opt_static_filter = false;
     opt_static_cache = None;
-    opt_backend = Backend.default_kind ();
+    opt_backend = Backend.Compiled;
   }
 
 let rec evaluate_test (opts : options) (an : Narada_core.Pipeline.analysis)

@@ -61,14 +61,12 @@ type options = {
       (** per-class summary cache backing the filter's analyses
           (analyses run sequentially in [evaluate_corpus], so the
           cache counters stay deterministic) *)
-  opt_backend : Backend.kind;
-      (** execution backend for every VM run of the campaign; prepared
-          once per analyzed class *)
+  opt_backend : Backend.kind;  (** the one engine, {!Backend.Compiled} *)
 }
 
 val default_options : options
 (** 3 schedules, 6 confirmation runs, seed 7, jobs 1, no static filter,
-    no static cache, {!Backend.default_kind} backend. *)
+    no static cache. *)
 
 val evaluate_test :
   options -> Narada_core.Pipeline.analysis -> Narada_core.Synth.test -> test_eval

@@ -27,9 +27,9 @@ type class_confirm = {
 }
 
 let confirm_class ?(schedules = 2) ?(seed = 7L) ?(jobs = 1)
-    ?(corpus = Cov.Corpus.create ()) ?backend ~(mode : mode)
+    ?(corpus = Cov.Corpus.create ()) ~(mode : mode)
     (e : Corpus.Corpus_def.entry) : (class_confirm, string) result =
-  match Evaluate.analyze_entry ?backend e with
+  match Evaluate.analyze_entry e with
   | Error err -> Error err
   | Ok (_, an) ->
     let total_schedules = ref 0 in

@@ -25,12 +25,9 @@ val confirm_class :
   ?seed:int64 ->
   ?jobs:int ->
   ?corpus:Cov.Corpus.t ->
-  ?backend:Backend.kind ->
   mode:mode ->
   Corpus.Corpus_def.entry ->
   (class_confirm, string) result
 (** Deterministic for every [jobs] value.  In guided mode the [corpus]
     (fresh by default) accumulates coverage across candidates and is
-    left holding the final state — save it for replay.  [backend]
-    (default {!Backend.default_kind}) selects the execution backend for
-    every VM run of the sweep. *)
+    left holding the final state — save it for replay. *)

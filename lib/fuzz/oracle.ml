@@ -18,6 +18,7 @@ type mutation =
   | Static_stale_cache
   | Repair_overlock
   | Instance_alias
+  | Late_attach
 
 let mutation_of_string = function
   | "drop-join" -> Ok Drop_join
@@ -26,12 +27,13 @@ let mutation_of_string = function
   | "static-stale-cache" -> Ok Static_stale_cache
   | "repair-overlock" -> Ok Repair_overlock
   | "instance-alias" -> Ok Instance_alias
+  | "late-attach" -> Ok Late_attach
   | s ->
     Error
       (Printf.sprintf
          "unknown mutation %S (have: drop-join, drop-release, \
           static-drop-sync, static-stale-cache, repair-overlock, \
-          instance-alias)"
+          instance-alias, late-attach)"
          s)
 
 let mutation_to_string = function
@@ -41,6 +43,7 @@ let mutation_to_string = function
   | Static_stale_cache -> "static-stale-cache"
   | Repair_overlock -> "repair-overlock"
   | Instance_alias -> "instance-alias"
+  | Late_attach -> "late-attach"
 
 (* Seed roles, derived from the per-program base seed so every oracle is
    a pure function of (program, seed). *)
@@ -289,7 +292,7 @@ let static_superset ?mutate ~seed cu =
     | Some Static_drop_sync -> Some Static.Analyze.Drop_sync
     | Some
         ( Drop_join | Drop_release | Static_stale_cache | Repair_overlock
-        | Instance_alias )
+        | Instance_alias | Late_attach )
     | None ->
       None
   in
@@ -350,7 +353,7 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
     | Some Static_stale_cache -> Some Static.Analyze.Stale_cache
     | Some
         ( Drop_join | Drop_release | Static_drop_sync | Repair_overlock
-        | Instance_alias )
+        | Instance_alias | Late_attach )
     | None ->
       None
   in
@@ -385,6 +388,9 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
 
 let max_replayed_tests = 3
 
+let race_keys ft =
+  List.sort Race.compare_key (List.map Race.key_of (Fasttrack.reports ft))
+
 (* Every synthesized test instantiates, and the instances its
    instantiator hands out are interchangeable with a fresh build: copy 1
    and copy 2 — the latter taken after copy 1 ran to completion — must
@@ -412,8 +418,7 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
     let replay (t : Narada_core.Synth.test) =
       let fresh () =
         Narada_core.Synth.instantiate an.Narada_core.Pipeline.an_cu
-          ~client_classes:an.Narada_core.Pipeline.an_client_classes
-          ~backend:an.Narada_core.Pipeline.an_backend t
+          ~client_classes:an.Narada_core.Pipeline.an_client_classes t
       in
       let instantiate =
         if mutate = Some Instance_alias then
@@ -438,7 +443,7 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
               res.Conc.Exec.outcome,
               res.Conc.Exec.steps,
               Runtime.Machine.output m,
-              List.sort Race.compare_key (List.map Race.key_of (Fasttrack.reports ft)) )
+              race_keys ft )
       in
       let reference = shot (fresh ()) in
       let first = shot (instantiate ()) in
@@ -456,80 +461,89 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
     | Some detail -> Fail detail
     | None -> Pass)
 
-(* ---- the compiled-backend differential ---- *)
+(* ---- the observed/unobserved differential ---- *)
 
-(* The compiled backend must be observationally identical to the
-   interpreter: same outcome, step count, crashes and output — and,
-   because the closures bump the label counter in exact lockstep with
-   the events [exec_instr] would have emitted, the same final label
-   count, so an observer attached mid-run sees an identical event
-   suffix.  Checked in two parts: a full observer-free run per backend
-   (the compiled fast path stays active throughout), then a half-way
-   observer attach (trace recorder + FastTrack) comparing the event
-   suffix and the race keys found on it. *)
-let backend_diff ~seed cu =
-  let backend = Backend.prepare Backend.Compiled cu in
-  let full ~compiled () =
-    let on_machine m = if compiled then Backend.install backend m in
-    let res, m =
-      Conc.Exec.run_program ~seed:(vm_seed seed) cu ~client_classes
-        ~cls:Gen.seed_cls ~meth:Gen.main_meth ~on_machine
-        (Conc.Scheduler.random ~seed:(sched_seed seed))
+(* One engine runs both observed and unobserved, so observing must not
+   change a run, and an observer attached at any step must see exactly
+   what a run observed from the start shows from that step on.  Run 1
+   is observed from the start by a trace recorder and FastTrack; run 2,
+   under the same seeds and schedule, runs unobserved for half of run
+   1's steps and then gets the same two observers.  Outcome, steps,
+   crashes, output and labels used must agree; run 2's trace must be
+   the suffix of run 1's from the label where the observers attached,
+   and FastTrack must find the same race keys on it.  The [late-attach]
+   mutation lets one more step run unobserved after the label the
+   oracle compares from, so that step's events are lost: the bug class
+   of a switch between the two modes that drops events. *)
+let observer_diff ?mutate ~seed cu =
+  let start ?fuel ?on_machine sched =
+    Conc.Exec.run_program ?fuel ?on_machine ~seed:(vm_seed seed) cu ~client_classes
+      ~cls:Gen.seed_cls ~meth:Gen.main_meth sched
+  in
+  let observe () =
+    let recorder = Runtime.Trace.recorder () in
+    let ft = Fasttrack.create () in
+    let attach m =
+      Runtime.Machine.add_observer m (Runtime.Trace.observer recorder);
+      Runtime.Machine.add_observer m (Fasttrack.observer ft)
     in
-    ( res.Conc.Exec.outcome,
-      res.Conc.Exec.steps,
-      res.Conc.Exec.crashes,
+    let finish () =
+      let trace = Runtime.Trace.snapshot recorder in
+      Runtime.Trace.recycle recorder;
+      (trace, race_keys ft)
+    in
+    (attach, finish)
+  in
+  let facts (r : Conc.Exec.run_result) ~steps m =
+    ( r.Conc.Exec.outcome,
+      steps,
+      r.Conc.Exec.crashes,
       Runtime.Machine.output m,
       Runtime.Machine.labels_used m )
   in
-  let ((_, steps_i, _, _, labels_i) as fi) = full ~compiled:false () in
-  let ((_, steps_c, _, _, labels_c) as fc) = full ~compiled:true () in
-  if fi <> fc then
+  let attach1, finish1 = observe () in
+  let r1, m1 = start ~on_machine:attach1 (Conc.Scheduler.random ~seed:(sched_seed seed)) in
+  let trace1, _ = finish1 () in
+  let sched = Conc.Scheduler.random ~seed:(sched_seed seed) in
+  let head, m2 = start ~fuel:(max 1 (r1.Conc.Exec.steps / 2)) sched in
+  let from = Runtime.Machine.labels_used m2 in
+  let late =
+    if mutate = Some Late_attach then (Conc.Exec.run ~fuel:1 m2 sched).Conc.Exec.steps
+    else 0
+  in
+  let attach2, finish2 = observe () in
+  attach2 m2;
+  let tail = Conc.Exec.run m2 sched in
+  let trace2, keys2 = finish2 () in
+  let ((_, steps1, _, _, labels1) as f1) = facts r1 ~steps:r1.Conc.Exec.steps m1 in
+  let ((_, steps2, _, _, labels2) as f2) =
+    facts tail ~steps:(head.Conc.Exec.steps + late + tail.Conc.Exec.steps) m2
+  in
+  let suffix =
+    Array.of_list
+      (List.filter
+         (fun ev -> Runtime.Event.label_of ev >= from)
+         (Array.to_list trace1))
+  in
+  if f1 <> f2 then
     Fail
-      (Printf.sprintf
-         "observer-free runs differ: steps %d vs %d, labels %d vs %d" steps_i
-         steps_c labels_i labels_c)
+      (Printf.sprintf "observed and mid-run-observed runs differ: steps %d vs %d, labels %d vs %d"
+         steps1 steps2 labels1 labels2)
+  else if suffix <> trace2 then
+    Fail
+      (Printf.sprintf "events observed from label %d differ: %d in the observed run, %d after the attach"
+         from (Array.length suffix) (Array.length trace2))
   else
-    let suffix ~compiled () =
-      let recorder = Runtime.Trace.recorder () in
-      let ft = Fasttrack.create () in
-      let sched = Conc.Scheduler.random ~seed:(sched_seed seed) in
-      let on_machine m = if compiled then Backend.install backend m in
-      let r1, m =
-        Conc.Exec.run_program ~fuel:(max 1 (steps_i / 2)) ~seed:(vm_seed seed)
-          cu ~client_classes ~cls:Gen.seed_cls ~meth:Gen.main_meth ~on_machine
-          sched
-      in
-      Runtime.Machine.add_observer m (Runtime.Trace.observer recorder);
-      Runtime.Machine.add_observer m (Fasttrack.observer ft);
-      let r2 = Conc.Exec.run m sched in
-      let out =
-        ( (r1.Conc.Exec.outcome, r2.Conc.Exec.outcome),
-          r1.Conc.Exec.steps + r2.Conc.Exec.steps,
-          r1.Conc.Exec.crashes @ r2.Conc.Exec.crashes,
-          Runtime.Machine.output m,
-          Runtime.Machine.labels_used m,
-          Runtime.Trace.to_string (Runtime.Trace.snapshot recorder),
-          List.sort Race.compare_key
-            (List.map Race.key_of (Fasttrack.reports ft)) )
-      in
-      Runtime.Trace.recycle recorder;
-      out
-    in
-    let ((_, _, _, _, _, ti, ri) as si) = suffix ~compiled:false () in
-    let ((_, _, _, _, _, tc, rc) as sc) = suffix ~compiled:true () in
-    if si = sc then Pass
-    else if not (String.equal ti tc) then
-      Fail "event suffix after mid-run observer attach differs"
-    else if ri <> rc then
-      Fail "race keys after mid-run observer attach differ"
-    else Fail "mid-run attach runs differ (outcome/steps/output/labels)"
+    let ft = Fasttrack.create () in
+    Array.iter (Fasttrack.observer ft) suffix;
+    if race_keys ft <> keys2 then Fail "race keys on the events after the attach differ"
+    else Pass
 
 (* ---- the repair oracle ---- *)
 
 (* Every race the detection pipeline confirms on a generated program
    must be closed by the repair engine: the synthesized patch eliminates
-   the race under re-detection on both backends and introduces no new
+   the race under re-detection and introduces no new
    lock-order pair (all of which [Engine.validate] enforces before a
    candidate is accepted) — and the accepted patch must be minimal:
    every grammar candidate cheaper than the chosen one was tried and
@@ -614,7 +628,7 @@ let names =
     "lockset-superset";
     "static-superset";
     "synthesis-replay";
-    "backend-diff";
+    "observer-diff";
     "static-incremental";
     "repair-closes";
   ]
@@ -653,7 +667,7 @@ let check ?mutate ~seed program =
           "lockset-superset";
           "static-superset";
           "synthesis-replay";
-          "backend-diff";
+          "observer-diff";
           "static-incremental";
           "repair-closes";
         ]
@@ -669,8 +683,8 @@ let check ?mutate ~seed program =
             guarded (fun () -> static_superset ?mutate ~seed cu));
         timed "synthesis-replay" (fun () ->
             guarded (fun () -> synthesis_replay ?mutate ~seed cu));
-        timed "backend-diff" (fun () ->
-            guarded (fun () -> backend_diff ~seed cu));
+        timed "observer-diff" (fun () ->
+            guarded (fun () -> observer_diff ?mutate ~seed cu));
         timed "static-incremental" (fun () ->
             guarded (fun () -> static_incremental ?mutate cu));
         timed "repair-closes" (fun () ->
@@ -700,7 +714,7 @@ let fails_oracle ?mutate ~seed ~oracle program =
         | "lockset-superset" -> lockset_superset ?mutate ~seed cu
         | "static-superset" -> static_superset ?mutate ~seed cu
         | "synthesis-replay" -> synthesis_replay ?mutate ~strict:false ~seed cu
-        | "backend-diff" -> backend_diff ~seed cu
+        | "observer-diff" -> observer_diff ?mutate ~seed cu
         | "static-incremental" -> static_incremental ?mutate cu
         | "repair-closes" -> repair_closes ?mutate ~seed cu
         | _ -> Pass))

@@ -15,7 +15,9 @@ type verdict = Pass | Fail of string
     [Static_drop_sync] and [Static_stale_cache] plant an unsoundness
     inside the static race analyzer itself; [Repair_overlock] breaks
     the repair engine's cost-order search discipline; [Instance_alias]
-    breaks the isolation of synthesized-test instances.  A campaign run
+    breaks the isolation of synthesized-test instances; [Late_attach]
+    loses events where a run switches from unobserved to observed.  A
+    campaign run
     with a mutation must report disagreement — proving the differential
     oracle would catch a real bug of that class. *)
 type mutation =
@@ -33,6 +35,10 @@ type mutation =
       (** make the synthesis-replay oracle's instantiator hand out its
           template machine itself instead of a copy, so a second
           instance is the first one after its run *)
+  | Late_attach
+      (** make the observer-diff oracle let one more step run
+          unobserved after the label it compares from, so the events of
+          that step are lost *)
 
 val mutation_of_string : string -> (mutation, string) result
 val mutation_to_string : mutation -> string
@@ -67,12 +73,13 @@ val check :
       {!Narada_core.Synth.instantiate} — same initial heap from the
       roots, labels used and output, and the same outcome, steps,
       output and FastTrack race keys under one seeded random schedule;
-    - ["backend-diff"]: the compiled closure backend is observationally
-      identical to the interpreter — same outcome, steps, crashes,
-      output and final event-label count on an observer-free run, and
-      an observer (trace recorder + FastTrack) attached halfway through
-      sees a byte-identical event suffix and the same race keys under
-      both backends;
+    - ["observer-diff"]: observing does not change a run, and an
+      observer attached mid-run sees what a run observed from the start
+      shows from that point — same outcome, steps, crashes, output and
+      labels used whether a trace recorder and FastTrack observe from
+      the start or attach halfway through, and the late observers see
+      exactly the events from the attach label on, with the same race
+      keys;
     - ["static-incremental"]: re-analyzing the program through a
       summary cache warmed on a one-statement-edited variant yields a
       candidate list byte-identical to a from-scratch run, in both the
@@ -80,7 +87,7 @@ val check :
       the digest-keyed cache;
     - ["repair-closes"]: every race the detection pipeline confirms is
       closed by the repair engine — the synthesized patch eliminates
-      the race under re-detection on both backends with no new
+      the race under re-detection with no new
       lock-order pair — and the accepted patch is minimal: every
       cheaper grammar candidate was tried and rejected. *)
 

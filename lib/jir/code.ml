@@ -69,6 +69,7 @@ type cls = {
 type unit_ = {
   cu_program : Program.t;
   cu_classes : (Ast.id, cls) Hashtbl.t;
+  cu_digest : string option Atomic.t;
 }
 
 let find_cls cu name = Hashtbl.find_opt cu.cu_classes name
@@ -144,3 +145,71 @@ let pp_meth fmt m =
     (if m.cm_sync then " [sync]" else "");
   Array.iteri (fun i ins -> Format.fprintf fmt "@,%3d: %a" i pp_instr ins) m.cm_code;
   Format.fprintf fmt "@]"
+
+(* Canonical content digest of a unit: class names sorted, each with its
+   ancestor chain, fields, and methods printed through [pp_instr].
+   Deliberately not [Marshal] (hash tables have no canonical layout).
+   Memoized on the unit, which nothing mutates after compilation; two
+   domains racing on the first call both compute the same string. *)
+let digest (cu : unit_) =
+  match Atomic.get cu.cu_digest with
+  | Some d -> d
+  | None ->
+    let b = Buffer.create 4096 in
+    let add = Buffer.add_string b in
+    let meth (cm : meth) =
+      add cm.cm_qname;
+      add (if cm.cm_static then "|s|" else "|v|");
+      add (string_of_int cm.cm_nparams);
+      add "|";
+      add (string_of_int cm.cm_nregs);
+      add (if cm.cm_sync then "|y\n" else "|n\n");
+      Array.iter
+        (fun i ->
+          add (Format.asprintf "%a" pp_instr i);
+          Buffer.add_char b '\n')
+        cm.cm_code
+    in
+    let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+    let classes =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun name cc acc -> (name, cc) :: acc) cu.cu_classes [])
+    in
+    List.iter
+      (fun (name, cc) ->
+        add "class ";
+        add name;
+        add " <: ";
+        List.iter
+          (fun (c : Ast.class_decl) ->
+            add c.Ast.c_name;
+            add ",")
+          (Program.ancestors cu.cu_program name);
+        Buffer.add_char b '\n';
+        List.iter
+          (fun (fld, ty) ->
+            add fld;
+            add ":";
+            add (Ast.ty_to_string ty);
+            add ";")
+          cc.cc_fields;
+        List.iter
+          (fun (fld, ty) ->
+            add "static ";
+            add fld;
+            add ":";
+            add (Ast.ty_to_string ty);
+            add ";")
+          cc.cc_static_fields;
+        Buffer.add_char b '\n';
+        (match cc.cc_fieldinit with Some cm -> meth cm | None -> ());
+        List.iter
+          (fun (_, cm) -> meth cm)
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) cc.cc_ctors);
+        List.iter (fun (_, cm) -> meth cm) (by_name cc.cc_methods);
+        List.iter (fun (_, cm) -> meth cm) (by_name cc.cc_static_methods))
+      classes;
+    let d = Digest.to_hex (Digest.string (Buffer.contents b)) in
+    Atomic.set cu.cu_digest (Some d);
+    d

@@ -69,6 +69,7 @@ type cls = {
 type unit_ = {
   cu_program : Program.t;
   cu_classes : (Ast.id, cls) Hashtbl.t;
+  cu_digest : string option Atomic.t;  (** memo of {!digest} *)
 }
 
 val find_cls : unit_ -> Ast.id -> cls option
@@ -79,3 +80,7 @@ val find_ctor : unit_ -> Ast.id -> arity:int -> meth option
 
 val pp_instr : Format.formatter -> instr -> unit
 val pp_meth : Format.formatter -> meth -> unit
+
+val digest : unit_ -> string
+(** Canonical content digest of a unit (hex), computed once per unit:
+    equal programs compiled separately have equal digests. *)

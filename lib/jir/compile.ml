@@ -496,7 +496,7 @@ let compile_unit (ast : Ast.program) : unit_ =
       | Kclass -> Hashtbl.replace classes c.c_name (compile_class prog c)
       | Kinterface -> ())
     (Program.classes prog);
-  { cu_program = prog; cu_classes = classes }
+  { cu_program = prog; cu_classes = classes; cu_digest = Atomic.make None }
 
 let compile_source (src : string) : unit_ =
   compile_unit (Parser.parse_program src)

@@ -82,3 +82,18 @@ val map : ?jobs:int -> ?chunk:int -> 'a list -> ('a -> 'b) -> 'b list
 val mapi : ?jobs:int -> ?chunk:int -> 'a list -> (int -> 'a -> 'b) -> 'b list
 (** Like {!map} but the function also receives the input index — the
     hook for per-index seed derivation. *)
+
+(** A string-keyed publish-once cache: lock-free reads of an immutable
+    snapshot in the steady state, "compute at most once" on the slow
+    path (racing domains wait instead of recomputing).  The corpus
+    registry's compiled-unit cache is one instance; the runtime keys
+    another by unit content digest for compiled code. *)
+module Keyed_cache (V : sig
+  type t
+end) : sig
+  type t
+
+  val create : unit -> t
+
+  val find_or_compute : t -> string -> (unit -> V.t) -> V.t
+end

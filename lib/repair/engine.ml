@@ -43,7 +43,7 @@ let default_options =
     eo_fuel = 200_000;
     eo_seed = 7L;
     eo_jobs = 1;
-    eo_backends = [ Backend.Interp; Backend.Compiled ];
+    eo_backends = [ Backend.Compiled ];
     eo_max_candidates = 16;
     eo_overlock = false;
   }
@@ -52,19 +52,15 @@ type reject =
   | R_compile of string
   | R_behavior of string
   | R_deadlock of string
-  | R_race_survives of Backend.kind
-  | R_new_race of Backend.kind * string
+  | R_race_survives
+  | R_new_race of string
 
 let reject_to_string = function
   | R_compile msg -> "does not compile: " ^ msg
   | R_behavior msg -> "changes sequential behavior: " ^ msg
   | R_deadlock p -> "introduces lock-order inversion: " ^ p
-  | R_race_survives b ->
-    Printf.sprintf "race still confirmed under re-detection (%s backend)"
-      (Backend.to_string b)
-  | R_new_race (b, rid) ->
-    Printf.sprintf "introduces a new confirmed race (%s backend): %s"
-      (Backend.to_string b) rid
+  | R_race_survives -> "race still confirmed under re-detection"
+  | R_new_race rid -> "introduces a new confirmed race: " ^ rid
 
 (* ---- baseline facts about the original program ---- *)
 
@@ -163,7 +159,7 @@ let validate (opts : options) (sub : subject) (bl : baseline)
       (function Grammar.Replace_mutex _ -> true | _ -> false)
       cand.Grammar.ca_actions
   in
-  (* Re-detection, per backend: the race must no longer be confirmable. *)
+  (* Re-detection: the race must no longer be confirmable. *)
   let check_backend backend =
     match
       Pipeline.analyze ~seed:opts.eo_seed ~backend cu
@@ -206,14 +202,13 @@ let validate (opts : options) (sub : subject) (bl : baseline)
                     ~seed:opts.eo_seed ~jobs:opts.eo_jobs ()
                 in
                 if confirm.Rf.confirmed = None then check more
-                else if ours then Error (R_race_survives backend)
+                else if ours then Error R_race_survives
                 else
                   Error
                     (R_new_race
-                       ( backend,
-                         match rid_of_key_opt k with
-                         | Some r' -> Grammar.race_id_to_string r'
-                         | None -> Detect.Race.key_to_string k ))
+                       (match rid_of_key_opt k with
+                       | Some r' -> Grammar.race_id_to_string r'
+                       | None -> Detect.Race.key_to_string k))
           in
           check cands
       in

@@ -9,8 +9,7 @@
     + the lock-order analysis of the patched program must introduce no
       new ABBA deadlock pair;
     + re-running synthesis + lockset detection + directed confirmation
-      on the patched program, for every configured backend, must no
-      longer confirm the race — and, for candidates that replace an
+      on the patched program must no longer confirm the race — and, for candidates that replace an
       existing mutex (the only edit that can remove protection), must
       confirm no race that the original program did not already show. *)
 
@@ -39,7 +38,8 @@ type options = {
   eo_jobs : int;
       (** fan-out of each test's detection schedules and confirmation
           runs; the report is identical for every width *)
-  eo_backends : Backend.kind list;  (** every one must agree the race is gone *)
+  eo_backends : Backend.kind list;
+      (** re-detection runs once per entry; the first also discovers *)
   eo_max_candidates : int;  (** cap on grammar candidates tried per race *)
   eo_overlock : bool;
       (** fault injection for the Crucible oracle: try candidates in
@@ -47,15 +47,15 @@ type options = {
 }
 
 val default_options : options
-(** 2 schedules, 6 confirm runs, fuel 200_000, seed 7, jobs 1, both
-    backends, 16 candidates, overlock off. *)
+(** 2 schedules, 6 confirm runs, fuel 200_000, seed 7, jobs 1,
+    [[Backend.Compiled]], 16 candidates, overlock off. *)
 
 type reject =
   | R_compile of string
   | R_behavior of string
   | R_deadlock of string  (** the offending new lock-order pair *)
-  | R_race_survives of Backend.kind
-  | R_new_race of Backend.kind * string
+  | R_race_survives
+  | R_new_race of string
 
 val reject_to_string : reject -> string
 

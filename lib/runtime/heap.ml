@@ -11,7 +11,7 @@
    - object fields live in a [Value.t array] positioned by a per-class
      [layout] (field name -> slot, in declaration order).  Layouts are
      interned per (heap, class), so every instance of a class shares
-     one layout record, and the compiled backend can cache a resolved
+     one layout record, and compiled access sites can cache a resolved
      slot per access site behind a physical-equality check on the
      layout.  Field counts are small, so the by-name lookup is a linear
      scan — cheaper than hashing the name. *)
@@ -162,7 +162,7 @@ let set_field t addr f v =
     else fault "object @%d of class %s has no field %s" addr cls f
   | Karray _ -> fault "field write %s on an array" f
 
-(* Per-access-site inline cache for the compiled backend: one resolved
+(* Per-access-site inline cache for compiled code: one resolved
    (layout, slot) pair behind a physical-equality check on the layout.
    Compiled code (and therefore its caches) is shared across machines
    and domains; layouts are interned per heap, so a cache cell refilled

@@ -14,8 +14,9 @@ val record :
   meth:Jir.Ast.id ->
   Machine.t * Trace.t * (Value.t option, string) result
 (** Run static method [cls.meth()] on a fresh machine, recording the
-    trace.  [on_machine] runs right after machine creation (before any
-    stepping) — how backends install compiled code. *)
+    trace.  [on_machine] runs right after machine creation, before any
+    stepping; the machine already runs compiled code, so the hook only
+    serves callers that attach observers or inspect the fresh state. *)
 
 val run_main :
   ?seed:int64 ->
@@ -24,7 +25,8 @@ val run_main :
   cls:Jir.Ast.id ->
   (Value.t option, string) result * string
 (** Run [cls.main()]; returns the result and captured [Sys.print]
-    output. *)
+    output.  [on_machine] runs right after machine creation, as in
+    {!record}; it does not install code. *)
 
 (** A suspended capture: the invocation about to happen. *)
 type captured = {

@@ -7,6 +7,11 @@
    registered observers; a recorded event sequence is exactly the trace
    language of the paper's Fig. 7.
 
+   There is one copy of the instruction semantics: each method body is
+   compiled once per program into an array of closures, one per pc (see
+   "instruction semantics" below), and every machine runs those
+   closures from creation on.
+
    Determinism: the machine has no hidden nondeterminism.  [Sys.randInt]
    uses a seeded splitmix64 stream, so a (program, seed, schedule) triple
    replays identically. *)
@@ -34,9 +39,7 @@ type frame = {
   mutable pc : int;
   mutable entered : Value.addr list; (* monitors entered by this frame *)
   ret_dst : Code.reg option; (* caller register receiving the result *)
-  mutable comp : exec array;
-    (* Compiled body, indexed by pc; physically [no_comp] when this
-       machine interprets (no engine installed or method not compiled). *)
+  comp : exec array; (* compiled body, indexed by pc *)
 }
 
 and thread = {
@@ -63,34 +66,24 @@ and t = {
   client_classes : (Ast.id, unit) Hashtbl.t;
   mutable rng : int64;
   out : Buffer.t;
-  mutable engine : engine option; (* compiled backend, if installed *)
+  code : code; (* the compiled bodies of [cu] *)
 }
 
 and exec = t -> thread -> frame -> bool
 
-and engine = {
+and code = {
   en_tbl : (string * bool * int, exec array) Hashtbl.t;
     (* (qname, static, nparams) -> compiled body.  Read-only after
-       compilation, so it is safe to share one engine across machines
-       (and across domains). *)
+       compilation, so one [code] is shared by every machine of a
+       program (and across domains). *)
   en_units : int; (* methods compiled *)
   en_instrs : int; (* instructions compiled *)
 }
 
 [@@@warning "+30"]
 
-let no_comp : exec array = [||]
-
 let meth_key (cm : Code.meth) =
   (cm.Code.cm_qname, cm.Code.cm_static, cm.Code.cm_nparams)
-
-let comp_for m (cm : Code.meth) =
-  match m.engine with
-  | None -> no_comp
-  | Some en -> (
-    match Hashtbl.find_opt en.en_tbl (meth_key cm) with
-    | Some a -> a
-    | None -> no_comp)
 
 let default_seed = 42L
 
@@ -111,13 +104,21 @@ let rand_int (th : thread) ~bound =
   th.rng <- s;
   v
 
-let emit m ev =
-  List.iter (fun f -> f ev) m.observers
+(* Events and labels.  Every event consumes one label whether or not
+   anyone observes it: an emission point builds and emits its event
+   only when [observed], and otherwise advances the counter by the same
+   count.  So observers may attach at any step and see exactly the
+   labels (and events) a run observed from the start would have. *)
+let observed m = match m.observers with [] -> false | _ :: _ -> true
+
+let emit m ev = List.iter (fun f -> f ev) m.observers
 
 let next_label m =
   let l = m.next_label in
   m.next_label <- l + 1;
   l
+
+let bump m n = m.next_label <- m.next_label + n
 
 let is_client_class m cls = Hashtbl.mem m.client_classes cls
 
@@ -130,53 +131,65 @@ let class_obj m cls =
 
 let frame_is_client m (f : frame) = is_client_class m f.meth.Code.cm_cls
 
-let new_frame m ~(cm : Code.meth) ~recv ~args ~ret_dst =
+let comp_for m (cm : Code.meth) =
+  match Hashtbl.find_opt m.code.en_tbl (meth_key cm) with
+  | Some a -> a
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Machine: %s is not a method of this machine's program"
+         cm.Code.cm_qname)
+
+(* A fresh frame for [cm] with [recv] (if any) in register 0; the
+   caller fills the argument registers after it. *)
+let new_frame m ~(cm : Code.meth) ~recv ~ret_dst =
   let fid = m.next_fid in
   m.next_fid <- fid + 1;
-  let nregs = max cm.Code.cm_nregs (cm.Code.cm_nparams + 1) in
-  let regs = Array.make nregs Value.Vnull in
-  let base =
-    match recv with
-    | Some v ->
-      regs.(0) <- v;
-      1
-    | None -> 0
-  in
-  List.iteri (fun i v -> regs.(base + i) <- v) args;
+  let regs = Array.make (max cm.Code.cm_nregs (cm.Code.cm_nparams + 1)) Value.Vnull in
+  (match recv with Some v -> regs.(0) <- v | None -> ());
   { fid; meth = cm; regs; pc = 0; entered = []; ret_dst; comp = comp_for m cm }
 
-(* Emit the Invoke and Param ("I_i := ...") events for a pushed frame. *)
-let emit_invoke_events m ~tid ~caller ~client (f : frame) ~recv ~args =
-  let cm = f.meth in
-  emit m
-    (Event.Invoke
-       {
-         label = next_label m;
-         tid;
-         caller;
-         frame = f.fid;
-         qname = cm.Code.cm_qname;
-         cls = cm.Code.cm_cls;
-         meth = cm.Code.cm_name;
-         static = cm.Code.cm_static;
-         recv;
-         args;
-         client;
-       });
-  (match recv with
-  | Some v ->
-    emit m (Event.Param { label = next_label m; tid; frame = f.fid; pos = 0; v })
-  | None -> ());
-  List.iteri
-    (fun i v ->
-      emit m
-        (Event.Param { label = next_label m; tid; frame = f.fid; pos = i + 1; v }))
-    args
+(* The Invoke and Param ("I_i := ...") events of a just-pushed frame
+   whose receiver (when [has_recv]) and [nargs] arguments are in place;
+   [caller] is the stack below it. *)
+let invoke_events m ~tid ~(caller : frame list) ~client (f : frame) ~has_recv
+    ~nargs =
+  let base = if has_recv then 1 else 0 in
+  if observed m then begin
+    let cm = f.meth in
+    let recv = if has_recv then Some f.regs.(0) else None in
+    let args = List.init nargs (fun i -> f.regs.(base + i)) in
+    emit m
+      (Event.Invoke
+         {
+           label = next_label m;
+           tid;
+           caller = (match caller with p :: _ -> Some p.fid | [] -> None);
+           frame = f.fid;
+           qname = cm.Code.cm_qname;
+           cls = cm.Code.cm_cls;
+           meth = cm.Code.cm_name;
+           static = cm.Code.cm_static;
+           recv;
+           args;
+           client;
+         });
+    (match recv with
+    | Some v ->
+      emit m (Event.Param { label = next_label m; tid; frame = f.fid; pos = 0; v })
+    | None -> ());
+    List.iteri
+      (fun i v ->
+        emit m
+          (Event.Param { label = next_label m; tid; frame = f.fid; pos = i + 1; v }))
+      args
+  end
+  else bump m (1 + base + nargs)
 
-let new_thread_internal m ~cm ~recv ~args ~spawned_client =
+(* Register a thread whose initial frame [f] already holds its receiver
+   and [nargs] arguments. *)
+let start_thread m (f : frame) ~has_recv ~nargs ~spawned_client =
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
-  let f = new_frame m ~cm ~recv ~args ~ret_dst:None in
   let th =
     {
       tid;
@@ -188,9 +201,18 @@ let new_thread_internal m ~cm ~recv ~args ~spawned_client =
   in
   Hashtbl.replace m.threads tid th;
   m.thread_list <- m.thread_list @ [ th ];
-  let client = spawned_client && not (is_client_class m cm.Code.cm_cls) in
-  emit_invoke_events m ~tid ~caller:None ~client f ~recv ~args;
+  let client =
+    observed m && spawned_client && not (is_client_class m f.meth.Code.cm_cls)
+  in
+  invoke_events m ~tid ~caller:[] ~client f ~has_recv ~nargs;
   tid
+
+(* A harness-created thread invoking [cm] on [recv] with [args]. *)
+let new_thread_internal m ~cm ~recv ~args ~spawned_client =
+  let f = new_frame m ~cm ~recv ~ret_dst:None in
+  let base = if Option.is_some recv then 1 else 0 in
+  List.iteri (fun i v -> f.regs.(base + i) <- v) args;
+  start_thread m f ~has_recv:(base = 1) ~nargs:(List.length args) ~spawned_client
 
 let thread m tid =
   match Hashtbl.find_opt m.threads tid with
@@ -209,7 +231,7 @@ let thread_id (th : thread) = th.tid
 let status_th (th : thread) = th.status
 let all_threads m = m.thread_list
 
-(* ---------------- instruction execution ---------------- *)
+(* ---------------- instruction semantics ---------------- *)
 
 let addr_of_exn (v : Value.t) ~what =
   match v with
@@ -276,558 +298,6 @@ let resolve_virtual m (recv : Value.t) meth_name =
     | Some cm -> (a, cm)
     | None -> crash "class %s has no method %s" cls meth_name)
 
-type step_result =
-  | Stepped
-  | Blocked (* thread exists but cannot make progress now *)
-  | Not_runnable (* finished or crashed *)
-
-(* Push a callee frame; the caller's pc must already point past the call. *)
-let push_call m th ~(cm : Code.meth) ~recv ~args ~ret_dst ~client =
-  let f = new_frame m ~cm ~recv ~args ~ret_dst in
-  th.stack <- f :: th.stack;
-  emit_invoke_events m ~tid:th.tid
-    ~caller:(match th.stack with _ :: p :: _ -> Some p.fid | _ -> None)
-    ~client f ~recv ~args
-
-(* Is a call from [caller_frame] (None = harness) into [callee_cls] a
-   client → library boundary crossing? *)
-let call_is_client m th ~callee_cls =
-  let caller_is_client =
-    match th.stack with
-    | [] -> th.spawned_client
-    | f :: _ -> frame_is_client m f
-  in
-  caller_is_client && not (is_client_class m callee_cls)
-
-let fieldinit_chain_of (cu : Code.unit_) cls =
-  (* Field initializers along the superclass chain, superclass first. *)
-  let chain = Program.ancestors cu.Code.cu_program cls in
-  List.rev
-    (List.filter_map
-       (fun (c : Ast.class_decl) ->
-         match Code.find_cls cu c.Ast.c_name with
-         | Some cc -> cc.Code.cc_fieldinit
-         | None -> None)
-       chain)
-
-let fieldinit_chain m cls = fieldinit_chain_of m.cu cls
-
-(* Release every monitor still held by the frames of a crashing thread,
-   emitting Unlock events so detectors see a consistent lock state. *)
-let unwind_thread m th =
-  List.iter
-    (fun (f : frame) ->
-      List.iter
-        (fun addr ->
-          Heap.exit m.heap addr ~tid:th.tid;
-          emit m
-            (Event.Unlock { label = next_label m; tid = th.tid; frame = f.fid; addr }))
-        f.entered;
-      f.entered <- [])
-    th.stack
-
-let crash_thread m th msg =
-  unwind_thread m th;
-  th.stack <- [];
-  th.status <- Crashed msg;
-  emit m (Event.Thrown { label = next_label m; tid = th.tid; msg })
-
-let do_return m th (f : frame) (v : Value.t option) =
-  (* Defensive: release monitors the frame still holds (balanced code
-     never hits this). *)
-  List.iter
-    (fun addr ->
-      Heap.exit m.heap addr ~tid:th.tid;
-      emit m (Event.Unlock { label = next_label m; tid = th.tid; frame = f.fid; addr }))
-    f.entered;
-  f.entered <- [];
-  th.stack <- List.tl th.stack;
-  let to_frame, to_client =
-    match th.stack with
-    | [] -> (None, th.spawned_client && not (frame_is_client m f))
-    | p :: _ -> (Some p.fid, frame_is_client m p && not (frame_is_client m f))
-  in
-  emit m
-    (Event.Return
-       {
-         label = next_label m;
-         tid = th.tid;
-         frame = f.fid;
-         to_frame;
-         dst = f.ret_dst;
-         v;
-         to_client;
-       });
-  (match (th.stack, f.ret_dst, v) with
-  | p :: _, Some r, Some v -> p.regs.(r) <- v
-  | _, _, _ -> ());
-  if th.stack = [] then th.status <- Finished v
-
-let site_of (f : frame) pc = { Event.s_meth = f.meth.Code.cm_qname; s_pc = pc }
-
-let exec_intrinsic m th (f : frame) ~pc intr (args : Value.t list) :
-    Value.t option =
-  let module I = Intrinsics in
-  match (intr, args) with
-  | I.Rand_int, [ b ] ->
-    Some (Value.Vint (rand_int th ~bound:(int_of_exn b ~what:"randInt")))
-  | I.Print, [ v ] ->
-    Buffer.add_string m.out (Value.to_string v);
-    Buffer.add_char m.out '\n';
-    None
-  | I.Arraycopy, [ src; sp; dst; dp; len ] ->
-    let src = addr_of_exn src ~what:"arraycopy src" in
-    let dst = addr_of_exn dst ~what:"arraycopy dst" in
-    let sp = int_of_exn sp ~what:"arraycopy" in
-    let dp = int_of_exn dp ~what:"arraycopy" in
-    let len = int_of_exn len ~what:"arraycopy" in
-    (* Element-wise, emitting access events: System.arraycopy performs
-       unsynchronized reads and writes, which matters for race
-       detection in the char-array classes. *)
-    for i = 0 to len - 1 do
-      let v = Heap.array_get m.heap src (sp + i) in
-      emit m
-        (Event.Read
-           {
-             label = next_label m;
-             tid = th.tid;
-             frame = f.fid;
-             site = site_of f pc;
-             dst = 0;
-             obj = src;
-             field = "[]";
-             idx = Some (sp + i);
-             v;
-           });
-      Heap.array_set m.heap dst (dp + i) v;
-      emit m
-        (Event.Write
-           {
-             label = next_label m;
-             tid = th.tid;
-             frame = f.fid;
-             site = site_of f pc;
-             obj = dst;
-             field = "[]";
-             idx = Some (dp + i);
-             src = None;
-             v;
-           })
-    done;
-    None
-  | I.Abs, [ v ] -> Some (Value.Vint (abs (int_of_exn v ~what:"abs")))
-  | I.Min, [ a; b ] ->
-    Some (Value.Vint (min (int_of_exn a ~what:"min") (int_of_exn b ~what:"min")))
-  | I.Max, [ a; b ] ->
-    Some (Value.Vint (max (int_of_exn a ~what:"max") (int_of_exn b ~what:"max")))
-  | I.Str_len, [ s ] ->
-    Some (Value.Vint (String.length (str_of_exn s ~what:"strlen")))
-  | I.Char_at, [ s; i ] ->
-    let s = str_of_exn s ~what:"charAt" in
-    let i = int_of_exn i ~what:"charAt" in
-    if i < 0 || i >= String.length s then Some (Value.Vint (-1))
-    else Some (Value.Vint (Char.code s.[i]))
-  | I.Concat, [ a; b ] ->
-    Some (Value.Vstr (str_of_exn a ~what:"concat" ^ str_of_exn b ~what:"concat"))
-  | ( ( I.Rand_int | I.Print | I.Arraycopy | I.Abs | I.Min | I.Max | I.Str_len
-      | I.Char_at | I.Concat ),
-      _ ) ->
-    crash "intrinsic arity mismatch"
-
-(* Execute the instruction at th's current pc.  Returns [false] when the
-   thread must block (pc is left unchanged for a clean retry). *)
-let exec_instr m th (f : frame) : bool =
-  let pc = f.pc in
-  let instr = f.meth.Code.cm_code.(pc) in
-  let tid = th.tid in
-  let reg r = f.regs.(r) in
-  let lbl () = next_label m in
-  match instr with
-  | Code.Iconst (d, c) ->
-    f.regs.(d) <- const_value c;
-    emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d });
-    f.pc <- pc + 1;
-    true
-  | Code.Imove (d, s) ->
-    let v = reg s in
-    f.regs.(d) <- v;
-    emit m (Event.Move { label = lbl (); tid; frame = f.fid; dst = d; src = s; v });
-    f.pc <- pc + 1;
-    true
-  | Code.Iget (d, o, field) ->
-    let a = addr_of_exn (reg o) ~what:("read of ." ^ field) in
-    let v = Heap.get_field m.heap a field in
-    f.regs.(d) <- v;
-    emit m
-      (Event.Read
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           dst = d;
-           obj = a;
-           field;
-           idx = None;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Iset (o, field, s) ->
-    let a = addr_of_exn (reg o) ~what:("write of ." ^ field) in
-    let v = reg s in
-    Heap.set_field m.heap a field v;
-    emit m
-      (Event.Write
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           obj = a;
-           field;
-           idx = None;
-           src = Some s;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Igetstatic (d, cls, field) ->
-    let a = class_obj m cls in
-    let v = Heap.get_field m.heap a field in
-    f.regs.(d) <- v;
-    emit m
-      (Event.Read
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           dst = d;
-           obj = a;
-           field;
-           idx = None;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Isetstatic (cls, field, s) ->
-    let a = class_obj m cls in
-    let v = reg s in
-    Heap.set_field m.heap a field v;
-    emit m
-      (Event.Write
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           obj = a;
-           field;
-           idx = None;
-           src = Some s;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Iaload (d, ar, ir) ->
-    let a = addr_of_exn (reg ar) ~what:"array read" in
-    let i = int_of_exn (reg ir) ~what:"array index" in
-    let v = Heap.array_get m.heap a i in
-    f.regs.(d) <- v;
-    emit m
-      (Event.Read
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           dst = d;
-           obj = a;
-           field = "[]";
-           idx = Some i;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Iastore (ar, ir, s) ->
-    let a = addr_of_exn (reg ar) ~what:"array write" in
-    let i = int_of_exn (reg ir) ~what:"array index" in
-    let v = reg s in
-    Heap.array_set m.heap a i v;
-    emit m
-      (Event.Write
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           site = site_of f pc;
-           obj = a;
-           field = "[]";
-           idx = Some i;
-           src = Some s;
-           v;
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Ialen (d, ar) ->
-    let a = addr_of_exn (reg ar) ~what:"array length" in
-    f.regs.(d) <- Value.Vint (Heap.array_len m.heap a);
-    emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d });
-    f.pc <- pc + 1;
-    true
-  | Code.Inew (d, cls) ->
-    let cc = Code.find_cls_exn m.cu cls in
-    let addr = Heap.alloc_object m.heap ~cls ~field_tys:cc.Code.cc_fields in
-    f.regs.(d) <- Value.Vref addr;
-    emit m (Event.Alloc { label = lbl (); tid; frame = f.fid; dst = d; addr; cls });
-    f.pc <- pc + 1;
-    (* Run field initializers (superclass first): push frames in reverse
-       order so the superclass initializer executes first. *)
-    List.iter
-      (fun (cm : Code.meth) ->
-        push_call m th ~cm ~recv:(Some (Value.Vref addr)) ~args:[] ~ret_dst:None
-          ~client:false)
-      (List.rev (fieldinit_chain m cls));
-    true
-  | Code.Inewarr (d, elt, nr) ->
-    let n = int_of_exn (reg nr) ~what:"array size" in
-    let addr = Heap.alloc_array m.heap ~elt ~len:n in
-    f.regs.(d) <- Value.Vref addr;
-    emit m
-      (Event.Alloc
-         {
-           label = lbl ();
-           tid;
-           frame = f.fid;
-           dst = d;
-           addr;
-           cls = Ast.ty_to_string (Ast.Tarray elt);
-         });
-    f.pc <- pc + 1;
-    true
-  | Code.Icall (dst, o, mname, argr) ->
-    let recv = reg o in
-    let _, cm = resolve_virtual m recv mname in
-    let args = List.map reg argr in
-    f.pc <- pc + 1;
-    let client = call_is_client m th ~callee_cls:cm.Code.cm_cls in
-    push_call m th ~cm ~recv:(Some recv) ~args ~ret_dst:dst ~client;
-    true
-  | Code.Ictor (o, cls, argr) ->
-    let recv = reg o in
-    let arity = List.length argr in
-    let cm =
-      match Code.find_ctor m.cu cls ~arity with
-      | Some cm -> cm
-      | None -> crash "no constructor %s/%d" cls arity
-    in
-    let args = List.map reg argr in
-    f.pc <- pc + 1;
-    let client = call_is_client m th ~callee_cls:cls in
-    push_call m th ~cm ~recv:(Some recv) ~args ~ret_dst:None ~client;
-    true
-  | Code.Icallstatic (dst, cls, mname, argr) ->
-    let cm =
-      match Code.find_static m.cu cls mname with
-      | Some cm -> cm
-      | None -> crash "no static method %s.%s" cls mname
-    in
-    let args = List.map reg argr in
-    f.pc <- pc + 1;
-    let client = call_is_client m th ~callee_cls:cls in
-    push_call m th ~cm ~recv:None ~args ~ret_dst:dst ~client;
-    true
-  | Code.Iintrinsic (dst, intr, argr) ->
-    let args = List.map reg argr in
-    let res = exec_intrinsic m th f ~pc intr args in
-    (match (dst, res) with
-    | Some d, Some v ->
-      f.regs.(d) <- v;
-      emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d })
-    | Some d, None ->
-      f.regs.(d) <- Value.Vnull;
-      emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d })
-    | None, (Some _ | None) -> ());
-    f.pc <- pc + 1;
-    true
-  | Code.Ibinop (d, op, l, r) ->
-    f.regs.(d) <- eval_binop op (reg l) (reg r);
-    emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d });
-    f.pc <- pc + 1;
-    true
-  | Code.Iunop (d, op, s) ->
-    (f.regs.(d) <-
-      (match op with
-      | Ast.Not -> Value.Vbool (not (bool_of_exn (reg s) ~what:"!"))
-      | Ast.Neg -> Value.Vint (-int_of_exn (reg s) ~what:"unary -")));
-    emit m (Event.Const { label = lbl (); tid; frame = f.fid; dst = d });
-    f.pc <- pc + 1;
-    true
-  | Code.Ijmp l ->
-    f.pc <- l;
-    true
-  | Code.Ibr (c, l1, l2) ->
-    f.pc <- (if bool_of_exn (reg c) ~what:"branch" then l1 else l2);
-    true
-  | Code.Iret None ->
-    do_return m th f None;
-    true
-  | Code.Iret (Some r) ->
-    do_return m th f (Some (reg r));
-    true
-  | Code.Ienter r ->
-    let a = addr_of_exn (reg r) ~what:"monitorenter" in
-    if Heap.try_enter m.heap a ~tid then (
-      f.entered <- a :: f.entered;
-      emit m (Event.Lock { label = lbl (); tid; frame = f.fid; addr = a });
-      f.pc <- pc + 1;
-      th.status <- Runnable;
-      true)
-    else (
-      th.status <- Blocked_lock a;
-      false)
-  | Code.Iexit r ->
-    let a = addr_of_exn (reg r) ~what:"monitorexit" in
-    Heap.exit m.heap a ~tid;
-    (* Remove one occurrence of [a] from the entered list. *)
-    let rec remove_one = function
-      | [] -> []
-      | x :: rest -> if x = a then rest else x :: remove_one rest
-    in
-    f.entered <- remove_one f.entered;
-    emit m (Event.Unlock { label = lbl (); tid; frame = f.fid; addr = a });
-    f.pc <- pc + 1;
-    true
-  | Code.Ispawn (d, o, mname, argr) ->
-    let recv = reg o in
-    let _, cm = resolve_virtual m recv mname in
-    let args = List.map reg argr in
-    let spawned_client =
-      match th.stack with f' :: _ -> frame_is_client m f' | [] -> true
-    in
-    f.pc <- pc + 1;
-    let new_tid = new_thread_internal m ~cm ~recv:(Some recv) ~args ~spawned_client in
-    f.regs.(d) <- Value.Vthread new_tid;
-    emit m
-      (Event.Spawned
-         { label = lbl (); tid; new_tid; qname = cm.Code.cm_qname; recv; args });
-    true
-  | Code.Ijoin r -> (
-    match reg r with
-    | Value.Vthread t' -> (
-      match status m t' with
-      | Finished _ | Crashed _ ->
-        emit m (Event.Joined { label = lbl (); tid; joined = t' });
-        f.pc <- pc + 1;
-        th.status <- Runnable;
-        true
-      | Runnable | Blocked_lock _ | Blocked_join _ | Suspended ->
-        th.status <- Blocked_join t';
-        false)
-    | v -> crash "join on non-thread value %s" (Value.to_string v))
-  | Code.Iassert (r, msg) ->
-    if bool_of_exn (reg r) ~what:"assert" then (
-      f.pc <- pc + 1;
-      true)
-    else crash "%s" msg
-  | Code.Ithrow msg -> crash "%s" msg
-
-(* ---------------- compiled backend ---------------- *)
-
-(* The compiled engine translates each method body into an array of
-   closures, one per pc: constants are materialized, branch targets and
-   static call targets pre-resolved, field-initializer chains
-   precomputed, and virtual calls go through a per-site inline cache.
-
-   The closures are *observer-free fast paths*: [step] routes through
-   them only when no observer is registered, so they skip building
-   Event records entirely — but they advance [next_label] in exact
-   lockstep with [exec_instr] (which consumes a label for every event
-   it would emit, observers or not).  A machine can therefore flip
-   between the two mid-run (e.g. when a detector attaches after
-   instantiation) without perturbing any subsequent event label. *)
-
-let bump m n = m.next_label <- m.next_label + n
-
-let rec remove_one_addr a = function
-  | [] -> []
-  | x :: rest -> if x = a then rest else x :: remove_one_addr a rest
-
-(* Fast twin of [push_call]: copies argument registers directly and
-   advances the label counter by what [emit_invoke_events] would have
-   consumed (Invoke + receiver Param + one Param per argument). *)
-let fast_push m th ~(cm : Code.meth) ~recv ~(caller : frame)
-    ~(argr : int array) ~ret_dst =
-  let fid = m.next_fid in
-  m.next_fid <- fid + 1;
-  let nregs = max cm.Code.cm_nregs (cm.Code.cm_nparams + 1) in
-  let regs = Array.make nregs Value.Vnull in
-  let base =
-    match recv with
-    | Some v ->
-      regs.(0) <- v;
-      1
-    | None -> 0
-  in
-  let n = Array.length argr in
-  for i = 0 to n - 1 do
-    regs.(base + i) <- caller.regs.(argr.(i))
-  done;
-  let f =
-    { fid; meth = cm; regs; pc = 0; entered = []; ret_dst; comp = comp_for m cm }
-  in
-  th.stack <- f :: th.stack;
-  bump m (1 + base + n)
-
-(* Fast twin of [do_return]: one label per lingering Unlock plus the
-   Return label. *)
-let fast_return m th (f : frame) (v : Value.t option) =
-  List.iter
-    (fun addr ->
-      Heap.exit m.heap addr ~tid:th.tid;
-      bump m 1)
-    f.entered;
-  f.entered <- [];
-  th.stack <- List.tl th.stack;
-  bump m 1;
-  (match (th.stack, f.ret_dst, v) with
-  | p :: _, Some r, Some v -> p.regs.(r) <- v
-  | _, _, _ -> ());
-  if th.stack = [] then th.status <- Finished v
-
-(* Fast twin of [new_thread_internal]: Invoke + receiver Param + one
-   Param per argument (the Spawned label is bumped by the caller). *)
-let fast_spawn m ~(cm : Code.meth) ~recv ~(caller : frame)
-    ~(argr : int array) ~spawned_client =
-  let tid = m.next_tid in
-  m.next_tid <- tid + 1;
-  let fid = m.next_fid in
-  m.next_fid <- fid + 1;
-  let nregs = max cm.Code.cm_nregs (cm.Code.cm_nparams + 1) in
-  let regs = Array.make nregs Value.Vnull in
-  regs.(0) <- recv;
-  let n = Array.length argr in
-  for i = 0 to n - 1 do
-    regs.(1 + i) <- caller.regs.(argr.(i))
-  done;
-  let f =
-    { fid; meth = cm; regs; pc = 0; entered = []; ret_dst = None; comp = comp_for m cm }
-  in
-  let th =
-    {
-      tid;
-      stack = [ f ];
-      status = Runnable;
-      spawned_client;
-      rng = Int64.add m.rng (Int64.mul 0x2545F4914F6CDD1DL (Int64.of_int (tid + 1)));
-    }
-  in
-  Hashtbl.replace m.threads tid th;
-  m.thread_list <- m.thread_list @ [ th ];
-  bump m (2 + n);
-  tid
-
 (* Per-call-site inline cache for virtual resolution.  The cached cell
    is an immutable tuple read once, so sharing compiled code across
    domains is safe: a racing refill at worst re-resolves. *)
@@ -845,16 +315,143 @@ let resolve_virtual_cached cache m recv ~mname ~what =
         cm
       | None -> crash "class %s has no method %s" cls mname))
 
-let compile_intrinsic ~next dst intr (argr : int array) : exec =
+type step_result =
+  | Stepped
+  | Blocked (* thread exists but cannot make progress now *)
+  | Not_runnable (* finished or crashed *)
+
+(* Is a call from the thread's top frame (none = harness) into
+   [callee_cls] a client → library boundary crossing? *)
+let call_is_client m th ~callee_cls =
+  let caller_is_client =
+    match th.stack with
+    | [] -> th.spawned_client
+    | f :: _ -> frame_is_client m f
+  in
+  caller_is_client && not (is_client_class m callee_cls)
+
+(* Push a callee frame holding [recv] and the values of [from]'s
+   argument registers [argr]; the caller's pc must already point past
+   the call.  [client] only matters when the machine is observed. *)
+let push_call m th ~(cm : Code.meth) ~recv ~(from : frame) ~(argr : int array)
+    ~ret_dst ~client =
+  let f = new_frame m ~cm ~recv ~ret_dst in
+  let base = if Option.is_some recv then 1 else 0 in
+  let n = Array.length argr in
+  for i = 0 to n - 1 do
+    f.regs.(base + i) <- from.regs.(argr.(i))
+  done;
+  let caller = th.stack in
+  th.stack <- f :: caller;
+  invoke_events m ~tid:th.tid ~caller ~client f ~has_recv:(base = 1) ~nargs:n
+
+let fieldinit_chain_of (cu : Code.unit_) cls =
+  (* Field initializers along the superclass chain, superclass first. *)
+  let chain = Program.ancestors cu.Code.cu_program cls in
+  List.rev
+    (List.filter_map
+       (fun (c : Ast.class_decl) ->
+         match Code.find_cls cu c.Ast.c_name with
+         | Some cc -> cc.Code.cc_fieldinit
+         | None -> None)
+       chain)
+
+let fieldinit_chain m cls = fieldinit_chain_of m.cu cls
+
+let unlock_event m th (f : frame) addr =
+  if observed m then
+    emit m (Event.Unlock { label = next_label m; tid = th.tid; frame = f.fid; addr })
+  else bump m 1
+
+let const_event m th (f : frame) dst =
+  if observed m then
+    emit m (Event.Const { label = next_label m; tid = th.tid; frame = f.fid; dst })
+  else bump m 1
+
+let read_event m th (f : frame) ~site ~dst ~obj ~field v =
+  if observed m then
+    emit m
+      (Event.Read
+         { label = next_label m; tid = th.tid; frame = f.fid; site; dst; obj; field; idx = None; v })
+  else bump m 1
+
+let write_event m th (f : frame) ~site ~obj ~field ~src v =
+  if observed m then
+    emit m
+      (Event.Write
+         { label = next_label m; tid = th.tid; frame = f.fid; site; obj; field; idx = None; src; v })
+  else bump m 1
+
+(* Release every monitor still held by the frames of a crashing thread,
+   emitting Unlock events so detectors see a consistent lock state. *)
+let unwind_thread m th =
+  List.iter
+    (fun (f : frame) ->
+      List.iter
+        (fun addr ->
+          Heap.exit m.heap addr ~tid:th.tid;
+          unlock_event m th f addr)
+        f.entered;
+      f.entered <- [])
+    th.stack
+
+let crash_thread m th msg =
+  unwind_thread m th;
+  th.stack <- [];
+  th.status <- Crashed msg;
+  if observed m then emit m (Event.Thrown { label = next_label m; tid = th.tid; msg })
+  else bump m 1
+
+let do_return m th (f : frame) (v : Value.t option) =
+  (* Defensive: release monitors the frame still holds (balanced code
+     never hits this). *)
+  List.iter
+    (fun addr ->
+      Heap.exit m.heap addr ~tid:th.tid;
+      unlock_event m th f addr)
+    f.entered;
+  f.entered <- [];
+  th.stack <- List.tl th.stack;
+  if observed m then begin
+    let to_frame, to_client =
+      match th.stack with
+      | [] -> (None, th.spawned_client && not (frame_is_client m f))
+      | p :: _ -> (Some p.fid, frame_is_client m p && not (frame_is_client m f))
+    in
+    emit m
+      (Event.Return
+         {
+           label = next_label m;
+           tid = th.tid;
+           frame = f.fid;
+           to_frame;
+           dst = f.ret_dst;
+           v;
+           to_client;
+         })
+  end
+  else bump m 1;
+  (match (th.stack, f.ret_dst, v) with
+  | p :: _, Some r, Some v -> p.regs.(r) <- v
+  | _, _, _ -> ());
+  if th.stack = [] then th.status <- Finished v
+
+(* The compiler: each method body becomes an array of closures, one per
+   pc, with constants materialized, access sites, branch targets, static
+   call targets and field-initializer chains precomputed, and virtual
+   calls behind a per-site inline cache.  A closure executes its
+   instruction and returns [false] when the thread must block (pc is
+   left unchanged for a clean retry). *)
+
+let compile_intrinsic ~site ~next dst intr (argr : int array) : exec =
   let module I = Intrinsics in
-  (* Mirrors the (dst, result) handling of [exec_instr]'s Iintrinsic
-     case: a destination register consumes one Const label whether or
-     not the intrinsic produced a value. *)
-  let ret m (f : frame) v =
+  (* A destination register gets the result (null when the intrinsic
+     returns nothing) and one Const event. *)
+  let ret m th (f : frame) v =
     (match dst with
     | Some d ->
       f.regs.(d) <- v;
-      bump m 1
+      const_event m th f d
     | None -> ());
     f.pc <- next;
     true
@@ -865,49 +462,82 @@ let compile_intrinsic ~next dst intr (argr : int array) : exec =
       let v =
         Value.Vint (rand_int th ~bound:(int_of_exn f.regs.(b) ~what:"randInt"))
       in
-      ret m f v
+      ret m th f v
   | I.Print, [| s |] ->
-    fun m _ f ->
+    fun m th f ->
       Buffer.add_string m.out (Value.to_string f.regs.(s));
       Buffer.add_char m.out '\n';
-      ret m f Value.Vnull
+      ret m th f Value.Vnull
   | I.Arraycopy, [| srcr; spr; dstr; dpr; lenr |] ->
-    fun m _ f ->
+    fun m th f ->
       let src = addr_of_exn f.regs.(srcr) ~what:"arraycopy src" in
       let dsta = addr_of_exn f.regs.(dstr) ~what:"arraycopy dst" in
       let sp = int_of_exn f.regs.(spr) ~what:"arraycopy" in
       let dp = int_of_exn f.regs.(dpr) ~what:"arraycopy" in
       let len = int_of_exn f.regs.(lenr) ~what:"arraycopy" in
+      (* Element-wise, emitting access events: System.arraycopy performs
+         unsynchronized reads and writes, which matters for race
+         detection in the char-array classes. *)
       for i = 0 to len - 1 do
-        Heap.array_set m.heap dsta (dp + i) (Heap.array_get m.heap src (sp + i));
-        bump m 2
+        let v = Heap.array_get m.heap src (sp + i) in
+        if observed m then
+          emit m
+            (Event.Read
+               {
+                 label = next_label m;
+                 tid = th.tid;
+                 frame = f.fid;
+                 site;
+                 dst = 0;
+                 obj = src;
+                 field = "[]";
+                 idx = Some (sp + i);
+                 v;
+               })
+        else bump m 1;
+        Heap.array_set m.heap dsta (dp + i) v;
+        if observed m then
+          emit m
+            (Event.Write
+               {
+                 label = next_label m;
+                 tid = th.tid;
+                 frame = f.fid;
+                 site;
+                 obj = dsta;
+                 field = "[]";
+                 idx = Some (dp + i);
+                 src = None;
+                 v;
+               })
+        else bump m 1
       done;
-      ret m f Value.Vnull
+      ret m th f Value.Vnull
   | I.Abs, [| v |] ->
-    fun m _ f -> ret m f (Value.Vint (abs (int_of_exn f.regs.(v) ~what:"abs")))
+    fun m th f -> ret m th f (Value.Vint (abs (int_of_exn f.regs.(v) ~what:"abs")))
   | I.Min, [| a; b |] ->
-    fun m _ f ->
-      ret m f
+    fun m th f ->
+      ret m th f
         (Value.Vint
            (min (int_of_exn f.regs.(a) ~what:"min") (int_of_exn f.regs.(b) ~what:"min")))
   | I.Max, [| a; b |] ->
-    fun m _ f ->
-      ret m f
+    fun m th f ->
+      ret m th f
         (Value.Vint
            (max (int_of_exn f.regs.(a) ~what:"max") (int_of_exn f.regs.(b) ~what:"max")))
   | I.Str_len, [| s |] ->
-    fun m _ f ->
-      ret m f (Value.Vint (String.length (str_of_exn f.regs.(s) ~what:"strlen")))
+    fun m th f ->
+      ret m th f (Value.Vint (String.length (str_of_exn f.regs.(s) ~what:"strlen")))
   | I.Char_at, [| s; i |] ->
-    fun m _ f ->
+    fun m th f ->
       let s = str_of_exn f.regs.(s) ~what:"charAt" in
       let i = int_of_exn f.regs.(i) ~what:"charAt" in
-      ret m f
+      ret m th f
         (if i < 0 || i >= String.length s then Value.Vint (-1)
          else Value.Vint (Char.code s.[i]))
   | I.Concat, [| a; b |] ->
-    fun m _ f ->
-      ret m f
+    fun m th f ->
+      ret m th f
         (Value.Vstr
            (str_of_exn f.regs.(a) ~what:"concat" ^ str_of_exn f.regs.(b) ~what:"concat"))
   | ( ( I.Rand_int | I.Print | I.Arraycopy | I.Abs | I.Min | I.Max | I.Str_len
@@ -915,82 +545,124 @@ let compile_intrinsic ~next dst intr (argr : int array) : exec =
       _ ) ->
     fun _ _ _ -> crash "intrinsic arity mismatch"
 
-let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
+let compile_instr (cu : Code.unit_) (cm : Code.meth) ~pc (instr : Code.instr) :
+    exec =
   let next = pc + 1 in
+  let site = { Event.s_meth = cm.Code.cm_qname; s_pc = pc } in
   match instr with
   | Code.Iconst (d, c) ->
     let v = const_value c in
-    fun m _ f ->
+    fun m th f ->
       f.regs.(d) <- v;
-      bump m 1;
+      const_event m th f d;
       f.pc <- next;
       true
   | Code.Imove (d, s) ->
-    fun m _ f ->
-      f.regs.(d) <- f.regs.(s);
-      bump m 1;
+    fun m th f ->
+      let v = f.regs.(s) in
+      f.regs.(d) <- v;
+      if observed m then
+        emit m (Event.Move { label = next_label m; tid = th.tid; frame = f.fid; dst = d; src = s; v })
+      else bump m 1;
       f.pc <- next;
       true
   | Code.Iget (d, o, field) ->
     let what = "read of ." ^ field in
     let fc = Heap.new_field_cache () in
-    fun m _ f ->
+    fun m th f ->
       let a = addr_of_exn f.regs.(o) ~what in
-      f.regs.(d) <- Heap.get_field_cached m.heap fc a field;
-      bump m 1;
+      let v = Heap.get_field_cached m.heap fc a field in
+      f.regs.(d) <- v;
+      read_event m th f ~site ~dst:d ~obj:a ~field v;
       f.pc <- next;
       true
   | Code.Iset (o, field, s) ->
     let what = "write of ." ^ field in
     let fc = Heap.new_field_cache () in
-    fun m _ f ->
+    let src = Some s in
+    fun m th f ->
       let a = addr_of_exn f.regs.(o) ~what in
-      Heap.set_field_cached m.heap fc a field f.regs.(s);
-      bump m 1;
+      let v = f.regs.(s) in
+      Heap.set_field_cached m.heap fc a field v;
+      write_event m th f ~site ~obj:a ~field ~src v;
       f.pc <- next;
       true
   | Code.Igetstatic (d, cls, field) ->
     let fc = Heap.new_field_cache () in
-    fun m _ f ->
+    fun m th f ->
       let a = class_obj m cls in
-      f.regs.(d) <- Heap.get_field_cached m.heap fc a field;
-      bump m 1;
+      let v = Heap.get_field_cached m.heap fc a field in
+      f.regs.(d) <- v;
+      read_event m th f ~site ~dst:d ~obj:a ~field v;
       f.pc <- next;
       true
   | Code.Isetstatic (cls, field, s) ->
     let fc = Heap.new_field_cache () in
-    fun m _ f ->
+    let src = Some s in
+    fun m th f ->
       let a = class_obj m cls in
-      Heap.set_field_cached m.heap fc a field f.regs.(s);
-      bump m 1;
+      let v = f.regs.(s) in
+      Heap.set_field_cached m.heap fc a field v;
+      write_event m th f ~site ~obj:a ~field ~src v;
       f.pc <- next;
       true
   | Code.Iaload (d, ar, ir) ->
-    fun m _ f ->
+    fun m th f ->
       let a = addr_of_exn f.regs.(ar) ~what:"array read" in
       let i = int_of_exn f.regs.(ir) ~what:"array index" in
-      f.regs.(d) <- Heap.array_get m.heap a i;
-      bump m 1;
+      let v = Heap.array_get m.heap a i in
+      f.regs.(d) <- v;
+      if observed m then
+        emit m
+          (Event.Read
+             {
+               label = next_label m;
+               tid = th.tid;
+               frame = f.fid;
+               site;
+               dst = d;
+               obj = a;
+               field = "[]";
+               idx = Some i;
+               v;
+             })
+      else bump m 1;
       f.pc <- next;
       true
   | Code.Iastore (ar, ir, s) ->
-    fun m _ f ->
+    let src = Some s in
+    fun m th f ->
       let a = addr_of_exn f.regs.(ar) ~what:"array write" in
       let i = int_of_exn f.regs.(ir) ~what:"array index" in
-      Heap.array_set m.heap a i f.regs.(s);
-      bump m 1;
+      let v = f.regs.(s) in
+      Heap.array_set m.heap a i v;
+      if observed m then
+        emit m
+          (Event.Write
+             {
+               label = next_label m;
+               tid = th.tid;
+               frame = f.fid;
+               site;
+               obj = a;
+               field = "[]";
+               idx = Some i;
+               src;
+               v;
+             })
+      else bump m 1;
       f.pc <- next;
       true
   | Code.Ialen (d, ar) ->
-    fun m _ f ->
+    fun m th f ->
       let a = addr_of_exn f.regs.(ar) ~what:"array length" in
       f.regs.(d) <- Value.Vint (Heap.array_len m.heap a);
-      bump m 1;
+      const_event m th f d;
       f.pc <- next;
       true
   | Code.Inew (d, cls) -> (
     match Code.find_cls cu cls with
-    | None -> fun m th f -> exec_instr m th f (* crashes identically *)
+    | None -> fun _ _ _ -> Diag.error "no compiled class %s" cls
     | Some cc ->
       let field_tys = cc.Code.cc_fields in
       let inits = List.rev (fieldinit_chain_of cu cls) in
@@ -998,18 +670,27 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
         let addr = Heap.alloc_object m.heap ~cls ~field_tys in
         let rv = Value.Vref addr in
         f.regs.(d) <- rv;
-        bump m 1;
+        if observed m then
+          emit m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
+        else bump m 1;
         f.pc <- next;
+        (* Run field initializers (superclass first): push frames in
+           reverse order so the superclass initializer executes first. *)
         List.iter
           (fun cm ->
-            fast_push m th ~cm ~recv:(Some rv) ~caller:f ~argr:[||] ~ret_dst:None)
+            push_call m th ~cm ~recv:(Some rv) ~from:f ~argr:[||] ~ret_dst:None
+              ~client:false)
           inits;
         true)
   | Code.Inewarr (d, elt, nr) ->
-    fun m _ f ->
+    let cls = Ast.ty_to_string (Ast.Tarray elt) in
+    fun m th f ->
       let n = int_of_exn f.regs.(nr) ~what:"array size" in
-      f.regs.(d) <- Value.Vref (Heap.alloc_array m.heap ~elt ~len:n);
-      bump m 1;
+      let addr = Heap.alloc_array m.heap ~elt ~len:n in
+      f.regs.(d) <- Value.Vref addr;
+      if observed m then
+        emit m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
+      else bump m 1;
       f.pc <- next;
       true
   | Code.Icall (dst, o, mname, argl) ->
@@ -1020,7 +701,8 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
       let recv = f.regs.(o) in
       let cm = resolve_virtual_cached cache m recv ~mname ~what in
       f.pc <- next;
-      fast_push m th ~cm ~recv:(Some recv) ~caller:f ~argr ~ret_dst:dst;
+      let client = observed m && call_is_client m th ~callee_cls:cm.Code.cm_cls in
+      push_call m th ~cm ~recv:(Some recv) ~from:f ~argr ~ret_dst:dst ~client;
       true
   | Code.Ictor (o, cls, argl) -> (
     let argr = Array.of_list argl in
@@ -1031,7 +713,8 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
       fun m th f ->
         let recv = f.regs.(o) in
         f.pc <- next;
-        fast_push m th ~cm ~recv:(Some recv) ~caller:f ~argr ~ret_dst:None;
+        let client = observed m && call_is_client m th ~callee_cls:cls in
+        push_call m th ~cm ~recv:(Some recv) ~from:f ~argr ~ret_dst:None ~client;
         true)
   | Code.Icallstatic (dst, cls, mname, argl) -> (
     let argr = Array.of_list argl in
@@ -1040,26 +723,27 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
     | Some cm ->
       fun m th f ->
         f.pc <- next;
-        fast_push m th ~cm ~recv:None ~caller:f ~argr ~ret_dst:dst;
+        let client = observed m && call_is_client m th ~callee_cls:cls in
+        push_call m th ~cm ~recv:None ~from:f ~argr ~ret_dst:dst ~client;
         true)
   | Code.Iintrinsic (dst, intr, argl) ->
-    compile_intrinsic ~next dst intr (Array.of_list argl)
+    compile_intrinsic ~site ~next dst intr (Array.of_list argl)
   | Code.Ibinop (d, op, l, r) ->
-    fun m _ f ->
+    fun m th f ->
       f.regs.(d) <- eval_binop op f.regs.(l) f.regs.(r);
-      bump m 1;
+      const_event m th f d;
       f.pc <- next;
       true
   | Code.Iunop (d, Ast.Not, s) ->
-    fun m _ f ->
+    fun m th f ->
       f.regs.(d) <- Value.Vbool (not (bool_of_exn f.regs.(s) ~what:"!"));
-      bump m 1;
+      const_event m th f d;
       f.pc <- next;
       true
   | Code.Iunop (d, Ast.Neg, s) ->
-    fun m _ f ->
+    fun m th f ->
       f.regs.(d) <- Value.Vint (-int_of_exn f.regs.(s) ~what:"unary -");
-      bump m 1;
+      const_event m th f d;
       f.pc <- next;
       true
   | Code.Ijmp l ->
@@ -1072,18 +756,20 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
       true
   | Code.Iret None ->
     fun m th f ->
-      fast_return m th f None;
+      do_return m th f None;
       true
   | Code.Iret (Some r) ->
     fun m th f ->
-      fast_return m th f (Some f.regs.(r));
+      do_return m th f (Some f.regs.(r));
       true
   | Code.Ienter r ->
     fun m th f ->
       let a = addr_of_exn f.regs.(r) ~what:"monitorenter" in
       if Heap.try_enter m.heap a ~tid:th.tid then (
         f.entered <- a :: f.entered;
-        bump m 1;
+        if observed m then
+          emit m (Event.Lock { label = next_label m; tid = th.tid; frame = f.fid; addr = a })
+        else bump m 1;
         f.pc <- next;
         th.status <- Runnable;
         true)
@@ -1091,25 +777,46 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
         th.status <- Blocked_lock a;
         false)
   | Code.Iexit r ->
+    (* Remove one occurrence of [a] from the entered list. *)
+    let rec remove_one a = function
+      | [] -> []
+      | x :: rest -> if x = a then rest else x :: remove_one a rest
+    in
     fun m th f ->
       let a = addr_of_exn f.regs.(r) ~what:"monitorexit" in
       Heap.exit m.heap a ~tid:th.tid;
-      f.entered <- remove_one_addr a f.entered;
-      bump m 1;
+      f.entered <- remove_one a f.entered;
+      unlock_event m th f a;
       f.pc <- next;
       true
   | Code.Ispawn (d, o, mname, argl) ->
     let argr = Array.of_list argl in
+    let n = Array.length argr in
     let what = "call to " ^ mname in
     let cache : (string * Code.meth) option ref = ref None in
-    fun m _th f ->
+    fun m th f ->
       let recv = f.regs.(o) in
       let cm = resolve_virtual_cached cache m recv ~mname ~what in
       let spawned_client = frame_is_client m f in
       f.pc <- next;
-      let new_tid = fast_spawn m ~cm ~recv ~caller:f ~argr ~spawned_client in
+      let nf = new_frame m ~cm ~recv:(Some recv) ~ret_dst:None in
+      for i = 0 to n - 1 do
+        nf.regs.(1 + i) <- f.regs.(argr.(i))
+      done;
+      let new_tid = start_thread m nf ~has_recv:true ~nargs:n ~spawned_client in
       f.regs.(d) <- Value.Vthread new_tid;
-      bump m 1;
+      if observed m then
+        emit m
+          (Event.Spawned
+             {
+               label = next_label m;
+               tid = th.tid;
+               new_tid;
+               qname = cm.Code.cm_qname;
+               recv;
+               args = List.init n (fun i -> nf.regs.(1 + i));
+             })
+      else bump m 1;
       true
   | Code.Ijoin r -> (
     fun m th f ->
@@ -1117,7 +824,9 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
       | Value.Vthread t' -> (
         match status m t' with
         | Finished _ | Crashed _ ->
-          bump m 1;
+          if observed m then
+            emit m (Event.Joined { label = next_label m; tid = th.tid; joined = t' })
+          else bump m 1;
           f.pc <- next;
           th.status <- Runnable;
           true
@@ -1134,80 +843,12 @@ let compile_instr (cu : Code.unit_) ~pc (instr : Code.instr) : exec =
   | Code.Ithrow msg -> fun _ _ _ -> crash "%s" msg
 
 let compile_meth (cu : Code.unit_) (cm : Code.meth) : exec array =
-  Array.mapi (fun pc instr -> compile_instr cu ~pc instr) cm.Code.cm_code
+  Array.mapi (fun pc instr -> compile_instr cu cm ~pc instr) cm.Code.cm_code
 
 module Compiled = struct
-  type code = engine
+  type nonrec code = code
 
-  (* Canonical content digest of a unit: class names sorted, each with
-     its ancestor chain, fields, and methods printed through
-     [Code.pp_instr].  Deliberately not [Marshal] (hash tables have no
-     canonical layout). *)
-  let digest (cu : Code.unit_) =
-    let b = Buffer.create 4096 in
-    let add = Buffer.add_string b in
-    let meth (cm : Code.meth) =
-      add cm.Code.cm_qname;
-      add (if cm.Code.cm_static then "|s|" else "|v|");
-      add (string_of_int cm.Code.cm_nparams);
-      add "|";
-      add (string_of_int cm.Code.cm_nregs);
-      add (if cm.Code.cm_sync then "|y\n" else "|n\n");
-      Array.iter
-        (fun i ->
-          add (Format.asprintf "%a" Code.pp_instr i);
-          Buffer.add_char b '\n')
-        cm.Code.cm_code
-    in
-    let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-    let names =
-      List.sort String.compare
-        (Hashtbl.fold (fun name _ acc -> name :: acc) cu.Code.cu_classes [])
-    in
-    List.iter
-      (fun name ->
-        let cc =
-          match Hashtbl.find_opt cu.Code.cu_classes name with
-          | Some cc -> cc
-          | None ->
-            (* [name] was just folded out of this very table *)
-            invalid_arg
-              (Printf.sprintf
-                 "Machine.Compiled.digest: class %S vanished from unit" name)
-        in
-        add "class ";
-        add name;
-        add " <: ";
-        List.iter
-          (fun (c : Ast.class_decl) ->
-            add c.Ast.c_name;
-            add ",")
-          (Program.ancestors cu.Code.cu_program name);
-        Buffer.add_char b '\n';
-        List.iter
-          (fun (fld, ty) ->
-            add fld;
-            add ":";
-            add (Ast.ty_to_string ty);
-            add ";")
-          cc.Code.cc_fields;
-        List.iter
-          (fun (fld, ty) ->
-            add "static ";
-            add fld;
-            add ":";
-            add (Ast.ty_to_string ty);
-            add ";")
-          cc.Code.cc_static_fields;
-        Buffer.add_char b '\n';
-        (match cc.Code.cc_fieldinit with Some cm -> meth cm | None -> ());
-        List.iter
-          (fun (_, cm) -> meth cm)
-          (List.sort (fun (a, _) (b, _) -> Int.compare a b) cc.Code.cc_ctors);
-        List.iter (fun (_, cm) -> meth cm) (by_name cc.Code.cc_methods);
-        List.iter (fun (_, cm) -> meth cm) (by_name cc.Code.cc_static_methods))
-      names;
-    Digest.to_hex (Digest.string (Buffer.contents b))
+  let digest = Code.digest
 
   let compile (cu : Code.unit_) : code =
     let tbl = Hashtbl.create 64 in
@@ -1229,19 +870,26 @@ module Compiled = struct
       cu.Code.cu_classes;
     { en_tbl = tbl; en_units = !units; en_instrs = !instrs }
 
+  module Cache = Par.Keyed_cache (struct
+    type t = code
+  end)
+
+  let cache = Cache.create ()
+
+  let of_unit (cu : Code.unit_) : code =
+    Cache.find_or_compute cache (digest cu) (fun () ->
+        (* Compile counts are stable: the set of distinct digests a
+           campaign compiles is a pure function of inputs and seeds, and
+           the cache runs this closure exactly once per digest. *)
+        Obs.Span.with_ ~root:true "backend/compile" (fun () ->
+            let code = compile cu in
+            let g = Obs.Metrics.global () in
+            Obs.Metrics.incr g "backend/compiled/units" ~n:code.en_units;
+            Obs.Metrics.incr g "backend/compiled/instrs" ~n:code.en_instrs;
+            code))
+
   let units (c : code) = c.en_units
   let instrs (c : code) = c.en_instrs
-
-  let install m (c : code) =
-    m.engine <- Some c;
-    (* Re-point the compiled bodies of frames that already exist (the
-       harness installs right after [create], but a mid-run install
-       must stay correct). *)
-    Hashtbl.iter
-      (fun _ th -> List.iter (fun f -> f.comp <- comp_for m f.meth) th.stack)
-      m.threads
-
-  let installed m = m.engine <> None
 end
 
 (* ---------------- public stepping API ---------------- *)
@@ -1277,15 +925,7 @@ let step_th m (th : thread) : step_result =
       th.status <- Finished None;
       Not_runnable
     | f :: _ -> (
-      try
-        (* Compiled fast path only when nothing is observing: the
-           closures skip event construction but keep [next_label] in
-           lockstep, so attaching an observer later stays sound. *)
-        let ok =
-          if f.comp == no_comp || m.observers <> [] then exec_instr m th f
-          else f.comp.(f.pc) m th f
-        in
-        if ok then Stepped else Blocked
+      try if f.comp.(f.pc) m th f then Stepped else Blocked
       with
       | Crash msg ->
         crash_thread m th
@@ -1385,7 +1025,7 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
       client_classes = Hashtbl.create 7;
       rng = seed;
       out = Buffer.create 256;
-      engine = None;
+      code = Compiled.of_unit cu;
     }
   in
   List.iter (fun c -> Hashtbl.replace m.client_classes c ()) client_classes;
@@ -1415,7 +1055,7 @@ let add_observer m f = m.observers <- m.observers @ [ f ]
    the thread records and their frames (registers, pc, entered
    monitors), counters, RNG states, output and side tables — and what
    no run changes is shared: the code unit, the heap's interned layouts
-   and the installed engine (so compiled frames keep their bodies).
+   and the compiled code (so copied frames keep their bodies).
    Observers are not carried over; the copy starts unobserved, as a
    freshly created machine does.  Only reads [m]. *)
 let copy m =

@@ -5,6 +5,7 @@
     granularity RaceFuzzer-style directed scheduling needs).  Each
     instruction emits {!Event.t}s to registered observers; a recorded
     event sequence is exactly the trace language of the paper's §3.1.
+    Every machine runs its program's {!Compiled} code from creation.
 
     The machine is fully deterministic given (program, seed, schedule):
     [Sys.randInt] draws from a seeded splitmix64 stream and there is no
@@ -12,7 +13,7 @@
 
 type exec
 (** A compiled instruction: one closure per pc of a compiled method
-    body (see {!Compiled}). *)
+    body (see {!Compiled}), the only definition of its semantics. *)
 
 type frame = {
   fid : Event.frame_id;
@@ -21,8 +22,7 @@ type frame = {
   mutable pc : int;
   mutable entered : Value.addr list;
   ret_dst : Jir.Code.reg option;
-  mutable comp : exec array;
-      (** Compiled body of [meth]; empty when interpreting. *)
+  comp : exec array;  (** compiled body of [meth], indexed by pc *)
 }
 
 type status =
@@ -41,35 +41,41 @@ val default_seed : int64
 
 val create :
   ?client_classes:Jir.Ast.id list -> ?seed:int64 -> Jir.Code.unit_ -> t
-(** Create a machine: allocates class objects (static-field holders) and
-    runs static initializers.  [client_classes] mark which classes count
-    as "client" for the client/library boundary flags on events. *)
+(** Create a machine running the unit's {!Compiled.of_unit} code:
+    allocates class objects (static-field holders) and runs static
+    initializers.  [client_classes] mark which classes count as
+    "client" for the client/library boundary flags on events. *)
 
-(** The closure-compiling backend: translates every method body of a
-    unit into an array of closures once (constants materialized, branch
-    targets and static call targets pre-resolved, virtual calls behind
-    per-site inline caches).  Installed code is only used while the
-    machine has no observers; it advances the event-label counter in
-    exact lockstep with the interpreter, so observers may attach
-    mid-run and see exactly the labels the interpreter would have
-    produced.  A [code] value is immutable after compilation and may be
-    shared across machines and domains. *)
+(** The instruction compiler: translates every method body of a unit
+    into an array of closures once (constants materialized, access
+    sites, branch targets and static call targets pre-resolved, virtual
+    calls behind per-site inline caches).  A closure builds and emits
+    its events only while the machine has observers; otherwise it
+    advances the event-label counter by the same count, so observers
+    may attach mid-run and see exactly the labels and events of a run
+    observed from the start.  A [code] value is immutable after
+    compilation and shared across machines and domains. *)
 module Compiled : sig
   type code
 
   val digest : Jir.Code.unit_ -> string
-  (** Canonical content digest of a unit (hex); the cache key for
-      compiled code. *)
+  (** {!Jir.Code.digest}: the cache key for compiled code. *)
 
   val compile : Jir.Code.unit_ -> code
+  (** Compile every method body of a unit, bypassing the cache. *)
+
+  val of_unit : Jir.Code.unit_ -> code
+  (** The digest-keyed compiled code of a unit, compiling on first use.
+      Domain-safe: compiles at most once per distinct digest, and the
+      digest itself once per unit.  Records the ["backend/compile"]
+      span and the ["backend/compiled/units"] /
+      ["backend/compiled/instrs"] counters on compilation. *)
+
   val units : code -> int
   (** Number of method bodies compiled. *)
 
   val instrs : code -> int
   (** Total instructions compiled. *)
-
-  val install : t -> code -> unit
-  val installed : t -> bool
 end
 
 val add_observer : t -> (Event.t -> unit) -> unit
@@ -79,7 +85,7 @@ val copy : t -> t
     affects the other.  Heap contents, monitors, threads and frames,
     counters (threads, frames, event labels), RNG states, output and
     side tables are copied; the code unit, the heap's field layouts and
-    the installed compiled engine are shared, since no run changes them.
+    the compiled code are shared, since no run changes them.
     Observers are not carried over.  [copy] only reads its argument, so
     several domains may copy one machine at once, provided nobody steps
     it meanwhile. *)
@@ -184,8 +190,8 @@ val top_frame : t -> Value.tid -> frame option
     list. *)
 
 val labels_used : t -> int
-(** Number of event labels consumed so far.  Identical across backends
-    for the same (program, seed, schedule). *)
+(** Number of event labels consumed so far.  The same for the same
+    (program, seed, schedule), observed or not. *)
 
 val crash_reason : t -> Value.tid -> string option
 

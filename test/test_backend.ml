@@ -1,7 +1,9 @@
-(* Backend abstraction tests: kind parsing, the digest-keyed compiled
-   cache, interp/compiled observational equivalence (results, output,
-   labels, races), label lockstep across a mid-run observer attach,
-   run_until_call edge cases, and the trace-pool cap knob. *)
+(* Execution-engine tests: the digest-keyed compiled-code cache, every
+   machine running compiled code from creation, observed-vs-unobserved
+   equivalence of the one engine (results, output, labels, races), label
+   lockstep across a mid-run observer attach (on a racy program and on
+   every C1-C9 seed test), run_until_call edge cases, and the trace-pool
+   cap knob. *)
 
 open Runtime
 
@@ -12,47 +14,6 @@ let racy_src =
    { return this.count; } } class Main { static int main() { C c = new C(); \
    thread t1 = spawn c.inc(); thread t2 = spawn c.inc(); join t1; join t2; \
    Sys.print(c.get()); return c.get(); } }"
-
-let run_both ?(seed = 17L) src k =
-  List.map
-    (fun kind ->
-      let cu = compile src in
-      let be = Backend.prepare kind cu in
-      let r, m =
-        Conc.Exec.run_program ~seed cu ~client_classes:[ "Main" ] ~cls:"Main"
-          ~meth:"main" ~on_machine:(Backend.on_machine be)
-          (Conc.Scheduler.random ~seed)
-      in
-      k r m)
-    [ Backend.Interp; Backend.Compiled ]
-
-(* --- kinds ------------------------------------------------------- *)
-
-let test_kind_parsing () =
-  let ok s k =
-    match Backend.of_string s with
-    | Ok k' -> Alcotest.(check string) s (Backend.to_string k) (Backend.to_string k')
-    | Error e -> Alcotest.failf "%s: %s" s e
-  in
-  ok "interp" Backend.Interp;
-  ok "interpreter" Backend.Interp;
-  ok "compiled" Backend.Compiled;
-  ok "compile" Backend.Compiled;
-  (match Backend.of_string "llvm" with
-  | Ok _ -> Alcotest.fail "'llvm' should not parse"
-  | Error e ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
-    Alcotest.(check bool) "error names the input" true (contains e "llvm"));
-  List.iter
-    (fun k ->
-      match Backend.of_string (Backend.to_string k) with
-      | Ok k' -> Alcotest.(check bool) "roundtrip" true (k = k')
-      | Error e -> Alcotest.fail e)
-    [ Backend.Interp; Backend.Compiled ]
 
 (* --- digest cache ------------------------------------------------- *)
 
@@ -67,86 +28,181 @@ let test_digest_stability () =
   Alcotest.(check bool) "different source, different digest" true (d1 <> d3)
 
 let test_compiled_code_cached () =
-  let c1 = Backend.compiled_code (compile racy_src) in
-  let c2 = Backend.compiled_code (compile racy_src) in
-  (* Same digest: the second call must hit the process-wide cache. *)
+  let c1 = Machine.Compiled.of_unit (compile racy_src) in
+  let c2 = Backend.prepare Backend.Compiled (compile racy_src) in
+  (* Same digest: the second lookup must hit the process-wide cache. *)
   Alcotest.(check bool) "physically shared" true (c1 == c2);
   Alcotest.(check bool) "some units" true (Machine.Compiled.units c1 > 0);
   Alcotest.(check bool) "some instrs" true
     (Machine.Compiled.instrs c1 > Machine.Compiled.units c1)
 
-(* --- equivalence -------------------------------------------------- *)
+let compiled_units () =
+  Obs.Metrics.counter_value (Obs.Metrics.global ()) "backend/compiled/units"
+
+(* Machines made by the harness entry points, with no [?on_machine]
+   hook, run compiled code, and each distinct unit is compiled exactly
+   once however many machines run it. *)
+let test_machines_compile_once () =
+  (* a source no other case compiles, so its first machine compiles it *)
+  let src =
+    "class C { int v; void inc() { this.v = this.v + 1; } } class Seed { \
+     static void test() { C c = new C(); c.inc(); c.inc(); } static int \
+     main() { C c = new C(); thread t = spawn c.inc(); join t; return c.v; } }"
+  in
+  let cu = compile src in
+  let before = compiled_units () in
+  let _m, _tr, res =
+    Interp.record cu ~client_classes:[ "Seed" ] ~cls:"Seed" ~meth:"test"
+  in
+  Alcotest.(check bool) "seed test ran" true (Result.is_ok res);
+  (* [compile] bypasses the cache and its counters *)
+  let units = Machine.Compiled.units (Machine.Compiled.compile cu) in
+  Alcotest.(check int) "first machine compiled the unit" units
+    (compiled_units () - before);
+  let r, _m =
+    Conc.Exec.run_program (compile src) ~client_classes:[ "Seed" ] ~cls:"Seed"
+      ~meth:"main" (Conc.Scheduler.random ~seed:3L)
+  in
+  Alcotest.(check bool) "main ran" true (r.Conc.Exec.outcome = Conc.Exec.All_finished);
+  let m = Machine.create ~client_classes:[ "Seed" ] cu in
+  (match Interp.run_until_call m ~cls:"Seed" ~meth:"test" ~target_qname:"C.inc" ~nth:1 with
+  | Some cap -> (
+    match Machine.top_frame m cap.Interp.cap_tid with
+    | Some f ->
+      Alcotest.(check int) "frame carries its compiled body"
+        (Array.length f.Machine.meth.Jir.Code.cm_code)
+        (Array.length f.Machine.comp)
+    | None -> Alcotest.fail "captured thread has no frame")
+  | None -> Alcotest.fail "expected a capture");
+  ignore (Backend.prepare Backend.Compiled cu);
+  Alcotest.(check int) "no recompilation, same unit or same digest" units
+    (compiled_units () - before)
+
+(* --- observed vs unobserved --------------------------------------- *)
+
+(* One run of [racy_src] under a seeded random schedule, observed from
+   the start by a trace recorder, or not at all. *)
+let run_racy ~observed ~seed =
+  let cu = compile racy_src in
+  let recorder = Trace.recorder () in
+  let on_machine m = if observed then Machine.add_observer m (Trace.observer recorder) in
+  let r, m =
+    Conc.Exec.run_program ~seed cu ~client_classes:[ "Main" ] ~cls:"Main"
+      ~meth:"main" ~on_machine (Conc.Scheduler.random ~seed)
+  in
+  ( ( r.Conc.Exec.outcome,
+      r.Conc.Exec.steps,
+      r.Conc.Exec.decisions,
+      Machine.output m,
+      Machine.labels_used m ),
+    Trace.snapshot recorder )
 
 let test_equivalent_runs () =
   List.iter
     (fun seed ->
-      match
-        run_both ~seed racy_src (fun r m ->
-            ( r.Conc.Exec.outcome,
-              r.Conc.Exec.steps,
-              r.Conc.Exec.decisions,
-              Machine.output m,
-              Machine.labels_used m ))
-      with
-      | [ i; c ] ->
-        Alcotest.(check bool)
-          (Printf.sprintf "seed %Ld: identical run" seed)
-          true (i = c)
-      | _ -> assert false)
+      let observed, trace = run_racy ~observed:true ~seed in
+      let unobserved, _ = run_racy ~observed:false ~seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %Ld: identical run" seed)
+        true (observed = unobserved);
+      let _, _, _, _, labels = observed in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %Ld: one label per event" seed)
+        labels (Trace.length trace))
     [ 1L; 2L; 3L; 17L; 42L ]
 
-let test_equivalent_races () =
-  let races kind =
-    let cu = compile racy_src in
-    let be = Backend.prepare kind cu in
-    let cands = ref [] in
-    let _r, _m =
-      Conc.Exec.run_program ~seed:5L cu ~client_classes:[ "Main" ] ~cls:"Main"
-        ~meth:"main"
-        ~on_machine:(fun m ->
-          Backend.install be m;
-          let ls = Detect.Lockset.attach m in
-          cands := [ ls ])
-        (Conc.Scheduler.random ~seed:5L)
-    in
-    match !cands with
-    | [ ls ] ->
-      List.map
-        (fun r -> Detect.Race.key_of r)
-        (Detect.Lockset.candidates ls)
-    | _ -> assert false
-  in
-  let ri = races Backend.Interp and rc = races Backend.Compiled in
-  Alcotest.(check int) "same candidate count" (List.length ri) (List.length rc);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check int) "same candidate" 0 (Detect.Race.compare_key a b))
-    ri rc
+let keys ls =
+  List.sort Detect.Race.compare_key
+    (List.map Detect.Race.key_of (Detect.Lockset.candidates ls))
 
-(* Observers force the interpreter path, but the label counter must
-   stay in lockstep so an observer attached mid-run sees exactly the
-   labels the interpreter would have produced from that point on. *)
-let test_mid_run_attach () =
-  let trace_tail kind =
-    let cu = compile racy_src in
-    let be = Backend.prepare kind cu in
-    let m = Backend.create ~client_classes:[ "Main" ] ~seed:9L be cu in
-    let cm = Option.get (Jir.Code.find_static cu "Main" "main") in
-    let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
-    let th = Machine.find_thread m tid in
-    (* run the first 40 steps unobserved (compiled fast path), then
-       attach a recorder for the rest *)
-    for _ = 1 to 40 do
-      ignore (Machine.step_th m th)
-    done;
-    let rec_ = Trace.attach m in
-    ignore (Machine.run_thread_to_completion m tid ~fuel:100_000);
-    (Machine.labels_used m, Trace.to_string (Trace.snapshot rec_))
+(* Lockset attached halfway through an unobserved run reports what it
+   reports when fed the same events from a run observed throughout. *)
+let test_equivalent_races () =
+  let seed = 5L in
+  let (_, steps, _, _, _), full = run_racy ~observed:true ~seed in
+  let cu = compile racy_src in
+  let sched = Conc.Scheduler.random ~seed in
+  let _, m =
+    Conc.Exec.run_program ~fuel:(steps / 2) ~seed cu ~client_classes:[ "Main" ]
+      ~cls:"Main" ~meth:"main" sched
   in
-  let li, ti = trace_tail Backend.Interp in
-  let lc, tc = trace_tail Backend.Compiled in
-  Alcotest.(check int) "labels in lockstep" li lc;
-  Alcotest.(check string) "identical trace tail" ti tc
+  let from = Machine.labels_used m in
+  let late = Detect.Lockset.attach m in
+  ignore (Conc.Exec.run m sched);
+  let offline = Detect.Lockset.create () in
+  Array.iter
+    (fun ev -> if Event.label_of ev >= from then Detect.Lockset.observer offline ev)
+    full;
+  Alcotest.(check bool) "some candidates" true (keys offline <> []);
+  Alcotest.(check int) "same candidate count" (List.length (keys offline))
+    (List.length (keys late));
+  List.iter2
+    (fun a b -> Alcotest.(check int) "same candidate" 0 (Detect.Race.compare_key a b))
+    (keys offline) (keys late)
+
+(* Run [cls.meth()] under a seeded random schedule, observed by a trace
+   recorder from the start ([k = None]) or from step [k] on.  Returns
+   what the run did, the label the recorder attached at and the events
+   it saw. *)
+let observe_from cu ~client_classes ~cls ~meth k =
+  let seed = 11L in
+  let sched = Conc.Scheduler.random ~seed in
+  let recorder = Trace.recorder () in
+  let observe m = Machine.add_observer m (Trace.observer recorder) in
+  let start ?fuel ?on_machine () =
+    Conc.Exec.run_program ?fuel ?on_machine ~seed cu ~client_classes ~cls ~meth sched
+  in
+  let r, steps, m, from =
+    match k with
+    | None ->
+      let r, m = start ~on_machine:observe () in
+      (r, r.Conc.Exec.steps, m, 0)
+    | Some k ->
+      let head, m = start ~fuel:k () in
+      let from = Machine.labels_used m in
+      observe m;
+      let r = Conc.Exec.run m sched in
+      (r, head.Conc.Exec.steps + r.Conc.Exec.steps, m, from)
+  in
+  ( (r.Conc.Exec.outcome, steps, r.Conc.Exec.crashes, Machine.output m, Machine.labels_used m),
+    from,
+    Trace.snapshot recorder )
+
+(* The events a mid-run observer sees are exactly the suffix of a run
+   observed from the start, from the attach label on; observing changes
+   nothing else.  Attaches at each of the run's first [first] steps, or
+   by default at every sixteenth of the run. *)
+let check_attach_points ?(first = 0) cu ~client_classes ~cls ~meth =
+  let full, _, trace = observe_from cu ~client_classes ~cls ~meth None in
+  let _, steps, _, _, labels = full in
+  Alcotest.(check int) (cls ^ ": one label per event") labels (Trace.length trace);
+  let points =
+    if first > 0 then List.init (min first steps) Fun.id
+    else List.init 17 (fun i -> i * steps / 16)
+  in
+  List.iter
+    (fun k ->
+      let late, from, tail = observe_from cu ~client_classes ~cls ~meth (Some k) in
+      Alcotest.(check bool) (Printf.sprintf "%s step %d: same run" cls k) true (late = full);
+      Alcotest.(check string)
+        (Printf.sprintf "%s step %d: trace suffix" cls k)
+        (Trace.to_string
+           (Array.of_list
+              (List.filter (fun ev -> Event.label_of ev >= from) (Array.to_list trace))))
+        (Trace.to_string tail))
+    points
+
+let test_mid_run_attach () =
+  check_attach_points ~first:200 (compile racy_src) ~client_classes:[ "Main" ]
+    ~cls:"Main" ~meth:"main"
+
+let test_mid_run_attach_corpus () =
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      check_attach_points (Corpus.Registry.compiled_unit e)
+        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+        ~cls:e.Corpus.Corpus_def.e_seed_cls ~meth:e.Corpus.Corpus_def.e_seed_meth)
+    Corpus.Registry.all
 
 (* --- run_until_call edge cases ------------------------------------ *)
 
@@ -235,18 +291,20 @@ let test_pool_cap () =
 let () =
   Alcotest.run "backend"
     [
-      ( "kinds",
-        [ Alcotest.test_case "parsing" `Quick test_kind_parsing ] );
       ( "cache",
         [
           Alcotest.test_case "digest stability" `Quick test_digest_stability;
           Alcotest.test_case "compiled code shared" `Quick test_compiled_code_cached;
+          Alcotest.test_case "machines compile each unit once" `Quick
+            test_machines_compile_once;
         ] );
       ( "equivalence",
         [
           Alcotest.test_case "runs" `Quick test_equivalent_runs;
           Alcotest.test_case "races" `Quick test_equivalent_races;
           Alcotest.test_case "mid-run attach" `Quick test_mid_run_attach;
+          Alcotest.test_case "mid-run attach, C1-C9 seed tests" `Quick
+            test_mid_run_attach_corpus;
         ] );
       ( "run_until_call",
         [

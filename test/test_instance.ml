@@ -11,8 +11,7 @@ module Rf = Detect.Racefuzzer
 
 let analysis_of (e : Corpus.Corpus_def.entry) =
   match
-    Pipeline.analyze ~backend:Backend.Compiled
-      (Corpus.Registry.compiled_unit e)
+    Pipeline.analyze (Corpus.Registry.compiled_unit e)
       ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
       ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
       ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
@@ -33,8 +32,7 @@ let analysis id =
   | None -> Alcotest.failf "no corpus class %s" id
 
 let fresh (an : Pipeline.analysis) t =
-  Synth.instantiate an.Pipeline.an_cu ~client_classes:an.Pipeline.an_client_classes
-    ~backend:an.Pipeline.an_backend t
+  Synth.instantiate an.Pipeline.an_cu ~client_classes:an.Pipeline.an_client_classes t
 
 (* Everything observable of an instance before it runs. *)
 let initial (inst : Rf.instance) =
@@ -259,13 +257,13 @@ class Main {
       (List.length (String.split_on_char '\n' (String.trim out)))
   | _ -> Alcotest.fail "copy did not finish"
 
-let installs () =
+let templates () =
   Option.value ~default:0.0
-    (List.assoc_opt "backend/installs" (Obs.Metrics.gauges (Obs.Metrics.global ())))
+    (List.assoc_opt "synth/templates" (Obs.Metrics.gauges (Obs.Metrics.global ())))
 
 (* The first calls of one instantiator race on four domains: the
-   template is built (and the compiled backend installed) exactly once,
-   and every call gets its own machine in the same state. *)
+   template is built exactly once, and every call gets its own machine
+   in the same state. *)
 let test_concurrent_first_calls () =
   let an = analysis "C1" in
   let t =
@@ -280,11 +278,11 @@ let test_concurrent_first_calls () =
       ~finally:(fun () -> Par.set_max_domains prev)
       (fun () ->
         let instantiate = Pipeline.instantiator an t in
-        let before = installs () in
+        let before = templates () in
         let insts =
           Par.map ~jobs:4 ~chunk:1 (List.init 16 Fun.id) (fun _ -> instantiate ())
         in
-        Alcotest.(check (float 0.0)) "template built once" 1.0 (installs () -. before);
+        Alcotest.(check (float 0.0)) "template built once" 1.0 (templates () -. before);
         insts)
   in
   let expected =
