@@ -687,7 +687,9 @@ let fuzz_cmd =
              static-stale-cache keys its summary cache by class name instead \
              of content digest; repair-overlock makes repair try candidates \
              in reverse cost order; instance-alias hands out a synthesized \
-             test's template machine instead of a copy; late-attach loses \
+             test's template machine instead of a copy; test-alias hands \
+             every synthesized test the first test's campaign triage \
+             state; late-attach loses \
              the events of the step where a run becomes observed) and check \
              that the differential oracles catch it.")
   in

@@ -35,16 +35,59 @@ let candidates ?(jobs = 1) ~(instantiate : Racefuzzer.instantiator) ~schedules
          (fun (k1, _) (k2, _) -> Race.compare_key k1 k2)
          (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl []))
 
+(* Per-test state: the serialized baselines depend on the test alone,
+   so they are computed once, on the first confirmed race, and shared by
+   every later one.  The mutex makes first calls racing on several
+   domains compute them once; an [Error] is memoized too. *)
+type test = {
+  t_instantiate : Racefuzzer.instantiator;
+  t_fuel : int;
+  t_lock : Mutex.t;
+  mutable t_baselines : (Triage.baselines, string) result option;
+}
+
+let test ?(fuel = 200_000) instantiate =
+  {
+    t_instantiate = instantiate;
+    t_fuel = fuel;
+    t_lock = Mutex.create ();
+    t_baselines = None;
+  }
+
+let baselines t =
+  Mutex.protect t.t_lock (fun () ->
+      match t.t_baselines with
+      | Some b -> b
+      | None ->
+        let b = Triage.baselines ~instantiate:t.t_instantiate ~fuel:t.t_fuel in
+        t.t_baselines <- Some b;
+        b)
+
 type outcome = {
   o_confirm : Racefuzzer.confirm_result;
+  o_evidence : Triage.evidence option;
   o_verdict : Triage.verdict option;
 }
 
-let confirm_and_triage ?(jobs = 1) ?(fuel = 200_000) ~instantiate ~runs ~seed
-    (r : Race.report) : outcome =
+(* Triage forks the forced orders from confirm's run 0, which ran at
+   [seed] and [fuel] like the forced runs of a from-scratch triage, and
+   consumes it: the result hands no spent machine on. *)
+let confirm_and_triage ?(jobs = 1) ~(test : test) ~runs ~seed (r : Race.report) :
+    outcome =
   let cand = Racefuzzer.candidate_of_report r in
-  let c = Racefuzzer.confirm ~instantiate ~cand ~runs ~fuel ~seed ~jobs () in
-  if c.Racefuzzer.confirmed = None then { o_confirm = c; o_verdict = None }
-  else
-    let v = Triage.triage ~instantiate ~cand ~seed ~fuel () in
-    { o_confirm = c; o_verdict = Result.to_option v }
+  let c =
+    Racefuzzer.confirm ~instantiate:test.t_instantiate ~cand ~runs ~fuel:test.t_fuel
+      ~seed ~jobs ()
+  in
+  let evidence =
+    match (c.Racefuzzer.confirmed, c.Racefuzzer.run0) with
+    | Some _, Some run0 ->
+      Result.to_option
+        (Result.map (fun b -> Triage.evidence b ~fuel:test.t_fuel run0) (baselines test))
+    | _ -> None
+  in
+  {
+    o_confirm = { c with Racefuzzer.run0 = None };
+    o_evidence = evidence;
+    o_verdict = Option.map Triage.judge evidence;
+  }

@@ -2,7 +2,9 @@
     random schedules with the hybrid lockset detector attached yield
     candidate races ({!candidates}); each candidate then goes to
     RaceFuzzer-style directed confirmation, and a confirmed race is
-    triaged ({!confirm_and_triage}).
+    triaged ({!confirm_and_triage}) from state the campaign already
+    holds: serialized baselines once per test, forced orders forked
+    from the confirmation's run 0.
 
     This is the only copy of the loop.  Evaluation, guided
     confirmation, and repair discovery and re-detection all call it
@@ -24,20 +26,29 @@ val candidates :
     schedules out over a {!Par} pool; the answer is identical for every
     width.  [Error] when the first instantiation fails. *)
 
+type test
+(** One synthesized test's campaign state: its instantiator, the fuel
+    bounding every run, and its two serialized triage baselines,
+    computed lazily — only once some race of the test is confirmed, and
+    at most once, even when several domains ask at the same time. *)
+
+val test : ?fuel:int -> Racefuzzer.instantiator -> test
+(** [fuel] (default 200_000) bounds every directed run and every triage
+    run of the test. *)
+
 type outcome = {
-  o_confirm : Racefuzzer.confirm_result;
-  o_verdict : Triage.verdict option;
-      (** [None] when the race was not confirmed or triage failed *)
+  o_confirm : Racefuzzer.confirm_result;  (** its [run0] is [None] *)
+  o_evidence : Triage.evidence option;
+      (** the four triage outcomes; [None] when the race was not
+          confirmed or triage failed *)
+  o_verdict : Triage.verdict option;  (** {!Triage.judge} of [o_evidence] *)
 }
 
 val confirm_and_triage :
-  ?jobs:int ->
-  ?fuel:int ->
-  instantiate:Racefuzzer.instantiator ->
-  runs:int ->
-  seed:int64 ->
-  Race.report ->
-  outcome
+  ?jobs:int -> test:test -> runs:int -> seed:int64 -> Race.report -> outcome
 (** {!Racefuzzer.confirm} the candidate over [runs] directed runs, then
-    {!Triage.triage} it when confirmed.  [fuel] (default 200_000) bounds
-    every run of both steps; [jobs] is passed to the confirmation. *)
+    triage it when confirmed: the test's baselines, and both forced
+    orders forked from where confirm's run 0 stopped (it ran at [seed],
+    exactly the directed prefix a from-scratch {!Triage.triage} at
+    [seed] replays).  Verdicts and outcomes equal those of
+    {!Triage.triage}.  [jobs] is passed to the confirmation. *)

@@ -5,9 +5,11 @@
    a matching access.  When two threads are simultaneously postponed at
    conflicting accesses to the same variable (same object and field, at
    least one write), the race is real and is reported with both accesses
-   enabled; the scheduler then executes them back to back.
+   enabled, and the run stops there, poised.
 
-   The machinery is reused by triage to force a racy interleaving. *)
+   Triage resumes the poised run rather than replaying it: [confirm]
+   hands back where run 0 stopped, and [drain] finishes a run under the
+   same random scheduling. *)
 
 type instance = {
   ri_machine : Runtime.Machine.t;
@@ -38,12 +40,6 @@ let matches (cand : candidate) (pa : Runtime.Machine.pending_access) =
     Runtime.Event.compare_site pa.Runtime.Machine.pa_site s1 = 0
     || Runtime.Event.compare_site pa.Runtime.Machine.pa_site s2 = 0
 
-type confirm_result = {
-  confirmed : Race.report option;
-  runs_used : int;
-  steps : int;
-}
-
 (* Per-execution facts, schedule-independent given the seed. *)
 type run_stats = { rs_steps : int; rs_max_postponed : int }
 
@@ -68,10 +64,6 @@ let conflicting (a : Runtime.Machine.pending_access)
   && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
   && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
 
-(* One directed execution.  [on_confirm] decides what to do when the
-   pair is simultaneously enabled: return [`Report] to stop and report,
-   or [`Force order] to execute the racing accesses in the given order
-   and continue to completion (used by triage). *)
 (* Dense per-tid mirrors used by the directed loops below: tids are
    small consecutive ints, so per-step membership tests and the
    pending-access memo live in growable arrays instead of hashtables.
@@ -92,10 +84,57 @@ let tid_slot tm tid =
   end;
   tid
 
-let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
-    ~(on_confirm :
-       [ `Report | `Force_first of unit | `Force_second of unit ]) :
-    Race.report option * run_stats =
+(* The scheduler picks below walk the creation-order thread list twice
+   without allocating: once to count the eligible threads, then, after
+   one RNG draw over that count, to fetch the drawn one. *)
+let rec count_where p acc = function
+  | [] -> acc
+  | th :: rest -> count_where p (if p th then acc + 1 else acc) rest
+
+let rec nth_where p i = function
+  | [] -> None
+  | th :: rest ->
+    if p th then if i = 0 then Some th else nth_where p (i - 1) rest
+    else nth_where p i rest
+
+(* One draw over a non-empty list; the empty list draws nothing. *)
+let pick_from pick = function
+  | [] -> None
+  | l -> List.nth_opt l (pick (List.length l))
+
+let drain m rng ~fuel =
+  let runnable th = Runtime.Machine.runnable_th m th in
+  let rec go fuel =
+    if fuel > 0 then
+      match count_where runnable 0 (Runtime.Machine.all_threads m) with
+      | 0 -> ()
+      | k -> (
+        match
+          nth_where runnable (Rng.below rng k) (Runtime.Machine.all_threads m)
+        with
+        | Some th ->
+          ignore (Runtime.Machine.step_th m th);
+          go (fuel - 1)
+        | None -> ())
+  in
+  go fuel
+
+(* Where a directed run stopped: at the confirmation, with both racing
+   threads poised at their accesses, or at the end of an unconfirmed
+   run.  The machine, the scheduler's RNG and the fuel left are enough
+   to resume it exactly. *)
+type run_end = {
+  re_inst : instance;
+  re_rng : Rng.t;
+  re_fuel : int;
+  re_report : Race.report option;
+}
+
+(* One directed execution, stopping at the first simultaneously enabled
+   conflicting pair. *)
+let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
+    run_end * run_stats =
+  let m = inst.ri_machine in
   let rng = Rng.create seed in
   let pick n = Rng.below rng n in
   let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
@@ -127,7 +166,6 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
     incr steps
   in
-  let step_tid tid = step_th (Runtime.Machine.find_thread m tid) in
   let postpone tid pa =
     Hashtbl.replace postponed tid pa;
     in_postponed.slots.(tid_slot in_postponed tid) <- true
@@ -136,37 +174,14 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     Hashtbl.remove postponed tid;
     in_postponed.slots.(tid_slot in_postponed tid) <- false
   in
-  let reset_postponed () =
-    Hashtbl.reset postponed;
-    Array.fill in_postponed.slots 0 (Array.length in_postponed.slots) false
-  in
   let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
   let np_ok th =
     Runtime.Machine.runnable_th m th
     && not (is_postponed (Runtime.Machine.thread_id th))
   in
-  let rec count_np acc = function
-    | [] -> acc
-    | th :: rest -> count_np (if np_ok th then acc + 1 else acc) rest
-  and nth_np i = function
-    | [] -> invalid_arg "directed_run: runnable index out of range"
-    | th :: rest ->
-      if np_ok th then if i = 0 then th else nth_np (i - 1) rest
-      else nth_np i rest
-  in
-  let rec count_r acc = function
-    | [] -> acc
-    | th :: rest ->
-      count_r (if Runtime.Machine.runnable_th m th then acc + 1 else acc) rest
-  and nth_r i = function
-    | [] -> invalid_arg "directed_run: runnable index out of range"
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then
-        if i = 0 then th else nth_r (i - 1) rest
-      else nth_r i rest
-  in
+  (* Returns the fuel left where the run stopped. *)
   let rec loop fuel =
-    if fuel <= 0 || !result <> None then ()
+    if fuel <= 0 then fuel
     else begin
       (* Refresh the postponed set: threads poised at a matching access. *)
       List.iter
@@ -198,59 +213,39 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
         end
       in
       match pair with
-      | ((t1, p1), (t2, p2)) :: _ -> (
-        let report =
-          {
-            Race.r_first = access_of_pending m t1 p1 ~label:!steps;
-            r_second = access_of_pending m t2 p2 ~label:!steps;
-            r_detector = "racefuzzer";
-          }
-        in
-        result := Some report;
-        match on_confirm with
-        | `Report -> ()
-        | `Force_first () ->
-          (* Execute the racing accesses back to back, first t1's. *)
-          step_tid t1;
-          step_tid t2;
-          reset_postponed ();
-          drain fuel
-        | `Force_second () ->
-          step_tid t2;
-          step_tid t1;
-          reset_postponed ();
-          drain fuel)
+      | ((t1, p1), (t2, p2)) :: _ ->
+        result :=
+          Some
+            {
+              Race.r_first = access_of_pending m t1 p1 ~label:!steps;
+              r_second = access_of_pending m t2 p2 ~label:!steps;
+              r_detector = "racefuzzer";
+            };
+        fuel
       | [] -> (
-        (* Pick among the runnable, non-postponed threads: two
-           allocation-free walks of the creation-order list, with the
-           RNG drawn between them exactly as the list-based code did
-           (same bound, one draw). *)
-        match count_np 0 (Runtime.Machine.all_threads m) with
+        match count_where np_ok 0 (Runtime.Machine.all_threads m) with
         | 0 -> (
-          (* Everyone is postponed or blocked: release a postponed thread. *)
+          (* Everyone is postponed or blocked: release a postponed
+             thread; with none postponed this is deadlock or
+             completion. *)
           let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match List.sort Int.compare poised with
-          | [] -> () (* genuine deadlock or completion *)
-          | l ->
-            let tid = List.nth l (pick (List.length l)) in
+          match pick_from pick (List.sort Int.compare poised) with
+          | None -> fuel
+          | Some tid ->
             unpostpone tid;
-            step_tid tid;
+            step_th (Runtime.Machine.find_thread m tid);
             loop (fuel - 1))
-        | k ->
-          step_th (nth_np (pick k) (Runtime.Machine.all_threads m));
-          loop (fuel - 1))
+        | k -> (
+          match nth_where np_ok (pick k) (Runtime.Machine.all_threads m) with
+          | Some th ->
+            step_th th;
+            loop (fuel - 1)
+          | None -> fuel))
     end
-  and drain fuel =
-    (* Finish the execution under plain random scheduling. *)
-    if fuel > 0 then
-      match count_r 0 (Runtime.Machine.all_threads m) with
-      | 0 -> ()
-      | k ->
-        step_th (nth_r (pick k) (Runtime.Machine.all_threads m));
-        drain (fuel - 1)
   in
-  loop fuel;
-  (!result, { rs_steps = !steps; rs_max_postponed = !max_postponed })
+  let fuel_left = loop fuel in
+  ( { re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = !result },
+    { rs_steps = !steps; rs_max_postponed = !max_postponed } )
 
 (* A coverage-collecting directed execution: same postponing scheduler
    as [directed_run], but
@@ -332,20 +327,10 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
     incr steps
   in
-  let step_tid tid = step_th (Runtime.Machine.find_thread m tid) in
   let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
   let np_ok th =
     Runtime.Machine.runnable_th m th
     && not (is_postponed (Runtime.Machine.thread_id th))
-  in
-  let rec count_np acc = function
-    | [] -> acc
-    | th :: rest -> count_np (if np_ok th then acc + 1 else acc) rest
-  and nth_np i = function
-    | [] -> invalid_arg "directed_run_cov: runnable index out of range"
-    | th :: rest ->
-      if np_ok th then if i = 0 then th else nth_np (i - 1) rest
-      else nth_np i rest
   in
   let rec loop fuel =
     if fuel <= 0 || !result <> None then ()
@@ -396,21 +381,23 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
                p2.Runtime.Machine.pa_site)
             !cov
       | [] -> (
-        match count_np 0 (Runtime.Machine.all_threads m) with
+        match count_where np_ok 0 (Runtime.Machine.all_threads m) with
         | 0 -> (
           let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match List.sort Int.compare poised with
-          | [] -> ()
-          | l ->
-            let tid = List.nth l (pick (List.length l)) in
+          match pick_from pick (List.sort Int.compare poised) with
+          | None -> ()
+          | Some tid ->
             Hashtbl.remove postponed tid;
             in_postponed.slots.(tid_slot in_postponed tid) <- false;
             note_postponed ();
-            step_tid tid;
+            step_th (Runtime.Machine.find_thread m tid);
             loop (fuel - 1))
-        | k ->
-          step_th (nth_np (pick k) (Runtime.Machine.all_threads m));
-          loop (fuel - 1))
+        | k -> (
+          match nth_where np_ok (pick k) (Runtime.Machine.all_threads m) with
+          | Some th ->
+            step_th th;
+            loop (fuel - 1)
+          | None -> ()))
     end
   in
   loop fuel;
@@ -423,6 +410,13 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     rc_cov = Cov.Set.union !cov trace_cov;
   }
 
+type confirm_result = {
+  confirmed : Race.report option;
+  runs_used : int;
+  steps : int;
+  run0 : run_end option;
+}
+
 (* Try to confirm a candidate over several directed runs with different
    scheduler seeds.  Each run is an independent seeded VM execution, so
    with [jobs > 1] all runs are fanned out over a domain pool and the
@@ -432,7 +426,11 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
    Metrics are aggregated over the *logical prefix* only (runs
    [0 .. runs_used - 1]): the parallel path executes every run, but the
    extra runs past the confirmation must not leak into the registry or
-   the stable metrics would depend on the job count. *)
+   the stable metrics would depend on the job count.
+
+   Run 0 runs at [seed] itself, and where it stopped is returned
+   whether or not it confirmed: triage resumes it instead of replaying
+   the same directed prefix. *)
 let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
     ?(fuel = 200_000) ?(seed = 7L) ?(jobs = 1) () : confirm_result =
   let attempt_once i =
@@ -440,9 +438,7 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
     | Error _ -> Error ()
     | Ok inst ->
       let run_seed = Int64.add seed (Int64.of_int (i * 7919)) in
-      Ok
-        (directed_run inst.ri_machine ~cand ~seed:run_seed ~fuel
-           ~on_confirm:`Report)
+      Ok (directed_run inst ~cand ~seed:run_seed ~fuel)
   in
   let outcomes =
     if jobs <= 1 then begin
@@ -454,8 +450,8 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
           let o = attempt_once i in
           acc := o :: !acc;
           match o with
-          | Error () | Ok (Some _, _) -> ()
-          | Ok (None, _) -> attempt (i + 1)
+          | Error () | Ok ({ re_report = Some _; _ }, _) -> ()
+          | Ok ({ re_report = None; _ }, _) -> attempt (i + 1)
         end
       in
       attempt 0;
@@ -464,17 +460,17 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
     else Par.mapi ~jobs (List.init runs Fun.id) (fun _ i -> attempt_once i)
   in
   let rec scan i = function
-    | [] -> { confirmed = None; runs_used = runs; steps = 0 }
-    | Error () :: _ -> { confirmed = None; runs_used = i; steps = 0 }
-    | Ok (Some r, _) :: _ -> { confirmed = Some r; runs_used = i + 1; steps = 0 }
-    | Ok (None, _) :: rest -> scan (i + 1) rest
+    | [] -> (None, runs)
+    | Error () :: _ -> (None, i)
+    | Ok ({ re_report = Some r; _ }, _) :: _ -> (Some r, i + 1)
+    | Ok ({ re_report = None; _ }, _) :: rest -> scan (i + 1) rest
   in
-  let res = scan 0 outcomes in
+  let confirmed, runs_used = scan 0 outcomes in
   let reg = Obs.Metrics.global () in
   let prefix_steps = ref 0 in
   List.iteri
     (fun i o ->
-      if i < res.runs_used then
+      if i < runs_used then
         match o with
         | Ok (_, st) ->
           prefix_steps := !prefix_steps + st.rs_steps;
@@ -482,9 +478,10 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
           Obs.Metrics.observe reg "racefuzzer/postponed_max" st.rs_max_postponed
         | Error () -> ())
     outcomes;
-  if res.confirmed <> None then
-    Obs.Metrics.observe reg "racefuzzer/runs_to_confirm" res.runs_used;
-  { res with steps = !prefix_steps }
+  if confirmed <> None then
+    Obs.Metrics.observe reg "racefuzzer/runs_to_confirm" runs_used;
+  let run0 = match outcomes with Ok (re, _) :: _ -> Some re | _ -> None in
+  { confirmed; runs_used; steps = !prefix_steps; run0 }
 
 (* Coverage-guided confirmation.
 
@@ -523,11 +520,14 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
     else
       match ranked with
       | [] -> { sp_seed = blind_seed idx; sp_prefix = [] }
-      | _ :: _ ->
+      | top :: _ ->
         (* Rotate over the top 3 entries; keep a deterministic,
            idx-dependent truncation of the parent's recorded choices. *)
         let pool = List.filteri (fun i _ -> i < 3) ranked in
-        let parent = List.nth pool ((idx - 1) mod List.length pool) in
+        let parent =
+          Option.value ~default:top
+            (List.nth_opt pool ((idx - 1) mod List.length pool))
+        in
         let plen = List.length parent.Cov.Corpus.en_prefix in
         let keep = if plen = 0 then 0 else idx * 7 mod (plen + 1) in
         {

@@ -4,7 +4,7 @@
     under a random scheduler that postpones any thread about to perform
     a matching access; when two threads are simultaneously postponed at
     conflicting accesses to the same variable the race is real and is
-    reported. *)
+    reported, and the run stops there with both accesses poised. *)
 
 (** A prepared execution: a machine whose racy threads exist but have
     not been scheduled yet, plus the observable roots for triage. *)
@@ -28,15 +28,42 @@ type candidate = {
 val candidate_of_report : Race.report -> candidate
 val matches : candidate -> Runtime.Machine.pending_access -> bool
 
+type run_stats = { rs_steps : int; rs_max_postponed : int }
+(** Per-execution facts: steps taken and the postponed-set high-water
+    mark.  Deterministic given the machine and seed. *)
+
+type run_end = {
+  re_inst : instance;  (** its machine, stopped where the run stopped *)
+  re_rng : Rng.t;  (** the scheduler's RNG at that point *)
+  re_fuel : int;  (** fuel left *)
+  re_report : Race.report option;
+      (** [Some r]: confirmed, and the threads [r.r_first.a_tid] and
+          [r.r_second.a_tid] are poised at their racing accesses;
+          [None]: the run ended (completion, deadlock or fuel) without
+          confirming *)
+}
+(** Where a directed run stopped.  Stepping its machine on from there,
+    drawing from its RNG ({!drain}) within the fuel left, continues the
+    run exactly as if it had never stopped. *)
+
+val directed_run :
+  instance -> cand:candidate -> seed:int64 -> fuel:int -> run_end * run_stats
+(** One directed execution of the instance, stopping at the first
+    simultaneously enabled conflicting pair. *)
+
+val drain : Runtime.Machine.t -> Rng.t -> fuel:int -> unit
+(** Finish an execution under plain random scheduling: up to [fuel]
+    steps, each of a thread drawn uniformly from the runnable ones in
+    creation order. *)
+
 type confirm_result = {
   confirmed : Race.report option;
   runs_used : int;
   steps : int;  (** VM steps over the logical prefix of runs executed *)
+  run0 : run_end option;
+      (** where run 0 (scheduler seed [seed] itself) stopped, confirmed
+          or not; [None] when it could not be instantiated *)
 }
-
-type run_stats = { rs_steps : int; rs_max_postponed : int }
-(** Per-execution facts: steps taken and the postponed-set high-water
-    mark.  Deterministic given the machine and seed. *)
 
 val confirm :
   instantiate:instantiator ->
@@ -51,18 +78,6 @@ val confirm :
     different scheduler seeds.  [jobs] (default 1) fans the independent
     runs out over a domain pool; the result is identical to the
     sequential early-exit scan for every job count. *)
-
-val directed_run :
-  Runtime.Machine.t ->
-  cand:candidate ->
-  seed:int64 ->
-  fuel:int ->
-  on_confirm:[ `Report | `Force_first of unit | `Force_second of unit ] ->
-  Race.report option * run_stats
-(** One directed execution.  [`Report] stops at the confirmation;
-    [`Force_first]/[`Force_second] execute the racing accesses back to
-    back in the given order and run the program to completion (used by
-    {!Triage}). *)
 
 (** {2 Coverage-guided confirmation} *)
 
@@ -83,7 +98,7 @@ val directed_run_cov :
   ?prefix:int list ->
   unit ->
   run_cov
-(** Like {!directed_run} with [`Report], but scheduler choices can be
+(** Like {!directed_run} (on the instance's machine), but scheduler choices can be
     forced by [prefix] (indices mod the enabled count; the seeded RNG
     takes over past its end), the taken choices are recorded, and
     interleaving coverage (postponed-set states, racy pairs, HB edges,

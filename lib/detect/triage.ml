@@ -4,15 +4,26 @@
    Scanner class come from a reset method writing constants.  We
    mechanize the same judgement: a race is *benign* when forcing the
    racy interleaving cannot change observable state, and *harmful*
-   otherwise.  Concretely we compare, over identical instantiations:
+   otherwise.  Concretely we compare, from identical initial states:
 
-   - the fully serialized execution (thread A to completion, then B),
+   - the fully serialized executions (thread A to completion, then B,
+     and the reverse),
    - race-forced executions where the two racing accesses are executed
      back to back in both orders at the moment they are simultaneously
      enabled (lost updates surface here),
 
    and declare the race harmful if any final snapshot (hash of the heap
-   reachable from the test roots) or crash outcome differs. *)
+   reachable from the test roots), crash set or racy-thread result
+   differs.
+
+   None of the four runs is replayed from scratch per race.  The two
+   serialized baselines depend on the test alone (priority scheduling
+   draws no randomness), so they run once per test ([baselines]).  The
+   two forced runs share their directed prefix, which is exactly the
+   confirmation's run 0 at the same seed and fuel, so they fork from
+   where that run stopped ([evidence]): one copy of the poised machine
+   and its scheduler RNG runs one order, the original the other.  A
+   run 0 that never confirmed is both forced runs at once. *)
 
 type verdict = Harmful | Benign
 
@@ -20,18 +31,13 @@ let verdict_to_string = function Harmful -> "harmful" | Benign -> "benign"
 
 type outcome = {
   o_snapshot : Runtime.Snapshot.t;
-  o_crashes : string list; (* crash reasons, sorted *)
-  o_returns : string list; (* the racy threads' results, in thread order *)
+  o_crashes : string list;
+  o_returns : string list;
 }
 
 let crashes_of m =
   List.sort String.compare
     (List.filter_map (Runtime.Machine.crash_reason m) (Runtime.Machine.threads m))
-
-let snapshot_of (inst : Racefuzzer.instance) =
-  Runtime.Snapshot.canonical
-    (Runtime.Machine.heap inst.Racefuzzer.ri_machine)
-    ~roots:inst.Racefuzzer.ri_roots
 
 (* What the racy threads returned is client-observable: a stale read
    (e.g. a getter racing an increment) is order-sensitive and therefore
@@ -53,15 +59,32 @@ let returns_of (inst : Racefuzzer.instance) =
         "stuck")
     inst.Racefuzzer.ri_threads
 
-(* Serialized execution: run the racy threads one after the other in the
-   given priority order (other threads, if any, after them). *)
-let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
+let observe (inst : Racefuzzer.instance) =
   let m = inst.Racefuzzer.ri_machine in
-  (* Priority scheduling draws no randomness, so the replay loop can run
-     on thread records with no per-step allocation: first runnable
-     thread in [order], else first runnable in creation order — exactly
-     the pick the tid-list version made.  [order] holds the racy
-     threads, which exist before the run, so records resolve once. *)
+  {
+    o_snapshot =
+      Runtime.Snapshot.canonical (Runtime.Machine.heap m) ~roots:inst.Racefuzzer.ri_roots;
+    o_crashes = crashes_of m;
+    o_returns = returns_of inst;
+  }
+
+let equal_outcome (a : outcome) (b : outcome) =
+  a.o_snapshot = b.o_snapshot
+  && List.equal String.equal a.o_crashes b.o_crashes
+  && List.equal String.equal a.o_returns b.o_returns
+
+let rec first_runnable m = function
+  | [] -> None
+  | th :: rest ->
+    if Runtime.Machine.runnable_th m th then Some th else first_runnable m rest
+
+(* Run to completion under priority scheduling: the first runnable
+   thread of [order], else the first runnable in creation order.  It
+   draws no randomness, so the loop runs on thread records with no
+   per-step allocation; [order] names threads that exist before the
+   run, so records resolve once. *)
+let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
+  let m = inst.Racefuzzer.ri_machine in
   let order_ths =
     List.filter_map
       (fun tid ->
@@ -70,23 +93,12 @@ let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
           (Runtime.Machine.all_threads m))
       order
   in
-  let rec first_in_order = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th
-      else first_in_order rest
-  in
-  let rec first_runnable = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th else first_runnable rest
-  in
   let rec loop fuel =
     if fuel > 0 then begin
       let next =
-        match first_in_order order_ths with
+        match first_runnable m order_ths with
         | Some th -> Some th
-        | None -> first_runnable (Runtime.Machine.all_threads m)
+        | None -> first_runnable m (Runtime.Machine.all_threads m)
       in
       match next with
       | None -> ()
@@ -96,59 +108,72 @@ let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
     end
   in
   loop fuel;
-  { o_snapshot = snapshot_of inst; o_crashes = crashes_of m; o_returns = returns_of inst }
+  observe inst
 
-let run_forced (inst : Racefuzzer.instance) ~cand ~first ~seed ~fuel : outcome =
-  let m = inst.Racefuzzer.ri_machine in
-  let on_confirm = if first then `Force_first () else `Force_second () in
-  ignore (Racefuzzer.directed_run m ~cand ~seed ~fuel ~on_confirm);
-  (* Drain whatever is left (directed_run drains after forcing, but if
-     the pair never became simultaneously enabled some threads may
-     remain). *)
-  let rec first_runnable = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th else first_runnable rest
-  in
-  let rec drain fuel =
-    if fuel > 0 then
-      match first_runnable (Runtime.Machine.all_threads m) with
-      | None -> ()
-      | Some th ->
-        ignore (Runtime.Machine.step_th m th);
-        drain (fuel - 1)
-  in
-  drain fuel;
-  { o_snapshot = snapshot_of inst; o_crashes = crashes_of m; o_returns = returns_of inst }
+type baselines = { b_serial : outcome; b_serial_rev : outcome }
 
-let equal_outcome (a : outcome) (b : outcome) =
-  a.o_snapshot = b.o_snapshot
-  && List.equal String.equal a.o_crashes b.o_crashes
-  && List.equal String.equal a.o_returns b.o_returns
-
-(* Triage a confirmed race.  [instantiate] must be deterministic: each
-   call returns an independent instance in an identical initial state. *)
-let triage ~(instantiate : Racefuzzer.instantiator)
-    ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
-    (verdict, string) result =
-  let with_instance k =
+let baselines ~(instantiate : Racefuzzer.instantiator) ~fuel =
+  let serialized reorder =
     match instantiate () with
     | Error e -> Error e
     | Ok inst ->
       Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
-      Ok (k inst)
+      Ok (run_prioritized inst ~order:(reorder inst.Racefuzzer.ri_threads) ~fuel)
   in
-  let ( let* ) = Result.bind in
-  let* baseline =
-    with_instance (fun inst ->
-        run_serialized inst ~order:inst.Racefuzzer.ri_threads ~fuel)
+  Result.bind (serialized Fun.id) (fun b_serial ->
+      Result.map
+        (fun b_serial_rev -> { b_serial; b_serial_rev })
+        (serialized List.rev))
+
+type evidence = {
+  e_serial : outcome;
+  e_serial_rev : outcome;
+  e_forced : outcome;
+  e_forced_rev : outcome;
+}
+
+(* Execute the poised accesses back to back, [a]'s first, finish the
+   directed run's random drain with the fuel it had left, then drain
+   whatever is still runnable in creation order with the full [fuel]. *)
+let force (inst : Racefuzzer.instance) rng ~fuel_left ~fuel a b =
+  let m = inst.Racefuzzer.ri_machine in
+  ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m a));
+  ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m b));
+  Racefuzzer.drain m rng ~fuel:fuel_left;
+  run_prioritized inst ~order:[] ~fuel
+
+let evidence (b : baselines) ~fuel (re : Racefuzzer.run_end) =
+  let inst = re.Racefuzzer.re_inst in
+  let e_forced, e_forced_rev =
+    match re.Racefuzzer.re_report with
+    | None ->
+      let o = run_prioritized inst ~order:[] ~fuel in
+      (o, o)
+    | Some r ->
+      (* Fork before either order runs. *)
+      let m = inst.Racefuzzer.ri_machine in
+      let fork = { inst with Racefuzzer.ri_machine = Runtime.Machine.copy m } in
+      let fork_rng = Rng.copy re.Racefuzzer.re_rng in
+      let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
+      let fuel_left = re.Racefuzzer.re_fuel in
+      let forced = force fork fork_rng ~fuel_left ~fuel t1 t2 in
+      (forced, force inst re.Racefuzzer.re_rng ~fuel_left ~fuel t2 t1)
   in
-  let* baseline_rev =
-    with_instance (fun inst ->
-        run_serialized inst ~order:(List.rev inst.Racefuzzer.ri_threads) ~fuel)
-  in
-  let* forced1 = with_instance (fun inst -> run_forced inst ~cand ~first:true ~seed ~fuel) in
-  let* forced2 = with_instance (fun inst -> run_forced inst ~cand ~first:false ~seed ~fuel) in
-  let differs o = not (equal_outcome baseline o) in
-  if differs baseline_rev || differs forced1 || differs forced2 then Ok Harmful
-  else Ok Benign
+  { e_serial = b.b_serial; e_serial_rev = b.b_serial_rev; e_forced; e_forced_rev }
+
+let judge (e : evidence) =
+  let differs o = not (equal_outcome e.e_serial o) in
+  if differs e.e_serial_rev || differs e.e_forced || differs e.e_forced_rev then
+    Harmful
+  else Benign
+
+let triage ~(instantiate : Racefuzzer.instantiator)
+    ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
+    (verdict, string) result =
+  Result.bind (baselines ~instantiate ~fuel) (fun b ->
+      Result.map
+        (fun inst ->
+          Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
+          let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel in
+          judge (evidence b ~fuel re))
+        (instantiate ()))

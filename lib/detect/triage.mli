@@ -4,11 +4,20 @@
     constants), harmful otherwise (lost updates, crashes,
     order-sensitive state).
 
-    Implementation: over independent instances in one identical initial
-    state (one per replay, from [instantiate]), compare the fully
-    serialized executions (both orders) with race-forced executions
-    (racing accesses back to back, both orders); any difference in the
-    canonical heap snapshot or crash set ⇒ harmful.
+    Four outcomes are compared, all from one identical initial state:
+    the two fully serialized executions (racy threads in order, then
+    reversed) and the two race-forced executions (the racing accesses
+    back to back, in both orders, where the directed run at the
+    campaign seed poises them); any difference in the canonical heap
+    snapshot, the crash set or the racy threads' results ⇒ harmful.
+
+    The serialized baselines depend on the test only, so they are
+    computed once per test ({!baselines}).  The forced runs are forked
+    from where the confirmation's run 0 stopped ({!evidence}): the
+    poised machine and scheduler RNG are copied once, one order runs on
+    the copy and the other on the original.  A run 0 that did not
+    confirm yields one outcome, which serves as both forced outcomes.
+    Every outcome equals that of a from-scratch replay.
 
     Repairability is the second, constructive oracle on top of this
     state-divergence verdict: a race whose synthesized lock fix
@@ -21,6 +30,40 @@ type verdict = Harmful | Benign
 
 val verdict_to_string : verdict -> string
 
+type outcome = {
+  o_snapshot : Runtime.Snapshot.t;  (** heap reachable from the roots *)
+  o_crashes : string list;  (** crash reasons, sorted *)
+  o_returns : string list;  (** the racy threads' results, in thread order *)
+}
+
+val observe : Racefuzzer.instance -> outcome
+(** The outcome of the instance's machine as it stands. *)
+
+type baselines = { b_serial : outcome; b_serial_rev : outcome }
+
+val baselines :
+  instantiate:Racefuzzer.instantiator -> fuel:int -> (baselines, string) result
+(** The two serialized executions, each on a fresh instance: the racy
+    threads to completion by priority in thread order, then reversed.
+    Counts one ["triage/replays"] per instance. *)
+
+type evidence = {
+  e_serial : outcome;
+  e_serial_rev : outcome;
+  e_forced : outcome;  (** the first racing access, then the second *)
+  e_forced_rev : outcome;  (** the second racing access, then the first *)
+}
+
+val evidence : baselines -> fuel:int -> Racefuzzer.run_end -> evidence
+(** Force both orders from where a directed run at the campaign seed
+    and [fuel] stopped, consuming its machine and RNG: execute the
+    poised accesses back to back, finish the run's random drain with
+    the fuel it had left, then drain any runnable thread in creation
+    order with [fuel]. *)
+
+val judge : evidence -> verdict
+(** [Harmful] when any outcome differs from [e_serial]. *)
+
 val triage :
   instantiate:Racefuzzer.instantiator ->
   cand:Racefuzzer.candidate ->
@@ -28,3 +71,8 @@ val triage :
   ?fuel:int ->
   unit ->
   (verdict, string) result
+(** One race from scratch: {!baselines}, then its own directed run at
+    [seed] (default 7) on a fresh instance, then {!evidence}.  [fuel]
+    (default 200_000) bounds every run.  The campaign
+    ([Campaign.confirm_and_triage]) shares the baselines across a
+    test's races and forks from the confirmation's run 0 instead. *)

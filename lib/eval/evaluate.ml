@@ -87,11 +87,12 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
   | Ok candidates ->
     Obs.Metrics.incr reg ~n:opts.opt_schedules "detect/schedules";
     Obs.Metrics.incr reg ~n:(List.length candidates) "detect/candidates";
+    let test = Detect.Campaign.test instantiate in
     let races =
       List.map
         (fun (k, r) ->
           let { Detect.Campaign.o_confirm; o_verdict; _ } =
-            Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~instantiate
+            Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~test
               ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed r
           in
           let reproduced = o_confirm.Detect.Racefuzzer.confirmed <> None in

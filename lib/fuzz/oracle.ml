@@ -18,6 +18,7 @@ type mutation =
   | Static_stale_cache
   | Repair_overlock
   | Instance_alias
+  | Test_alias
   | Late_attach
 
 let mutation_of_string = function
@@ -27,13 +28,14 @@ let mutation_of_string = function
   | "static-stale-cache" -> Ok Static_stale_cache
   | "repair-overlock" -> Ok Repair_overlock
   | "instance-alias" -> Ok Instance_alias
+  | "test-alias" -> Ok Test_alias
   | "late-attach" -> Ok Late_attach
   | s ->
     Error
       (Printf.sprintf
          "unknown mutation %S (have: drop-join, drop-release, \
           static-drop-sync, static-stale-cache, repair-overlock, \
-          instance-alias, late-attach)"
+          instance-alias, test-alias, late-attach)"
          s)
 
 let mutation_to_string = function
@@ -43,6 +45,7 @@ let mutation_to_string = function
   | Static_stale_cache -> "static-stale-cache"
   | Repair_overlock -> "repair-overlock"
   | Instance_alias -> "instance-alias"
+  | Test_alias -> "test-alias"
   | Late_attach -> "late-attach"
 
 (* Seed roles, derived from the per-program base seed so every oracle is
@@ -292,7 +295,7 @@ let static_superset ?mutate ~seed cu =
     | Some Static_drop_sync -> Some Static.Analyze.Drop_sync
     | Some
         ( Drop_join | Drop_release | Static_stale_cache | Repair_overlock
-        | Instance_alias | Late_attach )
+        | Instance_alias | Test_alias | Late_attach )
     | None ->
       None
   in
@@ -353,7 +356,7 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
     | Some Static_stale_cache -> Some Static.Analyze.Stale_cache
     | Some
         ( Drop_join | Drop_release | Static_drop_sync | Repair_overlock
-        | Instance_alias | Late_attach )
+        | Instance_alias | Test_alias | Late_attach )
     | None ->
       None
   in
@@ -391,6 +394,63 @@ let max_replayed_tests = 3
 let race_keys ft =
   List.sort Race.compare_key (List.map Race.key_of (Fasttrack.reports ft))
 
+let triage_fuel = 200_000
+
+(* Priority completion: the first runnable of [order], else the first
+   runnable in creation order. *)
+let run_prioritized m ~order =
+  let rec go fuel =
+    if fuel > 0 then
+      match
+        List.find_opt
+          (Runtime.Machine.runnable_th m)
+          (List.map (Runtime.Machine.find_thread m) order
+          @ Runtime.Machine.all_threads m)
+      with
+      | Some th ->
+        ignore (Runtime.Machine.step_th m th);
+        go (fuel - 1)
+      | None -> ()
+  in
+  go triage_fuel
+
+(* The four triage outcomes of a race, each run on its own fresh
+   instance: the serialized executions, and whole directed runs at the
+   campaign seed that execute the poised accesses in one order and then
+   finish under the run's own random scheduling. *)
+let replayed_evidence fresh ~cand ~seed =
+  let ( let* ) = Result.bind in
+  let run k =
+    Result.map
+      (fun inst ->
+        k inst;
+        Triage.observe inst)
+      (fresh ())
+  in
+  let serial reorder (inst : Racefuzzer.instance) =
+    run_prioritized inst.Racefuzzer.ri_machine
+      ~order:(reorder inst.Racefuzzer.ri_threads)
+  in
+  let forced rev (inst : Racefuzzer.instance) =
+    let m = inst.Racefuzzer.ri_machine in
+    let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:triage_fuel in
+    (match re.Racefuzzer.re_report with
+    | Some r ->
+      let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
+      List.iter
+        (fun tid ->
+          ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m tid)))
+        (if rev then [ t2; t1 ] else [ t1; t2 ]);
+      Racefuzzer.drain m re.Racefuzzer.re_rng ~fuel:re.Racefuzzer.re_fuel
+    | None -> ());
+    run_prioritized m ~order:[]
+  in
+  let* e_serial = run (serial Fun.id) in
+  let* e_serial_rev = run (serial List.rev) in
+  let* e_forced = run (forced false) in
+  let* e_forced_rev = run (forced true) in
+  Ok { Triage.e_serial; e_serial_rev; e_forced; e_forced_rev }
+
 (* Every synthesized test instantiates, and the instances its
    instantiator hands out are interchangeable with a fresh build: copy 1
    and copy 2 — the latter taken after copy 1 ran to completion — must
@@ -398,7 +458,14 @@ let race_keys ft =
    from the roots, labels used, output) and under one seeded schedule
    (outcome, steps, output, race keys).  The [instance-alias] mutation
    makes the oracle's instantiator hand out its template itself, so copy
-   2 is copy 1 after its run. *)
+   2 is copy 1 after its run.
+
+   The campaign's triage, which shares each test's serialized baselines
+   across its races and forks the forced orders from the confirmation's
+   run 0, must agree with four fresh replays on every race it confirms:
+   all four outcomes and the verdict.  The [test-alias] mutation hands
+   every test the first test's campaign state, so later tests are
+   confirmed and triaged on the first test's instances. *)
 let synthesis_replay ?mutate ?(strict = true) ~seed cu =
   match
     Narada_core.Pipeline.analyze ~seed:(vm_seed seed) cu ~client_classes
@@ -415,14 +482,14 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
       List.filteri (fun i _ -> i < max_replayed_tests)
         an.Narada_core.Pipeline.an_tests
     in
+    let fresh (t : Narada_core.Synth.test) () =
+      Narada_core.Synth.instantiate an.Narada_core.Pipeline.an_cu
+        ~client_classes:an.Narada_core.Pipeline.an_client_classes t
+    in
     let replay (t : Narada_core.Synth.test) =
-      let fresh () =
-        Narada_core.Synth.instantiate an.Narada_core.Pipeline.an_cu
-          ~client_classes:an.Narada_core.Pipeline.an_client_classes t
-      in
       let instantiate =
         if mutate = Some Instance_alias then
-          let template = lazy (fresh ()) in
+          let template = lazy (fresh t ()) in
           fun () -> Lazy.force template
         else Narada_core.Pipeline.instantiator an t
       in
@@ -445,7 +512,7 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
               Runtime.Machine.output m,
               race_keys ft )
       in
-      let reference = shot (fresh ()) in
+      let reference = shot (fresh t ()) in
       let first = shot (instantiate ()) in
       let second = shot (instantiate ()) in
       let diverges what =
@@ -457,9 +524,58 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
       else if second <> reference then diverges "copy 2 (taken after copy 1 ran)"
       else None
     in
+    let first_test = ref None in
+    let triage (t : Narada_core.Synth.test) =
+      let instantiate = Narada_core.Pipeline.instantiator an t in
+      let own = Campaign.test ~fuel:triage_fuel instantiate in
+      let test =
+        match (mutate, !first_test) with
+        | Some Test_alias, Some first -> first
+        | _ ->
+          first_test := Some own;
+          own
+      in
+      let seed = replay_seed seed in
+      let check (k, r) =
+        let o = Campaign.confirm_and_triage ~test ~runs:3 ~seed r in
+        let differs what =
+          Some
+            (Printf.sprintf
+               "test #%d race %s: shared-state triage differs from four fresh \
+                replays: %s"
+               t.Narada_core.Synth.st_id (Race.key_to_string k) what)
+        in
+        match o.Campaign.o_evidence with
+        | None -> None
+        | Some ev -> (
+          let cand = Racefuzzer.candidate_of_report r in
+          match replayed_evidence (fresh t) ~cand ~seed with
+          | Error e -> differs ("fresh instantiation failed: " ^ e)
+          | Ok re ->
+            let verdict =
+              if
+                List.for_all (( = ) re.Triage.e_serial)
+                  [ re.Triage.e_serial_rev; re.Triage.e_forced; re.Triage.e_forced_rev ]
+              then Triage.Benign
+              else Triage.Harmful
+            in
+            let serial (e : Triage.evidence) = (e.e_serial, e.e_serial_rev) in
+            let forced (e : Triage.evidence) = (e.e_forced, e.e_forced_rev) in
+            if serial re <> serial ev then differs "serialized baselines"
+            else if forced re <> forced ev then differs "forced orders"
+            else if o.Campaign.o_verdict <> Some verdict then differs "verdict"
+            else None)
+      in
+      match Campaign.candidates ~instantiate ~schedules:2 ~seed () with
+      | Error _ -> None
+      | Ok cands -> List.find_map check cands
+    in
     (match List.find_map replay tests with
     | Some detail -> Fail detail
-    | None -> Pass)
+    | None -> (
+      match List.find_map triage tests with
+      | Some detail -> Fail detail
+      | None -> Pass))
 
 (* ---- the observed/unobserved differential ---- *)
 

@@ -15,7 +15,8 @@ type verdict = Pass | Fail of string
     [Static_drop_sync] and [Static_stale_cache] plant an unsoundness
     inside the static race analyzer itself; [Repair_overlock] breaks
     the repair engine's cost-order search discipline; [Instance_alias]
-    breaks the isolation of synthesized-test instances; [Late_attach]
+    breaks the isolation of synthesized-test instances; [Test_alias]
+    the per-test scope of the campaign's triage state; [Late_attach]
     loses events where a run switches from unobserved to observed.  A
     campaign run
     with a mutation must report disagreement — proving the differential
@@ -35,6 +36,10 @@ type mutation =
       (** make the synthesis-replay oracle's instantiator hand out its
           template machine itself instead of a copy, so a second
           instance is the first one after its run *)
+  | Test_alias
+      (** make the synthesis-replay oracle hand every synthesized test
+          the first test's campaign state (instantiator and triage
+          baselines), so later tests are triaged on the wrong instances *)
   | Late_attach
       (** make the observer-diff oracle let one more step run
           unobserved after the label it compares from, so the events of

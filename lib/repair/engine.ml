@@ -333,6 +333,7 @@ let repair_all ?(opts = default_options) (sub : subject) :
                   (Detect.Campaign.candidates ~jobs:opts.eo_jobs ~instantiate
                      ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
               in
+              let test = Detect.Campaign.test ~fuel:opts.eo_fuel instantiate in
               List.iter
                 (fun (k, r) ->
                   match rid_of_key_opt k with
@@ -343,8 +344,7 @@ let repair_all ?(opts = default_options) (sub : subject) :
                     if not (List.mem_assoc k !confirmed) then begin
                       let o =
                         Detect.Campaign.confirm_and_triage ~jobs:opts.eo_jobs
-                          ~fuel:opts.eo_fuel ~instantiate
-                          ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed r
+                          ~test ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed r
                       in
                       if o.Detect.Campaign.o_confirm.Rf.confirmed <> None then
                         confirmed :=
