@@ -75,14 +75,19 @@ let metrics_out_arg =
           "Write the observability registry (counters, histograms, spans, \
            gauges) to FILE as JSONL after the command finishes.  The \
            $(i,stable) section is byte-identical for every --jobs value; \
-           timings and pool gauges are in the $(i,volatile) section.")
+           timings, pool gauges and minor-GC totals are in the \
+           $(i,volatile) section.")
 
-(* Dump the global registry after a command body ran.  [meta] values are
-   pre-rendered JSON. *)
+(* Dump the global registry after a command body ran, with the run's
+   minor-GC totals as volatile gauges.  [meta] values are pre-rendered
+   JSON. *)
 let write_metrics path ~meta =
   match path with
   | None -> ()
-  | Some path -> Obs.Export.write_jsonl ~path ~meta (Obs.Metrics.global ())
+  | Some path ->
+    let reg = Obs.Metrics.global () in
+    Obs.Metrics.record_gc reg;
+    Obs.Export.write_jsonl ~path ~meta reg
 
 let or_die = function
   | Ok x -> x

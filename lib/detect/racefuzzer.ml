@@ -179,19 +179,21 @@ let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
     Runtime.Machine.runnable_th m th
     && not (is_postponed (Runtime.Machine.thread_id th))
   in
+  (* Refresh the postponed set: threads poised at a matching access.
+     Defined once, outside [loop], so the per-step iteration allocates
+     no closure. *)
+  let refresh th =
+    let tid = Runtime.Machine.thread_id th in
+    if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
+      match pending th with
+      | Some pa when matches cand pa -> postpone tid pa
+      | Some _ | None -> ()
+  in
   (* Returns the fuel left where the run stopped. *)
   let rec loop fuel =
     if fuel <= 0 then fuel
     else begin
-      (* Refresh the postponed set: threads poised at a matching access. *)
-      List.iter
-        (fun th ->
-          let tid = Runtime.Machine.thread_id th in
-          if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-            match pending th with
-            | Some pa when matches cand pa -> postpone tid pa
-            | Some _ | None -> ())
-        (Runtime.Machine.all_threads m);
+      List.iter refresh (Runtime.Machine.all_threads m);
       let np = Hashtbl.length postponed in
       if np > !max_postponed then max_postponed := np;
       (* Check for a simultaneously-enabled conflicting pair; with fewer
@@ -332,21 +334,25 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     Runtime.Machine.runnable_th m th
     && not (is_postponed (Runtime.Machine.thread_id th))
   in
+  (* As in [directed_run], the refresh is hoisted out of [loop];
+     [changed] records whether this iteration's refresh postponed
+     anyone. *)
+  let changed = ref false in
+  let refresh th =
+    let tid = Runtime.Machine.thread_id th in
+    if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
+      match pending th with
+      | Some pa when matches cand pa ->
+        Hashtbl.replace postponed tid pa;
+        in_postponed.slots.(tid_slot in_postponed tid) <- true;
+        changed := true
+      | Some _ | None -> ()
+  in
   let rec loop fuel =
     if fuel <= 0 || !result <> None then ()
     else begin
-      let changed = ref false in
-      List.iter
-        (fun th ->
-          let tid = Runtime.Machine.thread_id th in
-          if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-            match pending th with
-            | Some pa when matches cand pa ->
-              Hashtbl.replace postponed tid pa;
-              in_postponed.slots.(tid_slot in_postponed tid) <- true;
-              changed := true
-            | Some _ | None -> ())
-        (Runtime.Machine.all_threads m);
+      changed := false;
+      List.iter refresh (Runtime.Machine.all_threads m);
       if !changed then note_postponed ();
       let np = Hashtbl.length postponed in
       if np > !max_postponed then max_postponed := np;

@@ -114,6 +114,11 @@ module Metrics = struct
 
   let gauge_max t name v = gauge_update t name ~kind:Gmax v
 
+  let record_gc t =
+    let st = Gc.quick_stat () in
+    gauge_max t "gc/minor_words" st.Gc.minor_words;
+    gauge_max t "gc/minor_collections" (float_of_int st.Gc.minor_collections)
+
   (* Called by Span.exit (and tests). *)
   let record_span t path ~ns =
     locked t (fun () ->

@@ -51,6 +51,12 @@ module Metrics : sig
   val gauge_max : t -> string -> float -> unit
   (** Volatile gauge combined by maximum (high-water marks). *)
 
+  val record_gc : t -> unit
+  (** Set the volatile gauges [gc/minor_words] and
+      [gc/minor_collections] to the process's totals so far
+      ([Gc.quick_stat]): minor-heap allocation is what bounds
+      multi-domain throughput, so an artifact should show it. *)
+
   val record_span : t -> string -> ns:int64 -> unit
   (** Low-level span recording (normally via {!Span}). *)
 

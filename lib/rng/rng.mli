@@ -5,20 +5,27 @@
 
     All draws are rejection-sampled over the full 64-bit stream, so
     [below] is exactly uniform on [0, bound) — the historical
-    [rem (logand z max_int) n] draw over-represented small residues. *)
+    [rem (logand z max_int) n] draw over-represented small residues.
+
+    [bits] and [below] allocate nothing in native code: they sit on the
+    schedulers' per-step path. *)
 
 type t
 (** A mutable generator.  Deterministic: equal seeds produce equal
     draw sequences. *)
 
 val create : int64 -> t
+
 val copy : t -> t
+(** An independent generator at the same point of the stream: draws on
+    one do not move the other. *)
 
 val bits : t -> int64
 (** The raw 64-bit splitmix64 output; advances the state once. *)
 
 val below : t -> int -> int
-(** [below t bound] draws uniformly from [0, bound).
+(** [below t bound] draws uniformly from [0, bound).  May advance the
+    state more than once (rejection sampling).
     @raise Invalid_argument when [bound <= 0]. *)
 
 val pick : t -> 'a list -> 'a
@@ -26,21 +33,6 @@ val pick : t -> 'a list -> 'a
     @raise Invalid_argument on the empty list (never
     [Division_by_zero] or [Failure "nth"]). *)
 
-val bool : t -> bool
-
 val range : t -> int -> int -> int
-(** [range t lo hi] draws uniformly from the inclusive range [lo, hi]. *)
-
-val next_state : int64 -> int64 * int64
-(** Pure stream step over a bare state: [(output, next_state)].  For
-    callers that store the RNG state inline (the VM keeps one [int64]
-    per thread). *)
-
-val below_state : int64 -> int -> int * int64
-(** Pure unbiased bounded draw: [(value, next_state)].  May advance the
-    state more than once (rejection sampling).
-    @raise Invalid_argument when the bound is non-positive. *)
-
-val derive : base:int64 -> index:int -> int64
-(** An independent stream seed for a (base, index) pair; mirrors
-    [Par.seed]. *)
+(** [range t lo hi] draws uniformly from the inclusive range [lo, hi].
+    @raise Invalid_argument when [hi < lo]. *)

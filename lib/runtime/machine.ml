@@ -28,9 +28,7 @@ type status =
 
 (* [frame], [thread], [t] and [exec] are mutually recursive: a frame
    carries the compiled body of its method (an array of closures, one
-   per pc), and those closures step the machine.  Both [thread] and [t]
-   carry an [rng] field, hence the scoped warning-30 exemption. *)
-[@@@warning "-30"]
+   per pc), and those closures step the machine. *)
 
 type frame = {
   fid : Event.frame_id;
@@ -47,7 +45,7 @@ and thread = {
   mutable stack : frame list;
   mutable status : status;
   spawned_client : bool; (* was this thread started from client/harness code *)
-  mutable rng : int64;
+  rng : Rng.t;
     (* Per-thread random stream: schedule order cannot perturb the
        values another thread draws, which keeps state-diff triage
        deterministic. *)
@@ -64,7 +62,7 @@ and t = {
   mutable next_label : int;
   mutable observers : (Event.t -> unit) list;
   client_classes : (Ast.id, unit) Hashtbl.t;
-  mutable rng : int64;
+  seed : int64; (* base of every thread's [Sys.randInt] stream *)
   out : Buffer.t;
   code : code; (* the compiled bodies of [cu] *)
 }
@@ -80,8 +78,6 @@ and code = {
   en_instrs : int; (* instructions compiled *)
 }
 
-[@@@warning "+30"]
-
 let meth_key (cm : Code.meth) =
   (cm.Code.cm_qname, cm.Code.cm_static, cm.Code.cm_nparams)
 
@@ -95,14 +91,12 @@ let crash fmt = Format.kasprintf (fun m -> raise (Crash m)) fmt
 
 (* ---------------- construction ---------------- *)
 
-(* Bounded draws go through the shared unbiased generator; the state
-   stays inline in the thread record so schedule order cannot perturb
-   another thread's stream. *)
+(* Bounded draws go through the shared unbiased generator, one per
+   thread so schedule order cannot perturb another thread's stream.
+   The bound is checked here, so [Rng.below] never raises. *)
 let rand_int (th : thread) ~bound =
   if bound <= 0 then crash "Sys.randInt: non-positive bound %d" bound;
-  let v, s = Rng.below_state th.rng bound in
-  th.rng <- s;
-  v
+  Rng.below th.rng bound
 
 (* Events and labels.  Every event consumes one label whether or not
    anyone observes it: an emission point builds and emits its event
@@ -196,7 +190,9 @@ let start_thread m (f : frame) ~has_recv ~nargs ~spawned_client =
       stack = [ f ];
       status = Runnable;
       spawned_client;
-      rng = Int64.add m.rng (Int64.mul 0x2545F4914F6CDD1DL (Int64.of_int (tid + 1)));
+      rng =
+        Rng.create
+          (Int64.add m.seed (Int64.mul 0x2545F4914F6CDD1DL (Int64.of_int (tid + 1))));
     }
   in
   Hashtbl.replace m.threads tid th;
@@ -1023,7 +1019,7 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
       next_label = 0;
       observers = [];
       client_classes = Hashtbl.create 7;
-      rng = seed;
+      seed;
       out = Buffer.create 256;
       code = Compiled.of_unit cu;
     }
@@ -1061,7 +1057,10 @@ let add_observer m f = m.observers <- m.observers @ [ f ]
 let copy m =
   let copy_frame (f : frame) = { f with regs = Array.copy f.regs } in
   let thread_list =
-    List.map (fun th -> { th with stack = List.map copy_frame th.stack }) m.thread_list
+    List.map
+      (fun th ->
+        { th with stack = List.map copy_frame th.stack; rng = Rng.copy th.rng })
+      m.thread_list
   in
   let threads = Hashtbl.copy m.threads in
   List.iter (fun th -> Hashtbl.replace threads th.tid th) thread_list;
@@ -1117,44 +1116,68 @@ type pending_access = {
   pa_kind : [ `Read | `Write ];
 }
 
+(* The access [f] is poised at.  Top-level, so that building it is the
+   only allocation. *)
+let pending_at (f : frame) obj field idx kind =
+  Some
+    {
+      pa_site = { Event.s_meth = f.meth.Code.cm_qname; s_pc = f.pc };
+      pa_obj = obj;
+      pa_field = field;
+      pa_idx = idx;
+      pa_kind = kind;
+    }
+
+(* Called for every runnable thread on every iteration of the directed
+   scheduler, and almost every instruction is not an access: decode the
+   instruction first and build the site and record only for a real one.
+   Same answers as [peek_th] followed by a decode, without the tuple. *)
 let pending_access_th m (th : thread) : pending_access option =
-  match (peek_th th, th.stack) with
-  | None, _ | _, [] -> None
-  | Some (meth, pc, instr), f :: _ -> (
-    let reg r = f.regs.(r) in
-    let site = { Event.s_meth = meth.Code.cm_qname; s_pc = pc } in
-    let of_obj r k field idx =
-      match Value.addr_of (reg r) with
-      | Some obj -> Some { pa_site = site; pa_obj = obj; pa_field = field; pa_idx = idx; pa_kind = k }
-      | None -> None
-    in
-    match instr with
-    | Code.Iget (_, o, field) -> of_obj o `Read field None
-    | Code.Iset (o, field, _) -> of_obj o `Write field None
-    | Code.Igetstatic (_, cls, field) -> (
-      match Hashtbl.find_opt m.class_objs cls with
-      | Some a ->
-        Some { pa_site = site; pa_obj = a; pa_field = field; pa_idx = None; pa_kind = `Read }
-      | None -> None)
-    | Code.Isetstatic (cls, field, _) -> (
-      match Hashtbl.find_opt m.class_objs cls with
-      | Some a ->
-        Some { pa_site = site; pa_obj = a; pa_field = field; pa_idx = None; pa_kind = `Write }
-      | None -> None)
-    | Code.Iaload (_, ar, ir) -> (
-      match reg ir with
-      | Value.Vint i -> of_obj ar `Read "[]" (Some i)
-      | Value.Vnull | Value.Vbool _ | Value.Vstr _ | Value.Vref _ | Value.Vthread _ -> None)
-    | Code.Iastore (ar, ir, _) -> (
-      match reg ir with
-      | Value.Vint i -> of_obj ar `Write "[]" (Some i)
-      | Value.Vnull | Value.Vbool _ | Value.Vstr _ | Value.Vref _ | Value.Vthread _ -> None)
-    | Code.Iconst _ | Code.Imove _ | Code.Ialen _ | Code.Inew _ | Code.Inewarr _
-    | Code.Icall _ | Code.Ictor _ | Code.Icallstatic _ | Code.Iintrinsic _
-    | Code.Ibinop _ | Code.Iunop _ | Code.Ijmp _ | Code.Ibr _ | Code.Iret _
-    | Code.Ienter _ | Code.Iexit _ | Code.Ispawn _ | Code.Ijoin _
-    | Code.Iassert _ | Code.Ithrow _ ->
-      None)
+  match th.status with
+  | Finished _ | Crashed _ | Suspended -> None
+  | Runnable | Blocked_lock _ | Blocked_join _ -> (
+    match th.stack with
+    | [] -> None
+    | f :: _ ->
+      let code = f.meth.Code.cm_code in
+      let pc = f.pc in
+      if pc >= Array.length code then None
+      else
+        match code.(pc) with
+        | Code.Iget (_, o, field) -> (
+          match f.regs.(o) with
+          | Value.Vref obj -> pending_at f obj field None `Read
+          | Value.Vnull | Value.Vint _ | Value.Vbool _ | Value.Vstr _
+          | Value.Vthread _ ->
+            None)
+        | Code.Iset (o, field, _) -> (
+          match f.regs.(o) with
+          | Value.Vref obj -> pending_at f obj field None `Write
+          | Value.Vnull | Value.Vint _ | Value.Vbool _ | Value.Vstr _
+          | Value.Vthread _ ->
+            None)
+        | Code.Igetstatic (_, cls, field) -> (
+          match Hashtbl.find_opt m.class_objs cls with
+          | Some obj -> pending_at f obj field None `Read
+          | None -> None)
+        | Code.Isetstatic (cls, field, _) -> (
+          match Hashtbl.find_opt m.class_objs cls with
+          | Some obj -> pending_at f obj field None `Write
+          | None -> None)
+        | Code.Iaload (_, ar, ir) -> (
+          match (f.regs.(ar), f.regs.(ir)) with
+          | Value.Vref obj, Value.Vint i -> pending_at f obj "[]" (Some i) `Read
+          | _, _ -> None)
+        | Code.Iastore (ar, ir, _) -> (
+          match (f.regs.(ar), f.regs.(ir)) with
+          | Value.Vref obj, Value.Vint i -> pending_at f obj "[]" (Some i) `Write
+          | _, _ -> None)
+        | Code.Iconst _ | Code.Imove _ | Code.Ialen _ | Code.Inew _
+        | Code.Inewarr _ | Code.Icall _ | Code.Ictor _ | Code.Icallstatic _
+        | Code.Iintrinsic _ | Code.Ibinop _ | Code.Iunop _ | Code.Ijmp _
+        | Code.Ibr _ | Code.Iret _ | Code.Ienter _ | Code.Iexit _
+        | Code.Ispawn _ | Code.Ijoin _ | Code.Iassert _ | Code.Ithrow _ ->
+          None)
 
 let pending_access m tid = pending_access_th m (thread m tid)
 

@@ -7,8 +7,16 @@
    from the roots hash equally even if their concrete addresses differ.
    Monitors and thread handles are excluded: they are transient. *)
 
+(* Primitive leaves keep their [Value.t] and are printed only by
+   [to_string]: triage canonicalizes every replayed state, and printing
+   each leaf there was most of its allocation.  Comparing the values is
+   comparing their printouts, because [Value.pp] is injective on
+   primitives (strings are quoted), and the two placeholders have
+   constructors of their own. *)
 type entry =
-  | Eprim of string (* canonical printout of a primitive *)
+  | Eprim of Value.t (* null, an int, a bool or a string *)
+  | Ethread (* a thread handle: opaque *)
+  | Epending (* an object whose children are being visited *)
   | Eobj of string * (string * int) list (* class, field -> node id *)
   | Earr of int list (* element node ids; primitives inlined as negatives *)
 
@@ -58,16 +66,15 @@ let canonical heap ~(roots : Value.t list) : t =
   let rec visit (v : Value.t) : int =
     match v with
     | Value.Vref a -> visit_addr a
-    | Value.Vnull | Value.Vint _ | Value.Vbool _ | Value.Vstr _ ->
-      fresh (Eprim (Value.to_string v))
-    | Value.Vthread _ -> fresh (Eprim "<thread>")
+    | Value.Vnull | Value.Vint _ | Value.Vbool _ | Value.Vstr _ -> fresh (Eprim v)
+    | Value.Vthread _ -> fresh Ethread
   and visit_addr a =
     match Hashtbl.find_opt ids a with
     | Some id -> id
     | None ->
       (* Reserve the slot now so cycles terminate; fill it after
          visiting children. *)
-      let id = fresh (Eprim "<pending>") in
+      let id = fresh Epending in
       Hashtbl.replace ids a id;
       let e =
         match (Heap.cell heap a).Heap.kind with
@@ -119,7 +126,9 @@ let to_string (t : t) =
   List.iter
     (fun (id, e) ->
       match e with
-      | Eprim s -> Buffer.add_string buf (Printf.sprintf "#%d = %s\n" id s)
+      | Eprim v -> Buffer.add_string buf (Printf.sprintf "#%d = %s\n" id (Value.to_string v))
+      | Ethread -> Buffer.add_string buf (Printf.sprintf "#%d = <thread>\n" id)
+      | Epending -> Buffer.add_string buf (Printf.sprintf "#%d = <pending>\n" id)
       | Eobj (cls, fs) ->
         Buffer.add_string buf
           (Printf.sprintf "#%d = %s{%s}\n" id cls

@@ -257,6 +257,58 @@ class Main {
       (List.length (String.split_on_char '\n' (String.trim out)))
   | _ -> Alcotest.fail "copy did not finish"
 
+(* Each thread's [Sys.randInt] stream is a mutable generator, so a
+   copy must get its own: draws on the copy must not move the
+   original's stream, nor the original's the copy's.  Both are stopped
+   after the first draw, then run to completion one after the other;
+   each must print what an uncopied machine prints. *)
+let test_copy_rand_streams () =
+  let cu =
+    Jir.Compile.compile_source
+      {|
+class Main {
+  static int main() {
+    int i = 0;
+    while (i < 6) {
+      Sys.print(Sys.randInt(1000000));
+      i = i + 1;
+    }
+    return i;
+  }
+}
+|}
+  in
+  let cm =
+    match Jir.Code.find_static cu "Main" "main" with
+    | Some cm -> cm
+    | None -> Alcotest.fail "no Main.main"
+  in
+  let started () =
+    let m = M.create ~client_classes:[ "Main" ] ~seed:9L cu in
+    let tid = M.new_thread m ~cm ~recv:None ~args:[] () in
+    while M.output m = "" do
+      ignore (M.step m tid)
+    done;
+    (m, tid)
+  in
+  let finish (m, tid) =
+    (match M.run_thread_to_completion m tid ~fuel:10_000 with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    M.output m
+  in
+  let reference = finish (started ()) in
+  Alcotest.(check int) "six draws" 6
+    (List.length (String.split_on_char '\n' (String.trim reference)));
+  let m, tid = started () in
+  let c = M.copy m in
+  Alcotest.(check string) "copy run first" reference (finish (c, tid));
+  Alcotest.(check string) "original after the copy" reference (finish (m, tid));
+  let m, tid = started () in
+  let c = M.copy m in
+  Alcotest.(check string) "original run first" reference (finish (m, tid));
+  Alcotest.(check string) "copy after the original" reference (finish (c, tid))
+
 let templates () =
   Option.value ~default:0.0
     (List.assoc_opt "synth/templates" (Obs.Metrics.gauges (Obs.Metrics.global ())))
@@ -339,6 +391,7 @@ let () =
           Alcotest.test_case "sabotaged copies rejected" `Quick test_sabotage;
           Alcotest.test_case "layouts shared, contents not" `Quick test_layout_sharing;
           Alcotest.test_case "mid-run copy isolated" `Quick test_copy_mid_run;
+          Alcotest.test_case "randInt streams isolated" `Quick test_copy_rand_streams;
         ] );
       ( "instantiator",
         [

@@ -366,6 +366,95 @@ let test_for_roundtrip () =
   let p2 = Jir.Pretty.program_to_string (Jir.Parser.parse_program p1) in
   Alcotest.(check string) "for round-trips" p1 p2
 
+(* [pending_access_th] is what the race-directed scheduler pauses on,
+   so it must name exactly the access the next step performs.  Oracle:
+   over one seeded random run of every synthesized test of C1-C9 and
+   X1-X3, observed, each step's field and array events are compared
+   with what [pending_access_th] said just before it.  [Some pa]: the
+   step emits that one access (same thread, site, object, field, index
+   and kind), or crashes the thread before accessing anything.  [None]:
+   the step emits no access, except [Sys.arraycopy], whose element
+   accesses the scheduler deliberately does not pause at. *)
+let access_of_event = function
+  | Event.Read { tid; site; obj; field; idx; _ } ->
+    Some
+      ( tid,
+        { Machine.pa_site = site; pa_obj = obj; pa_field = field; pa_idx = idx; pa_kind = `Read } )
+  | Event.Write { tid; site; obj; field; idx; _ } ->
+    Some
+      ( tid,
+        { Machine.pa_site = site; pa_obj = obj; pa_field = field; pa_idx = idx; pa_kind = `Write } )
+  | _ -> None
+
+let is_arraycopy th =
+  match Machine.peek_th th with
+  | Some (_, _, Jir.Code.Iintrinsic (_, Jir.Intrinsics.Arraycopy, _)) -> true
+  | Some _ | None -> false
+
+type tally = { mutable some : int; mutable none : int; mutable crashed : int }
+
+(* One observed random run; fails on the first step the oracle rejects. *)
+let check_pending_run ~what ~seed ~fuel n m =
+  let emitted = ref [] in
+  Machine.add_observer m (fun ev ->
+      match access_of_event ev with Some a -> emitted := a :: !emitted | None -> ());
+  let rng = Rng.create seed in
+  let rec go fuel =
+    if fuel > 0 then
+      match List.filter (Machine.runnable_th m) (Machine.all_threads m) with
+      | [] -> ()
+      | ths ->
+        let th = List.nth ths (Rng.below rng (List.length ths)) in
+        let tid = Machine.thread_id th in
+        let pending = Machine.pending_access_th m th in
+        let arraycopy = is_arraycopy th in
+        emitted := [];
+        ignore (Machine.step_th m th);
+        let crashed =
+          match Machine.status_th th with
+          | Machine.Crashed _ -> true
+          | Machine.Runnable | Machine.Blocked_lock _ | Machine.Blocked_join _
+          | Machine.Suspended | Machine.Finished _ ->
+            false
+        in
+        (match (pending, List.rev !emitted) with
+        | Some pa, [ (t, a) ] when t = tid && a = pa -> n.some <- n.some + 1
+        | Some _, [] when crashed -> n.crashed <- n.crashed + 1
+        | None, [] -> n.none <- n.none + 1
+        | None, _ :: _ when arraycopy -> ()
+        | Some pa, got ->
+          Alcotest.failf "%s: thread %d pending at %s.%s, step emitted %d accesses"
+            what tid
+            (Event.site_to_string pa.Machine.pa_site)
+            pa.Machine.pa_field (List.length got)
+        | None, got ->
+          Alcotest.failf "%s: thread %d had no pending access, step emitted %d" what
+            tid (List.length got));
+        go (fuel - 1)
+  in
+  go fuel
+
+let test_pending_access_oracle () =
+  let n = { some = 0; none = 0; crashed = 0 } in
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      match Eval.Evaluate.analyze_entry e with
+      | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+      | Ok (_, an) ->
+        List.iter
+          (fun (t : Narada_core.Synth.test) ->
+            match Narada_core.Pipeline.instantiator an t () with
+            | Error _ -> ()
+            | Ok inst ->
+              let what = Printf.sprintf "%s #%d" e.Corpus.Corpus_def.e_id t.Narada_core.Synth.st_id in
+              check_pending_run ~what
+                ~seed:(Par.seed ~base:7L ~index:t.Narada_core.Synth.st_id)
+                ~fuel:20_000 n inst.Detect.Racefuzzer.ri_machine)
+          an.Narada_core.Pipeline.an_tests)
+    (Corpus.Registry.all @ Corpus.Registry.extras);
+  Alcotest.(check bool) "accesses predicted" true (n.some > 1000);
+  Alcotest.(check bool) "non-accesses predicted" true (n.none > n.some)
+
 let () =
   Alcotest.run "machine"
     [
@@ -416,6 +505,8 @@ let () =
           Alcotest.test_case "pending on finished thread" `Quick
             test_pending_on_finished_thread;
           Alcotest.test_case "deref_path" `Quick test_deref_path;
+          Alcotest.test_case "pending access is exact" `Quick
+            test_pending_access_oracle;
         ] );
     ]
 

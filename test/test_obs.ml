@@ -147,6 +147,24 @@ let test_export_shape () =
   Alcotest.(check (list string))
     "stable accessor agrees" stable (Obs.Export.stable_lines reg)
 
+let test_record_gc () =
+  let reg = Obs.Metrics.create () in
+  Obs.Metrics.incr reg "a/count";
+  let stable = Obs.Export.stable_lines reg in
+  ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+  Obs.Metrics.record_gc reg;
+  let gauges = Obs.Metrics.gauges reg in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name gauges with
+      | Some v -> Alcotest.(check bool) (name ^ " set") true (v >= 0.0)
+      | None -> Alcotest.failf "no %s gauge" name)
+    [ "gc/minor_collections"; "gc/minor_words" ];
+  Alcotest.(check bool) "words counted" true
+    (List.assoc "gc/minor_words" gauges > 0.0);
+  Alcotest.(check (list string)) "stable section unchanged" stable
+    (Obs.Export.stable_lines reg)
+
 let test_json_escaping () =
   Alcotest.(check string)
     "quotes and newlines escaped" "\"a\\\"b\\nc\""
@@ -179,6 +197,7 @@ let () =
           Alcotest.test_case "stable lines domain independent" `Quick
             test_stable_lines_domain_independent;
           Alcotest.test_case "shape" `Quick test_export_shape;
+          Alcotest.test_case "minor-GC gauges" `Quick test_record_gc;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
         ] );
     ]

@@ -1,0 +1,146 @@
+(* The shared RNG: its stream is pinned draw for draw, copies are
+   independent, and bounded draws allocate nothing.
+
+   Every schedule, every directed run and every [Sys.randInt] value in
+   the system comes from this stream, so the golden draws below (taken
+   before the generator's state moved into an unboxed buffer) pin all
+   of them at once: any change to the stream shows up here first. *)
+
+let seeds = [ 0L; 7L; 42L; -1L; Int64.min_int ]
+let bounds = [ 1; 2; 3; 7; 1000; (1 lsl 40) + 1; max_int ]
+
+(* Per seed, from one generator in this order: three [bits], two
+   [below] per bound in [bounds] order, three [pick]s from a..e, two
+   [range (-3) 3] and two [range 10 1000]. *)
+let golden =
+  [
+    ( 0L,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+      [ 0; 0; 0; 1; 2; 2; 5; 5; 726; 683; 367616887226; 94490787594;
+        340936117104509101; 4407197043975656022 ],
+      [ "c"; "c"; "e" ],
+      [ 3; -3; 468; 284 ] );
+    ( 7L,
+      [ 7191089600892374487L; 309689372594955804L; -1830642326893942270L ],
+      [ 0; 0; 1; 0; 0; 2; 0; 6; 516; 990; 157338981527; 193449813579;
+        890745616000058874; 2390950708587517618 ],
+      [ "b"; "c"; "a" ],
+      [ 0; 0; 139; 691 ] );
+    ( 42L,
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ],
+      [ 0; 0; 0; 1; 2; 1; 5; 5; 646; 398; 495119257120; 120296654585;
+        3752715396868486130; 1910607418205583989 ],
+      [ "b"; "c"; "d" ],
+      [ 2; 1; 225; 299 ] );
+    ( -1L,
+      [ -1956407806741107680L; -1612297016619662647L; 4048727598324417001L ],
+      [ 0; 0; 1; 1; 2; 0; 3; 4; 527; 875; 66280393641; 1068140538804;
+        3237702463888700650; 2920446500714963560 ],
+      [ "c"; "b"; "b" ],
+      [ 0; 0; 420; 301 ] );
+    ( Int64.min_int,
+      [ 5196802822362493915L; -4292029157624213486L; 7036458801432265024L ],
+      [ 0; 0; 1; 1; 1; 0; 5; 1; 222; 597; 310006868228; 945200944975;
+        980739244037817998; 3299048061353309019 ],
+      [ "a"; "a"; "b" ],
+      [ 2; 0; 222; 163 ] );
+  ]
+
+let draws seed =
+  let t = Rng.create seed in
+  let bits = List.init 3 (fun _ -> Rng.bits t) in
+  let below =
+    List.concat_map (fun b -> List.init 2 (fun _ -> Rng.below t b)) bounds
+  in
+  let pick = List.init 3 (fun _ -> Rng.pick t [ "a"; "b"; "c"; "d"; "e" ]) in
+  let range =
+    List.init 2 (fun _ -> Rng.range t (-3) 3)
+    @ List.init 2 (fun _ -> Rng.range t 10 1000)
+  in
+  (bits, below, pick, range)
+
+let test_golden () =
+  Alcotest.(check (list int64)) "seeds covered" seeds
+    (List.map (fun (s, _, _, _, _) -> s) golden);
+  List.iter
+    (fun (seed, bits, below, pick, range) ->
+      let bits', below', pick', range' = draws seed in
+      let what = Printf.sprintf "seed %Ld: " seed in
+      Alcotest.(check (list int64)) (what ^ "bits") bits bits';
+      Alcotest.(check (list int)) (what ^ "below") below below';
+      Alcotest.(check (list string)) (what ^ "pick") pick pick';
+      Alcotest.(check (list int)) (what ^ "range") range range')
+    golden
+
+let test_bounds () =
+  let t = Rng.create 3L in
+  List.iter
+    (fun b ->
+      for _ = 1 to 200 do
+        let v = Rng.below t b in
+        if v < 0 || v >= b then Alcotest.failf "below %d drew %d" b v
+      done)
+    bounds;
+  List.iter
+    (fun b ->
+      match Rng.below t b with
+      | v -> Alcotest.failf "below %d drew %d" b v
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; min_int ];
+  (match Rng.pick t ([] : int list) with
+  | _ -> Alcotest.fail "pick from the empty list"
+  | exception Invalid_argument _ -> ());
+  match Rng.range t 1 0 with
+  | v -> Alcotest.failf "empty range drew %d" v
+  | exception Invalid_argument _ -> ()
+
+(* A copy continues the stream from where the original is, and draws on
+   either leave the other where it was. *)
+let test_copy () =
+  let next t = List.init 8 (fun _ -> Rng.below t 1000) in
+  let t = Rng.create 42L in
+  ignore (next t);
+  let c = Rng.copy t in
+  let from_c = next c in
+  let from_t = next t in
+  Alcotest.(check (list int)) "copy continues the original's stream" from_t from_c;
+  let c2 = Rng.copy t in
+  ignore (next t);
+  ignore (next t);
+  (* [c2] is 16 draws into seed 42's stream. *)
+  let reference = Rng.create 42L in
+  ignore (next reference);
+  ignore (next reference);
+  Alcotest.(check (list int)) "original's draws do not move the copy"
+    (next reference) (next c2);
+  let c3 = Rng.copy t in
+  let from_c3 = Rng.bits c3 in
+  Alcotest.(check int64) "bits too" from_c3 (Rng.bits t)
+
+(* Bounded draws are on the schedulers' per-step path.  Allocation is
+   only meaningful in native code: bytecode boxes every [int64]. *)
+let test_no_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let t = Rng.create 7L in
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      acc := !acc lxor Rng.below t ((i land 1023) + 1)
+    done;
+    let after = Gc.minor_words () in
+    Alcotest.(check (float 0.0)) "10,000 draws, 0 minor words" 0.0 (after -. before);
+    Alcotest.(check bool) "draws used" true (!acc >= 0)
+
+let () =
+  Alcotest.run "rng"
+    [
+      ( "stream",
+        [
+          Alcotest.test_case "golden draws" `Quick test_golden;
+          Alcotest.test_case "bounds" `Quick test_bounds;
+          Alcotest.test_case "copy independent" `Quick test_copy;
+        ] );
+      ("allocation", [ Alcotest.test_case "below allocates nothing" `Quick test_no_allocation ]);
+    ]

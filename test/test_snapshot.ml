@@ -167,6 +167,85 @@ let test_thread_handles_opaque () =
   in
   Alcotest.(check bool) "tids canonicalized" true (s1 = s2)
 
+(* [to_string] is pinned byte for byte over every kind of leaf: null,
+   ints, booleans, strings (empty, digit-only, with a quote and a
+   newline), thread handles (opaque), and a cycle through an array. *)
+let leaves_src =
+  "class H { H self; H nul; int zero; int neg; bool yes; bool no; str \
+   empty; str one; str quoted; thread th; int[] xs; }"
+
+let leaves () =
+  let m = build_machine leaves_src in
+  let h = construct m ~cls:"H" ~args:[] in
+  let heap = Machine.heap m in
+  let a = match Value.addr_of h with Some a -> a | None -> Alcotest.fail "no addr" in
+  let set f v = Heap.set_field heap a f v in
+  set "self" h;
+  set "zero" (Value.Vint 0);
+  set "neg" (Value.Vint (-1));
+  set "yes" (Value.Vbool true);
+  set "no" (Value.Vbool false);
+  set "empty" (Value.Vstr "");
+  set "one" (Value.Vstr "1");
+  set "quoted" (Value.Vstr "say \"hi\"\nbye");
+  set "th" (Value.Vthread 3);
+  let arr = Heap.alloc_array heap ~elt:Jir.Ast.Tint ~len:2 in
+  Heap.array_set heap arr 0 h;
+  Heap.array_set heap arr 1 (Value.Vstr "1");
+  set "xs" (Value.Vref arr);
+  (heap, h)
+
+let test_to_string_pinned () =
+  let heap, h = leaves () in
+  Alcotest.(check string) "printout"
+    {|#0 = H{empty=#1, neg=#2, no=#3, nul=#4, one=#5, quoted=#6, self=#0, th=#7, xs=#8, yes=#10, zero=#11}
+#1 = ""
+#2 = -1
+#3 = false
+#4 = null
+#5 = "1"
+#6 = "say \"hi\"\nbye"
+#7 = <thread>
+#8 = [#0; #9]
+#9 = "1"
+#10 = true
+#11 = 0
+#12 = <thread>
+#13 = null
+|}
+    (Snapshot.to_string
+       (Snapshot.canonical heap ~roots:[ h; Value.Vthread 1; Value.Vnull ]))
+
+(* Leaves that print alike without quoting must still differ. *)
+let test_leaves_injective () =
+  let m = build_machine "class B { int i; bool b; str s; }" in
+  let heap = Machine.heap m in
+  let snap v = Snapshot.canonical heap ~roots:[ v ] in
+  List.iter
+    (fun (x, y) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s vs %s" (Value.to_string x) (Value.to_string y))
+        false
+        (snap x = snap y))
+    [
+      (Value.Vint 1, Value.Vstr "1");
+      (Value.Vbool true, Value.Vstr "true");
+      (Value.Vnull, Value.Vstr "null");
+      (Value.Vthread 0, Value.Vstr "<thread>");
+    ];
+  (* and inside an object, through its fields *)
+  let obj i s =
+    let v = construct m ~cls:"B" ~args:[] in
+    (match Value.addr_of v with
+    | Some a ->
+      Heap.set_field heap a "i" i;
+      Heap.set_field heap a "s" s
+    | None -> Alcotest.fail "no addr");
+    snap v
+  in
+  Alcotest.(check bool) "field of an object" false
+    (obj (Value.Vint 1) (Value.Vstr "1") = obj (Value.Vint 1) (Value.Vstr "\"1\""))
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -182,5 +261,7 @@ let () =
             test_large_heap_subquadratic;
           Alcotest.test_case "large cyclic heap" `Quick test_large_cyclic_heap;
           Alcotest.test_case "thread handles" `Quick test_thread_handles_opaque;
+          Alcotest.test_case "to_string pinned" `Quick test_to_string_pinned;
+          Alcotest.test_case "leaves injective" `Quick test_leaves_injective;
         ] );
     ]
