@@ -695,7 +695,9 @@ let fuzz_cmd =
              test's template machine instead of a copy; test-alias hands \
              every synthesized test the first test's campaign triage \
              state; late-attach loses \
-             the events of the step where a run becomes observed) and check \
+             the events of the step where a run becomes observed; \
+             guided-seed hands blind Guided a seed one higher \
+             than Evaluate's and repair's) and check \
              that the differential oracles catch it.")
   in
   let guided =

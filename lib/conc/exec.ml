@@ -28,53 +28,39 @@ let run ?(fuel = default_fuel) (m : Runtime.Machine.t) (sched : Scheduler.t) :
   (* The loop works on thread records: one hash lookup per thread at
      query time would otherwise be paid on every one of the (often
      millions of) steps.  With an index-choosing scheduler the runnable
-     set is never materialized — two walks of the (short) creation-order
-     list replace the per-step filter/map allocations; otherwise
+     set is never materialized: [Scheduler.pick_where] counts and
+     fetches in two walks of the (short) creation-order list; otherwise
      [Scheduler.choose] keeps its tid-list interface and the chosen
      record is re-found in the runnable list.  Note that the scheduler
      must be consulted even when a single thread is runnable: the random
      scheduler draws from its RNG regardless, and skipping the draw
      would silently change every downstream schedule. *)
-  let choose_idx = Scheduler.choose_idx sched in
+  let runnable th = Runtime.Machine.runnable_th m th in
   let rec find_rec tid = function
     | [] -> Runtime.Machine.find_thread m tid
     | th :: rest ->
       if Runtime.Machine.thread_id th = tid then th else find_rec tid rest
   in
-  let rec count_runnable acc = function
-    | [] -> acc
-    | th :: rest ->
-      count_runnable
-        (if Runtime.Machine.runnable_th m th then acc + 1 else acc)
-        rest
-  in
-  let rec nth_runnable i = function
-    | [] -> invalid_arg "Exec.run: runnable index out of range"
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then
-        if i = 0 then th else nth_runnable (i - 1) rest
-      else nth_runnable i rest
+  let next ths =
+    match Scheduler.choose_idx sched with
+    | Some draw -> Scheduler.pick_where runnable draw ths
+    | None -> (
+      match List.filter runnable ths with
+      | [] -> None
+      | rthreads ->
+        let tid =
+          Scheduler.choose sched m (List.map Runtime.Machine.thread_id rthreads)
+        in
+        Some (find_rec tid rthreads))
   in
   let rec loop n =
     if n <= 0 then Fuel_exhausted
     else
-      let ths = Runtime.Machine.all_threads m in
-      match count_runnable 0 ths with
-      | 0 ->
+      match next (Runtime.Machine.all_threads m) with
+      | None ->
         if Runtime.Machine.live_tids m = [] then All_finished
         else Deadlock (Runtime.Machine.live_tids m)
-      | k -> (
-        let th =
-          match choose_idx with
-          | Some f -> nth_runnable (f m k) ths
-          | None ->
-            let rthreads = List.filter (Runtime.Machine.runnable_th m) ths in
-            let tid =
-              Scheduler.choose sched m
-                (List.map Runtime.Machine.thread_id rthreads)
-            in
-            find_rec tid rthreads
-        in
+      | Some th -> (
         match Runtime.Machine.step_th m th with
         | Runtime.Machine.Stepped ->
           decisions := Runtime.Machine.thread_id th :: !decisions;

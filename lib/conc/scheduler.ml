@@ -19,7 +19,7 @@ type decision = Runtime.Value.tid
 type t = {
   name : string;
   choose : Runtime.Machine.t -> Runtime.Value.tid list -> decision;
-  choose_idx : (Runtime.Machine.t -> int -> int) option;
+  choose_idx : (int -> int) option;
 }
 
 let name t = t.name
@@ -28,6 +28,33 @@ let choose t m runnable = t.choose m runnable
 
 let choose_idx t = t.choose_idx
 [@@inline]
+
+(* The uniform pick every driver loop shares: count the elements [p]
+   accepts, draw one index over that count, fetch that element.  The
+   two walks of the (short) creation-order list allocate nothing but
+   the answer's [Some].  With nothing accepted there is no draw and no
+   answer; a draw outside [0, count) also gets none. *)
+let rec count_where p acc = function
+  | [] -> acc
+  | x :: rest -> count_where p (if p x then acc + 1 else acc) rest
+
+let rec nth_where p i = function
+  | [] -> None
+  | x :: rest ->
+    if p x then if i = 0 then Some x else nth_where p (i - 1) rest
+    else nth_where p i rest
+
+let pick_where p draw l =
+  match count_where p 0 l with 0 -> None | k -> nth_where p (draw k) l
+
+(* [Exec.run] consults [choose] only when some thread is runnable, so
+   the choosers below never see an empty list.  Were one to, they
+   answer [nobody], a tid no thread has, rather than fail. *)
+let nobody : decision = -1
+
+let first = function tid :: _ -> tid | [] -> nobody
+
+let any _ = true
 
 (* Per-scheduler stream: the shared unbiased generator. *)
 let mk_rng seed = Rng.create seed
@@ -43,7 +70,7 @@ let round_robin () =
         let next =
           match List.find_opt (fun t -> t > !last) runnable with
           | Some t -> t
-          | None -> List.hd runnable
+          | None -> first runnable
         in
         last := next;
         next);
@@ -51,13 +78,14 @@ let round_robin () =
   }
 
 let random ~seed =
-  let rng = mk_rng seed in
+  let draw = rand_below (mk_rng seed) in
   (* One draw per decision, bound = #runnable, on both paths: the RNG
      stream cannot depend on which interface the driver uses. *)
   {
     name = Printf.sprintf "random(%Ld)" seed;
-    choose = (fun _m runnable -> List.nth runnable (rand_below rng (List.length runnable)));
-    choose_idx = Some (fun _m n -> rand_below rng n);
+    choose =
+      (fun _m runnable -> Option.value ~default:nobody (pick_where any draw runnable));
+    choose_idx = Some draw;
   }
 
 (* Random scheduler with inertia: keeps running the same thread for a
@@ -66,6 +94,7 @@ let random ~seed =
    useful baseline against the race-directed scheduler. *)
 let random_coarse ~seed ~switch_denominator =
   let rng = mk_rng seed in
+  let draw = rand_below rng in
   let current = ref (-1) in
   {
     name = Printf.sprintf "random-coarse(%Ld)" seed;
@@ -74,7 +103,7 @@ let random_coarse ~seed ~switch_denominator =
         if List.mem !current runnable && rand_below rng switch_denominator <> 0
         then !current
         else (
-          let t = List.nth runnable (rand_below rng (List.length runnable)) in
+          let t = Option.value ~default:nobody (pick_where any draw runnable) in
           current := t;
           t));
     choose_idx = None;
@@ -95,8 +124,8 @@ let replay ~decisions =
           d
         | _ :: rest ->
           remaining := rest;
-          List.hd runnable
-        | [] -> List.hd runnable);
+          first runnable
+        | [] -> first runnable);
     choose_idx = None;
   }
 
@@ -137,7 +166,8 @@ let pct ~seed ~depth ~expected_steps =
               | Some b -> if priority tid > priority b then Some tid else acc)
             None runnable
         in
-        let tid = Option.value ~default:(List.hd runnable) best in
+        (* [None] only for an empty list. *)
+        let tid = Option.value ~default:nobody best in
         if List.mem !step change_points then begin
           (* demote the running thread below every other priority *)
           decr next_low;

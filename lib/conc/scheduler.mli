@@ -13,12 +13,19 @@ val name : t -> string
 val choose : t -> Runtime.Machine.t -> Runtime.Value.tid list -> decision
 (** [choose t m runnable] picks one of [runnable] (non-empty). *)
 
-val choose_idx : t -> (Runtime.Machine.t -> int -> int) option
+val choose_idx : t -> (int -> int) option
 (** The same decision as an index given only the number of runnable
     threads, for schedulers that never inspect the candidate tids.
     Both interfaces consume the scheduler's random stream identically,
     so a driver may use whichever is cheaper without changing the
     schedule. *)
+
+val pick_where : ('a -> bool) -> (int -> int) -> 'a list -> 'a option
+(** [pick_where p draw l] is the uniform pick every driver loop shares
+    ({!Exec.run}, the race-directed scheduler and its drain): with [k]
+    elements of [l] satisfying [p], the [draw k]-th of them in list
+    order.  [None], with no draw, when [k = 0]; [None] too when the
+    draw falls outside [\[0, k)].  Allocates nothing but the [Some]. *)
 
 val round_robin : unit -> t
 

@@ -64,7 +64,7 @@ let conflicting (a : Runtime.Machine.pending_access)
   && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
   && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
 
-(* Dense per-tid mirrors used by the directed loops below: tids are
+(* Dense per-tid mirrors used by the directed loop below: tids are
    small consecutive ints, so per-step membership tests and the
    pending-access memo live in growable arrays instead of hashtables.
    The [postponed] hashtable itself is kept — its fold order decides
@@ -84,38 +84,16 @@ let tid_slot tm tid =
   end;
   tid
 
-(* The scheduler picks below walk the creation-order thread list twice
-   without allocating: once to count the eligible threads, then, after
-   one RNG draw over that count, to fetch the drawn one. *)
-let rec count_where p acc = function
-  | [] -> acc
-  | th :: rest -> count_where p (if p th then acc + 1 else acc) rest
-
-let rec nth_where p i = function
-  | [] -> None
-  | th :: rest ->
-    if p th then if i = 0 then Some th else nth_where p (i - 1) rest
-    else nth_where p i rest
-
-(* One draw over a non-empty list; the empty list draws nothing. *)
-let pick_from pick = function
-  | [] -> None
-  | l -> List.nth_opt l (pick (List.length l))
-
 let drain m rng ~fuel =
   let runnable th = Runtime.Machine.runnable_th m th in
+  let draw = Rng.below rng in
   let rec go fuel =
     if fuel > 0 then
-      match count_where runnable 0 (Runtime.Machine.all_threads m) with
-      | 0 -> ()
-      | k -> (
-        match
-          nth_where runnable (Rng.below rng k) (Runtime.Machine.all_threads m)
-        with
-        | Some th ->
-          ignore (Runtime.Machine.step_th m th);
-          go (fuel - 1)
-        | None -> ())
+      match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.all_threads m) with
+      | Some th ->
+        ignore (Runtime.Machine.step_th m th);
+        go (fuel - 1)
+      | None -> ()
   in
   go fuel
 
@@ -130,13 +108,31 @@ type run_end = {
   re_report : Race.report option;
 }
 
-(* One directed execution, stopping at the first simultaneously enabled
-   conflicting pair. *)
-let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
-    run_end * run_stats =
-  let m = inst.ri_machine in
-  let rng = Rng.create seed in
-  let pick n = Rng.below rng n in
+(* The postponed threads and their accesses, in the table's fold order:
+   that order decides which conflicting pair is reported first. *)
+let poised postponed = Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
+
+let conflicting_pair poised =
+  List.find_map
+    (fun (t1, p1) ->
+      List.find_map
+        (fun (t2, p2) ->
+          if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2)) else None)
+        poised)
+    poised
+
+(* The postponing scheduler, the one copy of it: runs [m], from whatever
+   state it is in, until the first simultaneously enabled conflicting
+   pair, the end of the run, or [fuel] steps.  Every scheduler choice is
+   [pick n], an index below the [n] options in creation order, and the
+   postponed set is rebuilt from the machine, so a stopped run continues
+   its schedule from (machine, [Rng.below rng], fuel).  The step count
+   restarts at 0 on every call, though: a continued run's report labels
+   and [rs_steps] count from where it was picked up, not from the start
+   of the run.  [on_postponed] sees the postponed set whenever it
+   changes.  Returns the report, the fuel left where the run stopped,
+   and the run's stats. *)
+let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
   let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -166,56 +162,36 @@ let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
     pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
     incr steps
   in
-  let postpone tid pa =
-    Hashtbl.replace postponed tid pa;
-    in_postponed.slots.(tid_slot in_postponed tid) <- true
-  in
-  let unpostpone tid =
-    Hashtbl.remove postponed tid;
-    in_postponed.slots.(tid_slot in_postponed tid) <- false
-  in
   let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
-  let np_ok th =
-    Runtime.Machine.runnable_th m th
-    && not (is_postponed (Runtime.Machine.thread_id th))
-  in
+  let postponed_th th = is_postponed (Runtime.Machine.thread_id th) in
+  let np_ok th = Runtime.Machine.runnable_th m th && not (postponed_th th) in
   (* Refresh the postponed set: threads poised at a matching access.
      Defined once, outside [loop], so the per-step iteration allocates
-     no closure. *)
+     no closure; [changed] records whether it postponed anyone. *)
+  let changed = ref false in
   let refresh th =
     let tid = Runtime.Machine.thread_id th in
     if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
       match pending th with
-      | Some pa when matches cand pa -> postpone tid pa
+      | Some pa when matches cand pa ->
+        Hashtbl.replace postponed tid pa;
+        in_postponed.slots.(tid_slot in_postponed tid) <- true;
+        changed := true
       | Some _ | None -> ()
   in
   (* Returns the fuel left where the run stopped. *)
   let rec loop fuel =
     if fuel <= 0 then fuel
     else begin
+      changed := false;
       List.iter refresh (Runtime.Machine.all_threads m);
+      if !changed then on_postponed postponed;
       let np = Hashtbl.length postponed in
       if np > !max_postponed then max_postponed := np;
-      (* Check for a simultaneously-enabled conflicting pair; with fewer
-         than two postponed threads there is nothing to scan. *)
-      let pair =
-        if np < 2 then []
-        else begin
-          let poised =
-            Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
-          in
-          List.concat_map
-            (fun (t1, p1) ->
-              List.filter_map
-                (fun (t2, p2) ->
-                  if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2))
-                  else None)
-                poised)
-            poised
-        end
-      in
-      match pair with
-      | ((t1, p1), (t2, p2)) :: _ ->
+      (* With fewer than two postponed threads there is no pair to scan
+         for. *)
+      match if np < 2 then None else conflicting_pair (poised postponed) with
+      | Some ((t1, p1), (t2, p2)) ->
         result :=
           Some
             {
@@ -224,33 +200,42 @@ let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
               r_detector = "racefuzzer";
             };
         fuel
-      | [] -> (
-        match count_where np_ok 0 (Runtime.Machine.all_threads m) with
-        | 0 -> (
+      | None -> (
+        match Conc.Scheduler.pick_where np_ok pick (Runtime.Machine.all_threads m) with
+        | Some th ->
+          step_th th;
+          loop (fuel - 1)
+        | None -> (
           (* Everyone is postponed or blocked: release a postponed
-             thread; with none postponed this is deadlock or
-             completion. *)
-          let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match pick_from pick (List.sort Int.compare poised) with
+             thread, drawn in tid order (creation order is tid order);
+             with none postponed this is deadlock or completion. *)
+          match
+            Conc.Scheduler.pick_where postponed_th pick (Runtime.Machine.all_threads m)
+          with
           | None -> fuel
-          | Some tid ->
-            unpostpone tid;
-            step_th (Runtime.Machine.find_thread m tid);
-            loop (fuel - 1))
-        | k -> (
-          match nth_where np_ok (pick k) (Runtime.Machine.all_threads m) with
           | Some th ->
+            let tid = Runtime.Machine.thread_id th in
+            Hashtbl.remove postponed tid;
+            in_postponed.slots.(tid_slot in_postponed tid) <- false;
+            on_postponed postponed;
             step_th th;
-            loop (fuel - 1)
-          | None -> fuel))
+            loop (fuel - 1)))
     end
   in
   let fuel_left = loop fuel in
-  ( { re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = !result },
-    { rs_steps = !steps; rs_max_postponed = !max_postponed } )
+  (!result, fuel_left, { rs_steps = !steps; rs_max_postponed = !max_postponed })
 
-(* A coverage-collecting directed execution: same postponing scheduler
-   as [directed_run], but
+(* One directed execution, stopping at the first simultaneously enabled
+   conflicting pair. *)
+let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
+    run_end * run_stats =
+  let rng = Rng.create seed in
+  let report, fuel_left, stats =
+    postponing inst.ri_machine ~cand ~pick:(Rng.below rng) ~on_postponed:ignore ~fuel
+  in
+  ({ re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = report }, stats)
+
+(* A coverage-collecting directed execution: the same loop, but
 
    - every scheduler choice can be *forced* by a schedule prefix (choice
      indices, taken modulo the number of enabled options), which is how
@@ -292,128 +277,32 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     end;
     i
   in
-  let rec_ = Runtime.Trace.attach m in
-  let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
-    Hashtbl.create 4
-  in
   let cov = ref Cov.Set.empty in
-  let note_postponed () =
-    if Hashtbl.length postponed > 0 then begin
-      let pairs =
-        Hashtbl.fold
-          (fun tid pa acc -> (tid, pa.Runtime.Machine.pa_field) :: acc)
-          postponed []
+  let on_postponed postponed =
+    if Hashtbl.length postponed > 0 then
+      let state =
+        List.map (fun (tid, pa) -> (tid, pa.Runtime.Machine.pa_field)) (poised postponed)
       in
-      cov := Cov.Set.add Cov.Postponed (Cov.postponed_state pairs) !cov
-    end
+      cov := Cov.Set.add Cov.Postponed (Cov.postponed_state state) !cov
   in
-  let steps = ref 0 in
-  let max_postponed = ref 0 in
-  let result = ref None in
-  let in_postponed = tidmap false in
-  (* Same per-tid memoization as [directed_run]: see the note there. *)
-  let pa_memo : Runtime.Machine.pending_access option option tidmap =
-    tidmap None
-  in
-  let pending th =
-    let i = tid_slot pa_memo (Runtime.Machine.thread_id th) in
-    match pa_memo.slots.(i) with
-    | Some v -> v
-    | None ->
-      let v = Runtime.Machine.pending_access_th m th in
-      pa_memo.slots.(i) <- Some v;
-      v
-  in
-  let step_th th =
-    ignore (Runtime.Machine.step_th m th);
-    pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
-    incr steps
-  in
-  let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
-  let np_ok th =
-    Runtime.Machine.runnable_th m th
-    && not (is_postponed (Runtime.Machine.thread_id th))
-  in
-  (* As in [directed_run], the refresh is hoisted out of [loop];
-     [changed] records whether this iteration's refresh postponed
-     anyone. *)
-  let changed = ref false in
-  let refresh th =
-    let tid = Runtime.Machine.thread_id th in
-    if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-      match pending th with
-      | Some pa when matches cand pa ->
-        Hashtbl.replace postponed tid pa;
-        in_postponed.slots.(tid_slot in_postponed tid) <- true;
-        changed := true
-      | Some _ | None -> ()
-  in
-  let rec loop fuel =
-    if fuel <= 0 || !result <> None then ()
-    else begin
-      changed := false;
-      List.iter refresh (Runtime.Machine.all_threads m);
-      if !changed then note_postponed ();
-      let np = Hashtbl.length postponed in
-      if np > !max_postponed then max_postponed := np;
-      let pair =
-        if np < 2 then []
-        else begin
-          let poised =
-            Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
-          in
-          List.concat_map
-            (fun (t1, p1) ->
-              List.filter_map
-                (fun (t2, p2) ->
-                  if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2))
-                  else None)
-                poised)
-            poised
-        end
-      in
-      match pair with
-      | ((t1, p1), (t2, p2)) :: _ ->
-        result :=
-          Some
-            {
-              Race.r_first = access_of_pending m t1 p1 ~label:!steps;
-              r_second = access_of_pending m t2 p2 ~label:!steps;
-              r_detector = "racefuzzer";
-            };
-        cov :=
-          Cov.Set.add Cov.Racy_pair
-            (Cov.racy_pair ~field:cand.c_field p1.Runtime.Machine.pa_site
-               p2.Runtime.Machine.pa_site)
-            !cov
-      | [] -> (
-        match count_where np_ok 0 (Runtime.Machine.all_threads m) with
-        | 0 -> (
-          let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match pick_from pick (List.sort Int.compare poised) with
-          | None -> ()
-          | Some tid ->
-            Hashtbl.remove postponed tid;
-            in_postponed.slots.(tid_slot in_postponed tid) <- false;
-            note_postponed ();
-            step_th (Runtime.Machine.find_thread m tid);
-            loop (fuel - 1))
-        | k -> (
-          match nth_where np_ok (pick k) (Runtime.Machine.all_threads m) with
-          | Some th ->
-            step_th th;
-            loop (fuel - 1)
-          | None -> ()))
-    end
-  in
-  loop fuel;
+  let rec_ = Runtime.Trace.attach m in
+  let report, _, stats = postponing m ~cand ~pick ~on_postponed ~fuel in
   let trace_cov = Cov.of_trace (Runtime.Trace.snapshot rec_) in
   Runtime.Trace.recycle rec_;
+  let racy =
+    match report with
+    | Some r ->
+      Cov.Set.add Cov.Racy_pair
+        (Cov.racy_pair ~field:cand.c_field r.Race.r_first.Race.a_site
+           r.Race.r_second.Race.a_site)
+        !cov
+    | None -> !cov
+  in
   {
-    rc_report = !result;
-    rc_stats = { rs_steps = !steps; rs_max_postponed = !max_postponed };
+    rc_report = report;
+    rc_stats = stats;
     rc_choices = List.rev !taken;
-    rc_cov = Cov.Set.union !cov trace_cov;
+    rc_cov = Cov.Set.union racy trace_cov;
   }
 
 type confirm_result = {

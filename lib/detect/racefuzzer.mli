@@ -49,12 +49,15 @@ type run_end = {
 val directed_run :
   instance -> cand:candidate -> seed:int64 -> fuel:int -> run_end * run_stats
 (** One directed execution of the instance, stopping at the first
-    simultaneously enabled conflicting pair. *)
+    simultaneously enabled conflicting pair.  This and
+    {!directed_run_cov} run the one postponing loop; here every choice
+    is a draw from the scheduler's RNG, seeded [seed]. *)
 
 val drain : Runtime.Machine.t -> Rng.t -> fuel:int -> unit
 (** Finish an execution under plain random scheduling: up to [fuel]
-    steps, each of a thread drawn uniformly from the runnable ones in
-    creation order. *)
+    steps, each of the thread {!Conc.Scheduler.pick_where} draws from
+    the runnable ones in creation order (the pick {!Conc.Exec.run} and
+    the directed loop make too). *)
 
 type confirm_result = {
   confirmed : Race.report option;
@@ -98,12 +101,18 @@ val directed_run_cov :
   ?prefix:int list ->
   unit ->
   run_cov
-(** Like {!directed_run} (on the instance's machine), but scheduler choices can be
-    forced by [prefix] (indices mod the enabled count; the seeded RNG
-    takes over past its end), the taken choices are recorded, and
-    interleaving coverage (postponed-set states, racy pairs, HB edges,
-    lock orders from an attached-and-recycled trace recorder) is
-    returned. *)
+(** {!directed_run}'s loop on the instance's machine, with a different
+    choice source and an observer: scheduler choices can be forced by
+    [prefix] (indices mod the enabled count; the seeded RNG takes over
+    past its end), the taken choices are recorded, and interleaving
+    coverage (postponed-set states, racy pairs, HB edges, lock orders
+    from an attached-and-recycled trace recorder) is returned.  With
+    [prefix = []] the run is {!directed_run}'s at the same seed: same
+    report, stats and final state.  Forced choices draw nothing, so the
+    RNG takes over past the prefix from the start of its stream:
+    forcing a run's [rc_choices] at its seed gives the whole run back
+    when it made at most 64 steps (one choice per step), and its first
+    64 steps otherwise. *)
 
 type guided_result = {
   g_confirmed : Race.report option;

@@ -13,12 +13,24 @@ type mode =
   | Guided of { budget : int; batch : int; plateau : int }
 
 type class_confirm = {
-  gc_entry : Corpus.Corpus_def.entry;
   gc_tests : int;
   gc_candidates : int;  (** candidates enumerated (summed over tests) *)
   gc_confirmed : Detect.Race.key list;  (** distinct confirmed races, sorted *)
   gc_schedules : int;  (** directed runs spent *)
 }
+
+val confirm_analysis :
+  ?schedules:int ->
+  ?seed:int64 ->
+  ?jobs:int ->
+  ?corpus:Cov.Corpus.t ->
+  mode:mode ->
+  Narada_core.Pipeline.analysis ->
+  class_confirm
+(** The sweep over every test of an analysis.  Deterministic for every
+    [jobs] value.  In guided mode the [corpus] (fresh by default)
+    accumulates coverage across candidates and is left holding the
+    final state — save it for replay. *)
 
 val confirm_class :
   ?schedules:int ->
@@ -28,6 +40,6 @@ val confirm_class :
   mode:mode ->
   Corpus.Corpus_def.entry ->
   (class_confirm, string) result
-(** Deterministic for every [jobs] value.  In guided mode the [corpus]
-    (fresh by default) accumulates coverage across candidates and is
-    left holding the final state — save it for replay. *)
+(** {!confirm_analysis} over the entry's analysis
+    ({!Evaluate.analyze_entry}); a compile or pipeline error comes back
+    as [Error]. *)

@@ -20,6 +20,7 @@ type mutation =
   | Instance_alias
   | Test_alias
   | Late_attach
+  | Guided_seed
 
 let mutation_of_string = function
   | "drop-join" -> Ok Drop_join
@@ -30,12 +31,13 @@ let mutation_of_string = function
   | "instance-alias" -> Ok Instance_alias
   | "test-alias" -> Ok Test_alias
   | "late-attach" -> Ok Late_attach
+  | "guided-seed" -> Ok Guided_seed
   | s ->
     Error
       (Printf.sprintf
          "unknown mutation %S (have: drop-join, drop-release, \
           static-drop-sync, static-stale-cache, repair-overlock, \
-          instance-alias, test-alias, late-attach)"
+          instance-alias, test-alias, late-attach, guided-seed)"
          s)
 
 let mutation_to_string = function
@@ -47,6 +49,7 @@ let mutation_to_string = function
   | Instance_alias -> "instance-alias"
   | Test_alias -> "test-alias"
   | Late_attach -> "late-attach"
+  | Guided_seed -> "guided-seed"
 
 (* Seed roles, derived from the per-program base seed so every oracle is
    a pure function of (program, seed). *)
@@ -295,7 +298,7 @@ let static_superset ?mutate ~seed cu =
     | Some Static_drop_sync -> Some Static.Analyze.Drop_sync
     | Some
         ( Drop_join | Drop_release | Static_stale_cache | Repair_overlock
-        | Instance_alias | Test_alias | Late_attach )
+        | Instance_alias | Test_alias | Late_attach | Guided_seed )
     | None ->
       None
   in
@@ -356,7 +359,7 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
     | Some Static_stale_cache -> Some Static.Analyze.Stale_cache
     | Some
         ( Drop_join | Drop_release | Static_drop_sync | Repair_overlock
-        | Instance_alias | Test_alias | Late_attach )
+        | Instance_alias | Test_alias | Late_attach | Guided_seed )
     | None ->
       None
   in
@@ -724,6 +727,121 @@ let repair_closes ?mutate ~seed cu =
     | Some detail -> Fail detail
     | None -> Pass)
 
+(* ---- one answer across entry points ---- *)
+
+(* Evaluate, blind Guided and repair discovery all confirm races through
+   [Detect.Campaign], so at one seed and one budget (2 lockset
+   schedules, 6 directed runs) they must confirm the same races:
+   Evaluate's confirmed keys, blind Guided's, and repair's targets,
+   which are those keys folded to race ids.  They must enumerate the
+   same candidates too: Evaluate's and Guided's per-test counts sum to
+   the same total, and repair detects Evaluate's candidate keys folded
+   to race ids.  On generated programs other lockset schedules change
+   a test's candidates more often than the confirmed set, so the counts
+   are the sharper check.  The
+   analysis, the lockset schedules and the directed runs all use the
+   one derived seed, as repair does.  The [guided-seed] mutation hands
+   Guided that seed plus one: the bug class of an entry point that
+   derives its own seeds. *)
+let campaign_agreement ?mutate ~seed cu =
+  let seed = replay_seed seed and schedules = 2 and runs = 6 in
+  match
+    Narada_core.Pipeline.analyze ~seed cu ~client_classes ~seed_cls:Gen.seed_cls
+      ~seed_meth:Gen.seed_meth
+  with
+  | Error _ ->
+    (* a pipeline failure is the synthesis-replay oracle's finding *)
+    Pass
+  | Ok an -> (
+    let opts =
+      {
+        Eval.Evaluate.default_options with
+        opt_schedules = schedules;
+        opt_confirm_runs = runs;
+        opt_seed = seed;
+      }
+    in
+    (* Per test, the candidates and whether each was confirmed. *)
+    let outcomes =
+      List.map
+        (fun t -> (Eval.Evaluate.evaluate_test opts an t).Eval.Evaluate.te_races)
+        an.Narada_core.Pipeline.an_tests
+    in
+    let keys_where p =
+      List.sort_uniq Race.compare_key
+        (List.concat_map
+           (List.filter_map (fun (ro : Eval.Evaluate.race_outcome) ->
+                if p ro then Some ro.ro_key else None))
+           outcomes)
+    in
+    let evaluated = keys_where (fun ro -> ro.ro_reproduced) in
+    let guided_seed = if mutate = Some Guided_seed then Int64.succ seed else seed in
+    let guided =
+      Eval.Guided.confirm_analysis ~schedules ~seed:guided_seed
+        ~mode:(Eval.Guided.Blind { runs }) an
+    in
+    let only a b = List.filter (fun x -> not (List.mem x b)) a in
+    let differ what a b =
+      Fail
+        (Printf.sprintf "%s: %d vs %d; only the first: {%s}; only the second: {%s}" what
+           (List.length a) (List.length b)
+           (String.concat ", " (only a b))
+           (String.concat ", " (only b a)))
+    in
+    let keys = List.map Race.key_to_string in
+    let fold ks =
+      List.sort_uniq String.compare
+        (List.filter_map
+           (fun k ->
+             Result.to_option
+               (Result.map Repair.Grammar.race_id_to_string
+                  (Repair.Grammar.race_id_of_key k)))
+           ks)
+    in
+    let candidates = List.fold_left (fun n races -> n + List.length races) 0 outcomes in
+    if keys evaluated <> keys guided.Eval.Guided.gc_confirmed then
+      differ "Evaluate and blind Guided confirm different races" (keys evaluated)
+        (keys guided.Eval.Guided.gc_confirmed)
+    else if candidates <> guided.Eval.Guided.gc_candidates then
+      Fail
+        (Printf.sprintf "Evaluate and blind Guided enumerate different candidates: %d vs %d"
+           candidates guided.Eval.Guided.gc_candidates)
+    else
+      let sub =
+        Repair.Engine.subject_of_unit cu ~client_classes ~seed_cls:Gen.seed_cls
+          ~seed_meth:Gen.seed_meth
+      in
+      let ropts =
+        {
+          Repair.Engine.default_options with
+          eo_seed = seed;
+          eo_schedules = schedules;
+          eo_confirm_runs = runs;
+          eo_max_candidates = 0;
+        }
+      in
+      match Repair.Engine.repair_all ~opts:ropts sub with
+      | Error e -> Fail ("repair discovery failed where Evaluate ran: " ^ e)
+      | Ok rp ->
+        let folded = fold evaluated in
+        let detected = List.length (fold (keys_where (fun _ -> true))) in
+        let targets =
+          List.sort_uniq String.compare
+            (List.map
+               (fun (rr : Repair.Engine.race_repair) ->
+                 Repair.Grammar.race_id_to_string rr.rr_id)
+               rp.Repair.Engine.rp_races)
+        in
+        if folded <> targets then
+          differ "repair targets are not Evaluate's keys folded to race ids" folded
+            targets
+        else if detected <> rp.Repair.Engine.rp_detected then
+          Fail
+            (Printf.sprintf
+               "repair detects %d race ids, Evaluate's candidates fold to %d"
+               rp.Repair.Engine.rp_detected detected)
+        else Pass)
+
 (* ---- the suite ---- *)
 
 (* Oracles run arbitrary (shrunk) programs end-to-end; a candidate with
@@ -747,6 +865,7 @@ let names =
     "observer-diff";
     "static-incremental";
     "repair-closes";
+    "campaign-agreement";
   ]
 
 (* Oracles past the front-end need a compiled unit; if compilation
@@ -786,6 +905,7 @@ let check ?mutate ~seed program =
           "observer-diff";
           "static-incremental";
           "repair-closes";
+          "campaign-agreement";
         ]
   | cu ->
     front
@@ -805,6 +925,8 @@ let check ?mutate ~seed program =
             guarded (fun () -> static_incremental ?mutate cu));
         timed "repair-closes" (fun () ->
             guarded (fun () -> repair_closes ?mutate ~seed cu));
+        timed "campaign-agreement" (fun () ->
+            guarded (fun () -> campaign_agreement ?mutate ~seed cu));
       ]
 
 let first_failure ?mutate ~seed program =
@@ -833,6 +955,7 @@ let fails_oracle ?mutate ~seed ~oracle program =
         | "observer-diff" -> observer_diff ?mutate ~seed cu
         | "static-incremental" -> static_incremental ?mutate cu
         | "repair-closes" -> repair_closes ?mutate ~seed cu
+        | "campaign-agreement" -> campaign_agreement ?mutate ~seed cu
         | _ -> Pass))
   in
   match (try run_one () with _ -> Pass) with Pass -> false | Fail _ -> true

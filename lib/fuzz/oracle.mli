@@ -17,7 +17,8 @@ type verdict = Pass | Fail of string
     the repair engine's cost-order search discipline; [Instance_alias]
     breaks the isolation of synthesized-test instances; [Test_alias]
     the per-test scope of the campaign's triage state; [Late_attach]
-    loses events where a run switches from unobserved to observed.  A
+    loses events where a run switches from unobserved to observed;
+    [Guided_seed] gives one detection entry point seeds of its own.  A
     campaign run
     with a mutation must report disagreement — proving the differential
     oracle would catch a real bug of that class. *)
@@ -44,6 +45,9 @@ type mutation =
       (** make the observer-diff oracle let one more step run
           unobserved after the label it compares from, so the events of
           that step are lost *)
+  | Guided_seed
+      (** make the campaign-agreement oracle seed blind Guided's lockset
+          schedules one higher than the other entry points' *)
 
 val mutation_of_string : string -> (mutation, string) result
 val mutation_to_string : mutation -> string
@@ -94,7 +98,11 @@ val check :
       closed by the repair engine — the synthesized patch eliminates
       the race under re-detection with no new
       lock-order pair — and the accepted patch is minimal: every
-      cheaper grammar candidate was tried and rejected. *)
+      cheaper grammar candidate was tried and rejected;
+    - ["campaign-agreement"]: at one seed and one budget (2 lockset
+      schedules, 6 directed runs), {!Eval.Evaluate} and blind
+      {!Eval.Guided} confirm the same race keys, and repair discovery's
+      targets are exactly those keys folded to race ids. *)
 
 val first_failure :
   ?mutate:mutation -> seed:int64 -> Jir.Ast.program -> (string * string) option

@@ -173,6 +173,102 @@ let test_replay_stress_pools_chunks () =
       (v <= float_of_int (Runtime.Trace.max_pooled_chunks ()))
   | None -> Alcotest.fail "trace/pool/chunks gauge not recorded"
 
+(* ------------------------------------------------------------------ *)
+(* One postponing loop                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [directed_run] and [directed_run_cov] are one loop with two choice
+   sources.  Over every lockset candidate of C1-C9 and X1-X3 at seed 7,
+   at every run seed of the Evaluate budget:
+
+   - the coverage run with no prefix is the plain run: same report,
+     stats and final heap.  [confirm_guided]'s slot 0 of round 0 is such
+     a run at the blind seed, so it is blind run 0;
+   - forcing the recorded choices at the same seed gives the same run
+     back.  One choice is made per step, so a run of at most
+     [choice_cap] steps is recorded whole and replays whole.  A longer
+     run replays its recorded steps: past the prefix the RNG starts
+     from the seed, not from where the recorded run's had got to. *)
+let test_loops_agree () =
+  let seed = 7L and fuel = 200_000 in
+  let { Eval.Evaluate.opt_schedules = schedules; opt_confirm_runs = runs; _ } =
+    Eval.Evaluate.default_options
+  in
+  let report = function None -> "unconfirmed" | Some r -> Race.to_string r in
+  let heap (inst : Racefuzzer.instance) =
+    Runtime.Snapshot.canonical
+      (Runtime.Machine.heap inst.Racefuzzer.ri_machine)
+      ~roots:inst.Racefuzzer.ri_roots
+  in
+  let compared = ref 0 and whole = ref 0 in
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      let an =
+        match Eval.Evaluate.analyze_entry e with
+        | Ok (_, an) -> an
+        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+      in
+      List.iter
+        (fun t ->
+          let instantiate = Narada_core.Pipeline.instantiator an t in
+          let fresh () =
+            match instantiate () with Ok inst -> inst | Error e -> Alcotest.fail e
+          in
+          match Campaign.candidates ~instantiate ~schedules ~seed () with
+          | Error _ -> ()
+          | Ok cands ->
+            List.iter
+              (fun (k, r) ->
+                let cand = Racefuzzer.candidate_of_report r in
+                for i = 0 to runs - 1 do
+                  let seed = Int64.add seed (Int64.of_int (i * 7919)) in
+                  let what =
+                    Printf.sprintf "%s %s run %d" e.Corpus.Corpus_def.e_id
+                      (Race.key_to_string k) i
+                  in
+                  let cov_run ?prefix fuel =
+                    let inst = fresh () in
+                    let rc =
+                      Racefuzzer.directed_run_cov inst.Racefuzzer.ri_machine ~cand ~seed
+                        ~fuel ?prefix ()
+                    in
+                    (rc, heap inst)
+                  in
+                  let same what' ((a : Racefuzzer.run_cov), ha) ((b : Racefuzzer.run_cov), hb) =
+                    if a.Racefuzzer.rc_report <> b.Racefuzzer.rc_report then
+                      Alcotest.failf "%s%s: report %s, not %s" what what'
+                        (report b.Racefuzzer.rc_report) (report a.Racefuzzer.rc_report);
+                    if
+                      a.Racefuzzer.rc_stats <> b.Racefuzzer.rc_stats
+                      || a.Racefuzzer.rc_choices <> b.Racefuzzer.rc_choices
+                      || (not (Cov.Set.equal a.Racefuzzer.rc_cov b.Racefuzzer.rc_cov))
+                      || ha <> hb
+                    then Alcotest.failf "%s%s: stats, choices, coverage or heap differ" what what'
+                  in
+                  let plain = fresh () in
+                  let re, st = Racefuzzer.directed_run plain ~cand ~seed ~fuel in
+                  let ((rc, h) as recorded) = cov_run fuel in
+                  same ": prefix []"
+                    ( { rc with Racefuzzer.rc_report = re.Racefuzzer.re_report; rc_stats = st },
+                      heap plain )
+                    (rc, h);
+                  let choices = rc.Racefuzzer.rc_choices in
+                  if st.Racefuzzer.rs_steps <= List.length choices then begin
+                    incr whole;
+                    same ": replayed" recorded (cov_run ~prefix:choices fuel)
+                  end
+                  else begin
+                    let cut = List.length choices in
+                    same ": replayed prefix" (cov_run cut) (cov_run ~prefix:choices cut)
+                  end;
+                  incr compared
+                done)
+              cands)
+        an.Narada_core.Pipeline.an_tests)
+    (Corpus.Registry.all @ Corpus.Registry.extras);
+  Alcotest.(check int) "directed runs compared" 11_970 !compared;
+  Alcotest.(check int) "runs recorded whole" 6_083 !whole
+
 let test_triage_lost_update_harmful () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
   match Triage.triage ~instantiate:inst ~cand:(cand "count") () with
@@ -240,6 +336,11 @@ let () =
             test_guided_replay_from_snapshot;
           Alcotest.test_case "1k replays keep pool bounded" `Slow
             test_replay_stress_pools_chunks;
+        ] );
+      ( "one loop",
+        [
+          Alcotest.test_case "C1-C9, X1-X3: cov run = plain run, replayable" `Slow
+            test_loops_agree;
         ] );
       ( "triage",
         [

@@ -133,6 +133,75 @@ let test_no_allocation () =
     Alcotest.(check (float 0.0)) "10,000 draws, 0 minor words" 0.0 (after -. before);
     Alcotest.(check bool) "draws used" true (!acc >= 0)
 
+(* The RNG's consumers on the campaign path: the directed scheduler, its
+   drain and the executor under the random scheduler, on one fixture.
+   Two threads loop over a synchronized increment of [count], the
+   candidate field, so the directed run postpones a thread at nearly
+   every iteration and, with the other one blocked on the lock, releases
+   it again; no run ends within its fuel.  The bounds are the words per step they make (7.38, 2.76 and
+   8.83) plus half a word: a closure or a [Some] cell allocated on every
+   step breaks them. *)
+let alloc_src =
+  "class C { int count; int other; void work() { int i = 0; \
+   while (i < 1000000) { synchronized (this) { this.count = this.count + 1; } \
+   this.other = i; i = i + 1; } } }"
+
+let alloc_instance () =
+  let cu = Jir.Compile.compile_source alloc_src in
+  let m = Runtime.Machine.create ~client_classes:[ "C" ] cu in
+  match (Runtime.Machine.construct m ~cls:"C" ~args:[] (), Jir.Code.find_virtual cu "C" "work") with
+  | Ok recv, Some cm ->
+    let spawn () = Runtime.Machine.new_thread m ~client:true ~cm ~recv:(Some recv) ~args:[] () in
+    let t1 = spawn () in
+    let t2 = spawn () in
+    { Detect.Racefuzzer.ri_machine = m; ri_threads = [ t1; t2 ]; ri_roots = [ recv ] }
+  | Error e, _ -> Alcotest.fail e
+  | Ok _, None -> Alcotest.fail "no C.work"
+
+let words_per_step ~steps f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int steps
+
+let test_scheduler_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let fuel = 20_000 in
+    let cand = { Detect.Racefuzzer.c_field = "count"; c_sites = None } in
+    let inst = alloc_instance () in
+    let run = ref None in
+    let directed =
+      words_per_step ~steps:fuel (fun () ->
+          run := Some (Detect.Racefuzzer.directed_run inst ~cand ~seed:7L ~fuel))
+    in
+    (match !run with
+    | Some (re, st) ->
+      Alcotest.(check int) "directed run uses all its fuel" fuel st.Detect.Racefuzzer.rs_steps;
+      Alcotest.(check bool) "and confirms nothing" true (re.Detect.Racefuzzer.re_report = None)
+    | None -> Alcotest.fail "no directed run");
+    let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
+    let drained =
+      words_per_step ~steps:fuel (fun () ->
+          Detect.Racefuzzer.drain m (Rng.create 7L) ~fuel)
+    in
+    Alcotest.(check int) "drain uses all its fuel" 2
+      (List.length (Runtime.Machine.live_tids m));
+    (* [Exec.run] spends fuel on a pick that finds its thread blocked
+       too, so count its words per step taken. *)
+    let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
+    let before = Gc.minor_words () in
+    let r = Conc.Exec.run ~fuel m (Conc.Scheduler.random ~seed:7L) in
+    let executed = (Gc.minor_words () -. before) /. float_of_int r.Conc.Exec.steps in
+    Alcotest.(check bool) "Exec.run uses all its fuel" true
+      (r.Conc.Exec.outcome = Conc.Exec.Fuel_exhausted);
+    let at_most what bound v =
+      if v > bound then Alcotest.failf "%s: %.3f words/step, bound %.2f" what v bound
+    in
+    at_most "directed_run" 7.9 directed;
+    at_most "drain" 3.3 drained;
+    at_most "Exec.run" 9.3 executed
+
 let () =
   Alcotest.run "rng"
     [
@@ -142,5 +211,10 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "copy independent" `Quick test_copy;
         ] );
-      ("allocation", [ Alcotest.test_case "below allocates nothing" `Quick test_no_allocation ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "below allocates nothing" `Quick test_no_allocation;
+          Alcotest.test_case "directed scheduler words/step" `Quick
+            test_scheduler_allocation;
+        ] );
     ]
