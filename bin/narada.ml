@@ -463,14 +463,22 @@ let eval_cmd =
           ("cmd", Obs.Export.json_str "eval");
           ("smoke", if smoke then "true" else "false");
           ("jobs", string_of_int (max 1 jobs));
-        ]
+        ];
+    (* The ablation re-synthesizes every class, so it runs after the
+       metrics dump: the artifact stays the campaign's. *)
+    print_newline ();
+    print_string
+      (Eval.Evaluate.ablation_table
+         (List.filter_map
+            (fun e -> Result.to_option (Eval.Evaluate.ablation e))
+            entries))
   in
   let with_contege =
     Arg.(value & flag & info [ "contege" ] ~doc:"Also run the ConTeGe baseline.")
   in
   let budget =
     Arg.(
-      value & opt int 150
+      value & opt int Contege.default_budget
       & info [ "budget" ] ~docv:"N" ~doc:"Random tests per class for the baseline.")
   in
   let smoke =
@@ -514,7 +522,9 @@ let contege_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Corpus id.")
   in
   let budget =
-    Arg.(value & opt int 200 & info [ "budget" ] ~docv:"N" ~doc:"Number of random tests.")
+    Arg.(
+      value & opt int Contege.default_budget
+      & info [ "budget" ] ~docv:"N" ~doc:"Number of random tests.")
   in
   Cmd.v
     (Cmd.info "contege"

@@ -258,6 +258,8 @@ type campaign = {
   ca_example : string option; (* source of the first violating test *)
 }
 
+let default_budget = 200
+
 (* Run a ConTeGe campaign against a corpus entry. *)
 let campaign (e : Corpus.Corpus_def.entry) ~budget ~schedules ~seed : campaign =
   match Jir.Compile.compile_source e.Corpus.Corpus_def.e_source with

@@ -41,5 +41,8 @@ type campaign = {
   ca_example : string option;  (** source of the first violating test *)
 }
 
+val default_budget : int
+(** Random tests per class in the §5 comparison (200; 1800 over C1-C9). *)
+
 val campaign :
   Corpus.Corpus_def.entry -> budget:int -> schedules:int -> seed:int64 -> campaign

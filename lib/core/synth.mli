@@ -38,8 +38,8 @@ val instantiate :
   test ->
   (Detect.Racefuzzer.instance, string) result
 (** [apply_context:false] skips the shareObjects phase (used by the
-    ablation bench to show that context derivation is what exposes the
-    races). *)
+    ablation [narada eval] prints, to show that context derivation is
+    what exposes the races). *)
 
 val instantiator :
   ?seed:int64 ->

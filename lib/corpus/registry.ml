@@ -37,5 +37,3 @@ let compiled_unit (e : Corpus_def.entry) : Jir.Code.unit_ =
       Jir.Compile.compile_source e.Corpus_def.e_source)
 
 let warm entries = List.iter (fun e -> ignore (compiled_unit e)) entries
-
-let warm_all () = warm (all @ extras)

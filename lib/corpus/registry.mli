@@ -14,7 +14,7 @@ val ids : string list
 
 val compiled_unit : Corpus_def.entry -> Jir.Code.unit_
 (** Memoized compilation of an entry's source, shared by the CLI,
-    tests, bench and the evaluation harness.  Domain-safe and
+    tests, benchmark and the evaluation harness.  Domain-safe and
     contention-free in the steady state: published units are read from
     an immutable snapshot without locking, compilation happens outside
     the publication lock, and "compile at most once" is preserved.
@@ -25,6 +25,3 @@ val warm : Corpus_def.entry list -> unit
 (** Pre-compile the given entries (sequentially, on the calling
     domain).  Campaign entry points call this before fanning out so
     worker domains only ever take the lock-free read path. *)
-
-val warm_all : unit -> unit
-(** {!warm} over [all] and [extras]. *)

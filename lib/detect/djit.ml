@@ -5,7 +5,7 @@
 
    Kept as an executable reference: the test-suite checks that FastTrack
    flags exactly the variables Djit+ flags on random traces (FastTrack's
-   correctness theorem), and the bench can compare their costs. *)
+   correctness theorem). *)
 
 type var = { v_obj : Runtime.Value.addr; v_field : Jir.Ast.id; v_idx : int option }
 

@@ -11,8 +11,8 @@
    outright (its racy-pair feature is already in the corpus), and a
    recurrence of a key that failed its full-budget attempt only gets
    [Racefuzzer.confirm_guided]'s novelty-plateau runs.  The
-   confirmed-set / schedule comparison is the measurement behind
-   BENCH_fuzz.json and the serve daemon's confirm requests. *)
+   confirmed-set / schedule comparison over C1-C9 is pinned in
+   test_campaign.ml; the serve daemon's confirm requests run it too. *)
 
 type mode =
   | Blind of { runs : int }

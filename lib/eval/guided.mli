@@ -6,7 +6,8 @@
     recurrences of confirmed pairs (their racy-pair feature is in the
     corpus), novelty-plateau runs for recurrences of failed keys.
     Guided confirms everything blind confirms, with fewer schedules.
-    Backs BENCH_fuzz.json and the serve daemon's confirm requests. *)
+    Backs the serve daemon's confirm requests; test_campaign.ml pins
+    both modes' confirmed sets and schedule counts on C1-C9. *)
 
 type mode =
   | Blind of { runs : int }

@@ -153,14 +153,14 @@ type contege_row = {
   cr_narada_races : int; (* what Narada-synthesized tests found *)
 }
 
-let contege_rows ?(budget = 150) ?(schedules = 5) ?(seed = 11L)
+let contege_rows ?(budget = Contege.default_budget)
     (evals : Evaluate.class_eval list) : contege_row list =
   List.map
     (fun (ce : Evaluate.class_eval) ->
       {
         cr_id = ce.Evaluate.cl_entry.Corpus.Corpus_def.e_id;
         cr_campaign =
-          Contege.campaign ce.Evaluate.cl_entry ~budget ~schedules ~seed;
+          Contege.campaign ce.Evaluate.cl_entry ~budget ~schedules:5 ~seed:11L;
         cr_narada_races = ce.Evaluate.cl_detected;
       })
     evals

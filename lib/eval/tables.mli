@@ -21,12 +21,9 @@ type contege_row = {
   cr_narada_races : int;
 }
 
-val contege_rows :
-  ?budget:int ->
-  ?schedules:int ->
-  ?seed:int64 ->
-  Evaluate.class_eval list ->
-  contege_row list
+val contege_rows : ?budget:int -> Evaluate.class_eval list -> contege_row list
+(** One {!Contege.campaign} per class ([budget] random tests, default
+    {!Contege.default_budget}; 5 schedules, seed 11). *)
 
 val contege_table : contege_row list -> string
 (** The §5 ConTeGe comparison. *)

@@ -350,15 +350,14 @@ module Export = struct
         ("ns", Int64.to_string ns);
       ]
 
-  let gauge_line ?(fields = []) ~name ~value () =
+  let gauge_line ~name ~value =
     obj
-      ([
-         ("kind", json_str "volatile");
-         ("type", json_str "gauge");
-         ("name", json_str name);
-         ("value", json_float value);
-       ]
-      @ fields)
+      [
+        ("kind", json_str "volatile");
+        ("type", json_str "gauge");
+        ("name", json_str name);
+        ("value", json_float value);
+      ]
 
   (* The export order is part of the schema: one meta line, then the
      stable section (counters, histograms, span call counts — each
@@ -375,7 +374,7 @@ module Export = struct
     let span_calls = List.map (fun (path, calls, _) -> span_line ~path ~calls) spans in
     let span_ns = List.map (fun (path, _, ns) -> span_ns_line ~path ~ns) spans in
     let gauges =
-      List.map (fun (name, value) -> gauge_line ~name ~value ()) (Metrics.gauges t)
+      List.map (fun (name, value) -> gauge_line ~name ~value) (Metrics.gauges t)
     in
     (meta_line ~fields:meta () :: counters) @ hists @ span_calls @ span_ns @ gauges
 

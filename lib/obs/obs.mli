@@ -121,15 +121,6 @@ module Export : sig
   val is_stable_line : string -> bool
   val stable_lines : Metrics.t -> string list
 
-  val meta_line : ?fields:(string * string) list -> unit -> string
-  (** Schema-shared line constructors for artifacts (BENCH files) that
-      are not registry dumps. *)
-
-  val counter_line : name:string -> value:int -> string
-
-  val gauge_line :
-    ?fields:(string * string) list -> name:string -> value:float -> unit -> string
-
   val json_str : string -> string
   val json_float : float -> string
 end

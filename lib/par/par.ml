@@ -6,7 +6,7 @@
    own Mutex.t + Condition.t, and [map] created one future per list
    element.  At jobs=4 the whole campaign convoyed on that lock (and,
    worse, on stop-the-world minor GC once more domains were runnable
-   than cores — BENCH_parallel.json recorded a 0.26x "speedup").
+   than cores — the whole-corpus campaign measured a 0.26x "speedup").
 
    This version shards the queue: one deque per worker, owner pops
    LIFO from the back, idle workers steal FIFO from the front of a
@@ -230,7 +230,8 @@ module Pool = struct
 
   (* Enqueue under [mu] bookkeeping: round-robin shard choice, pending
      count, queue high-water mark, wakeups.  The shard lock is taken
-       only for the push itself. *)
+     only for the push itself.
+     @raise Invalid_argument after [shutdown] (documented on [submit]). *)
   let enqueue p task =
     Mutex.lock p.mu;
     if p.stop then begin
@@ -260,7 +261,9 @@ module Pool = struct
     fut
 
   (* Batched submission for [mapi]: distribute all chunks round-robin
-     across the shards, then wake every worker once. *)
+     across the shards, then wake every worker once.  Unreachable on a
+     shut-down pool: [mapi] submits once, to the pool it just created,
+     before its [shutdown]; the check only guards a future caller. *)
   let submit_chunks p fs =
     Mutex.lock p.mu;
     if p.stop then begin
@@ -414,6 +417,8 @@ let mapi ?jobs ?chunk xs f =
            chunks: the [width] workers saturate the width budget and a
            sleeping domain does not stall minor collections. *)
         Latch.await latch);
+    (* With no failure recorded every chunk ran to its end and wrote
+       each of its slots, so [Option.get] cannot raise. *)
     match Latch.failure latch with
     | Some (_, e) -> raise e
     | None -> Array.to_list (Array.map Option.get out)
@@ -498,5 +503,5 @@ struct
 end
 
 (* Shared compile cache: corpus sources are fixed, so every consumer
-   (CLI, tests, bench, evaluation) can reuse one compiled unit per
+   (CLI, tests, benchmark, evaluation) can reuse one compiled unit per
    entry. *)

@@ -30,8 +30,8 @@ module Pool : sig
   val jobs : t -> int
 
   val submit : t -> (unit -> 'a) -> 'a future
-  (** Enqueue a task (round-robin over the worker deques).  Raises
-      [Invalid_argument] after [shutdown]. *)
+  (** Enqueue a task (round-robin over the worker deques).
+      @raise Invalid_argument after [shutdown]. *)
 
   val await : 'a future -> 'a
   (** Block until the task has run; re-raises the task's exception.

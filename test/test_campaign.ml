@@ -1,7 +1,7 @@
 (* The detection-campaign driver and the one answer it gives.
 
    [Detect.Campaign.candidates] is the only lockset pass the evaluation
-   harness, guided confirmation, repair and the benches run, so at one
+   harness, guided confirmation, repair and the benchmark run, so at one
    budget they must confirm the same races: on C1-C9 at 2 schedules and
    6 directed runs, Evaluate and blind Guided confirm the same 659 keys,
    and repair's targets are exactly those keys folded to race ids (434
@@ -212,6 +212,53 @@ let test_table5_anchor () =
   Alcotest.(check (triple int int int)) "reproduced / harmful / benign"
     (660, 538, 122) totals
 
+(* ---- blind vs guided confirmation ---- *)
+
+(* Blind (6 directed runs per candidate) against guided confirmation
+   (one coverage corpus per class, novelty plateau) at the defaults:
+   (class, candidates, confirmed blind, confirmed guided, blind
+   schedules, guided schedules).  Both modes confirm the same keys;
+   guided spends 1,162 schedules where blind spends 2,677. *)
+let blind_vs_guided =
+  [
+    ("C1", 160, 77, 77, 196, 114);
+    ("C2", 178, 78, 78, 252, 129);
+    ("C3", 18, 18, 18, 18, 18);
+    ("C4", 20, 18, 18, 31, 31);
+    ("C5", 465, 275, 275, 747, 506);
+    ("C6", 882, 157, 157, 1350, 295);
+    ("C7", 4, 4, 4, 7, 7);
+    ("C8", 36, 24, 24, 56, 42);
+    ("C9", 10, 8, 8, 20, 20);
+  ]
+
+let test_blind_vs_guided () =
+  let confirm mode e =
+    match Eval.Guided.confirm_class ~jobs:1 ~mode e with
+    | Ok gc -> gc
+    | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+  in
+  let totals =
+    List.fold_left2
+      (fun (tb, tg) (e : Corpus.Corpus_def.entry) (id, cands, cb, cg, sb, sg) ->
+        Alcotest.(check string) "class order" id e.Corpus.Corpus_def.e_id;
+        let b = confirm (Eval.Guided.Blind { runs = 6 }) e in
+        let g =
+          confirm (Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 }) e
+        in
+        let check name = Alcotest.(check int) (id ^ " " ^ name) in
+        check "candidates" cands b.Eval.Guided.gc_candidates;
+        check "confirmed blind" cb (List.length b.Eval.Guided.gc_confirmed);
+        check "confirmed guided" cg (List.length g.Eval.Guided.gc_confirmed);
+        check "schedules blind" sb b.Eval.Guided.gc_schedules;
+        check "schedules guided" sg g.Eval.Guided.gc_schedules;
+        let keys gc = List.map Detect.Race.key_to_string gc.Eval.Guided.gc_confirmed in
+        Alcotest.(check (list string)) (id ^ " same confirmed keys") (keys b) (keys g);
+        (tb + b.Eval.Guided.gc_schedules, tg + g.Eval.Guided.gc_schedules))
+      (0, 0) classes blind_vs_guided
+  in
+  Alcotest.(check (pair int int)) "total schedules blind / guided" (2677, 1162) totals
+
 let () =
   Alcotest.run "campaign"
     [
@@ -225,5 +272,7 @@ let () =
         [
           Alcotest.test_case "eval, guided and repair agree" `Slow test_one_answer;
           Alcotest.test_case "Table 5 anchor 660/538/122" `Slow test_table5_anchor;
+          Alcotest.test_case "blind vs guided schedules 2677/1162" `Slow
+            test_blind_vs_guided;
         ] );
     ]

@@ -128,6 +128,26 @@ let test_ablation () =
       Alcotest.(check bool) "bounded by tests" true
         (row.Eval.Evaluate.ab_with_context <= row.Eval.Evaluate.ab_tests))
 
+(* The table [narada eval] prints after Fig. 14: (class, tests, racy
+   with context, racy without). *)
+let test_ablation_table () =
+  Alcotest.(check (list (pair string (triple int int int))))
+    "C1-C9 rows"
+    [
+      ("C1", (31, 31, 0)); ("C2", (69, 56, 0)); ("C3", (22, 11, 0));
+      ("C4", (42, 15, 0)); ("C5", (185, 122, 0)); ("C6", (109, 107, 0));
+      ("C7", (11, 4, 0)); ("C8", (24, 24, 0)); ("C9", (10, 10, 0));
+    ]
+    (List.map
+       (fun e ->
+         match Eval.Evaluate.ablation e with
+         | Error msg -> Alcotest.fail msg
+         | Ok r ->
+           ( r.Eval.Evaluate.ab_id,
+             (r.Eval.Evaluate.ab_tests, r.Eval.Evaluate.ab_with_context,
+              r.Eval.Evaluate.ab_without_context) ))
+       Corpus.Registry.all)
+
 let () =
   Alcotest.run "eval"
     [
@@ -152,5 +172,8 @@ let () =
           Alcotest.test_case "jobs > work list" `Slow test_corpus_oversubscribed;
         ] );
       ( "ablation",
-        [ Alcotest.test_case "context on/off (C1)" `Slow test_ablation ] );
+        [
+          Alcotest.test_case "context on/off (C1)" `Slow test_ablation;
+          Alcotest.test_case "C1-C9 table" `Slow test_ablation_table;
+        ] );
     ]

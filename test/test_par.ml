@@ -89,6 +89,33 @@ let test_max_domains_clamp () =
     "clamped width-1 map = sequential" (List.map succ xs)
     (Par.map ~jobs:8 xs succ)
 
+(* The clamp is what keeps a campaign from running more domains than
+   cores, where stop-the-world minor collections convoy every domain.
+   Under a cap of 2, a jobs:8 map over 64 inputs runs exactly 2
+   workers: on a fresh registry the pool's per-worker gauges name
+   workers 0 and 1 only, and they ran all 64 / (8 * 2) = 4-element
+   chunks between them. *)
+let test_max_domains_width () =
+  Par.set_max_domains 2;
+  Fun.protect ~finally:(fun () -> Par.set_max_domains 8) @@ fun () ->
+  let reg = Obs.Metrics.global () in
+  Obs.Metrics.reset reg;
+  let xs = List.init 64 Fun.id in
+  Alcotest.(check (list int)) "clamped map = List.map" (List.map succ xs)
+    (Par.map ~jobs:8 xs succ);
+  let tasks =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"par/pool/worker" name
+        && String.ends_with ~suffix:"/tasks" name)
+      (Obs.Metrics.gauges reg)
+  in
+  Alcotest.(check (list string)) "exactly two workers"
+    [ "par/pool/worker0/tasks"; "par/pool/worker1/tasks" ]
+    (List.map fst tasks);
+  Alcotest.(check (float 0.)) "16 chunks between them" 16.
+    (List.fold_left (fun acc (_, n) -> acc +. n) 0. tasks)
+
 let test_pool_futures () =
   let p = Par.Pool.create ~jobs:3 in
   Alcotest.(check int) "jobs" 3 (Par.Pool.jobs p);
@@ -226,6 +253,8 @@ let () =
           Alcotest.test_case "10k tiny tasks" `Quick test_stress_tiny_tasks;
           Alcotest.test_case "empty and singleton" `Quick test_edge_empty_singleton;
           Alcotest.test_case "max_domains clamp" `Quick test_max_domains_clamp;
+          Alcotest.test_case "clamped width runs exactly 2 workers" `Quick
+            test_max_domains_width;
         ] );
       ( "pool",
         [

@@ -313,6 +313,64 @@ let test_triage_crash_harmful () =
   | Ok Triage.Benign -> Alcotest.fail "close/read race crashes: harmful"
   | Error e -> Alcotest.fail e
 
+(* ---- scheduler shootout on the Fig. 3 test ---- *)
+
+(* One execution per seed 1-50 of the synthesized C1 test on
+   [SynchronizedWriteBehindQueue.removeFirst] / [count].  Every
+   schedule of it is flagged by the detectors (no happens-before edge
+   joins the threads), so a hit is the damage: the final state differs
+   from the serialized execution's.  Blind schedulers rarely produce
+   it; the directed scheduler confirms the race on every seed. *)
+let test_scheduler_shootout () =
+  let an =
+    match Corpus.Registry.find "C1" with
+    | None -> Alcotest.fail "no C1"
+    | Some e -> (
+      match Eval.Evaluate.analyze_entry e with
+      | Ok (_, an) -> an
+      | Error msg -> Alcotest.fail msg)
+  in
+  let test =
+    List.find
+      (fun (t : Narada_core.Synth.test) ->
+        let p = t.Narada_core.Synth.st_pair in
+        p.Narada_core.Pairs.p_a.Narada_core.Pairs.ep_qname
+        = "SynchronizedWriteBehindQueue.removeFirst"
+        && p.Narada_core.Pairs.p_field = "count")
+      an.Narada_core.Pipeline.an_tests
+  in
+  let instantiate = Narada_core.Pipeline.instantiator an test in
+  let final_state sched =
+    match instantiate () with
+    | Error e -> Alcotest.fail e
+    | Ok inst ->
+      ignore (Conc.Exec.run inst.Racefuzzer.ri_machine sched);
+      Runtime.Snapshot.canonical
+        (Runtime.Machine.heap inst.Racefuzzer.ri_machine)
+        ~roots:inst.Racefuzzer.ri_roots
+  in
+  let serialized =
+    final_state
+      (Conc.Scheduler.of_fun ~name:"serial" (fun _ runnable -> List.hd runnable))
+  in
+  let hits hit = List.length (List.filter hit (List.init 50 (fun i -> Int64.of_int (i + 1)))) in
+  let damaged sched_of_seed seed = final_state (sched_of_seed seed) <> serialized in
+  Alcotest.(check int) "random (fine-grained)" 19
+    (hits (damaged (fun seed -> Conc.Scheduler.random ~seed)));
+  Alcotest.(check int) "random (coarse, 1/8 switch)" 5
+    (hits
+       (damaged (fun seed ->
+            Conc.Scheduler.random_coarse ~seed ~switch_denominator:8)));
+  Alcotest.(check int) "pct (depth 3)" 2
+    (hits
+       (damaged (fun seed ->
+            Conc.Scheduler.pct ~seed ~depth:3 ~expected_steps:300)));
+  Alcotest.(check int) "directed (RaceFuzzer)" 50
+    (hits (fun seed ->
+         (Racefuzzer.confirm ~instantiate ~cand:(cand "count") ~runs:1 ~seed ())
+           .Racefuzzer.confirmed
+         <> None))
+
 let () =
   Alcotest.run "racefuzzer"
     [
@@ -341,6 +399,11 @@ let () =
         [
           Alcotest.test_case "C1-C9, X1-X3: cov run = plain run, replayable" `Slow
             test_loops_agree;
+        ] );
+      ( "shootout",
+        [
+          Alcotest.test_case "Fig. 3 C1 test: 19/5/2/50 of 50 seeds" `Slow
+            test_scheduler_shootout;
         ] );
       ( "triage",
         [

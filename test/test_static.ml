@@ -349,6 +349,87 @@ let test_stale_cache_mutation () =
   Alcotest.(check bool) "stale summary hides the candidate" false
     (Static.Analyze.covers stale ~field:"v" ~m1:"C.set" ~m2:"C.get")
 
+(* ---- corpus-scale counters ---- *)
+
+(* Open-world candidate counts of the nine Table 3 classes. *)
+let test_corpus_candidate_counts () =
+  List.iter2
+    (fun (e : Corpus.Corpus_def.entry) (id, n) ->
+      Alcotest.(check string) "class order" id e.Corpus.Corpus_def.e_id;
+      let cu = Corpus.Registry.compiled_unit e in
+      let an = Static.Analyze.run ~open_world:true cu.Jir.Code.cu_program in
+      Alcotest.(check int) (id ^ " candidates") n
+        (List.length (Static.Analyze.candidates an)))
+    Corpus.Registry.all
+    [
+      ("C1", 62); ("C2", 111); ("C3", 28); ("C4", 60); ("C5", 229);
+      ("C6", 135); ("C7", 14); ("C8", 24); ("C9", 13);
+    ]
+
+(* Consecutive Crucible programs from generator seed 1000 until the
+   class count reaches [target]. *)
+let generated_units ~target =
+  let rec go i acc classes =
+    if classes >= target then (List.rev acc, classes)
+    else
+      let p = Fuzz.Gen.generate ~seed:(Int64.of_int (1000 + i)) in
+      go (i + 1) ((Printf.sprintf "P%03d" i, p) :: acc) (classes + List.length p)
+  in
+  go 0 [] 0
+
+(* Drop the last statement of the last non-empty method body of the
+   last class that has one.  Editing at the very end keeps the printed
+   source of every other class byte-identical (no line shifts), so
+   exactly one class digest changes. *)
+let drop_last_stmt (prog : Jir.Ast.program) : Jir.Ast.program =
+  let rec edit_meths = function
+    | [] -> None
+    | (m : Jir.Ast.method_decl) :: ms -> (
+      match List.rev m.Jir.Ast.m_body with
+      | [] -> Option.map (fun ms' -> m :: ms') (edit_meths ms)
+      | _ :: rev_body -> Some ({ m with Jir.Ast.m_body = List.rev rev_body } :: ms))
+  in
+  let rec edit_classes = function
+    | [] -> []
+    | (c : Jir.Ast.class_decl) :: rest -> (
+      match edit_meths (List.rev c.Jir.Ast.c_methods) with
+      | Some mrev -> { c with Jir.Ast.c_methods = List.rev mrev } :: rest
+      | None -> c :: edit_classes rest)
+  in
+  List.rev (edit_classes (List.rev prog))
+
+(* [narada lint] over 341 generated units (1,002 classes) on one
+   summary cache: a cold run summarizes every class, a warm re-run
+   none, and a one-statement edit exactly the edited class. *)
+let test_lint_cache_at_scale () =
+  let units, classes = generated_units ~target:1000 in
+  Alcotest.(check int) "units" 341 (List.length units);
+  Alcotest.(check int) "classes" 1002 classes;
+  let cache = Static.Cache.in_memory () in
+  let summarized sources =
+    let reg = Obs.Metrics.global () in
+    let before = Obs.Metrics.counter_value reg "static/summarized" in
+    List.iter
+      (fun (label, source) ->
+        ignore
+          (Static.Lint.block ~cache ~label ~source
+             ~compile:(fun () -> Jir.Compile.compile_source source)
+             ()))
+      sources;
+    Obs.Metrics.counter_value reg "static/summarized" - before
+  in
+  let sources = List.map (fun (l, p) -> (l, Fuzz.Gen.to_source p)) units in
+  Alcotest.(check int) "cold summarizes every class" 1002 (summarized sources);
+  Alcotest.(check int) "warm summarizes nothing" 0 (summarized sources);
+  let edited =
+    List.mapi
+      (fun i (l, p) ->
+        (l, Fuzz.Gen.to_source (if i = 0 then drop_last_stmt p else p)))
+      units
+  in
+  Alcotest.(check int) "one-statement edit re-summarizes one class" 1
+    (summarized edited)
+
 let () =
   Alcotest.run "static"
     [
@@ -398,5 +479,9 @@ let () =
             (test_filter_sound "C4");
           Alcotest.test_case "C9 filter soundness with summary cache" `Slow
             (test_filter_sound_cached "C9");
+          Alcotest.test_case "C1-C9 open-world candidate counts" `Quick
+            test_corpus_candidate_counts;
+          Alcotest.test_case "lint cache: 1002 cold, 0 warm, 1 edited" `Slow
+            test_lint_cache_at_scale;
         ] );
     ]
