@@ -27,9 +27,11 @@ let run ?(fuel = default_fuel) (m : Runtime.Machine.t) (sched : Scheduler.t) :
   let steps = ref 0 in
   (* The loop works on thread records: one hash lookup per thread at
      query time would otherwise be paid on every one of the (often
-     millions of) steps.  With an index-choosing scheduler the runnable
-     set is never materialized: [Scheduler.pick_where] counts and
-     fetches in two walks of the (short) creation-order list; otherwise
+     millions of) steps.  It walks the machine's live threads, never the
+     suspended, finished or crashed ones, none of which is runnable.
+     With an index-choosing scheduler the runnable set is never
+     materialized: [Scheduler.pick_where] counts and fetches in two
+     walks of the live list; otherwise
      [Scheduler.choose] keeps its tid-list interface and the chosen
      record is re-found in the runnable list.  Note that the scheduler
      must be consulted even when a single thread is runnable: the random
@@ -56,10 +58,11 @@ let run ?(fuel = default_fuel) (m : Runtime.Machine.t) (sched : Scheduler.t) :
   let rec loop n =
     if n <= 0 then Fuel_exhausted
     else
-      match next (Runtime.Machine.all_threads m) with
-      | None ->
-        if Runtime.Machine.live_tids m = [] then All_finished
-        else Deadlock (Runtime.Machine.live_tids m)
+      match next (Runtime.Machine.live_threads m) with
+      | None -> (
+        match Runtime.Machine.live_threads m with
+        | [] -> All_finished
+        | _ :: _ -> Deadlock (Runtime.Machine.live_tids m))
       | Some th -> (
         match Runtime.Machine.step_th m th with
         | Runtime.Machine.Stepped ->

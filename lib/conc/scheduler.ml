@@ -30,10 +30,13 @@ let choose_idx t = t.choose_idx
 [@@inline]
 
 (* The uniform pick every driver loop shares: count the elements [p]
-   accepts, draw one index over that count, fetch that element.  The
-   two walks of the (short) creation-order list allocate nothing but
-   the answer's [Some].  With nothing accepted there is no draw and no
-   answer; a draw outside [0, count) also gets none. *)
+   accepts, draw one index over that count, fetch that element.  Only
+   accepted elements are counted and indexed, so dropping elements [p]
+   rejects from the list changes neither the draw nor the answer: the
+   drivers walk the machine's live threads, not every thread it ever
+   had.  The two walks allocate nothing but the answer's [Some].  With
+   nothing accepted there is no draw and no answer; a draw outside
+   [0, count) also gets none. *)
 let rec count_where p acc = function
   | [] -> acc
   | x :: rest -> count_where p (if p x then acc + 1 else acc) rest

@@ -48,14 +48,14 @@ let run_one (m : Runtime.Machine.t) ~(prefix : (Runtime.Value.tid * int) list)
       | [] ->
         if Runtime.Machine.live_tids m = [] then Finished
         else Deadlocked (Runtime.Machine.live_tids m)
-      | runnable ->
+      | first :: _ as runnable ->
         let last =
           match !schedule with (t, _) :: _ -> Some t | [] -> None
         in
         let default =
           match last with
           | Some t when List.mem t runnable -> t
-          | Some _ | None -> List.hd runnable
+          | Some _ | None -> first
         in
         let choice, preemptions =
           if i < Array.length prefix then

@@ -89,7 +89,7 @@ let drain m rng ~fuel =
   let draw = Rng.below rng in
   let rec go fuel =
     if fuel > 0 then
-      match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.all_threads m) with
+      match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.live_threads m) with
       | Some th ->
         ignore (Runtime.Machine.step_th m th);
         go (fuel - 1)
@@ -126,7 +126,12 @@ let conflicting_pair poised =
    pair, the end of the run, or [fuel] steps.  Every scheduler choice is
    [pick n], an index below the [n] options in creation order, and the
    postponed set is rebuilt from the machine, so a stopped run continues
-   its schedule from (machine, [Rng.below rng], fuel).  The step count
+   its schedule from (machine, [Rng.below rng], fuel).  Every walk is
+   over the machine's live threads: the refresh, the not-postponed pick
+   and the postponed pick all reject a suspended, finished or crashed
+   thread (a postponed thread has not stepped since it was poised, so it
+   is live), and [pick_where] counts only what it accepts, so the picks
+   are those of a walk over every thread.  The step count
    restarts at 0 on every call, though: a continued run's report labels
    and [rs_steps] count from where it was picked up, not from the start
    of the run.  [on_postponed] sees the postponed set whenever it
@@ -184,7 +189,7 @@ let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
     if fuel <= 0 then fuel
     else begin
       changed := false;
-      List.iter refresh (Runtime.Machine.all_threads m);
+      List.iter refresh (Runtime.Machine.live_threads m);
       if !changed then on_postponed postponed;
       let np = Hashtbl.length postponed in
       if np > !max_postponed then max_postponed := np;
@@ -201,7 +206,7 @@ let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
             };
         fuel
       | None -> (
-        match Conc.Scheduler.pick_where np_ok pick (Runtime.Machine.all_threads m) with
+        match Conc.Scheduler.pick_where np_ok pick (Runtime.Machine.live_threads m) with
         | Some th ->
           step_th th;
           loop (fuel - 1)
@@ -210,7 +215,7 @@ let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
              thread, drawn in tid order (creation order is tid order);
              with none postponed this is deadlock or completion. *)
           match
-            Conc.Scheduler.pick_where postponed_th pick (Runtime.Machine.all_threads m)
+            Conc.Scheduler.pick_where postponed_th pick (Runtime.Machine.live_threads m)
           with
           | None -> fuel
           | Some th ->

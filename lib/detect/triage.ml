@@ -98,7 +98,7 @@ let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
       let next =
         match first_runnable m order_ths with
         | Some th -> Some th
-        | None -> first_runnable m (Runtime.Machine.all_threads m)
+        | None -> first_runnable m (Runtime.Machine.live_threads m)
       in
       match next with
       | None -> ()

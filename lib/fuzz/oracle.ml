@@ -400,7 +400,10 @@ let race_keys ft =
 let triage_fuel = 200_000
 
 (* Priority completion: the first runnable of [order], else the first
-   runnable in creation order. *)
+   runnable in creation order.  The reference walks [all_threads], not
+   the machine's live list that [Triage.run_prioritized] walks, so the
+   oracle also checks the live-list loops against a walk of every
+   thread. *)
 let run_prioritized m ~order =
   let rec go fuel =
     if fuel > 0 then

@@ -57,6 +57,12 @@ and t = {
   class_objs : (Ast.id, Value.addr) Hashtbl.t;
   threads : (Value.tid, thread) Hashtbl.t;
   mutable thread_list : thread list; (* creation order *)
+  mutable live : thread list;
+    (* The threads that can still step, in creation order: [thread_list]
+       without the Suspended, Finished and Crashed ones.  A thread joins
+       in [start_thread] and leaves at the transition that retires it
+       ([retire]), so scheduler loops never walk a thread that cannot
+       step again. *)
   mutable next_tid : int;
   mutable next_fid : int;
   mutable next_label : int;
@@ -125,6 +131,9 @@ let class_obj m cls =
 
 let frame_is_client m (f : frame) = is_client_class m f.meth.Code.cm_cls
 
+(* Raises [Invalid_argument] only for a method of another program,
+   which a harness can pass to [new_thread] (documented there); compiled
+   code calls only methods of its own unit. *)
 let comp_for m (cm : Code.meth) =
   match Hashtbl.find_opt m.code.en_tbl (meth_key cm) with
   | Some a -> a
@@ -197,6 +206,7 @@ let start_thread m (f : frame) ~has_recv ~nargs ~spawned_client =
   in
   Hashtbl.replace m.threads tid th;
   m.thread_list <- m.thread_list @ [ th ];
+  m.live <- m.live @ [ th ];
   let client =
     observed m && spawned_client && not (is_client_class m f.meth.Code.cm_cls)
   in
@@ -210,6 +220,8 @@ let new_thread_internal m ~cm ~recv ~args ~spawned_client =
   List.iteri (fun i v -> f.regs.(base + i) <- v) args;
   start_thread m f ~has_recv:(base = 1) ~nargs:(List.length args) ~spawned_client
 
+(* The tid -> record bridge behind every tid-based query; an unknown
+   tid is a caller error, documented at [find_thread]. *)
 let thread m tid =
   match Hashtbl.find_opt m.threads tid with
   | Some th -> th
@@ -226,6 +238,17 @@ let find_thread = thread
 let thread_id (th : thread) = th.tid
 let status_th (th : thread) = th.status
 let all_threads m = m.thread_list
+let live_threads m = m.live
+
+let steppable (th : thread) =
+  match th.status with
+  | Runnable | Blocked_lock _ | Blocked_join _ -> true
+  | Suspended | Finished _ | Crashed _ -> false
+
+(* Drop a thread that was just given a retired status from the live
+   list.  Retirement happens once per thread, so the list rebuild it
+   allocates is off the per-step path. *)
+let retire m th = m.live <- List.filter (fun t -> t != th) m.live
 
 (* ---------------- instruction semantics ---------------- *)
 
@@ -395,6 +418,7 @@ let crash_thread m th msg =
   unwind_thread m th;
   th.stack <- [];
   th.status <- Crashed msg;
+  retire m th;
   if observed m then emit m (Event.Thrown { label = next_label m; tid = th.tid; msg })
   else bump m 1
 
@@ -407,7 +431,8 @@ let do_return m th (f : frame) (v : Value.t option) =
       unlock_event m th f addr)
     f.entered;
   f.entered <- [];
-  th.stack <- List.tl th.stack;
+  (* [f] is the frame being returned from: the head of the stack. *)
+  th.stack <- (match th.stack with _ :: callers -> callers | [] -> []);
   if observed m then begin
     let to_frame, to_client =
       match th.stack with
@@ -430,7 +455,10 @@ let do_return m th (f : frame) (v : Value.t option) =
   (match (th.stack, f.ret_dst, v) with
   | p :: _, Some r, Some v -> p.regs.(r) <- v
   | _, _, _ -> ());
-  if th.stack = [] then th.status <- Finished v
+  if th.stack = [] then begin
+    th.status <- Finished v;
+    retire m th
+  end
 
 (* The compiler: each method body becomes an array of closures, one per
    pc, with constants materialized, access sites, branch targets, static
@@ -901,16 +929,9 @@ let runnable_th m (th : thread) =
   | Suspended | Finished _ | Crashed _ -> false
 
 let runnable m tid = runnable_th m (thread m tid)
-let runnable_threads m = List.filter (runnable_th m) m.thread_list
+let runnable_threads m = List.filter (runnable_th m) m.live
 let runnable_tids m = List.map thread_id (runnable_threads m)
-
-let live_tids m =
-  List.filter_map
-    (fun th ->
-      match th.status with
-      | Finished _ | Crashed _ | Suspended -> None
-      | Runnable | Blocked_lock _ | Blocked_join _ -> Some th.tid)
-    m.thread_list
+let live_tids m = List.map thread_id m.live
 
 let step_th m (th : thread) : step_result =
   match th.status with
@@ -919,6 +940,7 @@ let step_th m (th : thread) : step_result =
     match th.stack with
     | [] ->
       th.status <- Finished None;
+      retire m th;
       Not_runnable
     | f :: _ -> (
       try if f.comp.(f.pc) m th f then Stepped else Blocked
@@ -1014,6 +1036,7 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
       class_objs = Hashtbl.create 17;
       threads = Hashtbl.create 17;
       thread_list = [];
+      live = [];
       next_tid = 0;
       next_fid = 0;
       next_label = 0;
@@ -1040,7 +1063,10 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
         let tid = new_thread_internal m ~cm ~recv:None ~args:[] ~spawned_client:false in
         (match run_thread_to_completion m tid ~fuel:default_fuel with
         | Ok _ -> ()
-        | Error msg -> failwith (Printf.sprintf "<clinit> of %s failed: %s" c.Ast.c_name msg))
+        | Error msg ->
+          (* Documented in the interface: a crashing or looping static
+             initializer leaves no machine to return. *)
+          failwith (Printf.sprintf "<clinit> of %s failed: %s" c.Ast.c_name msg))
       | Some _ | None -> ())
     (Program.classes cu.Code.cu_program);
   m
@@ -1053,7 +1079,9 @@ let add_observer m f = m.observers <- m.observers @ [ f ]
    no run changes is shared: the code unit, the heap's interned layouts
    and the compiled code (so copied frames keep their bodies).
    Observers are not carried over; the copy starts unobserved, as a
-   freshly created machine does.  Only reads [m]. *)
+   freshly created machine does.  The live list is rebuilt from the
+   copied records, so the copy never steps a record of [m].  Only reads
+   [m]. *)
 let copy m =
   let copy_frame (f : frame) = { f with regs = Array.copy f.regs } in
   let thread_list =
@@ -1072,6 +1100,7 @@ let copy m =
     class_objs = Hashtbl.copy m.class_objs;
     threads;
     thread_list;
+    live = List.filter steppable thread_list;
     observers = [];
     client_classes = Hashtbl.copy m.client_classes;
     out;
@@ -1103,7 +1132,10 @@ let crash_reason m tid =
 (* Freeze a thread: it is never scheduled again.  Used on the seed
    replay threads after their objects are collected (§3.4: execution is
    suspended before the invocation of interest). *)
-let suspend m tid = (thread m tid).status <- Suspended
+let suspend m tid =
+  let th = thread m tid in
+  th.status <- Suspended;
+  retire m th
 let is_client_frame m (f : frame) = frame_is_client m f
 
 (* What memory access (if any) would the next step of [tid] perform?

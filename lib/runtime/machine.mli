@@ -44,7 +44,10 @@ val create :
 (** Create a machine running the unit's {!Compiled.of_unit} code:
     allocates class objects (static-field holders) and runs static
     initializers.  [client_classes] mark which classes count as
-    "client" for the client/library boundary flags on events. *)
+    "client" for the client/library boundary flags on events.
+
+    @raise Failure if a static initializer crashes or does not finish
+    within {!default_fuel} steps. *)
 
 (** The instruction compiler: translates every method body of a unit
     into an array of closures once (constants materialized, access
@@ -100,7 +103,10 @@ val new_thread :
   Value.tid
 (** Create a thread whose initial frame invokes [cm].  [client] says
     whether the invocation should be treated as coming from client code
-    (default true, as harness-driven calls are client calls). *)
+    (default true, as harness-driven calls are client calls).
+
+    @raise Invalid_argument if [cm] is not a method of the machine's
+    program (likewise {!call}). *)
 
 val call :
   t ->
@@ -115,7 +121,9 @@ val call :
 type step_result = Stepped | Blocked | Not_runnable
 
 val step : t -> Value.tid -> step_result
-(** Execute one instruction of the given thread.  A crash (null
+(** Execute one instruction of the given thread.  Like every query
+    below that takes a tid, raises [Invalid_argument] for a tid the
+    machine never created (see {!find_thread}).  A crash (null
     dereference, failed assertion, [throw], ...) unwinds the thread,
     releases its monitors (emitting [Unlock] events) and marks it
     [Crashed]; this counts as [Stepped]. *)
@@ -127,7 +135,7 @@ val runnable : t -> Value.tid -> bool
 
 val runnable_tids : t -> Value.tid list
 val live_tids : t -> Value.tid list
-(** Threads that are neither finished nor crashed. *)
+(** The tids of {!live_threads}. *)
 
 val threads : t -> Value.tid list
 (** All threads ever created, in creation order. *)
@@ -144,7 +152,7 @@ type thread
     lifetime. *)
 
 val find_thread : t -> Value.tid -> thread
-(** Raises [Invalid_argument] for an unknown tid. *)
+(** @raise Invalid_argument for a tid the machine never created. *)
 
 val thread_id : thread -> Value.tid
 val status_th : thread -> status
@@ -152,11 +160,27 @@ val step_th : t -> thread -> step_result
 val runnable_th : t -> thread -> bool
 
 val runnable_threads : t -> thread list
-(** Runnable threads in creation order; [runnable_tids] maps over it. *)
+(** Runnable threads in creation order (filtered from {!live_threads});
+    [runnable_tids] maps over it. *)
 
 val all_threads : t -> thread list
 (** Every thread ever created, in creation order — the machine's own
-    list, not a copy, so a per-step scan allocates nothing. *)
+    list, not a copy, so a scan allocates nothing.  It keeps the
+    suspended seed replays and the finished and crashed threads, which
+    never step again; a loop that picks a thread to step walks
+    {!live_threads} instead. *)
+
+val live_threads : t -> thread list
+(** The threads that can still step, in creation order: exactly
+    {!all_threads} without the [Suspended], [Finished] and [Crashed]
+    ones, record for record.  Also the machine's own list, kept as
+    threads start ({!new_thread}, [spawn]) and retire (a crash, the
+    return from the last frame, {!suspend}), so reading it allocates
+    nothing.  Every predicate a scheduler applies ({!runnable_th},
+    postponement) is false on a retired thread, so a uniform pick over
+    this list draws the same bound and chooses the same thread as one
+    over {!all_threads}.  A {!copy} gets its own list of its own
+    records. *)
 
 val top_frame_th : thread -> frame option
 

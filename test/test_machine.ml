@@ -434,8 +434,9 @@ let check_pending_run ~what ~seed ~fuel n m =
   in
   go fuel
 
-let test_pending_access_oracle () =
-  let n = { some = 0; none = 0; crashed = 0 } in
+(* [f what t inst] on every instantiable synthesized test of the corpus
+   and its extras. *)
+let each_corpus_instance f =
   List.iter
     (fun (e : Corpus.Corpus_def.entry) ->
       match Eval.Evaluate.analyze_entry e with
@@ -446,14 +447,173 @@ let test_pending_access_oracle () =
             match Narada_core.Pipeline.instantiator an t () with
             | Error _ -> ()
             | Ok inst ->
-              let what = Printf.sprintf "%s #%d" e.Corpus.Corpus_def.e_id t.Narada_core.Synth.st_id in
-              check_pending_run ~what
-                ~seed:(Par.seed ~base:7L ~index:t.Narada_core.Synth.st_id)
-                ~fuel:20_000 n inst.Detect.Racefuzzer.ri_machine)
+              let what =
+                Printf.sprintf "%s #%d" e.Corpus.Corpus_def.e_id t.Narada_core.Synth.st_id
+              in
+              f what t inst)
           an.Narada_core.Pipeline.an_tests)
-    (Corpus.Registry.all @ Corpus.Registry.extras);
+    (Corpus.Registry.all @ Corpus.Registry.extras)
+
+let test_pending_access_oracle () =
+  let n = { some = 0; none = 0; crashed = 0 } in
+  each_corpus_instance (fun what t inst ->
+      check_pending_run ~what
+        ~seed:(Par.seed ~base:7L ~index:t.Narada_core.Synth.st_id)
+        ~fuel:20_000 n inst.Detect.Racefuzzer.ri_machine);
   Alcotest.(check bool) "accesses predicted" true (n.some > 1000);
   Alcotest.(check bool) "non-accesses predicted" true (n.none > n.some)
+
+(* ---- live threads ---- *)
+
+(* The machine's live list must be, record for record and in order,
+   its thread list without the retired threads; and a pick over it must
+   choose what the same pick over every thread chooses. *)
+
+let retired th =
+  match Machine.status_th th with
+  | Machine.Suspended | Machine.Finished _ | Machine.Crashed _ -> true
+  | Machine.Runnable | Machine.Blocked_lock _ | Machine.Blocked_join _ -> false
+
+let tids ths =
+  String.concat "," (List.map (fun th -> string_of_int (Machine.thread_id th)) ths)
+
+let same_records a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+let check_live ~what m =
+  let steppable = List.filter (fun th -> not (retired th)) (Machine.all_threads m) in
+  let live = Machine.live_threads m in
+  if not (same_records live steppable) then
+    Alcotest.failf "%s: live threads [%s], steppable threads [%s]" what (tids live)
+      (tids steppable)
+
+(* Step [m] up to [fuel] times, picking over the live threads with
+   [r_live] and, in lockstep, over every thread with [r_all]; checks the
+   live list before every step and after the last.  Returns the steps
+   taken. *)
+let run_lockstep ~what ~r_live ~r_all ~fuel m =
+  let runnable th = Machine.runnable_th m th in
+  let rec go n =
+    check_live ~what m;
+    if n >= fuel then n
+    else
+      let pick rng ths = Conc.Scheduler.pick_where runnable (Rng.below rng) ths in
+      let live = pick r_live (Machine.live_threads m) in
+      let full = pick r_all (Machine.all_threads m) in
+      match (live, full) with
+      | None, None -> n
+      | Some a, Some b when a == b ->
+        ignore (Machine.step_th m a);
+        go (n + 1)
+      | _ ->
+        let show = function None -> "none" | Some th -> tids [ th ] in
+        Alcotest.failf "%s: step %d: live pick %s, full pick %s" what n (show live)
+          (show full)
+  in
+  go 0
+
+(* A copy gets records of its own, and running it leaves the original's
+   live list as it was. *)
+let check_copy ~what ~seed m =
+  let c = Machine.copy m in
+  List.iter
+    (fun th ->
+      if List.memq th (Machine.all_threads m) then
+        Alcotest.failf "%s: the copy's live thread %d is a record of the original" what
+          (Machine.thread_id th))
+    (Machine.live_threads c);
+  let state th =
+    ( Machine.thread_id th,
+      Machine.status_th th,
+      Option.map (fun f -> f.Machine.pc) (Machine.top_frame_th th) )
+  in
+  let before = Machine.live_threads m in
+  let states = List.map state before in
+  ignore
+    (run_lockstep ~what:(what ^ " (copy)") ~r_live:(Rng.create seed)
+       ~r_all:(Rng.create seed) ~fuel:20_000 c);
+  let after = Machine.live_threads m in
+  if not (same_records after before && List.map state after = states) then
+    Alcotest.failf "%s: running the copy changed the original's live threads [%s] -> [%s]"
+      what (tids before) (tids after)
+
+(* A random run checked at every step, with a copy checked before it
+   and another [split] steps in. *)
+let check_live_run ~what ~seed ~split ~fuel m =
+  let r_live = Rng.create seed and r_all = Rng.create seed in
+  check_copy ~what ~seed:(Int64.succ seed) m;
+  let n = run_lockstep ~what ~r_live ~r_all ~fuel:split m in
+  check_copy ~what ~seed:(Int64.succ seed) m;
+  n + run_lockstep ~what ~r_live ~r_all ~fuel:(fuel - n) m
+
+(* Main spawns a worker mid-run and joins it, then spawns one thread
+   that crashes on a null dereference and one that finishes; a harness
+   thread is suspended after its first steps, as seed replays are. *)
+let live_fixture =
+  {|
+class Node { int v; }
+
+class W {
+  Node n;
+  int spin() { int i = 0; while (i < 4) { i = i + 1; } return i; }
+  void deref() { Node x = this.n; x.v = 1; }
+}
+
+class Main {
+  static int victim() { int i = 0; while (i < 100) { i = i + 1; } return i; }
+  static int main() {
+    W w = new W();
+    int s = w.spin();
+    thread t1 = spawn w.spin();
+    join t1;
+    thread t2 = spawn w.deref();
+    thread t3 = spawn w.spin();
+    join t3;
+    return s;
+  }
+}
+|}
+
+let test_live_fixture () =
+  let cu = Jir.Compile.compile_source live_fixture in
+  let static name =
+    match Jir.Code.find_static cu "Main" name with
+    | Some cm -> cm
+    | None -> Alcotest.failf "no Main.%s" name
+  in
+  let steps = ref 0 in
+  for seed = 1 to 30 do
+    let m = Machine.create ~client_classes:[ "Main" ] cu in
+    let victim = Machine.new_thread m ~cm:(static "victim") ~recv:None ~args:[] () in
+    ignore (Machine.new_thread m ~cm:(static "main") ~recv:None ~args:[] ());
+    for _ = 1 to 3 do ignore (Machine.step m victim) done;
+    Machine.suspend m victim;
+    let what = Printf.sprintf "fixture seed %d" seed in
+    steps :=
+      !steps + check_live_run ~what ~seed:(Int64.of_int seed) ~split:25 ~fuel:5_000 m;
+    let kind th =
+      match Machine.status_th th with
+      | Machine.Suspended -> "suspended"
+      | Machine.Finished _ -> "finished"
+      | Machine.Crashed msg ->
+        if String.starts_with ~prefix:"null pointer dereference" msg then "npe" else msg
+      | Machine.Runnable | Machine.Blocked_lock _ | Machine.Blocked_join _ -> "live"
+    in
+    (* victim, main, t1, t2, t3 *)
+    Alcotest.(check (list string)) (what ^ ": every thread retired")
+      [ "suspended"; "finished"; "finished"; "npe"; "finished" ]
+      (List.map kind (Machine.all_threads m))
+  done;
+  Alcotest.(check bool) "runs stepped" true (!steps > 30 * 25)
+
+let test_live_corpus () =
+  let instances = ref 0 in
+  each_corpus_instance (fun what t inst ->
+      incr instances;
+      ignore
+        (check_live_run ~what
+           ~seed:(Par.seed ~base:7L ~index:t.Narada_core.Synth.st_id)
+           ~split:40 ~fuel:20_000 inst.Detect.Racefuzzer.ri_machine));
+  Alcotest.(check int) "instances checked" 580 !instances
 
 let () =
   Alcotest.run "machine"
@@ -507,6 +667,13 @@ let () =
           Alcotest.test_case "deref_path" `Quick test_deref_path;
           Alcotest.test_case "pending access is exact" `Quick
             test_pending_access_oracle;
+        ] );
+      ( "live threads",
+        [
+          Alcotest.test_case "live threads are the steppable ones" `Quick
+            test_live_fixture;
+          Alcotest.test_case "live threads on every corpus instance" `Quick
+            test_live_corpus;
         ] );
     ]
 

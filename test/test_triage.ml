@@ -23,7 +23,10 @@ let runs = Eval.Evaluate.default_options.Eval.Evaluate.opt_confirm_runs
 
 let step m tid = ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m tid))
 
-(* First runnable of [order], else first runnable in creation order. *)
+(* First runnable of [order], else first runnable in creation order.
+   The reference walks [all_threads], suspended and finished threads
+   included, where the campaign's loops walk the live list: so it also
+   checks those loops against a walk of every thread. *)
 let run_by_priority m ~order ~fuel =
   let rec go fuel =
     if fuel > 0 then
@@ -38,7 +41,8 @@ let run_by_priority m ~order ~fuel =
   in
   go fuel
 
-(* Uniform random completion over the runnable threads, creation order. *)
+(* Uniform random completion over the runnable threads, creation order;
+   over [all_threads] too, for the same reason. *)
 let run_random m rng ~fuel =
   let rec go fuel =
     if fuel > 0 then
