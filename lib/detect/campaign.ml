@@ -69,25 +69,34 @@ type outcome = {
   o_verdict : Triage.verdict option;
 }
 
-(* Triage forks the forced orders from confirm's run 0, which ran at
-   [seed] and [fuel] like the forced runs of a from-scratch triage, and
-   consumes it: the result hands no spent machine on. *)
-let confirm_and_triage ?(jobs = 1) ~(test : test) ~runs ~seed (r : Race.report) :
-    outcome =
-  let cand = Racefuzzer.candidate_of_report r in
-  let c =
-    Racefuzzer.confirm ~instantiate:test.t_instantiate ~cand ~runs ~fuel:test.t_fuel
-      ~seed ~jobs ()
+(* Confirmation shares each directed run among the test's candidates
+   ([Racefuzzer.confirm_all]).  Run 0 ran at [seed] and [fuel], like the
+   forced runs of a from-scratch triage, so both forced orders fork from
+   where it stopped, as soon as it stops; only the two outcomes are
+   kept, so no run-0 machine outlives its own settling.  A run 0 that
+   did not confirm is settled too, since a later run may confirm the
+   race; candidates that never matched share one settling.  Baselines
+   are paired with the outcomes of confirmed races only. *)
+let confirm_and_triage ?(jobs = 1) ~(test : test) ~runs ~seed
+    (reports : Race.report list) : outcome list =
+  let fuel = test.t_fuel in
+  let results =
+    Racefuzzer.confirm_all ~instantiate:test.t_instantiate
+      ~cands:(Array.of_list (List.map Racefuzzer.candidate_of_report reports))
+      ~runs ~fuel ~seed ~jobs ~settle:(Triage.forced ~fuel)
   in
-  let evidence =
-    match (c.Racefuzzer.confirmed, c.Racefuzzer.run0) with
-    | Some _, Some run0 ->
-      Result.to_option
-        (Result.map (fun b -> Triage.evidence b ~fuel:test.t_fuel run0) (baselines test))
-    | _ -> None
-  in
-  {
-    o_confirm = { c with Racefuzzer.run0 = None };
-    o_evidence = evidence;
-    o_verdict = Option.map Triage.judge evidence;
-  }
+  List.map
+    (fun (c, forced) ->
+      let evidence =
+        match (c.Racefuzzer.confirmed, forced) with
+        | Some _, Some forced ->
+          Result.to_option
+            (Result.map (fun b -> Triage.evidence b forced) (baselines test))
+        | _ -> None
+      in
+      {
+        o_confirm = c;
+        o_evidence = evidence;
+        o_verdict = Option.map Triage.judge evidence;
+      })
+    (Array.to_list results)

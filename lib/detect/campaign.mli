@@ -1,10 +1,12 @@
 (** The detection campaign of §5, one synthesized test at a time:
     random schedules with the hybrid lockset detector attached yield
-    candidate races ({!candidates}); each candidate then goes to
-    RaceFuzzer-style directed confirmation, and a confirmed race is
-    triaged ({!confirm_and_triage}) from state the campaign already
-    holds: serialized baselines once per test, forced orders forked
-    from the confirmation's run 0.
+    candidate races ({!candidates}); the test's candidates then go
+    together to RaceFuzzer-style directed confirmation, each directed
+    run shared until a candidate's first matching access, and every
+    confirmed race is triaged ({!confirm_and_triage}) from state the
+    campaign already holds: serialized baselines once per test, forced
+    orders forked from each candidate's confirmation run 0 as soon as
+    it stops.
 
     This is the only copy of the loop.  Evaluation, guided
     confirmation, and repair discovery and re-detection all call it
@@ -37,7 +39,7 @@ val test : ?fuel:int -> Racefuzzer.instantiator -> test
     run of the test. *)
 
 type outcome = {
-  o_confirm : Racefuzzer.confirm_result;  (** its [run0] is [None] *)
+  o_confirm : Racefuzzer.confirm_result;
   o_evidence : Triage.evidence option;
       (** the four triage outcomes; [None] when the race was not
           confirmed or triage failed *)
@@ -45,10 +47,13 @@ type outcome = {
 }
 
 val confirm_and_triage :
-  ?jobs:int -> test:test -> runs:int -> seed:int64 -> Race.report -> outcome
-(** {!Racefuzzer.confirm} the candidate over [runs] directed runs, then
-    triage it when confirmed: the test's baselines, and both forced
-    orders forked from where confirm's run 0 stopped (it ran at [seed],
+  ?jobs:int -> test:test -> runs:int -> seed:int64 -> Race.report list -> outcome list
+(** {!Racefuzzer.confirm_all} the test's candidates over [runs] directed
+    runs, then triage each confirmed one: the test's baselines, and both
+    forced orders forked from where its run 0 stopped (it ran at [seed],
     exactly the directed prefix a from-scratch {!Triage.triage} at
-    [seed] replays).  Verdicts and outcomes equal those of
-    {!Triage.triage}.  [jobs] is passed to the confirmation. *)
+    [seed] replays), computed as soon as that run stopped, so no run-0
+    machine waits for the others.  Outcomes come in the order of the
+    reports; each confirmation equals {!Racefuzzer.confirm}'s, and
+    verdicts and outcomes equal those of {!Triage.triage}.  [jobs] is
+    passed to the confirmation. *)

@@ -7,9 +7,14 @@
    least one write), the race is real and is reported with both accesses
    enabled, and the run stops there, poised.
 
-   Triage resumes the poised run rather than replaying it: [confirm]
-   hands back where run 0 stopped, and [drain] finishes a run under the
-   same random scheduling. *)
+   Confirmation runs every candidate of a test together: until some
+   runnable thread is poised at an access matching a candidate, its
+   directed run is a plain random run, the same for every candidate, so
+   that prefix runs once and each candidate forks off it
+   ([directed_runs]).  Triage resumes a poised run rather than replaying
+   it: [confirm_all] hands each run 0's end to a settling function as
+   soon as it stops, and [drain] finishes a run under the same random
+   scheduling. *)
 
 type instance = {
   ri_machine : Runtime.Machine.t;
@@ -97,6 +102,29 @@ let drain m rng ~fuel =
   in
   go fuel
 
+(* A thread's pending access only changes when that thread itself steps
+   (it reads the thread's own registers and pc), so the directed loops
+   memoize it per tid and invalidate it on step instead of re-decoding
+   the next instruction of every runnable thread on every scheduler
+   iteration.  Returns the memoized [pending_access_th] and the step
+   that invalidates. *)
+let pending_memo m =
+  let memo : Runtime.Machine.pending_access option option tidmap = tidmap None in
+  let pending th =
+    let i = tid_slot memo (Runtime.Machine.thread_id th) in
+    match memo.slots.(i) with
+    | Some v -> v
+    | None ->
+      let v = Runtime.Machine.pending_access_th m th in
+      memo.slots.(i) <- Some v;
+      v
+  in
+  let step th =
+    ignore (Runtime.Machine.step_th m th);
+    memo.slots.(tid_slot memo (Runtime.Machine.thread_id th)) <- None
+  in
+  (pending, step)
+
 (* Where a directed run stopped: at the confirmation, with both racing
    threads poised at their accesses, or at the end of an unconfirmed
    run.  The machine, the scheduler's RNG and the fuel left are enough
@@ -125,46 +153,33 @@ let conflicting_pair poised =
    state it is in, until the first simultaneously enabled conflicting
    pair, the end of the run, or [fuel] steps.  Every scheduler choice is
    [pick n], an index below the [n] options in creation order, and the
-   postponed set is rebuilt from the machine, so a stopped run continues
-   its schedule from (machine, [Rng.below rng], fuel).  Every walk is
-   over the machine's live threads: the refresh, the not-postponed pick
-   and the postponed pick all reject a suspended, finished or crashed
-   thread (a postponed thread has not stepped since it was poised, so it
-   is live), and [pick_where] counts only what it accepts, so the picks
-   are those of a walk over every thread.  The step count
-   restarts at 0 on every call, though: a continued run's report labels
-   and [rs_steps] count from where it was picked up, not from the start
-   of the run.  [on_postponed] sees the postponed set whenever it
-   changes.  Returns the report, the fuel left where the run stopped,
-   and the run's stats. *)
-let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
+   postponed set is rebuilt from the machine (a postponed thread stays
+   runnable and poised until it is released and steps, and every
+   runnable thread poised at a matching access is postponed), so a
+   stopped run continues its schedule from (machine, [Rng.below rng],
+   fuel left), with [start] the steps it had taken: report labels and
+   [rs_steps] count from the start of the run.  (A rebuilt table may
+   fold three or more postponed threads in another order than the one
+   built along the run, and so report another of their conflicting
+   pairs.)  Every walk is over the
+   machine's live threads: the refresh, the not-postponed pick and the
+   postponed pick all reject a suspended, finished or crashed thread (a
+   postponed thread has not stepped since it was poised, so it is
+   live), and [pick_where] counts only what it accepts, so the picks are
+   those of a walk over every thread.  [on_postponed] sees the
+   postponed set whenever it changes.  Returns the report, the fuel
+   left where the run stopped, and the run's stats. *)
+let postponing m ~(cand : candidate) ~pick ~on_postponed ~start ~fuel =
   let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
     Hashtbl.create 4
   in
   let in_postponed = tidmap false in
-  let steps = ref 0 in
+  let steps = ref start in
   let max_postponed = ref 0 in
   let result = ref None in
-  (* A thread's pending access only changes when that thread itself
-     steps (it reads the thread's own registers and pc), so memoize it
-     per tid and invalidate on step instead of re-decoding the next
-     instruction of every runnable thread on every scheduler
-     iteration. *)
-  let pa_memo : Runtime.Machine.pending_access option option tidmap =
-    tidmap None
-  in
-  let pending th =
-    let i = tid_slot pa_memo (Runtime.Machine.thread_id th) in
-    match pa_memo.slots.(i) with
-    | Some v -> v
-    | None ->
-      let v = Runtime.Machine.pending_access_th m th in
-      pa_memo.slots.(i) <- Some v;
-      v
-  in
+  let pending, step_pending = pending_memo m in
   let step_th th =
-    ignore (Runtime.Machine.step_th m th);
-    pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
+    step_pending th;
     incr steps
   in
   let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
@@ -230,15 +245,107 @@ let postponing m ~(cand : candidate) ~pick ~on_postponed ~fuel =
   let fuel_left = loop fuel in
   (!result, fuel_left, { rs_steps = !steps; rs_max_postponed = !max_postponed })
 
+(* The directed loop from the instance's machine as it stands, drawing
+   every choice from [rng]; [start] is the steps the run has taken. *)
+let continue_run (inst : instance) rng ~(cand : candidate) ~start ~fuel :
+    run_end * run_stats =
+  let report, fuel_left, stats =
+    postponing inst.ri_machine ~cand ~pick:(Rng.below rng) ~on_postponed:ignore ~start
+      ~fuel
+  in
+  ({ re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = report }, stats)
+
 (* One directed execution, stopping at the first simultaneously enabled
    conflicting pair. *)
 let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
     run_end * run_stats =
+  continue_run inst (Rng.create seed) ~cand ~start:0 ~fuel
+
+(* Is some runnable thread poised at an access matching one of the
+   candidates [waiting] indexes?  Top-level and closure-free: the shared
+   run asks this of every runnable thread with a pending access on every
+   step. *)
+let rec any_matches cands pa = function
+  | [] -> false
+  | j :: rest -> matches cands.(j) pa || any_matches cands pa rest
+
+(* The directed runs of several candidates at one scheduler seed, from
+   one instance.  Until a runnable thread is poised at an access
+   matching a candidate, that candidate's postponed set is empty, so its
+   run picks exactly as a plain random run does ([drain]'s pick); that
+   shared run is executed once.  Before each of its picks, every
+   candidate some runnable thread now matches forks: a copy of the
+   machine and the RNG resumes the postponing loop with the fuel left,
+   counting steps from the fork.  Each fork runs to its end and is
+   handed to [on_end] before the shared run continues, so at most one
+   forked machine exists at a time.  The last candidate to fork takes
+   the shared machine itself.  Candidates never matched share the shared
+   run's end: no report, its steps, an empty postponed set throughout.
+   Returns the VM steps executed. *)
+let directed_runs (inst : instance) ~(cands : candidate array) ~seed ~fuel
+    (on_end : int list -> run_end -> run_stats -> unit) : int =
+  let m = inst.ri_machine in
   let rng = Rng.create seed in
-  let report, fuel_left, stats =
-    postponing inst.ri_machine ~cand ~pick:(Rng.below rng) ~on_postponed:ignore ~fuel
+  let draw = Rng.below rng in
+  let executed = ref 0 in
+  let pending, step_pending = pending_memo m in
+  let runnable th = Runtime.Machine.runnable_th m th in
+  let rec poised waiting = function
+    | [] -> false
+    | th :: rest -> (
+      Runtime.Machine.runnable_th m th
+      &&
+      match pending th with
+      | Some pa -> any_matches cands pa waiting
+      | None -> false)
+      || poised waiting rest
   in
-  ({ re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = report }, stats)
+  let matched_now j = poised [ j ] (Runtime.Machine.live_threads m) in
+  let fork ~last j ~steps ~fuel =
+    let inst, rng =
+      if last then (inst, rng)
+      else ({ inst with ri_machine = Runtime.Machine.copy m }, Rng.copy rng)
+    in
+    let re, stats = continue_run inst rng ~cand:cands.(j) ~start:steps ~fuel in
+    executed := !executed + stats.rs_steps - steps;
+    on_end [ j ] re stats
+  in
+  (* The shared run stops after [steps] steps, with [fuel] left. *)
+  let ended waiting ~steps ~fuel =
+    executed := !executed + steps;
+    if waiting <> [] then
+      on_end waiting
+        { re_inst = inst; re_rng = rng; re_fuel = fuel; re_report = None }
+        { rs_steps = steps; rs_max_postponed = 0 }
+  in
+  let rec go waiting steps fuel =
+    if fuel <= 0 then ended waiting ~steps ~fuel
+    else begin
+      let waiting =
+        if not (poised waiting (Runtime.Machine.live_threads m)) then waiting
+        else begin
+          let forking, rest = List.partition matched_now waiting in
+          let rec forks = function
+            | [] -> ()
+            | j :: more ->
+              fork ~last:(more = [] && rest = []) j ~steps ~fuel;
+              forks more
+          in
+          forks forking;
+          rest
+        end
+      in
+      if waiting = [] then ended [] ~steps ~fuel
+      else
+        match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.live_threads m) with
+        | None -> ended waiting ~steps ~fuel
+        | Some th ->
+          step_pending th;
+          go waiting (steps + 1) (fuel - 1)
+    end
+  in
+  go (List.init (Array.length cands) Fun.id) 0 fuel;
+  !executed
 
 (* A coverage-collecting directed execution: the same loop, but
 
@@ -291,7 +398,7 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
       cov := Cov.Set.add Cov.Postponed (Cov.postponed_state state) !cov
   in
   let rec_ = Runtime.Trace.attach m in
-  let report, _, stats = postponing m ~cand ~pick ~on_postponed ~fuel in
+  let report, _, stats = postponing m ~cand ~pick ~on_postponed ~start:0 ~fuel in
   let trace_cov = Cov.of_trace (Runtime.Trace.snapshot rec_) in
   Runtime.Trace.recycle rec_;
   let racy =
@@ -310,78 +417,115 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     rc_cov = Cov.Set.union racy trace_cov;
   }
 
-type confirm_result = {
-  confirmed : Race.report option;
-  runs_used : int;
-  steps : int;
-  run0 : run_end option;
-}
+type confirm_result = { confirmed : Race.report option; runs_used : int; steps : int }
 
-(* Try to confirm a candidate over several directed runs with different
-   scheduler seeds.  Each run is an independent seeded VM execution, so
-   with [jobs > 1] all runs are fanned out over a domain pool and the
-   sequential early-exit answer is recovered by scanning the results in
-   run order — the outcome is identical for every job count.
+(* Try to confirm candidates over several directed runs with different
+   scheduler seeds, run [i] at [seed + i·7919] on a fresh instance, all
+   of a run's candidates from one shared prefix ([directed_runs]).  A
+   candidate leaves the batch at its first confirmation; an
+   instantiation failure ends every candidate still in it.
 
-   Metrics are aggregated over the *logical prefix* only (runs
-   [0 .. runs_used - 1]): the parallel path executes every run, but the
-   extra runs past the confirmation must not leak into the registry or
-   the stable metrics would depend on the job count.
+   Each run index is an independent seeded VM execution, so with
+   [jobs > 1] every run index is fanned out over a domain pool for every
+   candidate, and the sequential early-exit answer is recovered by
+   scanning each candidate's results in run order: the outcome is
+   identical for every job count.  Metrics are aggregated over each
+   candidate's *logical prefix* only (runs [0 .. runs_used - 1]), so the
+   extra runs past a confirmation do not leak into the stable metrics;
+   only the volatile [racefuzzer/vm_steps] gauge counts the steps
+   actually executed.
 
-   Run 0 runs at [seed] itself, and where it stopped is returned
-   whether or not it confirmed: triage resumes it instead of replaying
-   the same directed prefix. *)
-let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
-    ?(fuel = 200_000) ?(seed = 7L) ?(jobs = 1) () : confirm_result =
-  let attempt_once i =
+   Run 0 runs at [seed] itself, and [settle] gets where it stopped,
+   confirmed or not, as soon as it stops: once per distinct machine, so
+   the candidates that never matched share one call.  Triage resumes
+   those ends instead of replaying the same directed prefix. *)
+let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~fuel
+    ~seed ~jobs ~(settle : run_end -> 'a) : (confirm_result * 'a option) array =
+  let n = Array.length cands in
+  let settled = Array.make n None in
+  (* Run [i] of the candidates [active] lists: per candidate, its report
+     and stats, or [None] when it sat the run out; and the VM steps
+     executed. *)
+  let run_index i active =
     match instantiate () with
     | Error _ -> Error ()
     | Ok inst ->
-      let run_seed = Int64.add seed (Int64.of_int (i * 7919)) in
-      Ok (directed_run inst ~cand ~seed:run_seed ~fuel)
+      let active = Array.of_list active in
+      let out = Array.make n None in
+      let on_end ks re st =
+        if i = 0 then begin
+          let v = Some (settle re) in
+          List.iter (fun k -> settled.(active.(k)) <- v) ks
+        end;
+        List.iter (fun k -> out.(active.(k)) <- Some (re.re_report, st)) ks
+      in
+      let seed = Int64.add seed (Int64.of_int (i * 7919)) in
+      let cands = Array.map (fun j -> cands.(j)) active in
+      Ok (out, directed_runs inst ~cands ~seed ~fuel on_end)
   in
+  let everyone = List.init n Fun.id in
   let outcomes =
     if jobs <= 1 then begin
-      (* Early exit: stop at the first confirmation or instantiation
-         failure; the runs executed are exactly the logical prefix. *)
+      (* Early exit: run [i] runs only the candidates no earlier run
+         confirmed, and the runs stop at an instantiation failure; the
+         runs executed are exactly each candidate's logical prefix. *)
       let acc = ref [] in
-      let rec attempt i =
-        if i < runs then begin
-          let o = attempt_once i in
+      let rec attempt i active =
+        if i < runs && active <> [] then begin
+          let o = run_index i active in
           acc := o :: !acc;
           match o with
-          | Error () | Ok ({ re_report = Some _; _ }, _) -> ()
-          | Ok ({ re_report = None; _ }, _) -> attempt (i + 1)
+          | Error () -> ()
+          | Ok (out, _) ->
+            attempt (i + 1)
+              (List.filter
+                 (fun j -> match out.(j) with Some (Some _, _) -> false | _ -> true)
+                 active)
         end
       in
-      attempt 0;
+      attempt 0 everyone;
       List.rev !acc
     end
-    else Par.mapi ~jobs (List.init runs Fun.id) (fun _ i -> attempt_once i)
+    else Par.mapi ~jobs (List.init runs Fun.id) (fun _ i -> run_index i everyone)
   in
-  let rec scan i = function
-    | [] -> (None, runs)
-    | Error () :: _ -> (None, i)
-    | Ok ({ re_report = Some r; _ }, _) :: _ -> (Some r, i + 1)
-    | Ok ({ re_report = None; _ }, _) :: rest -> scan (i + 1) rest
-  in
-  let confirmed, runs_used = scan 0 outcomes in
   let reg = Obs.Metrics.global () in
-  let prefix_steps = ref 0 in
-  List.iteri
-    (fun i o ->
-      if i < runs_used then
-        match o with
-        | Ok (_, st) ->
-          prefix_steps := !prefix_steps + st.rs_steps;
-          Obs.Metrics.observe reg "racefuzzer/steps" st.rs_steps;
-          Obs.Metrics.observe reg "racefuzzer/postponed_max" st.rs_max_postponed
-        | Error () -> ())
-    outcomes;
-  if confirmed <> None then
-    Obs.Metrics.observe reg "racefuzzer/runs_to_confirm" runs_used;
-  let run0 = match outcomes with Ok (re, _) :: _ -> Some re | _ -> None in
-  { confirmed; runs_used; steps = !prefix_steps; run0 }
+  Obs.Metrics.gauge_add reg "racefuzzer/vm_steps"
+    (float_of_int
+       (List.fold_left
+          (fun acc -> function Ok (_, executed) -> acc + executed | Error () -> acc)
+          0 outcomes));
+  Array.init n (fun j ->
+      let steps = ref 0 in
+      let observe (st : run_stats) =
+        steps := !steps + st.rs_steps;
+        Obs.Metrics.observe reg "racefuzzer/steps" st.rs_steps;
+        Obs.Metrics.observe reg "racefuzzer/postponed_max" st.rs_max_postponed
+      in
+      let rec scan i = function
+        | [] -> (None, runs)
+        | Error () :: _ -> (None, i)
+        | Ok (out, _) :: rest -> (
+          match out.(j) with
+          | Some (Some r, st) ->
+            observe st;
+            (Some r, i + 1)
+          | Some (None, st) ->
+            observe st;
+            scan (i + 1) rest
+          | None ->
+            (* [j] sits out only the runs after its confirmation, where
+               the scan has already stopped. *)
+            (None, i))
+      in
+      let confirmed, runs_used = scan 0 outcomes in
+      if confirmed <> None then
+        Obs.Metrics.observe reg "racefuzzer/runs_to_confirm" runs_used;
+      ({ confirmed; runs_used; steps = !steps }, settled.(j)))
+
+let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
+    ?(fuel = 200_000) ?(seed = 7L) ?(jobs = 1) () : confirm_result =
+  fst
+    (confirm_all ~instantiate ~cands:[| cand |] ~runs ~fuel ~seed ~jobs ~settle:ignore).(0)
 
 (* Coverage-guided confirmation.
 

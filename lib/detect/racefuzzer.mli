@@ -4,7 +4,13 @@
     under a random scheduler that postpones any thread about to perform
     a matching access; when two threads are simultaneously postponed at
     conflicting accesses to the same variable the race is real and is
-    reported, and the run stops there with both accesses poised. *)
+    reported, and the run stops there with both accesses poised.
+
+    Until some runnable thread is poised at a matching access, a
+    directed run picks exactly as a plain random run does, so the
+    candidates of one test share that prefix: {!directed_runs} runs it
+    once per scheduler seed and forks each candidate off it where it
+    first matches. *)
 
 (** A prepared execution: a machine whose racy threads exist but have
     not been scheduled yet, plus the observable roots for triage. *)
@@ -44,7 +50,7 @@ type run_end = {
 }
 (** Where a directed run stopped.  Stepping its machine on from there,
     drawing from its RNG ({!drain}) within the fuel left, continues the
-    run exactly as if it had never stopped. *)
+    run exactly as if it had never stopped; so does {!continue_run}. *)
 
 val directed_run :
   instance -> cand:candidate -> seed:int64 -> fuel:int -> run_end * run_stats
@@ -52,6 +58,45 @@ val directed_run :
     simultaneously enabled conflicting pair.  This and
     {!directed_run_cov} run the one postponing loop; here every choice
     is a draw from the scheduler's RNG, seeded [seed]. *)
+
+val continue_run :
+  instance -> Rng.t -> cand:candidate -> start:int -> fuel:int -> run_end * run_stats
+(** The postponing loop from the instance's machine as it stands, every
+    choice drawn from the RNG, for at most [fuel] steps; [start] is the
+    steps the run has already taken, so report labels and [rs_steps]
+    count from the start of the run.  The postponed set is rebuilt from
+    the machine, so continuing a {!directed_run} stopped after [k] steps
+    (its machine, its RNG, the fuel it had left, [start = k]) gives the
+    whole run's report, [rs_steps], fuel left, RNG state and end state.
+    One proviso: with three or more threads postponed at once, which
+    conflicting pair is reported follows the postponed table's fold
+    order, which a table rebuilt at [k] need not share with one built
+    over the whole run (the corpus never postpones more than two; a
+    {!directed_runs} fork starts from an empty set, so it is exact
+    regardless).  [directed_run] is [continue_run] on a fresh RNG from
+    step 0. *)
+
+val directed_runs :
+  instance ->
+  cands:candidate array ->
+  seed:int64 ->
+  fuel:int ->
+  (int list -> run_end -> run_stats -> unit) ->
+  int
+(** The {!directed_run}s of every candidate at one [seed], from one
+    instance, each exactly as from scratch.  One plain random run is
+    shared while no candidate matches ({!drain}'s pick, from an RNG
+    seeded [seed]).  Before each of its picks, every candidate that some
+    runnable thread is now poised at a matching access for forks: a
+    [Machine.copy] and [Rng.copy] of the shared run go on with
+    {!continue_run} from that step, with the fuel left.  Each fork runs
+    to its end and is handed to the callback, with its candidate's index,
+    before the shared run continues; the last candidate to fork takes the
+    shared machine and RNG themselves.  Candidates that never match share
+    the shared run's end, handed over once with all their indices: no
+    report, [rs_steps] the shared steps, [rs_max_postponed] 0.  The
+    instance's machine is consumed.  Returns the VM steps executed: the
+    shared run's, plus each fork's after its fork. *)
 
 val drain : Runtime.Machine.t -> Rng.t -> fuel:int -> unit
 (** Finish an execution under plain random scheduling: up to [fuel]
@@ -63,10 +108,28 @@ type confirm_result = {
   confirmed : Race.report option;
   runs_used : int;
   steps : int;  (** VM steps over the logical prefix of runs executed *)
-  run0 : run_end option;
-      (** where run 0 (scheduler seed [seed] itself) stopped, confirmed
-          or not; [None] when it could not be instantiated *)
 }
+
+val confirm_all :
+  instantiate:instantiator ->
+  cands:candidate array ->
+  runs:int ->
+  fuel:int ->
+  seed:int64 ->
+  jobs:int ->
+  settle:(run_end -> 'a) ->
+  (confirm_result * 'a option) array
+(** Attempt to confirm every candidate of one test over [runs] directed
+    runs, run [i] at scheduler seed [seed + i·7919] on a fresh instance,
+    the candidates still unconfirmed sharing it ({!directed_runs}).  Each
+    candidate's result, in [cands] order, is that of {!confirm}.  Where
+    run 0 stopped goes to [settle] as soon as it stops, confirmed or
+    not, once per distinct machine (candidates that never matched share
+    one call and its value); the result carries that value, [None] when
+    run 0 could not be instantiated.  [jobs > 1] fans the run indices
+    out over a domain pool; the result is identical to the sequential
+    early-exit scan for every job count.  Adds the VM steps executed to
+    the volatile gauge ["racefuzzer/vm_steps"], once per call. *)
 
 val confirm :
   instantiate:instantiator ->
@@ -78,9 +141,10 @@ val confirm :
   unit ->
   confirm_result
 (** Attempt to confirm the candidate over several directed runs with
-    different scheduler seeds.  [jobs] (default 1) fans the independent
-    runs out over a domain pool; the result is identical to the
-    sequential early-exit scan for every job count. *)
+    different scheduler seeds: {!confirm_all} of one candidate.  [jobs]
+    (default 1) fans the independent runs out over a domain pool; the
+    result is identical to the sequential early-exit scan for every job
+    count. *)
 
 (** {2 Coverage-guided confirmation} *)
 

@@ -21,7 +21,7 @@
    draws no randomness), so they run once per test ([baselines]).  The
    two forced runs share their directed prefix, which is exactly the
    confirmation's run 0 at the same seed and fuel, so they fork from
-   where that run stopped ([evidence]): one copy of the poised machine
+   where that run stopped ([forced]): one copy of the poised machine
    and its scheduler RNG runs one order, the original the other.  A
    run 0 that never confirmed is both forced runs at once. *)
 
@@ -142,23 +142,23 @@ let force (inst : Racefuzzer.instance) rng ~fuel_left ~fuel a b =
   Racefuzzer.drain m rng ~fuel:fuel_left;
   run_prioritized inst ~order:[] ~fuel
 
-let evidence (b : baselines) ~fuel (re : Racefuzzer.run_end) =
+let forced ~fuel (re : Racefuzzer.run_end) =
   let inst = re.Racefuzzer.re_inst in
-  let e_forced, e_forced_rev =
-    match re.Racefuzzer.re_report with
-    | None ->
-      let o = run_prioritized inst ~order:[] ~fuel in
-      (o, o)
-    | Some r ->
-      (* Fork before either order runs. *)
-      let m = inst.Racefuzzer.ri_machine in
-      let fork = { inst with Racefuzzer.ri_machine = Runtime.Machine.copy m } in
-      let fork_rng = Rng.copy re.Racefuzzer.re_rng in
-      let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
-      let fuel_left = re.Racefuzzer.re_fuel in
-      let forced = force fork fork_rng ~fuel_left ~fuel t1 t2 in
-      (forced, force inst re.Racefuzzer.re_rng ~fuel_left ~fuel t2 t1)
-  in
+  match re.Racefuzzer.re_report with
+  | None ->
+    let o = run_prioritized inst ~order:[] ~fuel in
+    (o, o)
+  | Some r ->
+    (* Fork before either order runs. *)
+    let m = inst.Racefuzzer.ri_machine in
+    let fork = { inst with Racefuzzer.ri_machine = Runtime.Machine.copy m } in
+    let fork_rng = Rng.copy re.Racefuzzer.re_rng in
+    let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
+    let fuel_left = re.Racefuzzer.re_fuel in
+    let first = force fork fork_rng ~fuel_left ~fuel t1 t2 in
+    (first, force inst re.Racefuzzer.re_rng ~fuel_left ~fuel t2 t1)
+
+let evidence (b : baselines) (e_forced, e_forced_rev) =
   { e_serial = b.b_serial; e_serial_rev = b.b_serial_rev; e_forced; e_forced_rev }
 
 let judge (e : evidence) =
@@ -175,5 +175,5 @@ let triage ~(instantiate : Racefuzzer.instantiator)
         (fun inst ->
           Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
           let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel in
-          judge (evidence b ~fuel re))
+          judge (evidence b (forced ~fuel re)))
         (instantiate ()))

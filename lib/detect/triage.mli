@@ -13,11 +13,11 @@
 
     The serialized baselines depend on the test only, so they are
     computed once per test ({!baselines}).  The forced runs are forked
-    from where the confirmation's run 0 stopped ({!evidence}): the
-    poised machine and scheduler RNG are copied once, one order runs on
-    the copy and the other on the original.  A run 0 that did not
-    confirm yields one outcome, which serves as both forced outcomes.
-    Every outcome equals that of a from-scratch replay.
+    from where the confirmation's run 0 stopped ({!forced}), as soon as
+    it stops: the poised machine and scheduler RNG are copied once, one
+    order runs on the copy and the other on the original.  A run 0 that
+    did not confirm yields one outcome, which serves as both forced
+    outcomes.  Every outcome equals that of a from-scratch replay.
 
     Repairability is the second, constructive oracle on top of this
     state-divergence verdict: a race whose synthesized lock fix
@@ -54,12 +54,17 @@ type evidence = {
   e_forced_rev : outcome;  (** the second racing access, then the first *)
 }
 
-val evidence : baselines -> fuel:int -> Racefuzzer.run_end -> evidence
-(** Force both orders from where a directed run at the campaign seed
-    and [fuel] stopped, consuming its machine and RNG: execute the
-    poised accesses back to back, finish the run's random drain with
-    the fuel it had left, then drain any runnable thread in creation
-    order with [fuel]. *)
+val forced : fuel:int -> Racefuzzer.run_end -> outcome * outcome
+(** Both forced outcomes, the first racing access first and then the
+    reverse, from where a directed run at the campaign seed and [fuel]
+    stopped, consuming its machine and RNG: execute the poised accesses
+    back to back, finish the run's random drain with the fuel it had
+    left, then drain any runnable thread in creation order with [fuel].
+    A run that stopped without confirming is drained in creation order
+    once, and that outcome is both. *)
+
+val evidence : baselines -> outcome * outcome -> evidence
+(** The baselines beside the two {!forced} outcomes. *)
 
 val judge : evidence -> verdict
 (** [Harmful] when any outcome differs from [e_serial]. *)
@@ -72,7 +77,8 @@ val triage :
   unit ->
   (verdict, string) result
 (** One race from scratch: {!baselines}, then its own directed run at
-    [seed] (default 7) on a fresh instance, then {!evidence}.  [fuel]
+    [seed] (default 7) on a fresh instance, then {!forced}.  [fuel]
     (default 200_000) bounds every run.  The campaign
     ([Campaign.confirm_and_triage]) shares the baselines across a
-    test's races and forks from the confirmation's run 0 instead. *)
+    test's races and forks from each candidate's confirmation run 0
+    instead. *)

@@ -88,13 +88,13 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     Obs.Metrics.incr reg ~n:opts.opt_schedules "detect/schedules";
     Obs.Metrics.incr reg ~n:(List.length candidates) "detect/candidates";
     let test = Detect.Campaign.test instantiate in
+    let outcomes =
+      Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~test
+        ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed (List.map snd candidates)
+    in
     let races =
-      List.map
-        (fun (k, r) ->
-          let { Detect.Campaign.o_confirm; o_verdict; _ } =
-            Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~test
-              ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed r
-          in
+      List.map2
+        (fun (k, _) { Detect.Campaign.o_confirm; o_verdict; _ } ->
           let reproduced = o_confirm.Detect.Racefuzzer.confirmed <> None in
           if reproduced then Obs.Metrics.incr reg "detect/reproduced";
           (match o_verdict with
@@ -102,7 +102,7 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
           | Some Detect.Triage.Benign -> Obs.Metrics.incr reg "triage/benign"
           | None -> ());
           { ro_key = k; ro_reproduced = reproduced; ro_verdict = o_verdict })
-        candidates
+        candidates outcomes
     in
     { te_test = t; te_instantiated = true; te_races = races }
 

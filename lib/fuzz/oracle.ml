@@ -457,6 +457,33 @@ let replayed_evidence fresh ~cand ~seed =
   let* e_forced_rev = run (forced true) in
   Ok { Triage.e_serial; e_serial_rev; e_forced; e_forced_rev }
 
+(* A candidate's confirmation from scratch: run [i] is a whole directed
+   run at the campaign's seed for it, on its own fresh instance, until
+   the first confirmation or instantiation failure.  The confirmed
+   report, the runs used and their steps. *)
+let replayed_confirmation instantiate ~cand ~runs ~seed =
+  let rec go i steps =
+    if i >= runs then (None, runs, steps)
+    else
+      match instantiate () with
+      | Error _ -> (None, i, steps)
+      | Ok inst -> (
+        let re, st =
+          Racefuzzer.directed_run inst ~cand
+            ~seed:(Int64.add seed (Int64.of_int (i * 7919)))
+            ~fuel:triage_fuel
+        in
+        let steps = steps + st.Racefuzzer.rs_steps in
+        match re.Racefuzzer.re_report with
+        | Some r -> (Some r, i + 1, steps)
+        | None -> go (i + 1) steps)
+  in
+  go 0 0
+
+let confirmation = function None -> "unconfirmed" | Some r -> Race.to_string r
+
+let confirm_runs = 3
+
 (* Every synthesized test instantiates, and the instances its
    instantiator hands out are interchangeable with a fresh build: copy 1
    and copy 2 — the latter taken after copy 1 ran to completion — must
@@ -466,12 +493,17 @@ let replayed_evidence fresh ~cand ~seed =
    makes the oracle's instantiator hand out its template itself, so copy
    2 is copy 1 after its run.
 
-   The campaign's triage, which shares each test's serialized baselines
-   across its races and forks the forced orders from the confirmation's
-   run 0, must agree with four fresh replays on every race it confirms:
-   all four outcomes and the verdict.  The [test-alias] mutation hands
-   every test the first test's campaign state, so later tests are
-   confirmed and triaged on the first test's instances. *)
+   The campaign confirms a test's candidates together, each directed run
+   shared until a candidate's first matching access.  Each candidate's
+   confirmation (report, runs used, steps) must equal that of its own
+   directed runs, each on a fresh instance of the instantiator the
+   campaign was given.  The campaign's triage, which shares each test's
+   serialized baselines across its races and forks the forced orders
+   from the confirmation's run 0, must agree with four fresh replays on
+   every race it confirms: all four outcomes and the verdict.  The
+   [test-alias] mutation hands every test the first test's campaign
+   state, so later tests are confirmed and triaged on the first test's
+   instances. *)
 let synthesis_replay ?mutate ?(strict = true) ~seed cu =
   match
     Narada_core.Pipeline.analyze ~seed:(vm_seed seed) cu ~client_classes
@@ -533,8 +565,9 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
     let first_test = ref None in
     let triage (t : Narada_core.Synth.test) =
       let instantiate = Narada_core.Pipeline.instantiator an t in
-      let own = Campaign.test ~fuel:triage_fuel instantiate in
-      let test =
+      let own = (Campaign.test ~fuel:triage_fuel instantiate, instantiate) in
+      (* The campaign's state and the instantiator it was given. *)
+      let test, test_instantiate =
         match (mutate, !first_test) with
         | Some Test_alias, Some first -> first
         | _ ->
@@ -542,8 +575,12 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
           own
       in
       let seed = replay_seed seed in
-      let check (k, r) =
-        let o = Campaign.confirm_and_triage ~test ~runs:3 ~seed r in
+      let check (k, r) (o : Campaign.outcome) =
+        let cand = Racefuzzer.candidate_of_report r in
+        let c = o.Campaign.o_confirm in
+        let rc, ru, rs =
+          replayed_confirmation test_instantiate ~cand ~runs:confirm_runs ~seed
+        in
         let differs what =
           Some
             (Printf.sprintf
@@ -551,10 +588,22 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
                 replays: %s"
                t.Narada_core.Synth.st_id (Race.key_to_string k) what)
         in
+        if
+          c.Racefuzzer.confirmed <> rc
+          || c.Racefuzzer.runs_used <> ru
+          || c.Racefuzzer.steps <> rs
+        then
+          Some
+            (Printf.sprintf
+               "test #%d race %s: shared-prefix confirmation differs from its own \
+                directed runs: %s in %d runs, %d steps, not %s in %d runs, %d steps"
+               t.Narada_core.Synth.st_id (Race.key_to_string k)
+               (confirmation c.Racefuzzer.confirmed)
+               c.Racefuzzer.runs_used c.Racefuzzer.steps (confirmation rc) ru rs)
+        else
         match o.Campaign.o_evidence with
         | None -> None
         | Some ev -> (
-          let cand = Racefuzzer.candidate_of_report r in
           match replayed_evidence (fresh t) ~cand ~seed with
           | Error e -> differs ("fresh instantiation failed: " ^ e)
           | Ok re ->
@@ -574,7 +623,11 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
       in
       match Campaign.candidates ~instantiate ~schedules:2 ~seed () with
       | Error _ -> None
-      | Ok cands -> List.find_map check cands
+      | Ok cands ->
+        let outcomes =
+          Campaign.confirm_and_triage ~test ~runs:confirm_runs ~seed (List.map snd cands)
+        in
+        List.find_map (fun (c, o) -> check c o) (List.combine cands outcomes)
     in
     (match List.find_map replay tests with
     | Some detail -> Fail detail

@@ -82,6 +82,9 @@ val check :
       {!Narada_core.Synth.instantiate} — same initial heap from the
       roots, labels used and output, and the same outcome, steps,
       output and FastTrack race keys under one seeded random schedule;
+      and the campaign's shared-prefix confirmation of each candidate
+      equals its own from-scratch directed runs (report, runs used,
+      steps), and its triage equals four fresh replays;
     - ["observer-diff"]: observing does not change a run, and an
       observer attached mid-run sees what a run observed from the start
       shows from that point — same outcome, steps, crashes, output and

@@ -334,29 +334,31 @@ let repair_all ?(opts = default_options) (sub : subject) :
                      ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
               in
               let test = Detect.Campaign.test ~fuel:opts.eo_fuel instantiate in
-              List.iter
-                (fun (k, r) ->
-                  match rid_of_key_opt k with
-                  | None -> ()
-                  | Some rid ->
-                    detected :=
-                      (rid, Synth.dedup_key t.Synth.st_pair) :: !detected;
-                    if not (List.mem_assoc k !confirmed) then begin
-                      let o =
-                        Detect.Campaign.confirm_and_triage ~jobs:opts.eo_jobs
-                          ~test ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed r
-                      in
-                      if o.Detect.Campaign.o_confirm.Rf.confirmed <> None then
-                        confirmed :=
-                          ( k,
-                            {
-                              d_rid = rid;
-                              d_key = k;
-                              d_verdict = o.Detect.Campaign.o_verdict;
-                            } )
-                          :: !confirmed
-                    end)
-                cands)
+              (* A test's keys are distinct, so filtering by the keys
+                 earlier tests confirmed is filtering by every key
+                 confirmed before each candidate. *)
+              let unconfirmed =
+                List.filter_map
+                  (fun (k, r) ->
+                    match rid_of_key_opt k with
+                    | None -> None
+                    | Some rid ->
+                      detected := (rid, Synth.dedup_key t.Synth.st_pair) :: !detected;
+                      if List.mem_assoc k !confirmed then None else Some (rid, k, r))
+                  cands
+              in
+              let outcomes =
+                Detect.Campaign.confirm_and_triage ~jobs:opts.eo_jobs ~test
+                  ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed
+                  (List.map (fun (_, _, r) -> r) unconfirmed)
+              in
+              List.iter2
+                (fun (rid, k, _) (o : Detect.Campaign.outcome) ->
+                  if o.Detect.Campaign.o_confirm.Rf.confirmed <> None then
+                    confirmed :=
+                      (k, { d_rid = rid; d_key = k; d_verdict = o.Detect.Campaign.o_verdict })
+                      :: !confirmed)
+                unconfirmed outcomes)
             an.Pipeline.an_tests;
           let detected = !detected in
           let detected_rids =

@@ -23,42 +23,50 @@ type entry =
 type t = { entries : (int * entry) list }
 
 (* Triage calls [canonical] once per replayed execution; reusing one
-   pair of scratch hashtables per domain (cleared, not re-allocated)
-   keeps their grown bucket arrays across calls and cuts per-task GC
-   pressure on Par worker domains.  The [sc_busy] flag guards against
-   reentrant use (none exists today) by falling back to fresh tables. *)
+   scratch hashtable and entry array per domain (cleared, not
+   re-allocated) keeps their grown storage across calls and cuts
+   per-task GC pressure on Par worker domains.  The [sc_busy] flag
+   guards against reentrant use (none exists today) by falling back to
+   fresh ones. *)
 type scratch = {
   sc_ids : (Value.addr, int) Hashtbl.t;
-  sc_table : (int, entry) Hashtbl.t;
+  mutable sc_entries : entry array; (* node id -> entry, below [next] *)
   mutable sc_busy : bool;
 }
 
-let scratch_key : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { sc_ids = Hashtbl.create 64; sc_table = Hashtbl.create 64; sc_busy = false })
+let new_scratch () =
+  { sc_ids = Hashtbl.create 64; sc_entries = Array.make 64 Epending; sc_busy = false }
+
+let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key new_scratch
 
 let canonical heap ~(roots : Value.t list) : t =
   let sc = Domain.DLS.get scratch_key in
-  let ids, table, release =
-    if sc.sc_busy then
-      ((Hashtbl.create 64 : (Value.addr, int) Hashtbl.t), Hashtbl.create 64, ignore)
+  let sc, release =
+    if sc.sc_busy then (new_scratch (), ignore)
     else begin
       sc.sc_busy <- true;
-      (* [clear] keeps the grown bucket arrays, unlike [reset]. *)
+      (* [clear] keeps the grown bucket array, unlike [reset]. *)
       Hashtbl.clear sc.sc_ids;
-      Hashtbl.clear sc.sc_table;
-      (sc.sc_ids, sc.sc_table, fun (_ : unit) -> sc.sc_busy <- false)
+      (sc, fun (_ : unit) -> sc.sc_busy <- false)
     end
   in
+  let ids = sc.sc_ids in
   Fun.protect ~finally:release @@ fun () ->
-  (* id -> entry; ids are dense visit-order indices, so the final list
-     is just a [List.init] over the table — filling a slot after its
-     children are visited is O(1) instead of rewriting an entries list. *)
+  (* Ids are dense visit-order indices into [sc_entries], so the final
+     list is just a [List.init] over it — filling a slot after its
+     children are visited is O(1) instead of rewriting an entries list.
+     Every id below [next] has been written by [fresh], so every slot
+     the list reads holds this call's entry. *)
   let next = ref 0 in
   let fresh e =
     let id = !next in
     incr next;
-    Hashtbl.replace table id e;
+    if id >= Array.length sc.sc_entries then begin
+      let bigger = Array.make (2 * Array.length sc.sc_entries) Epending in
+      Array.blit sc.sc_entries 0 bigger 0 id;
+      sc.sc_entries <- bigger
+    end;
+    sc.sc_entries.(id) <- e;
     id
   in
   (* Returns the node id for a value; primitive values get fresh leaf
@@ -80,41 +88,22 @@ let canonical heap ~(roots : Value.t list) : t =
         match (Heap.cell heap a).Heap.kind with
         | Heap.Kobject { cls; layout; fields }
         | Heap.Kclassobj { cls; layout; fields } ->
-          let names =
-            List.sort String.compare
-              (Array.to_list (Heap.layout_names layout))
+          (* Each field with its own slot, sorted by name: a field's slot
+             is its index in the layout's names. *)
+          let slots =
+            List.sort
+              (fun (f1, _) (f2, _) -> String.compare f1 f2)
+              (Array.to_list (Array.mapi (fun s f -> (f, s)) (Heap.layout_names layout)))
           in
-          Eobj
-            ( cls,
-              List.map
-                (fun f ->
-                  match Heap.slot_of layout f with
-                  | -1 ->
-                    (* [names] was read from this very layout, so a miss
-                       means the cell's layout changed under us. *)
-                    invalid_arg
-                      (Printf.sprintf
-                         "Snapshot.canonical: field %s.%s vanished during \
-                          traversal"
-                         cls f)
-                  | s -> (f, visit fields.(s)))
-                names )
+          Eobj (cls, List.map (fun (f, s) -> (f, visit fields.(s))) slots)
         | Heap.Karray { data; _ } ->
           Earr (Array.to_list (Array.map visit data))
       in
-      Hashtbl.replace table id e;
+      sc.sc_entries.(id) <- e;
       id
   in
   List.iter (fun v -> ignore (visit v)) roots;
-  {
-    entries =
-      List.init !next (fun i ->
-          match Hashtbl.find_opt table i with
-          | Some e -> (i, e)
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Snapshot.canonical: unnumbered entry %d" i));
-  }
+  { entries = List.init !next (fun i -> (i, sc.sc_entries.(i))) }
 
 let hash heap ~roots = Hashtbl.hash (canonical heap ~roots)
 

@@ -201,7 +201,12 @@ let test_one_answer () =
    The anchor totals C1-C9; the pin covers every class.  The work
    counters and the directed runs' step and postponed-set histograms
    are what every scheduler choice adds up to, so a change that makes
-   the scheduler pick differently anywhere in the corpus moves them. *)
+   the scheduler pick differently anywhere in the corpus moves them.
+   [racefuzzer/steps] counts each directed run from its start;
+   [racefuzzer/vm_steps] is what confirmation executed, each test's
+   candidates sharing every run until their first matching access.  It
+   is a volatile gauge because at [jobs > 1] the speculative run
+   indices add to it; this run is at jobs 1. *)
 let corpus_counters =
   [
     ("detect/schedules", 1740);
@@ -216,6 +221,8 @@ let corpus_histograms =
     ("racefuzzer/postponed_max", 3202, 5645, 0, 2);
     ("racefuzzer/steps", 3202, 872_774, 0, 1446);
   ]
+
+let confirm_vm_steps = 607_828
 
 let test_table5_anchor () =
   let reg = Obs.Metrics.global () in
@@ -249,7 +256,10 @@ let test_table5_anchor () =
       in
       Alcotest.(check (list int)) (name ^ " count, sum, min, max")
         [ count; sum; min; max ] got)
-    corpus_histograms
+    corpus_histograms;
+  Alcotest.(check (option (float 0.))) "racefuzzer/vm_steps"
+    (Some (float_of_int confirm_vm_steps))
+    (List.assoc_opt "racefuzzer/vm_steps" (Obs.Metrics.gauges reg))
 
 (* ---- blind vs guided confirmation ---- *)
 

@@ -177,6 +177,24 @@ let test_replay_stress_pools_chunks () =
 (* One postponing loop                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let corpus_tests f =
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      let an =
+        match Eval.Evaluate.analyze_entry e with
+        | Ok (_, an) -> an
+        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+      in
+      List.iter
+        (fun t -> f e (Narada_core.Pipeline.instantiator an t))
+        an.Narada_core.Pipeline.an_tests)
+    (Corpus.Registry.all @ Corpus.Registry.extras)
+
+let fresh_of instantiate () =
+  match instantiate () with Ok inst -> inst | Error e -> Alcotest.fail e
+
+let run_seed seed i = Int64.add seed (Int64.of_int (i * 7919))
+
 (* [directed_run] and [directed_run_cov] are one loop with two choice
    sources.  Over every lockset candidate of C1-C9 and X1-X3 at seed 7,
    at every run seed of the Evaluate budget:
@@ -201,73 +219,257 @@ let test_loops_agree () =
       ~roots:inst.Racefuzzer.ri_roots
   in
   let compared = ref 0 and whole = ref 0 in
+  corpus_tests (fun e instantiate ->
+      let fresh = fresh_of instantiate in
+      match Campaign.candidates ~instantiate ~schedules ~seed () with
+      | Error _ -> ()
+      | Ok cands ->
+        List.iter
+          (fun (k, r) ->
+            let cand = Racefuzzer.candidate_of_report r in
+            for i = 0 to runs - 1 do
+              let seed = run_seed seed i in
+              let what =
+                Printf.sprintf "%s %s run %d" e.Corpus.Corpus_def.e_id
+                  (Race.key_to_string k) i
+              in
+              let cov_run ?prefix fuel =
+                let inst = fresh () in
+                let rc =
+                  Racefuzzer.directed_run_cov inst.Racefuzzer.ri_machine ~cand ~seed
+                    ~fuel ?prefix ()
+                in
+                (rc, heap inst)
+              in
+              let same what' ((a : Racefuzzer.run_cov), ha) ((b : Racefuzzer.run_cov), hb) =
+                if a.Racefuzzer.rc_report <> b.Racefuzzer.rc_report then
+                  Alcotest.failf "%s%s: report %s, not %s" what what'
+                    (report b.Racefuzzer.rc_report) (report a.Racefuzzer.rc_report);
+                if
+                  a.Racefuzzer.rc_stats <> b.Racefuzzer.rc_stats
+                  || a.Racefuzzer.rc_choices <> b.Racefuzzer.rc_choices
+                  || (not (Cov.Set.equal a.Racefuzzer.rc_cov b.Racefuzzer.rc_cov))
+                  || ha <> hb
+                then Alcotest.failf "%s%s: stats, choices, coverage or heap differ" what what'
+              in
+              let plain = fresh () in
+              let re, st = Racefuzzer.directed_run plain ~cand ~seed ~fuel in
+              let ((rc, h) as recorded) = cov_run fuel in
+              same ": prefix []"
+                ( { rc with Racefuzzer.rc_report = re.Racefuzzer.re_report; rc_stats = st },
+                  heap plain )
+                (rc, h);
+              let choices = rc.Racefuzzer.rc_choices in
+              if st.Racefuzzer.rs_steps <= List.length choices then begin
+                incr whole;
+                same ": replayed" recorded (cov_run ~prefix:choices fuel)
+              end
+              else begin
+                let cut = List.length choices in
+                same ": replayed prefix" (cov_run cut) (cov_run ~prefix:choices cut)
+              end;
+              incr compared
+            done)
+          cands);
+  Alcotest.(check int) "directed runs compared" 11_970 !compared;
+  Alcotest.(check int) "runs recorded whole" 6_083 !whole
+
+(* ------------------------------------------------------------------ *)
+(* Continued and shared directed runs                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Where a run stopped, as far as it can be compared: the report with
+   its labels, the fuel left, the next draw of the scheduler's RNG (from
+   a copy, so the run's own RNG is left alone) and the observable end
+   state. *)
+let stop_of (re : Racefuzzer.run_end) =
+  ( re.Racefuzzer.re_report,
+    re.Racefuzzer.re_fuel,
+    Rng.bits (Rng.copy re.Racefuzzer.re_rng),
+    Triage.observe re.Racefuzzer.re_inst )
+
+let same_stop what (r1, f1, d1, o1) (r2, f2, d2, o2) =
+  let report = function None -> "unconfirmed" | Some r -> Race.to_string r in
+  if r1 <> r2 then Alcotest.failf "%s: report %s, not %s" what (report r2) (report r1);
+  if f1 <> f2 then Alcotest.failf "%s: %d fuel left, not %d" what f2 f1;
+  if d1 <> d2 then Alcotest.failf "%s: next RNG draw differs" what;
+  if o1 <> o2 then Alcotest.failf "%s: end state differs" what
+
+(* A directed run stopped after [k] steps and continued from there (same
+   machine, same RNG, the fuel left of the whole budget, starting step
+   [k]) is the whole run: same report with the same labels, steps, fuel
+   left, next draw and end state.  Over every lockset candidate of every
+   C1-C9 and X1-X3 test at seed 7, stopped at several [k] up to the
+   whole run's length. *)
+let test_continued_run () =
+  let seed = 7L and fuel = 200_000 in
+  let schedules = Eval.Evaluate.default_options.Eval.Evaluate.opt_schedules in
+  let compared = ref 0 and confirmed_before_stop = ref 0 in
+  corpus_tests (fun e instantiate ->
+      let fresh = fresh_of instantiate in
+      match Campaign.candidates ~instantiate ~schedules ~seed () with
+      | Error _ -> ()
+      | Ok cands ->
+        List.iter
+          (fun (key, r) ->
+            let cand = Racefuzzer.candidate_of_report r in
+            let whole, whole_st = Racefuzzer.directed_run (fresh ()) ~cand ~seed ~fuel in
+            let n = whole_st.Racefuzzer.rs_steps in
+            List.iter
+              (fun k ->
+                let what =
+                  Printf.sprintf "%s %s stopped at %d of %d" e.Corpus.Corpus_def.e_id
+                    (Race.key_to_string key) k n
+                in
+                let stopped, st = Racefuzzer.directed_run (fresh ()) ~cand ~seed ~fuel:k in
+                let taken = st.Racefuzzer.rs_steps in
+                if stopped.Racefuzzer.re_report <> None && taken < k then
+                  incr confirmed_before_stop;
+                let continued, cst =
+                  Racefuzzer.continue_run stopped.Racefuzzer.re_inst
+                    stopped.Racefuzzer.re_rng ~cand ~start:taken ~fuel:(fuel - taken)
+                in
+                Alcotest.(check int) (what ^ ": steps") n cst.Racefuzzer.rs_steps;
+                same_stop what (stop_of whole) (stop_of continued);
+                incr compared)
+              (List.sort_uniq compare [ 0; 1; 7; 60; n / 2; max 0 (n - 1); n; n + 5 ]))
+          cands);
+  Alcotest.(check int) "continuations compared" 15_672 !compared;
+  Alcotest.(check int) "stops after the confirmation" 2_774 !confirmed_before_stop
+
+(* Where a plain random run at [seed] first has a runnable thread poised
+   at an access matching each candidate (its fork step), or [None]:
+   the test's own scan, independent of the library's shared run. *)
+let first_matches instantiate cands ~seed ~fuel =
+  let inst = fresh_of instantiate () in
+  let m = inst.Racefuzzer.ri_machine in
+  let rng = Rng.create seed in
+  let at = Array.make (Array.length cands) None in
+  let rec go step fuel =
+    if fuel > 0 then begin
+      Array.iteri
+        (fun j cand ->
+          if
+            at.(j) = None
+            && List.exists
+                 (fun th ->
+                   Runtime.Machine.runnable_th m th
+                   &&
+                   match Runtime.Machine.pending_access_th m th with
+                   | Some pa -> Racefuzzer.matches cand pa
+                   | None -> false)
+                 (Runtime.Machine.all_threads m)
+          then at.(j) <- Some step)
+        cands;
+      match List.filter (Runtime.Machine.runnable_th m) (Runtime.Machine.all_threads m) with
+      | [] -> ()
+      | ths ->
+        ignore (Runtime.Machine.step_th m (List.nth ths (Rng.below rng (List.length ths))));
+        go (step + 1) (fuel - 1)
+    end
+  in
+  go 0 fuel;
+  at
+
+(* The shared prefix is exact.  For every candidate of every C1-C9 and
+   X1-X3 test at seeds 7 and 11, at every run index of the Evaluate
+   budget, the run [directed_runs] hands back for it equals a
+   from-scratch [directed_run] at that run's seed on a fresh instance:
+   report with labels, steps, postponed-set high-water mark, fuel left,
+   next RNG draw and end state.  The candidates that fork at one step,
+   and the last fork, which takes the shared machine, are among them.
+   [confirm_all] over the same candidates then gives each the
+   confirmation of its own runs, and settles each run 0 where it
+   stopped. *)
+let test_shared_prefix () =
+  let fuel = 200_000 in
+  let { Eval.Evaluate.opt_schedules = schedules; opt_confirm_runs = runs; _ } =
+    Eval.Evaluate.default_options
+  in
+  let compared = ref 0 and same_step = ref 0 and took_shared = ref 0 in
+  let never_matched = ref 0 in
   List.iter
-    (fun (e : Corpus.Corpus_def.entry) ->
-      let an =
-        match Eval.Evaluate.analyze_entry e with
-        | Ok (_, an) -> an
-        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
-      in
-      List.iter
-        (fun t ->
-          let instantiate = Narada_core.Pipeline.instantiator an t in
-          let fresh () =
-            match instantiate () with Ok inst -> inst | Error e -> Alcotest.fail e
-          in
+    (fun seed ->
+      corpus_tests (fun e instantiate ->
+          let fresh = fresh_of instantiate in
           match Campaign.candidates ~instantiate ~schedules ~seed () with
           | Error _ -> ()
           | Ok cands ->
-            List.iter
-              (fun (k, r) ->
-                let cand = Racefuzzer.candidate_of_report r in
-                for i = 0 to runs - 1 do
-                  let seed = Int64.add seed (Int64.of_int (i * 7919)) in
-                  let what =
-                    Printf.sprintf "%s %s run %d" e.Corpus.Corpus_def.e_id
-                      (Race.key_to_string k) i
-                  in
-                  let cov_run ?prefix fuel =
-                    let inst = fresh () in
-                    let rc =
-                      Racefuzzer.directed_run_cov inst.Racefuzzer.ri_machine ~cand ~seed
-                        ~fuel ?prefix ()
-                    in
-                    (rc, heap inst)
-                  in
-                  let same what' ((a : Racefuzzer.run_cov), ha) ((b : Racefuzzer.run_cov), hb) =
-                    if a.Racefuzzer.rc_report <> b.Racefuzzer.rc_report then
-                      Alcotest.failf "%s%s: report %s, not %s" what what'
-                        (report b.Racefuzzer.rc_report) (report a.Racefuzzer.rc_report);
-                    if
-                      a.Racefuzzer.rc_stats <> b.Racefuzzer.rc_stats
-                      || a.Racefuzzer.rc_choices <> b.Racefuzzer.rc_choices
-                      || (not (Cov.Set.equal a.Racefuzzer.rc_cov b.Racefuzzer.rc_cov))
-                      || ha <> hb
-                    then Alcotest.failf "%s%s: stats, choices, coverage or heap differ" what what'
-                  in
-                  let plain = fresh () in
-                  let re, st = Racefuzzer.directed_run plain ~cand ~seed ~fuel in
-                  let ((rc, h) as recorded) = cov_run fuel in
-                  same ": prefix []"
-                    ( { rc with Racefuzzer.rc_report = re.Racefuzzer.re_report; rc_stats = st },
-                      heap plain )
-                    (rc, h);
-                  let choices = rc.Racefuzzer.rc_choices in
-                  if st.Racefuzzer.rs_steps <= List.length choices then begin
-                    incr whole;
-                    same ": replayed" recorded (cov_run ~prefix:choices fuel)
-                  end
-                  else begin
-                    let cut = List.length choices in
-                    same ": replayed prefix" (cov_run cut) (cov_run ~prefix:choices cut)
-                  end;
-                  incr compared
-                done)
-              cands)
-        an.Narada_core.Pipeline.an_tests)
-    (Corpus.Registry.all @ Corpus.Registry.extras);
-  Alcotest.(check int) "directed runs compared" 11_970 !compared;
-  Alcotest.(check int) "runs recorded whole" 6_083 !whole
+            let keys = Array.of_list (List.map fst cands) in
+            let cands =
+              Array.of_list (List.map (fun (_, r) -> Racefuzzer.candidate_of_report r) cands)
+            in
+            let n = Array.length cands in
+            (* [reference.(i).(j)]: candidate [j]'s own run [i]. *)
+            let reference =
+              Array.init runs (fun i ->
+                  Array.map
+                    (fun cand ->
+                      let re, st =
+                        Racefuzzer.directed_run (fresh ()) ~cand ~seed:(run_seed seed i) ~fuel
+                      in
+                      (stop_of re, st))
+                    cands)
+            in
+            for i = 0 to runs - 1 do
+              let inst = fresh () in
+              let ended = Array.make n 0 in
+              ignore @@ Racefuzzer.directed_runs inst ~cands ~seed:(run_seed seed i) ~fuel
+                (fun js re st ->
+                  let m = re.Racefuzzer.re_inst.Racefuzzer.ri_machine in
+                  if m == inst.Racefuzzer.ri_machine && st.Racefuzzer.rs_max_postponed > 0
+                  then incr took_shared;
+                  if st.Racefuzzer.rs_max_postponed = 0 then
+                    never_matched := !never_matched + List.length js;
+                  let stop = stop_of re in
+                  List.iter
+                    (fun j ->
+                      ended.(j) <- ended.(j) + 1;
+                      let what =
+                        Printf.sprintf "%s seed %Ld run %d %s" e.Corpus.Corpus_def.e_id seed i
+                          (Race.key_to_string keys.(j))
+                      in
+                      let want, want_st = reference.(i).(j) in
+                      if want_st <> st then Alcotest.failf "%s: stats differ" what;
+                      same_stop what want stop;
+                      incr compared)
+                    js);
+              Array.iter (Alcotest.(check int) "every candidate ends once" 1) ended;
+              let at = first_matches instantiate cands ~seed:(run_seed seed i) ~fuel in
+              Array.iteri
+                (fun j a ->
+                  if a <> None && Array.exists (fun a' -> a' = a) (Array.sub at 0 j) then
+                    incr same_step)
+                at
+            done;
+            let settled =
+              Racefuzzer.confirm_all ~instantiate ~cands ~runs ~fuel ~seed ~jobs:1
+                ~settle:(fun re -> Triage.observe re.Racefuzzer.re_inst)
+            in
+            Array.iteri
+              (fun j ((c : Racefuzzer.confirm_result), observed) ->
+                let rec own i steps =
+                  if i = runs then (None, runs, steps)
+                  else
+                    let ((report, _, _, _), st) = reference.(i).(j) in
+                    let steps = steps + st.Racefuzzer.rs_steps in
+                    if report <> None then (report, i + 1, steps) else own (i + 1) steps
+                in
+                let what =
+                  Printf.sprintf "%s seed %Ld %s" e.Corpus.Corpus_def.e_id seed
+                    (Race.key_to_string keys.(j))
+                in
+                let got = Racefuzzer.(c.confirmed, c.runs_used, c.steps) in
+                Alcotest.(check bool) (what ^ ": confirmation") true (own 0 0 = got);
+                let (_, _, _, run0_end), _ = reference.(0).(j) in
+                Alcotest.(check bool) (what ^ ": run 0 settled where it stopped") true
+                  (observed = Some run0_end))
+              settled))
+    [ 7L; 11L ];
+  Alcotest.(check int) "runs compared" 24_078 !compared;
+  Alcotest.(check int) "candidates forking at an earlier candidate's step" 6_862 !same_step;
+  Alcotest.(check int) "last forks on the shared machine" 5_418 !took_shared;
+  Alcotest.(check int) "runs never matched" 87 !never_matched
 
 let test_triage_lost_update_harmful () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
@@ -399,6 +601,13 @@ let () =
         [
           Alcotest.test_case "C1-C9, X1-X3: cov run = plain run, replayable" `Slow
             test_loops_agree;
+        ] );
+      ( "shared runs",
+        [
+          Alcotest.test_case "C1-C9, X1-X3: stopped + continued = whole run" `Slow
+            test_continued_run;
+          Alcotest.test_case "C1-C9, X1-X3: shared runs = own runs, seeds 7 and 11" `Slow
+            test_shared_prefix;
         ] );
       ( "shootout",
         [

@@ -1,9 +1,10 @@
 (* Triage from state the campaign already holds equals triage from
    scratch.
 
-   [Detect.Campaign.confirm_and_triage] computes each test's serialized
-   baselines once and forks both forced orders from where the
-   confirmation's run 0 stopped.  For every race it confirms on C1-C9
+   [Detect.Campaign.confirm_and_triage] confirms a test's candidates
+   together, computes the test's serialized baselines once and forks
+   both forced orders from where each candidate's confirmation run 0
+   stopped.  For every race it confirms on C1-C9
    and X1-X3 at seed 7 and the default Evaluate budget, the verdict and
    all four outcomes must equal those of the reference below, which
    runs each of the four executions on its own fresh instance: the
@@ -142,9 +143,8 @@ let test_equivalence () =
       let test = Campaign.test instantiate in
       let replays0 = Obs.Metrics.counter_value reg "triage/replays" in
       let confirmed = ref 0 in
-      List.iter
-        (fun (k, r) ->
-          let o = Campaign.confirm_and_triage ~test ~runs ~seed r in
+      List.iter2
+        (fun (k, r) (o : Campaign.outcome) ->
           let c = o.Campaign.o_confirm in
           match (c.Racefuzzer.confirmed, o.Campaign.o_evidence, o.Campaign.o_verdict) with
           | None, None, None -> ()
@@ -163,7 +163,8 @@ let test_equivalence () =
               (Triage.verdict_to_string (reference_verdict reference))
               (Triage.verdict_to_string v)
           | _ -> Alcotest.fail "verdict, evidence and confirmation disagree")
-        cands;
+        cands
+        (Campaign.confirm_and_triage ~test ~runs ~seed (List.map snd cands));
       (* Baselines: two instances per test with a confirmed race,
          however many races it has, and none otherwise. *)
       Alcotest.(check int) "baseline replays per test"
@@ -176,30 +177,33 @@ let test_equivalence () =
 
 (* A race confirmed only at run >= 1: run 0 ended unconfirmed, so its
    end state is both forced outcomes, as the from-scratch forced runs
-   at the campaign seed do not confirm either; standalone triage agrees
-   with the campaign. *)
+   at the campaign seed do not confirm either; the confirmation is
+   standalone [confirm]'s, and standalone triage agrees with the
+   campaign. *)
 let test_late_confirmation () =
   let found = ref 0 in
   each_test (List.filter_map Corpus.Registry.find [ "C1"; "C4"; "C6" ])
     (fun _ _ instantiate cands ->
-      List.iter
-        (fun (_, r) ->
-          let cand = Racefuzzer.candidate_of_report r in
-          let c = Racefuzzer.confirm ~instantiate ~cand ~runs ~fuel ~seed () in
-          match (c.Racefuzzer.confirmed, c.Racefuzzer.run0) with
-          | Some _, Some { Racefuzzer.re_report = None; _ } -> (
+      let cands = Result.value ~default:[] cands in
+      let test = Campaign.test instantiate in
+      List.iter2
+        (fun (_, r) (o : Campaign.outcome) ->
+          let c = o.Campaign.o_confirm in
+          match (c.Racefuzzer.confirmed, o.Campaign.o_evidence, o.Campaign.o_verdict) with
+          | Some _, Some ev, Some v when c.Racefuzzer.runs_used > 1 ->
             incr found;
-            let test = Campaign.test instantiate in
-            let o = Campaign.confirm_and_triage ~test ~runs ~seed r in
-            match (o.Campaign.o_evidence, o.Campaign.o_verdict) with
-            | Some ev, Some v ->
-              check_outcome "one outcome for both orders" ev.e_forced ev.e_forced_rev;
-              check_evidence "late" (reference instantiate ~cand) ev;
-              Alcotest.(check bool) "standalone triage agrees" true
-                (Triage.triage ~instantiate ~cand ~seed () = Ok v)
-            | _ -> Alcotest.fail "confirmed race without evidence")
+            let cand = Racefuzzer.candidate_of_report r in
+            Alcotest.(check bool) "standalone confirm agrees" true
+              (Racefuzzer.confirm ~instantiate ~cand ~runs ~fuel ~seed () = c);
+            check_outcome "one outcome for both orders" ev.e_forced ev.e_forced_rev;
+            check_evidence "late" (reference instantiate ~cand) ev;
+            Alcotest.(check bool) "standalone triage agrees" true
+              (Triage.triage ~instantiate ~cand ~seed () = Ok v)
+          | Some _, _, _ when c.Racefuzzer.runs_used > 1 ->
+            Alcotest.fail "confirmed race without evidence"
           | _ -> ())
-        (Result.value ~default:[] cands));
+        cands
+        (Campaign.confirm_and_triage ~test ~runs ~seed (List.map snd cands)));
   Alcotest.(check bool) "late confirmations found" true (!found > 0)
 
 (* C3's uninstantiable test: standalone triage returns the
@@ -223,7 +227,11 @@ let test_uninstantiable () =
           (Triage.triage ~instantiate ~cand ~seed ()
           = Error "no context recipe for endpoint A");
         let test = Campaign.test instantiate in
-        let o = Campaign.confirm_and_triage ~test ~runs ~seed report in
+        let o =
+          match Campaign.confirm_and_triage ~test ~runs ~seed [ report ] with
+          | [ o ] -> o
+          | _ -> Alcotest.fail "one outcome per report"
+        in
         Alcotest.(check bool) "nothing confirmed" true
           (o.Campaign.o_confirm.Racefuzzer.confirmed = None
           && o.Campaign.o_confirm.Racefuzzer.runs_used = 0);
