@@ -62,9 +62,11 @@ let jobs_arg =
     & opt int (Par.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel detection campaign (default: the \
-           recommended domain count). Results are identical for every job \
-           count.")
+          "Width of the command's one fan-out over its outermost independent \
+           units (synthesized tests, races to repair, generated programs, \
+           lint entries, serve requests), capped at the core count (default: \
+           the recommended domain count). Results are identical for every \
+           job count.")
 
 let metrics_out_arg =
   Arg.(
@@ -403,7 +405,9 @@ let detect_cmd =
     (Cmd.info "detect"
        ~doc:
          "Synthesize tests for a corpus class, run them under the detection \
-          stack and report every race (detected / reproduced / triaged).")
+          stack and report every race (detected / reproduced / triaged). \
+          The detection time is summed over the tests, so with $(b,--jobs) \
+          above 1 it is total work rather than elapsed time.")
     Term.(
       const run $ id $ jobs_arg $ static_filter_arg $ metrics_out_arg)
 
@@ -421,11 +425,13 @@ let eval_cmd =
           Eval.Evaluate.default_options with
           opt_schedules = 2;
           opt_confirm_runs = 3;
+          opt_jobs = max 1 jobs;
           opt_static_filter = static_filter;
         }
       else
         {
           Eval.Evaluate.default_options with
+          opt_jobs = max 1 jobs;
           opt_static_filter = static_filter;
         }
     in
@@ -444,7 +450,7 @@ let eval_cmd =
           | Error msg ->
             Printf.eprintf "narada: %s failed: %s\n" e.Corpus.Corpus_def.e_id msg;
             None)
-        (Eval.Evaluate.evaluate_corpus ~opts ~jobs:(max 1 jobs) entries)
+        (Eval.Evaluate.evaluate_corpus ~opts entries)
     in
     print_string (Eval.Tables.table3 ());
     print_newline ();
@@ -794,7 +800,7 @@ let cov_cmd =
 (* A persistent work-queue daemon over stdin/stdout.  Requests are
    line-oriented; a blank line (or EOF) closes a batch.  Within a batch,
    read-only requests (analyze / cov / confirm) are deduplicated and
-   fanned out over the Par pool; stateful requests (fuzz / stats /
+   fanned out once per batch with Par; stateful requests (fuzz / stats /
    checkpoint / quit) run in order at their position against the
    on-disk-checkpointed corpus.  Responses come back one line per
    request line, in request order — so a session transcript is
@@ -996,9 +1002,10 @@ let serve_cmd =
        ~doc:
          "Persistent work-queue daemon: accepts line-oriented analyze / cov / \
           confirm / fuzz / stats / checkpoint requests on stdin (blank line \
-          closes a batch), deduplicates and fans read-only requests out over \
-          the Par pool, answers one line per request in order, and keeps a \
-          coverage corpus checkpointed on disk across sessions.")
+          closes a batch), deduplicates and fans each batch's read-only \
+          requests out over --jobs domains, answers one line per request \
+          in order, and keeps a coverage corpus checkpointed on disk across \
+          sessions.")
     Term.(const run $ state $ jobs_arg $ seed_arg)
 
 (* ---- profile ---- *)

@@ -27,6 +27,10 @@ val pick_where : ('a -> bool) -> (int -> int) -> 'a list -> 'a option
     order.  [None], with no draw, when [k = 0]; [None] too when the
     draw falls outside [\[0, k)].  Allocates nothing but the [Some]. *)
 
+val first : Runtime.Value.tid list -> decision
+(** The head of a runnable list.  {!Exec.run} never passes an empty
+    one; were it to, the answer is a tid no thread has, not a failure. *)
+
 val round_robin : unit -> t
 
 val random : seed:int64 -> t

@@ -138,7 +138,7 @@ let directed_deadlock_scheduler (racy : Runtime.Value.tid list) :
            other if the deadlock is real *)
         match racy_runnable with
         | t :: _ -> t
-        | [] -> List.hd runnable))
+        | [] -> Conc.Scheduler.first runnable))
 
 type confirmation = {
   co_deadlocked : bool;

@@ -9,15 +9,14 @@ let lockset_run (inst : Racefuzzer.instance) ~seed : Race.report list =
 let schedule_seed seed i = Int64.add seed (Int64.of_int (i * 1299709))
 
 (* Every schedule is an independent seeded execution of a fresh
-   instance, so they fan out freely; merging the reports in schedule
-   order keeps the first witness of each key for every job count. *)
-let candidates ?(jobs = 1) ~(instantiate : Racefuzzer.instantiator) ~schedules
-    ~seed () =
+   instance; merging the reports in schedule order keeps the first
+   witness of each key. *)
+let candidates ~(instantiate : Racefuzzer.instantiator) ~schedules ~seed () =
   match instantiate () with
   | Error e -> Error e
   | Ok first ->
     let per_schedule =
-      Par.mapi ~jobs (List.init schedules Fun.id) (fun _ i ->
+      List.init schedules (fun i ->
           if i = 0 then lockset_run first ~seed
           else
             match instantiate () with
@@ -37,31 +36,20 @@ let candidates ?(jobs = 1) ~(instantiate : Racefuzzer.instantiator) ~schedules
 
 (* Per-test state: the serialized baselines depend on the test alone,
    so they are computed once, on the first confirmed race, and shared by
-   every later one.  The mutex makes first calls racing on several
-   domains compute them once; an [Error] is memoized too. *)
+   every later one; an [Error] is memoized too.  A test is confirmed on
+   one domain, so a plain [Lazy.t] suffices. *)
 type test = {
   t_instantiate : Racefuzzer.instantiator;
   t_fuel : int;
-  t_lock : Mutex.t;
-  mutable t_baselines : (Triage.baselines, string) result option;
+  t_baselines : (Triage.baselines, string) result Lazy.t;
 }
 
 let test ?(fuel = 200_000) instantiate =
   {
     t_instantiate = instantiate;
     t_fuel = fuel;
-    t_lock = Mutex.create ();
-    t_baselines = None;
+    t_baselines = lazy (Triage.baselines ~instantiate ~fuel);
   }
-
-let baselines t =
-  Mutex.protect t.t_lock (fun () ->
-      match t.t_baselines with
-      | Some b -> b
-      | None ->
-        let b = Triage.baselines ~instantiate:t.t_instantiate ~fuel:t.t_fuel in
-        t.t_baselines <- Some b;
-        b)
 
 type outcome = {
   o_confirm : Racefuzzer.confirm_result;
@@ -77,13 +65,13 @@ type outcome = {
    did not confirm is settled too, since a later run may confirm the
    race; candidates that never matched share one settling.  Baselines
    are paired with the outcomes of confirmed races only. *)
-let confirm_and_triage ?(jobs = 1) ~(test : test) ~runs ~seed
+let confirm_and_triage ~(test : test) ~runs ~seed
     (reports : Race.report list) : outcome list =
   let fuel = test.t_fuel in
   let results =
     Racefuzzer.confirm_all ~instantiate:test.t_instantiate
       ~cands:(Array.of_list (List.map Racefuzzer.candidate_of_report reports))
-      ~runs ~fuel ~seed ~jobs ~settle:(Triage.forced ~fuel)
+      ~runs ~fuel ~seed ~settle:(Triage.forced ~fuel)
   in
   List.map
     (fun (c, forced) ->
@@ -91,7 +79,9 @@ let confirm_and_triage ?(jobs = 1) ~(test : test) ~runs ~seed
         match (c.Racefuzzer.confirmed, forced) with
         | Some _, Some forced ->
           Result.to_option
-            (Result.map (fun b -> Triage.evidence b forced) (baselines test))
+            (Result.map
+               (fun b -> Triage.evidence b forced)
+               (Lazy.force test.t_baselines))
         | _ -> None
       in
       {

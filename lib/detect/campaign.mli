@@ -14,7 +14,6 @@
     runs, seed), so they agree on every race they share a budget for. *)
 
 val candidates :
-  ?jobs:int ->
   instantiate:Racefuzzer.instantiator ->
   schedules:int ->
   seed:int64 ->
@@ -24,15 +23,14 @@ val candidates :
     (schedule 0 at [seed], schedule [i] at [seed] plus [i] times a fixed
     prime stride), and collect the lockset candidates.  Races are
     deduplicated by {!Race.key}, keeping the witness of the earliest
-    schedule, and returned in key order.  [jobs] (default 1) fans the
-    schedules out over a {!Par} pool; the answer is identical for every
-    width.  [Error] when the first instantiation fails. *)
+    schedule, and returned in key order.  [Error] when the first
+    instantiation fails. *)
 
 type test
 (** One synthesized test's campaign state: its instantiator, the fuel
     bounding every run, and its two serialized triage baselines,
     computed lazily — only once some race of the test is confirmed, and
-    at most once, even when several domains ask at the same time. *)
+    at most once.  A test belongs to the one domain that confirms it. *)
 
 val test : ?fuel:int -> Racefuzzer.instantiator -> test
 (** [fuel] (default 200_000) bounds every directed run and every triage
@@ -47,7 +45,7 @@ type outcome = {
 }
 
 val confirm_and_triage :
-  ?jobs:int -> test:test -> runs:int -> seed:int64 -> Race.report list -> outcome list
+  test:test -> runs:int -> seed:int64 -> Race.report list -> outcome list
 (** {!Racefuzzer.confirm_all} the test's candidates over [runs] directed
     runs, then triage each confirmed one: the test's baselines, and both
     forced orders forked from where its run 0 stopped (it ran at [seed],
@@ -55,5 +53,4 @@ val confirm_and_triage :
     [seed] replays), computed as soon as that run stopped, so no run-0
     machine waits for the others.  Outcomes come in the order of the
     reports; each confirmation equals {!Racefuzzer.confirm}'s, and
-    verdicts and outcomes equal those of {!Triage.triage}.  [jobs] is
-    passed to the confirmation. *)
+    verdicts and outcomes equal those of {!Triage.triage}. *)

@@ -423,24 +423,16 @@ type confirm_result = { confirmed : Race.report option; runs_used : int; steps :
    scheduler seeds, run [i] at [seed + i·7919] on a fresh instance, all
    of a run's candidates from one shared prefix ([directed_runs]).  A
    candidate leaves the batch at its first confirmation; an
-   instantiation failure ends every candidate still in it.
-
-   Each run index is an independent seeded VM execution, so with
-   [jobs > 1] every run index is fanned out over a domain pool for every
-   candidate, and the sequential early-exit answer is recovered by
-   scanning each candidate's results in run order: the outcome is
-   identical for every job count.  Metrics are aggregated over each
-   candidate's *logical prefix* only (runs [0 .. runs_used - 1]), so the
-   extra runs past a confirmation do not leak into the stable metrics;
-   only the volatile [racefuzzer/vm_steps] gauge counts the steps
-   actually executed.
+   instantiation failure ends every candidate still in it.  So the runs
+   executed are exactly each candidate's logical prefix (runs
+   [0 .. runs_used - 1]).
 
    Run 0 runs at [seed] itself, and [settle] gets where it stopped,
    confirmed or not, as soon as it stops: once per distinct machine, so
    the candidates that never matched share one call.  Triage resumes
    those ends instead of replaying the same directed prefix. *)
 let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~fuel
-    ~seed ~jobs ~(settle : run_end -> 'a) : (confirm_result * 'a option) array =
+    ~seed ~(settle : run_end -> 'a) : (confirm_result * 'a option) array =
   let n = Array.length cands in
   let settled = Array.make n None in
   (* Run [i] of the candidates [active] lists: per candidate, its report
@@ -463,30 +455,23 @@ let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~
       let cands = Array.map (fun j -> cands.(j)) active in
       Ok (out, directed_runs inst ~cands ~seed ~fuel on_end)
   in
-  let everyone = List.init n Fun.id in
   let outcomes =
-    if jobs <= 1 then begin
-      (* Early exit: run [i] runs only the candidates no earlier run
-         confirmed, and the runs stop at an instantiation failure; the
-         runs executed are exactly each candidate's logical prefix. *)
-      let acc = ref [] in
-      let rec attempt i active =
-        if i < runs && active <> [] then begin
-          let o = run_index i active in
-          acc := o :: !acc;
-          match o with
-          | Error () -> ()
-          | Ok (out, _) ->
-            attempt (i + 1)
-              (List.filter
-                 (fun j -> match out.(j) with Some (Some _, _) -> false | _ -> true)
-                 active)
-        end
-      in
-      attempt 0 everyone;
-      List.rev !acc
-    end
-    else Par.mapi ~jobs (List.init runs Fun.id) (fun _ i -> run_index i everyone)
+    let acc = ref [] in
+    let rec attempt i active =
+      if i < runs && active <> [] then begin
+        let o = run_index i active in
+        acc := o :: !acc;
+        match o with
+        | Error () -> ()
+        | Ok (out, _) ->
+          attempt (i + 1)
+            (List.filter
+               (fun j -> match out.(j) with Some (Some _, _) -> false | _ -> true)
+               active)
+      end
+    in
+    attempt 0 (List.init n Fun.id);
+    List.rev !acc
   in
   let reg = Obs.Metrics.global () in
   Obs.Metrics.gauge_add reg "racefuzzer/vm_steps"
@@ -523,9 +508,8 @@ let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~
       ({ confirmed; runs_used; steps = !steps }, settled.(j)))
 
 let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
-    ?(fuel = 200_000) ?(seed = 7L) ?(jobs = 1) () : confirm_result =
-  fst
-    (confirm_all ~instantiate ~cands:[| cand |] ~runs ~fuel ~seed ~jobs ~settle:ignore).(0)
+    ?(fuel = 200_000) ?(seed = 7L) ?jobs:_ () : confirm_result =
+  fst (confirm_all ~instantiate ~cands:[| cand |] ~runs ~fuel ~seed ~settle:ignore).(0)
 
 (* Coverage-guided confirmation.
 
@@ -535,17 +519,17 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
    corpus state at the round boundary) — slot 0 of round 0 is the exact
    blind first run, later slots mutate the highest-gain corpus entries
    by replaying a truncated choice prefix under a derived seed.  After
-   executing a batch (optionally over [Par]), results are folded back in
-   slot order: coverage novelty is credited sequentially, the first
-   confirmation (or instantiation failure) in slot order ends the loop,
-   and metrics cover exactly that logical prefix.  A round that yields
-   no new coverage anywhere bumps a plateau counter; [plateau] dry
-   rounds in a row stop the search early.
+   executing a batch, results are folded back in slot order: coverage
+   novelty is credited sequentially, the first confirmation (or
+   instantiation failure) in slot order ends the loop, and metrics
+   cover exactly that logical prefix.  A round that yields no new
+   coverage anywhere bumps a plateau counter; [plateau] dry rounds in a
+   row stop the search early.
 
    Because specs depend only on the corpus at the round start and
    merging is in slot order, the outcome — confirmation, schedule
-   count, corpus content — is identical for every job count and
-   reproducible from (seed, corpus snapshot). *)
+   count, corpus content — is reproducible from (seed, corpus
+   snapshot). *)
 
 type guided_result = {
   g_confirmed : Race.report option;
@@ -557,7 +541,7 @@ type spec = { sp_seed : int64; sp_prefix : int list }
 
 let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
     ?(budget = 10) ?(batch = 2) ?(plateau = 1) ?(fuel = 200_000) ?(seed = 7L)
-    ?(jobs = 1) ~(corpus : Cov.Corpus.t) () : guided_result =
+    ~(corpus : Cov.Corpus.t) () : guided_result =
   let blind_seed i = Int64.add seed (Int64.of_int (i * 7919)) in
   let spec_for ~ranked idx =
     if idx = 0 then { sp_seed = blind_seed 0; sp_prefix = [] }
@@ -602,10 +586,7 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
       let ranked = Cov.Corpus.ranked corpus in
       let base = !round * batch in
       let specs = List.init n (fun j -> spec_for ~ranked (base + j)) in
-      let results =
-        if jobs <= 1 then List.map run_spec specs
-        else Par.mapi ~jobs specs (fun _ sp -> run_spec sp)
-      in
+      let results = List.map run_spec specs in
       let round_gain = ref 0 in
       (try
          List.iter2

@@ -116,7 +116,6 @@ val confirm_all :
   runs:int ->
   fuel:int ->
   seed:int64 ->
-  jobs:int ->
   settle:(run_end -> 'a) ->
   (confirm_result * 'a option) array
 (** Attempt to confirm every candidate of one test over [runs] directed
@@ -126,10 +125,11 @@ val confirm_all :
     run 0 stopped goes to [settle] as soon as it stops, confirmed or
     not, once per distinct machine (candidates that never matched share
     one call and its value); the result carries that value, [None] when
-    run 0 could not be instantiated.  [jobs > 1] fans the run indices
-    out over a domain pool; the result is identical to the sequential
-    early-exit scan for every job count.  Adds the VM steps executed to
-    the volatile gauge ["racefuzzer/vm_steps"], once per call. *)
+    run 0 could not be instantiated.  A run takes only the candidates
+    no earlier run confirmed, and the runs stop at an instantiation
+    failure.  Adds the VM steps
+    executed to the volatile gauge ["racefuzzer/vm_steps"], once per
+    call. *)
 
 val confirm :
   instantiate:instantiator ->
@@ -142,9 +142,9 @@ val confirm :
   confirm_result
 (** Attempt to confirm the candidate over several directed runs with
     different scheduler seeds: {!confirm_all} of one candidate.  [jobs]
-    (default 1) fans the independent runs out over a domain pool; the
-    result is identical to the sequential early-exit scan for every job
-    count. *)
+    is accepted and ignored: the runs are sequential, and callers fan
+    out over tests or races instead.  The label stays only until the
+    benchmark harness, which still passes it, stops doing so. *)
 
 (** {2 Coverage-guided confirmation} *)
 
@@ -192,7 +192,6 @@ val confirm_guided :
   ?plateau:int ->
   ?fuel:int ->
   ?seed:int64 ->
-  ?jobs:int ->
   corpus:Cov.Corpus.t ->
   unit ->
   guided_result
@@ -203,5 +202,5 @@ val confirm_guided :
     [plateau] consecutive rounds with zero coverage novelty, or at
     [budget] (default 10) total runs.  Novel runs are admitted into
     [corpus] — shared across candidates of a class, it is what lets
-    later candidates stop early.  Deterministic for every [jobs] value
-    and reproducible from (seed, corpus snapshot). *)
+    later candidates stop early.  Reproducible from (seed, corpus
+    snapshot). *)

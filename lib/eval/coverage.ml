@@ -80,19 +80,31 @@ let test_coverage (an : Narada_core.Pipeline.analysis)
           Cov.Set.union acc rc.Detect.Racefuzzer.rc_cov)
       cov directed
 
-let class_coverage ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)
-    (e : Corpus.Corpus_def.entry) : (class_cov, string) result =
-  match Evaluate.analyze_entry e with
-  | Error err -> Error err
-  | Ok (_, an) ->
-    let tests = an.Narada_core.Pipeline.an_tests in
-    let sets =
-      Par.mapi ~jobs tests (fun _ t ->
-          Obs.Span.with_ ~root:true "cov/test" (fun () ->
-              test_coverage an t ~seed ~fuel))
-    in
-    let cov = List.fold_left Cov.Set.union Cov.Set.empty sets in
-    Ok { cc_entry = e; cc_tests = List.length tests; cc_cov = cov }
+(* Each class's coverage is the union of its own tests' sets. *)
+let sweep ~seed ~fuel ~jobs (entries : Corpus.Corpus_def.entry list) :
+    (Corpus.Corpus_def.entry * (class_cov, string) result) list =
+  List.map
+    (fun (e, r) ->
+      ( e,
+        Result.map
+          (fun (_, an, sets) ->
+            {
+              cc_entry = e;
+              cc_tests = List.length an.Narada_core.Pipeline.an_tests;
+              cc_cov = List.fold_left Cov.Set.union Cov.Set.empty sets;
+            })
+          r ))
+    (Evaluate.map_tests ~jobs
+       (List.map (fun e -> (e, Evaluate.analyze_entry e)) entries)
+       (fun an t ->
+         Obs.Span.with_ ~root:true "cov/test" (fun () ->
+             test_coverage an t ~seed ~fuel)))
+
+let class_coverage ?(seed = 7L) ?(fuel = 200_000) (e : Corpus.Corpus_def.entry) :
+    (class_cov, string) result =
+  match sweep ~seed ~fuel ~jobs:1 [ e ] with
+  | (_, r) :: _ -> r
+  | [] -> Error "coverage: no result for the entry" (* one per entry *)
 
 (* Whole-corpus sweep; records the stable per-class counters
    [cov/<id>/<kind>] used by the cov.t determinism cram. *)
@@ -103,9 +115,7 @@ let coverage_corpus ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)
     (fun e ->
       try ignore (Corpus.Registry.compiled_unit e) with Jir.Diag.Error _ -> ())
     entries;
-  let rows =
-    List.map (fun e -> (e, class_coverage ~seed ~fuel ~jobs e)) entries
-  in
+  let rows = sweep ~seed ~fuel ~jobs entries in
   List.iter
     (fun (e, r) ->
       match r with

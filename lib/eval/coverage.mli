@@ -10,11 +10,8 @@ type class_cov = {
 }
 
 val class_coverage :
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?jobs:int ->
-  Corpus.Corpus_def.entry ->
-  (class_cov, string) result
+  ?seed:int64 -> ?fuel:int -> Corpus.Corpus_def.entry -> (class_cov, string) result
+(** One entry's coverage, its tests run on the calling domain. *)
 
 val coverage_corpus :
   ?seed:int64 ->
@@ -22,7 +19,9 @@ val coverage_corpus :
   ?jobs:int ->
   Corpus.Corpus_def.entry list ->
   (Corpus.Corpus_def.entry * (class_cov, string) result) list
-(** Also records stable counters [cov/<id>/<kind>] into the global
+(** Every entry's coverage, in input order, from one fan-out of [jobs]
+    (default 1) worker domains over the flat (class, test) list.  Also
+    records stable counters [cov/<id>/<kind>] into the global
     registry — the payload pinned by [test/cram/cov.t]. *)
 
 val table :

@@ -50,7 +50,7 @@ type options = {
   opt_schedules : int; (* random schedules per test for detection *)
   opt_confirm_runs : int; (* directed runs per candidate *)
   opt_seed : int64;
-  opt_jobs : int; (* fan-out width inside one test's detection *)
+  opt_jobs : int; (* width of the fan-out over (class, test) units *)
   opt_static_filter : bool; (* prune pairs through the static analyzer *)
   opt_static_cache : Static.Cache.t option; (* summary cache for the filter *)
   opt_backend : Backend.kind; (* the one engine *)
@@ -78,8 +78,8 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
   let reg = Obs.Metrics.global () in
   let instantiate = Narada_core.Pipeline.instantiator an t in
   match
-    Detect.Campaign.candidates ~jobs:opts.opt_jobs ~instantiate
-      ~schedules:opts.opt_schedules ~seed:opts.opt_seed ()
+    Detect.Campaign.candidates ~instantiate ~schedules:opts.opt_schedules
+      ~seed:opts.opt_seed ()
   with
   | Error _ ->
     Obs.Metrics.incr reg "detect/uninstantiable_tests";
@@ -89,8 +89,8 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     Obs.Metrics.incr reg ~n:(List.length candidates) "detect/candidates";
     let test = Detect.Campaign.test instantiate in
     let outcomes =
-      Detect.Campaign.confirm_and_triage ~jobs:opts.opt_jobs ~test
-        ~runs:opts.opt_confirm_runs ~seed:opts.opt_seed (List.map snd candidates)
+      Detect.Campaign.confirm_and_triage ~test ~runs:opts.opt_confirm_runs
+        ~seed:opts.opt_seed (List.map snd candidates)
     in
     let races =
       List.map2
@@ -164,31 +164,40 @@ let assemble_class (e : Corpus.Corpus_def.entry) (cu : Jir.Code.unit_)
     cl_benign = count (fun ro -> ro.ro_verdict = Some Detect.Triage.Benign);
   }
 
-let evaluate_class ?(opts = default_options) (e : Corpus.Corpus_def.entry) :
-    (class_eval, string) result =
-  match
-    analyze_entry ~static_filter:opts.opt_static_filter
-      ?static_cache:opts.opt_static_cache ~backend:opts.opt_backend e
-  with
-  | Error err -> Error err
-  | Ok (cu, an) ->
-    let t0 = Obs.Clock.ticks () in
-    let test_evals =
-      List.map (evaluate_test opts an) an.Narada_core.Pipeline.an_tests
-    in
-    let detect_seconds = Obs.Clock.elapsed_s ~since:t0 in
-    Ok (assemble_class e cu an ~test_evals ~detect_seconds)
+(* The flat (class, test) work list load-balances much better than
+   class-granular parallelism (test counts per class differ by an order
+   of magnitude), and merging results back by input index makes the
+   sweep's output bit-identical for every job count. *)
+let map_tests ~jobs analyzed f =
+  let items =
+    List.concat
+      (List.mapi
+         (fun ci (_, r) ->
+           match r with
+           | Error _ -> []
+           | Ok (_, an) ->
+             List.map (fun t -> (ci, an, t)) an.Narada_core.Pipeline.an_tests)
+         analyzed)
+  in
+  let results = Par.map ~jobs items (fun (ci, an, t) -> (ci, f an t)) in
+  List.mapi
+    (fun ci (e, r) ->
+      ( e,
+        Result.map
+          (fun (cu, an) ->
+            let mine =
+              List.filter_map (fun (ci', x) -> if ci' = ci then Some x else None) results
+            in
+            (cu, an, mine))
+          r ))
+    analyzed
 
 (* The parallel campaign: analyses run sequentially (they are cheap and
    memoize compilation), then every (class, test) detection unit — the
-   dominant cost, and fully independent — fans out over one domain pool.
-   The flat work list load-balances much better than class-granular
-   parallelism (test counts per class differ by an order of magnitude),
-   and merging per-test results back by input index makes the campaign
-   output bit-identical for every job count. *)
-let evaluate_corpus ?(opts = default_options) ?(jobs = 1)
-    (entries : Corpus.Corpus_def.entry list) :
-    (Corpus.Corpus_def.entry * (class_eval, string) result) list =
+   dominant cost, and fully independent — fans out once, [opt_jobs]
+   wide. *)
+let evaluate_corpus ?(opts = default_options) (entries : Corpus.Corpus_def.entry list)
+    : (Corpus.Corpus_def.entry * (class_eval, string) result) list =
   (* Pre-warm the shared compile cache before any fan-out so worker
      domains only ever take the registry's lock-free read path.  A
      failing compile is not dropped here: [analyze_entry] below reports
@@ -205,37 +214,25 @@ let evaluate_corpus ?(opts = default_options) ?(jobs = 1)
             ?static_cache:opts.opt_static_cache ~backend:opts.opt_backend e ))
       entries
   in
-  let items =
-    List.concat
-      (List.mapi
-         (fun ci (_, r) ->
-           match r with
-           | Error _ -> []
-           | Ok (_, an) ->
-             List.map (fun t -> (ci, an, t)) an.Narada_core.Pipeline.an_tests)
-         analyzed)
-  in
-  let evaluated =
-    Par.map ~jobs items (fun (ci, an, t) ->
-        let t0 = Obs.Clock.ticks () in
-        let te = evaluate_test opts an t in
-        (ci, te, Obs.Clock.elapsed_s ~since:t0))
-  in
-  List.mapi
-    (fun ci (e, r) ->
-      match r with
-      | Error err -> (e, Error err)
-      | Ok (cu, an) ->
-        let mine =
-          List.filter_map
-            (fun (ci', te, dt) -> if ci' = ci then Some (te, dt) else None)
-            evaluated
-        in
-        let test_evals = List.map fst mine in
-        (* Aggregate per-test detection time: total work, not wall. *)
-        let detect_seconds = List.fold_left (fun a (_, dt) -> a +. dt) 0.0 mine in
-        (e, Ok (assemble_class e cu an ~test_evals ~detect_seconds)))
-    analyzed
+  List.map
+    (fun (e, r) ->
+      ( e,
+        Result.map
+          (fun (cu, an, mine) ->
+            let test_evals = List.map fst mine in
+            (* Aggregate per-test detection time: total work, not wall. *)
+            let detect_seconds = List.fold_left (fun a (_, dt) -> a +. dt) 0.0 mine in
+            assemble_class e cu an ~test_evals ~detect_seconds)
+          r ))
+    (map_tests ~jobs:opts.opt_jobs analyzed (fun an t ->
+         let t0 = Obs.Clock.ticks () in
+         let te = evaluate_test opts an t in
+         (te, Obs.Clock.elapsed_s ~since:t0)))
+
+let evaluate_class ?opts (e : Corpus.Corpus_def.entry) : (class_eval, string) result =
+  match evaluate_corpus ?opts [ e ] with
+  | (_, r) :: _ -> r
+  | [] -> Error "evaluate_corpus: no result for the entry" (* one per entry *)
 
 (* Figure 14 buckets: races detected per test, as a percentage of the
    class's tests. *)

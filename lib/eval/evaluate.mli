@@ -37,6 +37,8 @@ type class_eval = {
   cl_tests : int;
   cl_seconds : float;  (** synthesis time *)
   cl_detect_seconds : float;
+      (** detection time summed over the class's tests: total work, which
+          exceeds wall-clock time when [opt_jobs] runs tests in parallel *)
   cl_test_evals : test_eval list;
   cl_detected : int;  (** distinct races across all tests *)
   cl_reproduced : int;
@@ -49,9 +51,8 @@ type options = {
   opt_confirm_runs : int;  (** directed runs per candidate *)
   opt_seed : int64;
   opt_jobs : int;
-      (** fan-out width inside one test's detection: random schedules
-          and directed confirmation runs are independent seeded VM
-          executions and run on a {!Par} domain pool when [> 1].
+      (** width of {!evaluate_corpus}'s one fan-out over the flat
+          (class, test) list; each test's detection runs on one domain.
           Results are identical for every width. *)
   opt_static_filter : bool;
       (** intersect generated pairs with the static analyzer's
@@ -81,19 +82,29 @@ val analyze_entry :
     {!Narada_core.Pipeline.analyze} from its seed method; a compile
     error comes back as [Error]. *)
 
-val evaluate_class :
-  ?opts:options -> Corpus.Corpus_def.entry -> (class_eval, string) result
+val map_tests :
+  jobs:int ->
+  ('e * ('u * Narada_core.Pipeline.analysis, string) result) list ->
+  (Narada_core.Pipeline.analysis -> Narada_core.Synth.test -> 'a) ->
+  ('e * ('u * Narada_core.Pipeline.analysis * 'a list, string) result) list
+(** The one fan-out of a corpus sweep: [f] over every test of every
+    analyzed entry, on [jobs] worker domains over the flat
+    (entry, test) list.  Each entry comes back with its tests' results
+    in test order; an [Error] entry stays as it is. *)
 
 val evaluate_corpus :
   ?opts:options ->
-  ?jobs:int ->
   Corpus.Corpus_def.entry list ->
   (Corpus.Corpus_def.entry * (class_eval, string) result) list
 (** Evaluate a whole corpus, fanning the flat (class, test) detection
-    work list out over [jobs] worker domains (default 1).  Results are
+    work list out over [opt_jobs] worker domains.  Results are
     returned in input order and are bit-identical for every job count;
     [cl_detect_seconds] aggregates per-test detection time (total work,
     not wall-clock) so it remains meaningful under parallelism. *)
+
+val evaluate_class :
+  ?opts:options -> Corpus.Corpus_def.entry -> (class_eval, string) result
+(** {!evaluate_corpus} of the one entry. *)
 
 val fig14_buckets : string list
 (** ["0"; "1"; "2"; "3-5"; "5-10"; ">10"] *)

@@ -25,8 +25,8 @@ type class_confirm = {
   gc_schedules : int; (* directed runs executed *)
 }
 
-let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Corpus.create ()) ~(mode : mode)
-    (an : Narada_core.Pipeline.analysis) : class_confirm =
+let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create ())
+    ~(mode : mode) (an : Narada_core.Pipeline.analysis) : class_confirm =
   let total_schedules = ref 0 in
   let confirmed = ref [] in
   let candidates = ref 0 in
@@ -39,7 +39,7 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Co
       let instantiate = Narada_core.Pipeline.instantiator an t in
       let cands =
         Result.value ~default:[]
-          (Detect.Campaign.candidates ~jobs ~instantiate ~schedules ~seed ())
+          (Detect.Campaign.candidates ~instantiate ~schedules ~seed ())
       in
       candidates := !candidates + List.length cands;
       List.iter
@@ -54,8 +54,7 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Co
             match mode with
             | Blind { runs } ->
               let c =
-                Detect.Racefuzzer.confirm ~instantiate ~cand ~runs ~seed
-                  ~jobs ()
+                Detect.Racefuzzer.confirm ~instantiate ~cand ~runs ~seed ()
               in
               total_schedules := !total_schedules + c.Detect.Racefuzzer.runs_used;
               c.Detect.Racefuzzer.confirmed <> None
@@ -86,7 +85,7 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Co
                    uses, so nothing blind can confirm is missed. *)
                 let c =
                   Detect.Racefuzzer.confirm ~instantiate ~cand
-                    ~runs:budget ~seed ~jobs ()
+                    ~runs:budget ~seed ()
                 in
                 total_schedules :=
                   !total_schedules + c.Detect.Racefuzzer.runs_used;
@@ -100,7 +99,7 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Co
                    full-budget attempt: novelty-plateau runs only. *)
                 let g =
                   Detect.Racefuzzer.confirm_guided ~instantiate ~cand
-                    ~budget ~batch ~plateau ~seed ~jobs ~corpus ()
+                    ~budget ~batch ~plateau ~seed ~corpus ()
                 in
                 total_schedules :=
                   !total_schedules + g.Detect.Racefuzzer.g_schedules;
@@ -126,8 +125,8 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(jobs = 1) ?(corpus = Cov.Co
     gc_schedules = !total_schedules;
   }
 
-let confirm_class ?schedules ?seed ?jobs ?corpus ~mode (e : Corpus.Corpus_def.entry)
+let confirm_class ?schedules ?seed ?corpus ~mode (e : Corpus.Corpus_def.entry)
     : (class_confirm, string) result =
   Result.map
-    (fun (_, an) -> confirm_analysis ?schedules ?seed ?jobs ?corpus ~mode an)
+    (fun (_, an) -> confirm_analysis ?schedules ?seed ?corpus ~mode an)
     (Evaluate.analyze_entry e)

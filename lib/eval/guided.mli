@@ -23,20 +23,17 @@ type class_confirm = {
 val confirm_analysis :
   ?schedules:int ->
   ?seed:int64 ->
-  ?jobs:int ->
   ?corpus:Cov.Corpus.t ->
   mode:mode ->
   Narada_core.Pipeline.analysis ->
   class_confirm
-(** The sweep over every test of an analysis.  Deterministic for every
-    [jobs] value.  In guided mode the [corpus] (fresh by default)
-    accumulates coverage across candidates and is left holding the
-    final state — save it for replay. *)
+(** The sweep over every test of an analysis.  In guided mode the
+    [corpus] (fresh by default) accumulates coverage across candidates
+    and is left holding the final state — save it for replay. *)
 
 val confirm_class :
   ?schedules:int ->
   ?seed:int64 ->
-  ?jobs:int ->
   ?corpus:Cov.Corpus.t ->
   mode:mode ->
   Corpus.Corpus_def.entry ->

@@ -149,9 +149,11 @@ let guided_spec_for opts ~ranked idx =
   else
     match ranked with
     | [] -> fresh ()
-    | _ :: _ ->
+    | top :: _ ->
       let pool = List.filteri (fun i _ -> i < 3) ranked in
-      let parent = List.nth pool (idx / 2 mod List.length pool) in
+      let parent =
+        Option.value ~default:top (List.nth_opt pool (idx / 2 mod List.length pool))
+      in
       let prog = parent.Cov.Corpus.en_seed in
       { gs_slot = idx; gs_prog = prog; gs_check = Par.seed ~base:prog ~index:idx }
 
@@ -188,10 +190,7 @@ let run_guided ?(batch = 8) ?(plateau = 3) ?budget_s ?(corpus = Cov.Corpus.creat
       let specs =
         List.init n (fun j -> guided_spec_for opts ~ranked (base + j))
       in
-      let results =
-        if opts.o_jobs <= 1 then List.map check_spec specs
-        else Par.mapi ~jobs:opts.o_jobs specs (fun _ sp -> check_spec sp)
-      in
+      let results = Par.map ~jobs:opts.o_jobs specs check_spec in
       let round_gain = ref 0 in
       List.iter2
         (fun sp (verdicts, cov) ->
@@ -336,10 +335,11 @@ let report_to_string (r : report) : string =
       "  minimal counterexample (size %d -> %d in %d shrink steps):\n"
       v.vi_original_size v.vi_shrunk_size v.vi_shrink_steps;
     Buffer.add_string b v.vi_source;
-    if List.length r.rp_failures > 1 then
+    match r.rp_failures with
+    | _ :: (_ :: _ as further) ->
       Printf.bprintf b "(%d further violating programs: %s)\n"
-        (List.length r.rp_failures - 1)
+        (List.length further)
         (String.concat ", "
-           (List.map (fun (i, _, _) -> "#" ^ string_of_int i)
-              (List.tl r.rp_failures))));
+           (List.map (fun (i, _, _) -> "#" ^ string_of_int i) further))
+    | [] | [ _ ] -> ());
   Buffer.contents b

@@ -1,8 +1,8 @@
 (** Crucible: the randomized differential-testing campaign.
 
     Generates [count] programs from a base seed, runs every {!Oracle}
-    on each, fans the work out over a {!Par} domain pool, and shrinks
-    the smallest-index violation to a minimal counterexample.  The
+    on each, fans the programs out over {!Par} worker domains, and
+    shrinks the smallest-index violation to a minimal counterexample.  The
     whole report — counts, verdicts, the minimal program — is a pure
     function of (count, seed, mutation): byte-identical for every job
     count, so a reported counterexample can always be reproduced by

@@ -74,6 +74,5 @@ let shrink_trace ~keep (p : program) : program list =
   go p []
 
 let shrink ~keep (p : program) : program * int =
-  match shrink_trace ~keep p with
-  | [] -> (p, 0)
-  | steps -> (List.nth steps (List.length steps - 1), List.length steps)
+  let steps = shrink_trace ~keep p in
+  match List.rev steps with [] -> (p, 0) | last :: _ -> (last, List.length steps)

@@ -1,49 +1,14 @@
-(** Multicore evaluation engine: a sharded work-stealing [Domain] pool
-    and a deterministic fan-out/merge combinator.
+(** Multicore evaluation engine: a deterministic spawn-and-join
+    fan-out/merge combinator over [Domain]s.
 
     The evaluation campaign (§5) is embarrassingly parallel — every
-    corpus class, every synthesized test and every schedule/confirmation
-    run is an independent seeded VM execution.  [map] distributes such
-    work across domains while keeping the result *bit-identical*
-    regardless of the job count: inputs are split into index chunks,
-    result [i] is written for input [i] whatever worker ran it, and
-    seeds are derived per-index with {!seed} rather than from any
-    shared mutable generator. *)
-
-(** A fixed-size pool of worker domains.  Each worker owns a deque of
-    tasks: the owner pops LIFO, idle workers steal FIFO from victims
-    probed in seeded-random order, and an idle pool parks on a condvar
-    (a sleeping domain does not stall minor collections).  Scheduling
-    facts (queue high-water mark, steal counts, per-worker executed
-    chunk/task counts, idle time) are flushed to the global metrics
-    registry as volatile gauges at shutdown. *)
-module Pool : sig
-  type t
-
-  type 'a future
-  (** A handle for a submitted task's eventual result.  Futures share
-      their pool's completion mutex/condvar — no per-future lock. *)
-
-  val create : jobs:int -> t
-  (** [create ~jobs] spawns [max 1 jobs] worker domains. *)
-
-  val jobs : t -> int
-
-  val submit : t -> (unit -> 'a) -> 'a future
-  (** Enqueue a task (round-robin over the worker deques).
-      @raise Invalid_argument after [shutdown]. *)
-
-  val await : 'a future -> 'a
-  (** Block until the task has run; re-raises the task's exception.
-      Must not be called from within a task running on the same pool
-      (the worker would wait on itself). *)
-
-  val shutdown : t -> unit
-  (** Drain the deques, join every worker domain, and flush the pool's
-      scheduling gauges ([par/pool/steals], [par/pool/chunks],
-      [par/pool/queue_depth_hwm], per-worker tasks/chunks/idle) to the
-      global registry.  Idempotent. *)
-end
+    synthesized test, and every race that repair closes, is an
+    independent seeded computation — so each command fans out once, at
+    its outermost independent unit.  [map] distributes that work across
+    domains while keeping the result *bit-identical* regardless of the
+    job count: result [i] is written for input [i] whatever worker ran
+    it, and seeds are derived per-index with {!seed} rather than from
+    any shared mutable generator. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -66,20 +31,21 @@ val seed : base:int64 -> index:int -> int64
 (** Deterministic per-index seed derivation (splitmix64 finalizer over
     [base] and [index]); independent of job count and submission order. *)
 
-val map : ?jobs:int -> ?chunk:int -> 'a list -> ('a -> 'b) -> 'b list
-(** [map ~jobs xs f] applies [f] to every element on a private pool of
-    [min jobs (max_domains ())] workers (default {!default_jobs}) and
-    returns the results in input order.  Inputs are submitted as index
-    chunks of [?chunk] elements (default: the granularity heuristic
-    [max 1 (n / (8 * width))], ~8 chunks per worker) and a single
-    completion latch synchronizes the fan-out — no per-element future.
-    With an effective width of 1 (or a short list) no domain is
-    spawned and this is [List.map].  If tasks raise, the exception of
-    the smallest failing input index is re-raised after the pool is
-    shut down — output (and failure) is deterministic regardless of
-    [jobs]. *)
+val map : ?jobs:int -> 'a list -> ('a -> 'b) -> 'b list
+(** [map ~jobs xs f] applies [f] to every element and returns the
+    results in input order.  It spawns [min jobs (max_domains ())]
+    worker domains (default {!default_jobs}), capped at the list's
+    length; they take index chunks of about [n / (8 * width)] elements
+    from one shared cursor, and every one is joined before [map]
+    returns.  With an effective width of 1 no domain is spawned and
+    this is [List.map].  If tasks raise, the exception of the smallest
+    failing input index is re-raised — output (and failure) is
+    deterministic regardless of [jobs].  The chunk total and each
+    worker's chunks and idle tail go to the global registry as the
+    volatile gauges [par/pool/chunks], [par/pool/worker<i>/tasks] and
+    [par/pool/worker<i>/idle_s]. *)
 
-val mapi : ?jobs:int -> ?chunk:int -> 'a list -> (int -> 'a -> 'b) -> 'b list
+val mapi : ?jobs:int -> 'a list -> (int -> 'a -> 'b) -> 'b list
 (** Like {!map} but the function also receives the input index — the
     hook for per-index seed derivation. *)
 

@@ -175,7 +175,7 @@ let validate (opts : options) (sub : subject) (bl : baseline)
           let instantiate = Pipeline.instantiator an t in
           let cands =
             Result.value ~default:[]
-              (Detect.Campaign.candidates ~jobs:opts.eo_jobs ~instantiate
+              (Detect.Campaign.candidates ~instantiate
                  ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
           in
           let rec check = function
@@ -199,7 +199,7 @@ let validate (opts : options) (sub : subject) (bl : baseline)
                 let confirm =
                   Rf.confirm ~instantiate ~cand:(Rf.candidate_of_report r)
                     ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel
-                    ~seed:opts.eo_seed ~jobs:opts.eo_jobs ()
+                    ~seed:opts.eo_seed ()
                 in
                 if confirm.Rf.confirmed = None then check more
                 else if ours then Error R_race_survives
@@ -254,7 +254,9 @@ type race_repair = {
 
 let repair_race (opts : options) (sub : subject) (bl : baseline)
     (rid : Grammar.race_id) ~key ~verdict : race_repair =
-  Obs.Span.with_ "repair/race" (fun () ->
+  (* ~root: races run on Par worker domains; the span path must not
+     depend on the fan-out. *)
+  Obs.Span.with_ ~root:true "repair/race" (fun () ->
       let reg = Obs.Metrics.global () in
       let cands = Grammar.candidates sub.sj_prog rid in
       let cands = if opts.eo_overlock then List.rev cands else cands in
@@ -330,7 +332,7 @@ let repair_all ?(opts = default_options) (sub : subject) :
               let instantiate = Pipeline.instantiator an t in
               let cands =
                 Result.value ~default:[]
-                  (Detect.Campaign.candidates ~jobs:opts.eo_jobs ~instantiate
+                  (Detect.Campaign.candidates ~instantiate
                      ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
               in
               let test = Detect.Campaign.test ~fuel:opts.eo_fuel instantiate in
@@ -348,7 +350,7 @@ let repair_all ?(opts = default_options) (sub : subject) :
                   cands
               in
               let outcomes =
-                Detect.Campaign.confirm_and_triage ~jobs:opts.eo_jobs ~test
+                Detect.Campaign.confirm_and_triage ~test
                   ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed
                   (List.map (fun (_, _, r) -> r) unconfirmed)
               in
@@ -396,12 +398,12 @@ let repair_all ?(opts = default_options) (sub : subject) :
                       detected);
               }
             in
+            (* Each race is repaired against the original program, so
+               the races are the fan-out's independent units. *)
             let races =
-              List.map
-                (fun d ->
+              Par.map ~jobs:opts.eo_jobs targets (fun d ->
                   repair_race opts sub bl d.d_rid ~key:d.d_key
                     ~verdict:d.d_verdict)
-                targets
             in
             Ok
               {

@@ -36,8 +36,9 @@ type options = {
   eo_fuel : int;
   eo_seed : int64;
   eo_jobs : int;
-      (** fan-out of each test's detection schedules and confirmation
-          runs; the report is identical for every width *)
+      (** width of the one fan-out over the confirmed races, each
+          repaired on one domain; the report is identical for every
+          width *)
   eo_backends : Backend.kind list;
       (** re-detection runs once per entry; the first also discovers *)
   eo_max_candidates : int;  (** cap on grammar candidates tried per race *)

@@ -100,8 +100,12 @@ let test_corpus_singleton () =
 let test_corpus_oversubscribed () =
   match (Corpus.Registry.find "C7", Corpus.Registry.find "C9") with
   | Some a, Some b ->
-    let seq = Eval.Evaluate.evaluate_corpus ~jobs:1 [ a; b ] in
-    let wide = Eval.Evaluate.evaluate_corpus ~jobs:64 [ a; b ] in
+    let run jobs =
+      Eval.Evaluate.evaluate_corpus
+        ~opts:{ Eval.Evaluate.default_options with opt_jobs = jobs }
+        [ a; b ]
+    in
+    let seq = run 1 and wide = run 64 in
     List.iter2
       (fun (ea, ra) (eb, rb) ->
         Alcotest.(check string) "order preserved" ea.Corpus.Corpus_def.e_id

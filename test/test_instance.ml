@@ -313,9 +313,9 @@ let templates () =
   Option.value ~default:0.0
     (List.assoc_opt "synth/templates" (Obs.Metrics.gauges (Obs.Metrics.global ())))
 
-(* The first calls of one instantiator race on four domains: the
-   template is built exactly once, and every call gets its own machine
-   in the same state. *)
+(* The first calls of one instantiator race on four domains (16 calls
+   at width 4 make one-call chunks): the template is built exactly
+   once, and every call gets its own machine in the same state. *)
 let test_concurrent_first_calls () =
   let an = analysis "C1" in
   let t =
@@ -332,7 +332,7 @@ let test_concurrent_first_calls () =
         let instantiate = Pipeline.instantiator an t in
         let before = templates () in
         let insts =
-          Par.map ~jobs:4 ~chunk:1 (List.init 16 Fun.id) (fun _ -> instantiate ())
+          Par.map ~jobs:4 (List.init 16 Fun.id) (fun _ -> instantiate ())
         in
         Alcotest.(check (float 0.0)) "template built once" 1.0 (templates () -. before);
         insts)

@@ -1,10 +1,10 @@
-(* Par subsystem tests: pool/futures, the deterministic fan-out/merge
+(* Par subsystem tests: the deterministic spawn-and-join fan-out/merge
    combinator, per-index seed derivation, the chunked trace recorder,
    and cross-job-count determinism of the evaluation campaign. *)
 
 (* Force real multi-domain execution even on single-core hosts: the
    core-count clamp would otherwise route every map through the
-   sequential path and leave the pool untested. *)
+   sequential path and leave the workers untested. *)
 let () = Par.set_max_domains 8
 
 let test_map_matches_sequential () =
@@ -45,29 +45,34 @@ let test_mapi_deterministic_across_widths () =
         (Printf.sprintf "jobs=%d = List.mapi" jobs)
         expected (Par.mapi ~jobs xs f))
     [ 1; 2; 4; 8 ];
-  (* Explicit granularity, from one-element chunks to one chunk. *)
-  Alcotest.(check (list int)) "chunk=1" expected (Par.mapi ~jobs:4 ~chunk:1 xs f);
-  Alcotest.(check (list int)) "chunk>n" expected (Par.mapi ~jobs:4 ~chunk:5000 xs f)
+  (* Chunks hold [n / (8 * width)] inputs, at least one: lengths below
+     [16 * width] make one-input chunks; 65 at width 4 ends on a short
+     last chunk, and 1000 at width 3 is 24 chunks of 41 and one of 16. *)
+  List.iter
+    (fun (jobs, n) ->
+      let xs = List.init n Fun.id in
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d n=%d" jobs n)
+        (List.mapi f xs) (Par.mapi ~jobs xs f))
+    [ (2, 2); (2, 3); (4, 17); (4, 63); (4, 64); (4, 65); (3, 1000); (8, 127) ]
 
 let test_smallest_failing_index_chunked () =
   (* Every index >= 37 fails; whichever chunks finish first, the
-     surfaced exception must be index 37's. *)
-  let xs = List.init 100 Fun.id in
+     surfaced exception must be index 37's: inside a 6-input chunk
+     (100 at width 2), a 3-input one (width 4), one-input chunks (width
+     8) and a 5-input one (320 at width 8). *)
   let f i = if i >= 37 then failwith (string_of_int i) else i in
   List.iter
-    (fun (jobs, chunk) ->
-      match Par.map ~jobs ?chunk xs f with
+    (fun (jobs, n) ->
+      match Par.map ~jobs (List.init n Fun.id) f with
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg ->
-        Alcotest.(check string)
-          (Printf.sprintf "jobs=%d chunk=%s" jobs
-             (match chunk with Some c -> string_of_int c | None -> "auto"))
-          "37" msg)
-    [ (2, None); (4, None); (4, Some 1); (8, Some 5) ]
+        Alcotest.(check string) (Printf.sprintf "jobs=%d n=%d" jobs n) "37" msg)
+    [ (2, 100); (4, 100); (8, 100); (8, 320) ]
 
 let test_stress_tiny_tasks () =
-  (* 10k near-empty tasks: dominated by scheduler overhead, so this is
-     the hot path for chunk batching and deque contention. *)
+  (* 10k near-empty tasks: dominated by scheduling overhead, so this is
+     the hot path for chunk batching and cursor contention. *)
   let n = 10_000 in
   let xs = List.init n Fun.id in
   let got = Par.map ~jobs:4 xs (fun x -> x + 1) in
@@ -92,9 +97,9 @@ let test_max_domains_clamp () =
 (* The clamp is what keeps a campaign from running more domains than
    cores, where stop-the-world minor collections convoy every domain.
    Under a cap of 2, a jobs:8 map over 64 inputs runs exactly 2
-   workers: on a fresh registry the pool's per-worker gauges name
-   workers 0 and 1 only, and they ran all 64 / (8 * 2) = 4-element
-   chunks between them. *)
+   workers: on a fresh registry the per-worker gauges name workers 0
+   and 1 only, and they ran all 64 / (8 * 2) = 4-element chunks
+   between them. *)
 let test_max_domains_width () =
   Par.set_max_domains 2;
   Fun.protect ~finally:(fun () -> Par.set_max_domains 8) @@ fun () ->
@@ -115,20 +120,6 @@ let test_max_domains_width () =
     (List.map fst tasks);
   Alcotest.(check (float 0.)) "16 chunks between them" 16.
     (List.fold_left (fun acc (_, n) -> acc +. n) 0. tasks)
-
-let test_pool_futures () =
-  let p = Par.Pool.create ~jobs:3 in
-  Alcotest.(check int) "jobs" 3 (Par.Pool.jobs p);
-  let futs = List.init 20 (fun i -> Par.Pool.submit p (fun () -> 2 * i)) in
-  (* Await out of submission order: futures are independent cells. *)
-  let rev_results = List.rev_map Par.Pool.await (List.rev futs) in
-  Alcotest.(check (list int)) "future results" (List.init 20 (fun i -> 2 * i)) rev_results;
-  Par.Pool.shutdown p;
-  (match Par.Pool.submit p (fun () -> 0) with
-  | _ -> Alcotest.fail "submit after shutdown should raise"
-  | exception Invalid_argument _ -> ());
-  (* Shutdown is idempotent. *)
-  Par.Pool.shutdown p
 
 let test_seed_derivation () =
   let seeds = List.init 100 (fun i -> Par.seed ~base:7L ~index:i) in
@@ -200,12 +191,13 @@ let outcome_signature (ce : Eval.Evaluate.class_eval) =
     ce.Eval.Evaluate.cl_test_evals
 
 let campaign ~jobs ids =
+  let opts = { Eval.Evaluate.default_options with opt_jobs = jobs } in
   List.map
     (fun (e, r) ->
       match r with
       | Ok ce -> ce
       | Error msg -> Alcotest.failf "%s failed: %s" e.Corpus.Corpus_def.e_id msg)
-    (Eval.Evaluate.evaluate_corpus ~jobs (entries ids))
+    (Eval.Evaluate.evaluate_corpus ~opts (entries ids))
 
 let test_campaign_determinism () =
   let seq = campaign ~jobs:1 [ "C3"; "C9" ] in
@@ -220,9 +212,8 @@ let test_campaign_determinism () =
         (outcome_signature a = outcome_signature b))
     seq par
 
-let test_inner_jobs_determinism () =
-  (* The schedule / confirmation fan-out inside one test's detection is
-     also width-independent. *)
+let test_class_width_determinism () =
+  (* [evaluate_class] fans C9's tests out over [opt_jobs] domains. *)
   let e = List.hd (entries [ "C9" ]) in
   let eval jobs =
     let opts = { Eval.Evaluate.default_options with opt_jobs = jobs } in
@@ -258,7 +249,6 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "futures" `Quick test_pool_futures;
           Alcotest.test_case "seed derivation" `Quick test_seed_derivation;
         ] );
       ( "trace-recorder",
@@ -270,6 +260,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "campaign jobs 1 = 4" `Slow test_campaign_determinism;
-          Alcotest.test_case "inner jobs 1 = 3" `Slow test_inner_jobs_determinism;
+          Alcotest.test_case "class jobs 1 = 3" `Slow test_class_width_determinism;
         ] );
     ]

@@ -110,42 +110,33 @@ let test_guided_plateau_stops_early () =
   Alcotest.(check bool) "well under budget" true
     (g2.Racefuzzer.g_schedules < 20)
 
-let guided_outcome ~jobs ~corpus =
+let guided_outcome ~corpus =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
   let g =
     Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:12 ~batch:3 ~plateau:2 ~jobs ~corpus ()
+      ~budget:12 ~batch:3 ~plateau:2 ~corpus ()
   in
   (g.Racefuzzer.g_confirmed = None, g.Racefuzzer.g_schedules,
    g.Racefuzzer.g_steps, Cov.Corpus.digest corpus)
-
-let test_guided_jobs_deterministic () =
-  Par.set_max_domains 4;
-  let o1 = guided_outcome ~jobs:1 ~corpus:(Cov.Corpus.create ()) in
-  let o3 = guided_outcome ~jobs:3 ~corpus:(Cov.Corpus.create ()) in
-  let pp (u, s, st, d) = Printf.sprintf "unconf=%b sched=%d steps=%d %s" u s st d in
-  Alcotest.(check string) "jobs=1 = jobs=3" (pp o1) (pp o3)
 
 let test_guided_replay_from_snapshot () =
   (* Replaying from the same (seed, corpus snapshot) is byte-identical:
      same schedules, same steps, same final corpus digest. *)
   let seeded = Cov.Corpus.create () in
-  ignore (guided_outcome ~jobs:1 ~corpus:seeded);
+  ignore (guided_outcome ~corpus:seeded);
   let path = Filename.temp_file "narada_corpus" ".nar" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Cov.Corpus.save seeded path;
-      let replay ~jobs =
+      let replay () =
         match Cov.Corpus.load path with
         | Error e -> Alcotest.failf "load: %s" e
-        | Ok corpus -> guided_outcome ~jobs ~corpus
+        | Ok corpus -> guided_outcome ~corpus
       in
-      let a = replay ~jobs:1 in
-      let b = replay ~jobs:1 in
-      let c = replay ~jobs:2 in
-      Alcotest.(check bool) "replay deterministic" true (a = b);
-      Alcotest.(check bool) "replay jobs-independent" true (a = c))
+      let a = replay () in
+      let b = replay () in
+      Alcotest.(check bool) "replay deterministic" true (a = b))
 
 let test_replay_stress_pools_chunks () =
   (* 1000 coverage replays must not grow the per-domain chunk pool past
@@ -443,7 +434,7 @@ let test_shared_prefix () =
                 at
             done;
             let settled =
-              Racefuzzer.confirm_all ~instantiate ~cands ~runs ~fuel ~seed ~jobs:1
+              Racefuzzer.confirm_all ~instantiate ~cands ~runs ~fuel ~seed
                 ~settle:(fun re -> Triage.observe re.Racefuzzer.re_inst)
             in
             Array.iteri
@@ -590,8 +581,6 @@ let () =
             test_guided_confirms_real_race;
           Alcotest.test_case "plateau stops early" `Quick
             test_guided_plateau_stops_early;
-          Alcotest.test_case "jobs-count independent" `Quick
-            test_guided_jobs_deterministic;
           Alcotest.test_case "replay from snapshot" `Quick
             test_guided_replay_from_snapshot;
           Alcotest.test_case "1k replays keep pool bounded" `Slow

@@ -263,6 +263,53 @@ let test_counter_race_repaired_minimally () =
         | _ -> Alcotest.fail "counter race not repaired")
       rp.Engine.rp_races
 
+(* ---- one fan-out, over the races ---- *)
+
+(* [repair_all] repairs each confirmed race against the original
+   program, so [eo_jobs] widens one fan-out over the races and nothing
+   inside a race fans out: C9's 8 races make 8 one-race chunks, and
+   confirmation executes the same VM steps at every width. *)
+let test_race_fan_out () =
+  let e =
+    match Corpus.Registry.find "C9" with
+    | Some e -> e
+    | None -> Alcotest.fail "no corpus entry C9"
+  in
+  let sub =
+    Engine.subject_of_unit (Corpus.Registry.compiled_unit e)
+      ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+      ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
+      ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+  in
+  let reg = Obs.Metrics.global () in
+  let gauge name = List.assoc_opt name (Obs.Metrics.gauges reg) in
+  let run jobs =
+    Obs.Metrics.reset reg;
+    match Engine.repair_all ~opts:{ Engine.default_options with Engine.eo_jobs = jobs } sub with
+    | Error msg -> Alcotest.fail msg
+    | Ok rp ->
+      ( Engine.report_to_string ~show_attempts:true sub { rp with Engine.rp_seconds = 0.0 },
+        Obs.Export.stable_lines reg,
+        gauge "par/pool/chunks",
+        gauge "racefuzzer/vm_steps" )
+  in
+  let prev = Par.max_domains () in
+  Par.set_max_domains 4;
+  Fun.protect
+    ~finally:(fun () -> Par.set_max_domains prev)
+    (fun () ->
+      (* A first run fills the process-wide compile cache, whose
+         [backend/compile] counters only the first compile records. *)
+      ignore (run 1);
+      let report1, stable1, chunks1, steps1 = run 1 in
+      let report4, stable4, chunks4, steps4 = run 4 in
+      Alcotest.(check string) "report" report1 report4;
+      Alcotest.(check (list string)) "stable metrics" stable1 stable4;
+      Alcotest.(check (option (float 0.))) "no fan-out at width 1" None chunks1;
+      Alcotest.(check (option (float 0.))) "one chunk per race" (Some 8.) chunks4;
+      Alcotest.(check (option (float 0.))) "executed confirm steps" (Some 490.) steps1;
+      Alcotest.(check (option (float 0.))) "same at width 4" steps1 steps4)
+
 let () =
   Alcotest.run "repair"
     [
@@ -285,4 +332,5 @@ let () =
           Alcotest.test_case "counter race repaired locally" `Quick
             test_counter_race_repaired_minimally;
         ] );
+      ("fan-out", [ Alcotest.test_case "one chunk per race" `Quick test_race_fan_out ]);
     ]
