@@ -59,9 +59,9 @@ let pair_to_string p =
 (* The static identity of a pair, for dedup: unordered (site, site) plus
    the field. *)
 let key_of p =
-  let sa = Runtime.Event.site_to_string p.p_a.ep_site in
-  let sb = Runtime.Event.site_to_string p.p_b.ep_site in
-  if String.compare sa sb <= 0 then (sa, sb, p.p_field) else (sb, sa, p.p_field)
+  let sa = p.p_a.ep_site and sb = p.p_b.ep_site in
+  if Runtime.Event.compare_site sa sb <= 0 then (sa, sb, p.p_field)
+  else (sb, sa, p.p_field)
 
 (* Owners can alias only if their concrete classes are compatible (equal
    here: concrete classes from the same trace). *)
@@ -75,9 +75,39 @@ let usable (a : Access.acc) =
   && a.Access.acc_anchor <> None
   && a.Access.acc_owner_path <> None
 
+(* Every test the pair loop makes, and the key it adds, is a function of
+   (site, kind, field, owner class): field equality, "one side writes",
+   distinct sites and [owners_compatible].  So a later access with the
+   same tuple as an earlier one can only add keys that are already
+   present, and the first access of each tuple is the one whose
+   endpoint a pair keeps.  The loop therefore runs over those first
+   accesses alone, each with its endpoint built once, and gives the
+   same pairs in the same order as comparing every unprotected dynamic
+   access with every usable one. *)
+let first_per_tuple accs =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (a : Access.acc) ->
+      let t =
+        (a.Access.acc_site, a.Access.acc_kind, a.Access.acc_field, a.Access.acc_obj_cls)
+      in
+      if Hashtbl.mem seen t then None
+      else begin
+        Hashtbl.replace seen t ();
+        Option.map (fun e -> (a.Access.acc_field, e)) (endpoint_of a)
+      end)
+    accs
+
 let generate (res : Access.result) : pair list =
   let all = List.filter usable res.Access.accesses in
-  let unprot = List.filter (fun a -> a.Access.acc_unprot) all in
+  let unprot = first_per_tuple (List.filter (fun a -> a.Access.acc_unprot) all) in
+  (* The usable first accesses of each field, in trace order. *)
+  let by_field = Hashtbl.create 32 in
+  List.iter
+    (fun (f, e) ->
+      Hashtbl.replace by_field f
+        (e :: Option.value ~default:[] (Hashtbl.find_opt by_field f)))
+    (List.rev (first_per_tuple all));
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let add p =
@@ -88,29 +118,17 @@ let generate (res : Access.result) : pair list =
     end
   in
   List.iter
-    (fun (u : Access.acc) ->
-      match endpoint_of u with
-      | None -> ()
-      | Some eu ->
-        (* (a) the same label from two threads, for writes *)
-        if u.Access.acc_kind = Access.Kwrite then
-          add { p_field = u.Access.acc_field; p_a = eu; p_b = eu };
-        (* (b) any conflicting access to the same field *)
-        List.iter
-          (fun (o : Access.acc) ->
-            if
-              String.equal o.Access.acc_field u.Access.acc_field
-              && (u.Access.acc_kind = Access.Kwrite
-                 || o.Access.acc_kind = Access.Kwrite)
-              && not
-                   (Runtime.Event.compare_site u.Access.acc_site
-                      o.Access.acc_site
-                    = 0)
-            then
-              match endpoint_of o with
-              | Some eo when owners_compatible eu eo ->
-                add { p_field = u.Access.acc_field; p_a = eu; p_b = eo }
-              | Some _ | None -> ())
-          all)
+    (fun (f, eu) ->
+      (* (a) the same label from two threads, for writes *)
+      if eu.ep_kind = Access.Kwrite then add { p_field = f; p_a = eu; p_b = eu };
+      (* (b) any conflicting access to the same field *)
+      List.iter
+        (fun eo ->
+          if
+            (eu.ep_kind = Access.Kwrite || eo.ep_kind = Access.Kwrite)
+            && Runtime.Event.compare_site eu.ep_site eo.ep_site <> 0
+            && owners_compatible eu eo
+          then add { p_field = f; p_a = eu; p_b = eo })
+        (Option.value ~default:[] (Hashtbl.find_opt by_field f)))
     unprot;
   List.rev !out

@@ -24,9 +24,12 @@ val endpoint_of : Access.acc -> endpoint option
 val endpoint_to_string : endpoint -> string
 val pair_to_string : pair -> string
 
-val key_of : pair -> string * string * string
-(** Static identity (unordered site pair + field), for dedup. *)
+val key_of : pair -> Runtime.Event.site * Runtime.Event.site * Jir.Ast.id
+(** Static identity, for dedup: the two sites ordered by
+    {!Runtime.Event.compare_site}, then the field. *)
 
 val generate : Access.result -> pair list
 (** The deduplicated racy pairs of a trace analysis (Table 4's
-    "Race Pairs" column). *)
+    "Race Pairs" column), in the order of their first witnesses.  Only
+    the first usable access of each (site, kind, field, owner class) is
+    compared: a later one can add no new key. *)

@@ -518,13 +518,13 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
    derives a batch of run specs purely from (base seed, round number,
    corpus state at the round boundary) — slot 0 of round 0 is the exact
    blind first run, later slots mutate the highest-gain corpus entries
-   by replaying a truncated choice prefix under a derived seed.  After
-   executing a batch, results are folded back in slot order: coverage
-   novelty is credited sequentially, the first confirmation (or
-   instantiation failure) in slot order ends the loop, and metrics
-   cover exactly that logical prefix.  A round that yields no new
-   coverage anywhere bumps a plateau counter; [plateau] dry rounds in a
-   row stop the search early.
+   by replaying a truncated choice prefix under a derived seed.  The
+   batch's slots run in slot order, each folded back as it ends:
+   coverage novelty is credited sequentially, and the first
+   confirmation (or instantiation failure) ends the loop before any
+   later slot runs, so the runs and metrics are exactly that prefix.
+   A round that yields no new coverage anywhere bumps a plateau
+   counter; [plateau] dry rounds in a row stop the search early.
 
    Because specs depend only on the corpus at the round start and
    merging is in slot order, the outcome — confirmation, schedule
@@ -586,12 +586,13 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
       let ranked = Cov.Corpus.ranked corpus in
       let base = !round * batch in
       let specs = List.init n (fun j -> spec_for ~ranked (base + j)) in
-      let results = List.map run_spec specs in
       let round_gain = ref 0 in
+      (* A slot runs only when the fold reaches it: the specs are fixed
+         at the round start, and no run reads the corpus. *)
       (try
-         List.iter2
-           (fun sp res ->
-             match res with
+         List.iter
+           (fun sp ->
+             match run_spec sp with
              | Error () ->
                stop := true;
                raise Exit
@@ -613,7 +614,7 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
                  stop := true;
                  raise Exit
                | None -> ()))
-           specs results
+           specs
        with Exit -> ());
       if not !stop then
         if !round_gain = 0 then begin

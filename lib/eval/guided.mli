@@ -1,6 +1,7 @@
 (** Blind vs coverage-guided confirmation sweeps over a corpus class:
     the same candidate enumeration ({!Detect.Campaign.candidates}), then either the fixed blind
-    [Racefuzzer.confirm] budget for every occurrence, or the guided
+    budget for every occurrence (a test's candidates together, by
+    {!Detect.Racefuzzer.confirm_all}), or the guided
     policy sharing one coverage corpus across the class — full budget
     for the first occurrence of each race key, zero schedules for
     recurrences of confirmed pairs (their racy-pair feature is in the

@@ -123,17 +123,71 @@ let relevant_tests (bl : baseline) (rid : Grammar.race_id) ~all
 let rid_of_key_opt k =
   match Grammar.race_id_of_key k with Ok r -> Some r | Error _ -> None
 
+(* Re-detection of one relevant test: its lockset candidates that are
+   the race under repair ([ours]) or, after a mutex replacement, a race
+   the original program never showed ([fresh]) are confirmed together
+   ([Racefuzzer.confirm_all] gives each exactly its own runs), and the
+   first confirmed one in candidate order decides the reject. *)
+let redetect_test (opts : options) (bl : baseline) (rid : Grammar.race_id)
+    ~has_replace (an : Pipeline.analysis) t =
+  let instantiate = Pipeline.instantiator an t in
+  let cands =
+    Result.value ~default:[]
+      (Detect.Campaign.candidates ~instantiate ~schedules:opts.eo_schedules
+         ~seed:opts.eo_seed ())
+  in
+  let watched =
+    List.filter_map
+      (fun (k, r) ->
+        let ours = Grammar.key_matches rid k in
+        let fresh =
+          has_replace && (not ours)
+          &&
+          match rid_of_key_opt k with
+          | None -> false
+          | Some r' ->
+            not (List.exists (fun b -> Grammar.compare_race_id b r' = 0) bl.bl_detected)
+        in
+        if ours || fresh then Some (k, ours, r) else None)
+      cands
+  in
+  let results =
+    Rf.confirm_all ~instantiate
+      ~cands:(Array.of_list (List.map (fun (_, _, r) -> Rf.candidate_of_report r) watched))
+      ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel ~seed:opts.eo_seed ~settle:ignore
+  in
+  match
+    List.find_opt
+      (fun (_, (c, _)) -> c.Rf.confirmed <> None)
+      (List.combine watched (Array.to_list results))
+  with
+  | None -> Ok ()
+  | Some ((_, true, _), _) -> Error R_race_survives
+  | Some ((k, false, _), _) ->
+    Error
+      (R_new_race
+         (match rid_of_key_opt k with
+         | Some r' -> Grammar.race_id_to_string r'
+         | None -> Detect.Race.key_to_string k))
+
+(* Each stage runs in its own span under [repair/race], so a metrics
+   export shows where re-validation time goes. *)
 let validate (opts : options) (sub : subject) (bl : baseline)
     (rid : Grammar.race_id) (cand : Grammar.candidate) :
     (Ast.program, reject) result =
+  Obs.Span.with_ "validate" @@ fun () ->
   let reg = Obs.Metrics.global () in
   let ( let* ) = Result.bind in
-  let* patched =
-    Result.map_error (fun m -> R_compile m) (Grammar.apply sub.sj_prog cand)
+  let* patched, cu =
+    Obs.Span.with_ "compile" (fun () ->
+        let* patched =
+          Result.map_error (fun m -> R_compile m) (Grammar.apply sub.sj_prog cand)
+        in
+        let* cu = Result.map_error (fun m -> R_compile m) (compile_patched patched) in
+        Ok (patched, cu))
   in
-  let* cu = Result.map_error (fun m -> R_compile m) (compile_patched patched) in
   (* Sequential behavior must be preserved. *)
-  let out, res = seed_run opts cu sub in
+  let out, res = Obs.Span.with_ "seed" (fun () -> seed_run opts cu sub) in
   let* () =
     if not (String.equal res bl.bl_result) then
       Error (R_behavior (Printf.sprintf "seed result %s (was %s)" res bl.bl_result))
@@ -143,7 +197,8 @@ let validate (opts : options) (sub : subject) (bl : baseline)
   in
   (* No new ABBA lock-order pair. *)
   let* pairs =
-    Result.map_error (fun m -> R_compile m) (lock_pairs cu sub)
+    Result.map_error (fun m -> R_compile m)
+      (Obs.Span.with_ "lockorder" (fun () -> lock_pairs cu sub))
   in
   let* () =
     match List.find_opt (fun p -> not (List.mem p bl.bl_pairs)) pairs with
@@ -162,57 +217,21 @@ let validate (opts : options) (sub : subject) (bl : baseline)
   (* Re-detection: the race must no longer be confirmable. *)
   let check_backend backend =
     match
-      Pipeline.analyze ~seed:opts.eo_seed ~backend cu
-        ~client_classes:sub.sj_client_classes ~seed_cls:sub.sj_seed_cls
-        ~seed_meth:sub.sj_seed_meth
+      Obs.Span.with_ "analyze" (fun () ->
+          Pipeline.analyze ~seed:opts.eo_seed ~backend cu
+            ~client_classes:sub.sj_client_classes ~seed_cls:sub.sj_seed_cls
+            ~seed_meth:sub.sj_seed_meth)
     with
     | Error msg -> Error (R_compile msg)
     | Ok an ->
-      let tests = relevant_tests bl rid ~all:has_replace an in
-      let rec scan = function
-        | [] -> Ok ()
-        | t :: rest ->
-          let instantiate = Pipeline.instantiator an t in
-          let cands =
-            Result.value ~default:[]
-              (Detect.Campaign.candidates ~instantiate
-                 ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
+      Obs.Span.with_ "redetect" (fun () ->
+          let rec scan = function
+            | [] -> Ok ()
+            | t :: rest ->
+              let* () = redetect_test opts bl rid ~has_replace an t in
+              scan rest
           in
-          let rec check = function
-            | [] -> scan rest
-            | (k, r) :: more ->
-              let ours = Grammar.key_matches rid k in
-              let fresh =
-                has_replace
-                && (not ours)
-                &&
-                match rid_of_key_opt k with
-                | None -> false
-                | Some r' ->
-                  not
-                    (List.exists
-                       (fun b -> Grammar.compare_race_id b r' = 0)
-                       bl.bl_detected)
-              in
-              if not (ours || fresh) then check more
-              else
-                let confirm =
-                  Rf.confirm ~instantiate ~cand:(Rf.candidate_of_report r)
-                    ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel
-                    ~seed:opts.eo_seed ()
-                in
-                if confirm.Rf.confirmed = None then check more
-                else if ours then Error R_race_survives
-                else
-                  Error
-                    (R_new_race
-                       (match rid_of_key_opt k with
-                       | Some r' -> Grammar.race_id_to_string r'
-                       | None -> Detect.Race.key_to_string k))
-          in
-          check cands
-      in
-      scan tests
+          scan (relevant_tests bl rid ~all:has_replace an))
   in
   let rec over_backends = function
     | [] -> Ok patched

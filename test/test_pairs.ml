@@ -147,6 +147,170 @@ let test_owner_class_compat () =
       | _ -> ())
     (pairs_of Testlib.Fixtures.fig13)
 
+(* ---- exactness against the all-pairs generator ---- *)
+
+(* The generator as it was before it compared only the first access of
+   each (site, kind, field, owner class): every unprotected dynamic
+   access against every usable one, deduplicated on strings.  Kept
+   verbatim as the reference [Pairs.generate] must equal. *)
+module Reference = struct
+  open Pairs
+
+  let key_of p =
+    let sa = Runtime.Event.site_to_string p.p_a.ep_site in
+    let sb = Runtime.Event.site_to_string p.p_b.ep_site in
+    if String.compare sa sb <= 0 then (sa, sb, p.p_field) else (sb, sa, p.p_field)
+
+  let owners_compatible (a : endpoint) (b : endpoint) =
+    match (a.ep_owner_cls, b.ep_owner_cls) with
+    | Some ca, Some cb -> String.equal ca cb
+    | None, _ | _, None -> true
+
+  let usable (a : Access.acc) =
+    a.Access.acc_in_lib && not a.Access.acc_in_ctor
+    && a.Access.acc_anchor <> None
+    && a.Access.acc_owner_path <> None
+
+  let generate (res : Access.result) : pair list =
+    let all = List.filter usable res.Access.accesses in
+    let unprot = List.filter (fun a -> a.Access.acc_unprot) all in
+    let seen = Hashtbl.create 64 in
+    let out = ref [] in
+    let add p =
+      let k = key_of p in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.replace seen k ();
+        out := p :: !out
+      end
+    in
+    List.iter
+      (fun (u : Access.acc) ->
+        match endpoint_of u with
+        | None -> ()
+        | Some eu ->
+          (* (a) the same label from two threads, for writes *)
+          if u.Access.acc_kind = Access.Kwrite then
+            add { p_field = u.Access.acc_field; p_a = eu; p_b = eu };
+          (* (b) any conflicting access to the same field *)
+          List.iter
+            (fun (o : Access.acc) ->
+              if
+                String.equal o.Access.acc_field u.Access.acc_field
+                && (u.Access.acc_kind = Access.Kwrite
+                   || o.Access.acc_kind = Access.Kwrite)
+                && not
+                     (Runtime.Event.compare_site u.Access.acc_site
+                        o.Access.acc_site
+                      = 0)
+              then
+                match endpoint_of o with
+                | Some eo when owners_compatible eu eo ->
+                  add { p_field = u.Access.acc_field; p_a = eu; p_b = eo }
+                | Some _ | None -> ())
+            all)
+      unprot;
+    List.rev !out
+end
+
+(* The names of the analyses whose pair list differs from the
+   reference's, compared whole and in order. *)
+let differing named =
+  List.filter_map
+    (fun (name, (an : Pipeline.analysis)) ->
+      let acc = an.Pipeline.an_access in
+      if Pairs.generate acc = Reference.generate acc then None else Some name)
+    named
+
+let analysis_of name = function
+  | Ok an -> (name, an)
+  | Error e -> Alcotest.failf "%s: pipeline failed: %s" name e
+
+let entry_analyses () =
+  List.map
+    (fun (e : Corpus.Corpus_def.entry) ->
+      analysis_of e.Corpus.Corpus_def.e_id
+        (Result.map snd (Eval.Evaluate.analyze_entry e)))
+    (Corpus.Registry.all @ Corpus.Registry.extras)
+
+let test_exact_corpus () =
+  let named = entry_analyses () in
+  Alcotest.(check int) "C1-C9, X1-X3" 12 (List.length named);
+  Alcotest.(check (list string)) "entries whose pairs differ" [] (differing named)
+
+(* The fixtures with a sequential seed test (the others spawn threads
+   from [main]). *)
+let test_exact_fixtures () =
+  let module F = Testlib.Fixtures in
+  let named =
+    List.map
+      (fun (name, src) -> (name, F.analyze src))
+      [
+        ("fig1", F.fig1);
+        ("fig8", F.fig8);
+        ("fig13", F.fig13);
+        ("return_rule", F.return_rule);
+      ]
+  in
+  Alcotest.(check (list string)) "fixtures whose pairs differ" [] (differing named)
+
+(* Generated programs whose seed runs; the count of pairs they give
+   shows the check is not vacuous. *)
+let test_exact_generated () =
+  let named =
+    List.filter_map
+      (fun i ->
+        let seed = Int64.of_int i in
+        match Jir.Compile.compile_unit (Fuzz.Gen.generate ~seed) with
+        | exception Jir.Diag.Error _ -> None
+        | cu -> (
+          match
+            Pipeline.analyze cu ~client_classes:[ Fuzz.Gen.seed_cls ]
+              ~seed_cls:Fuzz.Gen.seed_cls ~seed_meth:Fuzz.Gen.seed_meth
+          with
+          | Ok an -> Some (Printf.sprintf "gen %d" i, an)
+          | Error _ -> None))
+      (List.init 240 Fun.id)
+  in
+  Alcotest.(check bool) "at least 200 programs" true (List.length named >= 200);
+  Alcotest.(check bool) "some pairs" true
+    (List.exists (fun (_, an) -> an.Pipeline.an_pairs <> []) named);
+  Alcotest.(check (list string)) "programs whose pairs differ" [] (differing named)
+
+(* Every program repair re-analyzes for C3: the patch of each candidate
+   it tries. *)
+let test_exact_repair_candidates () =
+  let e = Option.get (Corpus.Registry.find "C3") in
+  let cls = e.Corpus.Corpus_def.e_seed_cls and meth = e.Corpus.Corpus_def.e_seed_meth in
+  let sub =
+    Repair.Engine.subject_of_unit (Corpus.Registry.compiled_unit e)
+      ~client_classes:[ cls ] ~seed_cls:cls ~seed_meth:meth
+  in
+  let rp =
+    match Repair.Engine.repair_all sub with
+    | Ok rp -> rp
+    | Error msg -> Alcotest.fail msg
+  in
+  let cands =
+    List.concat_map
+      (fun rr -> List.map (fun a -> a.Repair.Engine.at_cand) rr.Repair.Engine.rr_attempts)
+      rp.Repair.Engine.rp_races
+  in
+  Alcotest.(check int) "C3's candidates" 17 (List.length cands);
+  let named =
+    List.mapi
+      (fun i c ->
+        let name = Printf.sprintf "C3 candidate %d" i in
+        match Repair.Grammar.apply sub.Repair.Engine.sj_prog c with
+        | Error msg -> Alcotest.failf "%s: %s" name msg
+        | Ok prog ->
+          analysis_of name
+            (Pipeline.analyze (Jir.Compile.compile_unit prog) ~client_classes:[ cls ]
+               ~seed_cls:cls ~seed_meth:meth))
+      cands
+  in
+  Alcotest.(check (list string)) "patched programs whose pairs differ" []
+    (differing named)
+
 let () =
   Alcotest.run "pairs"
     [
@@ -166,5 +330,12 @@ let () =
           Alcotest.test_case "unsynchronized class racy" `Quick
             test_unsync_class_pairs;
           Alcotest.test_case "read-read excluded" `Quick test_read_read_excluded;
+        ] );
+      ( "exactness",
+        [
+          Alcotest.test_case "C1-C9, X1-X3" `Quick test_exact_corpus;
+          Alcotest.test_case "fixtures" `Quick test_exact_fixtures;
+          Alcotest.test_case "generated" `Quick test_exact_generated;
+          Alcotest.test_case "C3 patches" `Quick test_exact_repair_candidates;
         ] );
     ]
