@@ -31,12 +31,57 @@ let static_prune ?cache (cu : Jir.Code.unit_) (pairs : Pairs.pair list) =
         ~m2:p.Pairs.p_b.Pairs.ep_site.Runtime.Event.s_meth)
     pairs
 
+(* The stages after the recording, in the open root span [sp] entered
+   at [t0]: access analysis → pairs → static filter → synthesis. *)
+let stages sp ~t0 ~static_filter ?static_cache ~code (cu : Jir.Code.unit_)
+    ~client_classes ~seed_cls ~seed_meth trace =
+  Obs.Span.observe sp "trace_events" (Runtime.Trace.length trace);
+  let access =
+    Obs.Span.with_ "analyze" (fun () -> Access.analyze cu ~client_classes trace)
+  in
+  let all_pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate access) in
+  let pairs, pruned =
+    if static_filter then
+      Obs.Span.with_ "static-filter" (fun () ->
+          static_prune ?cache:static_cache cu all_pairs)
+    else (all_pairs, [])
+  in
+  let tests =
+    Obs.Span.with_ "synth" (fun () ->
+        Synth.plan cu.Jir.Code.cu_program access.Access.summary ~seed_cls
+          ~seed_meth pairs)
+  in
+  Obs.Span.observe sp "pairs" (List.length pairs);
+  Obs.Span.observe sp "tests" (List.length tests);
+  let seconds = Obs.Clock.elapsed_s ~since:t0 in
+  Obs.Span.exit sp;
+  {
+    an_cu = cu;
+    an_client_classes = client_classes;
+    an_seed_cls = seed_cls;
+    an_seed_meth = seed_meth;
+    an_trace_len = Runtime.Trace.length trace;
+    an_access = access;
+    an_pairs = pairs;
+    an_pairs_pruned = List.length pruned;
+    an_static_filter = static_filter;
+    an_tests = tests;
+    an_seconds = seconds;
+    an_backend = code;
+  }
+
+(* ~root: analyses may run on a Par worker domain; the span paths must
+   not depend on where the work was scheduled. *)
+let of_trace ~backend cu ~client_classes ~seed_cls ~seed_meth trace =
+  let code = Backend.prepare backend cu in
+  let sp = Obs.Span.enter ~root:true "pipeline" in
+  stages sp ~t0:(Obs.Clock.ticks ()) ~static_filter:false ~code cu
+    ~client_classes ~seed_cls ~seed_meth trace
+
 let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
-    ?static_cache ?backend (cu : Jir.Code.unit_) ~client_classes ~seed_cls
-    ~seed_meth : (analysis, string) result =
-  let backend = Backend.prepare (Option.value backend ~default:Backend.Compiled) cu in
-  (* ~root: analyses may run on a Par worker domain; the span paths must
-     not depend on where the work was scheduled. *)
+    ?static_cache ?(backend = Backend.Compiled) (cu : Jir.Code.unit_)
+    ~client_classes ~seed_cls ~seed_meth : (analysis, string) result =
+  let code = Backend.prepare backend cu in
   let sp = Obs.Span.enter ~root:true "pipeline" in
   let t0 = Obs.Clock.ticks () in
   let _m, trace, res =
@@ -48,41 +93,9 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
     Obs.Span.exit sp;
     Error (Printf.sprintf "seed test failed: %s" e)
   | Ok _ ->
-    Obs.Span.observe sp "trace_events" (Runtime.Trace.length trace);
-    let access =
-      Obs.Span.with_ "analyze" (fun () -> Access.analyze cu ~client_classes trace)
-    in
-    let all_pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate access) in
-    let pairs, pruned =
-      if static_filter then
-        Obs.Span.with_ "static-filter" (fun () ->
-            static_prune ?cache:static_cache cu all_pairs)
-      else (all_pairs, [])
-    in
-    let tests =
-      Obs.Span.with_ "synth" (fun () ->
-          Synth.plan cu.Jir.Code.cu_program access.Access.summary ~seed_cls
-            ~seed_meth pairs)
-    in
-    Obs.Span.observe sp "pairs" (List.length pairs);
-    Obs.Span.observe sp "tests" (List.length tests);
-    let seconds = Obs.Clock.elapsed_s ~since:t0 in
-    Obs.Span.exit sp;
     Ok
-      {
-        an_cu = cu;
-        an_client_classes = client_classes;
-        an_seed_cls = seed_cls;
-        an_seed_meth = seed_meth;
-        an_trace_len = Runtime.Trace.length trace;
-        an_access = access;
-        an_pairs = pairs;
-        an_pairs_pruned = List.length pruned;
-        an_static_filter = static_filter;
-        an_tests = tests;
-        an_seconds = seconds;
-        an_backend = backend;
-      }
+      (stages sp ~t0 ~static_filter ?static_cache ~code cu ~client_classes
+         ~seed_cls ~seed_meth trace)
 
 let analyze_source ?seed ?static_filter ?static_cache src ~client_classes
     ~seed_cls ~seed_meth : (analysis, string) result =

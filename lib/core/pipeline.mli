@@ -35,7 +35,26 @@ val analyze :
     summaries, so repeated analyses (the serve daemon) pay only the
     static linking phase.  [backend] names the one engine
     ({!Backend.Compiled}); its code is looked up (compiled on first
-    use) here, once per analysis. *)
+    use) here, once per analysis.  [analyze] is {!Runtime.Interp.record}
+    at [seed] (in the ["pipeline/trace"] span) followed by the stages of
+    {!of_trace}. *)
+
+val of_trace :
+  backend:Backend.kind ->
+  Jir.Code.unit_ ->
+  client_classes:Jir.Ast.id list ->
+  seed_cls:Jir.Ast.id ->
+  seed_meth:Jir.Ast.id ->
+  Runtime.Trace.t ->
+  analysis
+(** The stages of {!analyze} after its recording (access analysis →
+    pairs → synthesis, without the static filter) over [trace], a
+    recorded successful run of [seed_cls.seed_meth()] on [cu].  They run
+    in the same root ["pipeline"] span, which has no ["trace"] child
+    here; [an_seconds] counts the stages only.  A caller that already
+    executed the seed test (repair, which also reads the run's output
+    and lock order) analyzes that one recording instead of running the
+    program again. *)
 
 val analyze_source :
   ?seed:int64 ->

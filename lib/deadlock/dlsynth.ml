@@ -146,10 +146,12 @@ type confirmation = {
   co_schedule : string; (* which scheduler confirmed *)
 }
 
-(* Confirm by directed scheduling, falling back to random schedules.
-   The test is instantiated once; every schedule runs on its own copy
-   of that initial state. *)
-let confirm ?(seed = Runtime.Machine.default_seed) ?(random_tries = 10) (cu : Jir.Code.unit_)
+(* Confirm by directed scheduling, falling back to [random_tries]
+   random schedules.  The test is instantiated once; every schedule
+   runs on its own copy of that initial state. *)
+let random_tries = 10
+
+let confirm ?(seed = Runtime.Machine.default_seed) (cu : Jir.Code.unit_)
     ~client_classes (t : test) : (confirmation, string) result =
   let* template = instantiate ~seed cu ~client_classes t in
   let try_sched name sched =

@@ -26,7 +26,6 @@ type confirmation = {
 
 val confirm :
   ?seed:int64 ->
-  ?random_tries:int ->
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->
   test ->

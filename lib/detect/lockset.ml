@@ -43,16 +43,14 @@ type t = {
       (* Eraser state + last access witness *)
   mutable history : Race.access list VarMap.t; (* for candidate pairs *)
   mutable reports : Race.report list; (* Eraser reports, newest first *)
-  keep_history : bool;
 }
 
-let create ?(keep_history = true) () =
+let create () =
   {
     held = Array.make 8 AddrSet.empty;
     states = VarMap.empty;
     history = VarMap.empty;
     reports = [];
-    keep_history;
   }
 
 let ensure t tid =
@@ -114,12 +112,11 @@ let eraser_step t (acc : Race.access) =
 
 let record_access t (acc : Race.access) =
   eraser_step t acc;
-  if t.keep_history then
-    t.history <-
-      VarMap.update
-        { v_obj = acc.Race.a_obj; v_field = acc.Race.a_field; v_idx = acc.Race.a_idx }
-        (function None -> Some [ acc ] | Some l -> Some (acc :: l))
-        t.history
+  t.history <-
+    VarMap.update
+      { v_obj = acc.Race.a_obj; v_field = acc.Race.a_field; v_idx = acc.Race.a_idx }
+      (function None -> Some [ acc ] | Some l -> Some (acc :: l))
+      t.history
 
 (* Observer translating machine events. *)
 let observer t (e : Runtime.Event.t) =
@@ -142,8 +139,8 @@ let observer t (e : Runtime.Event.t) =
     ->
     ()
 
-let attach ?(keep_history = true) m =
-  let t = create ~keep_history () in
+let attach m =
+  let t = create () in
   Runtime.Machine.add_observer m (observer t);
   t
 

@@ -10,12 +10,12 @@
 
 type t
 
-val create : ?keep_history:bool -> unit -> t
+val create : unit -> t
 
 val observer : t -> Runtime.Event.t -> unit
 (** Feed one machine event (access/lock/unlock; others ignored). *)
 
-val attach : ?keep_history:bool -> Runtime.Machine.t -> t
+val attach : Runtime.Machine.t -> t
 (** Create and register on a machine's observer list. *)
 
 val record_access : t -> Race.access -> unit
@@ -25,5 +25,4 @@ val eraser_reports : t -> Race.report list
 (** Races flagged by the Eraser state machine, deduplicated. *)
 
 val candidates : t -> Race.report list
-(** All conflicting pairs with disjoint locksets (requires
-    [keep_history], the default), deduplicated. *)
+(** All conflicting pairs with disjoint locksets, deduplicated. *)

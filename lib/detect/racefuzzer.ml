@@ -356,7 +356,7 @@ let directed_runs (inst : instance) ~(cands : candidate array) ~seed ~fuel
    - the choices actually taken are recorded (capped) so a novel run can
      be admitted to the corpus as a replayable (seed, prefix) entry;
    - a trace recorder is attached for HB-edge / lock-order features and
-     recycled afterwards (the replay loop must not grow the chunk pool),
+     recycled afterwards (the instance's machine outlives the run),
      postponed-set states are fingerprinted as they change, and a
      confirmed pair contributes a racy-pair feature. *)
 

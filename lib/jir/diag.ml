@@ -35,8 +35,8 @@ let compare_severity a b =
    name the tool knows the unit by (a path, a corpus id, "<memory>"). *)
 type span = { sp_file : string; sp_start : Ast.pos; sp_end : Ast.pos }
 
-let span ?file:(sp_file = "") ?stop (start : Ast.pos) : span =
-  { sp_file; sp_start = start; sp_end = Option.value ~default:start stop }
+let span ?file:(sp_file = "") (pos : Ast.pos) : span =
+  { sp_file; sp_start = pos; sp_end = pos }
 
 let pp_span fmt { sp_file; sp_start; sp_end } =
   if sp_file <> "" then Format.fprintf fmt "%s:" sp_file;

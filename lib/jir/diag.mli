@@ -29,9 +29,8 @@ type span = { sp_file : string; sp_start : Ast.pos; sp_end : Ast.pos }
 (** [sp_file] is whatever name the tool knows the unit by (a path, a
     corpus id); [""] suppresses the file prefix when printing. *)
 
-val span : ?file:string -> ?stop:Ast.pos -> Ast.pos -> span
-(** [span ~file ~stop start] builds a span; [stop] defaults to
-    [start]. *)
+val span : ?file:string -> Ast.pos -> span
+(** [span ~file pos] builds the one-position span at [pos]. *)
 
 val pp_span : Format.formatter -> span -> unit
 (** Prints [file:line:col] (or [file:line:col-line:col] for a proper

@@ -161,60 +161,6 @@ module Metrics = struct
   let span_ns t path =
     locked t (fun () ->
         match Hashtbl.find_opt t.span_tbl path with Some s -> s.ms_ns | None -> 0L)
-
-  let merge_histogram (a : histogram) (b : histogram) : histogram =
-    if a.h_count = 0 then b
-    else if b.h_count = 0 then a
-    else
-      {
-        h_count = a.h_count + b.h_count;
-        h_sum = a.h_sum + b.h_sum;
-        h_min = min a.h_min b.h_min;
-        h_max = max a.h_max b.h_max;
-      }
-
-  (* Deterministic cross-registry merge: every combine is commutative
-     and associative, so any merge tree over the same leaf registries
-     yields the same result. *)
-  let merge_into ~dst src =
-    List.iter (fun (k, v) -> incr ~n:v dst k) (counters src);
-    List.iter
-      (fun (k, (h : histogram)) ->
-        locked dst (fun () ->
-            match Hashtbl.find_opt dst.hists k with
-            | Some d ->
-              d.mh_count <- d.mh_count + h.h_count;
-              d.mh_sum <- d.mh_sum + h.h_sum;
-              if h.h_min < d.mh_min then d.mh_min <- h.h_min;
-              if h.h_max > d.mh_max then d.mh_max <- h.h_max
-            | None ->
-              Hashtbl.replace dst.hists k
-                {
-                  mh_count = h.h_count;
-                  mh_sum = h.h_sum;
-                  mh_min = h.h_min;
-                  mh_max = h.h_max;
-                }))
-      (List.map (fun (k, h) -> (k, h)) (histograms src));
-    List.iter
-      (fun (k, v) ->
-        let kind =
-          locked src (fun () ->
-              match Hashtbl.find_opt src.gauges k with
-              | Some g -> g.mg_kind
-              | None -> Gsum)
-        in
-        gauge_update ~kind dst k v)
-      (gauges src);
-    List.iter
-      (fun (path, calls, ns) ->
-        locked dst (fun () ->
-            match Hashtbl.find_opt dst.span_tbl path with
-            | Some s ->
-              s.ms_calls <- s.ms_calls + calls;
-              s.ms_ns <- Int64.add s.ms_ns ns
-            | None -> Hashtbl.replace dst.span_tbl path { ms_calls = calls; ms_ns = ns }))
-      (spans src)
 end
 
 module Span = struct

@@ -10,8 +10,10 @@
     - {e volatile} metrics (gauges, span durations) carry wall-clock
       and pool-scheduling facts; a determinism check strips them.
 
-    Registries are thread-safe and every combine is commutative, so
-    recording from [Par] worker domains merges deterministically. *)
+    Registries are thread-safe and every update commutes (counters and
+    span calls add, histograms keep count, sum, min and max), so
+    recording from [Par] worker domains in any interleaving exports the
+    same stable section. *)
 
 module Clock : sig
   val ticks : unit -> int64
@@ -72,13 +74,6 @@ module Metrics : sig
   val span_calls : t -> string -> int
   val span_ns : t -> string -> int64
 
-  val merge_histogram : histogram -> histogram -> histogram
-  (** Commutative and associative; the empty histogram
-      ([h_count = 0]) is the identity. *)
-
-  val merge_into : dst:t -> t -> unit
-  (** Merge [src] into [dst].  All combines are commutative and
-      associative, so any merge tree over the same leaves agrees. *)
 end
 
 module Span : sig

@@ -1,13 +1,14 @@
 (* Deterministic spawn-and-join fan-out.  See par.mli.
 
-   A fan-out spawns its width of domains, which take index chunks from
-   one atomic cursor until it runs past the input, and joins them all
-   before it returns: [Domain.join] is the completion latch.  Chunks
-   handed out in index order from one cursor balance themselves (a
-   worker that drew a slow chunk simply draws fewer), so there are no
-   per-worker queues and nothing to steal.  Determinism is structural:
-   result [i] is written for input [i] whatever worker ran its chunk,
-   and a failure keeps the smallest failing index.
+   A fan-out spawns its width of domains, which claim one input index
+   at a time from one atomic cursor until it runs past the input, and
+   joins them all before it returns: [Domain.join] is the completion
+   latch.  Indices handed out in order from one cursor balance
+   themselves (a worker that drew a slow input simply draws fewer), so
+   there are no per-worker queues and nothing to steal, and the tail is
+   bounded by one input.  Determinism is structural: result [i] is
+   written for input [i] whatever worker ran it, and a failure keeps
+   the smallest failing index.
 
    The width is clamped to {!max_domains} (default: the recommended
    domain count).  Running more worker domains than cores inverts the
@@ -50,18 +51,18 @@ let rec record_failure failed i e =
   | cur ->
     if not (Atomic.compare_and_set failed cur (Some (i, e))) then record_failure failed i e
 
-(* Per-worker executed chunks and idle time, as volatile gauges: a
-   worker is idle from its last chunk's end to the fan-out's end. *)
+(* Per-worker executed inputs and idle time, as volatile gauges: a
+   worker is idle from its last input's end to the fan-out's end. *)
 let flush_gauges ends =
   let reg = Obs.Metrics.global () in
   let last = Array.fold_left (fun acc (_, t) -> max acc t) 0L ends in
   Obs.Metrics.gauge_add reg "par/pool/chunks"
     (float_of_int (Array.fold_left (fun acc (c, _) -> acc + c) 0 ends));
   Array.iteri
-    (fun w (chunks, t) ->
+    (fun w (tasks, t) ->
       Obs.Metrics.gauge_add reg
         (Printf.sprintf "par/pool/worker%d/tasks" w)
-        (float_of_int chunks);
+        (float_of_int tasks);
       Obs.Metrics.gauge_add reg
         (Printf.sprintf "par/pool/worker%d/idle_s" w)
         (Int64.to_float (Int64.sub last t) /. 1e9))
@@ -75,29 +76,20 @@ let mapi ?jobs xs f =
   else begin
     let input = Array.of_list xs in
     let out = Array.make n None in
-    (* About 8 chunks per worker: an uneven tail evens out without a
-       cursor bump per element. *)
-    let chunk = max 1 (n / (8 * width)) in
     let cursor = Atomic.make 0 in
     let failed = Atomic.make None in
     let worker () =
-      let chunks = ref 0 in
+      let tasks = ref 0 in
       let rec take () =
-        let lo = Atomic.fetch_and_add cursor chunk in
-        if lo < n then begin
-          incr chunks;
-          let i = ref lo in
-          (try
-             while !i < min n (lo + chunk) do
-               out.(!i) <- Some (f !i input.(!i));
-               incr i
-             done
-           with e -> record_failure failed !i e);
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          incr tasks;
+          (try out.(i) <- Some (f i input.(i)) with e -> record_failure failed i e);
           take ()
         end
       in
       take ();
-      (!chunks, Obs.Clock.ticks ())
+      (!tasks, Obs.Clock.ticks ())
     in
     let spawned = ref [] in
     (try
@@ -109,8 +101,8 @@ let mapi ?jobs xs f =
        List.iter (fun d -> ignore (Domain.join d)) !spawned;
        raise e);
     flush_gauges (Array.of_list (List.rev_map Domain.join !spawned));
-    (* With no failure recorded every chunk ran to its end and wrote
-       each of its slots, so [Option.get] cannot raise. *)
+    (* With no failure recorded every input wrote its slot, so
+       [Option.get] cannot raise. *)
     match Atomic.get failed with
     | Some (_, e) -> raise e
     | None -> Array.to_list (Array.map Option.get out)

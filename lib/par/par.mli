@@ -35,15 +35,14 @@ val map : ?jobs:int -> 'a list -> ('a -> 'b) -> 'b list
 (** [map ~jobs xs f] applies [f] to every element and returns the
     results in input order.  It spawns [min jobs (max_domains ())]
     worker domains (default {!default_jobs}), capped at the list's
-    length; they take index chunks of about [n / (8 * width)] elements
-    from one shared cursor, and every one is joined before [map]
-    returns.  With an effective width of 1 no domain is spawned and
-    this is [List.map].  If tasks raise, the exception of the smallest
-    failing input index is re-raised — output (and failure) is
-    deterministic regardless of [jobs].  The chunk total and each
-    worker's chunks and idle tail go to the global registry as the
-    volatile gauges [par/pool/chunks], [par/pool/worker<i>/tasks] and
-    [par/pool/worker<i>/idle_s]. *)
+    length; they claim one index at a time from one shared cursor, and
+    every one is joined before [map] returns.  With an effective width
+    of 1 no domain is spawned and this is [List.map].  If tasks raise,
+    the exception of the smallest failing input index is re-raised —
+    output (and failure) is deterministic regardless of [jobs].  The
+    number of inputs run, and each worker's inputs and idle tail, go
+    to the global registry as the volatile gauges [par/pool/chunks],
+    [par/pool/worker<i>/tasks] and [par/pool/worker<i>/idle_s]. *)
 
 val mapi : ?jobs:int -> 'a list -> (int -> 'a -> 'b) -> 'b list
 (** Like {!map} but the function also receives the input index — the

@@ -27,8 +27,9 @@ let ops a b =
   walk 0 0 []
 
 (* Group ops into hunks with [context] lines of equal context. *)
-let unified ?(context = 2) ?(from_label = "original") ?(to_label = "repaired")
-    ~original ~patched () =
+let context = 2
+
+let unified ~original ~patched =
   let a = split_lines original and b = split_lines patched in
   let ops = ops a b in
   if List.for_all (function Equal _ -> true | _ -> false) ops then ""
@@ -62,7 +63,7 @@ let unified ?(context = 2) ?(from_label = "original") ?(to_label = "repaired")
         done
     done;
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf (Printf.sprintf "--- %s\n+++ %s\n" from_label to_label);
+    Buffer.add_string buf "--- original\n+++ repaired\n";
     let k = ref 0 in
     while !k < n do
       if not keep.(!k) then incr k

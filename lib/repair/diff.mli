@@ -2,8 +2,7 @@
     Deterministic, dependency-free; quadratic LCS is fine at Jir program
     sizes. *)
 
-val unified :
-  ?context:int -> ?from_label:string -> ?to_label:string ->
-  original:string -> patched:string -> unit -> string
-(** Unified diff of the two texts (split on ['\n']).  Returns [""] when
-    the texts are equal.  [context] defaults to 2 lines. *)
+val unified : original:string -> patched:string -> string
+(** Unified diff of the two texts (split on ['\n']), labelled
+    [original] and [repaired], with 2 lines of context.  Returns [""]
+    when the texts are equal. *)

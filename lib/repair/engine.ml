@@ -80,23 +80,34 @@ let render_result = function
   | Ok (Some v) -> "ok " ^ Runtime.Value.to_string v
   | Error msg -> "error " ^ msg
 
-let seed_run (opts : options) cu sub =
-  let _m, _tr, res =
+(* The one execution of a program's seed test, at ([eo_seed],
+   [eo_fuel]): its printed output and result are the behaviour check's,
+   its trace holds the lock, unlock and invoke events the lock-order
+   check reads and is what the race analysis analyzes. *)
+type recording = {
+  rec_output : string;
+  rec_result : (Runtime.Value.t option, string) result;
+  rec_trace : Runtime.Trace.t;
+}
+
+let record (opts : options) sub cu =
+  let m, trace, res =
     Runtime.Interp.record ~seed:opts.eo_seed ~fuel:opts.eo_fuel cu
       ~client_classes:sub.sj_client_classes ~cls:sub.sj_seed_cls
       ~meth:sub.sj_seed_meth
   in
   (* [record] captures printed output on the machine. *)
-  (Runtime.Machine.output _m, render_result res)
+  { rec_output = Runtime.Machine.output m; rec_result = res; rec_trace = trace }
 
-let lock_pairs cu sub =
-  match
-    Deadlock.Lockorder.analyze cu ~client_classes:sub.sj_client_classes
-      ~seed_cls:sub.sj_seed_cls ~seed_meth:sub.sj_seed_meth
-  with
-  | Error msg -> Error msg
-  | Ok (_edges, pairs) ->
-    Ok (List.sort_uniq String.compare (List.map Deadlock.Lockorder.pair_to_string pairs))
+let lock_pairs sub trace =
+  Deadlock.Lockorder.edges_of_trace ~client_classes:sub.sj_client_classes trace
+  |> Deadlock.Lockorder.pairs_of_edges
+  |> List.map Deadlock.Lockorder.pair_to_string
+  |> List.sort_uniq String.compare
+
+let analysis_of ~backend sub cu (rc : recording) =
+  Pipeline.of_trace ~backend cu ~client_classes:sub.sj_client_classes
+    ~seed_cls:sub.sj_seed_cls ~seed_meth:sub.sj_seed_meth rc.rec_trace
 
 (* ---- validation ---- *)
 
@@ -187,19 +198,17 @@ let validate (opts : options) (sub : subject) (bl : baseline)
         Ok (patched, cu))
   in
   (* Sequential behavior must be preserved. *)
-  let out, res = Obs.Span.with_ "seed" (fun () -> seed_run opts cu sub) in
+  let rc = Obs.Span.with_ "seed" (fun () -> record opts sub cu) in
   let* () =
+    let res = render_result rc.rec_result in
     if not (String.equal res bl.bl_result) then
       Error (R_behavior (Printf.sprintf "seed result %s (was %s)" res bl.bl_result))
-    else if not (String.equal out bl.bl_output) then
+    else if not (String.equal rc.rec_output bl.bl_output) then
       Error (R_behavior "seed output differs")
     else Ok ()
   in
   (* No new ABBA lock-order pair. *)
-  let* pairs =
-    Result.map_error (fun m -> R_compile m)
-      (Obs.Span.with_ "lockorder" (fun () -> lock_pairs cu sub))
-  in
+  let pairs = Obs.Span.with_ "lockorder" (fun () -> lock_pairs sub rc.rec_trace) in
   let* () =
     match List.find_opt (fun p -> not (List.mem p bl.bl_pairs)) pairs with
     | Some p ->
@@ -216,22 +225,15 @@ let validate (opts : options) (sub : subject) (bl : baseline)
   in
   (* Re-detection: the race must no longer be confirmable. *)
   let check_backend backend =
-    match
-      Obs.Span.with_ "analyze" (fun () ->
-          Pipeline.analyze ~seed:opts.eo_seed ~backend cu
-            ~client_classes:sub.sj_client_classes ~seed_cls:sub.sj_seed_cls
-            ~seed_meth:sub.sj_seed_meth)
-    with
-    | Error msg -> Error (R_compile msg)
-    | Ok an ->
-      Obs.Span.with_ "redetect" (fun () ->
-          let rec scan = function
-            | [] -> Ok ()
-            | t :: rest ->
-              let* () = redetect_test opts bl rid ~has_replace an t in
-              scan rest
-          in
-          scan (relevant_tests bl rid ~all:has_replace an))
+    let an = Obs.Span.with_ "analyze" (fun () -> analysis_of ~backend sub cu rc) in
+    Obs.Span.with_ "redetect" (fun () ->
+        let rec scan = function
+          | [] -> Ok ()
+          | t :: rest ->
+            let* () = redetect_test opts bl rid ~has_replace an t in
+            scan rest
+        in
+        scan (relevant_tests bl rid ~all:has_replace an))
   in
   let rec over_backends = function
     | [] -> Ok patched
@@ -242,19 +244,26 @@ let validate (opts : options) (sub : subject) (bl : baseline)
 
 (* ---- baseline construction ---- *)
 
-let baseline_of (opts : options) (sub : subject) : (baseline, string) result =
-  match lock_pairs sub.sj_cu sub with
-  | Error msg -> Error msg
-  | Ok pairs ->
-    let out, res = seed_run opts sub.sj_cu sub in
+(* The original program's recording gives both its baseline and the
+   trace discovery analyzes; a seed test that fails leaves nothing to
+   analyze, so it fails the subject. *)
+let record_original (opts : options) (sub : subject) :
+    (baseline * recording, string) result =
+  let rc = record opts sub sub.sj_cu in
+  match rc.rec_result with
+  | Error e -> Error (Printf.sprintf "seed test failed: %s" e)
+  | Ok _ ->
     Ok
-      {
-        bl_output = out;
-        bl_result = res;
-        bl_pairs = pairs;
-        bl_detected = [];
-        bl_tests_of = (fun _ -> []);
-      }
+      ( {
+          bl_output = rc.rec_output;
+          bl_result = render_result rc.rec_result;
+          bl_pairs = lock_pairs sub rc.rec_trace;
+          bl_detected = [];
+          bl_tests_of = (fun _ -> []);
+        },
+        rc )
+
+let baseline_of opts sub = Result.map fst (record_original opts sub)
 
 type attempt = { at_cand : Grammar.candidate; at_result : (unit, reject) result }
 
@@ -332,13 +341,10 @@ let repair_all ?(opts = default_options) (sub : subject) :
       match opts.eo_backends with
       | [] -> Error "repair: no backends configured"
       | discover_backend :: _ -> (
-        match
-          Pipeline.analyze ~seed:opts.eo_seed ~backend:discover_backend
-            sub.sj_cu ~client_classes:sub.sj_client_classes
-            ~seed_cls:sub.sj_seed_cls ~seed_meth:sub.sj_seed_meth
-        with
+        match record_original opts sub with
         | Error msg -> Error msg
-        | Ok an -> (
+        | Ok (bl, rc) ->
+          let an = analysis_of ~backend:discover_backend sub sub.sj_cu rc in
           (* Discovery: every confirmed race, its triage verdict, and —
              for the baseline — every detected race id with the tests
              that showed it. *)
@@ -402,37 +408,34 @@ let repair_all ?(opts = default_options) (sub : subject) :
             List.sort (fun a b -> Grammar.compare_race_id a.d_rid b.d_rid) targets
           in
           Obs.Metrics.incr reg ~n:(List.length targets) "repair/races";
-          match baseline_of opts sub with
-          | Error msg -> Error msg
-          | Ok bl ->
-            let bl =
-              {
-                bl with
-                bl_detected = detected_rids;
-                bl_tests_of =
-                  (fun rid ->
-                    List.filter_map
-                      (fun (r, k) ->
-                        if Grammar.compare_race_id r rid = 0 then Some k else None)
-                      detected);
-              }
-            in
-            (* Each race is repaired against the original program, so
-               the races are the fan-out's independent units. *)
-            let races =
-              Par.map ~jobs:opts.eo_jobs targets (fun d ->
-                  repair_race opts sub bl d.d_rid ~key:d.d_key
-                    ~verdict:d.d_verdict)
-            in
-            Ok
-              {
-                rp_subject_classes = sub.sj_client_classes;
-                rp_tests = List.length an.Pipeline.an_tests;
-                rp_detected = List.length detected_rids;
-                rp_confirmed = List.length targets;
-                rp_races = races;
-                rp_seconds = Obs.Clock.elapsed_s ~since:t0;
-              })))
+          let bl =
+            {
+              bl with
+              bl_detected = detected_rids;
+              bl_tests_of =
+                (fun rid ->
+                  List.filter_map
+                    (fun (r, k) ->
+                      if Grammar.compare_race_id r rid = 0 then Some k else None)
+                    detected);
+            }
+          in
+          (* Each race is repaired against the original program, so
+             the races are the fan-out's independent units. *)
+          let races =
+            Par.map ~jobs:opts.eo_jobs targets (fun d ->
+                repair_race opts sub bl d.d_rid ~key:d.d_key
+                  ~verdict:d.d_verdict)
+          in
+          Ok
+            {
+              rp_subject_classes = sub.sj_client_classes;
+              rp_tests = List.length an.Pipeline.an_tests;
+              rp_detected = List.length detected_rids;
+              rp_confirmed = List.length targets;
+              rp_races = races;
+              rp_seconds = Obs.Clock.elapsed_s ~since:t0;
+            }))
 
 let constructive (rr : race_repair) =
   match rr.rr_outcome with Repaired _ -> true | _ -> false
@@ -441,7 +444,6 @@ let diff_of (sub : subject) (patched : Ast.program) =
   Diff.unified
     ~original:(Jir.Pretty.program_to_string sub.sj_prog)
     ~patched:(Jir.Pretty.program_to_string patched)
-    ()
 
 (* ---- rendering ---- *)
 

@@ -2,16 +2,21 @@
     added-sync cost order, validate each against the full dynamic
     pipeline, keep the first (hence minimal) survivor.
 
-    Validation stack, cheapest first:
+    The seed test runs once per program: {!record} executes it at
+    ([eo_seed], [eo_fuel]) and every check reads that one recording —
+    the original program's gives the baseline and discovery's analysis,
+    each patched program's gives its validation stack, cheapest first:
     + the patched program must still compile and type-check;
-    + the sequential seed execution must be behavior-preserving
+    + the recorded seed execution must be behavior-preserving
       (identical printed output and result);
-    + the lock-order analysis of the patched program must introduce no
+    + the lock-order analysis of the recorded trace must introduce no
       new ABBA deadlock pair;
-    + re-running synthesis + lockset detection + directed confirmation
-      on the patched program must no longer confirm the race — and, for candidates that replace an
-      existing mutex (the only edit that can remove protection), must
-      confirm no race that the original program did not already show. *)
+    + re-analysing the recorded trace ({!Narada_core.Pipeline.of_trace})
+      and re-running lockset detection + directed confirmation on the
+      patched program must no longer confirm the race — and, for
+      candidates that replace an existing mutex (the only edit that can
+      remove protection), must confirm no race that the original program
+      did not already show. *)
 
 type subject = {
   sj_prog : Jir.Ast.program;
@@ -40,7 +45,8 @@ type options = {
           repaired on one domain; the report is identical for every
           width *)
   eo_backends : Backend.kind list;
-      (** re-detection runs once per entry; the first also discovers *)
+      (** re-analysis of the recording and re-detection run once per
+          entry; the first also discovers *)
   eo_max_candidates : int;  (** cap on grammar candidates tried per race *)
   eo_overlock : bool;
       (** fault injection for the Crucible oracle: try candidates in
@@ -60,11 +66,30 @@ type reject =
 
 val reject_to_string : reject -> string
 
+(** The one execution of a program's seed test. *)
+type recording = {
+  rec_output : string;  (** printed output *)
+  rec_result : (Runtime.Value.t option, string) result;
+  rec_trace : Runtime.Trace.t;
+}
+
+val record : options -> subject -> Jir.Code.unit_ -> recording
+(** Run the subject's seed test [sj_seed_cls.sj_seed_meth()] on [cu]
+    (the subject's own unit or a patched one) at ([eo_seed],
+    [eo_fuel]), recording its trace. *)
+
+val lock_pairs : subject -> Runtime.Trace.t -> string list
+(** The ABBA lock-order pairs of a recorded trace
+    ({!Deadlock.Lockorder.edges_of_trace}, then
+    {!Deadlock.Lockorder.pairs_of_edges}), as sorted canonical strings. *)
+
 (** Everything about the original program the validator compares
     against; computed once per subject. *)
 type baseline
 
 val baseline_of : options -> subject -> (baseline, string) result
+(** The original program's output, result and lock pairs, from one
+    {!record}; [Error "seed test failed: ..."] if its seed test fails. *)
 
 type attempt = { at_cand : Grammar.candidate; at_result : (unit, reject) result }
 

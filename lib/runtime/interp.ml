@@ -25,9 +25,8 @@ let record ?(seed = Machine.default_seed) ?(fuel = Machine.default_fuel)
   let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
   let res = Machine.run_thread_to_completion m tid ~fuel in
   let trace = Trace.snapshot rec_ in
-  (* The snapshot is a copy and no caller steps [m] afterwards, so the
-     backing chunks can rejoin the per-domain pool right away —
-     replay-heavy stages (confirm, eval, deadlock) run this in a loop. *)
+  (* The snapshot is a copy and [m], which callers keep, holds the
+     recorder: drop its chunks now. *)
   Trace.recycle rec_;
   (m, trace, res)
 

@@ -18,32 +18,6 @@ type recorder = {
 
 let default_chunk_size = 4096
 
-(* Per-domain free list of default-size chunks: replay-heavy stages
-   (fuzz oracles, repeated pipeline runs) allocate one recorder per
-   execution, and recycling the 4096-slot backing arrays instead of
-   re-allocating them cuts minor-GC pressure on worker domains.  The
-   pool is domain-local state, so no lock is involved.  Pooled chunks
-   keep their stale events alive until overwritten — bounded by
-   [pool_cap] chunks per domain. *)
-let chunk_pool : Event.t array list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let default_pool_cap = 32
-
-(* Effective cap, shared by every domain; set once at startup (from the
-   environment or [set_pool_cap]) before workers spin up. *)
-let pool_cap =
-  Atomic.make
-    (match Sys.getenv_opt "NARADA_TRACE_POOL_CAP" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> default_pool_cap)
-    | None -> default_pool_cap)
-
-let set_pool_cap n = Atomic.set pool_cap (max 0 n)
-let max_pooled_chunks () = Atomic.get pool_cap
-
 let recorder ?(chunk_size = default_chunk_size) () =
   {
     chunk = max 1 chunk_size;
@@ -53,50 +27,20 @@ let recorder ?(chunk_size = default_chunk_size) () =
     count = 0;
   }
 
-(* [e] doubles as the fill value for fresh chunks, so no placeholder
-   event type exists; recycled chunks keep stale slots past [cur_len],
-   which no reader ever looks at. *)
-let alloc_chunk r (e : Event.t) =
-  if r.chunk <> default_chunk_size then Array.make r.chunk e
-  else
-    let pool = Domain.DLS.get chunk_pool in
-    match !pool with
-    | c :: rest ->
-      pool := rest;
-      c
-    | [] -> Array.make r.chunk e
-
 let observer r (e : Event.t) =
   if r.cur_len = Array.length r.cur then begin
     if Array.length r.cur > 0 then r.filled <- r.cur :: r.filled;
-    r.cur <- alloc_chunk r e;
+    (* [e] doubles as the fill value, so no placeholder event exists. *)
+    r.cur <- Array.make r.chunk e;
     r.cur_len <- 0
   end;
   r.cur.(r.cur_len) <- e;
   r.cur_len <- r.cur_len + 1;
   r.count <- r.count + 1
 
-let pool_size () = List.length !(Domain.DLS.get chunk_pool)
-
+(* The machine keeps its observers, and with them this recorder, alive:
+   dropping the chunks lets them be collected with the snapshot taken. *)
 let recycle r =
-  if r.chunk = default_chunk_size then begin
-    let pool = Domain.DLS.get chunk_pool in
-    let cap = Atomic.get pool_cap in
-    let put c =
-      if List.length !pool < cap && Array.length c = r.chunk then
-        pool := c :: !pool
-    in
-    List.iter put r.filled;
-    if Array.length r.cur > 0 then put r.cur;
-    (* High-water mark of this domain's free list: a volatile gauge (the
-       pool is scheduling-dependent), watched by the replay stress test
-       to prove the list stays bounded by the cap, which is exported
-       alongside it. *)
-    let g = Obs.Metrics.global () in
-    Obs.Metrics.gauge_max g "trace/pool/chunks"
-      (float_of_int (List.length !pool));
-    Obs.Metrics.gauge_max g "trace/pool/cap" (float_of_int cap)
-  end;
   r.filled <- [];
   r.cur <- [||];
   r.cur_len <- 0;

@@ -25,26 +25,10 @@ val snapshot : recorder -> t
 (** The events recorded so far, in order. *)
 
 val recycle : recorder -> unit
-(** Return the recorder's default-size backing chunks to a per-domain
-    free list (used by later recorders on the same domain) and reset it
-    to empty.  Only safe once nothing will append to this recorder any
-    more — i.e. the machine it observed has been dropped or will not be
-    stepped again.  Custom [chunk_size] recorders are reset but their
-    chunks are not pooled. *)
-
-val pool_size : unit -> int
-(** Current length of this domain's chunk free list — bounded by
-    {!max_pooled_chunks}; exposed for the replay-stress pool test. *)
-
-val max_pooled_chunks : unit -> int
-(** The effective cap on {!pool_size}.  Defaults to 32, overridable at
-    startup with the [NARADA_TRACE_POOL_CAP] environment variable or at
-    run time with {!set_pool_cap}.  Exported as the
-    ["trace/pool/cap"] gauge. *)
-
-val set_pool_cap : int -> unit
-(** Set the per-domain chunk free-list cap (clamped at 0).  Intended to
-    be called before worker domains start recycling recorders. *)
+(** Drop the recorder's chunks and reset it to empty.  A machine keeps
+    its observers, and so the recorder, alive for as long as it lives;
+    recycling once the events are snapshotted lets the chunks be
+    collected. *)
 
 val length : t -> int
 val pp : Format.formatter -> t -> unit

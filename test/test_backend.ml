@@ -2,8 +2,7 @@
    machine running compiled code from creation, observed-vs-unobserved
    equivalence of the one engine (results, output, labels, races), label
    lockstep across a mid-run observer attach (on a racy program and on
-   every C1-C9 seed test), run_until_call edge cases, and the trace-pool
-   cap knob. *)
+   every C1-C9 seed test) and run_until_call edge cases. *)
 
 open Runtime
 
@@ -268,26 +267,6 @@ let test_until_call_client_only () =
       (v = Some (Value.Vint 2))
   | None -> Alcotest.fail "expected a capture"
 
-(* --- trace pool cap ----------------------------------------------- *)
-
-let test_pool_cap () =
-  let old = Trace.max_pooled_chunks () in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_pool_cap old)
-    (fun () ->
-      Trace.set_pool_cap 0;
-      Alcotest.(check int) "cap 0" 0 (Trace.max_pooled_chunks ());
-      (* recycling with a zero cap frees instead of pooling *)
-      let cu = compile seed_src in
-      let _m, tr, res =
-        Interp.record cu ~client_classes:[ "Seed" ] ~cls:"Seed" ~meth:"test"
-      in
-      Alcotest.(check bool) "run ok" true (Result.is_ok res);
-      Alcotest.(check bool) "trace recorded" true (Trace.length tr > 0);
-      Alcotest.(check int) "nothing pooled" 0 (Trace.pool_size ());
-      Trace.set_pool_cap (-5);
-      Alcotest.(check int) "negative clamps to 0" 0 (Trace.max_pooled_chunks ()))
-
 let () =
   Alcotest.run "backend"
     [
@@ -313,6 +292,4 @@ let () =
           Alcotest.test_case "fuel exhaustion" `Quick test_until_call_fuel_exhaustion;
           Alcotest.test_case "client calls only" `Quick test_until_call_client_only;
         ] );
-      ( "trace pool",
-        [ Alcotest.test_case "cap knob" `Quick test_pool_cap ] );
     ]

@@ -1,7 +1,6 @@
 (* Observability layer tests: the clock must be monotonic, spans must
-   nest and record deterministically, histogram merging must form a
-   commutative monoid, and the exporter's stable section must not
-   depend on which domain recorded what. *)
+   nest and record deterministically, and the exporter's stable section
+   must not depend on which domain recorded what. *)
 
 let test_clock_monotonic () =
   let prev = ref (Obs.Clock.ticks ()) in
@@ -48,41 +47,6 @@ let test_span_unwinds_missed_exit () =
   Obs.Span.with_ ~registry:reg "after" (fun () -> ());
   Alcotest.(check int) "after is top-level" 1 (Obs.Metrics.span_calls reg "after")
 
-let genh =
-  QCheck.Gen.(
-    map
-      (fun samples ->
-        List.fold_left
-          (fun h v ->
-            Obs.Metrics.merge_histogram h
-              { Obs.Metrics.h_count = 1; h_sum = v; h_min = v; h_max = v })
-          { Obs.Metrics.h_count = 0; h_sum = 0; h_min = 0; h_max = 0 }
-          samples)
-      (list_size (int_bound 8) (int_range (-1000) 1000)))
-
-let arb_hist = QCheck.make genh
-
-let qcheck_merge_associative =
-  QCheck.Test.make ~name:"histogram merge associative" ~count:500
-    (QCheck.triple arb_hist arb_hist arb_hist)
-    (fun (a, b, c) ->
-      let open Obs.Metrics in
-      merge_histogram a (merge_histogram b c)
-      = merge_histogram (merge_histogram a b) c)
-
-let qcheck_merge_commutative =
-  QCheck.Test.make ~name:"histogram merge commutative" ~count:500
-    (QCheck.pair arb_hist arb_hist)
-    (fun (a, b) ->
-      Obs.Metrics.merge_histogram a b = Obs.Metrics.merge_histogram b a)
-
-let qcheck_merge_identity =
-  QCheck.Test.make ~name:"histogram merge identity" ~count:200 arb_hist
-    (fun h ->
-      let empty = { Obs.Metrics.h_count = 0; h_sum = 0; h_min = 0; h_max = 0 } in
-      Obs.Metrics.merge_histogram h empty = h
-      && Obs.Metrics.merge_histogram empty h = h)
-
 (* The same samples recorded from 4 domains in any interleaving must
    export the same stable section as a sequential recording. *)
 let test_stable_lines_domain_independent () =
@@ -105,28 +69,6 @@ let test_stable_lines_domain_independent () =
   Alcotest.(check (list string))
     "stable sections agree"
     (Obs.Export.stable_lines r1) (Obs.Export.stable_lines r4)
-
-let test_merge_into_matches_direct () =
-  let direct = Obs.Metrics.create () in
-  let shards = List.init 3 (fun _ -> Obs.Metrics.create ()) in
-  List.iteri
-    (fun i reg ->
-      Obs.Metrics.incr ~n:(i + 1) direct "c";
-      Obs.Metrics.incr ~n:(i + 1) reg "c";
-      Obs.Metrics.observe direct "h" (i * 7);
-      Obs.Metrics.observe reg "h" (i * 7);
-      Obs.Metrics.gauge_max direct "g" (float_of_int i);
-      Obs.Metrics.gauge_max reg "g" (float_of_int i))
-    shards;
-  let merged = Obs.Metrics.create () in
-  (* merge in reverse order: combines are commutative *)
-  List.iter (fun s -> Obs.Metrics.merge_into ~dst:merged s) (List.rev shards);
-  Alcotest.(check (list string))
-    "merged = direct"
-    (Obs.Export.stable_lines direct)
-    (Obs.Export.stable_lines merged);
-  Alcotest.(check bool) "gauge max survives merge" true
-    (Obs.Metrics.gauges merged = Obs.Metrics.gauges direct)
 
 let test_export_shape () =
   let reg = Obs.Metrics.create () in
@@ -183,14 +125,6 @@ let () =
           Alcotest.test_case "exit idempotent" `Quick test_span_exit_idempotent;
           Alcotest.test_case "unwinds missed exit" `Quick
             test_span_unwinds_missed_exit;
-        ] );
-      ( "merge",
-        [
-          QCheck_alcotest.to_alcotest qcheck_merge_associative;
-          QCheck_alcotest.to_alcotest qcheck_merge_commutative;
-          QCheck_alcotest.to_alcotest qcheck_merge_identity;
-          Alcotest.test_case "merge_into = direct" `Quick
-            test_merge_into_matches_direct;
         ] );
       ( "export",
         [

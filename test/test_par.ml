@@ -45,9 +45,8 @@ let test_mapi_deterministic_across_widths () =
         (Printf.sprintf "jobs=%d = List.mapi" jobs)
         expected (Par.mapi ~jobs xs f))
     [ 1; 2; 4; 8 ];
-  (* Chunks hold [n / (8 * width)] inputs, at least one: lengths below
-     [16 * width] make one-input chunks; 65 at width 4 ends on a short
-     last chunk, and 1000 at width 3 is 24 chunks of 41 and one of 16. *)
+  (* Workers claim one index at a time, so lengths below, at and above
+     the width all run every index exactly once. *)
   List.iter
     (fun (jobs, n) ->
       let xs = List.init n Fun.id in
@@ -57,10 +56,9 @@ let test_mapi_deterministic_across_widths () =
     [ (2, 2); (2, 3); (4, 17); (4, 63); (4, 64); (4, 65); (3, 1000); (8, 127) ]
 
 let test_smallest_failing_index_chunked () =
-  (* Every index >= 37 fails; whichever chunks finish first, the
-     surfaced exception must be index 37's: inside a 6-input chunk
-     (100 at width 2), a 3-input one (width 4), one-input chunks (width
-     8) and a 5-input one (320 at width 8). *)
+  (* Every index >= 37 fails; whichever inputs finish first, the
+     surfaced exception must be index 37's, at widths 2, 4 and 8 and
+     with many more failing inputs than workers (320 at width 8). *)
   let f i = if i >= 37 then failwith (string_of_int i) else i in
   List.iter
     (fun (jobs, n) ->
@@ -72,7 +70,7 @@ let test_smallest_failing_index_chunked () =
 
 let test_stress_tiny_tasks () =
   (* 10k near-empty tasks: dominated by scheduling overhead, so this is
-     the hot path for chunk batching and cursor contention. *)
+     the hot path for cursor contention. *)
   let n = 10_000 in
   let xs = List.init n Fun.id in
   let got = Par.map ~jobs:4 xs (fun x -> x + 1) in
@@ -98,8 +96,8 @@ let test_max_domains_clamp () =
    cores, where stop-the-world minor collections convoy every domain.
    Under a cap of 2, a jobs:8 map over 64 inputs runs exactly 2
    workers: on a fresh registry the per-worker gauges name workers 0
-   and 1 only, and they ran all 64 / (8 * 2) = 4-element chunks
-   between them. *)
+   and 1 only, and they ran all 64 inputs, one claim each, between
+   them. *)
 let test_max_domains_width () =
   Par.set_max_domains 2;
   Fun.protect ~finally:(fun () -> Par.set_max_domains 8) @@ fun () ->
@@ -118,7 +116,7 @@ let test_max_domains_width () =
   Alcotest.(check (list string)) "exactly two workers"
     [ "par/pool/worker0/tasks"; "par/pool/worker1/tasks" ]
     (List.map fst tasks);
-  Alcotest.(check (float 0.)) "16 chunks between them" 16.
+  Alcotest.(check (float 0.)) "64 inputs between them" 64.
     (List.fold_left (fun acc (_, n) -> acc +. n) 0. tasks)
 
 let test_seed_derivation () =

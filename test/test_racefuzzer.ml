@@ -138,32 +138,6 @@ let test_guided_replay_from_snapshot () =
       let b = replay () in
       Alcotest.(check bool) "replay deterministic" true (a = b))
 
-let test_replay_stress_pools_chunks () =
-  (* 1000 coverage replays must not grow the per-domain chunk pool past
-     its cap — each directed_run_cov recycles its recorder — and the
-     pool gauge must have been recorded. *)
-  let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
-  for i = 1 to 1000 do
-    match inst () with
-    | Error e -> Alcotest.fail e
-    | Ok ri ->
-      ignore
-        (Racefuzzer.directed_run_cov ri.Racefuzzer.ri_machine
-           ~cand:(cand "count")
-           ~seed:(Int64.of_int i) ~fuel:100_000 ());
-      if Runtime.Trace.pool_size () > Runtime.Trace.max_pooled_chunks () then
-        Alcotest.failf "pool grew past cap at replay %d: %d" i
-          (Runtime.Trace.pool_size ())
-  done;
-  Alcotest.(check bool) "pool bounded after 1k replays" true
-    (Runtime.Trace.pool_size () <= Runtime.Trace.max_pooled_chunks ());
-  let gauges = Obs.Metrics.gauges (Obs.Metrics.global ()) in
-  match List.assoc_opt "trace/pool/chunks" gauges with
-  | Some v ->
-    Alcotest.(check bool) "gauge within cap" true
-      (v <= float_of_int (Runtime.Trace.max_pooled_chunks ()))
-  | None -> Alcotest.fail "trace/pool/chunks gauge not recorded"
-
 (* ------------------------------------------------------------------ *)
 (* One postponing loop                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -583,8 +557,6 @@ let () =
             test_guided_plateau_stops_early;
           Alcotest.test_case "replay from snapshot" `Quick
             test_guided_replay_from_snapshot;
-          Alcotest.test_case "1k replays keep pool bounded" `Slow
-            test_replay_stress_pools_chunks;
         ] );
       ( "one loop",
         [

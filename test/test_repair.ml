@@ -1,10 +1,13 @@
 (* Repair-grammar and CEGIS-engine tests: cost ordering of the
-   candidate enumeration, and the deadlock gate on repair-shaped
-   programs (a nested synchronized insertion that inverts a lock order
-   must be rejected, with the global-lock fallback passing instead). *)
+   candidate enumeration, the deadlock gate on repair-shaped programs
+   (a nested synchronized insertion that inverts a lock order must be
+   rejected, with the global-lock fallback passing instead), the one
+   seed recording per program, and the whole-corpus verdicts. *)
 
 module Grammar = Repair.Grammar
 module Engine = Repair.Engine
+module Pipeline = Narada_core.Pipeline
+module Synth = Narada_core.Synth
 
 let compile src = Jir.Compile.compile_source src
 
@@ -263,24 +266,24 @@ let test_counter_race_repaired_minimally () =
         | _ -> Alcotest.fail "counter race not repaired")
       rp.Engine.rp_races
 
+let corpus_subject (e : Corpus.Corpus_def.entry) =
+  let cls = e.Corpus.Corpus_def.e_seed_cls in
+  Engine.subject_of_unit (Corpus.Registry.compiled_unit e) ~client_classes:[ cls ]
+    ~seed_cls:cls ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+
+let corpus_entry id =
+  match Corpus.Registry.find id with
+  | Some e -> e
+  | None -> Alcotest.failf "no corpus entry %s" id
+
 (* ---- one fan-out, over the races ---- *)
 
 (* [repair_all] repairs each confirmed race against the original
    program, so [eo_jobs] widens one fan-out over the races and nothing
-   inside a race fans out: C9's 8 races make 8 one-race chunks, and
+   inside a race fans out: C9's 8 races make 8 cursor claims, and
    confirmation executes the same VM steps at every width. *)
 let test_race_fan_out () =
-  let e =
-    match Corpus.Registry.find "C9" with
-    | Some e -> e
-    | None -> Alcotest.fail "no corpus entry C9"
-  in
-  let sub =
-    Engine.subject_of_unit (Corpus.Registry.compiled_unit e)
-      ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-      ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-      ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-  in
+  let sub = corpus_subject (corpus_entry "C9") in
   let reg = Obs.Metrics.global () in
   let gauge name = List.assoc_opt name (Obs.Metrics.gauges reg) in
   let run jobs =
@@ -310,6 +313,119 @@ let test_race_fan_out () =
       Alcotest.(check (option (float 0.))) "executed confirm steps" (Some 490.) steps1;
       Alcotest.(check (option (float 0.))) "same at width 4" steps1 steps4)
 
+(* ---- one recording per program ---- *)
+
+(* C1-C9, X1-X3 and the patched program of each of the 17 candidates
+   repair tries on C3, each with the subject whose seed test it runs. *)
+let programs () =
+  let originals =
+    List.map
+      (fun (e : Corpus.Corpus_def.entry) ->
+        let sub = corpus_subject e in
+        (e.Corpus.Corpus_def.e_id, sub, sub.Engine.sj_cu))
+      (Corpus.Registry.all @ Corpus.Registry.extras)
+  in
+  let c3 = corpus_subject (corpus_entry "C3") in
+  let rp = match Engine.repair_all c3 with Ok rp -> rp | Error msg -> Alcotest.fail msg in
+  let cands =
+    List.concat_map
+      (fun (rr : Engine.race_repair) -> List.map (fun a -> a.Engine.at_cand) rr.Engine.rr_attempts)
+      rp.Engine.rp_races
+  in
+  Alcotest.(check int) "C3's candidates" 17 (List.length cands);
+  originals
+  @ List.mapi
+      (fun i c ->
+        match Grammar.apply c3.Engine.sj_prog c with
+        | Error msg -> Alcotest.failf "C3 candidate %d: %s" i msg
+        | Ok prog -> (Printf.sprintf "C3 candidate %d" i, c3, Jir.Compile.compile_unit prog))
+      cands
+
+(* Repair executes each program's seed test once.  That recording must
+   give what three separate runs give: the output and result of a run at
+   ([eo_seed], [eo_fuel]), the lock-order pairs of [Lockorder.analyze]
+   (the machine's default seed and fuel), and the pairs and tests of
+   [Pipeline.analyze] (at [eo_seed] and the default fuel). *)
+let test_one_recording () =
+  let opts = Engine.default_options in
+  let render = Result.map (Option.map Runtime.Value.to_string) in
+  let lock_pairs = ref 0 in
+  let differs (name, (sub : Engine.subject), cu) =
+    let cls = sub.Engine.sj_seed_cls and meth = sub.Engine.sj_seed_meth in
+    let client_classes = sub.Engine.sj_client_classes in
+    let rc = Engine.record opts sub cu in
+    let m, _, res =
+      Runtime.Interp.record ~seed:opts.Engine.eo_seed ~fuel:opts.Engine.eo_fuel cu
+        ~client_classes ~cls ~meth
+    in
+    let behaviour =
+      String.equal rc.Engine.rec_output (Runtime.Machine.output m)
+      && render rc.Engine.rec_result = render res
+      && Result.is_ok res
+    in
+    let pairs = Engine.lock_pairs sub rc.Engine.rec_trace in
+    if pairs <> [] then incr lock_pairs;
+    let lockorder =
+      match Deadlock.Lockorder.analyze cu ~client_classes ~seed_cls:cls ~seed_meth:meth with
+      | Error _ -> false
+      | Ok (_, ref_pairs) ->
+        pairs
+        = List.sort_uniq String.compare
+            (List.map Deadlock.Lockorder.pair_to_string ref_pairs)
+    in
+    let keys (an : Pipeline.analysis) =
+      ( List.map Narada_core.Pairs.key_of an.Pipeline.an_pairs,
+        List.map (fun t -> Synth.dedup_key t.Synth.st_pair) an.Pipeline.an_tests )
+    in
+    let analysis =
+      match Pipeline.analyze ~seed:opts.Engine.eo_seed cu ~client_classes ~seed_cls:cls ~seed_meth:meth with
+      | Error _ -> false
+      | Ok an ->
+        keys an
+        = keys
+            (Pipeline.of_trace ~backend:Backend.Compiled cu ~client_classes ~seed_cls:cls
+               ~seed_meth:meth rc.Engine.rec_trace)
+    in
+    List.filter_map
+      (fun (ok, what) -> if ok then None else Some (name ^ ": " ^ what))
+      [ (behaviour, "output/result"); (lockorder, "lock pairs"); (analysis, "pairs/tests") ]
+  in
+  let progs = programs () in
+  Alcotest.(check int) "programs" 29 (List.length progs);
+  Alcotest.(check (list string)) "differences" [] (List.concat_map differs progs);
+  Alcotest.(check int) "programs with lock-order pairs" 19 !lock_pairs
+
+(* Per class, at [narada repair]'s seed 42: confirmed / repaired /
+   attempts / lock-order rejects / race-survives rejects. *)
+let test_corpus_verdicts () =
+  let opts = { Engine.default_options with Engine.eo_seed = 42L } in
+  let row id =
+    let sub = corpus_subject (corpus_entry id) in
+    match Engine.repair_all ~opts sub with
+    | Error msg -> Alcotest.failf "%s: %s" id msg
+    | Ok rp ->
+      let attempts = List.concat_map (fun rr -> rr.Engine.rr_attempts) rp.Engine.rp_races in
+      let rejects f =
+        List.length
+          (List.filter
+             (fun a -> match a.Engine.at_result with Error e -> f e | Ok () -> false)
+             attempts)
+      in
+      [ rp.Engine.rp_confirmed; List.length (List.filter Engine.constructive rp.Engine.rp_races);
+        List.length attempts; rejects (function Engine.R_deadlock _ -> true | _ -> false);
+        rejects (function Engine.R_race_survives -> true | _ -> false) ]
+  in
+  let ids = List.init 9 (fun i -> Printf.sprintf "C%d" (i + 1)) in
+  let rows = List.map row ids in
+  let show r = String.concat "/" (List.map string_of_int r) in
+  Alcotest.(check (list string)) "per class"
+    [ "C1 39/39/41/2/0"; "C2 54/54/54/0/0"; "C3 11/11/17/4/2"; "C4 15/15/30/15/0";
+      "C5 159/159/170/11/0"; "C6 122/122/122/0/0"; "C7 5/5/5/0/0"; "C8 24/24/24/0/0";
+      "C9 8/8/8/0/0" ]
+    (List.map2 (fun id r -> id ^ " " ^ show r) ids rows);
+  Alcotest.(check string) "totals" "437/437/471/32/2"
+    (show (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0; 0 ] rows))
+
 let () =
   Alcotest.run "repair"
     [
@@ -333,4 +449,10 @@ let () =
             test_counter_race_repaired_minimally;
         ] );
       ("fan-out", [ Alcotest.test_case "one chunk per race" `Quick test_race_fan_out ]);
+      ( "one recording",
+        [
+          Alcotest.test_case "C1-C9, X1-X3, C3 patches: = the three runs" `Quick
+            test_one_recording;
+          Alcotest.test_case "C1-C9 verdicts at seed 42" `Slow test_corpus_verdicts;
+        ] );
     ]
