@@ -10,24 +10,33 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Source selection shared by several commands: either a .jir file or a
-   corpus entry (C1..C9). *)
-let load_source ~file ~corpus =
+let or_die = function
+  | Ok x -> x
+  | Error msg ->
+    prerr_endline ("narada: " ^ msg);
+    exit 1
+
+(* A corpus entry by id (C1..C9, X1..X3). *)
+let find_corpus id =
+  match Corpus.Registry.find id with
+  | Some e -> Ok e
+  | None ->
+    Error
+      (Printf.sprintf "unknown corpus id %s (have: %s)" id
+         (String.concat ", " Corpus.Registry.ids))
+
+(* Source selection shared by several commands: either a .jir file, run
+   from [client.entry], or a corpus entry (C1..C9), run from its own
+   seed test.  Returns the source, the client class, the entry method
+   and the corpus entry. *)
+let load_source ?(client = "Seed") ?(entry = "main") ~file ~corpus () =
   match (file, corpus) with
-  | Some f, None ->
-    Ok (read_file f, "Seed", "main", None)
-  | None, Some id -> (
-    match Corpus.Registry.find id with
-    | Some e ->
-      Ok
-        ( e.Corpus.Corpus_def.e_source,
-          e.Corpus.Corpus_def.e_seed_cls,
-          e.Corpus.Corpus_def.e_seed_meth,
-          Some e )
-    | None ->
-      Error
-        (Printf.sprintf "unknown corpus id %s (have: %s)" id
-           (String.concat ", " Corpus.Registry.ids)))
+  | Some f, None -> Ok (read_file f, client, entry, None)
+  | None, Some id ->
+    Result.map
+      (fun (e : Corpus.Corpus_def.entry) ->
+        (e.e_source, e.e_seed_cls, e.e_seed_meth, Some e))
+      (find_corpus id)
   | Some _, Some _ -> Error "give either FILE or --corpus, not both"
   | None, None -> Error "give a FILE or --corpus ID"
 
@@ -91,12 +100,6 @@ let write_metrics path ~meta =
     Obs.Metrics.record_gc reg;
     Obs.Export.write_jsonl ~path ~meta reg
 
-let or_die = function
-  | Ok x -> x
-  | Error msg ->
-    prerr_endline ("narada: " ^ msg);
-    exit 1
-
 let compile_or_die ?entry src =
   (* Corpus entries go through the registry's shared compile cache. *)
   let compile () =
@@ -121,7 +124,7 @@ let corpus_cmd =
 
 let parse_cmd =
   let run file corpus =
-    let src, _, _, _ = or_die (load_source ~file ~corpus) in
+    let src, _, _, _ = or_die (load_source ~file ~corpus ()) in
     match Jir.Parser.parse_program src with
     | ast -> print_string (Jir.Pretty.program_to_string ast)
     | exception Jir.Diag.Error d ->
@@ -135,11 +138,9 @@ let parse_cmd =
 
 let run_cmd =
   let run file corpus client entry seed =
-    let src, default_client, default_entry, centry =
-      or_die (load_source ~file ~corpus)
+    let src, client, entry, centry =
+      or_die (load_source ~client ~entry ~file ~corpus ())
     in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
     let cu = compile_or_die ?entry:centry src in
     let r, m =
       Conc.Exec.run_program cu ~seed ~client_classes:[ client ] ~cls:client
@@ -165,11 +166,9 @@ let run_cmd =
 
 let trace_cmd =
   let run file corpus client entry seed =
-    let src, default_client, default_entry, centry =
-      or_die (load_source ~file ~corpus)
+    let src, client, entry, centry =
+      or_die (load_source ~client ~entry ~file ~corpus ())
     in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
     let cu = compile_or_die ?entry:centry src in
     let _m, trace, res =
       Runtime.Interp.record ~seed cu ~client_classes:[ client ] ~cls:client
@@ -198,9 +197,9 @@ let static_filter_arg =
 
 let analyze_cmd =
   let run file corpus client entry verbose static_filter metrics_out =
-    let src, default_client, default_entry, _ = or_die (load_source ~file ~corpus) in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
+    let src, client, entry, _ =
+      or_die (load_source ~client ~entry ~file ~corpus ())
+    in
     let an =
       or_die
         (Narada_core.Pipeline.analyze_source src ~static_filter
@@ -264,7 +263,7 @@ let lint_cmd =
       print_string (String.concat "\n" texts)
     end
     else begin
-      let src, _, _, centry = or_die (load_source ~file ~corpus) in
+      let src, _, _, centry = or_die (load_source ~file ~corpus ()) in
       let label =
         match (file, centry) with
         | _, Some e -> e.Corpus.Corpus_def.e_id
@@ -323,9 +322,9 @@ let lint_cmd =
 
 let synthesize_cmd =
   let run file corpus client entry =
-    let src, default_client, default_entry, _ = or_die (load_source ~file ~corpus) in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
+    let src, client, entry, _ =
+      or_die (load_source ~client ~entry ~file ~corpus ())
+    in
     let an =
       or_die
         (Narada_core.Pipeline.analyze_source src ~client_classes:[ client ]
@@ -347,56 +346,52 @@ let synthesize_cmd =
 
 let detect_cmd =
   let run corpus_id jobs static_filter metrics_out =
-    match Corpus.Registry.find corpus_id with
-    | None ->
-      prerr_endline ("narada: unknown corpus id " ^ corpus_id);
+    let e = or_die (find_corpus corpus_id) in
+    let opts =
+      {
+        Eval.Evaluate.default_options with
+        opt_jobs = max 1 jobs;
+        opt_static_filter = static_filter;
+      }
+    in
+    match Eval.Evaluate.evaluate_class ~opts e with
+    | Error msg ->
+      prerr_endline ("narada: " ^ msg);
       exit 1
-    | Some e -> (
-      let opts =
-        {
-          Eval.Evaluate.default_options with
-          opt_jobs = max 1 jobs;
-          opt_static_filter = static_filter;
-        }
-      in
-      match Eval.Evaluate.evaluate_class ~opts e with
-      | Error msg ->
-        prerr_endline ("narada: " ^ msg);
-        exit 1
-      | Ok ce ->
-        Printf.printf
-          "%s %s: pairs=%d%s tests=%d detected=%d reproduced=%d harmful=%d benign=%d (synthesis %.3fs, detection %.3fs)\n"
-          ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_id
-          ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_name
-          ce.Eval.Evaluate.cl_pairs
-          (if ce.Eval.Evaluate.cl_static_filter then
-             Printf.sprintf " (static filter pruned %d)"
-               ce.Eval.Evaluate.cl_pairs_pruned
-           else "")
-          ce.Eval.Evaluate.cl_tests
-          ce.Eval.Evaluate.cl_detected ce.Eval.Evaluate.cl_reproduced
-          ce.Eval.Evaluate.cl_harmful ce.Eval.Evaluate.cl_benign
-          ce.Eval.Evaluate.cl_seconds ce.Eval.Evaluate.cl_detect_seconds;
-        List.iter
-          (fun (te : Eval.Evaluate.test_eval) ->
-            List.iter
-              (fun (ro : Eval.Evaluate.race_outcome) ->
-                Printf.printf "  test %d: %s%s%s\n"
-                  te.Eval.Evaluate.te_test.Narada_core.Synth.st_id
-                  (Detect.Race.key_to_string ro.Eval.Evaluate.ro_key)
-                  (if ro.Eval.Evaluate.ro_reproduced then " [reproduced]" else "")
-                  (match ro.Eval.Evaluate.ro_verdict with
-                  | Some v -> " [" ^ Detect.Triage.verdict_to_string v ^ "]"
-                  | None -> ""))
-              te.Eval.Evaluate.te_races)
-          ce.Eval.Evaluate.cl_test_evals;
-        write_metrics metrics_out
-          ~meta:
-            [
-              ("cmd", Obs.Export.json_str "detect");
-              ("corpus", Obs.Export.json_str corpus_id);
-              ("jobs", string_of_int (max 1 jobs));
-            ])
+    | Ok ce ->
+      Printf.printf
+        "%s %s: pairs=%d%s tests=%d detected=%d reproduced=%d harmful=%d benign=%d (synthesis %.3fs, detection %.3fs)\n"
+        ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_id
+        ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_name
+        ce.Eval.Evaluate.cl_pairs
+        (if ce.Eval.Evaluate.cl_static_filter then
+           Printf.sprintf " (static filter pruned %d)"
+             ce.Eval.Evaluate.cl_pairs_pruned
+         else "")
+        ce.Eval.Evaluate.cl_tests
+        ce.Eval.Evaluate.cl_detected ce.Eval.Evaluate.cl_reproduced
+        ce.Eval.Evaluate.cl_harmful ce.Eval.Evaluate.cl_benign
+        ce.Eval.Evaluate.cl_seconds ce.Eval.Evaluate.cl_detect_seconds;
+      List.iter
+        (fun (te : Eval.Evaluate.test_eval) ->
+          List.iter
+            (fun (ro : Eval.Evaluate.race_outcome) ->
+              Printf.printf "  test %d: %s%s%s\n"
+                te.Eval.Evaluate.te_test.Narada_core.Synth.st_id
+                (Detect.Race.key_to_string ro.Eval.Evaluate.ro_key)
+                (if ro.Eval.Evaluate.ro_reproduced then " [reproduced]" else "")
+                (match ro.Eval.Evaluate.ro_verdict with
+                | Some v -> " [" ^ Detect.Triage.verdict_to_string v ^ "]"
+                | None -> ""))
+            te.Eval.Evaluate.te_races)
+        ce.Eval.Evaluate.cl_test_evals;
+      write_metrics metrics_out
+        ~meta:
+          [
+            ("cmd", Obs.Export.json_str "detect");
+            ("corpus", Obs.Export.json_str corpus_id);
+            ("jobs", string_of_int (max 1 jobs));
+          ]
   in
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Corpus id (C1..C9).")
@@ -507,22 +502,18 @@ let eval_cmd =
 
 let contege_cmd =
   let run corpus_id budget seed =
-    match Corpus.Registry.find corpus_id with
-    | None ->
-      prerr_endline ("narada: unknown corpus id " ^ corpus_id);
-      exit 1
-    | Some e ->
-      let c = Contege.campaign e ~budget ~schedules:5 ~seed in
-      Printf.printf "%s: random tests=%d valid=%d violations=%d first=%s\n"
-        corpus_id c.Contege.ca_tests c.Contege.ca_valid c.Contege.ca_violations
-        (match c.Contege.ca_first_violation with
-        | Some i -> string_of_int i
-        | None -> "-");
-      (match c.Contege.ca_example with
-      | Some src ->
-        print_endline "-- first violating test --";
-        print_string src
-      | None -> ())
+    let e = or_die (find_corpus corpus_id) in
+    let c = Contege.campaign e ~budget ~schedules:5 ~seed in
+    Printf.printf "%s: random tests=%d valid=%d violations=%d first=%s\n"
+      corpus_id c.Contege.ca_tests c.Contege.ca_valid c.Contege.ca_violations
+      (match c.Contege.ca_first_violation with
+      | Some i -> string_of_int i
+      | None -> "-");
+    (match c.Contege.ca_example with
+    | Some src ->
+      print_endline "-- first violating test --";
+      print_string src
+    | None -> ())
   in
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Corpus id.")
@@ -541,70 +532,66 @@ let contege_cmd =
 
 let explore_cmd =
   let run corpus_id test_id bound =
-    match Corpus.Registry.find corpus_id with
-    | None ->
-      prerr_endline ("narada: unknown corpus id " ^ corpus_id);
+    let e = or_die (find_corpus corpus_id) in
+    let cu = compile_or_die ~entry:e e.Corpus.Corpus_def.e_source in
+    match
+      Narada_core.Pipeline.analyze cu
+        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+        ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
+        ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+    with
+    | Error msg ->
+      prerr_endline ("narada: " ^ msg);
       exit 1
-    | Some e -> (
-      let cu = compile_or_die ~entry:e e.Corpus.Corpus_def.e_source in
+    | Ok an -> (
       match
-        Narada_core.Pipeline.analyze cu
-          ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-          ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-          ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+        List.find_opt
+          (fun (t : Narada_core.Synth.test) -> t.Narada_core.Synth.st_id = test_id)
+          an.Narada_core.Pipeline.an_tests
       with
-      | Error msg ->
-        prerr_endline ("narada: " ^ msg);
+      | None ->
+        Printf.eprintf "narada: no synthesized test #%d (have 0..%d)\n" test_id
+          (List.length an.Narada_core.Pipeline.an_tests - 1);
         exit 1
-      | Ok an -> (
-        match
-          List.find_opt
-            (fun (t : Narada_core.Synth.test) -> t.Narada_core.Synth.st_id = test_id)
-            an.Narada_core.Pipeline.an_tests
-        with
-        | None ->
-          Printf.eprintf "narada: no synthesized test #%d (have 0..%d)\n" test_id
-            (List.length an.Narada_core.Pipeline.an_tests - 1);
+      | Some t ->
+        print_string (Narada_core.Synth.to_source t);
+        let instantiate = Narada_core.Pipeline.instantiator an t in
+        let races = ref [] in
+        let restart () =
+          match instantiate () with
+          | Error e -> Error e
+          | Ok inst ->
+            let ft = Detect.Fasttrack.attach inst.Detect.Racefuzzer.ri_machine in
+            Runtime.Machine.add_observer inst.Detect.Racefuzzer.ri_machine
+              (fun _ ->
+                List.iter
+                  (fun r ->
+                    let k = Detect.Race.key_of r in
+                    if not (List.exists (fun k' -> Detect.Race.compare_key k k' = 0) !races)
+                    then races := k :: !races)
+                  (Detect.Fasttrack.reports ft));
+            Ok inst.Detect.Racefuzzer.ri_machine
+        in
+        let config =
+          {
+            Conc.Systematic.default_config with
+            Conc.Systematic.sc_preemption_bound = bound;
+          }
+        in
+        (match Conc.Systematic.explore ~config ~restart () with
+        | Error msg ->
+          prerr_endline ("narada: " ^ msg);
           exit 1
-        | Some t ->
-          print_string (Narada_core.Synth.to_source t);
-          let instantiate = Narada_core.Pipeline.instantiator an t in
-          let races = ref [] in
-          let restart () =
-            match instantiate () with
-            | Error e -> Error e
-            | Ok inst ->
-              let ft = Detect.Fasttrack.attach inst.Detect.Racefuzzer.ri_machine in
-              Runtime.Machine.add_observer inst.Detect.Racefuzzer.ri_machine
-                (fun _ ->
-                  List.iter
-                    (fun r ->
-                      let k = Detect.Race.key_of r in
-                      if not (List.exists (fun k' -> Detect.Race.compare_key k k' = 0) !races)
-                      then races := k :: !races)
-                    (Detect.Fasttrack.reports ft));
-              Ok inst.Detect.Racefuzzer.ri_machine
-          in
-          let config =
-            {
-              Conc.Systematic.default_config with
-              Conc.Systematic.sc_preemption_bound = bound;
-            }
-          in
-          (match Conc.Systematic.explore ~config ~restart () with
-          | Error msg ->
-            prerr_endline ("narada: " ^ msg);
-            exit 1
-          | Ok stats ->
-            Printf.printf
-              "\nsystematic exploration: %d executions (preemption bound %d)%s, %d deadlocks\n"
-              stats.Conc.Systematic.st_executions bound
-              (if stats.Conc.Systematic.st_exhausted then " [budget hit]" else "")
-              stats.Conc.Systematic.st_deadlocks;
-            Printf.printf "races observed across all explored schedules:\n";
-            List.iter
-              (fun k -> Printf.printf "  %s\n" (Detect.Race.key_to_string k))
-              (List.rev !races))))
+        | Ok stats ->
+          Printf.printf
+            "\nsystematic exploration: %d executions (preemption bound %d)%s, %d deadlocks\n"
+            stats.Conc.Systematic.st_executions bound
+            (if stats.Conc.Systematic.st_exhausted then " [budget hit]" else "")
+            stats.Conc.Systematic.st_deadlocks;
+          Printf.printf "races observed across all explored schedules:\n";
+          List.iter
+            (fun k -> Printf.printf "  %s\n" (Detect.Race.key_to_string k))
+            (List.rev !races)))
   in
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Corpus id.")
@@ -773,12 +760,7 @@ let cov_cmd =
     let entries =
       match corpus with
       | None -> Corpus.Registry.all
-      | Some id -> (
-        match Corpus.Registry.find id with
-        | Some e -> [ e ]
-        | None ->
-          prerr_endline ("narada: unknown corpus id " ^ id);
-          exit 1)
+      | Some id -> [ or_die (find_corpus id) ]
     in
     let rows = Eval.Coverage.coverage_corpus ~seed ~jobs entries in
     print_string (Eval.Coverage.table rows);
@@ -1062,11 +1044,9 @@ let profile_cmd =
 let repair_cmd =
   let run file corpus client entry seed jobs schedules confirm_runs attempts
       metrics_out =
-    let src, default_client, default_entry, centry =
-      or_die (load_source ~file ~corpus)
+    let src, client, entry, centry =
+      or_die (load_source ~client ~entry ~file ~corpus ())
     in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
     let cu = compile_or_die ?entry:centry src in
     let sub =
       Repair.Engine.subject_of_unit cu ~client_classes:[ client ]
@@ -1142,10 +1122,10 @@ let repair_cmd =
 
 let deadlock_cmd =
   let run file corpus client entry =
-    let src, default_client, default_entry, _ = or_die (load_source ~file ~corpus) in
-    let client = if corpus <> None then default_client else client in
-    let entry = if corpus <> None then default_entry else entry in
-    let cu = compile_or_die src in
+    let src, client, entry, centry =
+      or_die (load_source ~client ~entry ~file ~corpus ())
+    in
+    let cu = compile_or_die ?entry:centry src in
     match
       Deadlock.Dlsynth.run cu ~client_classes:[ client ] ~seed_cls:client
         ~seed_meth:entry
@@ -1161,8 +1141,7 @@ let deadlock_cmd =
             print_endline (Deadlock.Lockorder.pair_to_string r.Deadlock.Dlsynth.rr_pair);
             (match r.Deadlock.Dlsynth.rr_confirmed with
             | Some c when c.Deadlock.Dlsynth.co_deadlocked ->
-              Printf.printf "  => DEADLOCK confirmed (%s)
-" c.Deadlock.Dlsynth.co_schedule
+              Printf.printf "  => DEADLOCK confirmed (%s)\n" c.Deadlock.Dlsynth.co_schedule
             | Some _ -> print_endline "  => did not deadlock"
             | None -> print_endline "  => not instantiable"))
           rows

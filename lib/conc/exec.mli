@@ -1,7 +1,6 @@
 (** Multithreaded executor: drives a machine's threads under a scheduler
-    until quiescence, detecting deadlocks and recording the schedule for
-    replay.  Observers (race detectors, trace recorders) attach to the
-    machine itself. *)
+    until quiescence, detecting deadlocks.  Observers (race detectors,
+    trace recorders) attach to the machine itself. *)
 
 type outcome =
   | All_finished
@@ -11,13 +10,18 @@ type outcome =
 type run_result = {
   outcome : outcome;
   steps : int;
-  decisions : Runtime.Value.tid list;  (** schedule taken, for replay *)
   crashes : (Runtime.Value.tid * string) list;
 }
 
 val default_fuel : int
 
 val run : ?fuel:int -> Runtime.Machine.t -> Scheduler.t -> run_result
+(** Step the machine, one scheduler pick over its live threads per step,
+    until no thread is runnable or [fuel] picks are spent (a pick whose
+    thread turns out blocked spends fuel too).  [steps] counts the
+    instructions executed.  The one undirected run loop: random,
+    replayed, prioritized and continued runs differ only in the
+    scheduler. *)
 
 val run_program :
   ?fuel:int ->

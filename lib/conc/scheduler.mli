@@ -4,37 +4,30 @@
     runnable thread steps next.  All schedulers are deterministic given
     their seed, so executions can be replayed exactly. *)
 
-type decision = Runtime.Value.tid
-
-type t
-
-val name : t -> string
-
-val choose : t -> Runtime.Machine.t -> Runtime.Value.tid list -> decision
-(** [choose t m runnable] picks one of [runnable] (non-empty). *)
-
-val choose_idx : t -> (int -> int) option
-(** The same decision as an index given only the number of runnable
-    threads, for schedulers that never inspect the candidate tids.
-    Both interfaces consume the scheduler's random stream identically,
-    so a driver may use whichever is cheaper without changing the
-    schedule. *)
+type t =
+  Runtime.Machine.t ->
+  (Runtime.Machine.thread -> bool) ->
+  Runtime.Machine.thread list ->
+  Runtime.Machine.thread option
+(** [sched m runnable live] picks a thread of [live] (the machine's live
+    threads, in creation order) that satisfies [runnable].  [None] only
+    when none does.  {!Exec.run} makes one such call per step. *)
 
 val pick_where : ('a -> bool) -> (int -> int) -> 'a list -> 'a option
-(** [pick_where p draw l] is the uniform pick every driver loop shares
-    ({!Exec.run}, the race-directed scheduler and its drain): with [k]
-    elements of [l] satisfying [p], the [draw k]-th of them in list
-    order.  [None], with no draw, when [k = 0]; [None] too when the
-    draw falls outside [\[0, k)].  Allocates nothing but the [Some]. *)
-
-val first : Runtime.Value.tid list -> decision
-(** The head of a runnable list.  {!Exec.run} never passes an empty
-    one; were it to, the answer is a tid no thread has, not a failure. *)
+(** [pick_where p draw l] is the uniform pick of {!random} and of the
+    race-directed scheduler: with [k] elements of [l] satisfying [p],
+    the [draw k]-th of them in list order.  [None], with no draw, when
+    [k = 0]; [None] too when the draw falls outside [\[0, k)].
+    Allocates nothing but the [Some]. *)
 
 val round_robin : unit -> t
 
 val random : seed:int64 -> t
-(** Uniform choice at every step. *)
+(** Uniform choice at every step: [of_rng (Rng.create seed)]. *)
+
+val of_rng : Rng.t -> t
+(** Uniform choice at every step, drawing from the given stream, so a
+    run stopped with its RNG in hand continues as if it never stopped. *)
 
 val random_coarse : seed:int64 -> switch_denominator:int -> t
 (** Random with inertia: keeps the current thread running, switching
@@ -42,11 +35,12 @@ val random_coarse : seed:int64 -> switch_denominator:int -> t
     testing behaves; a baseline for the race-directed scheduler. *)
 
 val replay : decisions:Runtime.Value.tid list -> t
-(** Follow a pre-recorded decision list; falls back to the first
-    runnable thread when a decision is impossible. *)
+(** Follow a pre-recorded decision list, one decision per pick; falls
+    back to the first runnable thread when a decision is impossible. *)
 
-val of_fun :
-  name:string -> (Runtime.Machine.t -> Runtime.Value.tid list -> decision) -> t
+val prioritized : Runtime.Machine.thread list -> t
+(** [prioritized order]: the first runnable thread of [order], else the
+    first runnable live thread.  Draws nothing. *)
 
 val pct : seed:int64 -> depth:int -> expected_steps:int -> t
 (** PCT — probabilistic concurrency testing (Burckhardt et al.,

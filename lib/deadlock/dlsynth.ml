@@ -122,23 +122,24 @@ let instantiate ?(seed = Runtime.Machine.default_seed) (cu : Jir.Code.unit_) ~cl
    interleaving if it exists. *)
 let directed_deadlock_scheduler (racy : Runtime.Value.tid list) :
     Conc.Scheduler.t =
-  Conc.Scheduler.of_fun ~name:"directed-deadlock" (fun m runnable ->
-      let poised tid =
-        match Runtime.Machine.peek m tid with
-        | Some (_, _, Jir.Code.Ienter _) ->
-          Runtime.Machine.held_locks m tid <> []
-        | _ -> false
-      in
-      let racy_runnable = List.filter (fun t -> List.mem t racy) runnable in
-      let unpoised = List.filter (fun t -> not (poised t)) racy_runnable in
-      match unpoised with
-      | t :: _ -> t (* advance whoever has not reached its inner acquire *)
-      | [] -> (
-        (* everyone poised: release in order — they will block on each
-           other if the deadlock is real *)
-        match racy_runnable with
-        | t :: _ -> t
-        | [] -> Conc.Scheduler.first runnable))
+ fun m runnable live ->
+  let racy_runnable th = runnable th && List.mem (Runtime.Machine.thread_id th) racy in
+  let unpoised th =
+    racy_runnable th
+    &&
+    match Runtime.Machine.peek_th th with
+    | Some (_, _, Jir.Code.Ienter _) ->
+      Runtime.Machine.held_locks m (Runtime.Machine.thread_id th) = []
+    | _ -> true
+  in
+  match List.find_opt unpoised live with
+  | Some _ as th -> th (* advance whoever has not reached its inner acquire *)
+  | None -> (
+    (* everyone poised: release in order — they will block on each
+       other if the deadlock is real *)
+    match List.find_opt racy_runnable live with
+    | Some _ as th -> th
+    | None -> List.find_opt runnable live)
 
 type confirmation = {
   co_deadlocked : bool;

@@ -5,7 +5,9 @@
    - [eraser]: the classic Eraser state machine (Savage et al., TOCS'97):
      per-variable Virgin → Exclusive(t) → Shared → Shared-Modified with a
      shrinking candidate lockset; a race is reported when the candidate
-     set empties in a (potentially) shared-modified state.
+     set empties in a (potentially) shared-modified state.  It runs over
+     the recorded accesses when its reports are asked for, so the
+     campaign's lockset runs, which only read the pairs, never pay for it.
 
    - [candidates]: the hybrid pair collector used to seed RaceFuzzer:
      record every access with its lockset and report all pairs from
@@ -37,21 +39,13 @@ type eraser_state =
   | Shared of AddrSet.t (* read-shared; candidate lockset *)
   | Shared_modified of AddrSet.t
 
+(* What a run keeps: the held locks and every variable's accesses. *)
 type t = {
   mutable held : AddrSet.t array; (* per-tid held locks; grown on demand *)
-  mutable states : (eraser_state * Race.access option) VarMap.t;
-      (* Eraser state + last access witness *)
-  mutable history : Race.access list VarMap.t; (* for candidate pairs *)
-  mutable reports : Race.report list; (* Eraser reports, newest first *)
+  mutable history : Race.access list VarMap.t; (* per variable, newest first *)
 }
 
-let create () =
-  {
-    held = Array.make 8 AddrSet.empty;
-    states = VarMap.empty;
-    history = VarMap.empty;
-    reports = [];
-  }
+let create () = { held = Array.make 8 AddrSet.empty; history = VarMap.empty }
 
 let ensure t tid =
   if tid >= Array.length t.held then begin
@@ -77,41 +71,7 @@ let mk_access ~tid ~site ~kind ~obj ~field ~idx ~label ~value t : Race.access =
     a_value = value;
   }
 
-(* Eraser transition for one access. *)
-let eraser_step t (acc : Race.access) =
-  let v = { v_obj = acc.Race.a_obj; v_field = acc.Race.a_field; v_idx = acc.Race.a_idx } in
-  let locks = AddrSet.of_list acc.Race.a_locks in
-  let prev_state, prev_witness =
-    match VarMap.find_opt v t.states with
-    | Some sw -> sw
-    | None -> (Virgin, None)
-  in
-  let report set state =
-    if AddrSet.is_empty set then (
-      let first = match prev_witness with Some w -> w | None -> acc in
-      t.reports <-
-        { Race.r_first = first; r_second = acc; r_detector = "eraser" }
-        :: t.reports);
-    state
-  in
-  let next =
-    match (prev_state, acc.Race.a_kind) with
-    | Virgin, `Read | Virgin, `Write -> Exclusive acc.Race.a_tid
-    | Exclusive t0, _ when t0 = acc.Race.a_tid -> Exclusive t0
-    | Exclusive _, `Read -> Shared locks
-    | Exclusive _, `Write -> report locks (Shared_modified locks)
-    | Shared c, `Read -> Shared (AddrSet.inter c locks)
-    | Shared c, `Write ->
-      let c' = AddrSet.inter c locks in
-      report c' (Shared_modified c')
-    | Shared_modified c, (`Read | `Write) ->
-      let c' = AddrSet.inter c locks in
-      report c' (Shared_modified c')
-  in
-  t.states <- VarMap.add v (next, Some acc) t.states
-
 let record_access t (acc : Race.access) =
-  eraser_step t acc;
   t.history <-
     VarMap.update
       { v_obj = acc.Race.a_obj; v_field = acc.Race.a_field; v_idx = acc.Race.a_idx }
@@ -144,7 +104,44 @@ let attach m =
   Runtime.Machine.add_observer m (observer t);
   t
 
-let eraser_reports t = Race.dedup (List.rev t.reports)
+(* The Eraser state machine over one variable's accesses, oldest first:
+   its reports, in access order.  A report pairs the access that empties
+   the candidate lockset with the variable's previous access. *)
+let eraser_var accs =
+  let rec go state witness reports = function
+    | [] -> List.rev reports
+    | (acc : Race.access) :: rest ->
+      let locks = AddrSet.of_list acc.Race.a_locks in
+      let next, raced =
+        match (state, acc.Race.a_kind) with
+        | Virgin, (`Read | `Write) -> (Exclusive acc.Race.a_tid, false)
+        | Exclusive t0, _ when t0 = acc.Race.a_tid -> (state, false)
+        | Exclusive _, `Read -> (Shared locks, false)
+        | Exclusive _, `Write -> (Shared_modified locks, AddrSet.is_empty locks)
+        | Shared c, `Read -> (Shared (AddrSet.inter c locks), false)
+        | (Shared c, `Write | Shared_modified c, (`Read | `Write)) ->
+          let c' = AddrSet.inter c locks in
+          (Shared_modified c', AddrSet.is_empty c')
+      in
+      let reports =
+        if raced then
+          let first = Option.value witness ~default:acc in
+          { Race.r_first = first; r_second = acc; r_detector = "eraser" } :: reports
+        else reports
+      in
+      go next (Some acc) reports rest
+  in
+  go Virgin None [] accs
+
+(* Every variable's reports, in the order the run made the accesses
+   that triggered them: a run's labels are unique and increase. *)
+let eraser_reports t =
+  let by_trigger (a : Race.report) (b : Race.report) =
+    Int.compare a.Race.r_second.Race.a_label b.Race.r_second.Race.a_label
+  in
+  Race.dedup
+    (List.stable_sort by_trigger
+       (VarMap.fold (fun _v accs out -> eraser_var (List.rev accs) @ out) t.history []))
 
 let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
 

@@ -18,11 +18,11 @@ val observer : t -> Runtime.Event.t -> unit
 val attach : Runtime.Machine.t -> t
 (** Create and register on a machine's observer list. *)
 
-val record_access : t -> Race.access -> unit
-(** Low-level entry point for synthetic traces. *)
-
 val eraser_reports : t -> Race.report list
-(** Races flagged by the Eraser state machine, deduplicated. *)
+(** Races flagged by the Eraser state machine, deduplicated, in the
+    order of the accesses that triggered them.  The machine runs over
+    each variable's recorded accesses when this is called, so a run
+    that only asks for {!candidates} pays nothing for it. *)
 
 val candidates : t -> Race.report list
 (** All conflicting pairs with disjoint locksets, deduplicated. *)

@@ -13,8 +13,8 @@
    that prefix runs once and each candidate forks off it
    ([directed_runs]).  Triage resumes a poised run rather than replaying
    it: [confirm_all] hands each run 0's end to a settling function as
-   soon as it stops, and [drain] finishes a run under the same random
-   scheduling. *)
+   soon as it stops, and [Conc.Exec.run] under [Conc.Scheduler.of_rng]
+   of the run's RNG finishes it under the same random scheduling. *)
 
 type instance = {
   ri_machine : Runtime.Machine.t;
@@ -88,19 +88,6 @@ let tid_slot tm tid =
     tm.slots <- bigger
   end;
   tid
-
-let drain m rng ~fuel =
-  let runnable th = Runtime.Machine.runnable_th m th in
-  let draw = Rng.below rng in
-  let rec go fuel =
-    if fuel > 0 then
-      match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.live_threads m) with
-      | Some th ->
-        ignore (Runtime.Machine.step_th m th);
-        go (fuel - 1)
-      | None -> ()
-  in
-  go fuel
 
 (* A thread's pending access only changes when that thread itself steps
    (it reads the thread's own registers and pc), so the directed loops
@@ -272,8 +259,8 @@ let rec any_matches cands pa = function
 (* The directed runs of several candidates at one scheduler seed, from
    one instance.  Until a runnable thread is poised at an access
    matching a candidate, that candidate's postponed set is empty, so its
-   run picks exactly as a plain random run does ([drain]'s pick); that
-   shared run is executed once.  Before each of its picks, every
+   run picks exactly as a plain random run does ([Conc.Scheduler.random]'s
+   pick); that shared run is executed once.  Before each of its picks, every
    candidate some runnable thread now matches forks: a copy of the
    machine and the RNG resumes the postponing loop with the fuel left,
    counting steps from the fork.  Each fork runs to its end and is

@@ -48,9 +48,11 @@ type run_end = {
           [None]: the run ended (completion, deadlock or fuel) without
           confirming *)
 }
-(** Where a directed run stopped.  Stepping its machine on from there,
-    drawing from its RNG ({!drain}) within the fuel left, continues the
-    run exactly as if it had never stopped; so does {!continue_run}. *)
+(** Where a directed run stopped.  Stepping its machine on from there
+    under plain random scheduling from its RNG
+    ([Conc.Exec.run ~fuel:re_fuel m (Conc.Scheduler.of_rng re_rng)])
+    continues the run exactly as if it had never stopped, postponing
+    nothing; so does {!continue_run}, postponing as before. *)
 
 val directed_run :
   instance -> cand:candidate -> seed:int64 -> fuel:int -> run_end * run_stats
@@ -85,9 +87,10 @@ val directed_runs :
   int
 (** The {!directed_run}s of every candidate at one [seed], from one
     instance, each exactly as from scratch.  One plain random run is
-    shared while no candidate matches ({!drain}'s pick, from an RNG
-    seeded [seed]).  Before each of its picks, every candidate that some
-    runnable thread is now poised at a matching access for forks: a
+    shared while no candidate matches ([Conc.Scheduler.random]'s pick,
+    from an RNG seeded [seed]).  Before each of its picks, every
+    candidate that some runnable thread is now poised at a matching
+    access for forks: a
     [Machine.copy] and [Rng.copy] of the shared run go on with
     {!continue_run} from that step, with the fuel left.  Each fork runs
     to its end and is handed to the callback, with its candidate's index,
@@ -97,12 +100,6 @@ val directed_runs :
     report, [rs_steps] the shared steps, [rs_max_postponed] 0.  The
     instance's machine is consumed.  Returns the VM steps executed: the
     shared run's, plus each fork's after its fork. *)
-
-val drain : Runtime.Machine.t -> Rng.t -> fuel:int -> unit
-(** Finish an execution under plain random scheduling: up to [fuel]
-    steps, each of the thread {!Conc.Scheduler.pick_where} draws from
-    the runnable ones in creation order (the pick {!Conc.Exec.run} and
-    the directed loop make too). *)
 
 type confirm_result = {
   confirmed : Race.report option;

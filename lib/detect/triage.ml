@@ -73,16 +73,10 @@ let equal_outcome (a : outcome) (b : outcome) =
   && List.equal String.equal a.o_crashes b.o_crashes
   && List.equal String.equal a.o_returns b.o_returns
 
-let rec first_runnable m = function
-  | [] -> None
-  | th :: rest ->
-    if Runtime.Machine.runnable_th m th then Some th else first_runnable m rest
-
 (* Run to completion under priority scheduling: the first runnable
-   thread of [order], else the first runnable in creation order.  It
-   draws no randomness, so the loop runs on thread records with no
-   per-step allocation; [order] names threads that exist before the
-   run, so records resolve once. *)
+   thread of [order], else the first runnable in creation order.
+   [order] names threads that exist before the run, so their records
+   resolve once. *)
 let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
   let m = inst.Racefuzzer.ri_machine in
   let order_ths =
@@ -93,21 +87,7 @@ let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
           (Runtime.Machine.all_threads m))
       order
   in
-  let rec loop fuel =
-    if fuel > 0 then begin
-      let next =
-        match first_runnable m order_ths with
-        | Some th -> Some th
-        | None -> first_runnable m (Runtime.Machine.live_threads m)
-      in
-      match next with
-      | None -> ()
-      | Some th ->
-        ignore (Runtime.Machine.step_th m th);
-        loop (fuel - 1)
-    end
-  in
-  loop fuel;
+  ignore (Conc.Exec.run ~fuel m (Conc.Scheduler.prioritized order_ths));
   observe inst
 
 type baselines = { b_serial : outcome; b_serial_rev : outcome }
@@ -133,13 +113,14 @@ type evidence = {
 }
 
 (* Execute the poised accesses back to back, [a]'s first, finish the
-   directed run's random drain with the fuel it had left, then drain
-   whatever is still runnable in creation order with the full [fuel]. *)
+   directed run under random scheduling from its RNG with the fuel it
+   had left, then run whatever is still runnable in creation order with
+   the full [fuel]. *)
 let force (inst : Racefuzzer.instance) rng ~fuel_left ~fuel a b =
   let m = inst.Racefuzzer.ri_machine in
   ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m a));
   ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m b));
-  Racefuzzer.drain m rng ~fuel:fuel_left;
+  ignore (Conc.Exec.run ~fuel:fuel_left m (Conc.Scheduler.of_rng rng));
   run_prioritized inst ~order:[] ~fuel
 
 let forced ~fuel (re : Racefuzzer.run_end) =

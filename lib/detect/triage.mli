@@ -58,10 +58,11 @@ val forced : fuel:int -> Racefuzzer.run_end -> outcome * outcome
 (** Both forced outcomes, the first racing access first and then the
     reverse, from where a directed run at the campaign seed and [fuel]
     stopped, consuming its machine and RNG: execute the poised accesses
-    back to back, finish the run's random drain with the fuel it had
-    left, then drain any runnable thread in creation order with [fuel].
-    A run that stopped without confirming is drained in creation order
-    once, and that outcome is both. *)
+    back to back, finish the run under random scheduling from its RNG
+    with the fuel it had left, then run any runnable thread in creation
+    order with [fuel] ({!Conc.Scheduler.prioritized}).  A run that
+    stopped without confirming is run in creation order once, and that
+    outcome is both. *)
 
 val evidence : baselines -> outcome * outcome -> evidence
 (** The baselines beside the two {!forced} outcomes. *)

@@ -401,8 +401,8 @@ let triage_fuel = 200_000
 
 (* Priority completion: the first runnable of [order], else the first
    runnable in creation order.  The reference walks [all_threads], not
-   the machine's live list that [Triage.run_prioritized] walks, so the
-   oracle also checks the live-list loops against a walk of every
+   the machine's live list that [Conc.Exec.run] hands every scheduler,
+   so the oracle also checks the live-list loop against a walk of every
    thread. *)
 let run_prioritized m ~order =
   let rec go fuel =
@@ -447,7 +447,9 @@ let replayed_evidence fresh ~cand ~seed =
         (fun tid ->
           ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m tid)))
         (if rev then [ t2; t1 ] else [ t1; t2 ]);
-      Racefuzzer.drain m re.Racefuzzer.re_rng ~fuel:re.Racefuzzer.re_fuel
+      ignore
+        (Conc.Exec.run ~fuel:re.Racefuzzer.re_fuel m
+           (Conc.Scheduler.of_rng re.Racefuzzer.re_rng))
     | None -> ());
     run_prioritized m ~order:[]
   in

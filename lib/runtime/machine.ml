@@ -928,9 +928,7 @@ let runnable_th m (th : thread) =
     | Runnable | Blocked_lock _ | Blocked_join _ | Suspended -> false)
   | Suspended | Finished _ | Crashed _ -> false
 
-let runnable m tid = runnable_th m (thread m tid)
-let runnable_threads m = List.filter (runnable_th m) m.live
-let runnable_tids m = List.map thread_id (runnable_threads m)
+let runnable_tids m = List.map thread_id (List.filter (runnable_th m) m.live)
 let live_tids m = List.map thread_id m.live
 
 let step_th m (th : thread) : step_result =

@@ -129,11 +129,11 @@ val step : t -> Value.tid -> step_result
     [Crashed]; this counts as [Stepped]. *)
 
 val status : t -> Value.tid -> status
-val runnable : t -> Value.tid -> bool
-(** Can this thread make progress right now (including a blocked thread
-    whose monitor/join target has become available)? *)
-
 val runnable_tids : t -> Value.tid list
+(** The live threads that can make progress right now (including a
+    blocked thread whose monitor/join target has become available), in
+    creation order. *)
+
 val live_tids : t -> Value.tid list
 (** The tids of {!live_threads}. *)
 
@@ -158,10 +158,7 @@ val thread_id : thread -> Value.tid
 val status_th : thread -> status
 val step_th : t -> thread -> step_result
 val runnable_th : t -> thread -> bool
-
-val runnable_threads : t -> thread list
-(** Runnable threads in creation order (filtered from {!live_threads});
-    [runnable_tids] maps over it. *)
+(** Can this thread make progress right now? *)
 
 val all_threads : t -> thread list
 (** Every thread ever created, in creation order — the machine's own

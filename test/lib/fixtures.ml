@@ -254,3 +254,16 @@ let analyze ?(client = "Seed") src =
   with
   | Ok an -> an
   | Error e -> failwith ("pipeline failed: " ^ e)
+
+(* [sched] that also records its picks: the scheduler to run, and the
+   tids it picked so far, in order.  A pick whose thread turns out
+   blocked is recorded too, so replaying the list one decision per pick
+   ([Conc.Scheduler.replay]) retraces the run. *)
+let recording (sched : Conc.Scheduler.t) : Conc.Scheduler.t * (unit -> int list) =
+  let picks = ref [] in
+  let record m runnable live =
+    let pick = sched m runnable live in
+    Option.iter (fun th -> picks := Runtime.Machine.thread_id th :: !picks) pick;
+    pick
+  in
+  (record, fun () -> List.rev !picks)

@@ -85,13 +85,14 @@ let run_racy ~observed ~seed =
   let cu = compile racy_src in
   let recorder = Trace.recorder () in
   let on_machine m = if observed then Machine.add_observer m (Trace.observer recorder) in
+  let sched, picks = Testlib.Fixtures.recording (Conc.Scheduler.random ~seed) in
   let r, m =
     Conc.Exec.run_program ~seed cu ~client_classes:[ "Main" ] ~cls:"Main"
-      ~meth:"main" ~on_machine (Conc.Scheduler.random ~seed)
+      ~meth:"main" ~on_machine sched
   in
   ( ( r.Conc.Exec.outcome,
       r.Conc.Exec.steps,
-      r.Conc.Exec.decisions,
+      picks (),
       Machine.output m,
       Machine.labels_used m ),
     Trace.snapshot recorder )

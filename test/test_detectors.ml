@@ -149,6 +149,149 @@ let test_report_render () =
     Alcotest.(check bool) "mentions field" true (String.length s > 10)
   | [] -> Alcotest.fail "expected candidates"
 
+(* The Eraser state machine as it once ran inside every lockset run:
+   one transition per access, as the access is observed, with the
+   variable's last access as the witness.  [Lockset.eraser_reports]
+   replays each variable's history instead, only when asked; on every
+   run the two must give the same reports in the same order. *)
+module Eraser_reference = struct
+  module AddrSet = Set.Make (Int)
+
+  type var = { v_obj : Runtime.Value.addr; v_field : Jir.Ast.id; v_idx : int option }
+
+  module VarMap = Map.Make (struct
+    type t = var
+
+    let compare = compare
+  end)
+
+  type eraser_state =
+    | Virgin
+    | Exclusive of Runtime.Value.tid
+    | Shared of AddrSet.t
+    | Shared_modified of AddrSet.t
+
+  type t = {
+    mutable held : AddrSet.t array;
+    mutable states : (eraser_state * Race.access option) VarMap.t;
+    mutable reports : Race.report list;
+  }
+
+  let held t tid =
+    if tid >= Array.length t.held then begin
+      let bigger = Array.make (max (tid + 1) (2 * Array.length t.held)) AddrSet.empty in
+      Array.blit t.held 0 bigger 0 (Array.length t.held);
+      t.held <- bigger
+    end;
+    t.held.(tid)
+
+  let eraser_step t (acc : Race.access) =
+    let v = { v_obj = acc.Race.a_obj; v_field = acc.Race.a_field; v_idx = acc.Race.a_idx } in
+    let locks = AddrSet.of_list acc.Race.a_locks in
+    let prev_state, prev_witness =
+      match VarMap.find_opt v t.states with
+      | Some sw -> sw
+      | None -> (Virgin, None)
+    in
+    let report set state =
+      if AddrSet.is_empty set then (
+        let first = match prev_witness with Some w -> w | None -> acc in
+        t.reports <-
+          { Race.r_first = first; r_second = acc; r_detector = "eraser" }
+          :: t.reports);
+      state
+    in
+    let next =
+      match (prev_state, acc.Race.a_kind) with
+      | Virgin, `Read | Virgin, `Write -> Exclusive acc.Race.a_tid
+      | Exclusive t0, _ when t0 = acc.Race.a_tid -> Exclusive t0
+      | Exclusive _, `Read -> Shared locks
+      | Exclusive _, `Write -> report locks (Shared_modified locks)
+      | Shared c, `Read -> Shared (AddrSet.inter c locks)
+      | Shared c, `Write ->
+        let c' = AddrSet.inter c locks in
+        report c' (Shared_modified c')
+      | Shared_modified c, (`Read | `Write) ->
+        let c' = AddrSet.inter c locks in
+        report c' (Shared_modified c')
+    in
+    t.states <- VarMap.add v (next, Some acc) t.states
+
+  let access t ~tid ~site ~kind ~obj ~field ~idx ~label ~value =
+    eraser_step t
+      {
+        Race.a_tid = tid;
+        a_site = site;
+        a_kind = kind;
+        a_obj = obj;
+        a_field = field;
+        a_idx = idx;
+        a_locks = AddrSet.elements (held t tid);
+        a_label = label;
+        a_value = value;
+      }
+
+  let observer t (e : Runtime.Event.t) =
+    match e with
+    | Runtime.Event.Lock { tid; addr; _ } -> t.held.(tid) <- AddrSet.add addr (held t tid)
+    | Runtime.Event.Unlock { tid; addr; _ } ->
+      t.held.(tid) <- AddrSet.remove addr (held t tid)
+    | Runtime.Event.Read { tid; site; obj; field; idx; label; v; _ } ->
+      access t ~tid ~site ~kind:`Read ~obj ~field ~idx ~label ~value:v
+    | Runtime.Event.Write { tid; site; obj; field; idx; label; v; _ } ->
+      access t ~tid ~site ~kind:`Write ~obj ~field ~idx ~label ~value:v
+    | _ -> ()
+
+  let attach m =
+    let t = { held = Array.make 8 AddrSet.empty; states = VarMap.empty; reports = [] } in
+    Runtime.Machine.add_observer m (observer t);
+    t
+
+  let reports t = Race.dedup (List.rev t.reports)
+end
+
+(* Every instantiable test of C1-C9 and X1-X3, run as the campaign's
+   lockset pass runs it at seeds 7 and 8: the on-demand Eraser reports
+   equal the per-access machine's, list for list.  The runs compared
+   and the reports they hold are pinned, so the check cannot go
+   vacuous. *)
+let test_eraser_on_demand () =
+  let runs = ref 0 and reports = ref 0 in
+  let show (r : Race.report) =
+    Printf.sprintf "%d/%d %s" r.Race.r_first.Race.a_label r.Race.r_second.Race.a_label
+      (Race.to_string r)
+  in
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      let an =
+        match Eval.Evaluate.analyze_entry e with
+        | Ok (_, an) -> an
+        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+      in
+      List.iteri
+        (fun i t ->
+          let instantiate = Narada_core.Pipeline.instantiator an t in
+          List.iter
+            (fun seed ->
+              match instantiate () with
+              | Error _ -> ()
+              | Ok inst ->
+                let m = inst.Racefuzzer.ri_machine in
+                let ls = Lockset.attach m in
+                let reference = Eraser_reference.attach m in
+                ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
+                let expected = Eraser_reference.reports reference in
+                incr runs;
+                reports := !reports + List.length expected;
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s test %d seed %Ld" e.Corpus.Corpus_def.e_id i seed)
+                  (List.map show expected)
+                  (List.map show (Lockset.eraser_reports ls)))
+            [ 7L; 8L ])
+        an.Narada_core.Pipeline.an_tests)
+    (Corpus.Registry.all @ Corpus.Registry.extras);
+  Alcotest.(check (pair int int)) "runs compared, reports" (1160, 2793) (!runs, !reports)
+
 let () =
   Alcotest.run "detectors"
     [
@@ -172,6 +315,7 @@ let () =
         [
           Alcotest.test_case "exclusive" `Quick test_eraser_state_machine;
           Alcotest.test_case "read shared" `Quick test_read_shared_no_eraser_report;
+          Alcotest.test_case "on demand = per access" `Quick test_eraser_on_demand;
         ] );
       ( "reports",
         [

@@ -516,10 +516,7 @@ let test_scheduler_shootout () =
         (Runtime.Machine.heap inst.Racefuzzer.ri_machine)
         ~roots:inst.Racefuzzer.ri_roots
   in
-  let serialized =
-    final_state
-      (Conc.Scheduler.of_fun ~name:"serial" (fun _ runnable -> List.hd runnable))
-  in
+  let serialized = final_state (Conc.Scheduler.prioritized []) in
   let hits hit = List.length (List.filter hit (List.init 50 (fun i -> Int64.of_int (i + 1)))) in
   let damaged sched_of_seed seed = final_state (sched_of_seed seed) <> serialized in
   Alcotest.(check int) "random (fine-grained)" 19

@@ -133,14 +133,16 @@ let test_no_allocation () =
     Alcotest.(check (float 0.0)) "10,000 draws, 0 minor words" 0.0 (after -. before);
     Alcotest.(check bool) "draws used" true (!acc >= 0)
 
-(* The RNG's consumers on the campaign path: the directed scheduler, its
-   drain and the executor under the random scheduler, on one fixture.
-   Two threads loop over a synchronized increment of [count], the
-   candidate field, so the directed run postpones a thread at nearly
-   every iteration and, with the other one blocked on the lock, releases
-   it again; no run ends within its fuel.  The bounds are the words per step they make (7.38, 2.76 and
-   8.83) plus half a word: a closure or a [Some] cell allocated on every
-   step breaks them. *)
+(* The RNG's consumers on the campaign path: the directed scheduler, the
+   executor continuing a run from its RNG, and the executor under the
+   random scheduler, bare and observed by a lockset detector (the
+   campaign's lockset pass), on one fixture.  Two threads loop over a
+   synchronized increment of [count], the candidate field, so the
+   directed run postpones a thread at nearly every iteration and, with
+   the other one blocked on the lock, releases it again; no run ends
+   within its fuel.  The bounds are the words per step they make (7.38,
+   2.77, 2.83 and 19.23) plus about half a word: a closure or a [Some]
+   cell allocated on every step breaks them. *)
 let alloc_src =
   "class C { int count; int other; void work() { int i = 0; \
    while (i < 1000000) { synchronized (this) { this.count = this.count + 1; } \
@@ -181,26 +183,33 @@ let test_scheduler_allocation () =
       Alcotest.(check bool) "and confirms nothing" true (re.Detect.Racefuzzer.re_report = None)
     | None -> Alcotest.fail "no directed run");
     let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
-    let drained =
+    let continued =
       words_per_step ~steps:fuel (fun () ->
-          Detect.Racefuzzer.drain m (Rng.create 7L) ~fuel)
+          ignore (Conc.Exec.run ~fuel m (Conc.Scheduler.of_rng (Rng.create 7L))))
     in
-    Alcotest.(check int) "drain uses all its fuel" 2
+    Alcotest.(check int) "continued run uses all its fuel" 2
       (List.length (Runtime.Machine.live_tids m));
     (* [Exec.run] spends fuel on a pick that finds its thread blocked
        too, so count its words per step taken. *)
-    let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
-    let before = Gc.minor_words () in
-    let r = Conc.Exec.run ~fuel m (Conc.Scheduler.random ~seed:7L) in
-    let executed = (Gc.minor_words () -. before) /. float_of_int r.Conc.Exec.steps in
-    Alcotest.(check bool) "Exec.run uses all its fuel" true
-      (r.Conc.Exec.outcome = Conc.Exec.Fuel_exhausted);
+    let per_step_taken ?(observe = ignore) () =
+      let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
+      observe m;
+      let before = Gc.minor_words () in
+      let r = Conc.Exec.run ~fuel m (Conc.Scheduler.random ~seed:7L) in
+      let words = (Gc.minor_words () -. before) /. float_of_int r.Conc.Exec.steps in
+      Alcotest.(check bool) "Exec.run uses all its fuel" true
+        (r.Conc.Exec.outcome = Conc.Exec.Fuel_exhausted);
+      words
+    in
+    let executed = per_step_taken () in
+    let observed = per_step_taken ~observe:(fun m -> ignore (Detect.Lockset.attach m)) () in
     let at_most what bound v =
       if v > bound then Alcotest.failf "%s: %.3f words/step, bound %.2f" what v bound
     in
     at_most "directed_run" 7.9 directed;
-    at_most "drain" 3.3 drained;
-    at_most "Exec.run" 9.3 executed
+    at_most "continued Exec.run" 3.3 continued;
+    at_most "Exec.run" 3.3 executed;
+    at_most "lockset-observed Exec.run" 19.7 observed
 
 let () =
   Alcotest.run "rng"

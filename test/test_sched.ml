@@ -5,17 +5,23 @@ let run_fixture ?(sched = Conc.Scheduler.round_robin ()) src =
   let cu = Jir.Compile.compile_source src in
   Conc.Exec.run_program cu ~client_classes:[ "Main" ] ~cls:"Main" ~meth:"main" sched
 
+(* [run_fixture] under a {!Testlib.Fixtures.recording} of [sched]: the
+   result, the machine and the tids picked. *)
+let recorded_run ?(sched = Conc.Scheduler.round_robin ()) src =
+  let sched, picks = Testlib.Fixtures.recording sched in
+  let r, m = run_fixture ~sched src in
+  (r, m, picks ())
+
 let final_int m =
   match Runtime.Machine.status m 0 with
   | Runtime.Machine.Finished (Some (Runtime.Value.Vint n)) -> n
   | _ -> Alcotest.fail "main did not return an int"
 
 let test_round_robin_deterministic () =
-  let r1, m1 = run_fixture Testlib.Fixtures.racy_counter in
-  let r2, m2 = run_fixture Testlib.Fixtures.racy_counter in
+  let _, m1, picks1 = recorded_run Testlib.Fixtures.racy_counter in
+  let _, m2, picks2 = recorded_run Testlib.Fixtures.racy_counter in
   Alcotest.(check int) "same value" (final_int m1) (final_int m2);
-  Alcotest.(check (list int)) "same schedule" r1.Conc.Exec.decisions
-    r2.Conc.Exec.decisions
+  Alcotest.(check (list int)) "same schedule" picks1 picks2
 
 let seed_determinism =
   Testlib.Fixtures.qcheck_case
@@ -23,10 +29,9 @@ let seed_determinism =
        QCheck.(int_bound 10_000)
        (fun seed ->
          let sched () = Conc.Scheduler.random ~seed:(Int64.of_int seed) in
-         let r1, m1 = run_fixture ~sched:(sched ()) Testlib.Fixtures.racy_counter in
-         let r2, m2 = run_fixture ~sched:(sched ()) Testlib.Fixtures.racy_counter in
-         final_int m1 = final_int m2
-         && r1.Conc.Exec.decisions = r2.Conc.Exec.decisions))
+         let _, m1, picks1 = recorded_run ~sched:(sched ()) Testlib.Fixtures.racy_counter in
+         let _, m2, picks2 = recorded_run ~sched:(sched ()) Testlib.Fixtures.racy_counter in
+         final_int m1 = final_int m2 && picks1 = picks2))
 
 let replay_matches =
   Testlib.Fixtures.qcheck_case
@@ -34,14 +39,14 @@ let replay_matches =
        ~count:30
        QCheck.(int_bound 10_000)
        (fun seed ->
-         let r1, m1 =
-           run_fixture
+         let _, m1, picks =
+           recorded_run
              ~sched:(Conc.Scheduler.random ~seed:(Int64.of_int seed))
              Testlib.Fixtures.racy_counter
          in
          let _r2, m2 =
            run_fixture
-             ~sched:(Conc.Scheduler.replay ~decisions:r1.Conc.Exec.decisions)
+             ~sched:(Conc.Scheduler.replay ~decisions:picks)
              Testlib.Fixtures.racy_counter
          in
          final_int m1 = final_int m2))
