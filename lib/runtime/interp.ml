@@ -46,32 +46,52 @@ type captured = {
   cap_tid : Value.tid; (* the suspended thread *)
 }
 
+(* The method name in a qualified name "Cls.name": what a call
+   instruction that can resolve to it names. *)
+let method_name qname =
+  match String.rindex_opt qname '.' with
+  | Some i -> String.sub qname (i + 1) (String.length qname - i - 1)
+  | None -> qname
+
 (* Start [cls.meth()] on [m] and run it until just before the [nth]
    (0-based) client-level invocation of [target_qname]; leave the thread
    suspended there.  Returns [None] if the test finishes without
-   reaching the invocation. *)
+   reaching the invocation.
+
+   This loop runs once per instruction of the seed test, for every
+   endpoint and every recipe setter of every test built, and almost no
+   instruction is a call of the target.  So each step first decodes the
+   instruction at the pc ([Machine.at_call_named_th]) and resolves the
+   callee, builds its arguments and checks that the caller is client
+   code only when the instruction names the target's method.  That is
+   exact: a qualified name is "<defining class>.<method name>" and a
+   call resolves to a method of the name it carries ("<init>" for a
+   constructor), so a call the filter skips cannot resolve to
+   [target_qname], and every step that matches, and every count of
+   earlier matches, is the one the unfiltered loop sees.  A step that
+   is not a name match allocates nothing here. *)
 let run_until_call ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth
     ~target_qname ~nth : captured option =
   let cu = Machine.unit_of m in
   let cm = find_entry cu ~cls ~meth in
   let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
-  (* Hoist the thread record: this loop runs once per instruction of the
-     seed test, and the record-based queries skip the per-step tid
-     lookups. *)
+  (* Hoist the thread record: the record-based queries skip the
+     per-step tid lookups. *)
   let th = Machine.find_thread m tid in
+  let target_name = method_name target_qname in
   let count = ref 0 in
+  let client_caller () =
+    match Machine.top_frame_th th with
+    | Some f -> Machine.is_client_frame m f
+    | None -> true
+  in
   let rec loop n =
     if n <= 0 then None
+    else if not (Machine.at_call_named_th th target_name) then step_and_continue n
     else
-      let is_client_caller =
-        match Machine.top_frame_th th with
-        | Some f -> Machine.is_client_frame m f
-        | None -> true
-      in
       match Machine.pending_call_th m th with
       | Some (target, recv, args)
-        when is_client_caller
-             && String.equal target.Code.cm_qname target_qname ->
+        when String.equal target.Code.cm_qname target_qname && client_caller () ->
         if !count = nth then
           Some { cap_meth = target; cap_recv = recv; cap_args = args; cap_tid = tid }
         else (

@@ -47,4 +47,6 @@ val run_until_call :
 (** Start [cls.meth()] on a fresh thread of [m] and run it until just
     before its [nth] (0-based) client-level invocation of
     [target_qname]; the thread is left at that point.  [None] if the
-    test ends first. *)
+    test ends first.  A step resolves its call and checks its caller
+    only when the instruction names the method of [target_qname]
+    (["<init>"] for a constructor), as every call of it does. *)

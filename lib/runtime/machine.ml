@@ -1000,7 +1000,30 @@ let pending_call_th m (th : thread) :
         None
     with Crash _ | Heap.Fault _ -> None)
 
-let pending_call m tid = pending_call_th m (thread m tid)
+(* Is the next instruction a call of a method named [name] ([Ast.ctor_name]
+   for a constructor)?  A decode and a string compare: no resolution, no
+   argument list, no allocation.  A call [pending_call_th] resolves to
+   [cm] passes it with [name = cm.cm_name], because dispatch looks a
+   method up by the instruction's name and a constructor is always named
+   [Ast.ctor_name]. *)
+let at_call_named_th (th : thread) name =
+  match th.stack with
+  | [] -> false
+  | f :: _ -> (
+    let code = f.meth.Code.cm_code in
+    f.pc < Array.length code
+    &&
+    match code.(f.pc) with
+    | Code.Icall (_, _, mname, _) | Code.Icallstatic (_, _, mname, _) ->
+      String.equal mname name
+    | Code.Ictor _ -> String.equal name Ast.ctor_name
+    | Code.Iconst _ | Code.Imove _ | Code.Iget _ | Code.Iset _
+    | Code.Igetstatic _ | Code.Isetstatic _ | Code.Iaload _ | Code.Iastore _
+    | Code.Ialen _ | Code.Inew _ | Code.Inewarr _ | Code.Iintrinsic _
+    | Code.Ibinop _ | Code.Iunop _ | Code.Ijmp _ | Code.Ibr _ | Code.Iret _
+    | Code.Ienter _ | Code.Iexit _ | Code.Ispawn _ | Code.Ijoin _
+    | Code.Iassert _ | Code.Ithrow _ ->
+      false)
 
 (* ---------------- construction and harness entry points ---------------- *)
 

@@ -183,16 +183,21 @@ val top_frame_th : thread -> frame option
 
 val pending_call_th :
   t -> thread -> (Jir.Code.meth * Value.t option * Value.t list) option
+(** If the next instruction is a method/constructor call, its resolved
+    target, receiver and argument values; [None] also when resolving
+    crashes (a null receiver, say). *)
+
+val at_call_named_th : thread -> string -> bool
+(** Is the next instruction a call of a method named [name]
+    ({!Jir.Ast.ctor_name} for a constructor)?  Decodes only and
+    allocates nothing.  Whenever {!pending_call_th} returns a target
+    [cm], this holds for [cm.cm_name], so it filters the steps worth
+    resolving. *)
 
 val peek_th : thread -> (Jir.Code.meth * int * Jir.Code.instr) option
 
 val peek : t -> Value.tid -> (Jir.Code.meth * int * Jir.Code.instr) option
 (** The instruction [step] would execute next. *)
-
-val pending_call :
-  t -> Value.tid -> (Jir.Code.meth * Value.t option * Value.t list) option
-(** If the next instruction is a method/constructor call, its resolved
-    target, receiver and argument values. *)
 
 val run_thread_to_completion :
   t -> Value.tid -> fuel:int -> (Value.t option, string) result

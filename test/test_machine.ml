@@ -293,7 +293,7 @@ let test_pending_on_finished_thread () =
       | Error e -> Alcotest.fail e
       | Ok _ ->
         Alcotest.(check bool) "no pending call" true
-          (Machine.pending_call m tid = None)))
+          (Machine.pending_call_th m (Machine.find_thread m tid) = None)))
 
 let test_deref_path () =
   let cu = Jir.Compile.compile_source Testlib.Fixtures.fig1 in

@@ -211,6 +211,61 @@ let test_scheduler_allocation () =
     at_most "Exec.run" 3.3 executed;
     at_most "lockset-observed Exec.run" 19.7 observed
 
+(* The seed replay that builds every synthesized test's template
+   ([Interp.run_until_call]), to a target no instruction names, on a
+   seed that calls two methods per loop iteration and never ends within
+   its fuel, so the loop filters out every step.  Plain stepping
+   ([Machine.step_th]) of the seed makes 4.67 words per step, all of
+   them the callee frames, and the replay 4.68: the loop itself
+   allocates nothing on a step that is not a call of the target's
+   name.  The loop that resolved every call and checked the caller on
+   every step made 19.34 here, and added 12.7-14.0 words per step over
+   plain stepping on the corpus seeds; a first decode-first version
+   that still allocated the top frame's [Some] added 2.1-3.0.  The
+   bounds are the measured 4.68 and 0.01 plus half a word. *)
+let replay_src =
+  "class C { int count; void bump() { this.count = this.count + 1; } \
+   int get() { return this.count; } } \
+   class Seed { static void main() { C c = new C(); int i = 0; \
+   while (i < 1000000000) { c.bump(); i = i + c.get(); } } }"
+
+let test_replay_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let fuel = 20_000 in
+    let cu = Jir.Compile.compile_source replay_src in
+    let fresh () = Runtime.Machine.create ~client_classes:[ "Seed" ] cu in
+    let m = fresh () in
+    let cap = ref None in
+    let replay =
+      words_per_step ~steps:fuel (fun () ->
+          cap :=
+            Runtime.Interp.run_until_call ~fuel m ~cls:"Seed" ~meth:"main"
+              ~target_qname:"C.absent" ~nth:0)
+    in
+    Alcotest.(check bool) "no capture" true (!cap = None);
+    Alcotest.(check int) "the replay uses all its fuel" 1 (List.length (Runtime.Machine.live_tids m));
+    let m = fresh () in
+    let th =
+      match Jir.Code.find_static cu "Seed" "main" with
+      | Some cm ->
+        Runtime.Machine.find_thread m
+          (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ())
+      | None -> Alcotest.fail "no Seed.main"
+    in
+    let stepped =
+      words_per_step ~steps:fuel (fun () ->
+          for _ = 1 to fuel do
+            ignore (Runtime.Machine.step_th m th)
+          done)
+    in
+    let at_most what bound v =
+      if v > bound then Alcotest.failf "%s: %.3f words/step, bound %.2f" what v bound
+    in
+    at_most "run_until_call" 5.18 replay;
+    at_most "run_until_call over step_th" 0.51 (replay -. stepped)
+
 let () =
   Alcotest.run "rng"
     [
@@ -225,5 +280,6 @@ let () =
           Alcotest.test_case "below allocates nothing" `Quick test_no_allocation;
           Alcotest.test_case "directed scheduler words/step" `Quick
             test_scheduler_allocation;
+          Alcotest.test_case "seed replay words/step" `Quick test_replay_allocation;
         ] );
     ]

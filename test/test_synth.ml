@@ -160,6 +160,256 @@ let test_roots_nonempty () =
       | Error _ -> ())
     an.Pipeline.an_tests
 
+(* ---- seed replay: decoding first = resolving every step ---- *)
+
+(* [Runtime.Interp.run_until_call] as it was before it decoded the
+   instruction first: it checks the caller and resolves the pending call
+   on every step.  Kept verbatim (bar module paths and the entry
+   lookup) as the reference the decode-first loop must agree with. *)
+module Reference = struct
+  module Machine = Runtime.Machine
+  module Code = Jir.Code
+
+  let run_until_call ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth
+      ~target_qname ~nth : Runtime.Interp.captured option =
+    let cu = Machine.unit_of m in
+    let cm =
+      match Code.find_static cu cls meth with
+      | Some cm -> cm
+      | None -> Alcotest.failf "no static entry point %s.%s" cls meth
+    in
+    let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
+    let th = Machine.find_thread m tid in
+    let count = ref 0 in
+    let rec loop n =
+      if n <= 0 then None
+      else
+        let is_client_caller =
+          match Machine.top_frame_th th with
+          | Some f -> Machine.is_client_frame m f
+          | None -> true
+        in
+        match Machine.pending_call_th m th with
+        | Some (target, recv, args)
+          when is_client_caller
+               && String.equal target.Code.cm_qname target_qname ->
+          if !count = nth then
+            Some
+              {
+                Runtime.Interp.cap_meth = target;
+                cap_recv = recv;
+                cap_args = args;
+                cap_tid = tid;
+              }
+          else (
+            incr count;
+            step_and_continue n)
+        | Some _ | None -> step_and_continue n
+    and step_and_continue n =
+      match Machine.step_th m th with
+      | Machine.Stepped -> (
+        match Machine.status_th th with
+        | Machine.Finished _ | Machine.Crashed _ | Machine.Suspended -> None
+        | Machine.Runnable | Machine.Blocked_lock _ | Machine.Blocked_join _ ->
+          loop (n - 1))
+      | Machine.Blocked | Machine.Not_runnable -> None
+    in
+    loop fuel
+end
+
+(* A program whose seed test [seed_cls.seed_meth] is replayed. *)
+type replayed = {
+  rp_name : string;
+  rp_cu : Jir.Code.unit_;
+  rp_client : string list;
+  rp_seed_cls : string;
+  rp_seed_meth : string;
+}
+
+let corpus_replayed () =
+  List.map
+    (fun (e : Corpus.Corpus_def.entry) ->
+      let cls = e.Corpus.Corpus_def.e_seed_cls in
+      {
+        rp_name = e.Corpus.Corpus_def.e_id;
+        rp_cu = Corpus.Registry.compiled_unit e;
+        rp_client = [ cls ];
+        rp_seed_cls = cls;
+        rp_seed_meth = e.Corpus.Corpus_def.e_seed_meth;
+      })
+    (Corpus.Registry.all @ Corpus.Registry.extras)
+
+(* The patched program of each candidate repair tries on C3. *)
+let c3_candidates () =
+  let e = match Corpus.Registry.find "C3" with Some e -> e | None -> Alcotest.fail "no C3" in
+  let cls = e.Corpus.Corpus_def.e_seed_cls in
+  let sub =
+    Repair.Engine.subject_of_unit (Corpus.Registry.compiled_unit e) ~client_classes:[ cls ]
+      ~seed_cls:cls ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+  in
+  let rp = match Repair.Engine.repair_all sub with Ok rp -> rp | Error msg -> Alcotest.fail msg in
+  List.concat_map
+    (fun (rr : Repair.Engine.race_repair) ->
+      List.map (fun a -> a.Repair.Engine.at_cand) rr.Repair.Engine.rr_attempts)
+    rp.Repair.Engine.rp_races
+  |> List.mapi (fun i c ->
+         match Repair.Grammar.apply sub.Repair.Engine.sj_prog c with
+         | Error msg -> Alcotest.failf "C3 candidate %d: %s" i msg
+         | Ok prog ->
+           {
+             rp_name = Printf.sprintf "C3 candidate %d" i;
+             rp_cu = Jir.Compile.compile_unit prog;
+             rp_client = [ cls ];
+             rp_seed_cls = cls;
+             rp_seed_meth = e.Corpus.Corpus_def.e_seed_meth;
+           })
+
+let generated_replayed n =
+  List.init n (fun i ->
+      {
+        rp_name = Printf.sprintf "Gen seed %d" i;
+        rp_cu = Jir.Compile.compile_unit (Fuzz.Gen.generate ~seed:(Int64.of_int i));
+        rp_client = [ Fuzz.Gen.seed_cls ];
+        rp_seed_cls = Fuzz.Gen.seed_cls;
+        rp_seed_meth = Fuzz.Gen.seed_meth;
+      })
+
+(* The qnames a context recipe harvests an invocation of. *)
+let rec recipe_setters = function
+  | Context.Share_owner -> []
+  | Context.Apply { setter; payload } -> (
+    setter.Summary.set_qname
+    ::
+    (match payload with
+    | Context.Shared -> []
+    | Context.Prepared { recipe; _ } -> recipe_setters recipe))
+
+let plan_setters (p : Context.plan) =
+  (match p.Context.plan_recipe with Some r -> recipe_setters r | None -> [])
+  @ match p.Context.plan_prefix with Some (_, r) -> recipe_setters r | None -> []
+
+let method_qnames (cu : Jir.Code.unit_) =
+  Hashtbl.fold
+    (fun _ (c : Jir.Code.cls) acc ->
+      let qname (_, (cm : Jir.Code.meth)) = cm.Jir.Code.cm_qname in
+      List.map qname c.Jir.Code.cc_ctors
+      @ List.map qname (c.Jir.Code.cc_methods @ c.Jir.Code.cc_static_methods)
+      @ acc)
+    cu.Jir.Code.cu_classes []
+  |> List.sort_uniq String.compare
+
+(* The replays of one program, each a sequence of (qname, occurrence)
+   run one after another on one machine as [Synth.instantiate] does:
+   per synthesized test its endpoints at their occurrences, every setter
+   its recipes harvest, a target no call reaches (a known method name on
+   no class) and endpoint A past its last occurrence; then every method
+   of the program at occurrences 0 and 1. *)
+let replays (p : replayed) =
+  let tests =
+    match
+      Pipeline.analyze p.rp_cu ~client_classes:p.rp_client ~seed_cls:p.rp_seed_cls
+        ~seed_meth:p.rp_seed_meth
+    with
+    | Ok an -> an.Pipeline.an_tests
+    | Error _ -> [] (* a crashing seed: its methods are still replayed *)
+  in
+  let of_test (t : Synth.test) =
+    let a = t.Synth.st_pair.Pairs.p_a and b = t.Synth.st_pair.Pairs.p_b in
+    [ (a.Pairs.ep_qname, a.Pairs.ep_occurrence); (b.Pairs.ep_qname, b.Pairs.ep_occurrence) ]
+    @ List.map (fun q -> (q, 0)) (plan_setters t.Synth.st_plan_a @ plan_setters t.Synth.st_plan_b)
+    @ [ ("Nowhere." ^ a.Pairs.ep_meth, 0); (a.Pairs.ep_qname, 1_000_000) ]
+  in
+  let qs = method_qnames p.rp_cu in
+  List.map of_test tests @ [ List.map (fun q -> (q, 0)) qs; List.map (fun q -> (q, 1)) qs ]
+
+(* Everything one replay decides: the capture (target, receiver,
+   arguments, thread), then the labels consumed and where the replay
+   thread stopped. *)
+let replay_outcome m (cap : Runtime.Interp.captured option) =
+  let pc =
+    (* The replay's thread is the machine's newest. *)
+    match List.rev (Runtime.Machine.all_threads m) with
+    | th :: _ -> (
+      match Runtime.Machine.top_frame_th th with
+      | Some f -> string_of_int f.Runtime.Machine.pc
+      | None -> "-")
+    | [] -> Alcotest.fail "no replay thread"
+  in
+  let cap =
+    match cap with
+    | None -> "None"
+    | Some c ->
+      Printf.sprintf "%s recv=%s args=[%s] tid=%d" c.Runtime.Interp.cap_meth.Jir.Code.cm_qname
+        (match c.Runtime.Interp.cap_recv with Some v -> Runtime.Value.to_string v | None -> "-")
+        (String.concat "," (List.map Runtime.Value.to_string c.Runtime.Interp.cap_args))
+        c.Runtime.Interp.cap_tid
+  in
+  Printf.sprintf "%s labels=%d pc=%s" cap (Runtime.Machine.labels_used m) pc
+
+(* Every replay of [p] under both loops: (replay, outcome, reference
+   outcome, captured). *)
+let replay_both (p : replayed) =
+  List.concat_map
+    (fun seq ->
+      let run until_call =
+        let m = Runtime.Machine.create ~client_classes:p.rp_client p.rp_cu in
+        List.map
+          (fun (target_qname, nth) ->
+            let cap = until_call m ~cls:p.rp_seed_cls ~meth:p.rp_seed_meth ~target_qname ~nth in
+            let out = replay_outcome m cap in
+            Option.iter (fun c -> Runtime.Machine.suspend m c.Runtime.Interp.cap_tid) cap;
+            (Printf.sprintf "%s %s#%d" p.rp_name target_qname nth, out, cap <> None))
+          seq
+      in
+      List.map2
+        (fun (what, got, captured) (_, want, _) -> (what, got, want, captured))
+        (run (Runtime.Interp.run_until_call ?fuel:None))
+        (run (Reference.run_until_call ?fuel:None)))
+    (replays p)
+
+let check_replays what ~programs ~replays ~captures progs =
+  Alcotest.(check int) (what ^ ": programs") programs (List.length progs);
+  let all = List.concat_map replay_both progs in
+  Alcotest.(check (list string))
+    (what ^ ": differences") []
+    (List.filter_map
+       (fun (r, got, want, _) ->
+         if String.equal got want then None
+         else Some (Printf.sprintf "%s: %s, reference %s" r got want))
+       all);
+  Alcotest.(check int) (what ^ ": replays") replays (List.length all);
+  Alcotest.(check int) (what ^ ": captures") captures
+    (List.length (List.filter (fun (_, _, _, captured) -> captured) all))
+
+let test_replay_corpus () =
+  check_replays "C1-C9, X1-X3" ~programs:12 ~replays:3191 ~captures:1720 (corpus_replayed ())
+
+let test_replay_c3_candidates () =
+  check_replays "C3 candidates" ~programs:17 ~replays:1636 ~captures:815 (c3_candidates ())
+
+let test_replay_generated () =
+  check_replays "generated" ~programs:200 ~replays:6342 ~captures:1999 (generated_replayed 200)
+
+(* The second [poke] has a null receiver, so resolving it crashes: the
+   one capture is the first [poke], and at occurrence 1 both loops stop
+   where the step crashes. *)
+let null_receiver_src =
+  "class Lib { int v; void poke() { this.v = this.v + 1; } } \
+   class Seed { static void main() { Lib a = new Lib(); a.poke(); \
+   Lib b = null; b.poke(); } }"
+
+let test_replay_null_receiver () =
+  check_replays "null receiver" ~programs:1 ~replays:4 ~captures:1
+    [
+      {
+        rp_name = "null receiver";
+        rp_cu = Jir.Compile.compile_source null_receiver_src;
+        rp_client = [ "Seed" ];
+        rp_seed_cls = "Seed";
+        rp_seed_meth = "main";
+      };
+    ]
+
 let () =
   Alcotest.run "synth"
     [
@@ -176,6 +426,13 @@ let () =
             test_share_owner_directly;
           Alcotest.test_case "fig13 context applied" `Quick test_fig13_instantiation;
           Alcotest.test_case "roots" `Quick test_roots_nonempty;
+        ] );
+      ( "seed replay",
+        [
+          Alcotest.test_case "C1-C9, X1-X3 = reference" `Quick test_replay_corpus;
+          Alcotest.test_case "C3 repair candidates = reference" `Quick test_replay_c3_candidates;
+          Alcotest.test_case "200 generated programs = reference" `Quick test_replay_generated;
+          Alcotest.test_case "null receiver = reference" `Quick test_replay_null_receiver;
         ] );
       ( "rendering",
         [ Alcotest.test_case "to_source" `Quick test_to_source_mentions_methods ] );
