@@ -532,18 +532,16 @@ let contege_cmd =
 
 let explore_cmd =
   let run corpus_id test_id bound =
+    if bound < 0 then begin
+      Printf.eprintf "narada: --bound must be non-negative (got %d)\n" bound;
+      exit 1
+    end;
     let e = or_die (find_corpus corpus_id) in
-    let cu = compile_or_die ~entry:e e.Corpus.Corpus_def.e_source in
-    match
-      Narada_core.Pipeline.analyze cu
-        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-        ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-        ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-    with
+    match Eval.Evaluate.analyze_entry e with
     | Error msg ->
       prerr_endline ("narada: " ^ msg);
       exit 1
-    | Ok an -> (
+    | Ok (_, an) -> (
       match
         List.find_opt
           (fun (t : Narada_core.Synth.test) -> t.Narada_core.Synth.st_id = test_id)
@@ -556,21 +554,26 @@ let explore_cmd =
       | Some t ->
         print_string (Narada_core.Synth.to_source t);
         let instantiate = Narada_core.Pipeline.instantiator an t in
-        let races = ref [] in
+        (* FastTrack runs on every execution; its reports are read once,
+           when the execution ends, and keys are kept in first-seen order. *)
+        let ft = ref (Detect.Fasttrack.create ()) in
         let restart () =
           match instantiate () with
           | Error e -> Error e
           | Ok inst ->
-            let ft = Detect.Fasttrack.attach inst.Detect.Racefuzzer.ri_machine in
-            Runtime.Machine.add_observer inst.Detect.Racefuzzer.ri_machine
-              (fun _ ->
-                List.iter
-                  (fun r ->
-                    let k = Detect.Race.key_of r in
-                    if not (List.exists (fun k' -> Detect.Race.compare_key k k' = 0) !races)
-                    then races := k :: !races)
-                  (Detect.Fasttrack.reports ft));
+            ft := Detect.Fasttrack.attach inst.Detect.Racefuzzer.ri_machine;
             Ok inst.Detect.Racefuzzer.ri_machine
+        in
+        let seen = Hashtbl.create 16 and races = ref [] in
+        let on_execution _ _ =
+          List.iter
+            (fun r ->
+              let k = Detect.Race.key_of r in
+              if not (Hashtbl.mem seen k) then begin
+                Hashtbl.add seen k ();
+                races := k :: !races
+              end)
+            (Detect.Fasttrack.reports !ft)
         in
         let config =
           {
@@ -578,7 +581,7 @@ let explore_cmd =
             Conc.Systematic.sc_preemption_bound = bound;
           }
         in
-        (match Conc.Systematic.explore ~config ~restart () with
+        (match Conc.Systematic.explore ~config ~restart ~on_execution () with
         | Error msg ->
           prerr_endline ("narada: " ^ msg);
           exit 1
@@ -838,16 +841,9 @@ let serve_cmd =
         match Corpus.Registry.find id with
         | None -> fail "error unknown corpus id %s" id
         | Some e -> (
-          match
-            Narada_core.Pipeline.analyze
-              (Corpus.Registry.compiled_unit e)
-              ~static_filter:true ~static_cache
-              ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-              ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-              ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-          with
+          match Eval.Evaluate.analyze_entry ~static_filter:true ~static_cache e with
           | Error msg -> fail "error analyze %s: %s" id msg
-          | Ok an ->
+          | Ok (_, an) ->
             Printf.sprintf "analyze %s ok pairs=%d pruned=%d tests=%d" id
               (List.length an.Narada_core.Pipeline.an_pairs)
               an.Narada_core.Pipeline.an_pairs_pruned
@@ -1003,16 +999,10 @@ let profile_cmd =
     List.iter
       (fun (e : Corpus.Corpus_def.entry) ->
         Obs.Metrics.reset reg;
-        let cu = compile_or_die ~entry:e e.Corpus.Corpus_def.e_source in
-        match
-          Narada_core.Pipeline.analyze cu ~static_filter
-            ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-            ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-            ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-        with
+        match Eval.Evaluate.analyze_entry ~static_filter e with
         | Error msg ->
           Printf.printf "%-4s analysis failed: %s\n" e.Corpus.Corpus_def.e_id msg
-        | Ok an ->
+        | Ok (_, an) ->
           let span p = Obs.Metrics.span_ns reg p in
           let context_ns = span "pipeline/synth/context" in
           (* synth self-time: the synthesis span minus its context child *)

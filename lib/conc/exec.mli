@@ -13,8 +13,6 @@ type run_result = {
   crashes : (Runtime.Value.tid * string) list;
 }
 
-val default_fuel : int
-
 val run : ?fuel:int -> Runtime.Machine.t -> Scheduler.t -> run_result
 (** Step the machine, one scheduler pick over its live threads per step,
     until no thread is runnable or [fuel] picks are spent (a pick whose

@@ -64,11 +64,6 @@ let frame_info t frame = Hashtbl.find_opt t.frames frame
 
 let shadow_fields t addr = Hashtbl.find_opt t.shadow addr
 
-let shadow_get t addr field =
-  match Hashtbl.find_opt t.shadow addr with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl field
-
 let shadow_set t addr field v =
   let tbl =
     match Hashtbl.find_opt t.shadow addr with

@@ -36,8 +36,6 @@ val frame_info : t -> Runtime.Event.frame_id -> frame_info option
 val shadow_fields :
   t -> Runtime.Value.addr -> (Jir.Ast.id, Runtime.Value.t) Hashtbl.t option
 
-val shadow_get : t -> Runtime.Value.addr -> Jir.Ast.id -> Runtime.Value.t option
-
 val mark_controllable_deep : t -> Runtime.Value.addr -> unit
 (** Mark an address and everything currently reachable from it
     controllable (the deep initialization the paper's R performs on

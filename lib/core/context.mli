@@ -16,7 +16,6 @@ and payload =
       (** obtain an instance, pre-wire it with [recipe], pass it *)
 
 val recipe_to_string : recipe -> string
-val payload_to_string : payload -> string
 
 val recipe_depth : recipe -> int
 (** Number of setter invocations in the sequence. *)

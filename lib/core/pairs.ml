@@ -40,13 +40,6 @@ let endpoint_of (a : Access.acc) : endpoint option =
       }
   | (Some _ | None), _ -> None
 
-let endpoint_to_string e =
-  Printf.sprintf "%s[%s.%s %s at %s]" e.ep_qname
-    (Sym.to_string e.ep_owner_path)
-    "" (* field printed by the pair *)
-    (Access.kind_to_string e.ep_kind)
-    (Runtime.Event.site_to_string e.ep_site)
-
 let pair_to_string p =
   Printf.sprintf "race pair on .%s: %s:%s (%s) <-> %s:%s (%s)" p.p_field
     p.p_a.ep_qname

@@ -21,7 +21,6 @@ type endpoint = {
 type pair = { p_field : Jir.Ast.id; p_a : endpoint; p_b : endpoint }
 
 val endpoint_of : Access.acc -> endpoint option
-val endpoint_to_string : endpoint -> string
 val pair_to_string : pair -> string
 
 val key_of : pair -> Runtime.Event.site * Runtime.Event.site * Jir.Ast.id

@@ -29,8 +29,6 @@ let to_string s =
   Printf.sprintf "%s: %s := %s" s.set_qname (Sym.to_string s.set_lhs)
     (Sym.to_string s.set_rhs)
 
-let pp fmt s = Format.pp_print_string fmt (to_string s)
-
 type t = { setters : setter list }
 
 let of_list setters =

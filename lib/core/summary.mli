@@ -15,9 +15,7 @@ type setter = {
 }
 
 val is_ctor : setter -> bool
-val equal : setter -> setter -> bool
 val to_string : setter -> string
-val pp : Format.formatter -> setter -> unit
 
 type t
 

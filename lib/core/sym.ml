@@ -23,16 +23,7 @@ let equal_root a b =
   | Arg i, Arg j -> Int.equal i j
   | (Recv | Arg _ | Ret), _ -> false
 
-let compare_root a b =
-  let rank = function Recv -> 0 | Arg i -> 1 + i | Ret -> max_int in
-  Int.compare (rank a) (rank b)
-
 let equal a b = equal_root a.root b.root && List.equal String.equal a.fields b.fields
-
-let compare a b =
-  match compare_root a.root b.root with
-  | 0 -> List.compare String.compare a.fields b.fields
-  | c -> c
 
 let root_to_string = function
   | Recv -> "I0"
@@ -42,22 +33,6 @@ let root_to_string = function
 let to_string { root; fields } =
   String.concat "." (root_to_string root :: fields)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let append t f = { t with fields = t.fields @ [ f ] }
-let append_path t fs = { t with fields = t.fields @ fs }
 
 let depth t = List.length t.fields
-
-(* [strip_prefix ~prefix t]: the remaining fields of [t] after removing
-   [prefix] (same root, prefix of the field list). *)
-let strip_prefix ~prefix t =
-  if not (equal_root prefix.root t.root) then None
-  else
-    let rec go p f =
-      match (p, f) with
-      | [], rest -> Some rest
-      | x :: p', y :: f' when String.equal x y -> go p' f'
-      | _ :: _, _ -> None
-    in
-    go prefix.fields t.fields

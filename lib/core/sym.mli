@@ -12,18 +12,9 @@ type t = { root : root; fields : string list }
 
 val make : root -> string list -> t
 val of_root : root -> t
-val equal_root : root -> root -> bool
-val compare_root : root -> root -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val root_to_string : root -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val append : t -> string -> t
-val append_path : t -> string list -> t
 
 val depth : t -> int
 (** Number of field dereferences. *)
-
-val strip_prefix : prefix:t -> t -> string list option
-(** Remaining fields after removing [prefix] (same root). *)

@@ -73,9 +73,6 @@ let plan (prog : Jir.Program.t) (summary : Summary.t) ~seed_cls ~seed_meth
       end)
     pairs
 
-(* The pairs a test covers (for reporting): all pairs with its key. *)
-let covers (t : test) (p : Pairs.pair) = dedup_key t.st_pair = dedup_key p
-
 (* ------------------------------------------------------------------ *)
 (* Instantiation                                                       *)
 (* ------------------------------------------------------------------ *)

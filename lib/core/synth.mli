@@ -27,9 +27,6 @@ val plan :
   Pairs.pair list ->
   test list
 
-val covers : test -> Pairs.pair -> bool
-(** Does this test's group include the pair? *)
-
 val instantiate :
   ?seed:int64 ->
   ?apply_context:bool ->

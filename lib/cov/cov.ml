@@ -84,7 +84,6 @@ module Set = struct
     | Lock_order -> { t with lock_order = s }
     | Postponed -> { t with postponed = s }
 
-  let is_empty t = List.for_all (fun k -> I64set.is_empty (get k t)) all_kinds
   let add k fp t = set k (I64set.add fp (get k t)) t
   let mem k fp t = I64set.mem fp (get k t)
 
@@ -254,15 +253,6 @@ module Corpus = struct
         | 0 -> Int.compare a.en_id b.en_id
         | cmp -> cmp)
       (entries c)
-
-  let merge dst src =
-    List.iter
-      (fun e ->
-        let e = { e with en_id = dst.next_id } in
-        dst.next_id <- dst.next_id + 1;
-        dst.rev_entries <- e :: dst.rev_entries)
-      (entries src);
-    dst.cov <- Set.union dst.cov src.cov
 
   (* Checkpoint format, schema narada.covcorpus/1:
        narada.covcorpus/1

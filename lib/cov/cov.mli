@@ -19,17 +19,10 @@
 
 type kind = Racy_pair | Hb_edge | Lock_order | Postponed
 
-val kind_to_string : kind -> string
-val all_kinds : kind list
-
 (** Feature fingerprints: 64-bit hashes, stable across runs and OCaml
     versions (no [Hashtbl.hash] dependence). *)
 module Fp : sig
   type t = int64
-
-  val of_string : string -> t
-  val combine : t -> t -> t
-  val of_int : int -> t
 end
 
 (** A coverage set: four fingerprint sets, one per {!kind}. *)
@@ -37,22 +30,13 @@ module Set : sig
   type t
 
   val empty : t
-  val is_empty : t -> bool
   val add : kind -> Fp.t -> t -> t
   val mem : kind -> Fp.t -> t -> bool
   val union : t -> t -> t
   val count : kind -> t -> int
   val total : t -> int
 
-  val novelty : base:t -> t -> int
-  (** Number of features of [t] not already in [base]. *)
-
-  val diff : t -> t -> t
   val equal : t -> t -> bool
-
-  val fold : (kind -> Fp.t -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Iterates kinds in declaration order and fingerprints in ascending
-      order — deterministic. *)
 end
 
 (** {2 Feature constructors} *)
@@ -107,11 +91,6 @@ module Corpus : sig
 
   val ranked : t -> entry list
   (** Entries by descending gain, ties by ascending id. *)
-
-  val merge : t -> t -> unit
-  (** [merge dst src]: union coverage and append [src]'s entries
-      (re-numbered) — commutative on coverage, deterministic on entry
-      order when callers merge in a fixed order. *)
 
   val digest : t -> string
   (** Stable hex fingerprint of (coverage, entries); equal digests ⇔

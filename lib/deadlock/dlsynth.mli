@@ -9,27 +9,11 @@ type test = {
   dt_seed_meth : Jir.Ast.id;
 }
 
-val instantiate :
-  ?seed:int64 ->
-  Jir.Code.unit_ ->
-  client_classes:Jir.Ast.id list ->
-  test ->
-  (Detect.Racefuzzer.instance, string) result
-
-val directed_deadlock_scheduler : Runtime.Value.tid list -> Conc.Scheduler.t
-
 type confirmation = {
   co_deadlocked : bool;
   co_threads : Runtime.Value.tid list;
   co_schedule : string;  (** which scheduler confirmed ("directed", ...) *)
 }
-
-val confirm :
-  ?seed:int64 ->
-  Jir.Code.unit_ ->
-  client_classes:Jir.Ast.id list ->
-  test ->
-  (confirmation, string) result
 
 type result_row = {
   rr_pair : Lockorder.pair;

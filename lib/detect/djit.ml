@@ -151,9 +151,4 @@ let observer t (e : Runtime.Event.t) =
   | Runtime.Event.Thrown _ ->
     ()
 
-let attach m =
-  let t = create () in
-  Runtime.Machine.add_observer m (observer t);
-  t
-
 let reports t = Race.dedup (List.rev t.reports)

@@ -9,5 +9,4 @@ type t
 
 val create : unit -> t
 val observer : t -> Runtime.Event.t -> unit
-val attach : Runtime.Machine.t -> t
 val reports : t -> Race.report list

@@ -26,9 +26,6 @@ type key = {
 val key_of : report -> key
 val compare_key : key -> key -> int
 val key_to_string : key -> string
-val kind_to_string : [ `Read | `Write ] -> string
-val pp_access : Format.formatter -> access -> unit
-val pp : Format.formatter -> report -> unit
 val to_string : report -> string
 
 val dedup : report list -> report list

@@ -41,7 +41,6 @@ module Epoch = struct
   type e = { clock : int; tid : int }
 
   let none = { clock = 0; tid = -1 }
-  let make ~clock ~tid = { clock; tid }
   let is_none e = e.tid = -1
 
   (* e ⪯ C : the epoch happens-before the vector clock. *)
@@ -50,7 +49,4 @@ module Epoch = struct
   let of_vc (c : t) tid = { clock = get c tid; tid }
   let tid e = e.tid
   let clock e = e.clock
-
-  let to_string e =
-    if is_none e then "⊥" else Printf.sprintf "%d@%d" e.clock e.tid
 end

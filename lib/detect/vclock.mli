@@ -24,9 +24,6 @@ module Epoch : sig
   val none : e
   (** The bottom epoch: precedes everything. *)
 
-  val make : clock:int -> tid:int -> e
-  val is_none : e -> bool
-
   val leq_vc : e -> t -> bool
   (** [leq_vc e c]: does the epoch happen before the clock? *)
 
@@ -35,6 +32,4 @@ module Epoch : sig
 
   val tid : e -> int
   val clock : e -> int
-
-  val to_string : e -> string
 end

@@ -106,9 +106,6 @@ val evaluate_class :
   ?opts:options -> Corpus.Corpus_def.entry -> (class_eval, string) result
 (** {!evaluate_corpus} of the one entry. *)
 
-val fig14_buckets : string list
-(** ["0"; "1"; "2"; "3-5"; "5-10"; ">10"] *)
-
 val fig14_distribution : class_eval -> (string * float) list
 (** Percentage of the class's tests per bucket of detected races. *)
 

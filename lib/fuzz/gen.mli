@@ -33,22 +33,3 @@ val generate : seed:int64 -> Jir.Ast.program
 
 val to_source : Jir.Ast.program -> string
 (** Pretty-print (valid, re-parseable Jir source). *)
-
-(** Deterministic splitmix64 stream, exposed for the shrinker and
-    oracles so every component draws from the same seeded universe. *)
-module Rng : sig
-  type t
-
-  val make : int64 -> t
-  val int : t -> int -> int
-  (** [int t bound] is uniform in [\[0, bound)]; [bound >= 1]. *)
-
-  val range : t -> int -> int -> int
-  (** [range t lo hi] is uniform in [\[lo, hi\]]. *)
-
-  val bool : t -> bool
-  val chance : t -> int -> int -> bool
-  (** [chance t num den]: true with probability [num/den]. *)
-
-  val pick : t -> 'a list -> 'a
-end

@@ -987,11 +987,6 @@ let check ?mutate ~seed program =
             guarded (fun () -> campaign_agreement ?mutate ~seed cu));
       ]
 
-let first_failure ?mutate ~seed program =
-  List.find_map
-    (fun (n, v) -> match v with Pass -> None | Fail d -> Some (n, d))
-    (check ?mutate ~seed program)
-
 let fails_oracle ?mutate ~seed ~oracle program =
   (* Candidates that break outright (don't compile, lost their entry
      point, raise from the pipeline) are not counterexamples for the

@@ -107,10 +107,6 @@ val check :
       {!Eval.Guided} confirm the same race keys, and repair discovery's
       targets are exactly those keys folded to race ids. *)
 
-val first_failure :
-  ?mutate:mutation -> seed:int64 -> Jir.Ast.program -> (string * string) option
-(** [(oracle, detail)] of the first failing oracle, if any. *)
-
 val fails_oracle :
   ?mutate:mutation -> seed:int64 -> oracle:string -> Jir.Ast.program -> bool
 (** Does this specific oracle fail on the program?  The shrinker's
@@ -123,9 +119,3 @@ val coverage : seed:int64 -> Jir.Ast.program -> Cov.Set.t
     and lock-order features from the recorded trace, racy-pair features
     from the lockset candidates.  Empty if the program does not
     compile.  The guided campaign's novelty signal. *)
-
-val naive_hb_racy_vars : Runtime.Trace.t -> (int * string * int option) list
-(** The naive oracle by itself: variables [(addr, field, idx)] with at
-    least one pair of conflicting, vector-clock-unordered accesses,
-    computed from full per-access clock history in O(n²).  Exposed for
-    the unit tests. *)

@@ -145,9 +145,5 @@ val unop_to_string : unop -> string
     declaration).  Used by the Crucible fuzzer to size-direct shrinking
     and report how much a counterexample was reduced. *)
 
-val expr_size : expr -> int
-val stmt_size : stmt -> int
 val block_size : block -> int
-val method_size : method_decl -> int
-val class_size : class_decl -> int
 val program_size : program -> int

@@ -140,12 +140,6 @@ let pp_instr fmt = function
   | Iassert (r, msg) -> Format.fprintf fmt "assert r%d %S" r msg
   | Ithrow msg -> Format.fprintf fmt "throw %S" msg
 
-let pp_meth fmt m =
-  Format.fprintf fmt "@[<v 2>%s (regs=%d)%s:" m.cm_qname m.cm_nregs
-    (if m.cm_sync then " [sync]" else "");
-  Array.iteri (fun i ins -> Format.fprintf fmt "@,%3d: %a" i pp_instr ins) m.cm_code;
-  Format.fprintf fmt "@]"
-
 (* Canonical content digest of a unit: class names sorted, each with its
    ancestor chain, fields, and methods printed through [pp_instr].
    Deliberately not [Marshal] (hash tables have no canonical layout).

@@ -73,13 +73,9 @@ type unit_ = {
 }
 
 val find_cls : unit_ -> Ast.id -> cls option
-val find_cls_exn : unit_ -> Ast.id -> cls
 val find_virtual : unit_ -> Ast.id -> Ast.id -> meth option
 val find_static : unit_ -> Ast.id -> Ast.id -> meth option
 val find_ctor : unit_ -> Ast.id -> arity:int -> meth option
-
-val pp_instr : Format.formatter -> instr -> unit
-val pp_meth : Format.formatter -> meth -> unit
 
 val digest : unit_ -> string
 (** Canonical content digest of a unit (hex), computed once per unit:

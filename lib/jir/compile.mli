@@ -5,9 +5,6 @@
     execution events of compiled code are in 1:1 correspondence with the
     canonical trace operations the Narada analysis consumes. *)
 
-val compile_method : Program.t -> cls:Ast.id -> Ast.method_decl -> Code.meth
-(** Compile one concrete method.  @raise Diag.Error on type errors. *)
-
 val compile_unit : Ast.program -> Code.unit_
 (** Type-check and compile a whole program. *)
 

@@ -14,8 +14,6 @@ let to_string { pos; msg } =
   if pos.Ast.line = 0 then msg
   else Format.asprintf "%a: %s" Ast.pp_pos pos msg
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 (* ---- severities and spans (lint vocabulary) ---- *)
 
 type severity = Sev_error | Sev_warning
@@ -23,8 +21,6 @@ type severity = Sev_error | Sev_warning
 let severity_to_string = function
   | Sev_error -> "error"
   | Sev_warning -> "warning"
-
-let pp_severity fmt s = Format.pp_print_string fmt (severity_to_string s)
 
 let compare_severity a b =
   (* errors sort before warnings *)
@@ -38,6 +34,8 @@ type span = { sp_file : string; sp_start : Ast.pos; sp_end : Ast.pos }
 let span ?file:(sp_file = "") (pos : Ast.pos) : span =
   { sp_file; sp_start = pos; sp_end = pos }
 
+(* [file:line:col], or [file:line:col-line:col] for a proper range; no
+   [file:] prefix when [sp_file] is empty. *)
 let pp_span fmt { sp_file; sp_start; sp_end } =
   if sp_file <> "" then Format.fprintf fmt "%s:" sp_file;
   Format.fprintf fmt "%a" Ast.pp_pos sp_start;

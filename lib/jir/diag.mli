@@ -9,7 +9,6 @@ val error : ?pos:Ast.pos -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [error ~pos fmt ...] raises {!Error} with a formatted message. *)
 
 val to_string : error -> string
-val pp : Format.formatter -> error -> unit
 
 (** {2 Severities and spans}
 
@@ -20,7 +19,6 @@ val pp : Format.formatter -> error -> unit
 type severity = Sev_error | Sev_warning
 
 val severity_to_string : severity -> string
-val pp_severity : Format.formatter -> severity -> unit
 
 val compare_severity : severity -> severity -> int
 (** Errors sort before warnings. *)
@@ -31,10 +29,6 @@ type span = { sp_file : string; sp_start : Ast.pos; sp_end : Ast.pos }
 
 val span : ?file:string -> Ast.pos -> span
 (** [span ~file pos] builds the one-position span at [pos]. *)
-
-val pp_span : Format.formatter -> span -> unit
-(** Prints [file:line:col] (or [file:line:col-line:col] for a proper
-    range); the [file:] prefix is omitted when [sp_file] is empty. *)
 
 val span_to_string : span -> string
 val compare_span : span -> span -> int

@@ -17,7 +17,6 @@ type t =
   | Concat
 
 val name : t -> string
-val all : t list
 val of_name : string -> t option
 
 val check : pos:Ast.pos -> t -> Ast.ty list -> Ast.ty

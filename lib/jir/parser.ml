@@ -536,15 +536,3 @@ let parse_program src =
     if peek st = EOF then List.rev acc else loop (parse_class st :: acc)
   in
   loop []
-
-let parse_expr_string src =
-  let st = { toks = Lexer.tokenize src; idx = 0 } in
-  let e = parse_expr st in
-  if peek st <> EOF then Diag.error ~pos:(pos st) "trailing tokens after expression";
-  e
-
-let parse_block_string src =
-  let st = { toks = Lexer.tokenize src; idx = 0 } in
-  let b = parse_block st in
-  if peek st <> EOF then Diag.error ~pos:(pos st) "trailing tokens after block";
-  b

@@ -8,9 +8,3 @@
 val parse_program : string -> Ast.program
 (** Parse a complete compilation unit (a sequence of class and interface
     declarations). *)
-
-val parse_expr_string : string -> Ast.expr
-(** Parse a single expression (the whole string must be consumed). *)
-
-val parse_block_string : string -> Ast.block
-(** Parse a braced statement block (the whole string must be consumed). *)

@@ -176,6 +176,5 @@ let pp_program fmt (p : program) =
   Format.fprintf fmt "@]"
 
 let expr_to_string e = Format.asprintf "%a" pp_expr e
-let stmt_to_string s = Format.asprintf "%a" pp_stmt s
 let class_to_string c = Format.asprintf "%a" pp_class c
 let program_to_string p = Format.asprintf "%a@." pp_program p

@@ -109,6 +109,8 @@ let stmt_own_access ~field (s : stmt) =
      | Some lv -> lvalue_has_field ~field lv
      | None -> false)
 
+(* Does the statement (including nested blocks) read or write [field]?
+   [field = "[]"] matches array-element accesses. *)
 let rec stmt_mentions_field ~field (s : stmt) =
   stmt_own_access ~field s
   ||
@@ -258,6 +260,9 @@ let owner_unguarded_top ~field (m : method_decl) :
 
 (* ---- global-lock injection ---- *)
 
+(* The marker class a global-lock repair introduces.  A fresh class keeps
+   the new monitor's type distinct from every user lock, so the
+   lock-order analysis cannot unify it with existing edges. *)
 let global_lock_class = "NaradaLock"
 let global_lock_field = "narada_lock"
 

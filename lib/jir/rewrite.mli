@@ -34,10 +34,6 @@ val portable_lock : Ast.expr -> bool
     instance fields rooted at [this], and static field paths — false
     for anything touching locals or parameters. *)
 
-val stmt_mentions_field : field:Ast.id -> Ast.stmt -> bool
-(** Does the statement (including nested blocks) read or write [field]?
-    [field = "[]"] matches array-element accesses. *)
-
 val unguarded_top_indices :
   field:Ast.id -> lock:string -> Ast.method_decl -> int list
 (** Indices of top-level body statements containing at least one access
@@ -69,11 +65,6 @@ val owner_unguarded_top :
     inapplicable; [Some ([], [])] when fully guarded. *)
 
 (** {2 Global-lock injection} *)
-
-val global_lock_class : Ast.id
-(** Name of the marker class a global-lock repair introduces.  A fresh
-    class keeps the new monitor's type distinct from every user lock,
-    so the lock-order analysis cannot unify it with existing edges. *)
 
 val global_lock_field : Ast.id
 (** Name of the static lock field added to the host class. *)

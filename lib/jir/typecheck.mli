@@ -14,15 +14,7 @@ type env = {
   mutable loop_depth : int;  (** for break/continue placement checks *)
 }
 
-val is_ref_ty : Ast.ty -> bool
-
-val assignable : env -> src:Ast.ty -> dst:Ast.ty -> bool
-(** May a value of type [src] be stored where [dst] is expected?
-    [Tvoid] encodes the type of the [null] literal. *)
-
 val type_of_expr : env -> Ast.expr -> Ast.ty
-val check_expr : env -> Ast.expr -> Ast.ty -> unit
-val check_stmt : env -> Ast.stmt -> unit
 
 val check_program : Ast.program -> Program.t
 (** Validate the whole program; returns the class table. *)

@@ -176,9 +176,6 @@ module Span = struct
      under a pool uses [~root:true] to get job-count-independent paths. *)
   let stack : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-  let current_path () =
-    match !(Domain.DLS.get stack) with [] -> "" | s :: _ -> s.sp_path
-
   let enter ?registry ?(root = false) name =
     let reg = match registry with Some r -> r | None -> Metrics.global () in
     let st = Domain.DLS.get stack in
@@ -209,12 +206,6 @@ module Span = struct
   let with_ ?registry ?root name f =
     let sp = enter ?registry ?root name in
     Fun.protect ~finally:(fun () -> exit sp) f
-
-  let path sp = sp.sp_path
-
-  (* Per-span counters and histograms: recorded under "<path>#<name>",
-     which keeps them adjacent to the span in sorted exports. *)
-  let count sp name n = Metrics.incr ~n sp.sp_reg (sp.sp_path ^ "#" ^ name)
 
   let observe sp name v = Metrics.observe sp.sp_reg (sp.sp_path ^ "#" ^ name) v
 end
@@ -329,8 +320,6 @@ module Export = struct
   let is_stable_line l =
     String.length l >= String.length stable_prefix
     && String.equal (String.sub l 0 (String.length stable_prefix)) stable_prefix
-
-  let stable_lines t = List.filter is_stable_line (to_lines t)
 
   let write_jsonl ~path ?meta t =
     let oc = open_out path in

@@ -20,12 +20,7 @@ module Clock : sig
   (** Monotonic clock, nanoseconds from an arbitrary origin.  Never
       goes backwards; the only legal source for durations. *)
 
-  val elapsed_ns : since:int64 -> int64
   val elapsed_s : since:int64 -> float
-
-  val wall_unix_ms : unit -> int64
-  (** Wall clock for report {e timestamps} only — never subtract two
-      wall readings to measure a duration. *)
 end
 
 module Metrics : sig
@@ -50,9 +45,6 @@ module Metrics : sig
   val gauge_add : t -> string -> float -> unit
   (** Volatile gauge combined by summation. *)
 
-  val gauge_max : t -> string -> float -> unit
-  (** Volatile gauge combined by maximum (high-water marks). *)
-
   val record_gc : t -> unit
   (** Set the volatile gauges [gc/minor_words] and
       [gc/minor_collections] to the process's totals so far
@@ -62,10 +54,9 @@ module Metrics : sig
   val record_span : t -> string -> ns:int64 -> unit
   (** Low-level span recording (normally via {!Span}). *)
 
-  val counters : t -> (string * int) list
+  val histograms : t -> (string * histogram) list
   (** Sorted by name; likewise below. *)
 
-  val histograms : t -> (string * histogram) list
   val gauges : t -> (string * float) list
 
   val spans : t -> (string * int * int64) list
@@ -73,7 +64,6 @@ module Metrics : sig
 
   val span_calls : t -> string -> int
   val span_ns : t -> string -> int64
-
 end
 
 module Span : sig
@@ -92,19 +82,11 @@ module Span : sig
 
   val with_ : ?registry:Metrics.t -> ?root:bool -> string -> (unit -> 'a) -> 'a
 
-  val path : span -> string
-  val current_path : unit -> string
-
-  val count : span -> string -> int -> unit
-  (** Per-span counter, recorded as ["<path>#<name>"]. *)
-
   val observe : span -> string -> int -> unit
   (** Per-span histogram sample, recorded as ["<path>#<name>"]. *)
 end
 
 module Export : sig
-  val schema : string
-
   val to_lines : ?meta:(string * string) list -> Metrics.t -> string list
   (** JSONL records: one meta line (schema + wall-clock timestamp +
       caller fields, values pre-rendered as JSON), then the stable
@@ -114,8 +96,6 @@ module Export : sig
   val write_jsonl : path:string -> ?meta:(string * string) list -> Metrics.t -> unit
 
   val is_stable_line : string -> bool
-  val stable_lines : Metrics.t -> string list
 
   val json_str : string -> string
-  val json_float : float -> string
 end

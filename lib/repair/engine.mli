@@ -64,8 +64,6 @@ type reject =
   | R_race_survives
   | R_new_race of string
 
-val reject_to_string : reject -> string
-
 (** The one execution of a program's seed test. *)
 type recording = {
   rec_output : string;  (** printed output *)
@@ -112,10 +110,6 @@ type race_repair = {
   rr_attempts : attempt list;  (** in the order tried *)
 }
 
-val repair_race :
-  options -> subject -> baseline -> Grammar.race_id ->
-  key:Detect.Race.key -> verdict:Detect.Triage.verdict option -> race_repair
-
 type report = {
   rp_subject_classes : Jir.Ast.id list;
   rp_tests : int;  (** synthesized tests driven during discovery *)
@@ -134,9 +128,5 @@ val constructive : race_repair -> bool
 (** A race whose synthesized repair eliminates it under re-detection is
     constructively confirmed real — the repairability signal Triage-level
     reports cite. *)
-
-val diff_of : subject -> Jir.Ast.program -> string
-(** Unified diff between the subject's pretty-printed program and a
-    patched program. *)
 
 val report_to_string : ?show_attempts:bool -> subject -> report -> string

@@ -37,8 +37,6 @@
 
 type side = { sd_cls : Jir.Ast.id; sd_meth : Jir.Ast.id }
 
-val side_qname : side -> string
-
 type race_id = { rid_field : Jir.Ast.id; rid_a : side; rid_b : side }
 (** Static identity of a race for repair purposes: field plus the
     unordered pair of methods containing the racy accesses (sides are
@@ -84,7 +82,6 @@ val cost_wrap : int
 val cost_sync_method : int
 val cost_global : int
 
-val action_to_string : action -> string
 val candidate_to_string : candidate -> string
 
 val candidates : Jir.Ast.program -> race_id -> candidate list

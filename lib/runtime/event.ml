@@ -117,22 +117,6 @@ let label_of = function
   | Thrown { label; _ } ->
     label
 
-let tid_of = function
-  | Const { tid; _ }
-  | Move { tid; _ }
-  | Read { tid; _ }
-  | Write { tid; _ }
-  | Alloc { tid; _ }
-  | Lock { tid; _ }
-  | Unlock { tid; _ }
-  | Invoke { tid; _ }
-  | Param { tid; _ }
-  | Return { tid; _ }
-  | Spawned { tid; _ }
-  | Joined { tid; _ }
-  | Thrown { tid; _ } ->
-    tid
-
 let pp fmt (e : t) =
   match e with
   | Const { label; frame; dst; _ } ->

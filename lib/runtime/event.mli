@@ -100,5 +100,4 @@ type t =
   | Thrown of { label : label; tid : Value.tid; msg : string }
 
 val label_of : t -> label
-val tid_of : t -> Value.tid
 val pp : Format.formatter -> t -> unit

@@ -100,6 +100,8 @@ let layout_for tbl cls field_tys =
     Hashtbl.replace tbl cls l;
     l
 
+(* Field slot in [l_names] order, or [-1] when the layout has no such
+   field. *)
 let slot_of (l : layout) f =
   let names = l.l_names in
   let n = Array.length names in
@@ -154,14 +156,6 @@ let get_field t addr f =
     else fault "object @%d of class %s has no field %s" addr cls f
   | Karray _ -> fault "field access %s on an array" f
 
-let set_field t addr f v =
-  match (cell t addr).kind with
-  | Kobject { fields; cls; layout } | Kclassobj { fields; cls; layout } ->
-    let s = slot_of layout f in
-    if s >= 0 then Array.unsafe_set fields s v
-    else fault "object @%d of class %s has no field %s" addr cls f
-  | Karray _ -> fault "field write %s on an array" f
-
 (* Per-access-site inline cache for compiled code: one resolved
    (layout, slot) pair behind a physical-equality check on the layout.
    Compiled code (and therefore its caches) is shared across machines
@@ -201,12 +195,6 @@ let set_field_cached t (c : field_cache) addr f v =
       end
       else fault "object @%d of class %s has no field %s" addr cls f)
   | Karray _ -> fault "field write %s on an array" f
-
-let field_names t addr =
-  match (cell t addr).kind with
-  | Kobject { layout; _ } | Kclassobj { layout; _ } ->
-    List.sort String.compare (Array.to_list layout.l_names)
-  | Karray _ -> []
 
 let array_len t addr =
   match (cell t addr).kind with
@@ -255,16 +243,6 @@ let monitor_owner t addr = (cell t addr).monitor.owner
 
 let monitor_free_or_mine t addr ~tid =
   match (cell t addr).monitor.owner with None -> true | Some o -> o = tid
-
-(* Force-release every monitor depth this thread holds on [addr]
-   (used when unwinding a crashed thread). *)
-let force_release t addr ~tid =
-  let m = (cell t addr).monitor in
-  match m.owner with
-  | Some o when o = tid ->
-    m.depth <- 0;
-    m.owner <- None
-  | Some _ | None -> ()
 
 let size t = t.next - 1
 

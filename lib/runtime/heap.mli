@@ -32,10 +32,6 @@ val create : unit -> t
 val cell : t -> Value.addr -> cell
 (** One bounds check and one array read: addresses are dense. *)
 
-val slot_of : layout -> Jir.Ast.id -> int
-(** Field slot in [l_names] order, or [-1] when the layout has no such
-    field. *)
-
 val layout_names : layout -> Jir.Ast.id array
 
 val alloc_object :
@@ -51,7 +47,6 @@ val class_of : t -> Value.addr -> Jir.Ast.id option
 
 val is_array : t -> Value.addr -> bool
 val get_field : t -> Value.addr -> Jir.Ast.id -> Value.t
-val set_field : t -> Value.addr -> Jir.Ast.id -> Value.t -> unit
 
 type field_cache
 (** Per-access-site inline cache: a resolved (layout, slot) pair behind
@@ -65,9 +60,6 @@ val get_field_cached : t -> field_cache -> Value.addr -> Jir.Ast.id -> Value.t
 val set_field_cached :
   t -> field_cache -> Value.addr -> Jir.Ast.id -> Value.t -> unit
 
-val field_names : t -> Value.addr -> Jir.Ast.id list
-(** Sorted field names of an object ([[]] for arrays). *)
-
 val array_len : t -> Value.addr -> int
 val array_get : t -> Value.addr -> int -> Value.t
 val array_set : t -> Value.addr -> int -> Value.t -> unit
@@ -79,7 +71,6 @@ val try_enter : t -> Value.addr -> tid:Value.tid -> bool
 val exit : t -> Value.addr -> tid:Value.tid -> unit
 val monitor_owner : t -> Value.addr -> Value.tid option
 val monitor_free_or_mine : t -> Value.addr -> tid:Value.tid -> bool
-val force_release : t -> Value.addr -> tid:Value.tid -> unit
 val size : t -> int
 
 val copy : t -> t

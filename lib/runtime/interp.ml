@@ -30,15 +30,6 @@ let record ?(seed = Machine.default_seed) ?(fuel = Machine.default_fuel)
   Trace.recycle rec_;
   (m, trace, res)
 
-(* Convenience used throughout tests: run [cls.main()]. *)
-let run_main ?(seed = Machine.default_seed) ?(on_machine = fun (_ : Machine.t) -> ())
-    (cu : Code.unit_) ~cls : (Value.t option, string) result * string =
-  let m = Machine.create ~client_classes:[ cls ] ~seed cu in
-  on_machine m;
-  let cm = find_entry cu ~cls ~meth:"main" in
-  let res = Machine.call m ~client:true ~cm ~recv:None ~args:[] () in
-  (res, Machine.output m)
-
 type captured = {
   cap_meth : Code.meth; (* target about to be invoked *)
   cap_recv : Value.t option;

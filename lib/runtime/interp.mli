@@ -18,16 +18,6 @@ val record :
     stepping; the machine already runs compiled code, so the hook only
     serves callers that attach observers or inspect the fresh state. *)
 
-val run_main :
-  ?seed:int64 ->
-  ?on_machine:(Machine.t -> unit) ->
-  Jir.Code.unit_ ->
-  cls:Jir.Ast.id ->
-  (Value.t option, string) result * string
-(** Run [cls.main()]; returns the result and captured [Sys.print]
-    output.  [on_machine] runs right after machine creation, as in
-    {!record}; it does not install code. *)
-
 (** A suspended capture: the invocation about to happen. *)
 type captured = {
   cap_meth : Jir.Code.meth;

@@ -967,8 +967,6 @@ let peek_th (th : thread) : (Code.meth * int * Code.instr) option =
         Some (f.meth, f.pc, f.meth.Code.cm_code.(f.pc))
       else None)
 
-let peek m tid = peek_th (thread m tid)
-
 (* If the next instruction is a call, resolve its target and argument
    values without executing it. *)
 let pending_call_th m (th : thread) :
@@ -1141,8 +1139,6 @@ let frames_of m tid = (thread m tid).stack
 
 let top_frame_th (th : thread) =
   match th.stack with [] -> None | f :: _ -> Some f
-
-let top_frame m tid = top_frame_th (thread m tid)
 
 let labels_used m = m.next_label
 let crash_reason m tid =

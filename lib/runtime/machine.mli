@@ -196,9 +196,6 @@ val at_call_named_th : thread -> string -> bool
 
 val peek_th : thread -> (Jir.Code.meth * int * Jir.Code.instr) option
 
-val peek : t -> Value.tid -> (Jir.Code.meth * int * Jir.Code.instr) option
-(** The instruction [step] would execute next. *)
-
 val run_thread_to_completion :
   t -> Value.tid -> fuel:int -> (Value.t option, string) result
 
@@ -210,10 +207,6 @@ val output : t -> string
 val heap : t -> Heap.t
 val unit_of : t -> Jir.Code.unit_
 val frames_of : t -> Value.tid -> frame list
-
-val top_frame : t -> Value.tid -> frame option
-(** The innermost frame of a thread, without rebuilding the frame
-    list. *)
 
 val labels_used : t -> int
 (** Number of event labels consumed so far.  The same for the same

@@ -105,11 +105,6 @@ let canonical heap ~(roots : Value.t list) : t =
   List.iter (fun v -> ignore (visit v)) roots;
   { entries = List.init !next (fun i -> (i, sc.sc_entries.(i))) }
 
-let hash heap ~roots = Hashtbl.hash (canonical heap ~roots)
-
-let equal heap1 ~roots1 heap2 ~roots2 =
-  canonical heap1 ~roots:roots1 = canonical heap2 ~roots:roots2
-
 let to_string (t : t) =
   let buf = Buffer.create 256 in
   List.iter

@@ -12,6 +12,4 @@ val canonical : Heap.t -> roots:Value.t list -> t
 (** Structural comparison ([=]) on the results is heap isomorphism from
     the roots. *)
 
-val hash : Heap.t -> roots:Value.t list -> int
-val equal : Heap.t -> roots1:Value.t list -> Heap.t -> roots2:Value.t list -> bool
 val to_string : t -> string

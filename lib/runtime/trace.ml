@@ -46,8 +46,6 @@ let recycle r =
   r.cur_len <- 0;
   r.count <- 0
 
-let recorded r = r.count
-
 let attach m =
   let r = recorder () in
   Machine.add_observer m (observer r);
@@ -76,54 +74,3 @@ let pp fmt (t : t) =
   Format.fprintf fmt "@]"
 
 let to_string t = Format.asprintf "%a" pp t
-
-(* Client-boundary invocations in the trace: these are the "invoke"
-   trace elements of the paper's inference rules. *)
-type invoke = {
-  inv_label : Event.label;
-  inv_frame : Event.frame_id;
-  inv_qname : string;
-  inv_cls : Jir.Ast.id;
-  inv_meth : Jir.Ast.id;
-  inv_recv : Value.t option;
-  inv_args : Value.t list;
-}
-
-let client_invokes (t : t) =
-  (* Iterate the array directly (right to left, consing forward) rather
-     than materializing an intermediate list of the whole trace. *)
-  let acc = ref [] in
-  for i = Array.length t - 1 downto 0 do
-    match t.(i) with
-    | Event.Invoke { client = true; label; frame; qname; cls; meth; recv; args; _ }
-      ->
-      acc :=
-        {
-          inv_label = label;
-          inv_frame = frame;
-          inv_qname = qname;
-          inv_cls = cls;
-          inv_meth = meth;
-          inv_recv = recv;
-          inv_args = args;
-        }
-        :: !acc
-    | Event.Invoke _ | Event.Const _ | Event.Move _ | Event.Read _
-    | Event.Write _ | Event.Alloc _ | Event.Lock _ | Event.Unlock _
-    | Event.Param _ | Event.Return _ | Event.Spawned _ | Event.Joined _
-    | Event.Thrown _ ->
-      ()
-  done;
-  !acc
-
-let accesses (t : t) =
-  let acc = ref [] in
-  for i = Array.length t - 1 downto 0 do
-    match t.(i) with
-    | (Event.Read _ | Event.Write _) as e -> acc := e :: !acc
-    | Event.Invoke _ | Event.Const _ | Event.Move _ | Event.Alloc _
-    | Event.Lock _ | Event.Unlock _ | Event.Param _ | Event.Return _
-    | Event.Spawned _ | Event.Joined _ | Event.Thrown _ ->
-      ()
-  done;
-  !acc

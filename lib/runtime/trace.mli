@@ -18,9 +18,6 @@ val observer : recorder -> Event.t -> unit
 val attach : Machine.t -> recorder
 (** Attach a fresh recorder to a machine's observer list. *)
 
-val recorded : recorder -> int
-(** Number of events recorded so far. *)
-
 val snapshot : recorder -> t
 (** The events recorded so far, in order. *)
 
@@ -31,19 +28,4 @@ val recycle : recorder -> unit
     collected. *)
 
 val length : t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-(** A client-boundary invocation (an "invoke" trace element). *)
-type invoke = {
-  inv_label : Event.label;
-  inv_frame : Event.frame_id;
-  inv_qname : string;
-  inv_cls : Jir.Ast.id;
-  inv_meth : Jir.Ast.id;
-  inv_recv : Value.t option;
-  inv_args : Value.t list;
-}
-
-val client_invokes : t -> invoke list
-val accesses : t -> Event.t list

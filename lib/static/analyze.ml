@@ -20,10 +20,6 @@ module D = Dom
    the stale summary. *)
 type mutation = Drop_sync | Stale_cache
 
-let mutation_to_string = function
-  | Drop_sync -> "static-drop-sync"
-  | Stale_cache -> "static-stale-cache"
-
 type t = {
   link : Link.t;
   cands : D.cand list;
@@ -89,7 +85,6 @@ let regions t = Link.regions t.link
 let shared t = Link.shared t.link
 let prog t = Link.prog t.link
 let site_info t s = Link.site_info t.link s
-let is_spawn_reachable t qn = D.esc_reaches (Link.esc t.link) qn
 
 (* Is (field, {m1, m2}) covered by some static candidate?  [m1]/[m2]
    are method qnames as the VM names race sites.  The key table is

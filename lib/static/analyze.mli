@@ -10,8 +10,6 @@
     edit. *)
 type mutation = Drop_sync | Stale_cache
 
-val mutation_to_string : mutation -> string
-
 type t
 
 val run :
@@ -31,9 +29,6 @@ val regions : t -> Dom.region list
 val shared : t -> Dom.Sites.t
 val prog : t -> Jir.Program.t
 val site_info : t -> Dom.site -> Dom.site_info
-
-val is_spawn_reachable : t -> string -> bool
-(** May the method qname execute on a non-main thread? *)
 
 val covers : t -> field:string -> m1:string -> m2:string -> bool
 (** Is the dynamic race identity (field, unordered {m1, m2}) — where

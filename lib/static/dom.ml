@@ -29,12 +29,6 @@ type lpath =
   | Lglobal of string * string  (** write-once static field [C.f] *)
   | Lunknown
 
-let lpath_to_string = function
-  | Lthis -> "this"
-  | Llocal x -> x
-  | Lglobal (c, f) -> c ^ "." ^ f
-  | Lunknown -> "?"
-
 let equal_lpath (a : lpath) (b : lpath) =
   match (a, b) with
   | Lthis, Lthis -> true
@@ -74,15 +68,6 @@ type acc = {
   sa_locks : lpath list;  (** locks held, outermost first ([Lunknown] allowed) *)
   sa_regions : int list;  (** enclosing sync region ids, outermost first *)
 }
-
-let acc_to_string (a : acc) =
-  Printf.sprintf "%s %s.%s at %s (%d:%d)%s"
-    (kind_to_string a.sa_kind)
-    (match a.sa_base with Binst _ -> "_" | Bstatic c -> c)
-    a.sa_field a.sa_qname a.sa_pos.Jir.Ast.line a.sa_pos.Jir.Ast.col
-    (match a.sa_locks with
-    | [] -> ""
-    | ls -> " locks{" ^ String.concat "," (List.map lpath_to_string ls) ^ "}")
 
 (* Does the qname denote a constructor or field initializer? *)
 let is_init_qname qn =

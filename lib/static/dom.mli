@@ -27,14 +27,10 @@ type lpath =
   | Lglobal of string * string  (** write-once static field [C.f] *)
   | Lunknown
 
-val lpath_to_string : lpath -> string
-
 val equal_lpath : lpath -> lpath -> bool
 (** Syntactic path equality; [Lunknown] is equal to nothing. *)
 
 type kind = Kread | Kwrite
-
-val kind_to_string : kind -> string
 
 (** The base of a static access. *)
 type base =
@@ -65,8 +61,6 @@ type acc = {
   sa_locks : lpath list;  (** locks held, outermost first ([Lunknown] allowed) *)
   sa_regions : int list;  (** enclosing sync region ids, outermost first *)
 }
-
-val acc_to_string : acc -> string
 
 val is_init_qname : string -> bool
 (** Does the qname denote a constructor or field initializer? *)

@@ -230,6 +230,8 @@ let race_findings ?file (an : Analyze.t) : finding list =
       })
     (Analyze.candidates an)
 
+(* All findings for one compilation unit, sorted by (span, severity,
+   message).  [?file] prefixes every span. *)
 let run ?file (an : Analyze.t) (cu : Code.unit_) : finding list =
   let prog = Analyze.prog an in
   List.sort_uniq compare_finding

@@ -3,26 +3,9 @@
     dataflow over compiled bytecode.  Output is sorted and
     deterministic (independent of [--jobs]). *)
 
-type finding = {
-  f_sev : Jir.Diag.severity;
-  f_span : Jir.Diag.span;
-  f_msg : string;
-}
-
-val compare_finding : finding -> finding -> int
-
-val to_string : finding -> string
-(** ["span: severity: message"]. *)
-
-val run : ?file:string -> Analyze.t -> Jir.Code.unit_ -> finding list
-(** All findings for one compilation unit, sorted by (span, severity,
-    message).  [?file] prefixes every span. *)
-
 (** The rendered per-unit output of [narada lint]: findings then a
     one-line footer, plus the severity totals (for [--strict]). *)
 type block = { bl_text : string; bl_errors : int; bl_warnings : int }
-
-val render_block : label:string -> finding list -> block
 
 val block :
   ?cache:Cache.t ->

@@ -34,6 +34,9 @@ let self_locked (a : D.acc) =
 let globals (a : D.acc) =
   List.filter (function D.Lglobal _ -> true | _ -> false) a.D.sa_locks
 
+(* Do the two accesses certainly hold a common lock on any execution
+   where their bases alias?  Recognizes both-self-locked and a shared
+   write-once global. *)
 let common_lock (a : D.acc) (b : D.acc) =
   (self_locked a && self_locked b)
   || List.exists

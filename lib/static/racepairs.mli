@@ -15,8 +15,3 @@ val generate :
     sync regions are discarded before pairing.  [~exclude_init:true]
     discards constructor/field-initializer accesses, mirroring the
     dynamic pair generator (used by the open-world mode). *)
-
-val common_lock : Dom.acc -> Dom.acc -> bool
-(** Do the two accesses certainly hold a common lock on any execution
-    where their bases alias?  Recognizes both-self-locked and a shared
-    write-once global. *)

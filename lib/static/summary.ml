@@ -768,6 +768,7 @@ let digest (c : Ast.class_decl) : string =
 
 (* ---- canonical text codec ---- *)
 
+(* Leading line of the serialized form. *)
 let schema = "narada.staticsum/1"
 
 let wkind_to_string = function

@@ -103,12 +103,6 @@ val digest : Ast.class_decl -> string
 val ty_of_string : string -> Ast.ty
 (** Parse back a type printed by {!Jir.Ast.ty_to_string}. *)
 
-val schema : string
-(** ["narada.staticsum/1"] — leading line of the serialized form. *)
-
-val to_lines : cls -> string list
-val of_lines : string list -> (cls, string) result
-
 val to_string : cls -> string
 val of_string : string -> (cls, string) result
 (** Canonical text codec; [of_string (to_string s)] structurally equals

@@ -196,13 +196,7 @@ let test_sym_helpers () =
   let p = Sym.make (Sym.Arg 2) [ "a"; "b" ] in
   Alcotest.(check string) "render" "I2.a.b" (Sym.to_string p);
   Alcotest.(check int) "depth" 2 (Sym.depth p);
-  Alcotest.(check bool) "equal" true (Sym.equal p (Sym.append (Sym.make (Sym.Arg 2) [ "a" ]) "b"));
-  (match Sym.strip_prefix ~prefix:(Sym.make (Sym.Arg 2) [ "a" ]) p with
-  | Some rest -> Alcotest.(check (list string)) "strip" [ "b" ] rest
-  | None -> Alcotest.fail "prefix should match");
-  match Sym.strip_prefix ~prefix:(Sym.of_root Sym.Recv) p with
-  | None -> ()
-  | Some _ -> Alcotest.fail "different roots must not match"
+  Alcotest.(check bool) "equal" true (Sym.equal p (Sym.append (Sym.make (Sym.Arg 2) [ "a" ]) "b"))
 
 let () =
   Alcotest.run "absheap"

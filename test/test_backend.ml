@@ -66,7 +66,7 @@ let test_machines_compile_once () =
   let m = Machine.create ~client_classes:[ "Seed" ] cu in
   (match Interp.run_until_call m ~cls:"Seed" ~meth:"test" ~target_qname:"C.inc" ~nth:1 with
   | Some cap -> (
-    match Machine.top_frame m cap.Interp.cap_tid with
+    match Machine.top_frame_th (Machine.find_thread m cap.Interp.cap_tid) with
     | Some f ->
       Alcotest.(check int) "frame carries its compiled body"
         (Array.length f.Machine.meth.Jir.Code.cm_code)

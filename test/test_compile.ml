@@ -77,7 +77,7 @@ let test_field_access_is_single_instr () =
 
 let test_fieldinit_synthesized () =
   let cu = Compile.compile_source "class A { int x = 7; int y; }" in
-  let cc = Code.find_cls_exn cu "A" in
+  let cc = Option.get (Code.find_cls cu "A") in
   match cc.Code.cc_fieldinit with
   | Some init ->
     Alcotest.(check int) "one field write" 1
@@ -86,12 +86,12 @@ let test_fieldinit_synthesized () =
 
 let test_no_fieldinit_when_trivial () =
   let cu = Compile.compile_source "class A { int x; }" in
-  let cc = Code.find_cls_exn cu "A" in
+  let cc = Option.get (Code.find_cls cu "A") in
   Alcotest.(check bool) "no initializer" true (cc.Code.cc_fieldinit = None)
 
 let test_clinit_synthesized () =
   let cu = Compile.compile_source "class A { static int x = 3; }" in
-  let cc = Code.find_cls_exn cu "A" in
+  let cc = Option.get (Code.find_cls cu "A") in
   Alcotest.(check bool) "clinit present" true
     (List.mem_assoc "<clinit>" cc.Code.cc_static_methods)
 
@@ -127,7 +127,7 @@ let test_inherited_methods_compiled_once () =
     Compile.compile_source
       "class B { int f() { return 1; } } class A extends B { }"
   in
-  let cc = Code.find_cls_exn cu "A" in
+  let cc = Option.get (Code.find_cls cu "A") in
   match List.assoc_opt "f" cc.Code.cc_methods with
   | Some cm -> Alcotest.(check string) "defining class" "B" cm.Code.cm_cls
   | None -> Alcotest.fail "inherited method not resolved"

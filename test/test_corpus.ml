@@ -19,8 +19,9 @@ let analysis_of (e : Corpus.Corpus_def.entry) =
 
 let test_seed_runs (e : Corpus.Corpus_def.entry) () =
   let cu = Jir.Compile.compile_source e.Corpus.Corpus_def.e_source in
-  let res, _out =
-    Runtime.Interp.run_main cu ~cls:e.Corpus.Corpus_def.e_seed_cls
+  let _m, _trace, res =
+    Runtime.Interp.record cu ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+      ~cls:e.Corpus.Corpus_def.e_seed_cls ~meth:"main"
   in
   match res with
   | Ok _ -> ()

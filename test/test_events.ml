@@ -26,9 +26,9 @@ let test_labels_strictly_increasing () =
 let test_client_invokes () =
   let trace = record Testlib.Fixtures.fig1 in
   let qnames =
-    List.map
-      (fun (i : Trace.invoke) -> i.Trace.inv_qname)
-      (Trace.client_invokes trace)
+    List.concat_map
+      (function Event.Invoke { client = true; qname; _ } -> [ qname ] | _ -> [])
+      (Array.to_list trace)
   in
   (* Seed calls: new Lib (ctor), new Counter (no ctor), set, update, get *)
   Alcotest.(check (list string)) "client boundary invocations"

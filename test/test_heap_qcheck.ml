@@ -75,10 +75,11 @@ let field_prop =
              ~field_tys:[ ("f0", Jir.Ast.Tint); ("f1", Jir.Ast.Tint); ("f2", Jir.Ast.Tint) ]
          in
          let model = Hashtbl.create 4 in
+         let caches = Array.init 3 (fun _ -> Heap.new_field_cache ()) in
          List.for_all
            (fun (fi, v) ->
              let f = Printf.sprintf "f%d" fi in
-             Heap.set_field heap a f (Value.Vint v);
+             Heap.set_field_cached heap caches.(fi) a f (Value.Vint v);
              Hashtbl.replace model f v;
              Hashtbl.fold
                (fun f v acc ->
@@ -116,14 +117,15 @@ let snapshot_hash_prop =
          let mk v =
            let heap = Heap.create () in
            let a = Heap.alloc_object heap ~cls:"P" ~field_tys:[ ("v", Jir.Ast.Tint) ] in
-           Heap.set_field heap a "v" (Value.Vint v);
+           Heap.set_field_cached heap (Heap.new_field_cache ()) a "v" (Value.Vint v);
            (heap, Value.Vref a)
          in
          let h1, r1 = mk x and h2, r2 = mk y in
          let eq =
            Snapshot.canonical h1 ~roots:[ r1 ] = Snapshot.canonical h2 ~roots:[ r2 ]
          in
-         let heq = Snapshot.hash h1 ~roots:[ r1 ] = Snapshot.hash h2 ~roots:[ r2 ] in
+         let hash h r = Hashtbl.hash (Snapshot.canonical h ~roots:[ r ]) in
+         let heq = hash h1 r1 = hash h2 r2 in
          (eq = (x = y)) && (not eq || heq)))
 
 let () =

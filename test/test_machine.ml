@@ -3,9 +3,14 @@
 
 open Runtime
 
-let run_main ?(seed = 42L) src =
-  let cu = Jir.Compile.compile_source src in
-  Interp.run_main ~seed cu ~cls:"Main"
+(* Run [Main.main()] to completion: its result and [Sys.print] output. *)
+let run_cu ?(seed = 42L) cu =
+  let m, _trace, res =
+    Interp.record ~seed cu ~client_classes:[ "Main" ] ~cls:"Main" ~meth:"main"
+  in
+  (res, Machine.output m)
+
+let run_main ?seed src = run_cu ?seed (Jir.Compile.compile_source src)
 
 let expect_int name src expected =
   match run_main src with
@@ -254,7 +259,7 @@ let test_print_output () =
       "class Main { static void main() { Sys.print(42); Sys.print(true); \
        Sys.print(\"hi\"); } }"
   in
-  let _res, out = Interp.run_main cu ~cls:"Main" in
+  let _res, out = run_cu cu in
   Alcotest.(check string) "captured output" "42\ntrue\n\"hi\"\n" out
 
 let test_construct_api () =

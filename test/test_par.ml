@@ -142,7 +142,7 @@ let check_recorder ~chunk_size n =
   List.iter (Runtime.Trace.observer r) events;
   Alcotest.(check int)
     (Printf.sprintf "count (chunk=%d n=%d)" chunk_size n)
-    n (Runtime.Trace.recorded r);
+    n (Runtime.Trace.length (Runtime.Trace.snapshot r));
   Alcotest.(check bool)
     (Printf.sprintf "snapshot = reference (chunk=%d n=%d)" chunk_size n)
     true

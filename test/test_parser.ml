@@ -3,7 +3,17 @@
 
 open Jir.Ast
 
-let parse_e src = Jir.Parser.parse_expr_string src
+(* A braced block, parsed as the body of a method. *)
+let parse_b src =
+  match Jir.Parser.parse_program ("class T { void m() " ^ src ^ " }") with
+  | [ { c_methods = [ m ]; _ } ] -> m.m_body
+  | _ -> Alcotest.failf "not a single method body: %s" src
+
+let parse_e src =
+  match parse_b ("{ return " ^ src ^ "; }") with
+  | [ { sdesc = Sreturn (Some e); _ } ] -> e
+  | _ -> Alcotest.failf "not a single expression: %s" src
+
 let pp_e e = Jir.Pretty.expr_to_string e
 
 let check_expr name src expected =
@@ -45,8 +55,6 @@ let test_new () =
   match (parse_e "new int[10]").desc with
   | Enew_array (Tint, _) -> ()
   | _ -> Alcotest.fail "expected new array"
-
-let parse_b src = Jir.Parser.parse_block_string src
 
 let test_statements () =
   let b =

@@ -145,7 +145,7 @@ let executes_prop (p : program) =
         with
         | Ok _ -> true
         | Error _ -> false)
-      (Jir.Code.find_cls_exn cu "G").Jir.Code.cc_methods
+      (Option.get (Jir.Code.find_cls cu "G")).Jir.Code.cc_methods
 
 (* Pinned seed by default; NARADA_QCHECK_RANDOM=1 explores. *)
 let to_alcotest = Testlib.Fixtures.qcheck_case

@@ -4,6 +4,8 @@
 
 open Runtime
 
+let set_field heap a f v = Heap.set_field_cached heap (Heap.new_field_cache ()) a f v
+
 let build_machine src =
   Machine.create (Jir.Compile.compile_source src)
 
@@ -54,8 +56,8 @@ let test_cycles_terminate () =
   let heap = Machine.heap m in
   (match (Value.addr_of a, Value.addr_of b) with
   | Some aa, Some ab ->
-    Heap.set_field heap aa "next" b;
-    Heap.set_field heap ab "next" a
+    set_field heap aa "next" b;
+    set_field heap ab "next" a
   | _ -> Alcotest.fail "no addrs");
   let s = Snapshot.canonical heap ~roots:[ a ] in
   Alcotest.(check bool) "cycle snapshot nonempty" true
@@ -64,7 +66,7 @@ let test_cycles_terminate () =
   let m2 = build_machine pair_src in
   let c = construct m2 ~cls:"P" ~args:[ Value.Vint 1 ] in
   (match Value.addr_of c with
-  | Some ac -> Heap.set_field (Machine.heap m2) ac "next" c
+  | Some ac -> set_field (Machine.heap m2) ac "next" c
   | None -> Alcotest.fail "no addr");
   let s2 = Snapshot.canonical (Machine.heap m2) ~roots:[ c ] in
   Alcotest.(check bool) "different cycle shapes differ" false (s = s2)
@@ -78,8 +80,8 @@ let test_sharing_sensitive () =
   let h1 = Machine.heap m1 in
   (match Value.addr_of n1 with
   | Some a ->
-    Heap.set_field h1 a "l" z;
-    Heap.set_field h1 a "r" z
+    set_field h1 a "l" z;
+    set_field h1 a "r" z
   | None -> Alcotest.fail "addr");
   let m2 = build_machine src in
   let n2 = construct m2 ~cls:"N" ~args:[] in
@@ -88,8 +90,8 @@ let test_sharing_sensitive () =
   let h2 = Machine.heap m2 in
   (match Value.addr_of n2 with
   | Some a ->
-    Heap.set_field h2 a "l" z1;
-    Heap.set_field h2 a "r" z2
+    set_field h2 a "l" z1;
+    set_field h2 a "r" z2
   | None -> Alcotest.fail "addr");
   let s1 = Snapshot.canonical h1 ~roots:[ n1 ] in
   let s2 = Snapshot.canonical h2 ~roots:[ n2 ] in
@@ -120,7 +122,7 @@ let large_list_heap n =
     (fun i v ->
       if i + 1 < n then
         match Value.addr_of v with
-        | Some a -> Heap.set_field heap a "next" nodes.(i + 1)
+        | Some a -> set_field heap a "next" nodes.(i + 1)
         | None -> Alcotest.fail "no addr")
     nodes;
   (heap, nodes)
@@ -143,8 +145,8 @@ let test_large_cyclic_heap () =
   (* close the loop and add a chord back to the middle *)
   (match (Value.addr_of nodes.(n - 1), Value.addr_of nodes.(n / 2)) with
   | Some last, Some mid ->
-    Heap.set_field heap last "next" nodes.(0);
-    Heap.set_field heap mid "next" nodes.(0)
+    set_field heap last "next" nodes.(0);
+    set_field heap mid "next" nodes.(0)
   | _ -> Alcotest.fail "no addrs");
   let t0 = Obs.Clock.ticks () in
   let s1 = Snapshot.canonical heap ~roots:[ nodes.(0) ] in
@@ -179,7 +181,7 @@ let leaves () =
   let h = construct m ~cls:"H" ~args:[] in
   let heap = Machine.heap m in
   let a = match Value.addr_of h with Some a -> a | None -> Alcotest.fail "no addr" in
-  let set f v = Heap.set_field heap a f v in
+  let set f v = set_field heap a f v in
   set "self" h;
   set "zero" (Value.Vint 0);
   set "neg" (Value.Vint (-1));
@@ -238,8 +240,8 @@ let test_leaves_injective () =
     let v = construct m ~cls:"B" ~args:[] in
     (match Value.addr_of v with
     | Some a ->
-      Heap.set_field heap a "i" i;
-      Heap.set_field heap a "s" s
+      set_field heap a "i" i;
+      set_field heap a "s" s
     | None -> Alcotest.fail "no addr");
     snap v
   in

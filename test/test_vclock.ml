@@ -83,9 +83,6 @@ let unit_tests =
         let c = Vclock.set Vclock.empty 3 7 in
         Alcotest.(check int) "value" 7 (Vclock.get c 3);
         Alcotest.(check int) "padding" 0 (Vclock.get c 1));
-    Alcotest.test_case "epoch printing" `Quick (fun () ->
-        Alcotest.(check string) "some" "5@2"
-          (Vclock.Epoch.to_string (Vclock.Epoch.make ~clock:5 ~tid:2)));
   ]
 
 let () =
