@@ -866,11 +866,7 @@ let serve_cmd =
         match Corpus.Registry.find id with
         | None -> fail "error unknown corpus id %s" id
         | Some e -> (
-          match
-            Eval.Guided.confirm_class ~seed
-              ~mode:(Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 })
-              e
-          with
+          match Eval.Guided.confirm_class ~seed ~mode:Eval.Guided.Guided e with
           | Error msg -> fail "error confirm %s: %s" id msg
           | Ok gc ->
             Printf.sprintf "confirm %s ok candidates=%d confirmed=%d schedules=%d"

@@ -12,7 +12,7 @@ let scenario ~name ~src ~explain =
   let ls = Detect.Lockset.attach m in
   let ft = Detect.Fasttrack.attach m in
   let cm = Option.get (Jir.Code.find_static cu "Main" "main") in
-  ignore (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ());
+  ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
   ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed:5L));
   let keys rs =
     List.map (fun r -> Detect.Race.key_to_string (Detect.Race.key_of r)) rs

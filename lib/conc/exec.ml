@@ -68,5 +68,5 @@ let run_program ?(fuel = default_fuel) ?(seed = Runtime.Machine.default_seed) ?(
     | Some cm -> cm
     | None -> Jir.Diag.error "no static entry point %s.%s" cls meth
   in
-  ignore (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ());
+  ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
   (run ~fuel m sched, m)

@@ -13,24 +13,13 @@
    Tests are generated as Jir source (so they are printable and
    independently runnable), then compiled and executed in-process. *)
 
-(* Random choices go through the shared unbiased generator; [Rng.pick]
-   raises a descriptive [Invalid_argument] on an empty list instead of
-   the historical [Division_by_zero]. *)
-type rng = Rng.t
-
-let mk_rng seed = Rng.create seed
-
-let below = Rng.below
-
-let pick = Rng.pick
-
 (* ------------------------------------------------------------------ *)
 (* Source generation                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type gen = {
   g_prog : Jir.Program.t;
-  g_rng : rng;
+  g_rng : Rng.t; (* every random choice *)
   buf : Buffer.t; (* prefix declarations (main-local) *)
   mutable fresh : int;
   mutable pool : (Jir.Ast.ty * string) list; (* constructed locals *)
@@ -60,8 +49,8 @@ let implementers g (iface : string) : string list =
    may be emitted into the prefix and pooled. *)
 let rec expr_of_ty g (ty : Jir.Ast.ty) ~depth ~inline : string option =
   match ty with
-  | Jir.Ast.Tint -> Some (string_of_int (below g.g_rng 10))
-  | Jir.Ast.Tbool -> Some (if below g.g_rng 2 = 0 then "true" else "false")
+  | Jir.Ast.Tint -> Some (string_of_int (Rng.below g.g_rng 10))
+  | Jir.Ast.Tbool -> Some (if Rng.below g.g_rng 2 = 0 then "true" else "false")
   | Jir.Ast.Tstr -> Some "\"select 1 from t\""
   | Jir.Ast.Tarray elt -> (
     match elt with
@@ -76,7 +65,7 @@ let rec expr_of_ty g (ty : Jir.Ast.ty) ~depth ~inline : string option =
         g.pool
     in
     match compatible with
-    | (_, v) :: _ when (not inline) && below g.g_rng 2 = 0 -> Some v
+    | (_, v) :: _ when (not inline) && Rng.below g.g_rng 2 = 0 -> Some v
     | _ -> construct_class g c ~depth ~inline)
   | Jir.Ast.Tvoid | Jir.Ast.Tthread -> None
 
@@ -90,7 +79,7 @@ and construct_class g (c : string) ~depth ~inline : string option =
     | impls ->
       (* Try a randomly-picked implementation first, falling back to the
          others so deep wrapper chains cannot starve construction. *)
-      let first = pick g.g_rng impls in
+      let first = Rng.pick g.g_rng impls in
       let ordered = first :: List.filter (fun i -> i <> first) impls in
       let try_impl impl =
         let ctors = Jir.Program.constructors g.g_prog impl in
@@ -98,7 +87,7 @@ and construct_class g (c : string) ~depth ~inline : string option =
           match ctors with
           | [] -> Some []
           | _ -> (
-            let ctor = pick g.g_rng ctors in
+            let ctor = Rng.pick g.g_rng ctors in
             let rec build = function
               | [] -> Some []
               | (t, _) :: rest -> (
@@ -129,7 +118,7 @@ let random_call g ~cls ~recv_expr ~inline : string option =
   match Jir.Program.concrete_methods g.g_prog cls with
   | [] -> None
   | methods -> (
-    let _, m = pick g.g_rng methods in
+    let _, m = Rng.pick g.g_rng methods in
     let rec build = function
       | [] -> Some []
       | (t, _) :: rest -> (
@@ -155,7 +144,7 @@ let generate (prog : Jir.Program.t) ~(cut : string) ~(lib_source : string)
   let g =
     {
       g_prog = prog;
-      g_rng = mk_rng (Int64.add seed (Int64.of_int (index * 1000003)));
+      g_rng = Rng.create (Int64.add seed (Int64.of_int (index * 1000003)));
       buf = Buffer.create 256;
       fresh = 0;
       pool = [];
@@ -164,14 +153,14 @@ let generate (prog : Jir.Program.t) ~(cut : string) ~(lib_source : string)
   match construct_class g cut ~depth:3 ~inline:false with
   | None -> None
   | Some recv ->
-    let prefix_calls = below g.g_rng 3 in
+    let prefix_calls = Rng.below g.g_rng 3 in
     for _ = 1 to prefix_calls do
       match random_call g ~cls:cut ~recv_expr:recv ~inline:false with
       | Some stmt -> Buffer.add_string g.buf ("    " ^ stmt ^ "\n")
       | None -> ()
     done;
     let suffix () =
-      let n = 1 + below g.g_rng 2 in
+      let n = 1 + Rng.below g.g_rng 2 in
       let stmts = ref [] in
       for _ = 1 to n do
         match random_call g ~cls:cut ~recv_expr:"this.target" ~inline:true with

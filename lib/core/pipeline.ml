@@ -97,12 +97,11 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
       (stages sp ~t0 ~static_filter ?static_cache ~code cu ~client_classes
          ~seed_cls ~seed_meth trace)
 
-let analyze_source ?seed ?static_filter ?static_cache src ~client_classes
-    ~seed_cls ~seed_meth : (analysis, string) result =
+let analyze_source ?static_filter src ~client_classes ~seed_cls ~seed_meth :
+    (analysis, string) result =
   match Jir.Compile.compile_source src with
   | cu ->
-    analyze ?seed ?static_filter ?static_cache cu ~client_classes
-      ~seed_cls ~seed_meth
+    analyze ?static_filter cu ~client_classes ~seed_cls ~seed_meth
   | exception Jir.Diag.Error e -> Error (Jir.Diag.to_string e)
 
 let instantiator (an : analysis) (t : Synth.test) : Detect.Racefuzzer.instantiator =

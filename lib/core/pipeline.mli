@@ -57,15 +57,14 @@ val of_trace :
     program again. *)
 
 val analyze_source :
-  ?seed:int64 ->
   ?static_filter:bool ->
-  ?static_cache:Static.Cache.t ->
   string ->
   client_classes:Jir.Ast.id list ->
   seed_cls:Jir.Ast.id ->
   seed_meth:Jir.Ast.id ->
   (analysis, string) result
-(** Parse, compile and analyze Jir source text. *)
+(** Parse, compile and {!analyze} Jir source text, at the machine's
+    default seed and without a summary cache. *)
 
 val instantiator : analysis -> Synth.test -> Detect.Racefuzzer.instantiator
 

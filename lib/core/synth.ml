@@ -135,13 +135,13 @@ let invoke m ~(recv : Runtime.Value.t) ~meth_name ~args :
       match Jir.Code.find_virtual cu cls meth_name with
       | None -> Error (Printf.sprintf "class %s has no method %s" cls meth_name)
       | Some cm ->
-        Runtime.Machine.call m ~client:true ~cm ~recv:(Some recv) ~args ()))
+        Runtime.Machine.call m ~cm ~recv:(Some recv) ~args ()))
 
 let invoke_static m ~cls ~meth_name ~args =
   let cu = Runtime.Machine.unit_of m in
   match Jir.Code.find_static cu cls meth_name with
   | None -> Error (Printf.sprintf "no static method %s.%s" cls meth_name)
-  | Some cm -> Runtime.Machine.call m ~client:true ~cm ~recv:None ~args ()
+  | Some cm -> Runtime.Machine.call m ~cm ~recv:None ~args ()
 
 (* Apply a context recipe: make [owner]'s recipe-target path point at
    [shared]; returns the (possibly replaced) owner. *)
@@ -163,7 +163,7 @@ let rec apply_recipe m ~(t : test) ~(recipe : Context.recipe)
     | Sym.Recv when Summary.is_ctor setter ->
       (* Rebuild the owner with chosen constructor arguments (the
          paper's Fig. 3: two fresh wrappers around one shared queue). *)
-      Runtime.Machine.construct m ~client:true ~cls:setter.Summary.set_cls ~args ()
+      Runtime.Machine.construct m ~cls:setter.Summary.set_cls ~args ()
     | Sym.Recv ->
       let* _ = invoke m ~recv:owner ~meth_name:setter.Summary.set_meth ~args in
       Ok owner
@@ -258,7 +258,7 @@ let spawn_side m (s : side) : (Runtime.Value.tid, string) result =
         with
         | Some cm ->
           Ok
-            (Runtime.Machine.new_thread m ~client:true ~cm ~recv:(Some recv)
+            (Runtime.Machine.new_thread m ~cm ~recv:(Some recv)
                ~args:s.sd_args ())
         | None -> Error (Printf.sprintf "cannot spawn %s on %s" mname cls))))
   | None -> (
@@ -267,7 +267,7 @@ let spawn_side m (s : side) : (Runtime.Value.tid, string) result =
         s.sd_endpoint.Pairs.ep_meth
     with
     | Some cm ->
-      Ok (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:s.sd_args ())
+      Ok (Runtime.Machine.new_thread m ~cm ~recv:None ~args:s.sd_args ())
     | None -> Error "cannot resolve static racy method")
 
 (* The effective sharing plan of one side. *)
@@ -277,10 +277,9 @@ let effective_recipe (p : Context.plan) ~(path : string list) :
   | Some r -> Some (path, r)
   | None -> p.Context.plan_prefix
 
-let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
-    (cu : Jir.Code.unit_) ~client_classes (t : test) :
-    (Detect.Racefuzzer.instance, string) result =
-  let m = Runtime.Machine.create ~client_classes ~seed cu in
+let instantiate ?(apply_context = true) (cu : Jir.Code.unit_) ~client_classes
+    (t : test) : (Detect.Racefuzzer.instance, string) result =
+  let m = Runtime.Machine.create ~client_classes cu in
   let ea = t.st_pair.Pairs.p_a and eb = t.st_pair.Pairs.p_b in
   (* 1. collectObjects: one independent seed replay per endpoint. *)
   let* cap_a = capture m ~t ~e:ea in
@@ -363,7 +362,7 @@ let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
    never stepped.  The mutex makes first calls racing on several domains
    build it once.  An [Error] is memoized too; an exception is not, so
    every call raises as a fresh build would. *)
-let instantiator ?seed ?apply_context cu ~client_classes (t : test) :
+let instantiator cu ~client_classes (t : test) :
     Detect.Racefuzzer.instantiator =
   let built = ref None in
   let lock = Mutex.create () in
@@ -372,7 +371,7 @@ let instantiator ?seed ?apply_context cu ~client_classes (t : test) :
         match !built with
         | Some r -> r
         | None ->
-          let r = instantiate ?seed ?apply_context cu ~client_classes t in
+          let r = instantiate cu ~client_classes t in
           (* A volatile gauge: how many templates a campaign builds
              depends on how far its loops ran before an early exit. *)
           Obs.Metrics.gauge_add (Obs.Metrics.global ()) "synth/templates" 1.0;

@@ -28,19 +28,18 @@ val plan :
   test list
 
 val instantiate :
-  ?seed:int64 ->
   ?apply_context:bool ->
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->
   test ->
   (Detect.Racefuzzer.instance, string) result
-(** [apply_context:false] skips the shareObjects phase (used by the
+(** The test's initial state, on a machine created at
+    {!Runtime.Machine.default_seed}, where every seed replay runs.
+    [apply_context:false] skips the shareObjects phase (used by the
     ablation [narada eval] prints, to show that context derivation is
     what exposes the races). *)
 
 val instantiator :
-  ?seed:int64 ->
-  ?apply_context:bool ->
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->
   test ->

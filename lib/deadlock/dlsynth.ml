@@ -71,7 +71,7 @@ let spawn m (cap : Runtime.Interp.captured) ~meth :
         match Jir.Code.find_virtual cu cls meth with
         | Some cm ->
           Ok
-            (Runtime.Machine.new_thread m ~client:true ~cm ~recv:(Some recv)
+            (Runtime.Machine.new_thread m ~cm ~recv:(Some recv)
                ~args:cap.Runtime.Interp.cap_args ())
         | None -> Error ("cannot resolve " ^ meth))))
 

@@ -40,16 +40,11 @@ let candidates ~(instantiate : Racefuzzer.instantiator) ~schedules ~seed () =
    one domain, so a plain [Lazy.t] suffices. *)
 type test = {
   t_instantiate : Racefuzzer.instantiator;
-  t_fuel : int;
   t_baselines : (Triage.baselines, string) result Lazy.t;
 }
 
-let test ?(fuel = 200_000) instantiate =
-  {
-    t_instantiate = instantiate;
-    t_fuel = fuel;
-    t_baselines = lazy (Triage.baselines ~instantiate ~fuel);
-  }
+let test instantiate =
+  { t_instantiate = instantiate; t_baselines = lazy (Triage.baselines ~instantiate) }
 
 type outcome = {
   o_confirm : Racefuzzer.confirm_result;
@@ -58,20 +53,20 @@ type outcome = {
 }
 
 (* Confirmation shares each directed run among the test's candidates
-   ([Racefuzzer.confirm_all]).  Run 0 ran at [seed] and [fuel], like the
-   forced runs of a from-scratch triage, so both forced orders fork from
-   where it stopped, as soon as it stops; only the two outcomes are
-   kept, so no run-0 machine outlives its own settling.  A run 0 that
-   did not confirm is settled too, since a later run may confirm the
-   race; candidates that never matched share one settling.  Baselines
-   are paired with the outcomes of confirmed races only. *)
+   ([Racefuzzer.confirm_all]).  Run 0 ran at [seed] and
+   [Racefuzzer.fuel], like the forced runs of a from-scratch triage, so
+   both forced orders fork from where it stopped, as soon as it stops;
+   only the two outcomes are kept, so no run-0 machine outlives its own
+   settling.  A run 0 that did not confirm is settled too, since a later
+   run may confirm the race; candidates that never matched share one
+   settling.  Baselines are paired with the outcomes of confirmed races
+   only. *)
 let confirm_and_triage ~(test : test) ~runs ~seed
     (reports : Race.report list) : outcome list =
-  let fuel = test.t_fuel in
   let results =
     Racefuzzer.confirm_all ~instantiate:test.t_instantiate
       ~cands:(Array.of_list (List.map Racefuzzer.candidate_of_report reports))
-      ~runs ~fuel ~seed ~settle:(Triage.forced ~fuel)
+      ~runs ~seed ~settle:Triage.forced
   in
   List.map
     (fun (c, forced) ->

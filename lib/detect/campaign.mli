@@ -27,14 +27,14 @@ val candidates :
     instantiation fails. *)
 
 type test
-(** One synthesized test's campaign state: its instantiator, the fuel
-    bounding every run, and its two serialized triage baselines,
-    computed lazily — only once some race of the test is confirmed, and
-    at most once.  A test belongs to the one domain that confirms it. *)
+(** One synthesized test's campaign state: its instantiator and its
+    two serialized triage baselines, computed lazily — only once some
+    race of the test is confirmed, and at most once.  A test belongs to
+    the one domain that confirms it. *)
 
-val test : ?fuel:int -> Racefuzzer.instantiator -> test
-(** [fuel] (default 200_000) bounds every directed run and every triage
-    run of the test. *)
+val test : Racefuzzer.instantiator -> test
+(** {!Racefuzzer.fuel} bounds every directed run and every triage run
+    of the test. *)
 
 type outcome = {
   o_confirm : Racefuzzer.confirm_result;

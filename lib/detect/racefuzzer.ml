@@ -24,6 +24,11 @@ type instance = {
 
 type instantiator = unit -> (instance, string) result
 
+(* The step bound of every directed, triage and coverage run, and of
+   repair's seed recording.  Triage forks from a confirmation's run 0,
+   so the two are exact only at one shared bound. *)
+let fuel = 200_000
+
 (* What to look for: the field name, optionally narrowed to two sites. *)
 type candidate = {
   c_field : Jir.Ast.id;
@@ -418,7 +423,7 @@ type confirm_result = { confirmed : Race.report option; runs_used : int; steps :
    confirmed or not, as soon as it stops: once per distinct machine, so
    the candidates that never matched share one call.  Triage resumes
    those ends instead of replaying the same directed prefix. *)
-let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~fuel
+let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs
     ~seed ~(settle : run_end -> 'a) : (confirm_result * 'a option) array =
   let n = Array.length cands in
   let settled = Array.make n None in
@@ -495,8 +500,8 @@ let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs ~
       ({ confirmed; runs_used; steps = !steps }, settled.(j)))
 
 let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
-    ?(fuel = 200_000) ?(seed = 7L) ?jobs:_ () : confirm_result =
-  fst (confirm_all ~instantiate ~cands:[| cand |] ~runs ~fuel ~seed ~settle:ignore).(0)
+    ?(seed = 7L) ?jobs:_ () : confirm_result =
+  fst (confirm_all ~instantiate ~cands:[| cand |] ~runs ~seed ~settle:ignore).(0)
 
 (* Coverage-guided confirmation.
 
@@ -511,7 +516,7 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
    confirmation (or instantiation failure) ends the loop before any
    later slot runs, so the runs and metrics are exactly that prefix.
    A round that yields no new coverage anywhere bumps a plateau
-   counter; [plateau] dry rounds in a row stop the search early.
+   counter; [guided_plateau] dry rounds in a row stop the search early.
 
    Because specs depend only on the corpus at the round start and
    merging is in slot order, the outcome — confirmation, schedule
@@ -526,8 +531,11 @@ type guided_result = {
 
 type spec = { sp_seed : int64; sp_prefix : int list }
 
-let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
-    ?(budget = 10) ?(batch = 2) ?(plateau = 1) ?(fuel = 200_000) ?(seed = 7L)
+let guided_budget = 6
+let guided_batch = 2
+let guided_plateau = 1
+
+let confirm_guided ~(instantiate : instantiator) ~(cand : candidate) ?(seed = 7L)
     ~(corpus : Cov.Corpus.t) () : guided_result =
   let blind_seed i = Int64.add seed (Int64.of_int (i * 7919)) in
   let spec_for ~ranked idx =
@@ -567,11 +575,11 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
   let stop = ref false in
   let round = ref 0 in
   while not !stop do
-    let n = min batch (budget - !schedules) in
+    let n = min guided_batch (guided_budget - !schedules) in
     if n <= 0 then stop := true
     else begin
       let ranked = Cov.Corpus.ranked corpus in
-      let base = !round * batch in
+      let base = !round * guided_batch in
       let specs = List.init n (fun j -> spec_for ~ranked (base + j)) in
       let round_gain = ref 0 in
       (* A slot runs only when the fold reaches it: the specs are fixed
@@ -606,7 +614,7 @@ let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
       if not !stop then
         if !round_gain = 0 then begin
           incr dry;
-          if !dry >= plateau then stop := true
+          if !dry >= guided_plateau then stop := true
         end
         else dry := 0;
       incr round

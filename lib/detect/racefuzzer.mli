@@ -25,6 +25,17 @@ type instantiator = unit -> (instance, string) result
     call, sharing no mutable state with earlier ones (the synthesizer's
     instantiators copy one template machine per call). *)
 
+val fuel : int
+(** 200,000: the step bound of every directed run ({!confirm_all},
+    {!confirm}, {!confirm_guided}), every triage run
+    ([Triage.baselines], [Triage.forced], [Triage.triage]), every
+    coverage-collecting directed run ({!directed_run_cov} in
+    [Eval.Coverage]) and repair's seed recording
+    ([Repair.Engine.record]).  Triage forks from where a confirmation's
+    run 0 stopped, with the fuel it had left, so the two agree with a
+    from-scratch replay only at one shared bound.  The loops below that
+    take [~fuel] count the fuel left. *)
+
 (** What to look for: a field name, optionally narrowed to two sites. *)
 type candidate = {
   c_field : Jir.Ast.id;
@@ -111,12 +122,12 @@ val confirm_all :
   instantiate:instantiator ->
   cands:candidate array ->
   runs:int ->
-  fuel:int ->
   seed:int64 ->
   settle:(run_end -> 'a) ->
   (confirm_result * 'a option) array
 (** Attempt to confirm every candidate of one test over [runs] directed
-    runs, run [i] at scheduler seed [seed + i·7919] on a fresh instance,
+    runs of at most {!fuel} steps, run [i] at scheduler seed
+    [seed + i·7919] on a fresh instance,
     the candidates still unconfirmed sharing it ({!directed_runs}).  Each
     candidate's result, in [cands] order, is that of {!confirm}.  Where
     run 0 stopped goes to [settle] as soon as it stops, confirmed or
@@ -132,13 +143,13 @@ val confirm :
   instantiate:instantiator ->
   cand:candidate ->
   ?runs:int ->
-  ?fuel:int ->
   ?seed:int64 ->
   ?jobs:int ->
   unit ->
   confirm_result
-(** Attempt to confirm the candidate over several directed runs with
-    different scheduler seeds: {!confirm_all} of one candidate.  [jobs]
+(** Attempt to confirm the candidate over [runs] (default 10) directed
+    runs with different scheduler seeds, from [seed] (default 7):
+    {!confirm_all} of one candidate.  [jobs]
     is accepted and ignored: the runs are sequential, and callers fan
     out over tests or races instead.  The label stays only until the
     benchmark harness, which still passes it, stops doing so. *)
@@ -181,23 +192,24 @@ type guided_result = {
   g_steps : int;
 }
 
+val guided_budget : int
+(** 6: the most directed runs {!confirm_guided} spends on a candidate,
+    and the blind runs [Eval.Guided] gives a race key's first
+    occurrence. *)
+
 val confirm_guided :
   instantiate:instantiator ->
   cand:candidate ->
-  ?budget:int ->
-  ?batch:int ->
-  ?plateau:int ->
-  ?fuel:int ->
   ?seed:int64 ->
   corpus:Cov.Corpus.t ->
   unit ->
   guided_result
-(** Novelty-guided replacement for blind {!confirm}: rounds of [batch]
-    run specs derived deterministically from (seed, round, corpus);
-    slot 0 of round 0 reproduces blind run 0, later slots mutate the
+(** Novelty-guided replacement for blind {!confirm}: rounds of 2 run
+    specs derived deterministically from (seed, round, corpus); slot 0
+    of round 0 reproduces blind run 0, later slots mutate the
     top-ranked corpus entries.  Stops at the first confirmation, after
-    [plateau] consecutive rounds with zero coverage novelty, or at
-    [budget] (default 10) total runs.  Novel runs are admitted into
+    a round with zero coverage novelty, or at {!guided_budget} total
+    runs, each of at most {!fuel} steps.  Novel runs are admitted into
     [corpus] — shared across candidates of a class, it is what lets
     later candidates stop early.  Reproducible from (seed, corpus
     snapshot). *)

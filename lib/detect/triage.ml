@@ -20,7 +20,8 @@
    serialized baselines depend on the test alone (priority scheduling
    draws no randomness), so they run once per test ([baselines]).  The
    two forced runs share their directed prefix, which is exactly the
-   confirmation's run 0 at the same seed and fuel, so they fork from
+   confirmation's run 0 at the same seed (every run here, like every
+   directed run, is bounded by [Racefuzzer.fuel]), so they fork from
    where that run stopped ([forced]): one copy of the poised machine
    and its scheduler RNG runs one order, the original the other.  A
    run 0 that never confirmed is both forced runs at once. *)
@@ -77,7 +78,7 @@ let equal_outcome (a : outcome) (b : outcome) =
    thread of [order], else the first runnable in creation order.
    [order] names threads that exist before the run, so their records
    resolve once. *)
-let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
+let run_prioritized (inst : Racefuzzer.instance) ~order : outcome =
   let m = inst.Racefuzzer.ri_machine in
   let order_ths =
     List.filter_map
@@ -87,18 +88,19 @@ let run_prioritized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
           (Runtime.Machine.all_threads m))
       order
   in
-  ignore (Conc.Exec.run ~fuel m (Conc.Scheduler.prioritized order_ths));
+  ignore
+    (Conc.Exec.run ~fuel:Racefuzzer.fuel m (Conc.Scheduler.prioritized order_ths));
   observe inst
 
 type baselines = { b_serial : outcome; b_serial_rev : outcome }
 
-let baselines ~(instantiate : Racefuzzer.instantiator) ~fuel =
+let baselines ~(instantiate : Racefuzzer.instantiator) =
   let serialized reorder =
     match instantiate () with
     | Error e -> Error e
     | Ok inst ->
       Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
-      Ok (run_prioritized inst ~order:(reorder inst.Racefuzzer.ri_threads) ~fuel)
+      Ok (run_prioritized inst ~order:(reorder inst.Racefuzzer.ri_threads))
   in
   Result.bind (serialized Fun.id) (fun b_serial ->
       Result.map
@@ -115,19 +117,19 @@ type evidence = {
 (* Execute the poised accesses back to back, [a]'s first, finish the
    directed run under random scheduling from its RNG with the fuel it
    had left, then run whatever is still runnable in creation order with
-   the full [fuel]. *)
-let force (inst : Racefuzzer.instance) rng ~fuel_left ~fuel a b =
+   the full [Racefuzzer.fuel]. *)
+let force (inst : Racefuzzer.instance) rng ~fuel_left a b =
   let m = inst.Racefuzzer.ri_machine in
   ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m a));
   ignore (Runtime.Machine.step_th m (Runtime.Machine.find_thread m b));
   ignore (Conc.Exec.run ~fuel:fuel_left m (Conc.Scheduler.of_rng rng));
-  run_prioritized inst ~order:[] ~fuel
+  run_prioritized inst ~order:[]
 
-let forced ~fuel (re : Racefuzzer.run_end) =
+let forced (re : Racefuzzer.run_end) =
   let inst = re.Racefuzzer.re_inst in
   match re.Racefuzzer.re_report with
   | None ->
-    let o = run_prioritized inst ~order:[] ~fuel in
+    let o = run_prioritized inst ~order:[] in
     (o, o)
   | Some r ->
     (* Fork before either order runs. *)
@@ -136,8 +138,8 @@ let forced ~fuel (re : Racefuzzer.run_end) =
     let fork_rng = Rng.copy re.Racefuzzer.re_rng in
     let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
     let fuel_left = re.Racefuzzer.re_fuel in
-    let first = force fork fork_rng ~fuel_left ~fuel t1 t2 in
-    (first, force inst re.Racefuzzer.re_rng ~fuel_left ~fuel t2 t1)
+    let first = force fork fork_rng ~fuel_left t1 t2 in
+    (first, force inst re.Racefuzzer.re_rng ~fuel_left t2 t1)
 
 let evidence (b : baselines) (e_forced, e_forced_rev) =
   { e_serial = b.b_serial; e_serial_rev = b.b_serial_rev; e_forced; e_forced_rev }
@@ -149,12 +151,11 @@ let judge (e : evidence) =
   else Benign
 
 let triage ~(instantiate : Racefuzzer.instantiator)
-    ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
-    (verdict, string) result =
-  Result.bind (baselines ~instantiate ~fuel) (fun b ->
+    ~(cand : Racefuzzer.candidate) ?(seed = 7L) () : (verdict, string) result =
+  Result.bind (baselines ~instantiate) (fun b ->
       Result.map
         (fun inst ->
           Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
-          let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel in
-          judge (evidence b (forced ~fuel re)))
+          let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:Racefuzzer.fuel in
+          judge (evidence b (forced re)))
         (instantiate ()))

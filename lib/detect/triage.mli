@@ -41,10 +41,10 @@ val observe : Racefuzzer.instance -> outcome
 
 type baselines = { b_serial : outcome; b_serial_rev : outcome }
 
-val baselines :
-  instantiate:Racefuzzer.instantiator -> fuel:int -> (baselines, string) result
+val baselines : instantiate:Racefuzzer.instantiator -> (baselines, string) result
 (** The two serialized executions, each on a fresh instance: the racy
-    threads to completion by priority in thread order, then reversed.
+    threads to completion by priority in thread order, then reversed,
+    each for at most {!Racefuzzer.fuel} steps.
     Counts one ["triage/replays"] per instance. *)
 
 type evidence = {
@@ -54,15 +54,15 @@ type evidence = {
   e_forced_rev : outcome;  (** the second racing access, then the first *)
 }
 
-val forced : fuel:int -> Racefuzzer.run_end -> outcome * outcome
+val forced : Racefuzzer.run_end -> outcome * outcome
 (** Both forced outcomes, the first racing access first and then the
-    reverse, from where a directed run at the campaign seed and [fuel]
-    stopped, consuming its machine and RNG: execute the poised accesses
-    back to back, finish the run under random scheduling from its RNG
-    with the fuel it had left, then run any runnable thread in creation
-    order with [fuel] ({!Conc.Scheduler.prioritized}).  A run that
-    stopped without confirming is run in creation order once, and that
-    outcome is both. *)
+    reverse, from where a directed run at the campaign seed stopped,
+    consuming its machine and RNG: execute the poised accesses back to
+    back, finish the run under random scheduling from its RNG with the
+    fuel it had left, then run any runnable thread in creation order
+    for {!Racefuzzer.fuel} steps ({!Conc.Scheduler.prioritized}).  A
+    run that stopped without confirming is run in creation order once,
+    and that outcome is both. *)
 
 val evidence : baselines -> outcome * outcome -> evidence
 (** The baselines beside the two {!forced} outcomes. *)
@@ -74,12 +74,11 @@ val triage :
   instantiate:Racefuzzer.instantiator ->
   cand:Racefuzzer.candidate ->
   ?seed:int64 ->
-  ?fuel:int ->
   unit ->
   (verdict, string) result
 (** One race from scratch: {!baselines}, then its own directed run at
-    [seed] (default 7) on a fresh instance, then {!forced}.  [fuel]
-    (default 200_000) bounds every run.  The campaign
+    [seed] (default 7) on a fresh instance, then {!forced}.
+    {!Racefuzzer.fuel} bounds every run.  The campaign
     ([Campaign.confirm_and_triage]) shares the baselines across a
     test's races and forks from each candidate's confirmation run 0
     instead. *)

@@ -32,7 +32,7 @@ let report_feature (r : Detect.Race.report) =
     r.Detect.Race.r_second.Detect.Race.a_site
 
 let test_coverage (an : Narada_core.Pipeline.analysis)
-    (t : Narada_core.Synth.test) ~seed ~fuel : Cov.Set.t =
+    (t : Narada_core.Synth.test) ~seed : Cov.Set.t =
   let instantiate = Narada_core.Pipeline.instantiator an t in
   match instantiate () with
   | Error _ -> Cov.Set.empty
@@ -75,13 +75,13 @@ let test_coverage (an : Narada_core.Pipeline.analysis)
             Detect.Racefuzzer.directed_run_cov
               inst.Detect.Racefuzzer.ri_machine
               ~cand:(Detect.Racefuzzer.candidate_of_report r)
-              ~seed ~fuel ()
+              ~seed ~fuel:Detect.Racefuzzer.fuel ()
           in
           Cov.Set.union acc rc.Detect.Racefuzzer.rc_cov)
       cov directed
 
 (* Each class's coverage is the union of its own tests' sets. *)
-let sweep ~seed ~fuel ~jobs (entries : Corpus.Corpus_def.entry list) :
+let sweep ~seed ~jobs (entries : Corpus.Corpus_def.entry list) :
     (Corpus.Corpus_def.entry * (class_cov, string) result) list =
   List.map
     (fun (e, r) ->
@@ -98,24 +98,24 @@ let sweep ~seed ~fuel ~jobs (entries : Corpus.Corpus_def.entry list) :
        (List.map (fun e -> (e, Evaluate.analyze_entry e)) entries)
        (fun an t ->
          Obs.Span.with_ ~root:true "cov/test" (fun () ->
-             test_coverage an t ~seed ~fuel)))
+             test_coverage an t ~seed)))
 
-let class_coverage ?(seed = 7L) ?(fuel = 200_000) (e : Corpus.Corpus_def.entry) :
+let class_coverage ?(seed = 7L) (e : Corpus.Corpus_def.entry) :
     (class_cov, string) result =
-  match sweep ~seed ~fuel ~jobs:1 [ e ] with
+  match sweep ~seed ~jobs:1 [ e ] with
   | (_, r) :: _ -> r
   | [] -> Error "coverage: no result for the entry" (* one per entry *)
 
 (* Whole-corpus sweep; records the stable per-class counters
    [cov/<id>/<kind>] used by the cov.t determinism cram. *)
-let coverage_corpus ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)
+let coverage_corpus ?(seed = 7L) ?(jobs = 1)
     (entries : Corpus.Corpus_def.entry list) :
     (Corpus.Corpus_def.entry * (class_cov, string) result) list =
   List.iter
     (fun e ->
       try ignore (Corpus.Registry.compiled_unit e) with Jir.Diag.Error _ -> ())
     entries;
-  let rows = sweep ~seed ~fuel ~jobs entries in
+  let rows = sweep ~seed ~jobs entries in
   List.iter
     (fun (e, r) ->
       match r with

@@ -1,7 +1,9 @@
 (** Per-class interleaving coverage: which racy pairs, HB edges, lock
     orders, and postponed-set states the synthesized tests of a corpus
-    entry actually exercise.  Deterministic for every [jobs] value
-    (coverage-set union is commutative; units merge in test order). *)
+    entry actually exercise: one random run per test at [seed] (default
+    7), then directed runs of at most {!Detect.Racefuzzer.fuel} steps.
+    Deterministic for every [jobs] value (coverage-set union is
+    commutative; units merge in test order). *)
 
 type class_cov = {
   cc_entry : Corpus.Corpus_def.entry;
@@ -10,12 +12,11 @@ type class_cov = {
 }
 
 val class_coverage :
-  ?seed:int64 -> ?fuel:int -> Corpus.Corpus_def.entry -> (class_cov, string) result
+  ?seed:int64 -> Corpus.Corpus_def.entry -> (class_cov, string) result
 (** One entry's coverage, its tests run on the calling domain. *)
 
 val coverage_corpus :
   ?seed:int64 ->
-  ?fuel:int ->
   ?jobs:int ->
   Corpus.Corpus_def.entry list ->
   (Corpus.Corpus_def.entry * (class_cov, string) result) list

@@ -52,7 +52,6 @@ type options = {
   opt_seed : int64;
   opt_jobs : int; (* width of the fan-out over (class, test) units *)
   opt_static_filter : bool; (* prune pairs through the static analyzer *)
-  opt_static_cache : Static.Cache.t option; (* summary cache for the filter *)
   opt_backend : Backend.kind; (* the one engine *)
 }
 
@@ -63,7 +62,6 @@ let default_options =
     opt_seed = 7L;
     opt_jobs = 1;
     opt_static_filter = false;
-    opt_static_cache = None;
     opt_backend = Backend.Compiled;
   }
 
@@ -209,9 +207,7 @@ let evaluate_corpus ?(opts = default_options) (entries : Corpus.Corpus_def.entry
   let analyzed =
     List.map
       (fun e ->
-        ( e,
-          analyze_entry ~static_filter:opts.opt_static_filter
-            ?static_cache:opts.opt_static_cache ~backend:opts.opt_backend e ))
+        (e, analyze_entry ~static_filter:opts.opt_static_filter ~backend:opts.opt_backend e))
       entries
   in
   List.map

@@ -58,16 +58,13 @@ type options = {
       (** intersect generated pairs with the static analyzer's
           candidate set before synthesis; [cl_pairs_pruned] reports
           how many were dropped *)
-  opt_static_cache : Static.Cache.t option;
-      (** per-class summary cache backing the filter's analyses
-          (analyses run sequentially in [evaluate_corpus], so the
-          cache counters stay deterministic) *)
   opt_backend : Backend.kind;  (** the one engine, {!Backend.Compiled} *)
 }
 
 val default_options : options
-(** 3 schedules, 6 confirmation runs, seed 7, jobs 1, no static filter,
-    no static cache. *)
+(** 3 schedules, 6 confirmation runs, seed 7, jobs 1, no static
+    filter.  The filter's analyses run without a summary cache; a
+    cached analysis goes through {!analyze_entry}. *)
 
 val evaluate_test :
   options -> Narada_core.Pipeline.analysis -> Narada_core.Synth.test -> test_eval

@@ -11,13 +11,12 @@
    confirm is lost), a recurrence of a confirmed pair is skipped
    outright (its racy-pair feature is already in the corpus), and a
    recurrence of a key that failed its full-budget attempt only gets
-   [Racefuzzer.confirm_guided]'s novelty-plateau runs.  The
+   [Racefuzzer.confirm_guided]'s novelty-plateau runs.  The budget is
+   [Racefuzzer.guided_budget] in both cases.  The
    confirmed-set / schedule comparison over C1-C9 is pinned in
    test_campaign.ml; the serve daemon's confirm requests run it too. *)
 
-type mode =
-  | Blind of { runs : int }
-  | Guided of { budget : int; batch : int; plateau : int }
+type mode = Blind of { runs : int } | Guided
 
 type class_confirm = {
   gc_tests : int;
@@ -26,8 +25,9 @@ type class_confirm = {
   gc_schedules : int; (* directed runs executed *)
 }
 
-let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create ())
-    ~(mode : mode) (an : Narada_core.Pipeline.analysis) : class_confirm =
+let confirm_analysis ?(schedules = 2) ?(seed = 7L) ~(mode : mode)
+    (an : Narada_core.Pipeline.analysis) : class_confirm =
+  let corpus = Cov.Corpus.create () in
   let total_schedules = ref 0 in
   let confirmed = ref [] in
   let candidates = ref 0 in
@@ -50,21 +50,20 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create 
       match mode with
       | Blind { runs } ->
         (* A test's keys are distinct, so its candidates are confirmed
-           together, each over exactly its own blind runs, at
-           [Racefuzzer.confirm]'s default fuel. *)
+           together, each over exactly its own blind runs. *)
         let results =
           Detect.Racefuzzer.confirm_all ~instantiate
             ~cands:
               (Array.of_list
                  (List.map (fun (_, r) -> Detect.Racefuzzer.candidate_of_report r) cands))
-            ~runs ~fuel:200_000 ~seed ~settle:ignore
+            ~runs ~seed ~settle:ignore
         in
         List.iter2
           (fun (k, _) ((c : Detect.Racefuzzer.confirm_result), _) ->
             total_schedules := !total_schedules + c.Detect.Racefuzzer.runs_used;
             note k (c.Detect.Racefuzzer.confirmed <> None))
           cands (Array.to_list results)
-      | Guided { budget; batch; plateau } ->
+      | Guided ->
         List.iter
           (fun (k, r) ->
             let cand = Detect.Racefuzzer.candidate_of_report r in
@@ -100,7 +99,7 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create 
                     uses, so nothing blind can confirm is missed. *)
                  let c =
                    Detect.Racefuzzer.confirm ~instantiate ~cand
-                     ~runs:budget ~seed ()
+                     ~runs:Detect.Racefuzzer.guided_budget ~seed ()
                  in
                  total_schedules :=
                    !total_schedules + c.Detect.Racefuzzer.runs_used;
@@ -113,8 +112,8 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create 
                  (* Repeat occurrence of a key that already failed a
                     full-budget attempt: novelty-plateau runs only. *)
                  let g =
-                   Detect.Racefuzzer.confirm_guided ~instantiate ~cand
-                     ~budget ~batch ~plateau ~seed ~corpus ()
+                   Detect.Racefuzzer.confirm_guided ~instantiate ~cand ~seed
+                     ~corpus ()
                  in
                  total_schedules :=
                    !total_schedules + g.Detect.Racefuzzer.g_schedules;
@@ -132,8 +131,8 @@ let confirm_analysis ?(schedules = 2) ?(seed = 7L) ?(corpus = Cov.Corpus.create 
     gc_schedules = !total_schedules;
   }
 
-let confirm_class ?schedules ?seed ?corpus ~mode (e : Corpus.Corpus_def.entry)
-    : (class_confirm, string) result =
+let confirm_class ?seed ~mode (e : Corpus.Corpus_def.entry) :
+    (class_confirm, string) result =
   Result.map
-    (fun (_, an) -> confirm_analysis ?schedules ?seed ?corpus ~mode an)
+    (fun (_, an) -> confirm_analysis ?seed ~mode an)
     (Evaluate.analyze_entry e)

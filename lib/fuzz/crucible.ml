@@ -107,9 +107,9 @@ let ok r = r.rp_failures = []
 
    The blind campaign spends one check per fresh program, uniformly.
    The guided campaign works in rounds over a novelty-ranked corpus of
-   program seeds: each round derives a batch of (program seed, check
-   seed) specs purely from (options, round number, corpus state at the
-   round boundary) — even slots generate fresh programs, odd slots
+   program seeds: each round derives a batch of [batch] (program seed,
+   check seed) specs purely from (options, round number, corpus state
+   at the round boundary) — even slots generate fresh programs, odd slots
    re-check the top-ranked corpus programs under a new derived check
    seed (a schedule mutation: same program, different seeded
    interleavings).  After the batch executes (optionally over [Par]),
@@ -125,10 +125,11 @@ let ok r = r.rp_failures = []
    byte-identical for every job count and reproducible from
    (seed, corpus snapshot). *)
 
+let batch = 8
+let plateau = 3
+
 type guided_report = {
   gr_options : options;
-  gr_batch : int;
-  gr_plateau : int;
   gr_rounds : int;
   gr_checked : int;
   gr_pass : (string * int) list;
@@ -157,7 +158,7 @@ let guided_spec_for opts ~ranked idx =
       let prog = parent.Cov.Corpus.en_seed in
       { gs_slot = idx; gs_prog = prog; gs_check = Par.seed ~base:prog ~index:idx }
 
-let run_guided ?(batch = 8) ?(plateau = 3) ?budget_s ?(corpus = Cov.Corpus.create ())
+let run_guided ?budget_s ?(corpus = Cov.Corpus.create ())
     (opts : options) : guided_report =
   let opts =
     { opts with o_count = max 0 opts.o_count; o_jobs = max 1 opts.o_jobs }
@@ -266,8 +267,6 @@ let run_guided ?(batch = 8) ?(plateau = 3) ?budget_s ?(corpus = Cov.Corpus.creat
   in
   {
     gr_options = opts;
-    gr_batch = batch;
-    gr_plateau = plateau;
     gr_rounds = !round;
     gr_checked = !checked;
     gr_pass = pass;
@@ -284,7 +283,7 @@ let guided_report_to_string (r : guided_report) : string =
   Printf.bprintf b
     "crucible (guided): %d/%d checks in %d rounds (batch %d, plateau %d), seed \
      %Ld\n"
-    r.gr_checked r.gr_options.o_count r.gr_rounds r.gr_batch r.gr_plateau
+    r.gr_checked r.gr_options.o_count r.gr_rounds batch plateau
     r.gr_options.o_seed;
   Printf.bprintf b "  coverage: %d features (%d corpus entries, novelty %d)\n"
     (Cov.Set.total (Cov.Corpus.coverage r.gr_corpus))

@@ -50,13 +50,13 @@ val report_to_string : report -> string
 (** {2 Coverage-guided campaign}
 
     Replaces blind uniform sampling with a novelty-ranked corpus of
-    program seeds: rounds of [batch] checks are derived deterministically
+    program seeds: rounds of 8 checks are derived deterministically
     from (options, round, corpus); even slots generate fresh programs,
     odd slots re-check the top-ranked corpus programs under new derived
     check seeds (schedule mutations).  Runs whose interleaving coverage
     ({!Oracle.coverage}) contains anything new are admitted into the
     corpus with their gain.  Stops at the check budget ([o_count]),
-    after [plateau] consecutive novelty-free rounds, or past an optional
+    after 3 consecutive novelty-free rounds, or past an optional
     wall-clock budget (round-boundary granularity; a CI bound — with it
     set, the round count is time-dependent).  For a fixed round count
     the report and corpus are byte-identical across job counts and
@@ -64,8 +64,6 @@ val report_to_string : report -> string
 
 type guided_report = {
   gr_options : options;
-  gr_batch : int;
-  gr_plateau : int;
   gr_rounds : int;
   gr_checked : int;  (** checks actually executed (≤ [o_count]) *)
   gr_pass : (string * int) list;
@@ -76,14 +74,9 @@ type guided_report = {
 }
 
 val run_guided :
-  ?batch:int ->
-  ?plateau:int ->
-  ?budget_s:float ->
-  ?corpus:Cov.Corpus.t ->
-  options ->
-  guided_report
-(** Defaults: batch 8, plateau 3, no wall budget, fresh corpus.  Pass
-    [corpus] (e.g. loaded from a checkpoint) to resume a campaign. *)
+  ?budget_s:float -> ?corpus:Cov.Corpus.t -> options -> guided_report
+(** Defaults: no wall budget, fresh corpus.  Pass [corpus] (e.g. loaded
+    from a checkpoint) to resume a campaign. *)
 
 val guided_ok : guided_report -> bool
 val guided_report_to_string : guided_report -> string

@@ -397,8 +397,6 @@ let max_replayed_tests = 3
 let race_keys ft =
   List.sort Race.compare_key (List.map Race.key_of (Fasttrack.reports ft))
 
-let triage_fuel = 200_000
-
 (* Priority completion: the first runnable of [order], else the first
    runnable in creation order.  The reference walks [all_threads], not
    the machine's live list that [Conc.Exec.run] hands every scheduler,
@@ -418,7 +416,7 @@ let run_prioritized m ~order =
         go (fuel - 1)
       | None -> ()
   in
-  go triage_fuel
+  go Racefuzzer.fuel
 
 (* The four triage outcomes of a race, each run on its own fresh
    instance: the serialized executions, and whole directed runs at the
@@ -439,7 +437,7 @@ let replayed_evidence fresh ~cand ~seed =
   in
   let forced rev (inst : Racefuzzer.instance) =
     let m = inst.Racefuzzer.ri_machine in
-    let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:triage_fuel in
+    let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:Racefuzzer.fuel in
     (match re.Racefuzzer.re_report with
     | Some r ->
       let t1 = r.Race.r_first.Race.a_tid and t2 = r.Race.r_second.Race.a_tid in
@@ -473,7 +471,7 @@ let replayed_confirmation instantiate ~cand ~runs ~seed =
         let re, st =
           Racefuzzer.directed_run inst ~cand
             ~seed:(Int64.add seed (Int64.of_int (i * 7919)))
-            ~fuel:triage_fuel
+            ~fuel:Racefuzzer.fuel
         in
         let steps = steps + st.Racefuzzer.rs_steps in
         match re.Racefuzzer.re_report with
@@ -567,7 +565,7 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
     let first_test = ref None in
     let triage (t : Narada_core.Synth.test) =
       let instantiate = Narada_core.Pipeline.instantiator an t in
-      let own = (Campaign.test ~fuel:triage_fuel instantiate, instantiate) in
+      let own = (Campaign.test instantiate, instantiate) in
       (* The campaign's state and the instantiator it was given. *)
       let test, test_instantiate =
         match (mutate, !first_test) with

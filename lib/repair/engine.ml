@@ -28,7 +28,6 @@ let subject_of_unit cu ~client_classes ~seed_cls ~seed_meth =
 type options = {
   eo_schedules : int;
   eo_confirm_runs : int;
-  eo_fuel : int;
   eo_seed : int64;
   eo_jobs : int;
   eo_backends : Backend.kind list;
@@ -40,7 +39,6 @@ let default_options =
   {
     eo_schedules = 2;
     eo_confirm_runs = 6;
-    eo_fuel = 200_000;
     eo_seed = 7L;
     eo_jobs = 1;
     eo_backends = [ Backend.Compiled ];
@@ -80,10 +78,10 @@ let render_result = function
   | Ok (Some v) -> "ok " ^ Runtime.Value.to_string v
   | Error msg -> "error " ^ msg
 
-(* The one execution of a program's seed test, at ([eo_seed],
-   [eo_fuel]): its printed output and result are the behaviour check's,
-   its trace holds the lock, unlock and invoke events the lock-order
-   check reads and is what the race analysis analyzes. *)
+(* The one execution of a program's seed test, at [eo_seed] and
+   [Racefuzzer.fuel]: its printed output and result are the behaviour
+   check's, its trace holds the lock, unlock and invoke events the
+   lock-order check reads and is what the race analysis analyzes. *)
 type recording = {
   rec_output : string;
   rec_result : (Runtime.Value.t option, string) result;
@@ -92,7 +90,7 @@ type recording = {
 
 let record (opts : options) sub cu =
   let m, trace, res =
-    Runtime.Interp.record ~seed:opts.eo_seed ~fuel:opts.eo_fuel cu
+    Runtime.Interp.record ~seed:opts.eo_seed ~fuel:Rf.fuel cu
       ~client_classes:sub.sj_client_classes ~cls:sub.sj_seed_cls
       ~meth:sub.sj_seed_meth
   in
@@ -165,7 +163,7 @@ let redetect_test (opts : options) (bl : baseline) (rid : Grammar.race_id)
   let results =
     Rf.confirm_all ~instantiate
       ~cands:(Array.of_list (List.map (fun (_, _, r) -> Rf.candidate_of_report r) watched))
-      ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel ~seed:opts.eo_seed ~settle:ignore
+      ~runs:opts.eo_confirm_runs ~seed:opts.eo_seed ~settle:ignore
   in
   match
     List.find_opt
@@ -360,7 +358,7 @@ let repair_all ?(opts = default_options) (sub : subject) :
                   (Detect.Campaign.candidates ~instantiate
                      ~schedules:opts.eo_schedules ~seed:opts.eo_seed ())
               in
-              let test = Detect.Campaign.test ~fuel:opts.eo_fuel instantiate in
+              let test = Detect.Campaign.test instantiate in
               (* A test's keys are distinct, so filtering by the keys
                  earlier tests confirmed is filtering by every key
                  confirmed before each candidate. *)

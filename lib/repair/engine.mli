@@ -3,7 +3,8 @@
     pipeline, keep the first (hence minimal) survivor.
 
     The seed test runs once per program: {!record} executes it at
-    ([eo_seed], [eo_fuel]) and every check reads that one recording —
+    [eo_seed] and {!Detect.Racefuzzer.fuel} and every check reads that
+    one recording —
     the original program's gives the baseline and discovery's analysis,
     each patched program's gives its validation stack, cheapest first:
     + the patched program must still compile and type-check;
@@ -38,7 +39,6 @@ type options = {
   eo_schedules : int;
       (** random schedules per test during discovery and re-detection *)
   eo_confirm_runs : int;  (** directed runs per candidate race *)
-  eo_fuel : int;
   eo_seed : int64;
   eo_jobs : int;
       (** width of the one fan-out over the confirmed races, each
@@ -54,8 +54,10 @@ type options = {
 }
 
 val default_options : options
-(** 2 schedules, 6 confirm runs, fuel 200_000, seed 7, jobs 1,
-    [[Backend.Compiled]], 16 candidates, overlock off. *)
+(** 2 schedules, 6 confirm runs, seed 7, jobs 1, [[Backend.Compiled]],
+    16 candidates, overlock off.  Every directed and triage run, and the
+    seed recording ({!record}), is bounded by
+    {!Detect.Racefuzzer.fuel}. *)
 
 type reject =
   | R_compile of string
@@ -73,8 +75,8 @@ type recording = {
 
 val record : options -> subject -> Jir.Code.unit_ -> recording
 (** Run the subject's seed test [sj_seed_cls.sj_seed_meth()] on [cu]
-    (the subject's own unit or a patched one) at ([eo_seed],
-    [eo_fuel]), recording its trace. *)
+    (the subject's own unit or a patched one) at [eo_seed] for at most
+    {!Detect.Racefuzzer.fuel} steps, recording its trace. *)
 
 val lock_pairs : subject -> Runtime.Trace.t -> string list
 (** The ABBA lock-order pairs of a recorded trace

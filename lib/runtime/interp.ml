@@ -22,7 +22,7 @@ let record ?(seed = Machine.default_seed) ?(fuel = Machine.default_fuel)
   on_machine m;
   let rec_ = Trace.attach m in
   let cm = find_entry cu ~cls ~meth in
-  let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
+  let tid = Machine.new_thread m ~cm ~recv:None ~args:[] () in
   let res = Machine.run_thread_to_completion m tid ~fuel in
   let trace = Trace.snapshot rec_ in
   (* The snapshot is a copy and [m], which callers keep, holds the
@@ -65,7 +65,7 @@ let run_until_call ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth
     ~target_qname ~nth : captured option =
   let cu = Machine.unit_of m in
   let cm = find_entry cu ~cls ~meth in
-  let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
+  let tid = Machine.new_thread m ~cm ~recv:None ~args:[] () in
   (* Hoist the thread record: the record-based queries skip the
      per-step tid lookups. *)
   let th = Machine.find_thread m tid in

@@ -1125,11 +1125,11 @@ let copy m =
     out;
   }
 
-let new_thread m ?(client = true) ~(cm : Code.meth) ~recv ~args () =
-  new_thread_internal m ~cm ~recv ~args ~spawned_client:client
+let new_thread m ~(cm : Code.meth) ~recv ~args () =
+  new_thread_internal m ~cm ~recv ~args ~spawned_client:true
 
-let call m ?(client = true) ~(cm : Code.meth) ~recv ~args () =
-  let tid = new_thread m ~client ~cm ~recv ~args () in
+let call m ~(cm : Code.meth) ~recv ~args () =
+  let tid = new_thread m ~cm ~recv ~args () in
   run_thread_to_completion m tid ~fuel:default_fuel
 
 let output m = Buffer.contents m.out
@@ -1240,14 +1240,14 @@ let held_locks m tid =
    initializers (superclass first) and the arity-matching constructor.
    This is how the synthesizer builds fresh receivers (e.g. the two
    wrapper objects of the paper's Fig. 3). *)
-let construct m ?(client = true) ~cls ~args () : (Value.t, string) result =
+let construct m ~cls ~args () : (Value.t, string) result =
   match Code.find_cls m.cu cls with
   | None -> Error (Printf.sprintf "no such class %s" cls)
   | Some cc ->
     let addr = Heap.alloc_object m.heap ~cls ~field_tys:cc.Code.cc_fields in
     let recv = Value.Vref addr in
     let run cm =
-      let tid = new_thread_internal m ~cm ~recv:(Some recv) ~args:(if cm.Code.cm_name = Code.fieldinit_name then [] else args) ~spawned_client:client in
+      let tid = new_thread_internal m ~cm ~recv:(Some recv) ~args:(if cm.Code.cm_name = Code.fieldinit_name then [] else args) ~spawned_client:true in
       run_thread_to_completion m tid ~fuel:default_fuel
     in
     let inits = fieldinit_chain m cls in

@@ -95,22 +95,19 @@ val copy : t -> t
 
 val new_thread :
   t ->
-  ?client:bool ->
   cm:Jir.Code.meth ->
   recv:Value.t option ->
   args:Value.t list ->
   unit ->
   Value.tid
-(** Create a thread whose initial frame invokes [cm].  [client] says
-    whether the invocation should be treated as coming from client code
-    (default true, as harness-driven calls are client calls).
+(** Create a thread whose initial frame invokes [cm], treated as a call
+    from client code: the harness drives it.
 
     @raise Invalid_argument if [cm] is not a method of the machine's
     program (likewise {!call}). *)
 
 val call :
   t ->
-  ?client:bool ->
   cm:Jir.Code.meth ->
   recv:Value.t option ->
   args:Value.t list ->
@@ -238,7 +235,6 @@ val held_locks : t -> Value.tid -> Value.addr list
 
 val construct :
   t ->
-  ?client:bool ->
   cls:Jir.Ast.id ->
   args:Value.t list ->
   unit ->

@@ -6,10 +6,13 @@
 
    With a cache, cold runs pay one summarization per class and warm
    runs pay only the linking phase; a one-class edit re-summarizes
-   exactly the changed class.  Linked results always flow through the
-   summary codec (cached or not), so cached and from-scratch analyses
-   are literally the same computation — the Crucible incremental
-   oracle checks the equivalence end to end. *)
+   exactly the changed class.  Only a warm hit goes through the summary
+   codec: without a cache, and on a miss, the summary is
+   [Summary.of_class]'s own value (a miss also stores its encoding).
+   That a decoded summary links to the same candidates as a fresh one
+   is checked by the Crucible incremental oracle, which compares a run
+   against a warm cache with a from-scratch run, and by the codec's
+   round-trip property. *)
 
 module D = Dom
 

@@ -106,8 +106,7 @@ let guided_blind () : confirmed =
     (List.concat_map
        (fun (e : Corpus.Corpus_def.entry) ->
          match
-           Eval.Guided.confirm_class ~schedules:2 ~seed:7L
-             ~mode:(Eval.Guided.Blind { runs = 6 }) e
+           Eval.Guided.confirm_class ~seed:7L ~mode:(Eval.Guided.Blind { runs = 6 }) e
          with
          | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
          | Ok gc ->
@@ -263,9 +262,7 @@ let test_blind_vs_guided () =
       (fun (tb, tg) (e : Corpus.Corpus_def.entry) (id, cands, cb, cg, sb, sg) ->
         Alcotest.(check string) "class order" id e.Corpus.Corpus_def.e_id;
         let b = confirm (Eval.Guided.Blind { runs = 6 }) e in
-        let g =
-          confirm (Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 }) e
-        in
+        let g = confirm Eval.Guided.Guided e in
         let check name = Alcotest.(check int) (id ^ " " ^ name) in
         check "candidates" cands b.Eval.Guided.gc_candidates;
         check "confirmed blind" cb (List.length b.Eval.Guided.gc_confirmed);

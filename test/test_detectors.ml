@@ -13,7 +13,7 @@ let run_with_detectors ?(seed = 5L) src =
     | Some cm -> cm
     | None -> Alcotest.fail "no main"
   in
-  ignore (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ());
+  ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
   let r = Conc.Exec.run m (Conc.Scheduler.random ~seed) in
   Alcotest.(check bool) "finished" true (r.Conc.Exec.outcome = Conc.Exec.All_finished);
   (lockset, ft)

@@ -121,11 +121,13 @@ let campaign_jobs_deterministic () =
     (Fuzz.Crucible.report_to_string r3)
 
 let guided_campaign_deterministic_and_replayable () =
+  (* Two rounds of the campaign's batch of 8: the second round's specs
+     derive from the corpus the first one left. *)
   let base =
-    { Fuzz.Crucible.default_options with o_count = 8; o_seed = 5L }
+    { Fuzz.Crucible.default_options with o_count = 16; o_seed = 5L }
   in
-  let r1 = Fuzz.Crucible.run_guided ~batch:4 { base with o_jobs = 1 } in
-  let r3 = Fuzz.Crucible.run_guided ~batch:4 { base with o_jobs = 3 } in
+  let r1 = Fuzz.Crucible.run_guided { base with o_jobs = 1 } in
+  let r3 = Fuzz.Crucible.run_guided { base with o_jobs = 3 } in
   Alcotest.(check string) "byte-identical across jobs"
     (Fuzz.Crucible.guided_report_to_string r1)
     (Fuzz.Crucible.guided_report_to_string r3);
@@ -146,7 +148,7 @@ let guided_campaign_deterministic_and_replayable () =
         match Cov.Corpus.load path with
         | Error e -> Alcotest.failf "corpus load failed: %s" e
         | Ok corpus ->
-          let r = Fuzz.Crucible.run_guided ~batch:4 ~corpus base in
+          let r = Fuzz.Crucible.run_guided ~corpus base in
           (Fuzz.Crucible.guided_report_to_string r, Cov.Corpus.digest corpus)
       in
       let rep_a, dig_a = resume () in

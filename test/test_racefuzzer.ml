@@ -14,7 +14,7 @@ let instantiator_of src ~cls ~meths : Racefuzzer.instantiator =
     let spawn meth =
       match Jir.Code.find_virtual cu cls meth with
       | Some cm ->
-        Ok (Runtime.Machine.new_thread m ~client:true ~cm ~recv:(Some recv) ~args:[] ())
+        Ok (Runtime.Machine.new_thread m ~cm ~recv:(Some recv) ~args:[] ())
       | None -> Error ("no method " ^ meth)
     in
     (match meths with
@@ -59,6 +59,31 @@ let test_confirm_is_deterministic () =
   Alcotest.(check int) "same number of runs" r1.Racefuzzer.runs_used
     r2.Racefuzzer.runs_used
 
+(* Every directed run is bounded by [Racefuzzer.fuel]: two threads that
+   spin forever on locals, watched for a field neither touches, never
+   match, block or finish, so each run stops exactly at the bound, and
+   an unconfirmed candidate has spent all its runs, each of them whole. *)
+let spin_src =
+  "class C { int count; void spin() { int i = 0; while (true) { i = i + 1; } } }"
+
+let test_run_bound () =
+  let inst = instantiator_of spin_src ~cls:"C" ~meths:[ "spin"; "spin" ] in
+  let runs = 3 in
+  let check what (c : Racefuzzer.confirm_result) =
+    Alcotest.(check bool) (what ^ ": unconfirmed") true (c.Racefuzzer.confirmed = None);
+    Alcotest.(check int) (what ^ ": runs used") runs c.Racefuzzer.runs_used;
+    Alcotest.(check int) (what ^ ": steps") (runs * Racefuzzer.fuel) c.Racefuzzer.steps
+  in
+  (match
+     Racefuzzer.confirm_all ~instantiate:inst ~cands:[| cand "count" |] ~runs ~seed:7L
+       ~settle:(fun re -> re.Racefuzzer.re_fuel)
+   with
+  | [| (c, left) |] ->
+    check "confirm_all" c;
+    Alcotest.(check (option int)) "confirm_all: run 0 ends with no fuel left" (Some 0) left
+  | _ -> Alcotest.fail "one result per candidate");
+  check "confirm" (Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") ~runs ())
+
 let test_candidate_of_report () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
   match inst () with
@@ -96,25 +121,22 @@ let test_guided_plateau_stops_early () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
   let corpus = Cov.Corpus.create () in
   let g1 =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:20 ~batch:2 ~plateau:1 ~corpus ()
+    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count") ~corpus ()
   in
   Alcotest.(check bool) "not confirmed" true (g1.Racefuzzer.g_confirmed = None);
   (* second candidate over the same saturated corpus dries up faster *)
   let g2 =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:20 ~batch:2 ~plateau:1 ~corpus ()
+    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count") ~corpus ()
   in
   Alcotest.(check bool) "saturated corpus stops earlier or equal" true
     (g2.Racefuzzer.g_schedules <= g1.Racefuzzer.g_schedules);
-  Alcotest.(check bool) "well under budget" true
-    (g2.Racefuzzer.g_schedules < 20)
+  Alcotest.(check bool) "under budget" true
+    (g2.Racefuzzer.g_schedules < Racefuzzer.guided_budget)
 
 let guided_outcome ~corpus =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
   let g =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:12 ~batch:3 ~plateau:2 ~corpus ()
+    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count") ~corpus ()
   in
   (g.Racefuzzer.g_confirmed = None, g.Racefuzzer.g_schedules,
    g.Racefuzzer.g_steps, Cov.Corpus.digest corpus)
@@ -173,7 +195,7 @@ let run_seed seed i = Int64.add seed (Int64.of_int (i * 7919))
      run replays its recorded steps: past the prefix the RNG starts
      from the seed, not from where the recorded run's had got to. *)
 let test_loops_agree () =
-  let seed = 7L and fuel = 200_000 in
+  let seed = 7L and fuel = Racefuzzer.fuel in
   let { Eval.Evaluate.opt_schedules = schedules; opt_confirm_runs = runs; _ } =
     Eval.Evaluate.default_options
   in
@@ -267,7 +289,7 @@ let same_stop what (r1, f1, d1, o1) (r2, f2, d2, o2) =
    C1-C9 and X1-X3 test at seed 7, stopped at several [k] up to the
    whole run's length. *)
 let test_continued_run () =
-  let seed = 7L and fuel = 200_000 in
+  let seed = 7L and fuel = Racefuzzer.fuel in
   let schedules = Eval.Evaluate.default_options.Eval.Evaluate.opt_schedules in
   let compared = ref 0 and confirmed_before_stop = ref 0 in
   corpus_tests (fun e instantiate ->
@@ -347,7 +369,7 @@ let first_matches instantiate cands ~seed ~fuel =
    confirmation of its own runs, and settles each run 0 where it
    stopped. *)
 let test_shared_prefix () =
-  let fuel = 200_000 in
+  let fuel = Racefuzzer.fuel in
   let { Eval.Evaluate.opt_schedules = schedules; opt_confirm_runs = runs; _ } =
     Eval.Evaluate.default_options
   in
@@ -408,7 +430,7 @@ let test_shared_prefix () =
                 at
             done;
             let settled =
-              Racefuzzer.confirm_all ~instantiate ~cands ~runs ~fuel ~seed
+              Racefuzzer.confirm_all ~instantiate ~cands ~runs ~seed
                 ~settle:(fun re -> Triage.observe re.Racefuzzer.re_inst)
             in
             Array.iteri
@@ -545,6 +567,7 @@ let () =
             test_no_confirm_when_synchronized;
           Alcotest.test_case "deterministic" `Quick test_confirm_is_deterministic;
           Alcotest.test_case "candidate narrowing" `Quick test_candidate_of_report;
+          Alcotest.test_case "every run stops at the fuel bound" `Quick test_run_bound;
         ] );
       ( "guided",
         [

@@ -340,8 +340,9 @@ let programs () =
 
 (* Repair executes each program's seed test once.  That recording must
    give what three separate runs give: the output and result of a run at
-   ([eo_seed], [eo_fuel]), the lock-order pairs of [Lockorder.analyze]
-   (the machine's default seed and fuel), and the pairs and tests of
+   ([eo_seed], [Racefuzzer.fuel]), the lock-order pairs of
+   [Lockorder.analyze] (the machine's default seed and fuel), and the
+   pairs and tests of
    [Pipeline.analyze] (at [eo_seed] and the default fuel). *)
 let test_one_recording () =
   let opts = Engine.default_options in
@@ -352,7 +353,7 @@ let test_one_recording () =
     let client_classes = sub.Engine.sj_client_classes in
     let rc = Engine.record opts sub cu in
     let m, _, res =
-      Runtime.Interp.record ~seed:opts.Engine.eo_seed ~fuel:opts.Engine.eo_fuel cu
+      Runtime.Interp.record ~seed:opts.Engine.eo_seed ~fuel:Detect.Racefuzzer.fuel cu
         ~client_classes ~cls ~meth
     in
     let behaviour =

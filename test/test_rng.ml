@@ -153,7 +153,7 @@ let alloc_instance () =
   let m = Runtime.Machine.create ~client_classes:[ "C" ] cu in
   match (Runtime.Machine.construct m ~cls:"C" ~args:[] (), Jir.Code.find_virtual cu "C" "work") with
   | Ok recv, Some cm ->
-    let spawn () = Runtime.Machine.new_thread m ~client:true ~cm ~recv:(Some recv) ~args:[] () in
+    let spawn () = Runtime.Machine.new_thread m ~cm ~recv:(Some recv) ~args:[] () in
     let t1 = spawn () in
     let t2 = spawn () in
     { Detect.Racefuzzer.ri_machine = m; ri_threads = [ t1; t2 ]; ri_roots = [ recv ] }
@@ -251,7 +251,7 @@ let test_replay_allocation () =
       match Jir.Code.find_static cu "Seed" "main" with
       | Some cm ->
         Runtime.Machine.find_thread m
-          (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ())
+          (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ())
       | None -> Alcotest.fail "no Seed.main"
     in
     let stepped =

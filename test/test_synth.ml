@@ -178,7 +178,7 @@ module Reference = struct
       | Some cm -> cm
       | None -> Alcotest.failf "no static entry point %s.%s" cls meth
     in
-    let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
+    let tid = Machine.new_thread m ~cm ~recv:None ~args:[] () in
     let th = Machine.find_thread m tid in
     let count = ref 0 in
     let rec loop n =

@@ -5,7 +5,7 @@ let restart_main src () =
   let m = Runtime.Machine.create ~client_classes:[ "Main" ] cu in
   match Jir.Code.find_static cu "Main" "main" with
   | Some cm ->
-    ignore (Runtime.Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] ());
+    ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
     Ok m
   | None -> Error "no main"
 

@@ -16,7 +16,7 @@ open Detect
 module Pipeline = Narada_core.Pipeline
 
 let seed = 7L
-let fuel = 200_000
+let fuel = Racefuzzer.fuel
 let schedules = Eval.Evaluate.default_options.Eval.Evaluate.opt_schedules
 let runs = Eval.Evaluate.default_options.Eval.Evaluate.opt_confirm_runs
 
@@ -194,7 +194,7 @@ let test_late_confirmation () =
             incr found;
             let cand = Racefuzzer.candidate_of_report r in
             Alcotest.(check bool) "standalone confirm agrees" true
-              (Racefuzzer.confirm ~instantiate ~cand ~runs ~fuel ~seed () = c);
+              (Racefuzzer.confirm ~instantiate ~cand ~runs ~seed () = c);
             check_outcome "one outcome for both orders" ev.e_forced ev.e_forced_rev;
             check_evidence "late" (reference instantiate ~cand) ev;
             Alcotest.(check bool) "standalone triage agrees" true
