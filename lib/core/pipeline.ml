@@ -104,8 +104,8 @@ let analyze_source ?static_filter src ~client_classes ~seed_cls ~seed_meth :
     analyze ?static_filter cu ~client_classes ~seed_cls ~seed_meth
   | exception Jir.Diag.Error e -> Error (Jir.Diag.to_string e)
 
-let instantiator (an : analysis) (t : Synth.test) : Detect.Racefuzzer.instantiator =
-  Synth.instantiator an.an_cu ~client_classes:an.an_client_classes t
+let instantiator (an : analysis) : Synth.test -> Detect.Racefuzzer.instantiator =
+  Synth.instantiator an.an_cu ~client_classes:an.an_client_classes
 
 let summary_to_string (an : analysis) =
   Printf.sprintf

@@ -67,5 +67,8 @@ val analyze_source :
     default seed and without a summary cache. *)
 
 val instantiator : analysis -> Synth.test -> Detect.Racefuzzer.instantiator
+(** {!Synth.instantiator} on the analysis's program, staged the same
+    way: [instantiator an] holds one endpoint-A replay memo for the
+    tests it is applied to. *)
 
 val summary_to_string : analysis -> string

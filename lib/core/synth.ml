@@ -277,12 +277,46 @@ let effective_recipe (p : Context.plan) ~(path : string list) :
   | Some r -> Some (path, r)
   | None -> p.Context.plan_prefix
 
-let instantiate ?(apply_context = true) (cu : Jir.Code.unit_) ~client_classes
-    (t : test) : (Detect.Racefuzzer.instance, string) result =
+(* collectObjects for endpoint A: a fresh machine whose seed replay is
+   suspended before A's invocation. *)
+let replay_a cu ~client_classes (t : test) :
+    (Runtime.Machine.t * Runtime.Interp.captured, string) result =
   let m = Runtime.Machine.create ~client_classes cu in
+  let* cap = capture m ~t ~e:t.st_pair.Pairs.p_a in
+  Ok (m, cap)
+
+(* Endpoint A's replay depends only on the seed and on A's qname and
+   occurrence, and many tests of one program share those, so one replay
+   per key is memoized and every test gets its own copy of the machine
+   (the memoized one is never stepped) with the capture, whose values
+   are addresses the copy keeps.  An [Error] is memoized too; an
+   exception is not, so every call raises as a fresh replay would. *)
+let seed_replays cu ~client_classes =
+  let memo = Hashtbl.create 16 in
+  let lock = Mutex.create () in
+  fun (t : test) ->
+    let ea = t.st_pair.Pairs.p_a in
+    let key = (t.st_seed_cls, t.st_seed_meth, ea.Pairs.ep_qname, ea.Pairs.ep_occurrence) in
+    let replayed =
+      Mutex.protect lock (fun () ->
+          match Hashtbl.find_opt memo key with
+          | Some r -> r
+          | None ->
+            let r = replay_a cu ~client_classes t in
+            (* Volatile, like ["synth/templates"]: it counts the replays
+               the builds that ran needed. *)
+            Obs.Metrics.gauge_add (Obs.Metrics.global ()) "synth/seed_replays" 1.0;
+            Hashtbl.replace memo key r;
+            r)
+    in
+    Result.map (fun (m, cap) -> (Runtime.Machine.copy m, cap)) replayed
+
+let build ~apply_context ~replay_a (t : test) :
+    (Detect.Racefuzzer.instance, string) result =
   let ea = t.st_pair.Pairs.p_a and eb = t.st_pair.Pairs.p_b in
-  (* 1. collectObjects: one independent seed replay per endpoint. *)
-  let* cap_a = capture m ~t ~e:ea in
+  (* 1. collectObjects: one independent seed replay per endpoint, B's
+     on (a copy of) the machine A's replay left. *)
+  let* m, cap_a = replay_a t in
   let* cap_b = capture m ~t ~e:eb in
   let* root_a = root_value cap_a ea.Pairs.ep_owner_path.Sym.root in
   let* root_b = root_value cap_b eb.Pairs.ep_owner_path.Sym.root in
@@ -356,37 +390,44 @@ let instantiate ?(apply_context = true) (cu : Jir.Code.unit_) ~client_classes
       ri_roots = roots;
     }
 
-(* Instantiate once, copy many: the seed replays and context calls run
-   on the first call only, and every call gets its own copy of that
-   template machine; the template itself is never handed out, so it is
-   never stepped.  The mutex makes first calls racing on several domains
-   build it once.  An [Error] is memoized too; an exception is not, so
-   every call raises as a fresh build would. *)
-let instantiator cu ~client_classes (t : test) :
-    Detect.Racefuzzer.instantiator =
-  let built = ref None in
-  let lock = Mutex.create () in
-  let template () =
-    Mutex.protect lock (fun () ->
-        match !built with
-        | Some r -> r
-        | None ->
-          let r = instantiate cu ~client_classes t in
-          (* A volatile gauge: how many templates a campaign builds
-             depends on how far its loops ran before an early exit. *)
-          Obs.Metrics.gauge_add (Obs.Metrics.global ()) "synth/templates" 1.0;
-          built := Some r;
-          r)
-  in
-  fun () ->
-    Result.map
-      (fun (inst : Detect.Racefuzzer.instance) ->
-        {
-          inst with
-          Detect.Racefuzzer.ri_machine =
-            Runtime.Machine.copy inst.Detect.Racefuzzer.ri_machine;
-        })
-      (template ())
+let instantiate ?(apply_context = true) (cu : Jir.Code.unit_) ~client_classes
+    (t : test) : (Detect.Racefuzzer.instance, string) result =
+  build ~apply_context ~replay_a:(replay_a cu ~client_classes) t
+
+(* Staged: applied to a program, it allocates the endpoint-A replay
+   memo its tests share.  Instantiate once, copy many: applied to a
+   test, the seed replays and context calls run on the first call only,
+   and every call gets its own copy of that template machine; the
+   template itself is never handed out, so it is never stepped.  The
+   mutex makes first calls racing on several domains build it once.  An
+   [Error] is memoized too; an exception is not, so every call raises
+   as a fresh build would. *)
+let instantiator cu ~client_classes : test -> Detect.Racefuzzer.instantiator =
+  let replay_a = seed_replays cu ~client_classes in
+  fun t ->
+    let built = ref None in
+    let lock = Mutex.create () in
+    let template () =
+      Mutex.protect lock (fun () ->
+          match !built with
+          | Some r -> r
+          | None ->
+            let r = build ~apply_context:true ~replay_a t in
+            (* A volatile gauge: how many templates a campaign builds
+               depends on how far its loops ran before an early exit. *)
+            Obs.Metrics.gauge_add (Obs.Metrics.global ()) "synth/templates" 1.0;
+            built := Some r;
+            r)
+    in
+    fun () ->
+      Result.map
+        (fun (inst : Detect.Racefuzzer.instance) ->
+          {
+            inst with
+            Detect.Racefuzzer.ri_machine =
+              Runtime.Machine.copy inst.Detect.Racefuzzer.ri_machine;
+          })
+        (template ())
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -491,7 +491,10 @@ let confirm_runs = 3
    from the roots, labels used, output) and under one seeded schedule
    (outcome, steps, output, race keys).  The [instance-alias] mutation
    makes the oracle's instantiator hand out its template itself, so copy
-   2 is copy 1 after its run.
+   2 is copy 1 after its run.  The instantiators are staged once per
+   program, so a test whose endpoint A an earlier test already replayed
+   builds its template on a copy of that replay's machine, and the fresh
+   build is the reference for that sharing too.
 
    The campaign confirms a test's candidates together, each directed run
    shared until a candidate's first matching access.  Each candidate's
@@ -524,12 +527,13 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
       Narada_core.Synth.instantiate an.Narada_core.Pipeline.an_cu
         ~client_classes:an.Narada_core.Pipeline.an_client_classes t
     in
+    let instantiator = Narada_core.Pipeline.instantiator an in
     let replay (t : Narada_core.Synth.test) =
       let instantiate =
         if mutate = Some Instance_alias then
           let template = lazy (fresh t ()) in
           fun () -> Lazy.force template
-        else Narada_core.Pipeline.instantiator an t
+        else instantiator t
       in
       let shot = function
         | Error e -> Error e
@@ -564,7 +568,7 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
     in
     let first_test = ref None in
     let triage (t : Narada_core.Synth.test) =
-      let instantiate = Narada_core.Pipeline.instantiator an t in
+      let instantiate = instantiator t in
       let own = (Campaign.test instantiate, instantiate) in
       (* The campaign's state and the instantiator it was given. *)
       let test, test_instantiate =

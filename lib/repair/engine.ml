@@ -138,8 +138,7 @@ let rid_of_key_opt k =
    ([Racefuzzer.confirm_all] gives each exactly its own runs), and the
    first confirmed one in candidate order decides the reject. *)
 let redetect_test (opts : options) (bl : baseline) (rid : Grammar.race_id)
-    ~has_replace (an : Pipeline.analysis) t =
-  let instantiate = Pipeline.instantiator an t in
+    ~has_replace ~instantiate =
   let cands =
     Result.value ~default:[]
       (Detect.Campaign.candidates ~instantiate ~schedules:opts.eo_schedules
@@ -225,10 +224,15 @@ let validate (opts : options) (sub : subject) (bl : baseline)
   let check_backend backend =
     let an = Obs.Span.with_ "analyze" (fun () -> analysis_of ~backend sub cu rc) in
     Obs.Span.with_ "redetect" (fun () ->
+        (* One endpoint-A replay memo for the scan: relevant tests that
+           share an endpoint A share its seed replay. *)
+        let instantiator = Pipeline.instantiator an in
         let rec scan = function
           | [] -> Ok ()
           | t :: rest ->
-            let* () = redetect_test opts bl rid ~has_replace an t in
+            let* () =
+              redetect_test opts bl rid ~has_replace ~instantiate:(instantiator t)
+            in
             scan rest
         in
         scan (relevant_tests bl rid ~all:has_replace an))
@@ -350,9 +354,10 @@ let repair_all ?(opts = default_options) (sub : subject) :
             ref []
           in
           let confirmed : (Detect.Race.key * discovered) list ref = ref [] in
+          let instantiator = Pipeline.instantiator an in
           List.iter
             (fun t ->
-              let instantiate = Pipeline.instantiator an t in
+              let instantiate = instantiator t in
               let cands =
                 Result.value ~default:[]
                   (Detect.Campaign.candidates ~instantiate

@@ -16,7 +16,13 @@
    [int64] record field would box on every store), the stream step is
    inlined into its callers, and the unsigned remainder is spelled out
    here with primitive operations (the [Int64.unsigned_*] functions
-   take and return boxed values). *)
+   take and return boxed values).
+
+   A power-of-two bound (the schedulers' picks among one or two live
+   threads) skips the two [Int64] divisions: 2^64 is a multiple of it,
+   so no draw is rejected, and the remainder is the draw's low bits,
+   which survive the conversion to [int] since an [int] bound is at
+   most 2^61.  The values and the stream are those of the general path. *)
 
 type t = Bytes.t (* 8 bytes: the splitmix64 gamma walk, native-endian *)
 
@@ -65,13 +71,16 @@ let[@inline] unsigned_rem n d =
 let below t bound =
   if bound <= 0 then
     invalid_arg (Printf.sprintf "Rng.below: non-positive bound %d" bound);
-  let n = Int64.of_int bound in
-  let threshold = unsigned_rem (Int64.neg n) n in
-  let z = ref (bits t) in
-  while unsigned_lt !z threshold do
-    z := bits t
-  done;
-  Int64.to_int (unsigned_rem !z n)
+  if bound land (bound - 1) = 0 then Int64.to_int (bits t) land (bound - 1)
+  else begin
+    let n = Int64.of_int bound in
+    let threshold = unsigned_rem (Int64.neg n) n in
+    let z = ref (bits t) in
+    while unsigned_lt !z threshold do
+      z := bits t
+    done;
+    Int64.to_int (unsigned_rem !z n)
+  end
 
 (* No caller reaches the [Invalid_argument]: ConTeGe, the only one,
    matches the empty list away before every pick. *)

@@ -25,7 +25,8 @@ val bits : t -> int64
 
 val below : t -> int -> int
 (** [below t bound] draws uniformly from [0, bound).  May advance the
-    state more than once (rejection sampling).
+    state more than once (rejection sampling); exactly once when [bound]
+    is a power of two, whose draw is the low bits of one {!bits}.
     @raise Invalid_argument when [bound <= 0]. *)
 
 val pick : t -> 'a list -> 'a

@@ -117,6 +117,58 @@ let test_copy () =
   let from_c3 = Rng.bits c3 in
   Alcotest.(check int64) "bits too" from_c3 (Rng.bits t)
 
+(* [Rng.below] as it was before power-of-two bounds skipped the
+   divisions: every bound goes through the rejection threshold and the
+   unsigned remainder.  Kept verbatim (bar [bits], taken from [Rng]) as
+   the reference the fast path must agree with. *)
+module Reference = struct
+  let bits = Rng.bits
+
+  let[@inline] unsigned_lt (a : int64) (b : int64) =
+    Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+  let[@inline] unsigned_rem n d =
+    let open Int64 in
+    let q = shift_left (div (shift_right_logical n 1) d) 1 in
+    let r = sub n (mul q d) in
+    if unsigned_lt r d then r else sub r d
+
+  let below t bound =
+    if bound <= 0 then
+      invalid_arg (Printf.sprintf "Rng.below: non-positive bound %d" bound);
+    let n = Int64.of_int bound in
+    let threshold = unsigned_rem (Int64.neg n) n in
+    let z = ref (bits t) in
+    while unsigned_lt !z threshold do
+      z := bits t
+    done;
+    Int64.to_int (unsigned_rem !z n)
+end
+
+(* 1,000,000 draws per bound from two generators at one seed, one drawn
+   by [Rng.below] and one by the reference: every value must agree, and
+   so must the stream after the last draw (a path that drew once more
+   or once less would shift it).  Power-of-two bounds take the fast
+   path, the rest the general one; the mixed run alternates them. *)
+let draws_per_bound = 1_000_000
+
+let check_below_matches what ~seed bound_of =
+  let t = Rng.create seed and r = Rng.create seed in
+  for i = 0 to draws_per_bound - 1 do
+    let b = bound_of i in
+    let got = Rng.below t b and want = Reference.below r b in
+    if got <> want then
+      Alcotest.failf "%s: draw %d below %d is %d, reference %d" what i b got want
+  done;
+  Alcotest.(check int64) (what ^ ": stream afterwards") (Rng.bits r) (Rng.bits t)
+
+let test_below_reference () =
+  List.iteri
+    (fun i b -> check_below_matches (Printf.sprintf "below %d" b) ~seed:(Int64.of_int i) (fun _ -> b))
+    [ 1; 2; 4; 1024; 1 lsl 32; 1 lsl 61 ];
+  let mixed = [| 3; 1; 5; 2; 1000; 1 lsl 61; max_int; 4 |] in
+  check_below_matches "mixed" ~seed:42L (fun i -> mixed.(i land 7))
+
 (* Bounded draws are on the schedulers' per-step path.  Allocation is
    only meaningful in native code: bytecode boxes every [int64]. *)
 let test_no_allocation () =
@@ -131,6 +183,14 @@ let test_no_allocation () =
     done;
     let after = Gc.minor_words () in
     Alcotest.(check (float 0.0)) "10,000 draws, 0 minor words" 0.0 (after -. before);
+    (* Power-of-two bounds only: the path without the divisions. *)
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      acc := !acc lxor Rng.below t (1 lsl (i mod 62))
+    done;
+    let after = Gc.minor_words () in
+    Alcotest.(check (float 0.0)) "10,000 power-of-two draws, 0 minor words" 0.0
+      (after -. before);
     Alcotest.(check bool) "draws used" true (!acc >= 0)
 
 (* The RNG's consumers on the campaign path: the directed scheduler, the
@@ -274,6 +334,7 @@ let () =
           Alcotest.test_case "golden draws" `Quick test_golden;
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "copy independent" `Quick test_copy;
+          Alcotest.test_case "below = reference" `Quick test_below_reference;
         ] );
       ( "allocation",
         [
