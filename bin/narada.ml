@@ -186,24 +186,15 @@ let trace_cmd =
 
 (* ---- analyze ---- *)
 
-let static_filter_arg =
-  Arg.(
-    value & flag
-    & info [ "static-filter" ]
-        ~doc:
-          "Prune racy pairs not covered by the static race analyzer's \
-           candidate set before synthesis (kept and pruned counts are both \
-           reported).")
-
 let analyze_cmd =
-  let run file corpus client entry verbose static_filter metrics_out =
+  let run file corpus client entry verbose metrics_out =
     let src, client, entry, _ =
       or_die (load_source ~client ~entry ~file ~corpus ())
     in
     let an =
       or_die
-        (Narada_core.Pipeline.analyze_source src ~static_filter
-           ~client_classes:[ client ] ~seed_cls:client ~seed_meth:entry)
+        (Narada_core.Pipeline.analyze_source src ~client_classes:[ client ]
+           ~seed_cls:client ~seed_meth:entry)
     in
     write_metrics metrics_out ~meta:[ ("cmd", Obs.Export.json_str "analyze") ];
     Printf.printf "%s\n" (Narada_core.Pipeline.summary_to_string an);
@@ -231,7 +222,7 @@ let analyze_cmd =
        ~doc:"Run the trace analysis: accesses, setters, racy pairs (§3.1-3.3).")
     Term.(
       const run $ file_arg $ corpus_arg $ client_arg $ entry_arg $ verbose
-      $ static_filter_arg $ metrics_out_arg)
+      $ metrics_out_arg)
 
 (* ---- lint ---- *)
 
@@ -345,29 +336,19 @@ let synthesize_cmd =
 (* ---- detect ---- *)
 
 let detect_cmd =
-  let run corpus_id jobs static_filter metrics_out =
+  let run corpus_id jobs metrics_out =
     let e = or_die (find_corpus corpus_id) in
-    let opts =
-      {
-        Eval.Evaluate.default_options with
-        opt_jobs = max 1 jobs;
-        opt_static_filter = static_filter;
-      }
-    in
+    let opts = { Eval.Evaluate.default_options with opt_jobs = max 1 jobs } in
     match Eval.Evaluate.evaluate_class ~opts e with
     | Error msg ->
       prerr_endline ("narada: " ^ msg);
       exit 1
     | Ok ce ->
       Printf.printf
-        "%s %s: pairs=%d%s tests=%d detected=%d reproduced=%d harmful=%d benign=%d (synthesis %.3fs, detection %.3fs)\n"
+        "%s %s: pairs=%d tests=%d detected=%d reproduced=%d harmful=%d benign=%d (synthesis %.3fs, detection %.3fs)\n"
         ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_id
         ce.Eval.Evaluate.cl_entry.Corpus.Corpus_def.e_name
         ce.Eval.Evaluate.cl_pairs
-        (if ce.Eval.Evaluate.cl_static_filter then
-           Printf.sprintf " (static filter pruned %d)"
-             ce.Eval.Evaluate.cl_pairs_pruned
-         else "")
         ce.Eval.Evaluate.cl_tests
         ce.Eval.Evaluate.cl_detected ce.Eval.Evaluate.cl_reproduced
         ce.Eval.Evaluate.cl_harmful ce.Eval.Evaluate.cl_benign
@@ -403,8 +384,7 @@ let detect_cmd =
           stack and report every race (detected / reproduced / triaged). \
           The detection time is summed over the tests, so with $(b,--jobs) \
           above 1 it is total work rather than elapsed time.")
-    Term.(
-      const run $ id $ jobs_arg $ static_filter_arg $ metrics_out_arg)
+    Term.(const run $ id $ jobs_arg $ metrics_out_arg)
 
 (* ---- eval ---- *)
 
@@ -413,7 +393,7 @@ let detect_cmd =
 let smoke_ids = [ "C1"; "C3"; "C9" ]
 
 let eval_cmd =
-  let run with_contege budget jobs static_filter smoke metrics_out =
+  let run with_contege budget jobs smoke metrics_out =
     let opts =
       if smoke then
         {
@@ -421,14 +401,8 @@ let eval_cmd =
           opt_schedules = 2;
           opt_confirm_runs = 3;
           opt_jobs = max 1 jobs;
-          opt_static_filter = static_filter;
         }
-      else
-        {
-          Eval.Evaluate.default_options with
-          opt_jobs = max 1 jobs;
-          opt_static_filter = static_filter;
-        }
+      else { Eval.Evaluate.default_options with opt_jobs = max 1 jobs }
     in
     let entries =
       if smoke then
@@ -495,8 +469,7 @@ let eval_cmd =
     (Cmd.info "eval"
        ~doc:"Reproduce Tables 3-5 and Figure 14 over the whole corpus.")
     Term.(
-      const run $ with_contege $ budget $ jobs_arg $ static_filter_arg $ smoke
-      $ metrics_out_arg)
+      const run $ with_contege $ budget $ jobs_arg $ smoke $ metrics_out_arg)
 
 (* ---- contege ---- *)
 
@@ -822,10 +795,6 @@ let serve_cmd =
           Cov.Corpus.create ()
       else Cov.Corpus.create ()
     in
-    (* Static summaries persist next to the corpus checkpoint: warm
-       analyze requests — across batches and across daemon restarts —
-       pay only the static linking phase. *)
-    let static_cache = Static.Cache.open_dir (Filename.concat state "staticcache") in
     Printf.printf "ready state=%s entries=%d features=%d\n%!" state
       (Cov.Corpus.size corpus)
       (Cov.Set.total (Cov.Corpus.coverage corpus));
@@ -841,12 +810,11 @@ let serve_cmd =
         match Corpus.Registry.find id with
         | None -> fail "error unknown corpus id %s" id
         | Some e -> (
-          match Eval.Evaluate.analyze_entry ~static_filter:true ~static_cache e with
+          match Eval.Evaluate.analyze_entry e with
           | Error msg -> fail "error analyze %s: %s" id msg
           | Ok (_, an) ->
-            Printf.sprintf "analyze %s ok pairs=%d pruned=%d tests=%d" id
+            Printf.sprintf "analyze %s ok pairs=%d tests=%d" id
               (List.length an.Narada_core.Pipeline.an_pairs)
-              an.Narada_core.Pipeline.an_pairs_pruned
               (List.length an.Narada_core.Pipeline.an_tests)))
       | [ "cov"; id ] -> (
         match Corpus.Registry.find id with
@@ -985,7 +953,7 @@ let serve_cmd =
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run static_filter metrics_out =
+  let run metrics_out =
     let reg = Obs.Metrics.global () in
     let ms ns = Int64.to_float ns /. 1e6 in
     Printf.printf "%-4s %7s %6s %6s | %9s %10s %9s %11s %9s %9s\n" "Cls" "events"
@@ -995,7 +963,7 @@ let profile_cmd =
     List.iter
       (fun (e : Corpus.Corpus_def.entry) ->
         Obs.Metrics.reset reg;
-        match Eval.Evaluate.analyze_entry ~static_filter e with
+        match Eval.Evaluate.analyze_entry e with
         | Error msg ->
           Printf.printf "%-4s analysis failed: %s\n" e.Corpus.Corpus_def.e_id msg
         | Ok (_, an) ->
@@ -1023,7 +991,7 @@ let profile_cmd =
           per-stage breakdown (trace, analysis, pair generation, context \
           derivation, synthesis) from the observability spans.  The count \
           columns are deterministic; timings are wall-clock (monotonic).")
-    Term.(const run $ static_filter_arg $ metrics_out_arg)
+    Term.(const run $ metrics_out_arg)
 
 (* ---- repair ---- *)
 

@@ -11,41 +11,22 @@ type analysis = {
   an_trace_len : int;
   an_access : Access.result;
   an_pairs : Pairs.pair list;
-  an_pairs_pruned : int;
-  an_static_filter : bool;
+  an_pairs_pruned : int; (* always 0: kept for the frozen benchmark *)
+  an_static_filter : bool; (* always false: kept for the frozen benchmark *)
   an_tests : Synth.test list;
   an_seconds : float;
   an_backend : Backend.t; (* the compiled code of [an_cu] *)
 }
 
-(* Intersect dynamically generated pairs with the static candidate set
-   at the (field, unordered method pair) granularity.  The static set
-   over-approximates dynamic races (Crucible machine-checks this), so
-   pruned pairs cannot be confirmable races. *)
-let static_prune ?cache (cu : Jir.Code.unit_) (pairs : Pairs.pair list) =
-  let an = Static.Analyze.run ~open_world:true ?cache cu.Jir.Code.cu_program in
-  List.partition
-    (fun (p : Pairs.pair) ->
-      Static.Analyze.covers an ~field:p.Pairs.p_field
-        ~m1:p.Pairs.p_a.Pairs.ep_site.Runtime.Event.s_meth
-        ~m2:p.Pairs.p_b.Pairs.ep_site.Runtime.Event.s_meth)
-    pairs
-
 (* The stages after the recording, in the open root span [sp] entered
-   at [t0]: access analysis → pairs → static filter → synthesis. *)
-let stages sp ~t0 ~static_filter ?static_cache ~code (cu : Jir.Code.unit_)
-    ~client_classes ~seed_cls ~seed_meth trace =
+   at [t0]: access analysis → pairs → synthesis. *)
+let stages sp ~t0 ~code (cu : Jir.Code.unit_) ~client_classes ~seed_cls
+    ~seed_meth trace =
   Obs.Span.observe sp "trace_events" (Runtime.Trace.length trace);
   let access =
     Obs.Span.with_ "analyze" (fun () -> Access.analyze cu ~client_classes trace)
   in
-  let all_pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate access) in
-  let pairs, pruned =
-    if static_filter then
-      Obs.Span.with_ "static-filter" (fun () ->
-          static_prune ?cache:static_cache cu all_pairs)
-    else (all_pairs, [])
-  in
+  let pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate access) in
   let tests =
     Obs.Span.with_ "synth" (fun () ->
         Synth.plan cu.Jir.Code.cu_program access.Access.summary ~seed_cls
@@ -63,8 +44,8 @@ let stages sp ~t0 ~static_filter ?static_cache ~code (cu : Jir.Code.unit_)
     an_trace_len = Runtime.Trace.length trace;
     an_access = access;
     an_pairs = pairs;
-    an_pairs_pruned = List.length pruned;
-    an_static_filter = static_filter;
+    an_pairs_pruned = 0;
+    an_static_filter = false;
     an_tests = tests;
     an_seconds = seconds;
     an_backend = code;
@@ -75,12 +56,12 @@ let stages sp ~t0 ~static_filter ?static_cache ~code (cu : Jir.Code.unit_)
 let of_trace ~backend cu ~client_classes ~seed_cls ~seed_meth trace =
   let code = Backend.prepare backend cu in
   let sp = Obs.Span.enter ~root:true "pipeline" in
-  stages sp ~t0:(Obs.Clock.ticks ()) ~static_filter:false ~code cu
-    ~client_classes ~seed_cls ~seed_meth trace
+  stages sp ~t0:(Obs.Clock.ticks ()) ~code cu ~client_classes ~seed_cls
+    ~seed_meth trace
 
-let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
-    ?static_cache ?(backend = Backend.Compiled) (cu : Jir.Code.unit_)
-    ~client_classes ~seed_cls ~seed_meth : (analysis, string) result =
+let analyze ?(seed = Runtime.Machine.default_seed) ?(backend = Backend.Compiled)
+    (cu : Jir.Code.unit_) ~client_classes ~seed_cls ~seed_meth :
+    (analysis, string) result =
   let code = Backend.prepare backend cu in
   let sp = Obs.Span.enter ~root:true "pipeline" in
   let t0 = Obs.Clock.ticks () in
@@ -94,14 +75,12 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
     Error (Printf.sprintf "seed test failed: %s" e)
   | Ok _ ->
     Ok
-      (stages sp ~t0 ~static_filter ?static_cache ~code cu ~client_classes
-         ~seed_cls ~seed_meth trace)
+      (stages sp ~t0 ~code cu ~client_classes ~seed_cls ~seed_meth trace)
 
-let analyze_source ?static_filter src ~client_classes ~seed_cls ~seed_meth :
+let analyze_source src ~client_classes ~seed_cls ~seed_meth :
     (analysis, string) result =
   match Jir.Compile.compile_source src with
-  | cu ->
-    analyze ?static_filter cu ~client_classes ~seed_cls ~seed_meth
+  | cu -> analyze cu ~client_classes ~seed_cls ~seed_meth
   | exception Jir.Diag.Error e -> Error (Jir.Diag.to_string e)
 
 let instantiator (an : analysis) : Synth.test -> Detect.Racefuzzer.instantiator =
@@ -109,12 +88,9 @@ let instantiator (an : analysis) : Synth.test -> Detect.Racefuzzer.instantiator 
 
 let summary_to_string (an : analysis) =
   Printf.sprintf
-    "trace=%d events, accesses=%d, setters=%d, pairs=%d%s, tests=%d (%.2fs)"
+    "trace=%d events, accesses=%d, setters=%d, pairs=%d, tests=%d (%.2fs)"
     an.an_trace_len
     (List.length an.an_access.Access.accesses)
     (Summary.count an.an_access.Access.summary)
     (List.length an.an_pairs)
-    (if an.an_static_filter then
-       Printf.sprintf " (static filter pruned %d)" an.an_pairs_pruned
-     else "")
     (List.length an.an_tests) an.an_seconds

@@ -34,8 +34,6 @@ type class_eval = {
   cl_methods : int;
   cl_loc : int;
   cl_pairs : int;
-  cl_pairs_pruned : int; (* pairs dropped by the static filter (0 when off) *)
-  cl_static_filter : bool;
   cl_tests : int;
   cl_seconds : float; (* synthesis time (pipeline) *)
   cl_detect_seconds : float; (* detection stage *)
@@ -51,7 +49,6 @@ type options = {
   opt_confirm_runs : int; (* directed runs per candidate *)
   opt_seed : int64;
   opt_jobs : int; (* width of the fan-out over (class, test) units *)
-  opt_static_filter : bool; (* prune pairs through the static analyzer *)
   opt_backend : Backend.kind; (* the one engine *)
 }
 
@@ -61,7 +58,6 @@ let default_options =
     opt_confirm_runs = 6;
     opt_seed = 7L;
     opt_jobs = 1;
-    opt_static_filter = false;
     opt_backend = Backend.Compiled;
   }
 
@@ -105,14 +101,13 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     { te_test = t; te_instantiated = true; te_races = races }
 
 (* Compile (through the shared registry cache) and analyze one entry. *)
-let analyze_entry ?(static_filter = false) ?static_cache ?backend
-    (e : Corpus.Corpus_def.entry) :
+let analyze_entry ?backend (e : Corpus.Corpus_def.entry) :
     (Jir.Code.unit_ * Narada_core.Pipeline.analysis, string) result =
   match Corpus.Registry.compiled_unit e with
   | exception Jir.Diag.Error d -> Error (Jir.Diag.to_string d)
   | cu -> (
     match
-      Narada_core.Pipeline.analyze cu ~static_filter ?static_cache ?backend
+      Narada_core.Pipeline.analyze cu ?backend
         ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
         ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
         ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
@@ -150,8 +145,6 @@ let assemble_class (e : Corpus.Corpus_def.entry) (cu : Jir.Code.unit_)
     cl_methods = Corpus.Corpus_def.method_count prog e;
     cl_loc = Corpus.Corpus_def.loc_count prog e;
     cl_pairs = List.length an.Narada_core.Pipeline.an_pairs;
-    cl_pairs_pruned = an.Narada_core.Pipeline.an_pairs_pruned;
-    cl_static_filter = an.Narada_core.Pipeline.an_static_filter;
     cl_tests = List.length an.Narada_core.Pipeline.an_tests;
     cl_seconds = an.Narada_core.Pipeline.an_seconds;
     cl_detect_seconds = detect_seconds;
@@ -205,10 +198,7 @@ let evaluate_corpus ?(opts = default_options) (entries : Corpus.Corpus_def.entry
       try ignore (Corpus.Registry.compiled_unit e) with Jir.Diag.Error _ -> ())
     entries;
   let analyzed =
-    List.map
-      (fun e ->
-        (e, analyze_entry ~static_filter:opts.opt_static_filter ~backend:opts.opt_backend e))
-      entries
+    List.map (fun e -> (e, analyze_entry ~backend:opts.opt_backend e)) entries
   in
   List.map
     (fun (e, r) ->

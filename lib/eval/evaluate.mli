@@ -32,8 +32,6 @@ type class_eval = {
   cl_methods : int;
   cl_loc : int;
   cl_pairs : int;
-  cl_pairs_pruned : int;  (** pairs dropped by the static filter (0 when off) *)
-  cl_static_filter : bool;
   cl_tests : int;
   cl_seconds : float;  (** synthesis time *)
   cl_detect_seconds : float;
@@ -54,24 +52,16 @@ type options = {
       (** width of {!evaluate_corpus}'s one fan-out over the flat
           (class, test) list; each test's detection runs on one domain.
           Results are identical for every width. *)
-  opt_static_filter : bool;
-      (** intersect generated pairs with the static analyzer's
-          candidate set before synthesis; [cl_pairs_pruned] reports
-          how many were dropped *)
   opt_backend : Backend.kind;  (** the one engine, {!Backend.Compiled} *)
 }
 
 val default_options : options
-(** 3 schedules, 6 confirmation runs, seed 7, jobs 1, no static
-    filter.  The filter's analyses run without a summary cache; a
-    cached analysis goes through {!analyze_entry}. *)
+(** 3 schedules, 6 confirmation runs, seed 7, jobs 1. *)
 
 val evaluate_test :
   options -> Narada_core.Pipeline.analysis -> Narada_core.Synth.test -> test_eval
 
 val analyze_entry :
-  ?static_filter:bool ->
-  ?static_cache:Static.Cache.t ->
   ?backend:Backend.kind ->
   Corpus.Corpus_def.entry ->
   (Jir.Code.unit_ * Narada_core.Pipeline.analysis, string) result

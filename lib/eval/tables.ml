@@ -56,17 +56,6 @@ let table4 (evals : Evaluate.class_eval list) : string =
   Buffer.add_string buf
     (Printf.sprintf "%-4s %14s %14s %9d | %4d %8d | %3d %10.2f | %6.1f\n" "Tot"
        "" "" !tot_pairs !ptot_pairs !tot_tests !ptot_tests !tot_time !ptot_time);
-  (* Extra line only when the static filter ran, so the pinned filterless
-     table output is unchanged. *)
-  if List.exists (fun ce -> ce.Evaluate.cl_static_filter) evals then begin
-    let pruned =
-      List.fold_left (fun a ce -> a + ce.Evaluate.cl_pairs_pruned) 0 evals
-    in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "Static filter: kept %d of %d race pairs (pruned %d)\n" !tot_pairs
-         (!tot_pairs + pruned) pruned)
-  end;
   Buffer.contents buf
 
 (* ---- Table 5: detection results ---- *)

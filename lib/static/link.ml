@@ -35,6 +35,13 @@ let esc t = t.lk_esc
 let shared t = t.lk_shared
 let prog t = t.lk_prog
 
+(* Unreachable raise: a site id enters a points-to set only as
+   [site_offset + k] for a summary's own site [k], below that summary's
+   site count ([Summary.of_class] builds it so, and [Summary.of_string]
+   rejects a cached summary that is not), or by enumerating the site
+   table itself (open-world seeding, [all_sites]).  So every site in an
+   access base or in [shared] indexes [lk_infos]; only a caller that
+   invents an id reaches the raise. *)
 let site_info t s =
   if s >= 0 && s < Array.length t.lk_infos then t.lk_infos.(s)
   else

@@ -13,9 +13,10 @@
    one class never invalidates another class's cached summary.
 
    The same walk also records access/lock-region templates (mirroring
-   the old access collector), call-graph edges and spawn roots/seeds
-   for the escape closure, and the statics this class assigns outside
-   [<clinit>].
+   the old access collector) and spawn roots/seeds for the escape
+   closure, each taking the temp of the occurrence it just walked.
+   Separate passes record call-graph edges and the statics this class
+   assigns outside [<clinit>].
 
    Summaries serialize to a canonical line-oriented text form
    ({!to_lines}/{!of_lines}); the on-disk cache stores exactly these
@@ -187,143 +188,6 @@ let build_meths (c : Ast.class_decl) : wmeth list =
     @ synth Code.fieldinit_name Wfieldinit false
     @ synth "<clinit>" Wclinit true
 
-(* ---- extraction ---- *)
-
-module ExprTbl = Hashtbl.Make (struct
-  type t = Ast.expr
-
-  (* Physical identity: both walks below traverse the same AST nodes,
-     so [==] identifies occurrences. *)
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type ctx = {
-  cls_name : string;
-  mutable ntemps : int;
-  mutable cons : con list;  (* reversed *)
-  mutable sites : sdecl list;  (* reversed *)
-  temps : int ExprTbl.t;  (* expr occurrence -> temp *)
-}
-
-let fresh ctx =
-  let t = ctx.ntemps in
-  ctx.ntemps <- t + 1;
-  t
-
-let con ctx c = ctx.cons <- c :: ctx.cons
-
-let site ctx ~qn ~cls ~array ~pos =
-  let k = List.length ctx.sites in
-  ctx.sites <- { sd_qname = qn; sd_cls = cls; sd_array = array; sd_pos = pos } :: ctx.sites;
-  k
-
-(* One visit per expression occurrence, in the exact order the old
-   solver's [eval] visited subterms — allocation-site numbering and
-   temp identity depend on it. *)
-let rec walk_expr ctx ~qn (e : Ast.expr) : int =
-  let d = fresh ctx in
-  ExprTbl.replace ctx.temps e d;
-  (match e.Ast.desc with
-  | Eint _ | Ebool _ | Estr _ | Enull -> ()
-  | Ethis -> con ctx (Ccopy (Vtemp d, Vthis qn))
-  | Evar x -> con ctx (Ccopy (Vtemp d, Vlocal (qn, x)))
-  | Efield (o, f) ->
-    let bo = walk_expr ctx ~qn o in
-    con ctx (Cload (Vtemp d, Vtemp bo, f))
-  | Estatic_field (c, f) -> con ctx (Ccopy (Vtemp d, Vstatic (c, f)))
-  | Eindex (a, i) ->
-    let ba = walk_expr ctx ~qn a in
-    ignore (walk_expr ctx ~qn i);
-    con ctx (Cload (Vtemp d, Vtemp ba, "[]"))
-  | Ecall (o, m, args) ->
-    let r = walk_expr ctx ~qn o in
-    let avs = List.map (walk_expr ctx ~qn) args in
-    con ctx (Cicall (d, r, m, avs))
-  | Estatic_call (c, m, args) when String.equal c Program.sys_class ->
-    let avs = List.map (walk_expr ctx ~qn) args in
-    (* Sys.arraycopy copies references elementwise; no intrinsic
-       returns an object reference. *)
-    if String.equal m "arraycopy" then (
-      match avs with
-      | [ src; _; dst; _; _ ] ->
-        let elems = fresh ctx in
-        con ctx (Cload (Vtemp elems, Vtemp src, "[]"));
-        con ctx (Cstore (Vtemp dst, "[]", Vtemp elems))
-      | _ -> ())
-  | Estatic_call (_, m, args) ->
-    let avs = List.map (walk_expr ctx ~qn) args in
-    con ctx (Cscall (d, m, avs))
-  | Enew (cls, args) ->
-    (* site numbered before the arguments are walked, like [eval] *)
-    let k = site ctx ~qn ~cls ~array:false ~pos:e.Ast.pos in
-    let avs = List.map (walk_expr ctx ~qn) args in
-    con ctx (Cnew (d, k, cls, avs))
-  | Enew_array (ty, n) ->
-    ignore (walk_expr ctx ~qn n);
-    let k =
-      site ctx ~qn ~cls:(Ast.ty_to_string ty ^ "[]") ~array:true ~pos:e.Ast.pos
-    in
-    con ctx (Cnewarr (d, k))
-  | Ebinop (_, a, b) ->
-    ignore (walk_expr ctx ~qn a);
-    ignore (walk_expr ctx ~qn b)
-  | Eunop (_, a) -> ignore (walk_expr ctx ~qn a));
-  d
-
-let rec walk_stmt ctx ~qn (s : Ast.stmt) =
-  match s.Ast.sdesc with
-  | Sdecl (_, x, init) ->
-    Option.iter
-      (fun e ->
-        let t = walk_expr ctx ~qn e in
-        con ctx (Ccopy (Vlocal (qn, x), Vtemp t)))
-      init
-  | Sassign (Lvar x, e) ->
-    let t = walk_expr ctx ~qn e in
-    con ctx (Ccopy (Vlocal (qn, x), Vtemp t))
-  | Sassign (Lfield (o, f), e) ->
-    let bo = walk_expr ctx ~qn o in
-    let t = walk_expr ctx ~qn e in
-    con ctx (Cstore (Vtemp bo, f, Vtemp t))
-  | Sassign (Lstatic (c, f), e) ->
-    let t = walk_expr ctx ~qn e in
-    con ctx (Ccopy (Vstatic (c, f), Vtemp t))
-  | Sassign (Lindex (a, i), e) ->
-    let ba = walk_expr ctx ~qn a in
-    ignore (walk_expr ctx ~qn i);
-    let t = walk_expr ctx ~qn e in
-    con ctx (Cstore (Vtemp ba, "[]", Vtemp t))
-  | Sexpr e -> ignore (walk_expr ctx ~qn e)
-  | Sif (c, th, el) ->
-    ignore (walk_expr ctx ~qn c);
-    walk_block ctx ~qn th;
-    walk_block ctx ~qn el
-  | Swhile (c, b) ->
-    ignore (walk_expr ctx ~qn c);
-    walk_block ctx ~qn b
-  | Sfor (init, cond, update, b) ->
-    Option.iter (walk_stmt ctx ~qn) init;
-    Option.iter (fun e -> ignore (walk_expr ctx ~qn e)) cond;
-    walk_block ctx ~qn b;
-    Option.iter (walk_stmt ctx ~qn) update
-  | Sbreak | Scontinue | Sreturn None | Sthrow _ -> ()
-  | Sreturn (Some e) ->
-    let t = walk_expr ctx ~qn e in
-    con ctx (Ccopy (Vret qn, Vtemp t))
-  | Ssync (e, b) ->
-    ignore (walk_expr ctx ~qn e);
-    walk_block ctx ~qn b
-  | Sassert e -> ignore (walk_expr ctx ~qn e)
-  | Sspawn (_, recv, m, args) ->
-    let r = walk_expr ctx ~qn recv in
-    let avs = List.map (walk_expr ctx ~qn) args in
-    let d = fresh ctx in
-    con ctx (Cicall (d, r, m, avs))
-  | Sjoin e -> ignore (walk_expr ctx ~qn e)
-
-and walk_block ctx ~qn b = List.iter (walk_stmt ctx ~qn) b
-
 (* ---- lock-path stability (class-local facts) ---- *)
 
 (* Defs per (qname, var); a path-stable local has exactly one def and
@@ -396,143 +260,224 @@ let assigned_statics (meths : wmeth list) =
     meths;
   List.rev !order
 
-(* ---- access / region templates (mirrors the old collector) ---- *)
+(* ---- extraction ---- *)
 
-type actx = {
+type ctx = {
   single_def : string -> string -> bool;
-  temps_of : int ExprTbl.t;
-  mutable aout : atmpl list;  (* reversed *)
-  mutable rout : rtmpl list;  (* reversed *)
+  mutable ntemps : int;
+  mutable cons : con list;  (* reversed *)
+  mutable sites : sdecl list;  (* reversed *)
+  mutable accs : atmpl list;  (* reversed *)
+  mutable regions : rtmpl list;  (* reversed *)
+  mutable roots : string list;  (* reversed *)
+  mutable seeds : int list;  (* reversed *)
 }
 
-let alp_of actx ~qn (e : Ast.expr) : alp =
+(* Where the walk is: the method (qname and index into [cs_meths]) and
+   the locks and sync regions around the current statement, innermost
+   first.  [<clinit>] bodies yield constraints and spawn roots but no
+   access or region templates ([w_accs] false). *)
+type wpos = {
+  w_qn : string;
+  w_mi : int;
+  w_accs : bool;
+  w_locks : alp list;
+  w_regions : int list;
+}
+
+let fresh ctx =
+  let t = ctx.ntemps in
+  ctx.ntemps <- t + 1;
+  t
+
+let con ctx c = ctx.cons <- c :: ctx.cons
+
+let site ctx ~qn ~cls ~array ~pos =
+  let k = List.length ctx.sites in
+  ctx.sites <- { sd_qname = qn; sd_cls = cls; sd_array = array; sd_pos = pos } :: ctx.sites;
+  k
+
+let alp_of ctx ~qn (e : Ast.expr) : alp =
   match e.Ast.desc with
   | Ethis -> Athis
-  | Evar x when actx.single_def qn x -> Alocal x
+  | Evar x when ctx.single_def qn x -> Alocal x
   | Estatic_field (c, f) -> Aglobal (c, f)  (* write-once settled at link *)
   | _ -> Aunknown
 
-let temp_of actx (e : Ast.expr) =
-  match ExprTbl.find_opt actx.temps_of e with
-  | Some t -> t
-  | None -> invalid_arg "Summary: access base without a recorded temp"
-
-let collect_accs actx ~mi (w : wmeth) =
-  let qn = w.wm_qname in
-  let emit ~locks ~regions ~kind ~field ~base ~path ~pos =
-    actx.aout <-
+let access ctx w ~kind ~field ~pos base path =
+  if w.w_accs then
+    ctx.accs <-
       {
-        at_meth = mi;
+        at_meth = w.w_mi;
         at_field = field;
         at_kind = kind;
         at_pos = pos;
         at_base = base;
         at_path = path;
-        at_locks = List.rev locks;
-        at_regions = List.rev regions;
+        at_locks = List.rev w.w_locks;
+        at_regions = List.rev w.w_regions;
       }
-      :: actx.aout
-  in
-  let rec expr ~locks ~regions (e : Ast.expr) =
-    match e.Ast.desc with
-    | Eint _ | Ebool _ | Estr _ | Enull | Ethis | Evar _ -> ()
-    | Efield (o, f) ->
-      expr ~locks ~regions o;
-      emit ~locks ~regions ~kind:D.Kread ~field:f ~base:(Atemp (temp_of actx o))
-        ~path:(alp_of actx ~qn o) ~pos:e.Ast.pos
-    | Estatic_field (c, f) ->
-      emit ~locks ~regions ~kind:D.Kread ~field:f ~base:(Astatic c)
-        ~path:Aunknown ~pos:e.Ast.pos
-    | Eindex (a, i) ->
-      expr ~locks ~regions a;
-      expr ~locks ~regions i;
-      emit ~locks ~regions ~kind:D.Kread ~field:"[]"
-        ~base:(Atemp (temp_of actx a)) ~path:(alp_of actx ~qn a) ~pos:e.Ast.pos
-    | Ecall (o, _, args) ->
-      expr ~locks ~regions o;
-      List.iter (expr ~locks ~regions) args
-    | Estatic_call (c, m, args) ->
-      List.iter (expr ~locks ~regions) args;
-      if String.equal c Program.sys_class && String.equal m "arraycopy" then (
-        match args with
-        | [ src; _; dst; _; _ ] ->
-          emit ~locks ~regions ~kind:D.Kread ~field:"[]"
-            ~base:(Atemp (temp_of actx src)) ~path:(alp_of actx ~qn src)
-            ~pos:e.Ast.pos;
-          emit ~locks ~regions ~kind:D.Kwrite ~field:"[]"
-            ~base:(Atemp (temp_of actx dst)) ~path:(alp_of actx ~qn dst)
-            ~pos:e.Ast.pos
-        | _ -> ())
-    | Enew (_, args) -> List.iter (expr ~locks ~regions) args
-    | Enew_array (_, n) -> expr ~locks ~regions n
-    | Ebinop (_, a, b) ->
-      expr ~locks ~regions a;
-      expr ~locks ~regions b
-    | Eunop (_, a) -> expr ~locks ~regions a
-  in
-  let rec stmt ~locks ~regions (s : Ast.stmt) =
-    match s.Ast.sdesc with
-    | Sdecl (_, _, init) -> Option.iter (expr ~locks ~regions) init
-    | Sassign (Lvar _, e) -> expr ~locks ~regions e
-    | Sassign (Lfield (o, f), e) ->
-      expr ~locks ~regions o;
-      expr ~locks ~regions e;
-      emit ~locks ~regions ~kind:D.Kwrite ~field:f
-        ~base:(Atemp (temp_of actx o)) ~path:(alp_of actx ~qn o)
-        ~pos:s.Ast.spos
-    | Sassign (Lstatic (c, f), e) ->
-      expr ~locks ~regions e;
-      emit ~locks ~regions ~kind:D.Kwrite ~field:f ~base:(Astatic c)
-        ~path:Aunknown ~pos:s.Ast.spos
-    | Sassign (Lindex (a, i), e) ->
-      expr ~locks ~regions a;
-      expr ~locks ~regions i;
-      expr ~locks ~regions e;
-      emit ~locks ~regions ~kind:D.Kwrite ~field:"[]"
-        ~base:(Atemp (temp_of actx a)) ~path:(alp_of actx ~qn a)
-        ~pos:s.Ast.spos
-    | Sexpr e | Sassert e | Sjoin e -> expr ~locks ~regions e
-    | Sif (c, a, b) ->
-      expr ~locks ~regions c;
-      List.iter (stmt ~locks ~regions) a;
-      List.iter (stmt ~locks ~regions) b
-    | Swhile (c, b) ->
-      expr ~locks ~regions c;
-      List.iter (stmt ~locks ~regions) b
-    | Sfor (init, cond, update, b) ->
-      Option.iter (stmt ~locks ~regions) init;
-      Option.iter (expr ~locks ~regions) cond;
-      List.iter (stmt ~locks ~regions) b;
-      Option.iter (stmt ~locks ~regions) update
-    | Sbreak | Scontinue | Sreturn None | Sthrow _ -> ()
-    | Sreturn (Some e) -> expr ~locks ~regions e
-    | Ssync (e, b) ->
-      expr ~locks ~regions e;
-      let rid = List.length actx.rout in
-      actx.rout <-
-        { rt_meth = mi; rt_kind = D.Rsync_block; rt_pos = s.Ast.spos }
-        :: actx.rout;
-      let locks = alp_of actx ~qn e :: locks in
-      List.iter (stmt ~locks ~regions:(rid :: regions)) b
-    | Sspawn (_, recv, _, args) ->
-      expr ~locks ~regions recv;
-      List.iter (expr ~locks ~regions) args
-  in
-  let locks, regions =
-    if w.wm_sync then begin
-      let rid = List.length actx.rout in
-      actx.rout <-
-        { rt_meth = mi; rt_kind = D.Rsync_method; rt_pos = w.wm_pos }
-        :: actx.rout;
-      (* A static sync method would lock the class object; the compiler
-         rejects those, but stay conservative. *)
-      ((if w.wm_static then [ Aunknown ] else [ Athis ]), [ rid ])
-    end
-    else ([], [])
-  in
-  List.iter (stmt ~locks ~regions) w.wm_body
+      :: ctx.accs
 
-(* ---- escape edges, spawn roots and seeds ---- *)
+(* Open a sync region guarded by [lock]: the position inside it. *)
+let enter_region ctx w ~kind ~pos lock =
+  if not w.w_accs then w
+  else begin
+    let rid = List.length ctx.regions in
+    ctx.regions <-
+      { rt_meth = w.w_mi; rt_kind = kind; rt_pos = pos } :: ctx.regions;
+    { w with w_locks = lock :: w.w_locks; w_regions = rid :: w.w_regions }
+  end
+
+(* One visit per expression occurrence, in the exact order the old
+   solver's [eval] visited subterms — allocation-site numbering and
+   temp identity depend on it.  An access template follows those of
+   its subterms: that order is the summary's access order. *)
+let rec walk_expr ctx w (e : Ast.expr) : int =
+  let qn = w.w_qn in
+  let d = fresh ctx in
+  (match e.Ast.desc with
+  | Eint _ | Ebool _ | Estr _ | Enull -> ()
+  | Ethis -> con ctx (Ccopy (Vtemp d, Vthis qn))
+  | Evar x -> con ctx (Ccopy (Vtemp d, Vlocal (qn, x)))
+  | Efield (o, f) ->
+    let bo = walk_expr ctx w o in
+    con ctx (Cload (Vtemp d, Vtemp bo, f));
+    access ctx w ~kind:D.Kread ~field:f ~pos:e.Ast.pos (Atemp bo)
+      (alp_of ctx ~qn o)
+  | Estatic_field (c, f) ->
+    con ctx (Ccopy (Vtemp d, Vstatic (c, f)));
+    access ctx w ~kind:D.Kread ~field:f ~pos:e.Ast.pos (Astatic c) Aunknown
+  | Eindex (a, i) ->
+    let ba = walk_expr ctx w a in
+    ignore (walk_expr ctx w i);
+    con ctx (Cload (Vtemp d, Vtemp ba, "[]"));
+    access ctx w ~kind:D.Kread ~field:"[]" ~pos:e.Ast.pos (Atemp ba)
+      (alp_of ctx ~qn a)
+  | Ecall (o, m, args) ->
+    let r = walk_expr ctx w o in
+    let avs = List.map (walk_expr ctx w) args in
+    con ctx (Cicall (d, r, m, avs))
+  | Estatic_call (c, m, args) when String.equal c Program.sys_class ->
+    let avs = List.map (walk_expr ctx w) args in
+    (* Sys.arraycopy copies references elementwise; no intrinsic
+       returns an object reference. *)
+    if String.equal m "arraycopy" then (
+      match (args, avs) with
+      | [ src; _; dst; _; _ ], [ tsrc; _; tdst; _; _ ] ->
+        let elems = fresh ctx in
+        con ctx (Cload (Vtemp elems, Vtemp tsrc, "[]"));
+        con ctx (Cstore (Vtemp tdst, "[]", Vtemp elems));
+        access ctx w ~kind:D.Kread ~field:"[]" ~pos:e.Ast.pos (Atemp tsrc)
+          (alp_of ctx ~qn src);
+        access ctx w ~kind:D.Kwrite ~field:"[]" ~pos:e.Ast.pos (Atemp tdst)
+          (alp_of ctx ~qn dst)
+      | _ -> ())
+  | Estatic_call (_, m, args) ->
+    let avs = List.map (walk_expr ctx w) args in
+    con ctx (Cscall (d, m, avs))
+  | Enew (cls, args) ->
+    (* site numbered before the arguments are walked, like [eval] *)
+    let k = site ctx ~qn ~cls ~array:false ~pos:e.Ast.pos in
+    let avs = List.map (walk_expr ctx w) args in
+    con ctx (Cnew (d, k, cls, avs))
+  | Enew_array (ty, n) ->
+    ignore (walk_expr ctx w n);
+    let k =
+      site ctx ~qn ~cls:(Ast.ty_to_string ty ^ "[]") ~array:true ~pos:e.Ast.pos
+    in
+    con ctx (Cnewarr (d, k))
+  | Ebinop (_, a, b) ->
+    ignore (walk_expr ctx w a);
+    ignore (walk_expr ctx w b)
+  | Eunop (_, a) -> ignore (walk_expr ctx w a));
+  d
+
+let rec walk_stmt ctx w (s : Ast.stmt) =
+  let qn = w.w_qn in
+  match s.Ast.sdesc with
+  | Sdecl (_, x, init) ->
+    Option.iter
+      (fun e ->
+        let t = walk_expr ctx w e in
+        con ctx (Ccopy (Vlocal (qn, x), Vtemp t)))
+      init
+  | Sassign (Lvar x, e) ->
+    let t = walk_expr ctx w e in
+    con ctx (Ccopy (Vlocal (qn, x), Vtemp t))
+  | Sassign (Lfield (o, f), e) ->
+    let bo = walk_expr ctx w o in
+    let t = walk_expr ctx w e in
+    con ctx (Cstore (Vtemp bo, f, Vtemp t));
+    access ctx w ~kind:D.Kwrite ~field:f ~pos:s.Ast.spos (Atemp bo)
+      (alp_of ctx ~qn o)
+  | Sassign (Lstatic (c, f), e) ->
+    let t = walk_expr ctx w e in
+    con ctx (Ccopy (Vstatic (c, f), Vtemp t));
+    access ctx w ~kind:D.Kwrite ~field:f ~pos:s.Ast.spos (Astatic c) Aunknown
+  | Sassign (Lindex (a, i), e) ->
+    let ba = walk_expr ctx w a in
+    ignore (walk_expr ctx w i);
+    let t = walk_expr ctx w e in
+    con ctx (Cstore (Vtemp ba, "[]", Vtemp t));
+    access ctx w ~kind:D.Kwrite ~field:"[]" ~pos:s.Ast.spos (Atemp ba)
+      (alp_of ctx ~qn a)
+  | Sexpr e | Sassert e | Sjoin e -> ignore (walk_expr ctx w e)
+  | Sif (c, th, el) ->
+    ignore (walk_expr ctx w c);
+    walk_block ctx w th;
+    walk_block ctx w el
+  | Swhile (c, b) ->
+    ignore (walk_expr ctx w c);
+    walk_block ctx w b
+  | Sfor (init, cond, update, b) ->
+    Option.iter (walk_stmt ctx w) init;
+    Option.iter (fun e -> ignore (walk_expr ctx w e)) cond;
+    walk_block ctx w b;
+    Option.iter (walk_stmt ctx w) update
+  | Sbreak | Scontinue | Sreturn None | Sthrow _ -> ()
+  | Sreturn (Some e) ->
+    let t = walk_expr ctx w e in
+    con ctx (Ccopy (Vret qn, Vtemp t))
+  | Ssync (e, b) ->
+    ignore (walk_expr ctx w e);
+    walk_block ctx
+      (enter_region ctx w ~kind:D.Rsync_block ~pos:s.Ast.spos
+         (alp_of ctx ~qn e))
+      b
+  | Sspawn (_, recv, m, args) ->
+    (* spawn targets run on a fresh thread: escape roots, and the
+       receiver and arguments seed the shared set *)
+    let r = walk_expr ctx w recv in
+    let avs = List.map (walk_expr ctx w) args in
+    let d = fresh ctx in
+    con ctx (Cicall (d, r, m, avs));
+    ctx.roots <- m :: ctx.roots;
+    ctx.seeds <- List.rev_append (r :: avs) ctx.seeds
+
+and walk_block ctx w b = List.iter (walk_stmt ctx w) b
+
+let walk_meth ctx mi (m : wmeth) =
+  let w =
+    {
+      w_qn = m.wm_qname;
+      w_mi = mi;
+      w_accs = m.wm_kind <> Wclinit;
+      w_locks = [];
+      w_regions = [];
+    }
+  in
+  (* A static sync method would lock the class object; the compiler
+     rejects those, but stay conservative. *)
+  let w =
+    if m.wm_sync then
+      enter_region ctx w ~kind:D.Rsync_method ~pos:m.wm_pos
+        (if m.wm_static then Aunknown else Athis)
+    else w
+  in
+  walk_block ctx w m.wm_body
+
+(* ---- escape edges ---- *)
 
 let collect_edges (w : wmeth) : edge list =
   let out = ref [] in
@@ -591,67 +536,23 @@ let collect_edges (w : wmeth) : edge list =
   List.iter stmt w.wm_body;
   List.rev !out
 
-let collect_spawns (temps : int ExprTbl.t) (w : wmeth) :
-    string list * int list =
-  let roots = ref [] in
-  let seeds = ref [] in
-  let temp e =
-    match ExprTbl.find_opt temps e with
-    | Some t -> t
-    | None -> invalid_arg "Summary: spawn operand without a recorded temp"
-  in
-  let rec stmt (s : Ast.stmt) =
-    match s.Ast.sdesc with
-    | Sif (_, a, b) ->
-      List.iter stmt a;
-      List.iter stmt b
-    | Swhile (_, b) | Ssync (_, b) -> List.iter stmt b
-    | Sfor (init, _, update, b) ->
-      Option.iter stmt init;
-      List.iter stmt b;
-      Option.iter stmt update
-    | Sspawn (_, recv, m, args) ->
-      roots := m :: !roots;
-      seeds := !seeds @ (temp recv :: List.map temp args)
-    | Sdecl _ | Sassign _ | Sexpr _ | Sbreak | Scontinue | Sreturn _
-    | Sassert _ | Sthrow _ | Sjoin _ ->
-      ()
-  in
-  List.iter stmt w.wm_body;
-  (List.rev !roots, !seeds)
-
 (* ---- summarization ---- *)
 
 let of_class (c : Ast.class_decl) : cls =
   let meths = build_meths c in
   let ctx =
     {
-      cls_name = c.c_name;
+      single_def = local_defs meths;
       ntemps = 0;
       cons = [];
       sites = [];
-      temps = ExprTbl.create 256;
+      accs = [];
+      regions = [];
+      roots = [];
+      seeds = [];
     }
   in
-  List.iter (fun w -> walk_block ctx ~qn:w.wm_qname w.wm_body) meths;
-  let actx =
-    {
-      single_def = local_defs meths;
-      temps_of = ctx.temps;
-      aout = [];
-      rout = [];
-    }
-  in
-  List.iteri
-    (fun mi w -> if w.wm_kind <> Wclinit then collect_accs actx ~mi w)
-    meths;
-  let roots = ref [] and seeds = ref [] in
-  List.iter
-    (fun w ->
-      let r, s = collect_spawns ctx.temps w in
-      roots := !roots @ r;
-      seeds := !seeds @ s)
-    meths;
+  List.iteri (walk_meth ctx) meths;
   {
     cs_name = c.c_name;
     cs_meths =
@@ -670,11 +571,11 @@ let of_class (c : Ast.class_decl) : cls =
     cs_ntemps = ctx.ntemps;
     cs_cons = List.rev ctx.cons;
     cs_sites = List.rev ctx.sites;
-    cs_accs = List.rev actx.aout;
-    cs_regions = List.rev actx.rout;
+    cs_accs = List.rev ctx.accs;
+    cs_regions = List.rev ctx.regions;
     cs_edges = List.mapi (fun mi w -> (mi, collect_edges w)) meths;
-    cs_roots = !roots;
-    cs_seeds = !seeds;
+    cs_roots = List.rev ctx.roots;
+    cs_seeds = List.rev ctx.seeds;
     cs_muts = assigned_statics meths;
   }
 
@@ -917,6 +818,38 @@ let to_lines (s : cls) : string list =
   List.iter (fun (c, f) -> line (Printf.sprintf "mut %s %s" c f)) s.cs_muts;
   List.rev !out
 
+(* The index ranges the linker relies on: temps below [cs_ntemps];
+   local sites, methods and regions below their counts.  [of_class]
+   meets them by construction.  A decoded summary that breaks one is
+   rejected, so a damaged cache payload is summarized afresh instead of
+   indexing out of bounds at link time. *)
+let indices_ok (s : cls) =
+  let below n i = i >= 0 && i < n in
+  let temp = below s.cs_ntemps in
+  let site = below (List.length s.cs_sites) in
+  let meth = below (List.length s.cs_meths) in
+  let region = below (List.length s.cs_regions) in
+  let var = function
+    | Vtemp t -> temp t
+    | Vthis _ | Vret _ | Vlocal _ | Vstatic _ -> true
+  in
+  let con = function
+    | Ccopy (a, b) | Cload (a, b, _) | Cstore (a, _, b) -> var a && var b
+    | Cnew (d, k, _, args) -> temp d && site k && List.for_all temp args
+    | Cnewarr (d, k) -> temp d && site k
+    | Cicall (d, r, _, args) -> temp d && temp r && List.for_all temp args
+    | Cscall (d, _, args) -> temp d && List.for_all temp args
+  in
+  let base = function Atemp t -> temp t | Astatic _ -> true in
+  List.for_all con s.cs_cons
+  && List.for_all
+       (fun a ->
+         meth a.at_meth && base a.at_base && List.for_all region a.at_regions)
+       s.cs_accs
+  && List.for_all (fun r -> meth r.rt_meth) s.cs_regions
+  && List.for_all (fun (mi, _) -> meth mi) s.cs_edges
+  && List.for_all temp s.cs_seeds
+
 let of_lines (lines : string list) : (cls, string) result =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match lines with
@@ -1115,7 +1048,7 @@ let of_lines (lines : string list) : (cls, string) result =
     | Some msg, _ -> Error msg
     | None, None -> Error "summary missing class line"
     | None, Some name ->
-      Ok
+      let s =
         {
           cs_name = name;
           cs_meths = List.rev !meths;
@@ -1128,7 +1061,9 @@ let of_lines (lines : string list) : (cls, string) result =
           cs_roots = List.rev !roots;
           cs_seeds = List.rev !seeds;
           cs_muts = List.rev !muts;
-        })
+        }
+      in
+      if indices_ok s then Ok s else Error "summary index out of range")
   | hdr :: _ -> fail "unknown summary schema %S (want %s)" hdr schema
   | [] -> Error "empty summary"
 

@@ -106,4 +106,6 @@ val ty_of_string : string -> Ast.ty
 val to_string : cls -> string
 val of_string : string -> (cls, string) result
 (** Canonical text codec; [of_string (to_string s)] structurally equals
-    [s], and serialization is deterministic. *)
+    [s], and serialization is deterministic.  [of_string] also rejects
+    a summary whose temp, site, method or region indices fall outside
+    its own tables, the ranges {!Link} indexes by. *)
