@@ -13,7 +13,9 @@
      record every access with its lockset and report all pairs from
      different threads on the same variable with at least one write and
      disjoint locksets.  Noisier than Eraser but never misses the pair a
-     directed scheduler should try to force. *)
+     directed scheduler should try to force.  It pairs only the first
+     access of each (site, kind, tid, locks) per variable, which keeps
+     every key's first witness; Eraser reads the full history. *)
 
 type var = { v_obj : Runtime.Value.addr; v_field : Jir.Ast.id; v_idx : int option }
 
@@ -145,13 +147,35 @@ let eraser_reports t =
 
 let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
 
+(* A variable's accesses, oldest first, keeping only the first of each
+   (site, kind, tid, locks).  A pair with a later repeat has an
+   equivalent pair earlier in [candidates]' (i, j) order: swap the
+   repeat for its first occurrence (and the two ends, if that one came
+   first).  The equivalent pair has the same key and passes the same
+   tid, write and disjointness tests, so every key's first witness is a
+   pair of distinct accesses, and the deduplicated reports do not
+   change. *)
+let distinct accs =
+  match accs with
+  | [] | [ _ ] -> accs
+  | _ :: _ :: _ ->
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun (a : Race.access) ->
+        let k = (a.Race.a_site, a.Race.a_kind, a.Race.a_tid, a.Race.a_locks) in
+        if Hashtbl.mem seen k then false
+        else (
+          Hashtbl.replace seen k ();
+          true))
+      (List.rev accs)
+
 (* All conflicting access pairs with disjoint locksets (the hybrid
    candidate set fed to the directed scheduler). *)
 let candidates t : Race.report list =
   let out = ref [] in
   VarMap.iter
     (fun _v accs ->
-      let accs = Array.of_list (List.rev accs) in
+      let accs = Array.of_list (distinct accs) in
       let n = Array.length accs in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do

@@ -25,4 +25,8 @@ val eraser_reports : t -> Race.report list
     that only asks for {!candidates} pays nothing for it. *)
 
 val candidates : t -> Race.report list
-(** All conflicting pairs with disjoint locksets, deduplicated. *)
+(** All conflicting pairs with disjoint locksets, deduplicated: each
+    key's first pair in (variable, first access, second access) order.
+    Repeats of an access (same site, kind, tid and locks on the same
+    variable) are not paired, since they add no key and no earlier
+    witness. *)

@@ -9,12 +9,14 @@
      store is a growable array indexed by [addr - 1] rather than a hash
      table — a cell lookup is one bounds check and one read;
    - object fields live in a [Value.t array] positioned by a per-class
-     [layout] (field name -> slot, in declaration order).  Layouts are
-     interned per (heap, class), so every instance of a class shares
-     one layout record, and compiled access sites can cache a resolved
-     slot per access site behind a physical-equality check on the
-     layout.  Field counts are small, so the by-name lookup is a linear
-     scan — cheaper than hashing the name. *)
+     [layout] (field name -> slot, in declaration order).  The caller
+     hands the layout to the allocation: the machine builds one per
+     class when it compiles a program, so every instance of a class on
+     every machine of that program shares one layout record, and
+     compiled access sites can cache a resolved slot per access site
+     behind a physical-equality check on the layout.  Field counts are
+     small, so the by-name lookup is a linear scan — cheaper than
+     hashing the name. *)
 
 type layout = {
   l_cls : Jir.Ast.id;
@@ -35,8 +37,6 @@ type cell = { addr : Value.addr; kind : obj_kind; monitor : monitor }
 type t = {
   mutable next : Value.addr;
   mutable cells : cell array; (* slot [addr - 1]; valid below [next - 1] *)
-  obj_layouts : (Jir.Ast.id, layout) Hashtbl.t; (* instance-field layouts *)
-  cls_layouts : (Jir.Ast.id, layout) Hashtbl.t; (* static-field layouts *)
 }
 
 exception Fault of string
@@ -53,13 +53,7 @@ let dummy_cell =
     monitor = { owner = None; depth = 0 };
   }
 
-let create () =
-  {
-    next = 1;
-    cells = Array.make 256 dummy_cell;
-    obj_layouts = Hashtbl.create 16;
-    cls_layouts = Hashtbl.create 16;
-  }
+let create () = { next = 1; cells = Array.make 256 dummy_cell }
 
 let fresh_monitor () = { owner = None; depth = 0 }
 
@@ -77,28 +71,6 @@ let make_layout cls (field_tys : (Jir.Ast.id * Jir.Ast.ty) list) : layout =
     l_defaults =
       Array.of_list (List.map (fun (_, ty) -> Value.default_of_ty ty) field_tys);
   }
-
-let layout_matches (l : layout) field_tys =
-  let n = Array.length l.l_names in
-  let rec go i = function
-    | [] -> i = n
-    | (f, ty) :: rest ->
-      i < n && String.equal l.l_names.(i) f && l.l_tys.(i) = ty && go (i + 1) rest
-  in
-  go 0 field_tys
-
-(* Intern the layout for [cls]: every well-formed program allocates a
-   class with one field list, so the cache hits after the first
-   allocation.  A mismatching list (possible for hand-built units in
-   tests) gets a private layout — correctness over sharing. *)
-let layout_for tbl cls field_tys =
-  match Hashtbl.find_opt tbl cls with
-  | Some l when layout_matches l field_tys -> l
-  | Some _ -> make_layout cls field_tys
-  | None ->
-    let l = make_layout cls field_tys in
-    Hashtbl.replace tbl cls l;
-    l
 
 (* Field slot in [l_names] order, or [-1] when the layout has no such
    field. *)
@@ -121,24 +93,25 @@ let push_cell t kind =
   t.next <- addr + 1;
   let i = addr - 1 in
   if i >= Array.length t.cells then begin
-    let bigger = Array.make (2 * Array.length t.cells) dummy_cell in
+    (* A copy's array is exactly full, possibly empty. *)
+    let bigger = Array.make (max 16 (2 * Array.length t.cells)) dummy_cell in
     Array.blit t.cells 0 bigger 0 (Array.length t.cells);
     t.cells <- bigger
   end;
   t.cells.(i) <- { addr; kind; monitor = fresh_monitor () };
   addr
 
-let alloc_object t ~cls ~(field_tys : (Jir.Ast.id * Jir.Ast.ty) list) =
-  let layout = layout_for t.obj_layouts cls field_tys in
-  push_cell t (Kobject { cls; layout; fields = Array.copy layout.l_defaults })
+let alloc_object t ~layout =
+  let fields = Array.copy layout.l_defaults in
+  push_cell t (Kobject { cls = layout.l_cls; layout; fields })
 
 let alloc_array t ~elt ~len =
   if len < 0 then fault "negative array size %d" len;
   push_cell t (Karray { elt; data = Array.make len (Value.default_of_ty elt) })
 
-let alloc_classobj t ~cls ~(field_tys : (Jir.Ast.id * Jir.Ast.ty) list) =
-  let layout = layout_for t.cls_layouts cls field_tys in
-  push_cell t (Kclassobj { cls; layout; fields = Array.copy layout.l_defaults })
+let alloc_classobj t ~layout =
+  let fields = Array.copy layout.l_defaults in
+  push_cell t (Kclassobj { cls = layout.l_cls; layout; fields })
 
 let class_of t addr =
   match (cell t addr).kind with
@@ -159,11 +132,12 @@ let get_field t addr f =
 (* Per-access-site inline cache for compiled code: one resolved
    (layout, slot) pair behind a physical-equality check on the layout.
    Compiled code (and therefore its caches) is shared across machines
-   and domains; layouts are interned per heap, so a cache cell refilled
-   by one machine misses on another.  A racing refill is benign — the
-   cell holds an immutable pair read once — and within one machine (the
-   replay-hot case: a fresh machine per run hammered by one loop) every
-   access after the first is a pointer compare and an array read. *)
+   and domains, and so are its layouts, so a site that only ever sees
+   one class fills its cell once and only reads it afterwards: every
+   access after the first is a pointer compare and an array read.  A
+   site that sees several classes (a field of a superclass read through
+   subclass instances) refills on each change of class.  A racing
+   refill is benign — the cell holds an immutable pair read once. *)
 type field_cache = (layout * int) option ref
 
 let new_field_cache () : field_cache = ref None
@@ -250,8 +224,8 @@ let size t = t.next - 1
 
 (* An independent heap with the same cells at the same addresses: field
    and array contents and monitors are fresh, while layouts are shared
-   (they are immutable), so a compiled site's inline cache filled on one
-   copy keeps hitting on every other. *)
+   (they are immutable).  The cell array holds exactly the cells in use;
+   the first allocation on the copy grows it. *)
 let copy_cell c =
   let kind =
     match c.kind with
@@ -262,13 +236,5 @@ let copy_cell c =
   { addr = c.addr; kind; monitor = { owner = c.monitor.owner; depth = c.monitor.depth } }
 
 let copy t =
-  let cells = Array.make (Array.length t.cells) dummy_cell in
-  for i = 0 to t.next - 2 do
-    Array.unsafe_set cells i (copy_cell (Array.unsafe_get t.cells i))
-  done;
-  {
-    next = t.next;
-    cells;
-    obj_layouts = Hashtbl.copy t.obj_layouts;
-    cls_layouts = Hashtbl.copy t.cls_layouts;
-  }
+  let cells = Array.init (t.next - 1) (fun i -> copy_cell (Array.unsafe_get t.cells i)) in
+  { next = t.next; cells }

@@ -2,9 +2,12 @@
     per-class pseudo-objects holding static fields, and the reentrant
     monitor attached to every heap cell. *)
 
-(** Field positions of one class, interned per (heap, class): every
-    instance shares one layout record, so a resolved slot can be cached
-    behind a physical-equality check on the layout. *)
+(** Field positions of one class: a pure function of the class's field
+    list.  The machine builds one per class when it compiles a program
+    and hands it to every allocation, so every instance of the class on
+    every machine (and copy) of the program shares one layout record,
+    and a resolved slot can be cached behind a physical-equality check
+    on the layout. *)
 type layout = {
   l_cls : Jir.Ast.id;
   l_names : Jir.Ast.id array;  (** declaration order *)
@@ -32,15 +35,19 @@ val create : unit -> t
 val cell : t -> Value.addr -> cell
 (** One bounds check and one array read: addresses are dense. *)
 
+val make_layout : Jir.Ast.id -> (Jir.Ast.id * Jir.Ast.ty) list -> layout
+(** The layout of a class with these fields, in declaration order.  A
+    fresh record: callers make one per class and share it. *)
+
 val layout_names : layout -> Jir.Ast.id array
 
-val alloc_object :
-  t -> cls:Jir.Ast.id -> field_tys:(Jir.Ast.id * Jir.Ast.ty) list -> Value.addr
+val alloc_object : t -> layout:layout -> Value.addr
+(** An instance of [layout]'s class, its fields at their defaults. *)
 
 val alloc_array : t -> elt:Jir.Ast.ty -> len:int -> Value.addr
 
-val alloc_classobj :
-  t -> cls:Jir.Ast.id -> field_tys:(Jir.Ast.id * Jir.Ast.ty) list -> Value.addr
+val alloc_classobj : t -> layout:layout -> Value.addr
+(** The holder of a class's static fields; [layout] lists them. *)
 
 val class_of : t -> Value.addr -> Jir.Ast.id option
 (** [None] for arrays. *)
@@ -51,8 +58,9 @@ val get_field : t -> Value.addr -> Jir.Ast.id -> Value.t
 type field_cache
 (** Per-access-site inline cache: a resolved (layout, slot) pair behind
     a physical-equality check on the layout.  Safe to share across
-    machines and domains (racing refills are benign); faults are
-    byte-identical to the uncached accessors. *)
+    machines and domains (racing refills are benign); since layouts are
+    shared too, a site that sees one class fills its cache once.  Faults
+    are byte-identical to the uncached accessors. *)
 
 val new_field_cache : unit -> field_cache
 val get_field_cached : t -> field_cache -> Value.addr -> Jir.Ast.id -> Value.t
@@ -76,6 +84,6 @@ val size : t -> int
 val copy : t -> t
 (** An independent heap holding the same cells at the same addresses:
     field and array contents and monitors are copied, layouts are
-    shared with the original (so {!field_cache}s keep hitting across
-    copies).  Reads the original only, so several domains may copy one
-    heap at once. *)
+    shared with the original.  Its cell array is sized to the cells in
+    use and grows on the first allocation.  Reads the original only, so
+    several domains may copy one heap at once. *)

@@ -54,7 +54,7 @@ and thread = {
 and t = {
   cu : Code.unit_;
   heap : Heap.t;
-  class_objs : (Ast.id, Value.addr) Hashtbl.t;
+  class_objs : (Ast.id, Value.addr) Hashtbl.t; (* written by [create] only *)
   threads : (Value.tid, thread) Hashtbl.t;
   mutable thread_list : thread list; (* creation order *)
   mutable live : thread list;
@@ -67,7 +67,7 @@ and t = {
   mutable next_fid : int;
   mutable next_label : int;
   mutable observers : (Event.t -> unit) list;
-  client_classes : (Ast.id, unit) Hashtbl.t;
+  client_classes : (Ast.id, unit) Hashtbl.t; (* written by [create] only *)
   seed : int64; (* base of every thread's [Sys.randInt] stream *)
   out : Buffer.t;
   code : code; (* the compiled bodies of [cu] *)
@@ -80,6 +80,10 @@ and code = {
     (* (qname, static, nparams) -> compiled body.  Read-only after
        compilation, so one [code] is shared by every machine of a
        program (and across domains). *)
+  en_layouts : (Ast.id, Heap.layout) Hashtbl.t; (* class -> instance fields *)
+  en_statics : (Ast.id, Heap.layout) Hashtbl.t; (* class -> static fields *)
+    (* One layout per class for every machine of the program, so a
+       compiled site's field cache, once filled, hits on all of them. *)
   en_units : int; (* methods compiled *)
   en_instrs : int; (* instructions compiled *)
 }
@@ -569,8 +573,8 @@ let compile_intrinsic ~site ~next dst intr (argr : int array) : exec =
       _ ) ->
     fun _ _ _ -> crash "intrinsic arity mismatch"
 
-let compile_instr (cu : Code.unit_) (cm : Code.meth) ~pc (instr : Code.instr) :
-    exec =
+let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
+    (instr : Code.instr) : exec =
   let next = pc + 1 in
   let site = { Event.s_meth = cm.Code.cm_qname; s_pc = pc } in
   match instr with
@@ -685,13 +689,12 @@ let compile_instr (cu : Code.unit_) (cm : Code.meth) ~pc (instr : Code.instr) :
       f.pc <- next;
       true
   | Code.Inew (d, cls) -> (
-    match Code.find_cls cu cls with
+    match Hashtbl.find_opt layouts cls with
     | None -> fun _ _ _ -> Diag.error "no compiled class %s" cls
-    | Some cc ->
-      let field_tys = cc.Code.cc_fields in
+    | Some layout ->
       let inits = List.rev (fieldinit_chain_of cu cls) in
       fun m th f ->
-        let addr = Heap.alloc_object m.heap ~cls ~field_tys in
+        let addr = Heap.alloc_object m.heap ~layout in
         let rv = Value.Vref addr in
         f.regs.(d) <- rv;
         if observed m then
@@ -866,8 +869,8 @@ let compile_instr (cu : Code.unit_) (cm : Code.meth) ~pc (instr : Code.instr) :
       else crash "%s" msg
   | Code.Ithrow msg -> fun _ _ _ -> crash "%s" msg
 
-let compile_meth (cu : Code.unit_) (cm : Code.meth) : exec array =
-  Array.mapi (fun pc instr -> compile_instr cu cm ~pc instr) cm.Code.cm_code
+let compile_meth (cu : Code.unit_) ~layouts (cm : Code.meth) : exec array =
+  Array.mapi (fun pc instr -> compile_instr cu ~layouts cm ~pc instr) cm.Code.cm_code
 
 module Compiled = struct
   type nonrec code = code
@@ -875,13 +878,19 @@ module Compiled = struct
   let digest = Code.digest
 
   let compile (cu : Code.unit_) : code =
+    let layouts = Hashtbl.create 16 and statics = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun name (cc : Code.cls) ->
+        Hashtbl.replace layouts name (Heap.make_layout name cc.Code.cc_fields);
+        Hashtbl.replace statics name (Heap.make_layout name cc.Code.cc_static_fields))
+      cu.Code.cu_classes;
     let tbl = Hashtbl.create 64 in
     let units = ref 0 in
     let instrs = ref 0 in
     let add_meth (cm : Code.meth) =
       let key = meth_key cm in
       if not (Hashtbl.mem tbl key) then (
-        Hashtbl.replace tbl key (compile_meth cu cm);
+        Hashtbl.replace tbl key (compile_meth cu ~layouts cm);
         incr units;
         instrs := !instrs + Array.length cm.Code.cm_code)
     in
@@ -892,7 +901,13 @@ module Compiled = struct
         List.iter (fun (_, cm) -> add_meth cm) cc.Code.cc_methods;
         List.iter (fun (_, cm) -> add_meth cm) cc.Code.cc_static_methods)
       cu.Code.cu_classes;
-    { en_tbl = tbl; en_units = !units; en_instrs = !instrs }
+    {
+      en_tbl = tbl;
+      en_layouts = layouts;
+      en_statics = statics;
+      en_units = !units;
+      en_instrs = !instrs;
+    }
 
   module Cache = Par.Keyed_cache (struct
     type t = code
@@ -1070,8 +1085,8 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
   (* Allocate class objects (holders of static fields) and run static
      initializers in declaration order. *)
   Hashtbl.iter
-    (fun name (cc : Code.cls) ->
-      let a = Heap.alloc_classobj m.heap ~cls:name ~field_tys:cc.Code.cc_static_fields in
+    (fun name (_ : Code.cls) ->
+      let a = Heap.alloc_classobj m.heap ~layout:(Hashtbl.find m.code.en_statics name) in
       Hashtbl.replace m.class_objs name a)
     cu.Code.cu_classes;
   List.iter
@@ -1094,9 +1109,10 @@ let add_observer m f = m.observers <- m.observers @ [ f ]
 
 (* Fork a machine: everything a run can change is copied — the heap,
    the thread records and their frames (registers, pc, entered
-   monitors), counters, RNG states, output and side tables — and what
-   no run changes is shared: the code unit, the heap's interned layouts
-   and the compiled code (so copied frames keep their bodies).
+   monitors), counters, RNG states and output — and what no run changes
+   is shared: the code unit, the compiled code with its layouts (so
+   copied frames keep their bodies), and the class-object and
+   client-class tables, which only [create] writes.
    Observers are not carried over; the copy starts unobserved, as a
    freshly created machine does.  The live list is rebuilt from the
    copied records, so the copy never steps a record of [m].  Only reads
@@ -1116,12 +1132,10 @@ let copy m =
   {
     m with
     heap = Heap.copy m.heap;
-    class_objs = Hashtbl.copy m.class_objs;
     threads;
     thread_list;
     live = List.filter steppable thread_list;
     observers = [];
-    client_classes = Hashtbl.copy m.client_classes;
     out;
   }
 
@@ -1241,10 +1255,10 @@ let held_locks m tid =
    This is how the synthesizer builds fresh receivers (e.g. the two
    wrapper objects of the paper's Fig. 3). *)
 let construct m ~cls ~args () : (Value.t, string) result =
-  match Code.find_cls m.cu cls with
+  match Hashtbl.find_opt m.code.en_layouts cls with
   | None -> Error (Printf.sprintf "no such class %s" cls)
-  | Some cc ->
-    let addr = Heap.alloc_object m.heap ~cls ~field_tys:cc.Code.cc_fields in
+  | Some layout ->
+    let addr = Heap.alloc_object m.heap ~layout in
     let recv = Value.Vref addr in
     let run cm =
       let tid = new_thread_internal m ~cm ~recv:(Some recv) ~args:(if cm.Code.cm_name = Code.fieldinit_name then [] else args) ~spawned_client:true in

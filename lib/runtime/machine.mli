@@ -57,7 +57,9 @@ val create :
     advances the event-label counter by the same count, so observers
     may attach mid-run and see exactly the labels and events of a run
     observed from the start.  A [code] value is immutable after
-    compilation and shared across machines and domains. *)
+    compilation and shared across machines and domains, and it holds
+    the program's field layouts, one per class: every machine of the
+    program allocates its objects and class objects with them. *)
 module Compiled : sig
   type code
 
@@ -86,9 +88,10 @@ val add_observer : t -> (Event.t -> unit) -> unit
 val copy : t -> t
 (** An independent machine in the same state: stepping either one never
     affects the other.  Heap contents, monitors, threads and frames,
-    counters (threads, frames, event labels), RNG states, output and
-    side tables are copied; the code unit, the heap's field layouts and
-    the compiled code are shared, since no run changes them.
+    counters (threads, frames, event labels), RNG states and output are
+    copied; the code unit, the compiled code with its field layouts and
+    the class-object and client-class tables are shared, since no run
+    changes them.
     Observers are not carried over.  [copy] only reads its argument, so
     several domains may copy one machine at once, provided nobody steps
     it meanwhile. *)

@@ -292,6 +292,164 @@ let test_eraser_on_demand () =
     (Corpus.Registry.all @ Corpus.Registry.extras);
   Alcotest.(check (pair int int)) "runs compared, reports" (1160, 2793) (!runs, !reports)
 
+(* The hybrid pair collector as it paired every recorded access:
+   bookkeeping and [candidates] verbatim.  [Lockset.candidates] pairs
+   only the first access of each (site, kind, tid, locks) per variable;
+   on every run the two must give the same reports (witnesses and
+   order). *)
+module Pairs_reference = struct
+  module AddrSet = Set.Make (Int)
+
+  type var = { v_obj : Runtime.Value.addr; v_field : Jir.Ast.id; v_idx : int option }
+
+  let compare_var a b =
+    match Int.compare a.v_obj b.v_obj with
+    | 0 -> (
+      match String.compare a.v_field b.v_field with
+      | 0 -> Option.compare Int.compare a.v_idx b.v_idx
+      | c -> c)
+    | c -> c
+
+  module VarMap = Map.Make (struct
+    type t = var
+
+    let compare = compare_var
+  end)
+
+  type t = {
+    mutable held : AddrSet.t array;
+    mutable history : Race.access list VarMap.t;
+  }
+
+  let held t tid =
+    if tid >= Array.length t.held then begin
+      let bigger = Array.make (max (tid + 1) (2 * Array.length t.held)) AddrSet.empty in
+      Array.blit t.held 0 bigger 0 (Array.length t.held);
+      t.held <- bigger
+    end;
+    t.held.(tid)
+
+  let access t ~tid ~site ~kind ~obj ~field ~idx ~label ~value =
+    let acc =
+      {
+        Race.a_tid = tid;
+        a_site = site;
+        a_kind = kind;
+        a_obj = obj;
+        a_field = field;
+        a_idx = idx;
+        a_locks = AddrSet.elements (held t tid);
+        a_label = label;
+        a_value = value;
+      }
+    in
+    t.history <-
+      VarMap.update
+        { v_obj = obj; v_field = field; v_idx = idx }
+        (function None -> Some [ acc ] | Some l -> Some (acc :: l))
+        t.history
+
+  let observer t (e : Runtime.Event.t) =
+    match e with
+    | Runtime.Event.Lock { tid; addr; _ } -> t.held.(tid) <- AddrSet.add addr (held t tid)
+    | Runtime.Event.Unlock { tid; addr; _ } ->
+      t.held.(tid) <- AddrSet.remove addr (held t tid)
+    | Runtime.Event.Read { tid; site; obj; field; idx; label; v; _ } ->
+      access t ~tid ~site ~kind:`Read ~obj ~field ~idx ~label ~value:v
+    | Runtime.Event.Write { tid; site; obj; field; idx; label; v; _ } ->
+      access t ~tid ~site ~kind:`Write ~obj ~field ~idx ~label ~value:v
+    | _ -> ()
+
+  let attach m =
+    let t = { held = Array.make 8 AddrSet.empty; history = VarMap.empty } in
+    Runtime.Machine.add_observer m (observer t);
+    t
+
+  let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
+
+  let candidates t : Race.report list =
+    let out = ref [] in
+    VarMap.iter
+      (fun _v accs ->
+        let accs = Array.of_list (List.rev accs) in
+        let n = Array.length accs in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let a = accs.(i) and b = accs.(j) in
+            if
+              a.Race.a_tid <> b.Race.a_tid
+              && (a.Race.a_kind = `Write || b.Race.a_kind = `Write)
+              && disjoint a.Race.a_locks b.Race.a_locks
+            then
+              out :=
+                { Race.r_first = a; r_second = b; r_detector = "lockset-pairs" }
+                :: !out
+          done
+        done)
+      t.history;
+    Race.dedup (List.rev !out)
+end
+
+(* Every lockset run the campaign makes at seed 7 (its three schedules
+   of every test) on C1-C9 and X1-X3 and on 200 generated programs: the
+   distinct-access pairs equal the all-access reference's, report for
+   report.  The runs compared and the reports they hold are pinned, so
+   the check cannot go vacuous. *)
+let test_pairs_distinct () =
+  let show (r : Race.report) =
+    Printf.sprintf "%d/%d %s" r.Race.r_first.Race.a_label r.Race.r_second.Race.a_label
+      (Race.to_string r)
+  in
+  let seeds = List.init 3 (fun i -> Int64.add 7L (Int64.of_int (i * 1299709))) in
+  let check_analysis name (an : Narada_core.Pipeline.analysis) =
+    let runs = ref 0 and reports = ref 0 in
+    List.iteri
+      (fun i t ->
+        let instantiate = Narada_core.Pipeline.instantiator an t in
+        List.iter
+          (fun seed ->
+            match instantiate () with
+            | Error _ -> ()
+            | Ok inst ->
+              let m = inst.Racefuzzer.ri_machine in
+              let ls = Lockset.attach m in
+              let reference = Pairs_reference.attach m in
+              ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
+              let expected = Pairs_reference.candidates reference in
+              incr runs;
+              reports := !reports + List.length expected;
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s test %d seed %Ld" name i seed)
+                (List.map show expected)
+                (List.map show (Lockset.candidates ls)))
+          seeds)
+      an.Narada_core.Pipeline.an_tests;
+    (!runs, !reports)
+  in
+  let sum l = List.fold_left (fun (a, b) (c, d) -> (a + c, b + d)) (0, 0) l in
+  let corpus =
+    sum
+      (List.map
+         (fun (e : Corpus.Corpus_def.entry) ->
+           match Eval.Evaluate.analyze_entry e with
+           | Ok (_, an) -> check_analysis e.Corpus.Corpus_def.e_id an
+           | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg)
+         (Corpus.Registry.all @ Corpus.Registry.extras))
+  in
+  let generated =
+    sum
+      (List.init 200 (fun s ->
+           let cu = Jir.Compile.compile_unit (Fuzz.Gen.generate ~seed:(Int64.of_int s)) in
+           match
+             Narada_core.Pipeline.analyze cu ~client_classes:[ Fuzz.Gen.seed_cls ]
+               ~seed_cls:Fuzz.Gen.seed_cls ~seed_meth:Fuzz.Gen.seed_meth
+           with
+           | Ok an -> check_analysis (Printf.sprintf "Gen seed %d" s) an
+           | Error _ -> (0, 0)))
+  in
+  Alcotest.(check (pair int int)) "corpus runs compared, reports" (1740, 5685) corpus;
+  Alcotest.(check (pair int int)) "generated runs compared, reports" (1701, 7940) generated
+
 let () =
   Alcotest.run "detectors"
     [
@@ -317,6 +475,8 @@ let () =
           Alcotest.test_case "read shared" `Quick test_read_shared_no_eraser_report;
           Alcotest.test_case "on demand = per access" `Quick test_eraser_on_demand;
         ] );
+      ( "lockset pairs",
+        [ Alcotest.test_case "distinct accesses = all accesses" `Quick test_pairs_distinct ] );
       ( "reports",
         [
           Alcotest.test_case "dedup" `Quick test_dedup;

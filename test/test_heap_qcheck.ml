@@ -28,8 +28,9 @@ let arb_mops =
    only ever report one owner. *)
 let monitor_invariants ops =
   let heap = Heap.create () in
-  let a0 = Heap.alloc_object heap ~cls:"M" ~field_tys:[] in
-  let a1 = Heap.alloc_object heap ~cls:"M" ~field_tys:[] in
+  let layout = Heap.make_layout "M" [] in
+  let a0 = Heap.alloc_object heap ~layout in
+  let a1 = Heap.alloc_object heap ~layout in
   let addr = function 0 -> a0 | _ -> a1 in
   let depth = Hashtbl.create 8 in
   let d t a = Option.value ~default:0 (Hashtbl.find_opt depth (t, a)) in
@@ -71,8 +72,10 @@ let field_prop =
        (fun writes ->
          let heap = Heap.create () in
          let a =
-           Heap.alloc_object heap ~cls:"O"
-             ~field_tys:[ ("f0", Jir.Ast.Tint); ("f1", Jir.Ast.Tint); ("f2", Jir.Ast.Tint) ]
+           Heap.alloc_object heap
+             ~layout:
+               (Heap.make_layout "O"
+                  [ ("f0", Jir.Ast.Tint); ("f1", Jir.Ast.Tint); ("f2", Jir.Ast.Tint) ])
          in
          let model = Hashtbl.create 4 in
          let caches = Array.init 3 (fun _ -> Heap.new_field_cache ()) in
@@ -114,9 +117,10 @@ let snapshot_hash_prop =
     (QCheck.Test.make ~name:"snapshot hash consistent with equality" ~count:200
        QCheck.(pair small_int small_int)
        (fun (x, y) ->
+         let layout = Heap.make_layout "P" [ ("v", Jir.Ast.Tint) ] in
          let mk v =
            let heap = Heap.create () in
-           let a = Heap.alloc_object heap ~cls:"P" ~field_tys:[ ("v", Jir.Ast.Tint) ] in
+           let a = Heap.alloc_object heap ~layout in
            Heap.set_field_cached heap (Heap.new_field_cache ()) a "v" (Value.Vint v);
            (heap, Value.Vref a)
          in

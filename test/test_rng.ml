@@ -326,6 +326,40 @@ let test_replay_allocation () =
     at_most "run_until_call" 5.18 replay;
     at_most "run_until_call over step_th" 0.51 (replay -. stepped)
 
+(* [Machine.copy] of every instantiable synthesized test of C1-C9 and
+   X1-X3, the copy the directed runs and the staged instantiator fork
+   their runs from: the minor words it allocates per copy.  It measured
+   966.4 while the copy duplicated the class-object and client-class
+   tables and sized its cell array like the original's (256 slots at
+   least), and 586.7 with the tables shared and the array sized to the
+   cells in use; the bound is that plus about 5%. *)
+let test_copy_allocation () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let copies = ref 0 and total = ref 0.0 in
+    List.iter
+      (fun (e : Corpus.Corpus_def.entry) ->
+        match Eval.Evaluate.analyze_entry e with
+        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+        | Ok (_, an) ->
+          List.iter
+            (fun t ->
+              match Narada_core.Pipeline.instantiator an t () with
+              | Error _ -> ()
+              | Ok inst ->
+                let m = inst.Detect.Racefuzzer.ri_machine in
+                let before = Gc.minor_words () in
+                ignore (Sys.opaque_identity (Runtime.Machine.copy m));
+                total := !total +. (Gc.minor_words () -. before);
+                incr copies)
+            an.Narada_core.Pipeline.an_tests)
+      (Corpus.Registry.all @ Corpus.Registry.extras);
+    Alcotest.(check int) "templates copied" 580 !copies;
+    let per_copy = !total /. float_of_int !copies in
+    if per_copy > 616.0 then
+      Alcotest.failf "Machine.copy: %.1f words per copy, bound 616" per_copy
+
 let () =
   Alcotest.run "rng"
     [
@@ -342,5 +376,6 @@ let () =
           Alcotest.test_case "directed scheduler words/step" `Quick
             test_scheduler_allocation;
           Alcotest.test_case "seed replay words/step" `Quick test_replay_allocation;
+          Alcotest.test_case "machine copy words" `Quick test_copy_allocation;
         ] );
     ]
