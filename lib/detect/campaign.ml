@@ -57,16 +57,30 @@ type outcome = {
    [Racefuzzer.fuel], like the forced runs of a from-scratch triage, so
    both forced orders fork from where it stopped, as soon as it stops;
    only the two outcomes are kept, so no run-0 machine outlives its own
-   settling.  A run 0 that did not confirm is settled too, since a later
-   run may confirm the race; candidates that never matched share one
-   settling.  Baselines are paired with the outcomes of confirmed races
-   only. *)
+   settling.  The verdict needs them only while the test's serial
+   orders agree, so a run 0 that confirmed computes the baselines first
+   (its race needs them anyway), and no run 0 is settled once they are
+   known to differ or to have failed.  A run 0 that did not confirm is
+   settled while they are unknown, since a later run may confirm the
+   race; candidates that never matched share one settling.  Baselines
+   are paired with the outcomes of confirmed races only, and
+   [Triage.evidence] drops a pair settled before they turned out to
+   differ. *)
 let confirm_and_triage ~(test : test) ~runs ~seed
     (reports : Race.report list) : outcome list =
+  let decided () =
+    Lazy.is_val test.t_baselines
+    && Result.fold ~ok:Triage.serial_orders_differ ~error:(fun _ -> true)
+         (Lazy.force test.t_baselines)
+  in
+  let settle (re : Racefuzzer.run_end) =
+    if re.Racefuzzer.re_report <> None then ignore (Lazy.force test.t_baselines);
+    if decided () then None else Some (Triage.forced re)
+  in
   let results =
     Racefuzzer.confirm_all ~instantiate:test.t_instantiate
       ~cands:(Array.of_list (List.map Racefuzzer.candidate_of_report reports))
-      ~runs ~seed ~settle:Triage.forced
+      ~runs ~seed ~settle
   in
   List.map
     (fun (c, forced) ->

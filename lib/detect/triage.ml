@@ -16,15 +16,19 @@
    reachable from the test roots), crash set or racy-thread result
    differs.
 
-   None of the four runs is replayed from scratch per race.  The two
-   serialized baselines depend on the test alone (priority scheduling
-   draws no randomness), so they run once per test ([baselines]).  The
-   two forced runs share their directed prefix, which is exactly the
-   confirmation's run 0 at the same seed (every run here, like every
-   directed run, is bounded by [Racefuzzer.fuel]), so they fork from
-   where that run stopped ([forced]): one copy of the poised machine
-   and its scheduler RNG runs one order, the original the other.  A
-   run 0 that never confirmed is both forced runs at once. *)
+   The verdict is that disjunction read in order, running only what it
+   still depends on.  The two serialized baselines come first: they
+   depend on the test alone (priority scheduling draws no randomness),
+   so they run once per test ([baselines]), and when they differ every
+   race of the test is harmful whatever the forced orders do, so those
+   are not needed.  Otherwise the two forced runs share their directed
+   prefix, which is exactly the confirmation's run 0 at the same seed
+   (every run here, like every directed run, is bounded by
+   [Racefuzzer.fuel]), so they fork from where that run stopped
+   ([forced]): one copy of the poised machine and its scheduler RNG
+   runs one order, the original the other.  A run 0 that never
+   confirmed is both forced runs at once.  No run is replayed from
+   scratch per race. *)
 
 type verdict = Harmful | Benign
 
@@ -110,9 +114,10 @@ let baselines ~(instantiate : Racefuzzer.instantiator) =
 type evidence = {
   e_serial : outcome;
   e_serial_rev : outcome;
-  e_forced : outcome;
-  e_forced_rev : outcome;
+  e_forced : (outcome * outcome) option;
 }
+
+let serial_orders_differ (b : baselines) = not (equal_outcome b.b_serial b.b_serial_rev)
 
 (* Execute the poised accesses back to back, [a]'s first, finish the
    directed run under random scheduling from its RNG with the fuel it
@@ -141,21 +146,32 @@ let forced (re : Racefuzzer.run_end) =
     let first = force fork fork_rng ~fuel_left t1 t2 in
     (first, force inst re.Racefuzzer.re_rng ~fuel_left t2 t1)
 
-let evidence (b : baselines) (e_forced, e_forced_rev) =
-  { e_serial = b.b_serial; e_serial_rev = b.b_serial_rev; e_forced; e_forced_rev }
+let evidence (b : baselines) forced =
+  {
+    e_serial = b.b_serial;
+    e_serial_rev = b.b_serial_rev;
+    e_forced = (if serial_orders_differ b then None else forced);
+  }
 
 let judge (e : evidence) =
   let differs o = not (equal_outcome e.e_serial o) in
-  if differs e.e_serial_rev || differs e.e_forced || differs e.e_forced_rev then
-    Harmful
-  else Benign
+  if differs e.e_serial_rev then Harmful
+  else
+    match e.e_forced with
+    | Some (first, rev) -> if differs first || differs rev then Harmful else Benign
+    | None -> invalid_arg "Triage.judge: agreeing serial orders without forced orders"
 
 let triage ~(instantiate : Racefuzzer.instantiator)
     ~(cand : Racefuzzer.candidate) ?(seed = 7L) () : (verdict, string) result =
   Result.bind (baselines ~instantiate) (fun b ->
-      Result.map
-        (fun inst ->
-          Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
-          let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:Racefuzzer.fuel in
-          judge (evidence b (forced re)))
-        (instantiate ()))
+      let pair =
+        if serial_orders_differ b then Ok None
+        else
+          Result.map
+            (fun inst ->
+              Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
+              let re, _ = Racefuzzer.directed_run inst ~cand ~seed ~fuel:Racefuzzer.fuel in
+              Some (forced re))
+            (instantiate ())
+      in
+      Result.map (fun pair -> judge (evidence b pair)) pair)

@@ -8,16 +8,21 @@
     the two fully serialized executions (racy threads in order, then
     reversed) and the two race-forced executions (the racing accesses
     back to back, in both orders, where the directed run at the
-    campaign seed poises them); any difference in the canonical heap
-    snapshot, the crash set or the racy threads' results ⇒ harmful.
+    campaign seed poises them); any difference from the first
+    serialized execution in the canonical heap snapshot, the crash set
+    or the racy threads' results ⇒ harmful.
 
-    The serialized baselines depend on the test only, so they are
-    computed once per test ({!baselines}).  The forced runs are forked
-    from where the confirmation's run 0 stopped ({!forced}), as soon as
-    it stops: the poised machine and scheduler RNG are copied once, one
-    order runs on the copy and the other on the original.  A run 0 that
-    did not confirm yields one outcome, which serves as both forced
-    outcomes.  Every outcome equals that of a from-scratch replay.
+    The verdict reads that disjunction in order and runs only what it
+    still depends on.  The serialized baselines depend on the test
+    only, so they are computed once per test ({!baselines}); when they
+    differ ({!serial_orders_differ}) every race of the test is harmful
+    and its forced orders are not needed.  Otherwise the forced runs are
+    forked from where the confirmation's run 0 stopped ({!forced}), as
+    soon as it stops: the poised machine and scheduler RNG are copied
+    once, one order runs on the copy and the other on the original.  A
+    run 0 that did not confirm yields one outcome, which serves as both
+    forced outcomes.  Every outcome equals that of a from-scratch
+    replay.
 
     Repairability is the second, constructive oracle on top of this
     state-divergence verdict: a race whose synthesized lock fix
@@ -47,11 +52,17 @@ val baselines : instantiate:Racefuzzer.instantiator -> (baselines, string) resul
     each for at most {!Racefuzzer.fuel} steps.
     Counts one ["triage/replays"] per instance. *)
 
+val serial_orders_differ : baselines -> bool
+(** The two serialized executions' outcomes differ: every race of the
+    test is then harmful, whatever its forced orders do. *)
+
 type evidence = {
   e_serial : outcome;
   e_serial_rev : outcome;
-  e_forced : outcome;  (** the first racing access, then the second *)
-  e_forced_rev : outcome;  (** the second racing access, then the first *)
+  e_forced : (outcome * outcome) option;
+      (** the two forced outcomes, the first racing access first and
+          then the reverse; [None] exactly when the serial orders
+          differ, since the verdict does not depend on them then *)
 }
 
 val forced : Racefuzzer.run_end -> outcome * outcome
@@ -62,13 +73,19 @@ val forced : Racefuzzer.run_end -> outcome * outcome
     fuel it had left, then run any runnable thread in creation order
     for {!Racefuzzer.fuel} steps ({!Conc.Scheduler.prioritized}).  A
     run that stopped without confirming is run in creation order once,
-    and that outcome is both. *)
+    and that outcome is both.  Needed only when the serial orders
+    agree. *)
 
-val evidence : baselines -> outcome * outcome -> evidence
-(** The baselines beside the two {!forced} outcomes. *)
+val evidence : baselines -> (outcome * outcome) option -> evidence
+(** The baselines beside the {!forced} outcomes, which are dropped when
+    the serial orders differ: a pair computed before the baselines were
+    known is not evidence then. *)
 
 val judge : evidence -> verdict
-(** [Harmful] when any outcome differs from [e_serial]. *)
+(** [Harmful] when [e_serial_rev] differs from [e_serial], without
+    looking further; otherwise when either forced outcome does.  Raises
+    [Invalid_argument] on agreeing serial orders beside [e_forced =
+    None], which {!evidence} builds only from a missing pair. *)
 
 val triage :
   instantiate:Racefuzzer.instantiator ->
@@ -76,9 +93,9 @@ val triage :
   ?seed:int64 ->
   unit ->
   (verdict, string) result
-(** One race from scratch: {!baselines}, then its own directed run at
-    [seed] (default 7) on a fresh instance, then {!forced}.
-    {!Racefuzzer.fuel} bounds every run.  The campaign
-    ([Campaign.confirm_and_triage]) shares the baselines across a
-    test's races and forks from each candidate's confirmation run 0
-    instead. *)
+(** One race from scratch: {!baselines}; only when the serial orders
+    agree, its own directed run at [seed] (default 7) on a fresh
+    instance, then {!forced}; then {!judge}.  {!Racefuzzer.fuel} bounds
+    every run.  The campaign ([Campaign.confirm_and_triage]) shares the
+    baselines across a test's races and forks from each candidate's
+    confirmation run 0 instead. *)

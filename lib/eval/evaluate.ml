@@ -88,13 +88,18 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     in
     let races =
       List.map2
-        (fun (k, _) { Detect.Campaign.o_confirm; o_verdict; _ } ->
+        (fun (k, _) { Detect.Campaign.o_confirm; o_evidence; o_verdict } ->
           let reproduced = o_confirm.Detect.Racefuzzer.confirmed <> None in
           if reproduced then Obs.Metrics.incr reg "detect/reproduced";
           (match o_verdict with
           | Some Detect.Triage.Harmful -> Obs.Metrics.incr reg "triage/harmful"
           | Some Detect.Triage.Benign -> Obs.Metrics.incr reg "triage/benign"
           | None -> ());
+          (* The serial orders decided the verdict. *)
+          (match o_evidence with
+          | Some { Detect.Triage.e_forced = None; _ } ->
+            Obs.Metrics.incr reg "triage/serial_decided"
+          | Some _ | None -> ());
           { ro_key = k; ro_reproduced = reproduced; ro_verdict = o_verdict })
         candidates outcomes
     in

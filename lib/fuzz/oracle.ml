@@ -421,7 +421,8 @@ let run_prioritized m ~order =
 (* The four triage outcomes of a race, each run on its own fresh
    instance: the serialized executions, and whole directed runs at the
    campaign seed that execute the poised accesses in one order and then
-   finish under the run's own random scheduling. *)
+   finish under the run's own random scheduling.  The serialized pair,
+   then the forced pair. *)
 let replayed_evidence fresh ~cand ~seed =
   let ( let* ) = Result.bind in
   let run k =
@@ -451,11 +452,11 @@ let replayed_evidence fresh ~cand ~seed =
     | None -> ());
     run_prioritized m ~order:[]
   in
-  let* e_serial = run (serial Fun.id) in
-  let* e_serial_rev = run (serial List.rev) in
-  let* e_forced = run (forced false) in
-  let* e_forced_rev = run (forced true) in
-  Ok { Triage.e_serial; e_serial_rev; e_forced; e_forced_rev }
+  let* s = run (serial Fun.id) in
+  let* s_rev = run (serial List.rev) in
+  let* f = run (forced false) in
+  let* f_rev = run (forced true) in
+  Ok ((s, s_rev), (f, f_rev))
 
 (* A candidate's confirmation from scratch: run [i] is a whole directed
    run at the campaign's seed for it, on its own fresh instance, until
@@ -501,12 +502,13 @@ let confirm_runs = 3
    confirmation (report, runs used, steps) must equal that of its own
    directed runs, each on a fresh instance of the instantiator the
    campaign was given.  The campaign's triage, which shares each test's
-   serialized baselines across its races and forks the forced orders
-   from the confirmation's run 0, must agree with four fresh replays on
-   every race it confirms: all four outcomes and the verdict.  The
-   [test-alias] mutation hands every test the first test's campaign
-   state, so later tests are confirmed and triaged on the first test's
-   instances. *)
+   serialized baselines across its races and, while they agree, forks
+   the forced orders from the confirmation's run 0, must agree with four
+   fresh replays on every race it confirms: both serialized outcomes,
+   the forced pair exactly when the serialized outcomes agree, and the
+   verdict.  The [test-alias] mutation hands every test the first
+   test's campaign state, so later tests are confirmed and triaged on
+   the first test's instances. *)
 let synthesis_replay ?mutate ?(strict = true) ~seed cu =
   match
     Narada_core.Pipeline.analyze ~seed:(vm_seed seed) cu ~client_classes
@@ -610,18 +612,17 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
         | Some ev -> (
           match replayed_evidence (fresh t) ~cand ~seed with
           | Error e -> differs ("fresh instantiation failed: " ^ e)
-          | Ok re ->
+          | Ok (((s, s_rev) as serial), ((f, f_rev) as forced)) ->
             let verdict =
-              if
-                List.for_all (( = ) re.Triage.e_serial)
-                  [ re.Triage.e_serial_rev; re.Triage.e_forced; re.Triage.e_forced_rev ]
-              then Triage.Benign
+              if List.for_all (( = ) s) [ s_rev; f; f_rev ] then Triage.Benign
               else Triage.Harmful
             in
-            let serial (e : Triage.evidence) = (e.e_serial, e.e_serial_rev) in
-            let forced (e : Triage.evidence) = (e.e_forced, e.e_forced_rev) in
-            if serial re <> serial ev then differs "serialized baselines"
-            else if forced re <> forced ev then differs "forced orders"
+            (* The forced orders are evidence exactly when the serial
+               orders leave the verdict open. *)
+            let expected_forced = if s = s_rev then Some forced else None in
+            if serial <> (ev.Triage.e_serial, ev.Triage.e_serial_rev) then
+              differs "serialized baselines"
+            else if ev.Triage.e_forced <> expected_forced then differs "forced orders"
             else if o.Campaign.o_verdict <> Some verdict then differs "verdict"
             else None)
       in

@@ -2,15 +2,18 @@
    scratch.
 
    [Detect.Campaign.confirm_and_triage] confirms a test's candidates
-   together, computes the test's serialized baselines once and forks
-   both forced orders from where each candidate's confirmation run 0
-   stopped.  For every race it confirms on C1-C9
-   and X1-X3 at seed 7 and the default Evaluate budget, the verdict and
-   all four outcomes must equal those of the reference below, which
-   runs each of the four executions on its own fresh instance: the
-   serialized ones by priority, the forced ones as a whole directed run
-   at the campaign seed that executes the poised accesses in the given
-   order and finishes under the run's own random scheduling. *)
+   together, computes the test's serialized baselines once and, only
+   while they agree, forks both forced orders from where each
+   candidate's confirmation run 0 stopped.  For every race it confirms
+   on C1-C9 and X1-X3 at seed 7 and the default Evaluate budget, the
+   verdict must equal that of the reference below, which runs each of
+   the four executions on its own fresh instance: the serialized ones
+   by priority, the forced ones as a whole directed run at the campaign
+   seed that executes the poised accesses in the given order and
+   finishes under the run's own random scheduling.  The serialized
+   outcomes must equal the reference's, the forced ones must be present
+   exactly when the reference's serialized outcomes agree, and equal
+   the reference's then. *)
 
 open Detect
 module Pipeline = Narada_core.Pipeline
@@ -81,20 +84,22 @@ let forced instantiate ~cand ~rev =
   run_by_priority m ~order:[] ~fuel;
   Triage.observe inst
 
+type reference = {
+  serial : Triage.outcome * Triage.outcome;  (* in order, reversed *)
+  forced : Triage.outcome * Triage.outcome;  (* first access first, reversed *)
+}
+
 let reference instantiate ~cand =
   {
-    Triage.e_serial = serialized instantiate ~rev:false;
-    e_serial_rev = serialized instantiate ~rev:true;
-    e_forced = forced instantiate ~cand ~rev:false;
-    e_forced_rev = forced instantiate ~cand ~rev:true;
+    serial = (serialized instantiate ~rev:false, serialized instantiate ~rev:true);
+    forced = (forced instantiate ~cand ~rev:false, forced instantiate ~cand ~rev:true);
   }
 
-let reference_verdict (e : Triage.evidence) =
-  if
-    List.for_all (( = ) e.Triage.e_serial)
-      [ e.Triage.e_serial_rev; e.Triage.e_forced; e.Triage.e_forced_rev ]
-  then Triage.Benign
-  else Triage.Harmful
+let serial_orders_differ r = fst r.serial <> snd r.serial
+
+let reference_verdict r =
+  let s, s_rev = r.serial and f, f_rev = r.forced in
+  if List.for_all (( = ) s) [ s_rev; f; f_rev ] then Triage.Benign else Triage.Harmful
 
 (* ---- the campaign against it ---- *)
 
@@ -103,7 +108,7 @@ let analysis (e : Corpus.Corpus_def.entry) =
   | Ok (_, an) -> an
   | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
 
-(* [f e t instantiate cands] for every test of every entry, with its
+(* [f e an t instantiate cands] for every test of every entry, with its
    candidates at the Evaluate budget ([Error] when uninstantiable). *)
 let each_test entries f =
   List.iter
@@ -112,7 +117,7 @@ let each_test entries f =
       List.iter
         (fun t ->
           let instantiate = Pipeline.instantiator an t in
-          f e t instantiate (Campaign.candidates ~instantiate ~schedules ~seed ()))
+          f e an t instantiate (Campaign.candidates ~instantiate ~schedules ~seed ()))
         an.Pipeline.an_tests)
     entries
 
@@ -121,28 +126,35 @@ let check_outcome what (a : Triage.outcome) (b : Triage.outcome) =
   Alcotest.(check (list string)) (what ^ " crashes") a.o_crashes b.o_crashes;
   Alcotest.(check (list string)) (what ^ " returns") a.o_returns b.o_returns
 
-let check_evidence what (a : Triage.evidence) (b : Triage.evidence) =
-  check_outcome (what ^ " serial") a.e_serial b.e_serial;
-  check_outcome (what ^ " serial rev") a.e_serial_rev b.e_serial_rev;
-  check_outcome (what ^ " forced") a.e_forced b.e_forced;
-  check_outcome (what ^ " forced rev") a.e_forced_rev b.e_forced_rev
+let check_evidence what (r : reference) (e : Triage.evidence) =
+  check_outcome (what ^ " serial") (fst r.serial) e.e_serial;
+  check_outcome (what ^ " serial rev") (snd r.serial) e.e_serial_rev;
+  Alcotest.(check bool)
+    (what ^ " forced orders absent iff the serial orders differ")
+    (serial_orders_differ r) (e.e_forced = None);
+  Option.iter
+    (fun (f, f_rev) ->
+      check_outcome (what ^ " forced") (fst r.forced) f;
+      check_outcome (what ^ " forced rev") (snd r.forced) f_rev)
+    e.e_forced
 
 type tally = {
   mutable races : int;
   mutable late : int;  (* confirmed at run >= 1, run 0 unconfirmed *)
   mutable harmful : int;
+  mutable serial_decided : int;  (* the reference's serial orders differ *)
   mutable uninstantiable : int;
 }
 
 let test_equivalence () =
   let reg = Obs.Metrics.global () in
-  let n = { races = 0; late = 0; harmful = 0; uninstantiable = 0 } in
-  each_test (Corpus.Registry.all @ Corpus.Registry.extras) (fun e t instantiate -> function
+  let n = { races = 0; late = 0; harmful = 0; serial_decided = 0; uninstantiable = 0 } in
+  each_test (Corpus.Registry.all @ Corpus.Registry.extras) (fun e an t instantiate -> function
     | Error _ -> n.uninstantiable <- n.uninstantiable + 1
     | Ok cands ->
       let test = Campaign.test instantiate in
       let replays0 = Obs.Metrics.counter_value reg "triage/replays" in
-      let confirmed = ref 0 in
+      let confirmed = ref 0 and decided = ref 0 in
       List.iter2
         (fun (k, r) (o : Campaign.outcome) ->
           let c = o.Campaign.o_confirm in
@@ -158,6 +170,7 @@ let test_equivalence () =
                 (Race.key_to_string k)
             in
             let reference = reference instantiate ~cand:(Racefuzzer.candidate_of_report r) in
+            if serial_orders_differ reference then incr decided;
             check_evidence what reference ev;
             Alcotest.(check string) (what ^ " verdict")
               (Triage.verdict_to_string (reference_verdict reference))
@@ -169,9 +182,17 @@ let test_equivalence () =
          however many races it has, and none otherwise. *)
       Alcotest.(check int) "baseline replays per test"
         (if !confirmed > 0 then 2 else 0)
-        (Obs.Metrics.counter_value reg "triage/replays" - replays0));
+        (Obs.Metrics.counter_value reg "triage/replays" - replays0);
+      (* Evaluate counts the races whose serial orders decided. *)
+      let decided0 = Obs.Metrics.counter_value reg "triage/serial_decided" in
+      ignore (Eval.Evaluate.evaluate_test Eval.Evaluate.default_options an t);
+      Alcotest.(check int) "triage/serial_decided per test" !decided
+        (Obs.Metrics.counter_value reg "triage/serial_decided" - decided0);
+      n.serial_decided <- n.serial_decided + !decided);
   Alcotest.(check bool) "races compared" true (n.races > 1000);
   Alcotest.(check bool) "both verdicts seen" true (n.harmful > 0 && n.harmful < n.races);
+  Alcotest.(check bool) "harmful races decided either way" true
+    (n.serial_decided > 0 && n.serial_decided < n.harmful);
   Alcotest.(check bool) "some race confirmed only after run 0" true (n.late > 0);
   Alcotest.(check bool) "some test uninstantiable" true (n.uninstantiable > 0)
 
@@ -183,7 +204,7 @@ let test_equivalence () =
 let test_late_confirmation () =
   let found = ref 0 in
   each_test (List.filter_map Corpus.Registry.find [ "C1"; "C4"; "C6" ])
-    (fun _ _ instantiate cands ->
+    (fun _ _ _ instantiate cands ->
       let cands = Result.value ~default:[] cands in
       let test = Campaign.test instantiate in
       List.iter2
@@ -195,7 +216,9 @@ let test_late_confirmation () =
             let cand = Racefuzzer.candidate_of_report r in
             Alcotest.(check bool) "standalone confirm agrees" true
               (Racefuzzer.confirm ~instantiate ~cand ~runs ~seed () = c);
-            check_outcome "one outcome for both orders" ev.e_forced ev.e_forced_rev;
+            Option.iter
+              (fun (f, f_rev) -> check_outcome "one outcome for both orders" f f_rev)
+              ev.e_forced;
             check_evidence "late" (reference instantiate ~cand) ev;
             Alcotest.(check bool) "standalone triage agrees" true
               (Triage.triage ~instantiate ~cand ~seed () = Ok v)
@@ -211,7 +234,7 @@ let test_late_confirmation () =
    nothing. *)
 let test_uninstantiable () =
   let tests = ref [] in
-  each_test (List.filter_map Corpus.Registry.find [ "C3" ]) (fun _ _ instantiate cands ->
+  each_test (List.filter_map Corpus.Registry.find [ "C3" ]) (fun _ _ _ instantiate cands ->
       tests := (instantiate, cands) :: !tests);
   let report =
     List.find_map (function _, Ok ((_, r) :: _) -> Some r | _ -> None) !tests
