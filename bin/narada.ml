@@ -675,7 +675,7 @@ let fuzz_cmd =
              every synthesized test the first test's campaign triage \
              state; late-attach loses \
              the events of the step where a run becomes observed; \
-             guided-seed hands blind Guided a seed one higher \
+             guided-seed hands Guided a seed one higher \
              than Evaluate's and repair's) and check \
              that the differential oracles catch it.")
   in
@@ -834,7 +834,7 @@ let serve_cmd =
         match Corpus.Registry.find id with
         | None -> fail "error unknown corpus id %s" id
         | Some e -> (
-          match Eval.Guided.confirm_class ~seed ~mode:Eval.Guided.Guided e with
+          match Eval.Guided.confirm_class ~seed e with
           | Error msg -> fail "error confirm %s: %s" id msg
           | Ok gc ->
             Printf.sprintf "confirm %s ok candidates=%d confirmed=%d schedules=%d"

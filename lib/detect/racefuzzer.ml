@@ -339,48 +339,16 @@ let directed_runs (inst : instance) ~(cands : candidate array) ~seed ~fuel
   go (List.init (Array.length cands) Fun.id) 0 fuel;
   !executed
 
-(* A coverage-collecting directed execution: the same loop, but
+(* A coverage-collecting directed execution: [directed_run]'s loop at
+   the same seed, with an observer.  A trace recorder is attached for
+   HB-edge / lock-order features and recycled afterwards (the
+   instance's machine outlives the run), postponed-set states are
+   fingerprinted as they change, and a confirmed pair contributes a
+   racy-pair feature. *)
 
-   - every scheduler choice can be *forced* by a schedule prefix (choice
-     indices, taken modulo the number of enabled options), which is how
-     corpus entries are mutated — replay a recorded prefix, then let the
-     seeded RNG take over;
-   - the choices actually taken are recorded (capped) so a novel run can
-     be admitted to the corpus as a replayable (seed, prefix) entry;
-   - a trace recorder is attached for HB-edge / lock-order features and
-     recycled afterwards (the instance's machine outlives the run),
-     postponed-set states are fingerprinted as they change, and a
-     confirmed pair contributes a racy-pair feature. *)
+type run_cov = { rc_report : Race.report option; rc_stats : run_stats; rc_cov : Cov.Set.t }
 
-type run_cov = {
-  rc_report : Race.report option;
-  rc_stats : run_stats;
-  rc_choices : int list; (* scheduler choices taken, first [choice_cap] *)
-  rc_cov : Cov.Set.t;
-}
-
-let choice_cap = 64
-
-let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
-    ?(prefix = []) () : run_cov =
-  let rng = Rng.create seed in
-  let forced = ref prefix in
-  let taken = ref [] in
-  let n_taken = ref 0 in
-  let pick n =
-    let i =
-      match !forced with
-      | f :: rest ->
-        forced := rest;
-        ((f mod n) + n) mod n
-      | [] -> Rng.below rng n
-    in
-    if !n_taken < choice_cap then begin
-      taken := i :: !taken;
-      incr n_taken
-    end;
-    i
-  in
+let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel : run_cov =
   let cov = ref Cov.Set.empty in
   let on_postponed postponed =
     if Hashtbl.length postponed > 0 then
@@ -390,7 +358,9 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
       cov := Cov.Set.add Cov.Postponed (Cov.postponed_state state) !cov
   in
   let rec_ = Runtime.Trace.attach m in
-  let report, _, stats = postponing m ~cand ~pick ~on_postponed ~start:0 ~fuel in
+  let report, _, stats =
+    postponing m ~cand ~pick:(Rng.below (Rng.create seed)) ~on_postponed ~start:0 ~fuel
+  in
   let trace_cov = Cov.of_trace (Runtime.Trace.snapshot rec_) in
   Runtime.Trace.recycle rec_;
   let racy =
@@ -402,12 +372,7 @@ let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
         !cov
     | None -> !cov
   in
-  {
-    rc_report = report;
-    rc_stats = stats;
-    rc_choices = List.rev !taken;
-    rc_cov = Cov.Set.union racy trace_cov;
-  }
+  { rc_report = report; rc_stats = stats; rc_cov = Cov.Set.union racy trace_cov }
 
 type confirm_result = { confirmed : Race.report option; runs_used : int; steps : int }
 
@@ -502,124 +467,3 @@ let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs
 let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
     ?(seed = 7L) ?jobs:_ () : confirm_result =
   fst (confirm_all ~instantiate ~cands:[| cand |] ~runs ~seed ~settle:ignore).(0)
-
-(* Coverage-guided confirmation.
-
-   Blind [confirm] spends its full run budget on every unconfirmable
-   candidate.  The guided loop instead works in *rounds*: each round
-   derives a batch of run specs purely from (base seed, round number,
-   corpus state at the round boundary) — slot 0 of round 0 is the exact
-   blind first run, later slots mutate the highest-gain corpus entries
-   by replaying a truncated choice prefix under a derived seed.  The
-   batch's slots run in slot order, each folded back as it ends:
-   coverage novelty is credited sequentially, and the first
-   confirmation (or instantiation failure) ends the loop before any
-   later slot runs, so the runs and metrics are exactly that prefix.
-   A round that yields no new coverage anywhere bumps a plateau
-   counter; [guided_plateau] dry rounds in a row stop the search early.
-
-   Because specs depend only on the corpus at the round start and
-   merging is in slot order, the outcome — confirmation, schedule
-   count, corpus content — is reproducible from (seed, corpus
-   snapshot). *)
-
-type guided_result = {
-  g_confirmed : Race.report option;
-  g_schedules : int;
-  g_steps : int;
-}
-
-type spec = { sp_seed : int64; sp_prefix : int list }
-
-let guided_budget = 6
-let guided_batch = 2
-let guided_plateau = 1
-
-let confirm_guided ~(instantiate : instantiator) ~(cand : candidate) ?(seed = 7L)
-    ~(corpus : Cov.Corpus.t) () : guided_result =
-  let blind_seed i = Int64.add seed (Int64.of_int (i * 7919)) in
-  let spec_for ~ranked idx =
-    if idx = 0 then { sp_seed = blind_seed 0; sp_prefix = [] }
-    else
-      match ranked with
-      | [] -> { sp_seed = blind_seed idx; sp_prefix = [] }
-      | top :: _ ->
-        (* Rotate over the top 3 entries; keep a deterministic,
-           idx-dependent truncation of the parent's recorded choices. *)
-        let pool = List.filteri (fun i _ -> i < 3) ranked in
-        let parent =
-          Option.value ~default:top
-            (List.nth_opt pool ((idx - 1) mod List.length pool))
-        in
-        let plen = List.length parent.Cov.Corpus.en_prefix in
-        let keep = if plen = 0 then 0 else idx * 7 mod (plen + 1) in
-        {
-          sp_seed = Par.seed ~base:parent.Cov.Corpus.en_seed ~index:idx;
-          sp_prefix =
-            List.filteri (fun i _ -> i < keep) parent.Cov.Corpus.en_prefix;
-        }
-  in
-  let run_spec sp =
-    match instantiate () with
-    | Error _ -> Error ()
-    | Ok inst ->
-      Ok
-        (directed_run_cov inst.ri_machine ~cand ~seed:sp.sp_seed ~fuel
-           ~prefix:sp.sp_prefix ())
-  in
-  let reg = Obs.Metrics.global () in
-  let confirmed = ref None in
-  let schedules = ref 0 in
-  let steps = ref 0 in
-  let dry = ref 0 in
-  let stop = ref false in
-  let round = ref 0 in
-  while not !stop do
-    let n = min guided_batch (guided_budget - !schedules) in
-    if n <= 0 then stop := true
-    else begin
-      let ranked = Cov.Corpus.ranked corpus in
-      let base = !round * guided_batch in
-      let specs = List.init n (fun j -> spec_for ~ranked (base + j)) in
-      let round_gain = ref 0 in
-      (* A slot runs only when the fold reaches it: the specs are fixed
-         at the round start, and no run reads the corpus. *)
-      (try
-         List.iter
-           (fun sp ->
-             match run_spec sp with
-             | Error () ->
-               stop := true;
-               raise Exit
-             | Ok rc ->
-               incr schedules;
-               steps := !steps + rc.rc_stats.rs_steps;
-               Obs.Metrics.observe reg "racefuzzer/guided/steps"
-                 rc.rc_stats.rs_steps;
-               let gain =
-                 Cov.Corpus.note corpus ~seed:sp.sp_seed ~prefix:rc.rc_choices
-                   rc.rc_cov
-               in
-               if gain > 0 then
-                 Obs.Metrics.incr ~n:gain reg "racefuzzer/guided/novelty";
-               round_gain := !round_gain + gain;
-               (match rc.rc_report with
-               | Some r ->
-                 confirmed := Some r;
-                 stop := true;
-                 raise Exit
-               | None -> ()))
-           specs
-       with Exit -> ());
-      if not !stop then
-        if !round_gain = 0 then begin
-          incr dry;
-          if !dry >= guided_plateau then stop := true
-        end
-        else dry := 0;
-      incr round
-    end
-  done;
-  if !confirmed <> None then
-    Obs.Metrics.observe reg "racefuzzer/guided/runs_to_confirm" !schedules;
-  { g_confirmed = !confirmed; g_schedules = !schedules; g_steps = !steps }

@@ -26,15 +26,15 @@ type instantiator = unit -> (instance, string) result
     instantiators copy one template machine per call). *)
 
 val fuel : int
-(** 200,000: the step bound of every directed run ({!confirm_all},
-    {!confirm}, {!confirm_guided}), every triage run
-    ([Triage.baselines], [Triage.forced], [Triage.triage]), every
-    coverage-collecting directed run ({!directed_run_cov} in
-    [Eval.Coverage]) and repair's seed recording
-    ([Repair.Engine.record]).  Triage forks from where a confirmation's
-    run 0 stopped, with the fuel it had left, so the two agree with a
-    from-scratch replay only at one shared bound.  The loops below that
-    take [~fuel] count the fuel left. *)
+(** 200,000: the step bound of every directed run ({!confirm_all}, and
+    {!confirm} in the benchmark harness, the examples and the tests),
+    every triage run ([Triage.baselines], [Triage.forced],
+    [Triage.triage]), every coverage-collecting directed run
+    ({!directed_run_cov} in [Eval.Coverage]) and repair's seed
+    recording ([Repair.Engine.record]).  Triage forks from where a
+    confirmation's run 0 stopped, with the fuel it had left, so the two
+    agree with a from-scratch replay only at one shared bound.  The
+    loops below that take [~fuel] count the fuel left. *)
 
 (** What to look for: a field name, optionally narrowed to two sites. *)
 type candidate = {
@@ -68,9 +68,9 @@ type run_end = {
 val directed_run :
   instance -> cand:candidate -> seed:int64 -> fuel:int -> run_end * run_stats
 (** One directed execution of the instance, stopping at the first
-    simultaneously enabled conflicting pair.  This and
-    {!directed_run_cov} run the one postponing loop; here every choice
-    is a draw from the scheduler's RNG, seeded [seed]. *)
+    simultaneously enabled conflicting pair; every choice is a draw
+    from the scheduler's RNG, seeded [seed].  {!directed_run_cov} runs
+    the same loop with a coverage observer. *)
 
 val continue_run :
   instance -> Rng.t -> cand:candidate -> start:int -> fuel:int -> run_end * run_stats
@@ -149,67 +149,25 @@ val confirm :
   confirm_result
 (** Attempt to confirm the candidate over [runs] (default 10) directed
     runs with different scheduler seeds, from [seed] (default 7):
-    {!confirm_all} of one candidate.  [jobs]
-    is accepted and ignored: the runs are sequential, and callers fan
-    out over tests or races instead.  The label stays only until the
-    benchmark harness, which still passes it, stops doing so. *)
+    {!confirm_all} of one candidate.  The library confirms through
+    {!confirm_all}; this is for the benchmark harness, the examples and
+    the tests.  [jobs] is accepted and ignored: the runs are
+    sequential, and callers fan out over tests or races instead.  The
+    label stays only until the benchmark harness, which still passes
+    it, stops doing so. *)
 
-(** {2 Coverage-guided confirmation} *)
+(** {2 Coverage observation} *)
 
 type run_cov = {
   rc_report : Race.report option;
   rc_stats : run_stats;
-  rc_choices : int list;
-      (** scheduler choices actually taken (first 64), replayable as a
-          schedule prefix *)
   rc_cov : Cov.Set.t;  (** interleaving coverage of this execution *)
 }
 
 val directed_run_cov :
-  Runtime.Machine.t ->
-  cand:candidate ->
-  seed:int64 ->
-  fuel:int ->
-  ?prefix:int list ->
-  unit ->
-  run_cov
-(** {!directed_run}'s loop on the instance's machine, with a different
-    choice source and an observer: scheduler choices can be forced by
-    [prefix] (indices mod the enabled count; the seeded RNG takes over
-    past its end), the taken choices are recorded, and interleaving
-    coverage (postponed-set states, racy pairs, HB edges, lock orders
-    from an attached-and-recycled trace recorder) is returned.  With
-    [prefix = []] the run is {!directed_run}'s at the same seed: same
-    report, stats and final state.  Forced choices draw nothing, so the
-    RNG takes over past the prefix from the start of its stream:
-    forcing a run's [rc_choices] at its seed gives the whole run back
-    when it made at most 64 steps (one choice per step), and its first
-    64 steps otherwise. *)
-
-type guided_result = {
-  g_confirmed : Race.report option;
-  g_schedules : int;  (** directed runs actually executed *)
-  g_steps : int;
-}
-
-val guided_budget : int
-(** 6: the most directed runs {!confirm_guided} spends on a candidate,
-    and the blind runs [Eval.Guided] gives a race key's first
-    occurrence. *)
-
-val confirm_guided :
-  instantiate:instantiator ->
-  cand:candidate ->
-  ?seed:int64 ->
-  corpus:Cov.Corpus.t ->
-  unit ->
-  guided_result
-(** Novelty-guided replacement for blind {!confirm}: rounds of 2 run
-    specs derived deterministically from (seed, round, corpus); slot 0
-    of round 0 reproduces blind run 0, later slots mutate the
-    top-ranked corpus entries.  Stops at the first confirmation, after
-    a round with zero coverage novelty, or at {!guided_budget} total
-    runs, each of at most {!fuel} steps.  Novel runs are admitted into
-    [corpus] — shared across candidates of a class, it is what lets
-    later candidates stop early.  Reproducible from (seed, corpus
-    snapshot). *)
+  Runtime.Machine.t -> cand:candidate -> seed:int64 -> fuel:int -> run_cov
+(** {!directed_run}'s loop on the instance's machine at the same seed,
+    with an observer: interleaving coverage (postponed-set states, racy
+    pairs, HB edges, lock orders from an attached-and-recycled trace
+    recorder) is returned.  The run is {!directed_run}'s: same report,
+    stats and final state. *)

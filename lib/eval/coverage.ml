@@ -75,7 +75,7 @@ let test_coverage (an : Narada_core.Pipeline.analysis)
             Detect.Racefuzzer.directed_run_cov
               inst.Detect.Racefuzzer.ri_machine
               ~cand:(Detect.Racefuzzer.candidate_of_report r)
-              ~seed ~fuel:Detect.Racefuzzer.fuel ()
+              ~seed ~fuel:Detect.Racefuzzer.fuel
           in
           Cov.Set.union acc rc.Detect.Racefuzzer.rc_cov)
       cov directed

@@ -1,18 +1,13 @@
-(** Blind vs coverage-guided confirmation sweeps over a corpus class:
-    the same candidate enumeration ({!Detect.Campaign.candidates}), then either the fixed blind
-    budget for every occurrence (a test's candidates together, by
-    {!Detect.Racefuzzer.confirm_all}), or the guided
-    policy sharing one coverage corpus across the class — the full
-    {!Detect.Racefuzzer.guided_budget} of blind runs for the first
-    occurrence of each race key, zero schedules for recurrences of
-    confirmed pairs (their racy-pair feature is in the corpus), and
-    {!Detect.Racefuzzer.confirm_guided}'s novelty-plateau runs for
-    recurrences of failed keys.
-    Guided confirms everything blind confirms, with fewer schedules.
-    Backs the serve daemon's confirm requests; test_campaign.ml pins
-    both modes' confirmed sets and schedule counts on C1-C9. *)
-
-type mode = Blind of { runs : int } | Guided
+(** Race confirmation over a corpus class, each race key confirmed
+    once: per synthesized test, the candidates of
+    {!Detect.Campaign.candidates} (2 lockset schedules) whose key no
+    earlier test of the class confirmed, together over 6 directed runs
+    by {!Detect.Racefuzzer.confirm_all}.  A batch gives each candidate
+    exactly its own runs, so the confirmed keys are those of confirming
+    every candidate of every test.  Backs the serve daemon's confirm
+    requests and Crucible's campaign-agreement oracle;
+    test_campaign.ml pins the confirmed sets and schedule counts on
+    C1-C9. *)
 
 type class_confirm = {
   gc_tests : int;
@@ -22,21 +17,12 @@ type class_confirm = {
 }
 
 val confirm_analysis :
-  ?schedules:int ->
-  ?seed:int64 ->
-  mode:mode ->
-  Narada_core.Pipeline.analysis ->
-  class_confirm
-(** The sweep over every test of an analysis: [schedules] (default 2)
-    lockset schedules per test from [seed] (default 7).  In guided mode
-    one fresh coverage corpus accumulates across the analysis's
-    candidates. *)
+  ?seed:int64 -> Narada_core.Pipeline.analysis -> class_confirm
+(** The sweep over every test of an analysis, its lockset schedules and
+    directed runs seeded from [seed] (default 7). *)
 
 val confirm_class :
-  ?seed:int64 ->
-  mode:mode ->
-  Corpus.Corpus_def.entry ->
-  (class_confirm, string) result
+  ?seed:int64 -> Corpus.Corpus_def.entry -> (class_confirm, string) result
 (** {!confirm_analysis} over the entry's analysis
-    ({!Evaluate.analyze_entry}) at 2 schedules; a compile or pipeline
-    error comes back as [Error]. *)
+    ({!Evaluate.analyze_entry}); a compile or pipeline error comes back
+    as [Error]. *)

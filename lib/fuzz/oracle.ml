@@ -790,20 +790,20 @@ let repair_closes ?mutate ~seed cu =
 
 (* ---- one answer across entry points ---- *)
 
-(* Evaluate, blind Guided and repair discovery all confirm races through
+(* Evaluate, Guided and repair discovery all confirm races through
    [Detect.Campaign], so at one seed and one budget (2 lockset
    schedules, 6 directed runs) they must confirm the same races:
-   Evaluate's confirmed keys, blind Guided's, and repair's targets,
-   which are those keys folded to race ids.  They must enumerate the
-   same candidates too: Evaluate's and Guided's per-test counts sum to
-   the same total, and repair detects Evaluate's candidate keys folded
-   to race ids.  On generated programs other lockset schedules change
-   a test's candidates more often than the confirmed set, so the counts
-   are the sharper check.  The
-   analysis, the lockset schedules and the directed runs all use the
-   one derived seed, as repair does.  The [guided-seed] mutation hands
-   Guided that seed plus one: the bug class of an entry point that
-   derives its own seeds. *)
+   Evaluate's confirmed keys, Guided's (which confirms each key once),
+   and repair's targets, which are those keys folded to race ids.  They
+   must enumerate the same candidates too: Evaluate's and Guided's
+   per-test counts sum to the same total, and repair detects Evaluate's
+   candidate keys folded to race ids.  On generated programs other
+   lockset schedules change a test's candidates more often than the
+   confirmed set, so the counts are the sharper check.  The analysis,
+   the lockset schedules and the directed runs all use the one derived
+   seed, as repair does.  The [guided-seed] mutation hands Guided that
+   seed plus one: the bug class of an entry point that derives its own
+   seeds. *)
 let campaign_agreement ?mutate ~seed cu =
   let seed = replay_seed seed and schedules = 2 and runs = 6 in
   match
@@ -838,8 +838,7 @@ let campaign_agreement ?mutate ~seed cu =
     let evaluated = keys_where (fun ro -> ro.ro_reproduced) in
     let guided_seed = if mutate = Some Guided_seed then Int64.succ seed else seed in
     let guided =
-      Eval.Guided.confirm_analysis ~schedules ~seed:guided_seed
-        ~mode:(Eval.Guided.Blind { runs }) an
+      Eval.Guided.confirm_analysis ~seed:guided_seed an
     in
     let only a b = List.filter (fun x -> not (List.mem x b)) a in
     let differ what a b =
@@ -861,11 +860,11 @@ let campaign_agreement ?mutate ~seed cu =
     in
     let candidates = List.fold_left (fun n races -> n + List.length races) 0 outcomes in
     if keys evaluated <> keys guided.Eval.Guided.gc_confirmed then
-      differ "Evaluate and blind Guided confirm different races" (keys evaluated)
+      differ "Evaluate and Guided confirm different races" (keys evaluated)
         (keys guided.Eval.Guided.gc_confirmed)
     else if candidates <> guided.Eval.Guided.gc_candidates then
       Fail
-        (Printf.sprintf "Evaluate and blind Guided enumerate different candidates: %d vs %d"
+        (Printf.sprintf "Evaluate and Guided enumerate different candidates: %d vs %d"
            candidates guided.Eval.Guided.gc_candidates)
     else
       let sub =

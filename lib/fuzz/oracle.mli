@@ -46,7 +46,7 @@ type mutation =
           unobserved after the label it compares from, so the events of
           that step are lost *)
   | Guided_seed
-      (** make the campaign-agreement oracle seed blind Guided's lockset
+      (** make the campaign-agreement oracle seed Guided's lockset
           schedules one higher than the other entry points' *)
 
 val mutation_of_string : string -> (mutation, string) result
@@ -103,7 +103,7 @@ val check :
       lock-order pair — and the accepted patch is minimal: every
       cheaper grammar candidate was tried and rejected;
     - ["campaign-agreement"]: at one seed and one budget (2 lockset
-      schedules, 6 directed runs), {!Eval.Evaluate} and blind
+      schedules, 6 directed runs), {!Eval.Evaluate} and
       {!Eval.Guided} confirm the same race keys, and repair discovery's
       targets are exactly those keys folded to race ids. *)
 

@@ -1,13 +1,15 @@
 (* The detection-campaign driver and the one answer it gives.
 
    [Detect.Campaign.candidates] is the only lockset pass the evaluation
-   harness, guided confirmation, repair and the benchmark run, so at one
-   budget they must confirm the same races: on C1-C9 at 2 schedules and
-   6 directed runs, Evaluate and blind Guided confirm the same 659 keys,
-   and repair's targets are exactly those keys folded to race ids (434
-   at seed 7, 437 at seed 42).  The default Evaluate budget (3
-   schedules) gives the Table 5 anchor, 660 reproduced / 538 harmful /
-   122 benign. *)
+   harness, Guided, repair and the benchmark run, so at one budget they
+   must confirm the same races: on C1-C9 at 2 schedules and 6 directed
+   runs, Evaluate and Guided confirm the same 659 keys, and repair's
+   targets are exactly those keys folded to race ids (434 at seed 7,
+   437 at seed 42).  Guided confirms each key once per class and finds
+   the keys confirming every candidate finds: 659 in 1,422 directed
+   runs where that spends 2,677 at seed 7, 677 in 1,481 where it spends
+   2,735 at seed 42.  The default Evaluate budget (3 schedules) gives
+   the Table 5 anchor, 660 reproduced / 538 harmful / 122 benign. *)
 
 module Pipeline = Narada_core.Pipeline
 module Campaign = Detect.Campaign
@@ -101,13 +103,11 @@ let evaluate ~schedules ~seed : confirmed =
              ce.Eval.Evaluate.cl_test_evals)
        (Eval.Evaluate.evaluate_corpus ~opts classes))
 
-let guided_blind () : confirmed =
+let guided () : confirmed =
   sort_confirmed
     (List.concat_map
        (fun (e : Corpus.Corpus_def.entry) ->
-         match
-           Eval.Guided.confirm_class ~seed:7L ~mode:(Eval.Guided.Blind { runs = 6 }) e
-         with
+         match Eval.Guided.confirm_class ~seed:7L e with
          | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
          | Ok gc ->
            List.map
@@ -154,8 +154,8 @@ let show (xs : confirmed) =
 let test_one_answer () =
   let eval7 = evaluate ~schedules:2 ~seed:7L in
   Alcotest.(check int) "Evaluate at 2 schedules" 659 (List.length eval7);
-  Alcotest.(check (list string)) "blind Guided confirms Evaluate's keys"
-    (show eval7) (show (guided_blind ()));
+  Alcotest.(check (list string)) "Guided confirms Evaluate's keys"
+    (show eval7) (show (guided ()));
   let targets7 = repair_targets ~seed:7L in
   Alcotest.(check int) "repair targets at seed 7" 434 (List.length targets7);
   Alcotest.(check (list (pair string string))) "repair targets = keys folded to race ids"
@@ -231,50 +231,85 @@ let test_table5_anchor () =
     (Some (float_of_int confirm_vm_steps))
     (List.assoc_opt "racefuzzer/vm_steps" (Obs.Metrics.gauges reg))
 
-(* ---- blind vs guided confirmation ---- *)
+(* ---- each race key confirmed once ---- *)
 
-(* Blind (6 directed runs per candidate) against guided confirmation
-   (one coverage corpus per class, novelty plateau) at the defaults:
-   (class, candidates, confirmed blind, confirmed guided, blind
-   schedules, guided schedules).  Both modes confirm the same keys;
-   guided spends 1,162 schedules where blind spends 2,677. *)
-let blind_vs_guided =
-  [
-    ("C1", 160, 77, 77, 196, 114);
-    ("C2", 178, 78, 78, 252, 129);
-    ("C3", 18, 18, 18, 18, 18);
-    ("C4", 20, 18, 18, 31, 31);
-    ("C5", 465, 275, 275, 747, 506);
-    ("C6", 882, 157, 157, 1350, 295);
-    ("C7", 4, 4, 4, 7, 7);
-    ("C8", 36, 24, 24, 56, 42);
-    ("C9", 10, 8, 8, 20, 20);
-  ]
-
-let test_blind_vs_guided () =
-  let confirm mode e =
-    match Eval.Guided.confirm_class ~mode e with
-    | Ok gc -> gc
-    | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+(* The blind reference: per test, every candidate confirmed over 6
+   directed runs ([confirm_all]), at the seeds Guided uses.  Its
+   distinct confirmed keys, sorted, and the directed runs it spends. *)
+let blind ~seed (an : Pipeline.analysis) =
+  let keys, spent =
+    List.fold_left
+      (fun (keys, spent) t ->
+        let instantiate = Pipeline.instantiator an t in
+        match Campaign.candidates ~instantiate ~schedules:2 ~seed () with
+        | Error _ -> (keys, spent)
+        | Ok cands ->
+          let results =
+            Detect.Racefuzzer.confirm_all ~instantiate
+              ~cands:
+                (Array.of_list
+                   (List.map (fun (_, r) -> Detect.Racefuzzer.candidate_of_report r) cands))
+              ~runs:6 ~seed ~settle:ignore
+          in
+          List.fold_left2
+            (fun (keys, spent) (k, _) ((c : Detect.Racefuzzer.confirm_result), _) ->
+              ((if c.confirmed <> None then k :: keys else keys), spent + c.runs_used))
+            (keys, spent) cands (Array.to_list results))
+      ([], 0) an.Pipeline.an_tests
   in
-  let totals =
+  (List.sort_uniq Detect.Race.compare_key keys, spent)
+
+(* Per class (candidates, keys, Guided's schedules), then the totals
+   (keys, Guided's schedules, the blind reference's schedules).  Guided
+   confirms the reference's keys exactly, skipping the candidates whose
+   key the class has confirmed. *)
+let once_7 =
+  ( [
+      ("C1", 160, 77, 114);
+      ("C2", 178, 78, 137);
+      ("C3", 18, 18, 18);
+      ("C4", 20, 18, 31);
+      ("C5", 465, 275, 604);
+      ("C6", 882, 157, 443);
+      ("C7", 4, 4, 7);
+      ("C8", 36, 24, 48);
+      ("C9", 10, 8, 20);
+    ],
+    (659, 1422, 2677) )
+
+let once_42 =
+  ( [
+      ("C1", 166, 83, 126);
+      ("C2", 181, 79, 137);
+      ("C3", 18, 18, 18);
+      ("C4", 20, 18, 31);
+      ("C5", 481, 288, 648);
+      ("C6", 861, 154, 447);
+      ("C7", 5, 5, 6);
+      ("C8", 36, 24, 48);
+      ("C9", 10, 8, 20);
+    ],
+    (677, 1481, 2735) )
+
+let test_once ~seed (rows, totals) () =
+  let got =
     List.fold_left2
-      (fun (tb, tg) (e : Corpus.Corpus_def.entry) (id, cands, cb, cg, sb, sg) ->
+      (fun (tk, tg, tb) (e : Corpus.Corpus_def.entry) (id, cands, keys, sched) ->
         Alcotest.(check string) "class order" id e.Corpus.Corpus_def.e_id;
-        let b = confirm (Eval.Guided.Blind { runs = 6 }) e in
-        let g = confirm Eval.Guided.Guided e in
+        let an = analysis id in
+        let g = Eval.Guided.confirm_analysis ~seed an in
+        let bkeys, bsched = blind ~seed an in
         let check name = Alcotest.(check int) (id ^ " " ^ name) in
-        check "candidates" cands b.Eval.Guided.gc_candidates;
-        check "confirmed blind" cb (List.length b.Eval.Guided.gc_confirmed);
-        check "confirmed guided" cg (List.length g.Eval.Guided.gc_confirmed);
-        check "schedules blind" sb b.Eval.Guided.gc_schedules;
-        check "schedules guided" sg g.Eval.Guided.gc_schedules;
-        let keys gc = List.map Detect.Race.key_to_string gc.Eval.Guided.gc_confirmed in
-        Alcotest.(check (list string)) (id ^ " same confirmed keys") (keys b) (keys g);
-        (tb + b.Eval.Guided.gc_schedules, tg + g.Eval.Guided.gc_schedules))
-      (0, 0) classes blind_vs_guided
+        check "candidates" cands g.Eval.Guided.gc_candidates;
+        check "keys" keys (List.length g.Eval.Guided.gc_confirmed);
+        check "schedules" sched g.Eval.Guided.gc_schedules;
+        let show = List.map Detect.Race.key_to_string in
+        Alcotest.(check (list string)) (id ^ " keys = blind reference's") (show bkeys)
+          (show g.Eval.Guided.gc_confirmed);
+        (tk + keys, tg + g.Eval.Guided.gc_schedules, tb + bsched))
+      (0, 0, 0) classes rows
   in
-  Alcotest.(check (pair int int)) "total schedules blind / guided" (2677, 1162) totals
+  Alcotest.(check (triple int int int)) "keys, schedules, blind schedules" totals got
 
 let () =
   Alcotest.run "campaign"
@@ -288,7 +323,9 @@ let () =
         [
           Alcotest.test_case "eval, guided and repair agree" `Slow test_one_answer;
           Alcotest.test_case "Table 5 anchor 660/538/122" `Slow test_table5_anchor;
-          Alcotest.test_case "blind vs guided schedules 2677/1162" `Slow
-            test_blind_vs_guided;
+          Alcotest.test_case "each key once, seed 7: 659/1422/2677" `Slow
+            (test_once ~seed:7L once_7);
+          Alcotest.test_case "each key once, seed 42: 677/1481/2735" `Slow
+            (test_once ~seed:42L once_42);
         ] );
     ]
