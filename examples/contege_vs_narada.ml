@@ -41,15 +41,16 @@ let () =
               ignore
                 (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
                    (Conc.Scheduler.random ~seed:5L));
-              List.iter
-                (fun cand ->
-                  let c = Detect.Racefuzzer.candidate_of_report cand in
-                  if
-                    (Detect.Racefuzzer.confirm ~instantiate ~cand:c ~runs:4 ())
-                      .Detect.Racefuzzer.confirmed
-                    <> None
-                  then incr confirmed)
-                (Detect.Lockset.candidates ls))
+              let cands =
+                Array.of_list
+                  (List.map Detect.Racefuzzer.candidate_of_report
+                     (Detect.Lockset.candidates ls))
+              in
+              Array.iter
+                (fun ((c : Detect.Racefuzzer.confirm_result), _) ->
+                  if c.Detect.Racefuzzer.confirmed <> None then incr confirmed)
+                (Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:4 ~seed:7L
+                   ~settle:ignore))
           an.Narada_core.Pipeline.an_tests;
         Printf.printf
           "  narada : %d directed tests -> %d confirmed racy executions (%.2fs synthesis)\n"

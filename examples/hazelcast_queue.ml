@@ -69,11 +69,16 @@ let () =
         Printf.printf "  %s\n" (Detect.Race.key_to_string (Detect.Race.key_of cand)))
       (Detect.Lockset.candidates ls);
     print_endline "\ndirected confirmation (RaceFuzzer) + triage:";
-    List.iter
-      (fun cand ->
-        let c = Detect.Racefuzzer.candidate_of_report cand in
-        let res = Detect.Racefuzzer.confirm ~instantiate ~cand:c () in
-        match res.Detect.Racefuzzer.confirmed with
+    let cands =
+      Array.of_list
+        (List.map Detect.Racefuzzer.candidate_of_report (Detect.Lockset.candidates ls))
+    in
+    let results =
+      Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:10 ~seed:7L ~settle:ignore
+    in
+    Array.iteri
+      (fun i c ->
+        match (fst results.(i)).Detect.Racefuzzer.confirmed with
         | Some rep ->
           let verdict =
             match Detect.Triage.triage ~instantiate ~cand:c () with
@@ -82,7 +87,7 @@ let () =
           in
           Printf.printf "  CONFIRMED [%s]\n%s\n" verdict (Detect.Race.to_string rep)
         | None -> ())
-      (Detect.Lockset.candidates ls));
+      cands);
 
   print_endline "\nThe fix (adopted upstream, hazelcast#4039): the wrapper";
   print_endline "must synchronize on the wrapped queue, not on itself."

@@ -83,11 +83,17 @@ let () =
         Printf.printf "   lockset candidates: %d, fasttrack reports: %d\n"
           (List.length (Detect.Lockset.candidates ls))
           (List.length (Detect.Fasttrack.reports ft));
-        List.iter
-          (fun cand ->
-            let c = Detect.Racefuzzer.candidate_of_report cand in
-            let res = Detect.Racefuzzer.confirm ~instantiate ~cand:c () in
-            match res.Detect.Racefuzzer.confirmed with
+        let reports = Detect.Lockset.candidates ls in
+        let cands = Array.of_list (List.map Detect.Racefuzzer.candidate_of_report reports) in
+        (* Every candidate of the test in one batch: they share each
+           directed run until their first matching access. *)
+        let results =
+          Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:10 ~seed:7L ~settle:ignore
+        in
+        List.iteri
+          (fun i cand ->
+            let c = cands.(i) in
+            match (fst results.(i)).Detect.Racefuzzer.confirmed with
             | Some rep ->
               let verdict =
                 match Detect.Triage.triage ~instantiate ~cand:c () with
@@ -99,7 +105,7 @@ let () =
             | None ->
               Printf.printf "   not reproduced: %s\n"
                 (Detect.Race.key_to_string (Detect.Race.key_of cand)))
-          (Detect.Lockset.candidates ls))
+          reports)
     an.Narada_core.Pipeline.an_tests;
 
   print_endline "\nDone.  The update x update test is the paper's scenario:";

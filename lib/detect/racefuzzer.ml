@@ -74,12 +74,21 @@ let conflicting (a : Runtime.Machine.pending_access)
   && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
   && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
 
-(* Dense per-tid mirrors used by the directed loop below: tids are
-   small consecutive ints, so per-step membership tests and the
-   pending-access memo live in growable arrays instead of hashtables.
-   The [postponed] hashtable itself is kept — its fold order decides
-   which conflicting pair is reported first, and that order is pinned
-   by the cram suite — but the per-step paths only touch the arrays. *)
+(* Is [th] at one of the candidate's sites?  A narrowed candidate's
+   matching access is at one of its two sites, so a thread elsewhere is
+   rejected on its top frame's pc and method, without decoding its
+   instruction or building its pending access; a field-only candidate
+   lets every thread through to the decode. *)
+let at_candidate_site (cand : candidate) th =
+  match cand.c_sites with
+  | None -> true
+  | Some (s1, s2) -> Runtime.Machine.at_site_th th s1 || Runtime.Machine.at_site_th th s2
+
+(* The postponed set's dense per-tid mirror: tids are small consecutive
+   ints, so the per-step membership tests read a growable array instead
+   of the [postponed] hashtable.  The hashtable itself is kept, since
+   its fold order decides which conflicting pair is reported first, and
+   that order is pinned by the cram suite. *)
 type 'a tidmap = { mutable slots : 'a array; default : 'a }
 
 let tidmap default = { slots = Array.make 8 default; default }
@@ -93,29 +102,6 @@ let tid_slot tm tid =
     tm.slots <- bigger
   end;
   tid
-
-(* A thread's pending access only changes when that thread itself steps
-   (it reads the thread's own registers and pc), so the directed loops
-   memoize it per tid and invalidate it on step instead of re-decoding
-   the next instruction of every runnable thread on every scheduler
-   iteration.  Returns the memoized [pending_access_th] and the step
-   that invalidates. *)
-let pending_memo m =
-  let memo : Runtime.Machine.pending_access option option tidmap = tidmap None in
-  let pending th =
-    let i = tid_slot memo (Runtime.Machine.thread_id th) in
-    match memo.slots.(i) with
-    | Some v -> v
-    | None ->
-      let v = Runtime.Machine.pending_access_th m th in
-      memo.slots.(i) <- Some v;
-      v
-  in
-  let step th =
-    ignore (Runtime.Machine.step_th m th);
-    memo.slots.(tid_slot memo (Runtime.Machine.thread_id th)) <- None
-  in
-  (pending, step)
 
 (* Where a directed run stopped: at the confirmation, with both racing
    threads poised at their accesses, or at the end of an unconfirmed
@@ -153,97 +139,120 @@ let conflicting_pair poised =
    [rs_steps] count from the start of the run.  (A rebuilt table may
    fold three or more postponed threads in another order than the one
    built along the run, and so report another of their conflicting
-   pairs.)  Every walk is over the
-   machine's live threads: the refresh, the not-postponed pick and the
-   postponed pick all reject a suspended, finished or crashed thread (a
-   postponed thread has not stepped since it was poised, so it is
-   live), and [pick_where] counts only what it accepts, so the picks are
-   those of a walk over every thread.  [on_postponed] sees the
-   postponed set whenever it changes.  Returns the report, the fuel
-   left where the run stopped, and the run's stats. *)
+   pairs.)  Every walk is over the machine's live threads: the
+   not-postponed pick and the postponed pick both reject a suspended,
+   finished or crashed thread (a postponed thread has not stepped since
+   it was poised, so it is live), and [pick_where] counts only what it
+   accepts, so the picks are those of a walk over every thread.
+
+   A step changes the postponed set only through the thread that took
+   it.  A thread's pending access reads its own top frame and registers
+   (and the class objects, which only [Machine.create] writes), so it
+   changes only when that thread steps; and a thread poised at an
+   access is never blocked (threads block only at a monitor enter or a
+   join, and stay at that instruction), so a thread that did not step
+   cannot newly become runnable and poised.  The whole live list is
+   scanned, in live order, when the run starts and whenever a step
+   replaced it (a spawn or a retirement; the machine's list is then
+   another list); after any other step only the thread that stepped is
+   looked at.  Either way the threads postponed, and the order they
+   enter the table, are those of a scan of every live thread before
+   every pick.  [on_postponed] sees the postponed set whenever it
+   changes.  Returns the report, the fuel left where the run stopped,
+   and the run's stats. *)
 let postponing m ~(cand : candidate) ~pick ~on_postponed ~start ~fuel =
   let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
     Hashtbl.create 4
   in
   let in_postponed = tidmap false in
-  let steps = ref start in
   let max_postponed = ref 0 in
-  let result = ref None in
-  let pending, step_pending = pending_memo m in
-  let step_th th =
-    step_pending th;
-    incr steps
-  in
-  let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
+  let is_postponed tid = tid < Array.length in_postponed.slots && in_postponed.slots.(tid) in
   let postponed_th th = is_postponed (Runtime.Machine.thread_id th) in
+  let runnable th = Runtime.Machine.runnable_th m th in
   let np_ok th = Runtime.Machine.runnable_th m th && not (postponed_th th) in
-  (* Refresh the postponed set: threads poised at a matching access.
-     Defined once, outside [loop], so the per-step iteration allocates
-     no closure; [changed] records whether it postponed anyone. *)
-  let changed = ref false in
+  (* Postpone [th] if it is runnable and poised at a matching access;
+     did it?  Decodes only a thread at one of the candidate's sites. *)
   let refresh th =
     let tid = Runtime.Machine.thread_id th in
-    if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-      match pending th with
-      | Some pa when matches cand pa ->
-        Hashtbl.replace postponed tid pa;
-        in_postponed.slots.(tid_slot in_postponed tid) <- true;
-        changed := true
-      | Some _ | None -> ()
+    (not (is_postponed tid))
+    && Runtime.Machine.runnable_th m th
+    && at_candidate_site cand th
+    &&
+    match Runtime.Machine.pending_access_th m th with
+    | Some pa when matches cand pa ->
+      Hashtbl.replace postponed tid pa;
+      in_postponed.slots.(tid_slot in_postponed tid) <- true;
+      true
+    | Some _ | None -> false
   in
-  (* Returns the fuel left where the run stopped. *)
-  let rec loop fuel =
-    if fuel <= 0 then fuel
-    else begin
-      changed := false;
-      List.iter refresh (Runtime.Machine.live_threads m);
-      if !changed then on_postponed postponed;
-      let np = Hashtbl.length postponed in
-      if np > !max_postponed then max_postponed := np;
-      (* With fewer than two postponed threads there is no pair to scan
-         for. *)
-      match if np < 2 then None else conflicting_pair (poised postponed) with
-      | Some ((t1, p1), (t2, p2)) ->
-        result :=
-          Some
-            {
-              Race.r_first = access_of_pending m t1 p1 ~label:!steps;
-              r_second = access_of_pending m t2 p2 ~label:!steps;
-              r_detector = "racefuzzer";
-            };
-        fuel
+  let rec refresh_all changed = function
+    | [] -> changed
+    | th :: rest -> refresh_all (refresh th || changed) rest
+  in
+  (* Pick and step, with the postponed set up to date and [live] the
+     machine's live list; [steps] counts from the start of the run.
+     Returns the report, the fuel left and the steps taken. *)
+  let rec decide live steps fuel =
+    let np = Hashtbl.length postponed in
+    if np > !max_postponed then max_postponed := np;
+    (* With fewer than two postponed threads there is no pair to scan
+       for. *)
+    match if np < 2 then None else conflicting_pair (poised postponed) with
+    | Some ((t1, p1), (t2, p2)) ->
+      ( Some
+          {
+            Race.r_first = access_of_pending m t1 p1 ~label:steps;
+            r_second = access_of_pending m t2 p2 ~label:steps;
+            r_detector = "racefuzzer";
+          },
+        fuel,
+        steps )
+    | None -> (
+      (* With none postponed the pick is [Exec.run]'s, and if it finds
+         no thread this is deadlock or completion. *)
+      match Conc.Scheduler.pick_where (if np = 0 then runnable else np_ok) pick live with
+      | Some th -> step live th steps fuel
+      | None when np = 0 -> (None, fuel, steps)
       | None -> (
-        match Conc.Scheduler.pick_where np_ok pick (Runtime.Machine.live_threads m) with
+        (* Everyone is postponed or blocked: release a postponed
+           thread, drawn in tid order (creation order is tid order). *)
+        match Conc.Scheduler.pick_where postponed_th pick live with
+        | None -> (None, fuel, steps)
         | Some th ->
-          step_th th;
-          loop (fuel - 1)
-        | None -> (
-          (* Everyone is postponed or blocked: release a postponed
-             thread, drawn in tid order (creation order is tid order);
-             with none postponed this is deadlock or completion. *)
-          match
-            Conc.Scheduler.pick_where postponed_th pick (Runtime.Machine.live_threads m)
-          with
-          | None -> fuel
-          | Some th ->
-            let tid = Runtime.Machine.thread_id th in
-            Hashtbl.remove postponed tid;
-            in_postponed.slots.(tid_slot in_postponed tid) <- false;
-            on_postponed postponed;
-            step_th th;
-            loop (fuel - 1)))
+          let tid = Runtime.Machine.thread_id th in
+          Hashtbl.remove postponed tid;
+          in_postponed.slots.(tid_slot in_postponed tid) <- false;
+          on_postponed postponed;
+          step live th steps fuel))
+  (* Step [th], then bring the postponed set up to date: [th] alone,
+     unless the step replaced the live list. *)
+  and step live th steps fuel =
+    ignore (Runtime.Machine.step_th m th);
+    let steps = steps + 1 and fuel = fuel - 1 in
+    if fuel <= 0 then (None, fuel, steps)
+    else begin
+      let now = Runtime.Machine.live_threads m in
+      if if now == live then refresh th else refresh_all false now then
+        on_postponed postponed;
+      decide now steps fuel
     end
   in
-  let fuel_left = loop fuel in
-  (!result, fuel_left, { rs_steps = !steps; rs_max_postponed = !max_postponed })
+  let report, fuel_left, steps =
+    if fuel <= 0 then (None, fuel, start)
+    else begin
+      let live = Runtime.Machine.live_threads m in
+      if refresh_all false live then on_postponed postponed;
+      decide live start fuel
+    end
+  in
+  (report, fuel_left, { rs_steps = steps; rs_max_postponed = !max_postponed })
 
 (* The directed loop from the instance's machine as it stands, drawing
    every choice from [rng]; [start] is the steps the run has taken. *)
-let continue_run (inst : instance) rng ~(cand : candidate) ~start ~fuel :
+let continue_run (inst : instance) rng ~(cand : candidate) ~on_postponed ~start ~fuel :
     run_end * run_stats =
   let report, fuel_left, stats =
-    postponing inst.ri_machine ~cand ~pick:(Rng.below rng) ~on_postponed:ignore ~start
-      ~fuel
+    postponing inst.ri_machine ~cand ~pick:(Rng.below rng) ~on_postponed ~start ~fuel
   in
   ({ re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = report }, stats)
 
@@ -251,15 +260,28 @@ let continue_run (inst : instance) rng ~(cand : candidate) ~start ~fuel :
    conflicting pair. *)
 let directed_run (inst : instance) ~(cand : candidate) ~seed ~fuel :
     run_end * run_stats =
-  continue_run inst (Rng.create seed) ~cand ~start:0 ~fuel
+  continue_run inst (Rng.create seed) ~cand ~on_postponed:ignore ~start:0 ~fuel
 
-(* Is some runnable thread poised at an access matching one of the
-   candidates [waiting] indexes?  Top-level and closure-free: the shared
-   run asks this of every runnable thread with a pending access on every
-   step. *)
+(* Does the pending access match one of the candidates [waiting]
+   indexes? *)
 let rec any_matches cands pa = function
   | [] -> false
   | j :: rest -> matches cands.(j) pa || any_matches cands pa rest
+
+let rec at_any_site cands th = function
+  | [] -> false
+  | j :: rest -> at_candidate_site cands.(j) th || at_any_site cands th rest
+
+(* Is [th] runnable and poised at an access matching one of the
+   candidates [waiting] indexes?  Top-level and closure-free, and it
+   decodes only a thread at one of their sites. *)
+let poised_for m cands waiting th =
+  Runtime.Machine.runnable_th m th
+  && at_any_site cands th waiting
+  &&
+  match Runtime.Machine.pending_access_th m th with
+  | Some pa -> any_matches cands pa waiting
+  | None -> false
 
 (* The directed runs of several candidates at one scheduler seed, from
    one instance.  Until a runnable thread is poised at an access
@@ -273,32 +295,33 @@ let rec any_matches cands pa = function
    forked machine exists at a time.  The last candidate to fork takes
    the shared machine itself.  Candidates never matched share the shared
    run's end: no report, its steps, an empty postponed set throughout.
-   Returns the VM steps executed. *)
+
+   The candidates that fork leave [waiting] at the step where they
+   match, so after it no thread matches a waiting candidate, and, as in
+   [postponing], only a step can change that, and only through the
+   thread that took it: the whole live list is scanned when the run
+   starts and whenever a step replaced it, and otherwise only the thread
+   that stepped.  Returns the VM steps executed. *)
 let directed_runs (inst : instance) ~(cands : candidate array) ~seed ~fuel
     (on_end : int list -> run_end -> run_stats -> unit) : int =
   let m = inst.ri_machine in
   let rng = Rng.create seed in
   let draw = Rng.below rng in
   let executed = ref 0 in
-  let pending, step_pending = pending_memo m in
   let runnable th = Runtime.Machine.runnable_th m th in
-  let rec poised waiting = function
+  let rec any_poised waiting = function
     | [] -> false
-    | th :: rest -> (
-      Runtime.Machine.runnable_th m th
-      &&
-      match pending th with
-      | Some pa -> any_matches cands pa waiting
-      | None -> false)
-      || poised waiting rest
+    | th :: rest -> poised_for m cands waiting th || any_poised waiting rest
   in
-  let matched_now j = poised [ j ] (Runtime.Machine.live_threads m) in
+  let matched_now j = any_poised [ j ] (Runtime.Machine.live_threads m) in
   let fork ~last j ~steps ~fuel =
     let inst, rng =
       if last then (inst, rng)
       else ({ inst with ri_machine = Runtime.Machine.copy m }, Rng.copy rng)
     in
-    let re, stats = continue_run inst rng ~cand:cands.(j) ~start:steps ~fuel in
+    let re, stats =
+      continue_run inst rng ~cand:cands.(j) ~on_postponed:ignore ~start:steps ~fuel
+    in
     executed := !executed + stats.rs_steps - steps;
     on_end [ j ] re stats
   in
@@ -310,33 +333,45 @@ let directed_runs (inst : instance) ~(cands : candidate array) ~seed ~fuel
         { re_inst = inst; re_rng = rng; re_fuel = fuel; re_report = None }
         { rs_steps = steps; rs_max_postponed = 0 }
   in
-  let rec go waiting steps fuel =
-    if fuel <= 0 then ended waiting ~steps ~fuel
-    else begin
-      let waiting =
-        if not (poised waiting (Runtime.Machine.live_threads m)) then waiting
+  (* [live] is the machine's live list and [poised] whether a thread on
+     it now matches a waiting candidate. *)
+  let rec go waiting live poised steps fuel =
+    let waiting =
+      if not poised then waiting
+      else begin
+        let forking, rest = List.partition matched_now waiting in
+        let rec forks = function
+          | [] -> ()
+          | j :: more ->
+            fork ~last:(more = [] && rest = []) j ~steps ~fuel;
+            forks more
+        in
+        forks forking;
+        rest
+      end
+    in
+    match waiting with
+    | [] -> ended [] ~steps ~fuel
+    | _ :: _ -> (
+      match Conc.Scheduler.pick_where runnable draw live with
+      | None -> ended waiting ~steps ~fuel
+      | Some th ->
+        ignore (Runtime.Machine.step_th m th);
+        let steps = steps + 1 and fuel = fuel - 1 in
+        if fuel <= 0 then ended waiting ~steps ~fuel
         else begin
-          let forking, rest = List.partition matched_now waiting in
-          let rec forks = function
-            | [] -> ()
-            | j :: more ->
-              fork ~last:(more = [] && rest = []) j ~steps ~fuel;
-              forks more
-          in
-          forks forking;
-          rest
-        end
-      in
-      if waiting = [] then ended [] ~steps ~fuel
-      else
-        match Conc.Scheduler.pick_where runnable draw (Runtime.Machine.live_threads m) with
-        | None -> ended waiting ~steps ~fuel
-        | Some th ->
-          step_pending th;
-          go waiting (steps + 1) (fuel - 1)
-    end
+          let now = Runtime.Machine.live_threads m in
+          go waiting now
+            (if now == live then poised_for m cands waiting th
+             else any_poised waiting now)
+            steps fuel
+        end)
   in
-  go (List.init (Array.length cands) Fun.id) 0 fuel;
+  let waiting = List.init (Array.length cands) Fun.id in
+  (if fuel <= 0 then ended waiting ~steps:0 ~fuel
+   else
+     let live = Runtime.Machine.live_threads m in
+     go waiting live (any_poised waiting live) 0 fuel);
   !executed
 
 (* A coverage-collecting directed execution: [directed_run]'s loop at
@@ -431,11 +466,11 @@ let confirm_all ~(instantiate : instantiator) ~(cands : candidate array) ~runs
     List.rev !acc
   in
   let reg = Obs.Metrics.global () in
-  Obs.Metrics.gauge_add reg "racefuzzer/vm_steps"
-    (float_of_int
-       (List.fold_left
-          (fun acc -> function Ok (_, executed) -> acc + executed | Error () -> acc)
-          0 outcomes));
+  Obs.Metrics.incr reg "racefuzzer/vm_steps"
+    ~n:
+      (List.fold_left
+         (fun acc -> function Ok (_, executed) -> acc + executed | Error () -> acc)
+         0 outcomes);
   Array.init n (fun j ->
       let steps = ref 0 in
       let observe (st : run_stats) =

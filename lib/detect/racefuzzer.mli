@@ -27,7 +27,7 @@ type instantiator = unit -> (instance, string) result
 
 val fuel : int
 (** 200,000: the step bound of every directed run ({!confirm_all}, and
-    {!confirm} in the benchmark harness, the examples and the tests),
+    {!confirm} in the benchmark harness),
     every triage run ([Triage.baselines], [Triage.forced],
     [Triage.triage]), every coverage-collecting directed run
     ({!directed_run_cov} in [Eval.Coverage]) and repair's seed
@@ -73,11 +73,21 @@ val directed_run :
     the same loop with a coverage observer. *)
 
 val continue_run :
-  instance -> Rng.t -> cand:candidate -> start:int -> fuel:int -> run_end * run_stats
+  instance ->
+  Rng.t ->
+  cand:candidate ->
+  on_postponed:((Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t -> unit) ->
+  start:int ->
+  fuel:int ->
+  run_end * run_stats
 (** The postponing loop from the instance's machine as it stands, every
     choice drawn from the RNG, for at most [fuel] steps; [start] is the
     steps the run has already taken, so report labels and [rs_steps]
-    count from the start of the run.  The postponed set is rebuilt from
+    count from the start of the run.  [on_postponed] sees the table of
+    postponed threads and their pending accesses each time it changes
+    (its fold order decides which conflicting pair is reported); the
+    library passes [ignore], and the tests hold the sequence of tables
+    against a reference loop.  The postponed set is rebuilt from
     the machine, so continuing a {!directed_run} stopped after [k] steps
     (its machine, its RNG, the fuel it had left, [start = k]) gives the
     whole run's report, [rs_steps], fuel left, RNG state and end state.
@@ -101,9 +111,13 @@ val directed_runs :
     shared while no candidate matches ([Conc.Scheduler.random]'s pick,
     from an RNG seeded [seed]).  Before each of its picks, every
     candidate that some runnable thread is now poised at a matching
-    access for forks: a
-    [Machine.copy] and [Rng.copy] of the shared run go on with
-    {!continue_run} from that step, with the fuel left.  Each fork runs
+    access for forks: a [Machine.copy] and [Rng.copy] of the shared run
+    go on with {!continue_run} from that step, with the fuel left.  A
+    step can newly poise only the thread that took it, or a thread it
+    spawned, so after the first pick the shared run looks at the thread
+    that stepped, and scans every live thread only when the step changed
+    the live list; a report-derived candidate is compared with a
+    thread's top-frame site before its pending access is decoded.  Each fork runs
     to its end and is handed to the callback, with its candidate's index,
     before the shared run continues; the last candidate to fork takes the
     shared machine and RNG themselves.  Candidates that never match share
@@ -129,15 +143,18 @@ val confirm_all :
     runs of at most {!fuel} steps, run [i] at scheduler seed
     [seed + i·7919] on a fresh instance,
     the candidates still unconfirmed sharing it ({!directed_runs}).  Each
-    candidate's result, in [cands] order, is that of {!confirm}.  Where
+    candidate's result, in [cands] order, is what a batch of that
+    candidate alone would get: its confirming report, if any, the runs
+    up to and including the confirming one, and their steps.  Where
     run 0 stopped goes to [settle] as soon as it stops, confirmed or
     not, once per distinct machine (candidates that never matched share
     one call and its value); the result carries that value, [None] when
     run 0 could not be instantiated.  A run takes only the candidates
     no earlier run confirmed, and the runs stop at an instantiation
     failure.  Adds the VM steps
-    executed to the volatile gauge ["racefuzzer/vm_steps"], once per
-    call. *)
+    executed to the stable counter ["racefuzzer/vm_steps"], once per
+    call: the shared runs' steps plus each fork's after its fork, the
+    same at every [--jobs] since the runs of one call are sequential. *)
 
 val confirm :
   instantiate:instantiator ->
@@ -149,12 +166,12 @@ val confirm :
   confirm_result
 (** Attempt to confirm the candidate over [runs] (default 10) directed
     runs with different scheduler seeds, from [seed] (default 7):
-    {!confirm_all} of one candidate.  The library confirms through
-    {!confirm_all}; this is for the benchmark harness, the examples and
-    the tests.  [jobs] is accepted and ignored: the runs are
-    sequential, and callers fan out over tests or races instead.  The
-    label stays only until the benchmark harness, which still passes
-    it, stops doing so. *)
+    {!confirm_all} of one candidate.  Only the frozen benchmark harness
+    ([perfbench/campaign.ml]) still calls it; everything else confirms
+    through {!confirm_all}.  [jobs] is accepted and ignored: the runs
+    are sequential, and callers fan out over tests or races instead.
+    The function and its label stay until the benchmark harness stops
+    calling it. *)
 
 (** {2 Coverage observation} *)
 

@@ -1038,6 +1038,16 @@ let at_call_named_th (th : thread) name =
     | Code.Iassert _ | Code.Ithrow _ ->
       false)
 
+(* Is the next instruction at [site]?  A pc and a name compare: no
+   decode, no allocation.  Whenever [pending_access_th] returns an
+   access, its [pa_site] is the top frame's method and pc, so this
+   holds for it, and a caller looking for accesses at known sites can
+   skip decoding every thread it rejects. *)
+let at_site_th (th : thread) (site : Event.site) =
+  match th.stack with
+  | [] -> false
+  | f :: _ -> f.pc = site.Event.s_pc && String.equal f.meth.Code.cm_qname site.Event.s_meth
+
 (* ---------------- construction and harness entry points ---------------- *)
 
 let run_thread_to_completion m tid ~fuel =

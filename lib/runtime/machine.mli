@@ -194,6 +194,12 @@ val at_call_named_th : thread -> string -> bool
     [cm], this holds for [cm.cm_name], so it filters the steps worth
     resolving. *)
 
+val at_site_th : thread -> Event.site -> bool
+(** Is the next instruction at this site (the top frame's method
+    qname and pc)?  Decodes nothing and allocates nothing.  Whenever
+    {!pending_access_th} returns an access, this holds for its
+    [pa_site], so it filters the threads worth decoding. *)
+
 val peek_th : thread -> (Jir.Code.meth * int * Jir.Code.instr) option
 
 val run_thread_to_completion :

@@ -76,14 +76,18 @@ let test_known_bug_found (e : Corpus.Corpus_def.entry) () =
             ignore
               (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
                  (Conc.Scheduler.random ~seed:5L));
-            List.exists
-              (fun cand ->
-                let c = Detect.Racefuzzer.candidate_of_report cand in
-                String.equal c.Detect.Racefuzzer.c_field field
-                && (Detect.Racefuzzer.confirm ~instantiate ~cand:c ~runs:6 ())
-                     .Detect.Racefuzzer.confirmed
-                   <> None)
-              (Detect.Lockset.candidates ls))
+            let cands =
+              Array.of_list
+                (List.filter
+                   (fun c -> String.equal c.Detect.Racefuzzer.c_field field)
+                   (List.map Detect.Racefuzzer.candidate_of_report
+                      (Detect.Lockset.candidates ls)))
+            in
+            Array.exists
+              (fun ((r : Detect.Racefuzzer.confirm_result), _) ->
+                r.Detect.Racefuzzer.confirmed <> None)
+              (Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:6 ~seed:7L
+                 ~settle:ignore))
         an.Pipeline.an_tests
     in
     Alcotest.(check bool)
@@ -144,13 +148,16 @@ let test_extras_race_like_c2 () =
               ignore
                 (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
                    (Conc.Scheduler.random ~seed:5L));
-              List.exists
-                (fun cand ->
-                  let c = Detect.Racefuzzer.candidate_of_report cand in
-                  (Detect.Racefuzzer.confirm ~instantiate ~cand:c ~runs:6 ())
-                    .Detect.Racefuzzer.confirmed
-                  <> None)
-                (Detect.Lockset.candidates ls))
+              let cands =
+                Array.of_list
+                  (List.map Detect.Racefuzzer.candidate_of_report
+                     (Detect.Lockset.candidates ls))
+              in
+              Array.exists
+                (fun ((r : Detect.Racefuzzer.confirm_result), _) ->
+                  r.Detect.Racefuzzer.confirmed <> None)
+                (Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:6 ~seed:7L
+                   ~settle:ignore))
           an.Pipeline.an_tests
       in
       Alcotest.(check bool)

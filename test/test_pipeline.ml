@@ -18,14 +18,17 @@ let test_fig1_end_to_end () =
           ignore
             (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
                (Conc.Scheduler.random ~seed:5L));
-          List.exists
-            (fun cand ->
-              let c = Detect.Racefuzzer.candidate_of_report cand in
-              (Detect.Racefuzzer.confirm ~instantiate ~cand:c ()).Detect.Racefuzzer.confirmed
-              <> None
-              && Detect.Triage.triage ~instantiate ~cand:c ()
-                 = Ok Detect.Triage.Harmful)
-            (Detect.Lockset.candidates ls))
+          let cands =
+            Array.of_list
+              (List.map Detect.Racefuzzer.candidate_of_report (Detect.Lockset.candidates ls))
+          in
+          Array.exists2
+            (fun c ((r : Detect.Racefuzzer.confirm_result), _) ->
+              r.Detect.Racefuzzer.confirmed <> None
+              && Detect.Triage.triage ~instantiate ~cand:c () = Ok Detect.Triage.Harmful)
+            cands
+            (Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:10 ~seed:7L
+               ~settle:ignore))
       an.Pipeline.an_tests
   in
   Alcotest.(check bool) "harmful count race synthesized and confirmed" true
@@ -93,13 +96,15 @@ let test_c1_race_on_inner_state () =
           ignore
             (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine
                (Conc.Scheduler.random ~seed:5L));
-          List.exists
-            (fun cand ->
-              let c = Detect.Racefuzzer.candidate_of_report cand in
-              (Detect.Racefuzzer.confirm ~instantiate ~cand:c ())
-                .Detect.Racefuzzer.confirmed
-              <> None)
-            (Detect.Lockset.candidates ls))
+          let cands =
+            Array.of_list
+              (List.map Detect.Racefuzzer.candidate_of_report (Detect.Lockset.candidates ls))
+          in
+          Array.exists
+            (fun ((r : Detect.Racefuzzer.confirm_result), _) ->
+              r.Detect.Racefuzzer.confirmed <> None)
+            (Detect.Racefuzzer.confirm_all ~instantiate ~cands ~runs:10 ~seed:7L
+               ~settle:ignore))
       an.Pipeline.an_tests
   in
   Alcotest.(check bool) "count race confirmed" true confirmed

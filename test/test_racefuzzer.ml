@@ -37,9 +37,14 @@ let counter_src =
 
 let cand field = { Racefuzzer.c_field = field; c_sites = None }
 
+(* [confirm_all] of one candidate, over 10 runs from seed 7 unless
+   told otherwise. *)
+let confirm_one ?(runs = 10) ?(seed = 7L) instantiate cand =
+  fst (Racefuzzer.confirm_all ~instantiate ~cands:[| cand |] ~runs ~seed ~settle:ignore).(0)
+
 let test_confirms_real_race () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
-  let r = Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") () in
+  let r = confirm_one inst (cand "count") in
   match r.Racefuzzer.confirmed with
   | Some report ->
     Alcotest.(check bool) "different threads" true
@@ -49,13 +54,13 @@ let test_confirms_real_race () =
 
 let test_no_confirm_when_synchronized () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
-  let r = Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") ~runs:8 () in
+  let r = confirm_one ~runs:8 inst (cand "count") in
   Alcotest.(check bool) "no confirmation" true (r.Racefuzzer.confirmed = None)
 
 let test_confirm_is_deterministic () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
-  let r1 = Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") ~seed:3L () in
-  let r2 = Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") ~seed:3L () in
+  let r1 = confirm_one ~seed:3L inst (cand "count") in
+  let r2 = confirm_one ~seed:3L inst (cand "count") in
   Alcotest.(check int) "same number of runs" r1.Racefuzzer.runs_used
     r2.Racefuzzer.runs_used
 
@@ -74,15 +79,14 @@ let test_run_bound () =
     Alcotest.(check int) (what ^ ": runs used") runs c.Racefuzzer.runs_used;
     Alcotest.(check int) (what ^ ": steps") (runs * Racefuzzer.fuel) c.Racefuzzer.steps
   in
-  (match
-     Racefuzzer.confirm_all ~instantiate:inst ~cands:[| cand "count" |] ~runs ~seed:7L
-       ~settle:(fun re -> re.Racefuzzer.re_fuel)
-   with
+  match
+    Racefuzzer.confirm_all ~instantiate:inst ~cands:[| cand "count" |] ~runs ~seed:7L
+      ~settle:(fun re -> re.Racefuzzer.re_fuel)
+  with
   | [| (c, left) |] ->
     check "confirm_all" c;
     Alcotest.(check (option int)) "confirm_all: run 0 ends with no fuel left" (Some 0) left
-  | _ -> Alcotest.fail "one result per candidate");
-  check "confirm" (Racefuzzer.confirm ~instantiate:inst ~cand:(cand "count") ~runs ())
+  | _ -> Alcotest.fail "one result per candidate"
 
 let test_candidate_of_report () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
@@ -251,7 +255,8 @@ let test_continued_run () =
                   incr confirmed_before_stop;
                 let continued, cst =
                   Racefuzzer.continue_run stopped.Racefuzzer.re_inst
-                    stopped.Racefuzzer.re_rng ~cand ~start:taken ~fuel:(fuel - taken)
+                    stopped.Racefuzzer.re_rng ~cand ~on_postponed:ignore ~start:taken
+                    ~fuel:(fuel - taken)
                 in
                 Alcotest.(check int) (what ^ ": steps") n cst.Racefuzzer.rs_steps;
                 same_stop what (stop_of whole) (stop_of continued);
@@ -436,6 +441,360 @@ let test_batch_subsets () =
   Alcotest.(check (pair int int)) "candidates compared, confirmed" (1_965, 1_769)
     (!compared, !confirmed)
 
+(* ------------------------------------------------------------------ *)
+(* The postponing loop against the full-rescan reference               *)
+(* ------------------------------------------------------------------ *)
+
+(* The postponing loop as it was before it looked only at the thread
+   that stepped: before every pick it walks every live thread and
+   decodes (memoized per tid) the pending access of each runnable one
+   not yet postponed.  Kept verbatim, with the helpers it used, as the
+   reference the library's loop is held against. *)
+module Reference = struct
+  open Racefuzzer
+
+  let matches (cand : candidate) (pa : Runtime.Machine.pending_access) =
+    String.equal pa.Runtime.Machine.pa_field cand.c_field
+    &&
+    match cand.c_sites with
+    | None -> true
+    | Some (s1, s2) ->
+      Runtime.Event.compare_site pa.Runtime.Machine.pa_site s1 = 0
+      || Runtime.Event.compare_site pa.Runtime.Machine.pa_site s2 = 0
+
+  let access_of_pending m tid (pa : Runtime.Machine.pending_access) ~label :
+      Race.access =
+    {
+      Race.a_tid = tid;
+      a_site = pa.Runtime.Machine.pa_site;
+      a_kind = pa.Runtime.Machine.pa_kind;
+      a_obj = pa.Runtime.Machine.pa_obj;
+      a_field = pa.Runtime.Machine.pa_field;
+      a_idx = pa.Runtime.Machine.pa_idx;
+      a_locks = Runtime.Machine.held_locks m tid;
+      a_label = label;
+      a_value = Runtime.Value.Vnull;
+    }
+
+  let conflicting (a : Runtime.Machine.pending_access)
+      (b : Runtime.Machine.pending_access) =
+    a.Runtime.Machine.pa_obj = b.Runtime.Machine.pa_obj
+    && String.equal a.Runtime.Machine.pa_field b.Runtime.Machine.pa_field
+    && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
+    && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
+
+  (* Dense per-tid mirrors used by the directed loop below: tids are
+     small consecutive ints, so per-step membership tests and the
+     pending-access memo live in growable arrays instead of hashtables.
+     The [postponed] hashtable itself is kept — its fold order decides
+     which conflicting pair is reported first, and that order is pinned
+     by the cram suite — but the per-step paths only touch the arrays. *)
+  type 'a tidmap = { mutable slots : 'a array; default : 'a }
+
+  let tidmap default = { slots = Array.make 8 default; default }
+
+  let tid_slot tm tid =
+    if tid >= Array.length tm.slots then begin
+      let bigger =
+        Array.make (max (tid + 1) (2 * Array.length tm.slots)) tm.default
+      in
+      Array.blit tm.slots 0 bigger 0 (Array.length tm.slots);
+      tm.slots <- bigger
+    end;
+    tid
+
+  (* A thread's pending access only changes when that thread itself steps
+     (it reads the thread's own registers and pc), so the directed loops
+     memoize it per tid and invalidate it on step instead of re-decoding
+     the next instruction of every runnable thread on every scheduler
+     iteration.  Returns the memoized [pending_access_th] and the step
+     that invalidates. *)
+  let pending_memo m =
+    let memo : Runtime.Machine.pending_access option option tidmap = tidmap None in
+    let pending th =
+      let i = tid_slot memo (Runtime.Machine.thread_id th) in
+      match memo.slots.(i) with
+      | Some v -> v
+      | None ->
+        let v = Runtime.Machine.pending_access_th m th in
+        memo.slots.(i) <- Some v;
+        v
+    in
+    let step th =
+      ignore (Runtime.Machine.step_th m th);
+      memo.slots.(tid_slot memo (Runtime.Machine.thread_id th)) <- None
+    in
+    (pending, step)
+
+  (* The postponed threads and their accesses, in the table's fold order:
+     that order decides which conflicting pair is reported first. *)
+  let poised postponed = Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
+
+  let conflicting_pair poised =
+    List.find_map
+      (fun (t1, p1) ->
+        List.find_map
+          (fun (t2, p2) ->
+            if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2)) else None)
+          poised)
+      poised
+
+  (* The postponing scheduler, the one copy of it: runs [m], from whatever
+     state it is in, until the first simultaneously enabled conflicting
+     pair, the end of the run, or [fuel] steps.  Every scheduler choice is
+     [pick n], an index below the [n] options in creation order, and the
+     postponed set is rebuilt from the machine (a postponed thread stays
+     runnable and poised until it is released and steps, and every
+     runnable thread poised at a matching access is postponed), so a
+     stopped run continues its schedule from (machine, [Rng.below rng],
+     fuel left), with [start] the steps it had taken: report labels and
+     [rs_steps] count from the start of the run.  (A rebuilt table may
+     fold three or more postponed threads in another order than the one
+     built along the run, and so report another of their conflicting
+     pairs.)  Every walk is over the
+     machine's live threads: the refresh, the not-postponed pick and the
+     postponed pick all reject a suspended, finished or crashed thread (a
+     postponed thread has not stepped since it was poised, so it is
+     live), and [pick_where] counts only what it accepts, so the picks are
+     those of a walk over every thread.  [on_postponed] sees the
+     postponed set whenever it changes.  Returns the report, the fuel
+     left where the run stopped, and the run's stats. *)
+  let postponing m ~(cand : candidate) ~pick ~on_postponed ~start ~fuel =
+    let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
+      Hashtbl.create 4
+    in
+    let in_postponed = tidmap false in
+    let steps = ref start in
+    let max_postponed = ref 0 in
+    let result = ref None in
+    let pending, step_pending = pending_memo m in
+    let step_th th =
+      step_pending th;
+      incr steps
+    in
+    let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
+    let postponed_th th = is_postponed (Runtime.Machine.thread_id th) in
+    let np_ok th = Runtime.Machine.runnable_th m th && not (postponed_th th) in
+    (* Refresh the postponed set: threads poised at a matching access.
+       Defined once, outside [loop], so the per-step iteration allocates
+       no closure; [changed] records whether it postponed anyone. *)
+    let changed = ref false in
+    let refresh th =
+      let tid = Runtime.Machine.thread_id th in
+      if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
+        match pending th with
+        | Some pa when matches cand pa ->
+          Hashtbl.replace postponed tid pa;
+          in_postponed.slots.(tid_slot in_postponed tid) <- true;
+          changed := true
+        | Some _ | None -> ()
+    in
+    (* Returns the fuel left where the run stopped. *)
+    let rec loop fuel =
+      if fuel <= 0 then fuel
+      else begin
+        changed := false;
+        List.iter refresh (Runtime.Machine.live_threads m);
+        if !changed then on_postponed postponed;
+        let np = Hashtbl.length postponed in
+        if np > !max_postponed then max_postponed := np;
+        (* With fewer than two postponed threads there is no pair to scan
+           for. *)
+        match if np < 2 then None else conflicting_pair (poised postponed) with
+        | Some ((t1, p1), (t2, p2)) ->
+          result :=
+            Some
+              {
+                Race.r_first = access_of_pending m t1 p1 ~label:!steps;
+                r_second = access_of_pending m t2 p2 ~label:!steps;
+                r_detector = "racefuzzer";
+              };
+          fuel
+        | None -> (
+          match Conc.Scheduler.pick_where np_ok pick (Runtime.Machine.live_threads m) with
+          | Some th ->
+            step_th th;
+            loop (fuel - 1)
+          | None -> (
+            (* Everyone is postponed or blocked: release a postponed
+               thread, drawn in tid order (creation order is tid order);
+               with none postponed this is deadlock or completion. *)
+            match
+              Conc.Scheduler.pick_where postponed_th pick (Runtime.Machine.live_threads m)
+            with
+            | None -> fuel
+            | Some th ->
+              let tid = Runtime.Machine.thread_id th in
+              Hashtbl.remove postponed tid;
+              in_postponed.slots.(tid_slot in_postponed tid) <- false;
+              on_postponed postponed;
+              step_th th;
+              loop (fuel - 1)))
+      end
+    in
+    let fuel_left = loop fuel in
+    (!result, fuel_left, { rs_steps = !steps; rs_max_postponed = !max_postponed })
+end
+
+(* One directed run from [inst] at [seed], by the library's loop or by
+   the reference: where it stopped, its stats, every postponed table it
+   showed [on_postponed] (in fold order), and whether a postponed table
+   held a thread spawned during the run. *)
+let run_by ~reference (inst : Racefuzzer.instance) ~cand ~seed =
+  let before = Runtime.Machine.threads inst.Racefuzzer.ri_machine in
+  let shown = ref [] in
+  let on_postponed t = shown := Reference.poised t :: !shown in
+  let rng = Rng.create seed in
+  let fuel = Racefuzzer.fuel in
+  let re, st =
+    if reference then
+      let report, fuel_left, st =
+        Reference.postponing inst.Racefuzzer.ri_machine ~cand ~pick:(Rng.below rng)
+          ~on_postponed ~start:0 ~fuel
+      in
+      ( { Racefuzzer.re_inst = inst; re_rng = rng; re_fuel = fuel_left; re_report = report },
+        st )
+    else Racefuzzer.continue_run inst rng ~cand ~on_postponed ~start:0 ~fuel
+  in
+  let spawned =
+    List.exists (List.exists (fun (tid, _) -> not (List.mem tid before))) !shown
+  in
+  (stop_of re, st, List.rev !shown, spawned)
+
+(* Counts of what [against_reference] compared. *)
+type compared = { mutable runs : int; mutable shared : int; mutable spawned : int }
+
+(* Every candidate's directed run at [seed] by the library's loop equals
+   the reference's: report with labels, fuel left, next RNG draw, end
+   state, stats and the sequence of postponed tables.  And
+   [directed_runs] over all of them, sharing its prefix, hands each the
+   reference's run. *)
+let against_reference n what instantiate (cands : Racefuzzer.candidate array) ~seed =
+  let fresh = fresh_of instantiate in
+  let reference = Array.map (fun cand -> run_by ~reference:true (fresh ()) ~cand ~seed) cands in
+  Array.iteri
+    (fun j cand ->
+      let what = what j in
+      let want, want_st, want_shown, spawned = reference.(j) in
+      let got, got_st, got_shown, _ = run_by ~reference:false (fresh ()) ~cand ~seed in
+      same_stop what want got;
+      if want_st <> got_st then Alcotest.failf "%s: stats differ" what;
+      if want_shown <> got_shown then
+        Alcotest.failf "%s: postponed tables differ (%d shown, the reference %d)" what
+          (List.length got_shown) (List.length want_shown);
+      if spawned then n.spawned <- n.spawned + 1;
+      n.runs <- n.runs + 1)
+    cands;
+  let ended = Array.make (Array.length cands) 0 in
+  ignore
+  @@ Racefuzzer.directed_runs (fresh ()) ~cands ~seed ~fuel:Racefuzzer.fuel (fun js re st ->
+         let stop = stop_of re in
+         List.iter
+           (fun j ->
+             let what = what j ^ " (shared)" in
+             let want, want_st, _, _ = reference.(j) in
+             same_stop what want stop;
+             if want_st <> st then Alcotest.failf "%s: stats differ" what;
+             ended.(j) <- ended.(j) + 1;
+             n.shared <- n.shared + 1)
+           js);
+  Array.iter (Alcotest.(check int) "every candidate ends once" 1) ended
+
+(* A program's lockset candidates at [seed], narrowed to their sites,
+   then each of their fields unnarrowed; none when the test cannot be
+   instantiated. *)
+let reference_cands instantiate ~seed =
+  match Campaign.candidates ~instantiate ~schedules:3 ~seed () with
+  | Error _ -> [||]
+  | Ok cands ->
+    let narrowed = List.map (fun (_, r) -> Racefuzzer.candidate_of_report r) cands in
+    let fields =
+      List.sort_uniq String.compare
+        (List.map (fun c -> c.Racefuzzer.c_field) narrowed)
+    in
+    Array.of_list (narrowed @ List.map cand fields)
+
+(* [against_reference] over a test's [reference_cands], if it has any. *)
+let compare_test n what instantiate ~seed =
+  match reference_cands instantiate ~seed with
+  | [||] -> ()
+  | cands -> against_reference n (fun j -> what cands.(j)) instantiate cands ~seed
+
+let describe (c : Racefuzzer.candidate) =
+  match c.Racefuzzer.c_sites with
+  | None -> c.Racefuzzer.c_field
+  | Some (s1, s2) ->
+    Printf.sprintf "%s at %s/%s" c.Racefuzzer.c_field (Runtime.Event.site_to_string s1)
+      (Runtime.Event.site_to_string s2)
+
+let check_compared what (runs, shared, spawned) n =
+  Alcotest.(check (triple int int int))
+    (what ^ ": runs, shared runs, runs postponing a thread spawned mid-run")
+    (runs, shared, spawned) (n.runs, n.shared, n.spawned)
+
+(* Every test of C1-C9 and X1-X3 at seeds 7 and 11.  The corpus tests
+   start their threads from the harness, so no run postpones a thread
+   spawned mid-run. *)
+let test_reference_corpus () =
+  let n = { runs = 0; shared = 0; spawned = 0 } in
+  List.iter
+    (fun seed ->
+      corpus_tests (fun e instantiate ->
+          compare_test n
+            (fun c -> Printf.sprintf "%s seed %Ld %s" e.Corpus.Corpus_def.e_id seed (describe c))
+            instantiate ~seed))
+    [ 7L; 11L ];
+  check_compared "C1-C9, X1-X3" (5_894, 5_894, 0) n
+
+(* Every test of the first 200 [Fuzz.Gen] programs at seeds 7 and 11. *)
+let test_reference_generated () =
+  let n = { runs = 0; shared = 0; spawned = 0 } in
+  for p = 0 to 199 do
+    let cu = Jir.Compile.compile_unit (Fuzz.Gen.generate ~seed:(Int64.of_int p)) in
+    match
+      Narada_core.Pipeline.analyze cu ~client_classes:[ Fuzz.Gen.seed_cls ]
+        ~seed_cls:Fuzz.Gen.seed_cls ~seed_meth:Fuzz.Gen.seed_meth
+    with
+    | Error _ -> ()
+    | Ok an ->
+      List.iteri
+        (fun t test ->
+          let instantiate = Narada_core.Pipeline.instantiator an test in
+          List.iter
+            (fun seed ->
+              compare_test n
+                (fun c -> Printf.sprintf "Gen %d test %d seed %Ld %s" p t seed (describe c))
+                instantiate ~seed)
+            [ 7L; 11L ])
+        an.Narada_core.Pipeline.an_tests
+  done;
+  check_compared "Fuzz.Gen 0-199" (6_496, 6_496, 0) n
+
+(* Two racy threads each spawn a thread whose first instruction reads
+   [other], a matching access, while they write [other] themselves:
+   the live list changes mid-run, and the new thread is poised before
+   it ever steps. *)
+let spawn_src =
+  "class C { int other; void bump() { this.other = this.other + 1; } \
+   void spawner() { thread t = spawn this.bump(); this.other = 5; join t; } }"
+
+let test_reference_spawn () =
+  let instantiate = instantiator_of spawn_src ~cls:"C" ~meths:[ "spawner"; "spawner" ] in
+  (match Jir.Code.find_virtual (Jir.Compile.compile_source spawn_src) "C" "bump" with
+  | Some cm -> (
+    match cm.Jir.Code.cm_code.(0) with
+    | Jir.Code.Iget (_, _, "other") -> ()
+    | _ -> Alcotest.fail "C.bump does not start with its read of other")
+  | None -> Alcotest.fail "no C.bump");
+  let n = { runs = 0; shared = 0; spawned = 0 } in
+  for s = 0 to 49 do
+    let seed = Int64.of_int s in
+    compare_test n
+      (fun c -> Printf.sprintf "spawner seed %Ld %s" seed (describe c))
+      instantiate ~seed
+  done;
+  check_compared "spawner" (300, 300, 225) n
+
 let test_triage_lost_update_harmful () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
   match Triage.triage ~instantiate:inst ~cand:(cand "count") () with
@@ -531,8 +890,7 @@ let test_scheduler_shootout () =
             Conc.Scheduler.pct ~seed ~depth:3 ~expected_steps:300)));
   Alcotest.(check int) "directed (RaceFuzzer)" 50
     (hits (fun seed ->
-         (Racefuzzer.confirm ~instantiate ~cand:(cand "count") ~runs:1 ~seed ())
-           .Racefuzzer.confirmed
+         (confirm_one ~runs:1 ~seed instantiate (cand "count")).Racefuzzer.confirmed
          <> None))
 
 let () =
@@ -561,6 +919,15 @@ let () =
             test_shared_prefix;
           Alcotest.test_case "C1-C9, X1-X3: batch = its halves" `Slow
             test_batch_subsets;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "C1-C9, X1-X3 = full-rescan loop" `Slow
+            test_reference_corpus;
+          Alcotest.test_case "Fuzz.Gen 0-199 = full-rescan loop" `Slow
+            test_reference_generated;
+          Alcotest.test_case "mid-run spawns = full-rescan loop" `Quick
+            test_reference_spawn;
         ] );
       ( "shootout",
         [

@@ -291,7 +291,7 @@ let test_race_fan_out () =
       ( Engine.report_to_string ~show_attempts:true sub { rp with Engine.rp_seconds = 0.0 },
         List.filter Obs.Export.is_stable_line (Obs.Export.to_lines reg),
         gauge "par/pool/chunks",
-        gauge "racefuzzer/vm_steps" )
+        Obs.Metrics.counter_value reg "racefuzzer/vm_steps" )
   in
   let prev = Par.max_domains () in
   Par.set_max_domains 4;
@@ -307,8 +307,8 @@ let test_race_fan_out () =
       Alcotest.(check (list string)) "stable metrics" stable1 stable4;
       Alcotest.(check (option (float 0.))) "no fan-out at width 1" None chunks1;
       Alcotest.(check (option (float 0.))) "one chunk per race" (Some 8.) chunks4;
-      Alcotest.(check (option (float 0.))) "executed confirm steps" (Some 490.) steps1;
-      Alcotest.(check (option (float 0.))) "same at width 4" steps1 steps4)
+      Alcotest.(check int) "executed confirm steps" 490 steps1;
+      Alcotest.(check int) "same at width 4" steps1 steps4)
 
 (* ---- one recording per program ---- *)
 

@@ -200,9 +200,18 @@ let test_no_allocation () =
    synchronized increment of [count], the candidate field, so the
    directed run postpones a thread at nearly every iteration and, with
    the other one blocked on the lock, releases it again; no run ends
-   within its fuel.  The bounds are the words per step they make (7.38,
-   2.77, 2.83 and 19.23) plus about half a word: a closure or a [Some]
-   cell allocated on every step breaks them. *)
+   within its fuel.  The directed run goes three ways: field-only (it
+   decodes every access a thread is poised at), narrowed to the two
+   sites of [count] (it decodes only there), and narrowed to a site no
+   thread reaches (it decodes nothing and follows [Exec.run]'s
+   schedule).  The bounds are the words per step they make (5.38, 4.69,
+   2.77; then 2.76, 2.82 and 19.22 for the executor runs) plus about
+   half a word: a closure or a [Some] cell allocated on every step
+   breaks them.  So the unreached run allocates what plain stepping
+   does; the narrowed one adds only its postponements, two per loop
+   iteration of about fifteen steps at 15 words each (the pending
+   access, its site and option, the table's bucket).  The loop that rescanned and
+   memoized every thread's pending access made 7.38 field-only. *)
 let alloc_src =
   "class C { int count; int other; void work() { int i = 0; \
    while (i < 1000000) { synchronized (this) { this.count = this.count + 1; } \
@@ -220,6 +229,27 @@ let alloc_instance () =
   | Error e, _ -> Alcotest.fail e
   | Ok _, None -> Alcotest.fail "no C.work"
 
+(* The sites of the fixture's two accesses of [count] (read and write),
+   as a lockset report would narrow a candidate to them, and a site no
+   thread reaches. *)
+let count_sites () =
+  let cu = Jir.Compile.compile_source alloc_src in
+  match Jir.Code.find_virtual cu "C" "work" with
+  | None -> Alcotest.fail "no C.work"
+  | Some cm ->
+    let site pc = { Runtime.Event.s_meth = cm.Jir.Code.cm_qname; s_pc = pc } in
+    let pcs = ref [] in
+    Array.iteri
+      (fun pc -> function
+        | Jir.Code.Iget (_, _, "count") | Jir.Code.Iset (_, "count", _) -> pcs := pc :: !pcs
+        | _ -> ())
+      cm.Jir.Code.cm_code;
+    (match List.rev !pcs with
+    | [ r; w ] -> (site r, site w)
+    | _ -> Alcotest.fail "C.work: expected one read and one write of count")
+
+let nowhere = { Runtime.Event.s_meth = "C.nowhere"; s_pc = 0 }
+
 let words_per_step ~steps f =
   let before = Gc.minor_words () in
   f ();
@@ -230,18 +260,28 @@ let test_scheduler_allocation () =
   | Sys.Bytecode | Sys.Other _ -> ()
   | Sys.Native ->
     let fuel = 20_000 in
-    let cand = { Detect.Racefuzzer.c_field = "count"; c_sites = None } in
-    let inst = alloc_instance () in
-    let run = ref None in
-    let directed =
-      words_per_step ~steps:fuel (fun () ->
-          run := Some (Detect.Racefuzzer.directed_run inst ~cand ~seed:7L ~fuel))
+    let directed_words what c_sites =
+      let cand = { Detect.Racefuzzer.c_field = "count"; c_sites } in
+      let inst = alloc_instance () in
+      let run = ref None in
+      let words =
+        words_per_step ~steps:fuel (fun () ->
+            run := Some (Detect.Racefuzzer.directed_run inst ~cand ~seed:7L ~fuel))
+      in
+      (match !run with
+      | Some (re, st) ->
+        Alcotest.(check int) (what ^ " uses all its fuel") fuel st.Detect.Racefuzzer.rs_steps;
+        Alcotest.(check bool) (what ^ " confirms nothing") true
+          (re.Detect.Racefuzzer.re_report = None);
+        Alcotest.(check bool) (what ^ " postpones")
+          (c_sites = None || fst (Option.get c_sites) <> nowhere)
+          (st.Detect.Racefuzzer.rs_max_postponed > 0)
+      | None -> Alcotest.fail ("no " ^ what));
+      words
     in
-    (match !run with
-    | Some (re, st) ->
-      Alcotest.(check int) "directed run uses all its fuel" fuel st.Detect.Racefuzzer.rs_steps;
-      Alcotest.(check bool) "and confirms nothing" true (re.Detect.Racefuzzer.re_report = None)
-    | None -> Alcotest.fail "no directed run");
+    let directed = directed_words "directed run" None in
+    let narrowed = directed_words "narrowed directed run" (Some (count_sites ())) in
+    let unreached = directed_words "unreached directed run" (Some (nowhere, nowhere)) in
     let m = (alloc_instance ()).Detect.Racefuzzer.ri_machine in
     let continued =
       words_per_step ~steps:fuel (fun () ->
@@ -266,7 +306,9 @@ let test_scheduler_allocation () =
     let at_most what bound v =
       if v > bound then Alcotest.failf "%s: %.3f words/step, bound %.2f" what v bound
     in
-    at_most "directed_run" 7.9 directed;
+    at_most "directed_run" 5.9 directed;
+    at_most "narrowed directed_run" 5.2 narrowed;
+    at_most "unreached directed_run" 3.3 unreached;
     at_most "continued Exec.run" 3.3 continued;
     at_most "Exec.run" 3.3 executed;
     at_most "lockset-observed Exec.run" 19.7 observed

@@ -199,7 +199,7 @@ let test_equivalence () =
 (* A race confirmed only at run >= 1: run 0 ended unconfirmed, so its
    end state is both forced outcomes, as the from-scratch forced runs
    at the campaign seed do not confirm either; the confirmation is
-   standalone [confirm]'s, and standalone triage agrees with the
+   standalone [confirm_all]'s, and standalone triage agrees with the
    campaign. *)
 let test_late_confirmation () =
   let found = ref 0 in
@@ -215,7 +215,10 @@ let test_late_confirmation () =
             incr found;
             let cand = Racefuzzer.candidate_of_report r in
             Alcotest.(check bool) "standalone confirm agrees" true
-              (Racefuzzer.confirm ~instantiate ~cand ~runs ~seed () = c);
+              (fst
+                 (Racefuzzer.confirm_all ~instantiate ~cands:[| cand |] ~runs ~seed
+                    ~settle:ignore).(0)
+              = c);
             Option.iter
               (fun (f, f_rev) -> check_outcome "one outcome for both orders" f f_rev)
               ev.e_forced;
