@@ -675,6 +675,8 @@ let fuzz_cmd =
              every synthesized test the first test's campaign triage \
              state; late-attach loses \
              the events of the step where a run becomes observed; \
+             mask-drop-write hides writes from a synchronization-and-access \
+             observer; \
              guided-seed hands Guided a seed one higher \
              than Evaluate's and repair's) and check \
              that the differential oracles catch it.")

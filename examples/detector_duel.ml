@@ -10,6 +10,7 @@ let scenario ~name ~src ~explain =
   let cu = Jir.Compile.compile_source src in
   let m = Runtime.Machine.create ~client_classes:[ "Main" ] cu in
   let ls = Detect.Lockset.attach m in
+  let er = Detect.Eraser.attach m in
   let ft = Detect.Fasttrack.attach m in
   let cm = Option.get (Jir.Code.find_static cu "Main" "main") in
   ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
@@ -18,7 +19,7 @@ let scenario ~name ~src ~explain =
     List.map (fun r -> Detect.Race.key_to_string (Detect.Race.key_of r)) rs
   in
   Printf.printf "  eraser reports   : %s\n"
-    (match keys (Detect.Lockset.eraser_reports ls) with
+    (match keys (Detect.Eraser.reports er) with
     | [] -> "(none)"
     | l -> String.concat "; " l);
   Printf.printf "  hybrid candidates: %s\n"

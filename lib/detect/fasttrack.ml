@@ -191,7 +191,7 @@ let observer t (e : Runtime.Event.t) =
 
 let attach m =
   let t = create () in
-  Runtime.Machine.add_observer m (observer t);
+  Runtime.Machine.add_observer m Runtime.Machine.Sync_and_access (observer t);
   t
 
 let reports t = Race.dedup (List.rev t.reports)

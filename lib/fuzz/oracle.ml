@@ -20,6 +20,7 @@ type mutation =
   | Instance_alias
   | Test_alias
   | Late_attach
+  | Mask_drop_write
   | Guided_seed
 
 let mutation_of_string = function
@@ -31,13 +32,15 @@ let mutation_of_string = function
   | "instance-alias" -> Ok Instance_alias
   | "test-alias" -> Ok Test_alias
   | "late-attach" -> Ok Late_attach
+  | "mask-drop-write" -> Ok Mask_drop_write
   | "guided-seed" -> Ok Guided_seed
   | s ->
     Error
       (Printf.sprintf
          "unknown mutation %S (have: drop-join, drop-release, \
           static-drop-sync, static-stale-cache, repair-overlock, \
-          instance-alias, test-alias, late-attach, guided-seed)"
+          instance-alias, test-alias, late-attach, mask-drop-write, \
+          guided-seed)"
          s)
 
 let mutation_to_string = function
@@ -49,6 +52,7 @@ let mutation_to_string = function
   | Instance_alias -> "instance-alias"
   | Test_alias -> "test-alias"
   | Late_attach -> "late-attach"
+  | Mask_drop_write -> "mask-drop-write"
   | Guided_seed -> "guided-seed"
 
 (* Seed roles, derived from the per-program base seed so every oracle is
@@ -160,10 +164,11 @@ let run_multithreaded ?mutate ~seed cu : mt_run =
     Conc.Exec.run_program ~seed:(vm_seed seed) cu ~client_classes
       ~cls:Gen.seed_cls ~meth:Gen.main_meth
       ~on_machine:(fun m ->
-        Runtime.Machine.add_observer m (Runtime.Trace.observer recorder);
-        Runtime.Machine.add_observer m feed_ft;
-        Runtime.Machine.add_observer m (Djit.observer dj);
-        Runtime.Machine.add_observer m (Lockset.observer ls))
+        let open Runtime.Machine in
+        add_observer m Every_event (Runtime.Trace.observer recorder);
+        add_observer m Sync_and_access feed_ft;
+        add_observer m Sync_and_access (Djit.observer dj);
+        add_observer m Sync_and_access (Lockset.observer ls))
       (Conc.Scheduler.random ~seed:(sched_seed seed))
   in
   let r =
@@ -195,8 +200,9 @@ let coverage ~seed program : Cov.Set.t =
       Conc.Exec.run_program ~seed:(vm_seed seed) cu ~client_classes
         ~cls:Gen.seed_cls ~meth:Gen.main_meth
         ~on_machine:(fun m ->
-          Runtime.Machine.add_observer m (Runtime.Trace.observer recorder);
-          Runtime.Machine.add_observer m (Lockset.observer ls))
+          let open Runtime.Machine in
+          add_observer m Every_event (Runtime.Trace.observer recorder);
+          add_observer m Sync_and_access (Lockset.observer ls))
         (Conc.Scheduler.random ~seed:(sched_seed seed))
     in
     let cov = Cov.of_trace (Runtime.Trace.snapshot recorder) in
@@ -236,7 +242,8 @@ let vm_determinism ~seed cu =
       Conc.Exec.run_program ~seed:(vm_seed seed) cu ~client_classes
         ~cls:Gen.seed_cls ~meth:Gen.main_meth
         ~on_machine:(fun m ->
-          Runtime.Machine.add_observer m (Runtime.Trace.observer recorder))
+          Runtime.Machine.add_observer m Runtime.Machine.Every_event
+            (Runtime.Trace.observer recorder))
         (Conc.Scheduler.random ~seed:(sched_seed seed))
     in
     let out =
@@ -298,7 +305,7 @@ let static_superset ?mutate ~seed cu =
     | Some Static_drop_sync -> Some Static.Analyze.Drop_sync
     | Some
         ( Drop_join | Drop_release | Static_stale_cache | Repair_overlock
-        | Instance_alias | Test_alias | Late_attach | Guided_seed )
+        | Instance_alias | Test_alias | Late_attach | Mask_drop_write | Guided_seed )
     | None ->
       None
   in
@@ -359,7 +366,7 @@ let static_incremental ?mutate (cu : Jir.Code.unit_) =
     | Some Static_stale_cache -> Some Static.Analyze.Stale_cache
     | Some
         ( Drop_join | Drop_release | Static_drop_sync | Repair_overlock
-        | Instance_alias | Test_alias | Late_attach | Guided_seed )
+        | Instance_alias | Test_alias | Late_attach | Mask_drop_write | Guided_seed )
     | None ->
       None
   in
@@ -651,10 +658,16 @@ let synthesis_replay ?mutate ?(strict = true) ~seed cu =
    1's steps and then gets the same two observers.  Outcome, steps,
    crashes, output and labels used must agree; run 2's trace must be
    the suffix of run 1's from the label where the observers attached,
-   and FastTrack must find the same race keys on it.  The [late-attach]
-   mutation lets one more step run unobserved after the label the
-   oracle compares from, so that step's events are lost: the bug class
-   of a switch between the two modes that drops events. *)
+   and FastTrack must find the same race keys on it.  Run 3 runs the
+   same unobserved half and then gets one synchronization-and-access
+   recorder alone, so the machine builds only those kinds: it must
+   agree with run 1 too, and see exactly the events of those kinds in
+   run 1's suffix.  The [late-attach] mutation lets one more step of
+   run 2 run unobserved after the label the oracle compares from, so
+   that step's events are lost: the bug class of a switch between the
+   two modes that drops events.  The [mask-drop-write] mutation hides
+   [Write] events from run 3's recorder: the bug class of an interest
+   that leaves out a kind its observers read. *)
 let observer_diff ?mutate ~seed cu =
   let start ?fuel ?on_machine sched =
     Conc.Exec.run_program ?fuel ?on_machine ~seed:(vm_seed seed) cu ~client_classes
@@ -664,8 +677,9 @@ let observer_diff ?mutate ~seed cu =
     let recorder = Runtime.Trace.recorder () in
     let ft = Fasttrack.create () in
     let attach m =
-      Runtime.Machine.add_observer m (Runtime.Trace.observer recorder);
-      Runtime.Machine.add_observer m (Fasttrack.observer ft)
+      let open Runtime.Machine in
+      add_observer m Every_event (Runtime.Trace.observer recorder);
+      add_observer m Sync_and_access (Fasttrack.observer ft)
     in
     let finish () =
       let trace = Runtime.Trace.snapshot recorder in
@@ -705,6 +719,36 @@ let observer_diff ?mutate ~seed cu =
          (fun ev -> Runtime.Event.label_of ev >= from)
          (Array.to_list trace1))
   in
+  let sched3 = Conc.Scheduler.random ~seed:(sched_seed seed) in
+  let head3, m3 = start ~fuel:(max 1 (r1.Conc.Exec.steps / 2)) sched3 in
+  let from3 = Runtime.Machine.labels_used m3 in
+  let recorder3 = Runtime.Trace.recorder () in
+  Runtime.Machine.add_observer m3 Runtime.Machine.Sync_and_access (fun ev ->
+      match (mutate, ev) with
+      | Some Mask_drop_write, Runtime.Event.Write _ -> ()
+      | _ -> Runtime.Trace.observer recorder3 ev);
+  let tail3 = Conc.Exec.run m3 sched3 in
+  let trace3 = Runtime.Trace.snapshot recorder3 in
+  Runtime.Trace.recycle recorder3;
+  let ((_, steps3, _, _, labels3) as f3) =
+    facts tail3 ~steps:(head3.Conc.Exec.steps + tail3.Conc.Exec.steps) m3
+  in
+  let sync_suffix =
+    Array.of_list
+      (List.filter
+         (fun ev ->
+           Runtime.Event.label_of ev >= from3
+           &&
+           match ev with
+           | Runtime.Event.Read _ | Runtime.Event.Write _ | Runtime.Event.Lock _
+           | Runtime.Event.Unlock _ | Runtime.Event.Spawned _ | Runtime.Event.Joined _ ->
+             true
+           | Runtime.Event.Const _ | Runtime.Event.Move _ | Runtime.Event.Alloc _
+           | Runtime.Event.Invoke _ | Runtime.Event.Param _ | Runtime.Event.Return _
+           | Runtime.Event.Thrown _ ->
+             false)
+         (Array.to_list trace1))
+  in
   if f1 <> f2 then
     Fail
       (Printf.sprintf "observed and mid-run-observed runs differ: steps %d vs %d, labels %d vs %d"
@@ -717,6 +761,17 @@ let observer_diff ?mutate ~seed cu =
     let ft = Fasttrack.create () in
     Array.iter (Fasttrack.observer ft) suffix;
     if race_keys ft <> keys2 then Fail "race keys on the events after the attach differ"
+    else if f1 <> f3 then
+      Fail
+        (Printf.sprintf
+           "observed and mid-run synchronization-observed runs differ: steps %d vs %d, labels %d vs %d"
+           steps1 steps3 labels1 labels3)
+    else if sync_suffix <> trace3 then
+      Fail
+        (Printf.sprintf
+           "synchronization and access events observed from label %d differ: %d in the observed \
+            run, %d after the attach"
+           from3 (Array.length sync_suffix) (Array.length trace3))
     else Pass
 
 (* ---- the repair oracle ---- *)

@@ -18,6 +18,8 @@ type verdict = Pass | Fail of string
     breaks the isolation of synthesized-test instances; [Test_alias]
     the per-test scope of the campaign's triage state; [Late_attach]
     loses events where a run switches from unobserved to observed;
+    [Mask_drop_write] hides [Write] from a synchronization-and-access
+    observer;
     [Guided_seed] gives one detection entry point seeds of its own.  A
     campaign run
     with a mutation must report disagreement — proving the differential
@@ -45,6 +47,10 @@ type mutation =
       (** make the observer-diff oracle let one more step run
           unobserved after the label it compares from, so the events of
           that step are lost *)
+  | Mask_drop_write
+      (** make the observer-diff oracle hide [Write] events from its
+          synchronization-and-access observer, as a machine whose
+          interest left out a kind its observers read would *)
   | Guided_seed
       (** make the campaign-agreement oracle seed Guided's lockset
           schedules one higher than the other entry points' *)

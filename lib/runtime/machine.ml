@@ -67,6 +67,11 @@ and t = {
   mutable next_fid : int;
   mutable next_label : int;
   mutable observers : (Event.t -> unit) list;
+    (* Every observer, in attach order: all of them read the
+       synchronization and access events. *)
+  mutable full_observers : (Event.t -> unit) list;
+    (* The [Every_event] observers, in attach order: the only readers
+       of the other events. *)
   client_classes : (Ast.id, unit) Hashtbl.t; (* written by [create] only *)
   seed : int64; (* base of every thread's [Sys.randInt] stream *)
   out : Buffer.t;
@@ -110,12 +115,29 @@ let rand_int (th : thread) ~bound =
 
 (* Events and labels.  Every event consumes one label whether or not
    anyone observes it: an emission point builds and emits its event
-   only when [observed], and otherwise advances the counter by the same
-   count.  So observers may attach at any step and see exactly the
-   labels (and events) a run observed from the start would have. *)
-let observed m = match m.observers with [] -> false | _ :: _ -> true
+   only when some observer reads its kind, and otherwise advances the
+   counter by the same count.  A synchronization or access event
+   ([Read], [Write], [Lock], [Unlock], [Spawned], [Joined]) is built
+   when [observed] and goes to every observer; any other event, and the
+   client-boundary flags only it carries, when [fully_observed], and
+   goes to the [Every_event] observers only.  So observers of either
+   interest may attach at any step and see exactly the labels (and
+   events of their kinds) a run observed from the start would have. *)
+type interest = Every_event | Sync_and_access
 
-let emit m ev = List.iter (fun f -> f ev) m.observers
+let observed m = match m.observers with [] -> false | _ :: _ -> true
+let fully_observed m = match m.full_observers with [] -> false | _ :: _ -> true
+
+(* A loop, not [List.iter] with a closure over [ev]: emitting allocates
+   nothing beyond the event. *)
+let rec emit_to ev = function
+  | [] -> ()
+  | f :: rest ->
+    f ev;
+    emit_to ev rest
+
+let emit m ev = emit_to ev m.observers
+let emit_full m ev = emit_to ev m.full_observers
 
 let next_label m =
   let l = m.next_label in
@@ -161,11 +183,11 @@ let new_frame m ~(cm : Code.meth) ~recv ~ret_dst =
 let invoke_events m ~tid ~(caller : frame list) ~client (f : frame) ~has_recv
     ~nargs =
   let base = if has_recv then 1 else 0 in
-  if observed m then begin
+  if fully_observed m then begin
     let cm = f.meth in
     let recv = if has_recv then Some f.regs.(0) else None in
     let args = List.init nargs (fun i -> f.regs.(base + i)) in
-    emit m
+    emit_full m
       (Event.Invoke
          {
            label = next_label m;
@@ -182,11 +204,11 @@ let invoke_events m ~tid ~(caller : frame list) ~client (f : frame) ~has_recv
          });
     (match recv with
     | Some v ->
-      emit m (Event.Param { label = next_label m; tid; frame = f.fid; pos = 0; v })
+      emit_full m (Event.Param { label = next_label m; tid; frame = f.fid; pos = 0; v })
     | None -> ());
     List.iteri
       (fun i v ->
-        emit m
+        emit_full m
           (Event.Param { label = next_label m; tid; frame = f.fid; pos = i + 1; v }))
       args
   end
@@ -212,7 +234,7 @@ let start_thread m (f : frame) ~has_recv ~nargs ~spawned_client =
   m.thread_list <- m.thread_list @ [ th ];
   m.live <- m.live @ [ th ];
   let client =
-    observed m && spawned_client && not (is_client_class m f.meth.Code.cm_cls)
+    fully_observed m && spawned_client && not (is_client_class m f.meth.Code.cm_cls)
   in
   invoke_events m ~tid ~caller:[] ~client f ~has_recv ~nargs;
   tid
@@ -355,7 +377,7 @@ let call_is_client m th ~callee_cls =
 
 (* Push a callee frame holding [recv] and the values of [from]'s
    argument registers [argr]; the caller's pc must already point past
-   the call.  [client] only matters when the machine is observed. *)
+   the call.  [client] only matters when the machine is fully observed. *)
 let push_call m th ~(cm : Code.meth) ~recv ~(from : frame) ~(argr : int array)
     ~ret_dst ~client =
   let f = new_frame m ~cm ~recv ~ret_dst in
@@ -387,8 +409,8 @@ let unlock_event m th (f : frame) addr =
   else bump m 1
 
 let const_event m th (f : frame) dst =
-  if observed m then
-    emit m (Event.Const { label = next_label m; tid = th.tid; frame = f.fid; dst })
+  if fully_observed m then
+    emit_full m (Event.Const { label = next_label m; tid = th.tid; frame = f.fid; dst })
   else bump m 1
 
 let read_event m th (f : frame) ~site ~dst ~obj ~field v =
@@ -423,7 +445,8 @@ let crash_thread m th msg =
   th.stack <- [];
   th.status <- Crashed msg;
   retire m th;
-  if observed m then emit m (Event.Thrown { label = next_label m; tid = th.tid; msg })
+  if fully_observed m then
+    emit_full m (Event.Thrown { label = next_label m; tid = th.tid; msg })
   else bump m 1
 
 let do_return m th (f : frame) (v : Value.t option) =
@@ -437,13 +460,13 @@ let do_return m th (f : frame) (v : Value.t option) =
   f.entered <- [];
   (* [f] is the frame being returned from: the head of the stack. *)
   th.stack <- (match th.stack with _ :: callers -> callers | [] -> []);
-  if observed m then begin
+  if fully_observed m then begin
     let to_frame, to_client =
       match th.stack with
       | [] -> (None, th.spawned_client && not (frame_is_client m f))
       | p :: _ -> (Some p.fid, frame_is_client m p && not (frame_is_client m f))
     in
-    emit m
+    emit_full m
       (Event.Return
          {
            label = next_label m;
@@ -589,8 +612,8 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
     fun m th f ->
       let v = f.regs.(s) in
       f.regs.(d) <- v;
-      if observed m then
-        emit m (Event.Move { label = next_label m; tid = th.tid; frame = f.fid; dst = d; src = s; v })
+      if fully_observed m then
+        emit_full m (Event.Move { label = next_label m; tid = th.tid; frame = f.fid; dst = d; src = s; v })
       else bump m 1;
       f.pc <- next;
       true
@@ -697,8 +720,8 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
         let addr = Heap.alloc_object m.heap ~layout in
         let rv = Value.Vref addr in
         f.regs.(d) <- rv;
-        if observed m then
-          emit m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
+        if fully_observed m then
+          emit_full m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
         else bump m 1;
         f.pc <- next;
         (* Run field initializers (superclass first): push frames in
@@ -715,8 +738,8 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
       let n = int_of_exn f.regs.(nr) ~what:"array size" in
       let addr = Heap.alloc_array m.heap ~elt ~len:n in
       f.regs.(d) <- Value.Vref addr;
-      if observed m then
-        emit m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
+      if fully_observed m then
+        emit_full m (Event.Alloc { label = next_label m; tid = th.tid; frame = f.fid; dst = d; addr; cls })
       else bump m 1;
       f.pc <- next;
       true
@@ -728,7 +751,7 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
       let recv = f.regs.(o) in
       let cm = resolve_virtual_cached cache m recv ~mname ~what in
       f.pc <- next;
-      let client = observed m && call_is_client m th ~callee_cls:cm.Code.cm_cls in
+      let client = fully_observed m && call_is_client m th ~callee_cls:cm.Code.cm_cls in
       push_call m th ~cm ~recv:(Some recv) ~from:f ~argr ~ret_dst:dst ~client;
       true
   | Code.Ictor (o, cls, argl) -> (
@@ -740,7 +763,7 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
       fun m th f ->
         let recv = f.regs.(o) in
         f.pc <- next;
-        let client = observed m && call_is_client m th ~callee_cls:cls in
+        let client = fully_observed m && call_is_client m th ~callee_cls:cls in
         push_call m th ~cm ~recv:(Some recv) ~from:f ~argr ~ret_dst:None ~client;
         true)
   | Code.Icallstatic (dst, cls, mname, argl) -> (
@@ -750,7 +773,7 @@ let compile_instr (cu : Code.unit_) ~layouts (cm : Code.meth) ~pc
     | Some cm ->
       fun m th f ->
         f.pc <- next;
-        let client = observed m && call_is_client m th ~callee_cls:cls in
+        let client = fully_observed m && call_is_client m th ~callee_cls:cls in
         push_call m th ~cm ~recv:None ~from:f ~argr ~ret_dst:dst ~client;
         true)
   | Code.Iintrinsic (dst, intr, argl) ->
@@ -1085,6 +1108,7 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
       next_fid = 0;
       next_label = 0;
       observers = [];
+      full_observers = [];
       client_classes = Hashtbl.create 7;
       seed;
       out = Buffer.create 256;
@@ -1115,7 +1139,11 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
     (Program.classes cu.Code.cu_program);
   m
 
-let add_observer m f = m.observers <- m.observers @ [ f ]
+let add_observer m interest f =
+  m.observers <- m.observers @ [ f ];
+  match interest with
+  | Every_event -> m.full_observers <- m.full_observers @ [ f ]
+  | Sync_and_access -> ()
 
 (* Fork a machine: everything a run can change is copied — the heap,
    the thread records and their frames (registers, pc, entered
@@ -1146,6 +1174,7 @@ let copy m =
     thread_list;
     live = List.filter steppable thread_list;
     observers = [];
+    full_observers = [];
     out;
   }
 

@@ -53,10 +53,10 @@ val create :
     into an array of closures once (constants materialized, access
     sites, branch targets and static call targets pre-resolved, virtual
     calls behind per-site inline caches).  A closure builds and emits
-    its events only while the machine has observers; otherwise it
-    advances the event-label counter by the same count, so observers
-    may attach mid-run and see exactly the labels and events of a run
-    observed from the start.  A [code] value is immutable after
+    an event only while some observer reads its kind (see
+    {!add_observer}); otherwise it advances the event-label counter by
+    the same count, so observers may attach mid-run and see exactly the
+    labels and events of a run observed from the start.  A [code] value is immutable after
     compilation and shared across machines and domains, and it holds
     the program's field layouts, one per class: every machine of the
     program allocates its objects and class objects with them. *)
@@ -83,7 +83,21 @@ module Compiled : sig
   (** Total instructions compiled. *)
 end
 
-val add_observer : t -> (Event.t -> unit) -> unit
+(** The events an observer reads. *)
+type interest =
+  | Every_event  (** the trace recorder and Crucible's views *)
+  | Sync_and_access
+      (** [Read], [Write], [Lock], [Unlock], [Spawned] and [Joined]
+          only: what the race detectors read. *)
+
+val add_observer : t -> interest -> (Event.t -> unit) -> unit
+(** Call the function on every event of the given interest, in label
+    order; observers see each event in attach order.  The machine builds
+    the other events ([Const], [Move], [Alloc], [Invoke], [Param],
+    [Return], [Thrown]) and their client-boundary flags only while an
+    [Every_event] observer is attached.  Either way each event consumes
+    its label, so {!labels_used} and the labels an observer sees do not
+    depend on who observes. *)
 
 val copy : t -> t
 (** An independent machine in the same state: stepping either one never
@@ -92,7 +106,8 @@ val copy : t -> t
     copied; the code unit, the compiled code with its field layouts and
     the class-object and client-class tables are shared, since no run
     changes them.
-    Observers are not carried over.  [copy] only reads its argument, so
+    Observers are not carried over: the copy starts with no interest.
+    [copy] only reads its argument, so
     several domains may copy one machine at once, provided nobody steps
     it meanwhile. *)
 

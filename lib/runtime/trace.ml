@@ -48,7 +48,7 @@ let recycle r =
 
 let attach m =
   let r = recorder () in
-  Machine.add_observer m (observer r);
+  Machine.add_observer m Machine.Every_event (observer r);
   r
 
 let snapshot r : t =

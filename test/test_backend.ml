@@ -84,7 +84,7 @@ let test_machines_compile_once () =
 let run_racy ~observed ~seed =
   let cu = compile racy_src in
   let recorder = Trace.recorder () in
-  let on_machine m = if observed then Machine.add_observer m (Trace.observer recorder) in
+  let on_machine m = if observed then Machine.add_observer m Machine.Every_event (Trace.observer recorder) in
   let sched, picks = Testlib.Fixtures.recording (Conc.Scheduler.random ~seed) in
   let r, m =
     Conc.Exec.run_program ~seed cu ~client_classes:[ "Main" ] ~cls:"Main"
@@ -148,7 +148,7 @@ let observe_from cu ~client_classes ~cls ~meth k =
   let seed = 11L in
   let sched = Conc.Scheduler.random ~seed in
   let recorder = Trace.recorder () in
-  let observe m = Machine.add_observer m (Trace.observer recorder) in
+  let observe m = Machine.add_observer m Machine.Every_event (Trace.observer recorder) in
   let start ?fuel ?on_machine () =
     Conc.Exec.run_program ?fuel ?on_machine ~seed cu ~client_classes ~cls ~meth sched
   in

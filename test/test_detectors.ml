@@ -7,6 +7,7 @@ let run_with_detectors ?(seed = 5L) src =
   let cu = Jir.Compile.compile_source src in
   let m = Runtime.Machine.create ~client_classes:[ "Main" ] cu in
   let lockset = Lockset.attach m in
+  let eraser = Eraser.attach m in
   let ft = Fasttrack.attach m in
   let cm =
     match Jir.Code.find_static cu "Main" "main" with
@@ -16,16 +17,16 @@ let run_with_detectors ?(seed = 5L) src =
   ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
   let r = Conc.Exec.run m (Conc.Scheduler.random ~seed) in
   Alcotest.(check bool) "finished" true (r.Conc.Exec.outcome = Conc.Exec.All_finished);
-  (lockset, ft)
+  (lockset, eraser, ft)
 
 let count_on_field rs field =
   List.length
     (List.filter (fun (r : Race.report) -> r.Race.r_first.Race.a_field = field) rs)
 
 let test_racy_counter_flagged () =
-  let ls, ft = run_with_detectors Testlib.Fixtures.racy_counter in
+  let ls, er, ft = run_with_detectors Testlib.Fixtures.racy_counter in
   Alcotest.(check bool) "eraser reports count" true
-    (count_on_field (Lockset.eraser_reports ls) "count" > 0);
+    (count_on_field (Eraser.reports er) "count" > 0);
   Alcotest.(check bool) "candidates report count" true
     (count_on_field (Lockset.candidates ls) "count" > 0);
   (* FastTrack is schedule-sensitive; the candidate set is what feeds
@@ -36,8 +37,8 @@ let test_racy_counter_flagged () =
     (Fasttrack.reports ft)
 
 let test_safe_counter_clean () =
-  let ls, ft = run_with_detectors Testlib.Fixtures.safe_counter in
-  Alcotest.(check int) "eraser clean" 0 (List.length (Lockset.eraser_reports ls));
+  let ls, er, ft = run_with_detectors Testlib.Fixtures.safe_counter in
+  Alcotest.(check int) "eraser clean" 0 (List.length (Eraser.reports er));
   Alcotest.(check int) "candidates clean" 0 (List.length (Lockset.candidates ls));
   Alcotest.(check int) "fasttrack clean" 0 (List.length (Fasttrack.reports ft))
 
@@ -47,7 +48,7 @@ let test_join_edge () =
     "class A { int v; void w() { this.v = 1; } } class Main { static int \
      main() { A a = new A(); thread t = spawn a.w(); join t; return a.v; } }"
   in
-  let ls, ft = run_with_detectors src in
+  let ls, _, ft = run_with_detectors src in
   Alcotest.(check int) "fasttrack sees the join edge" 0
     (List.length (Fasttrack.reports ft));
   (* the pure lockset view has no notion of join: this is its classic
@@ -64,7 +65,7 @@ let test_lock_edge () =
      A(); thread t1 = spawn a.w(); thread t2 = spawn a.r(); join t1; join \
      t2; return 0; } }"
   in
-  let ls, ft = run_with_detectors src in
+  let ls, _, ft = run_with_detectors src in
   Alcotest.(check int) "fasttrack clean under lock" 0
     (List.length (Fasttrack.reports ft));
   Alcotest.(check int) "lockset clean under lock" 0
@@ -79,7 +80,7 @@ let test_different_locks () =
      new W(s); thread t1 = spawn w1.bump(); thread t2 = spawn w2.bump(); \
      join t1; join t2; return s.v; } }"
   in
-  let ls, _ft = run_with_detectors src in
+  let ls, _, _ft = run_with_detectors src in
   Alcotest.(check bool) "candidates on v" true
     (count_on_field (Lockset.candidates ls) "v" > 0)
 
@@ -91,7 +92,7 @@ let test_array_element_granularity () =
      A a = new A(); thread t1 = spawn a.w0(); thread t2 = spawn a.w1(); join \
      t1; join t2; return 0; } }"
   in
-  let ls, ft = run_with_detectors src in
+  let ls, _, ft = run_with_detectors src in
   (* The initializing write to the [xs] field itself is a lockset
      candidate (lockset ignores the spawn edge — its classic false
      positive); the array *slots* must be clean. *)
@@ -107,7 +108,7 @@ let test_same_element_races () =
      thread t1 = spawn a.w(); thread t2 = spawn a.w(); join t1; join t2; \
      return 0; } }"
   in
-  let ls, _ft = run_with_detectors src in
+  let ls, _, _ft = run_with_detectors src in
   Alcotest.(check bool) "same slot: candidates" true
     (List.length (Lockset.candidates ls) > 0)
 
@@ -117,9 +118,9 @@ let test_eraser_state_machine () =
     "class A { int v; void bump() { this.v = this.v + 1; } } class Main { \
      static int main() { A a = new A(); a.bump(); a.bump(); return a.v; } }"
   in
-  let ls, _ft = run_with_detectors src in
+  let _, er, _ft = run_with_detectors src in
   Alcotest.(check int) "single-thread exclusive" 0
-    (List.length (Lockset.eraser_reports ls))
+    (List.length (Eraser.reports er))
 
 let test_read_shared_no_eraser_report () =
   (* concurrent reads only: Shared state, no report *)
@@ -128,13 +129,13 @@ let test_read_shared_no_eraser_report () =
      main() { A a = new A(); thread t1 = spawn a.r(); thread t2 = spawn \
      a.r(); join t1; join t2; return 0; } }"
   in
-  let ls, ft = run_with_detectors src in
-  Alcotest.(check int) "read-shared clean" 0 (List.length (Lockset.eraser_reports ls));
+  let ls, er, ft = run_with_detectors src in
+  Alcotest.(check int) "read-shared clean" 0 (List.length (Eraser.reports er));
   Alcotest.(check int) "read-read not a candidate" 0 (List.length (Lockset.candidates ls));
   Alcotest.(check int) "fasttrack read-share clean" 0 (List.length (Fasttrack.reports ft))
 
 let test_dedup () =
-  let ls, _ = run_with_detectors Testlib.Fixtures.racy_counter in
+  let ls, _, _ = run_with_detectors Testlib.Fixtures.racy_counter in
   let cands = Lockset.candidates ls in
   let keys = List.map Race.key_of cands in
   Alcotest.(check int) "candidates deduped"
@@ -142,7 +143,7 @@ let test_dedup () =
     (List.length keys)
 
 let test_report_render () =
-  let ls, _ = run_with_detectors Testlib.Fixtures.racy_counter in
+  let ls, _, _ = run_with_detectors Testlib.Fixtures.racy_counter in
   match Lockset.candidates ls with
   | r :: _ ->
     let s = Race.to_string r in
@@ -151,9 +152,9 @@ let test_report_render () =
 
 (* The Eraser state machine as it once ran inside every lockset run:
    one transition per access, as the access is observed, with the
-   variable's last access as the witness.  [Lockset.eraser_reports]
-   replays each variable's history instead, only when asked; on every
-   run the two must give the same reports in the same order. *)
+   variable's last access as the witness.  [Eraser.reports] replays
+   each variable's history instead, only when asked; on every run the
+   two must give the same reports in the same order. *)
 module Eraser_reference = struct
   module AddrSet = Set.Make (Int)
 
@@ -244,7 +245,7 @@ module Eraser_reference = struct
 
   let attach m =
     let t = { held = Array.make 8 AddrSet.empty; states = VarMap.empty; reports = [] } in
-    Runtime.Machine.add_observer m (observer t);
+    Runtime.Machine.add_observer m Runtime.Machine.Every_event (observer t);
     t
 
   let reports t = Race.dedup (List.rev t.reports)
@@ -277,7 +278,7 @@ let test_eraser_on_demand () =
               | Error _ -> ()
               | Ok inst ->
                 let m = inst.Racefuzzer.ri_machine in
-                let ls = Lockset.attach m in
+                let er = Eraser.attach m in
                 let reference = Eraser_reference.attach m in
                 ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
                 let expected = Eraser_reference.reports reference in
@@ -286,7 +287,7 @@ let test_eraser_on_demand () =
                 Alcotest.(check (list string))
                   (Printf.sprintf "%s test %d seed %Ld" e.Corpus.Corpus_def.e_id i seed)
                   (List.map show expected)
-                  (List.map show (Lockset.eraser_reports ls)))
+                  (List.map show (Eraser.reports er)))
             [ 7L; 8L ])
         an.Narada_core.Pipeline.an_tests)
     (Corpus.Registry.all @ Corpus.Registry.extras);
@@ -362,7 +363,7 @@ module Pairs_reference = struct
 
   let attach m =
     let t = { held = Array.make 8 AddrSet.empty; history = VarMap.empty } in
-    Runtime.Machine.add_observer m (observer t);
+    Runtime.Machine.add_observer m Runtime.Machine.Every_event (observer t);
     t
 
   let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
@@ -391,15 +392,11 @@ module Pairs_reference = struct
 end
 
 (* Every lockset run the campaign makes at seed 7 (its three schedules
-   of every test) on C1-C9 and X1-X3 and on 200 generated programs: the
-   distinct-access pairs equal the all-access reference's, report for
-   report.  The runs compared and the reports they hold are pinned, so
-   the check cannot go vacuous. *)
-let test_pairs_distinct () =
-  let show (r : Race.report) =
-    Printf.sprintf "%d/%d %s" r.Race.r_first.Race.a_label r.Race.r_second.Race.a_label
-      (Race.to_string r)
-  in
+   of every test) on C1-C9 and X1-X3 and on 200 generated programs:
+   [run name instantiate seed] checks one run and returns the reports
+   it compared.  Returns the (runs, reports) counts of the corpus and of
+   the generated programs. *)
+let campaign_runs run =
   let seeds = List.init 3 (fun i -> Int64.add 7L (Int64.of_int (i * 1299709))) in
   let check_analysis name (an : Narada_core.Pipeline.analysis) =
     let runs = ref 0 and reports = ref 0 in
@@ -411,17 +408,9 @@ let test_pairs_distinct () =
             match instantiate () with
             | Error _ -> ()
             | Ok inst ->
-              let m = inst.Racefuzzer.ri_machine in
-              let ls = Lockset.attach m in
-              let reference = Pairs_reference.attach m in
-              ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
-              let expected = Pairs_reference.candidates reference in
               incr runs;
-              reports := !reports + List.length expected;
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s test %d seed %Ld" name i seed)
-                (List.map show expected)
-                (List.map show (Lockset.candidates ls)))
+              reports :=
+                !reports + run (Printf.sprintf "%s test %d seed %Ld" name i seed) inst seed)
           seeds)
       an.Narada_core.Pipeline.an_tests;
     (!runs, !reports)
@@ -446,6 +435,59 @@ let test_pairs_distinct () =
            with
            | Ok an -> check_analysis (Printf.sprintf "Gen seed %d" s) an
            | Error _ -> (0, 0)))
+  in
+  (corpus, generated)
+
+(* Every campaign lockset run: the distinct-access pairs equal the
+   all-access reference's, report for report.  The runs compared and
+   the reports they hold are pinned, so the check cannot go vacuous. *)
+let test_pairs_distinct () =
+  let show (r : Race.report) =
+    Printf.sprintf "%d/%d %s" r.Race.r_first.Race.a_label r.Race.r_second.Race.a_label
+      (Race.to_string r)
+  in
+  let corpus, generated =
+    campaign_runs (fun what inst seed ->
+        let m = inst.Racefuzzer.ri_machine in
+        let ls = Lockset.attach m in
+        let reference = Pairs_reference.attach m in
+        ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
+        let expected = Pairs_reference.candidates reference in
+        Alcotest.(check (list string))
+          what (List.map show expected)
+          (List.map show (Lockset.candidates ls));
+        List.length expected)
+  in
+  Alcotest.(check (pair int int)) "corpus runs compared, reports" (1740, 5685) corpus;
+  Alcotest.(check (pair int int)) "generated runs compared, reports" (1701, 7940) generated
+
+(* Every campaign lockset run twice, from two instances of its test: on
+   a machine whose only observer is the lockset, so the machine builds
+   only synchronization and access events, and on one an every-event
+   observer watches too.  The candidates (labels, values and order)
+   and the labels used must be equal.  The runs compared and the
+   reports they hold are pinned, so the check cannot go vacuous. *)
+let test_subscribed_run () =
+  let show (r : Race.report) =
+    let side (a : Race.access) =
+      Printf.sprintf "%d=%s" a.Race.a_label (Runtime.Value.to_string a.Race.a_value)
+    in
+    Printf.sprintf "%s/%s %s" (side r.Race.r_first) (side r.Race.r_second) (Race.to_string r)
+  in
+  let corpus, generated =
+    campaign_runs (fun what inst seed ->
+        let observe ~full =
+          let m = Runtime.Machine.copy inst.Racefuzzer.ri_machine in
+          let ls = Lockset.attach m in
+          if full then Runtime.Machine.add_observer m Runtime.Machine.Every_event ignore;
+          ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
+          (List.map show (Lockset.candidates ls), Runtime.Machine.labels_used m)
+        in
+        let expected, expected_labels = observe ~full:true in
+        let subscribed, labels = observe ~full:false in
+        Alcotest.(check (list string)) what expected subscribed;
+        Alcotest.(check int) (what ^ ": labels used") expected_labels labels;
+        List.length expected)
   in
   Alcotest.(check (pair int int)) "corpus runs compared, reports" (1740, 5685) corpus;
   Alcotest.(check (pair int int)) "generated runs compared, reports" (1701, 7940) generated
@@ -476,7 +518,10 @@ let () =
           Alcotest.test_case "on demand = per access" `Quick test_eraser_on_demand;
         ] );
       ( "lockset pairs",
-        [ Alcotest.test_case "distinct accesses = all accesses" `Quick test_pairs_distinct ] );
+        [
+          Alcotest.test_case "distinct accesses = all accesses" `Quick test_pairs_distinct;
+          Alcotest.test_case "subscribed run = fully observed run" `Quick test_subscribed_run;
+        ] );
       ( "reports",
         [
           Alcotest.test_case "dedup" `Quick test_dedup;

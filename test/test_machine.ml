@@ -401,7 +401,7 @@ type tally = { mutable some : int; mutable none : int; mutable crashed : int }
 (* One observed random run; fails on the first step the oracle rejects. *)
 let check_pending_run ~what ~seed ~fuel n m =
   let emitted = ref [] in
-  Machine.add_observer m (fun ev ->
+  Machine.add_observer m Machine.Sync_and_access (fun ev ->
       match access_of_event ev with Some a -> emitted := a :: !emitted | None -> ());
   let rng = Rng.create seed in
   let rec go fuel =

@@ -105,7 +105,7 @@ let test_detector_integration () =
     | Error e -> Error e
     | Ok m ->
       let ls = Detect.Lockset.attach m in
-      Runtime.Machine.add_observer m (fun _ ->
+      Runtime.Machine.add_observer m Runtime.Machine.Sync_and_access (fun _ ->
           if (not !found) && Detect.Lockset.candidates ls <> [] then
             found := true);
       Ok m
